@@ -23,8 +23,11 @@ chain: for simple eigenvalues, ``dL = Re Tr(G dA)`` with
 symmetrized to ``N = (G + G^*)/2``, giving ``Q(xi) = P_+(xi) N(-xi)`` with
 ``P_+ = -P``.  Points where the chain has (numerically) multiple eigenvalues
 -- or vanishing moduli when ``delta = 0`` -- fall back to finite
-differences with a kink check; a genuine kink raises
-:class:`~kreinact.errors.NonsmoothPointError`.
+differences (relative step ``1e-5``) with a kink check; a genuine kink
+raises :class:`~kreinact.errors.NonsmoothPointError`.  One routine builds
+the Krein-symmetrized field ``Q`` on a reflection-closed point set:
+:class:`QHatEvaluator` calls it on its grid, :func:`gradient_kernel_Q` on
+the pair ``(xi, -xi)``.
 """
 
 from __future__ import annotations
@@ -55,6 +58,7 @@ __all__ = [
 
 _KINK_REL = 0.05
 _COLLISION_REL = 1e-9
+_FD_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -169,17 +173,20 @@ def _moduli(lambdas: np.ndarray, delta: float) -> np.ndarray:
     return np.sqrt(np.abs(lambdas) ** 2 + delta**2)
 
 
-def _lagrangian_of_moduli(m: np.ndarray) -> float:
-    n = len(m) // 2
-    val = float(np.sum(m**2) - np.sum(m) ** 2 / (2 * n))
-    return max(val, 0.0)
+def _lagrangian_values(lambdas: np.ndarray, delta: float) -> np.ndarray:
+    """Causal Lagrangian of each row of chain eigenvalues ``lambdas`` (``..., 2n``)."""
+    if delta < 0:
+        raise ValidationError("smoothing delta must be >= 0")
+    m = _moduli(lambdas, delta)
+    n = lambdas.shape[-1] // 2
+    # Method reductions: np.sum's dispatch would dominate the finite-difference
+    # path, which calls this once per 2n x 2n chain.
+    return np.maximum((m**2).sum(-1) - m.sum(-1) ** 2 / (2 * n), 0.0)
 
 
 def lagrangian(spectrum: ClosedChainSpectrum, smoothing_delta: float = 0.0) -> float:
     """Causal Lagrangian ``(1/4n) sum_{ij} (m_i - m_j)^2 >= 0``."""
-    if smoothing_delta < 0:
-        raise ValidationError("smoothing delta must be >= 0")
-    return _lagrangian_of_moduli(_moduli(spectrum.lambdas, smoothing_delta))
+    return float(_lagrangian_values(spectrum.lambdas, smoothing_delta))
 
 
 def _chain_field(measure: OperatorMeasure, points: np.ndarray):
@@ -190,27 +197,22 @@ def _chain_field(measure: OperatorMeasure, points: np.ndarray):
     return Pp, Pp @ adj
 
 
+def _lagrangian_field(measure: OperatorMeasure, grid: PositionGrid, smoothing_delta: float) -> np.ndarray:
+    """Lagrangian at each grid point, from one batched chain eigensolve."""
+    _, chains = _chain_field(measure, grid.points)
+    return _lagrangian_values(np.linalg.eigvals(chains), smoothing_delta)
+
+
 def action(measure: OperatorMeasure, grid: PositionGrid, smoothing_delta: float = 0.0) -> float:
     """Discretized homogeneous action ``sum_xi w(xi) L(xi)``."""
-    if smoothing_delta < 0:
-        raise ValidationError("smoothing delta must be >= 0")
-    _, chains = _chain_field(measure, grid.points)
-    lams = np.linalg.eigvals(chains)
-    m = _moduli(lams, smoothing_delta)
-    n = measure.space.n
-    vals = np.sum(m**2, axis=1) - np.sum(m, axis=1) ** 2 / (2 * n)
-    return float(np.dot(grid.weights, np.maximum(vals, 0.0)))
+    return float(np.dot(grid.weights, _lagrangian_field(measure, grid, smoothing_delta)))
 
 
 def action_profile(
     measure: OperatorMeasure, grid: PositionGrid, smoothing_delta: float = 0.0
 ) -> list:
     """Pointwise Lagrangian profile ``[(xi, L(xi)), ...]`` over the grid."""
-    _, chains = _chain_field(measure, grid.points)
-    lams = np.linalg.eigvals(chains)
-    m = _moduli(lams, smoothing_delta)
-    n = measure.space.n
-    vals = np.maximum(np.sum(m**2, axis=1) - np.sum(m, axis=1) ** 2 / (2 * n), 0.0)
+    vals = _lagrangian_field(measure, grid, smoothing_delta)
     return [(xi.copy(), float(v)) for xi, v in zip(grid.points, vals)]
 
 
@@ -258,7 +260,7 @@ def _eig_gradient_factor(chain: np.ndarray, space: SignatureSpace, delta: float)
 def _perturbed_lagrangian(Pp: np.ndarray, D: np.ndarray, tau: float, space: SignatureSpace, delta: float) -> float:
     X = Pp + tau * D
     chain = X @ krein_adjoint(X, space)
-    return _lagrangian_of_moduli(_moduli(np.linalg.eigvals(chain), delta))
+    return float(_lagrangian_values(np.linalg.eigvals(chain), delta))
 
 
 def _directional_derivative(Pp, D, space, delta, h, xi):
@@ -299,12 +301,12 @@ def _directional_derivative(Pp, D, space, delta, h, xi):
     return (4.0 * c2 - c1) / 3.0
 
 
-def _fd_half_gradient(measure, xi, space, delta, h):
+def _fd_half_gradient(measure, xi, space, delta):
     """Matrix M with dL(xi) = 2 Re Tr(M dP_+(xi)); equals Q(-xi)."""
     Pp = _plus_kernel(measure, xi[None])[0]
     d = space.dim
     scale = max(float(np.linalg.norm(Pp, 2)), 1.0)
-    step = h * scale
+    step = _FD_STEP * scale
     M = np.zeros((d, d), complex)
     for b in range(d):
         for a in range(d):
@@ -316,15 +318,54 @@ def _fd_half_gradient(measure, xi, space, delta, h):
     return M
 
 
-def _analytic_half_gradient(measure, xi, space, delta):
-    """Same as `_fd_half_gradient` but via eigen-derivatives; None if degenerate."""
-    Pp, chains = _chain_field(measure, xi[None])
-    N = _eig_gradient_factor(chains[0], space, delta)
-    if N is None:
-        return None
-    # With dA = dP P^* + P dP^*, dL = Re Tr(G dA) collapses to
-    # 2 Re Tr((P^* N) dP), so the half-sided gradient is M = P^* N.
-    return krein_adjoint(Pp[0], space) @ N
+def _gradient_field(
+    measure: OperatorMeasure,
+    points: np.ndarray,
+    reflection: np.ndarray,
+    delta: float,
+    mode: str,
+) -> np.ndarray:
+    """Krein-symmetrized gradient kernel ``Q`` at each of ``points``.
+
+    ``points[reflection[i]]`` must be ``-points[i]``.  Vectorized
+    eigen-derivatives are used where the chain spectra at both a point and
+    its reflection allow it (``mode`` ``"auto"`` or ``"analytic"``), finite
+    differences elsewhere (``"auto"``) or everywhere
+    (``"finite_difference"``).
+    """
+    if delta < 0:
+        raise ValidationError("smoothing delta must be >= 0")
+    if mode not in ("auto", "analytic", "finite_difference"):
+        raise ValidationError(f"unknown gradient mode {mode!r}")
+    space = measure.space
+    n_pts = len(points)
+    d = space.dim
+    Pp, chains = _chain_field(measure, points)
+
+    factors = np.zeros((n_pts, d, d), complex)
+    ok = np.zeros(n_pts, bool)
+    if mode != "finite_difference":
+        for i in range(n_pts):
+            F = _eig_gradient_factor(chains[i], space, delta)
+            if F is not None:
+                factors[i] = F
+                ok[i] = True
+    if mode == "analytic" and not ok.all():
+        raise NonsmoothPointError(
+            "chain spectrum too degenerate for the analytic gradient "
+            "(eigenvalue collision or vanishing modulus)",
+            xi=points[~ok][0],
+        )
+
+    q_field = np.zeros((n_pts, d, d), complex)
+    both_ok = ok & ok[reflection]
+    # Q(xi) = P_+(xi) N(-xi); the Krein adjoint of Q(-xi) is N(xi) P_+(xi).
+    q_field[both_ok] = Pp[both_ok] @ factors[reflection[both_ok]]
+    for i in np.nonzero(~both_ok)[0]:
+        q_field[i] = _fd_half_gradient(measure, -points[i], space, delta)
+    sig = space.signature
+    adj = sig[None, :, None] * q_field[reflection].conj().transpose(0, 2, 1) * sig[None, None, :]
+    return 0.5 * (q_field + adj)
 
 
 def gradient_kernel_Q(
@@ -332,7 +373,6 @@ def gradient_kernel_Q(
     xi,
     mode: str = "auto",
     smoothing_delta: float = 0.0,
-    fd_step: float = 1e-5,
 ) -> np.ndarray:
     """Gradient kernel ``Q(xi)`` of the (possibly smoothed) Lagrangian.
 
@@ -345,29 +385,8 @@ def gradient_kernel_Q(
     xi = np.asarray(xi, float)
     if xi.shape != (4,):
         raise ValidationError("xi must be a 4-vector")
-    if smoothing_delta < 0:
-        raise ValidationError("smoothing delta must be >= 0")
-    if mode not in ("auto", "analytic", "finite_difference"):
-        raise ValidationError(f"unknown gradient mode {mode!r}")
-    space = measure.space
-
-    def half(point):
-        """M(point) = Q(-point) as a half-sided gradient at `point`."""
-        if mode in ("auto", "analytic"):
-            M = _analytic_half_gradient(measure, point, space, smoothing_delta)
-            if M is not None:
-                return M
-            if mode == "analytic":
-                raise NonsmoothPointError(
-                    "chain spectrum too degenerate for the analytic gradient "
-                    "(eigenvalue collision or vanishing modulus)",
-                    xi=point,
-                )
-        return _fd_half_gradient(measure, point, space, smoothing_delta, fd_step)
-
-    Q_raw = half(-xi)          # Q(xi)
-    Q_refl = half(xi)          # Q(-xi)
-    return 0.5 * (Q_raw + krein_adjoint(Q_refl, space))
+    pair = np.stack([xi, -xi])
+    return _gradient_field(measure, pair, np.array([1, 0]), smoothing_delta, mode)[0]
 
 
 class QHatEvaluator:
@@ -388,49 +407,15 @@ class QHatEvaluator:
         grid: PositionGrid,
         smoothing_delta: float = 0.0,
         mode: str = "auto",
-        fd_step: float = 1e-5,
     ):
-        if smoothing_delta < 0:
-            raise ValidationError("smoothing delta must be >= 0")
-        if mode not in ("auto", "analytic", "finite_difference"):
-            raise ValidationError(f"unknown gradient mode {mode!r}")
         self.measure = measure
         self.grid = grid
         self.smoothing_delta = float(smoothing_delta)
-        space = measure.space
-        pts = grid.points
-        refl = grid.reflection_index
-        N_pts = len(pts)
-        d = space.dim
-        Pp, chains = _chain_field(measure, pts)
-
-        factors = np.zeros((N_pts, d, d), complex)
-        ok = np.zeros(N_pts, bool)
-        if mode != "finite_difference":
-            for i in range(N_pts):
-                F = _eig_gradient_factor(chains[i], space, smoothing_delta)
-                if F is not None:
-                    factors[i] = F
-                    ok[i] = True
-        if mode == "analytic" and not ok.all():
-            bad = pts[~ok][0]
-            raise NonsmoothPointError(
-                "chain spectrum too degenerate for the analytic gradient", xi=bad
-            )
-
-        sig = space.signature
-        q_field = np.zeros((N_pts, d, d), complex)
-        both_ok = ok & ok[refl]
-        # Q(xi) = P_+(xi) N(-xi); the Krein adjoint of Q(-xi) is N(xi) P_+(xi).
-        q_field[both_ok] = Pp[both_ok] @ factors[refl[both_ok]]
-        for i in np.nonzero(~both_ok)[0]:
-            M = _fd_half_gradient(measure, -pts[i], space, smoothing_delta, fd_step)
-            q_field[i] = M
-            ok[i] = True
-        adj = sig[None, :, None] * q_field[refl].conj().transpose(0, 2, 1) * sig[None, None, :]
-        self.q_field = 0.5 * (q_field + adj)
+        self.q_field = _gradient_field(
+            measure, grid.points, grid.reflection_index, smoothing_delta, mode
+        )
         boundary = grid.boundary_mask()
-        norms = np.array([np.linalg.norm(Q, 2) for Q in self.q_field])
+        norms = np.linalg.norm(self.q_field, 2, axis=(1, 2))
         self.tail_magnitude = float(norms[boundary].max()) if boundary.any() else float(norms.max())
 
     def evaluate(self, p) -> np.ndarray:
@@ -438,23 +423,26 @@ class QHatEvaluator:
         p = np.asarray(p, float)
         if p.shape != (4,):
             raise ValidationError("p must be a 4-vector")
-        phases = self.grid.weights * np.exp(-1j * self.grid.points @ p)
-        qhat = np.einsum("x,xab->ab", phases, self.q_field)
-        sig = self.measure.space.signature
-        adj = sig[:, None] * qhat.conj().T * sig[None, :]
-        defect = float(np.linalg.norm(qhat - adj, 2))
-        scale = max(float(np.linalg.norm(qhat, 2)), 1.0)
-        if defect > 1e-8 * scale:
-            raise NumericalError(
-                f"Fourier gradient lost Krein symmetry (defect {defect:.2e})"
-            )
-        return 0.5 * (qhat + adj)
+        return self.evaluate_many(p[None])[0]
 
     __call__ = evaluate
 
     def evaluate_many(self, ps: np.ndarray) -> np.ndarray:
+        """``Qhat`` at each row of ``ps``, stacked along the first axis."""
         ps = np.atleast_2d(np.asarray(ps, float))
-        return np.stack([self.evaluate(p) for p in ps])
+        # A stack of matrix-vector products rounds each momentum's phases the
+        # same way whatever the batch size; a matrix product would not.
+        phases = self.grid.weights * np.exp(-1j * self.grid.points @ ps[:, :, None])[:, :, 0]
+        qhat = np.einsum("kx,xab->kab", phases, self.q_field)
+        sig = self.measure.space.signature
+        adj = sig[None, :, None] * qhat.conj().transpose(0, 2, 1) * sig[None, None, :]
+        defect = np.linalg.norm(qhat - adj, 2, axis=(1, 2))
+        scale = np.maximum(np.linalg.norm(qhat, 2, axis=(1, 2)), 1.0)
+        if np.any(defect > 1e-8 * scale):
+            raise NumericalError(
+                f"Fourier gradient lost Krein symmetry (defect {defect.max():.2e})"
+            )
+        return 0.5 * (qhat + adj)
 
 
 def fourier_Q_hat(

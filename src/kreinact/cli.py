@@ -188,6 +188,12 @@ def cmd_verify(args) -> int:
     sig = measure.space.signature
     c = args.c if args.c is not None else float(np.trace(total).real)
     f = args.f if args.f is not None else float(np.trace(sig[:, None] * total).real)
+    if not (0.0 < c < f) and (args.c is None or args.f is None):
+        raise ValidationError(
+            f"constraint targets must satisfy 0 < c < f, got c={c!r}, f={f!r}; targets "
+            "not given default to the measure's trace (c) and signed trace (f), "
+            "so pass --c and --f"
+        )
     alpha, beta, case_tag = lagrange_parameters(mu, c, f)
 
     probes = np.unique(

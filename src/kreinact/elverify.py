@@ -97,18 +97,18 @@ class ELReport:
     tail_magnitude: float | None = None
 
 
+def _evaluate_at(qhat_evaluator, points: np.ndarray, dim: int) -> np.ndarray:
+    """Stack of ``Qhat(p)`` over ``points``, shaped ``(len(points), dim, dim)``."""
+    qs = [qhat_evaluator(p) for p in points]
+    return np.asarray(qs) if qs else np.zeros((0, dim, dim), complex)
+
+
 def pushforward(measure: OperatorMeasure, qhat_evaluator) -> PushforwardMeasure:
     """Pair each atom with the gradient field evaluated at its momentum."""
-    qs = [qhat_evaluator(p) for p in measure.momenta]
-    qs = (
-        np.asarray(qs)
-        if qs
-        else np.zeros((0, measure.space.dim, measure.space.dim), complex)
-    )
     return PushforwardMeasure(
         space=measure.space,
         momenta=measure.momenta.copy(),
-        qs=qs,
+        qs=_evaluate_at(qhat_evaluator, measure.momenta, measure.space.dim),
         operators=measure.operators.copy(),
     )
 
@@ -172,6 +172,32 @@ def lagrange_parameters(mu: PushforwardMeasure, c: float, f: float):
     return alpha, beta, "b"
 
 
+def _shifted_spectra(qhats: np.ndarray, alpha: float, beta: float, space: SignatureSpace):
+    """Shifted field over a stack of ``Qhat`` and its Hermitian spectra.
+
+    Returns ``(T, w, V)``: ``T = Qhat - alpha - beta S`` and the batched
+    ``eigh`` of the Hermitian representatives ``S T``, eigenvalues ascending.
+    """
+    shift = alpha * np.eye(space.dim) + beta * np.diag(space.signature).astype(complex)
+    T = qhats - shift
+    that = space.signature[None, :, None] * T
+    w, V = np.linalg.eigh(0.5 * (that + that.conj().transpose(0, 2, 1)))
+    return T, w, V
+
+
+def _gaps(w: np.ndarray, V: np.ndarray, space: SignatureSpace, psd_tol: float = tolerances.PSD) -> np.ndarray:
+    """Support gap of each operator from the stacked spectra ``(w, V)`` of ``S T``."""
+    gaps = np.zeros(len(w))
+    for i, (wi, Vi) in enumerate(zip(w, V)):
+        scale = max(abs(wi[0]), abs(wi[-1]), 1e-300)
+        if wi[0] < -psd_tol * scale:
+            continue
+        root = (Vi * np.sqrt(np.clip(wi, 0.0, None))[None, :]) @ Vi.conj().T
+        Y = root @ (space.signature[:, None] * root)
+        gaps[i] = np.min(np.abs(np.linalg.eigvalsh(0.5 * (Y + Y.conj().T))))
+    return gaps
+
+
 def gap_of_operator(T: np.ndarray, space: SignatureSpace, psd_tol: float = tolerances.PSD) -> float:
     """Support gap of a Krein-symmetric operator ``T``.
 
@@ -186,24 +212,14 @@ def gap_of_operator(T: np.ndarray, space: SignatureSpace, psd_tol: float = toler
     have ``g = 0``.
     """
     T = space.check_operator(T)
-    that = space.signature[:, None] * T
-    that = 0.5 * (that + that.conj().T)
-    w, V = np.linalg.eigh(that)
-    scale = max(abs(w[0]), abs(w[-1]), 1e-300)
-    if w[0] < -psd_tol * scale:
-        return 0.0
-    root = (V * np.sqrt(np.clip(w, 0.0, None))[None, :]) @ V.conj().T
-    Y = root @ (space.signature[:, None] * root)
-    eig = np.linalg.eigvalsh(0.5 * (Y + Y.conj().T))
-    return float(np.min(np.abs(eig)))
+    _, w, V = _shifted_spectra(T[None], 0.0, 0.0, space)
+    return float(_gaps(w, V, space, psd_tol)[0])
 
 
 def support_gap(p, qhat_evaluator, alpha: float, beta: float, space: SignatureSpace) -> float:
     """``g(p)`` of the shifted gradient field ``Qhat(p) - alpha - beta S``."""
-    qhat = qhat_evaluator(p)
-    d = space.dim
-    T = qhat - alpha * np.eye(d) - beta * np.diag(space.signature).astype(complex)
-    return gap_of_operator(T, space)
+    _, w, V = _shifted_spectra(np.asarray(qhat_evaluator(p))[None], alpha, beta, space)
+    return float(_gaps(w, V, space)[0])
 
 
 def el_residuals(
@@ -217,49 +233,30 @@ def el_residuals(
 ) -> ELReport:
     """Assemble the first-order condition report (report-only, no pass/fail)."""
     space = measure.space
-    d = space.dim
-    sig = space.signature
-    shift = alpha * np.eye(d) + beta * np.diag(sig).astype(complex)
     probe_points = np.atleast_2d(np.asarray(probe_points, float))
+    probe_qhats = _evaluate_at(qhat_evaluator, probe_points, space.dim)
+    atom_qhats = _evaluate_at(qhat_evaluator, measure.momenta, space.dim)
+    qhat_scale = float(
+        np.linalg.norm(np.concatenate([probe_qhats, atom_qhats]), 2, axis=(1, 2)).max(initial=0.0)
+    )
 
-    margins = np.empty(len(probe_points))
-    gaps = np.empty(len(probe_points))
-    qhat_scale = 0.0
-    for i, p in enumerate(probe_points):
-        qhat = qhat_evaluator(p)
-        qhat_scale = max(qhat_scale, float(np.linalg.norm(qhat, 2)))
-        T = qhat - shift
-        that = sig[:, None] * T
-        margins[i] = float(np.linalg.eigvalsh(0.5 * (that + that.conj().T))[0])
-        gaps[i] = gap_of_operator(T, space)
-
-    k = measure.n_atoms
-    res_left = np.empty(k)
-    res_right = np.empty(k)
-    atom_gaps = np.empty(k)
-    atom_norms = np.empty(k)
-    for j, (p, A) in enumerate(measure.atoms()):
-        qhat = qhat_evaluator(p)
-        qhat_scale = max(qhat_scale, float(np.linalg.norm(qhat, 2)))
-        T = qhat - shift
-        res_left[j] = float(np.linalg.norm(T @ A, 2))
-        res_right[j] = float(np.linalg.norm(A @ T, 2))
-        atom_gaps[j] = gap_of_operator(T, space)
-        atom_norms[j] = float(np.linalg.norm(A, 2))
+    _, w_probe, V_probe = _shifted_spectra(probe_qhats, alpha, beta, space)
+    T, w_atom, V_atom = _shifted_spectra(atom_qhats, alpha, beta, space)
+    A = measure.operators
 
     return ELReport(
         alpha=float(alpha),
         beta=float(beta),
         case_tag=case_tag,
         probe_points=probe_points,
-        probe_margins=margins,
-        probe_gaps=gaps,
+        probe_margins=w_probe[:, 0],
+        probe_gaps=_gaps(w_probe, V_probe, space),
         atom_points=measure.momenta.copy(),
-        atom_residual_left=res_left,
-        atom_residual_right=res_right,
-        atom_gaps=atom_gaps,
-        atom_norms=atom_norms,
-        qhat_scale=float(qhat_scale),
+        atom_residual_left=np.linalg.norm(T @ A, 2, axis=(1, 2)),
+        atom_residual_right=np.linalg.norm(A @ T, 2, axis=(1, 2)),
+        atom_gaps=_gaps(w_atom, V_atom, space),
+        atom_norms=np.linalg.norm(A, 2, axis=(1, 2)),
+        qhat_scale=qhat_scale,
         tail_magnitude=tail_magnitude,
     )
 

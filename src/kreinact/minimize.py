@@ -30,6 +30,7 @@ from . import tolerances
 from .action import PositionGrid, QHatEvaluator, action
 from .elverify import (
     ELReport,
+    _shifted_spectra,
     el_residuals,
     lagrange_parameters,
     pushforward,
@@ -149,15 +150,30 @@ def _block_traces(measure: OperatorMeasure):
     return t11, t22
 
 
-def _scaling_matrix(space: SignatureSpace, x: float, y: float) -> np.ndarray:
-    d = np.concatenate([np.full(space.n, np.sqrt(x)), np.full(space.n, np.sqrt(y))])
-    return d
-
-
-def _apply_block_scaling(measure: OperatorMeasure, x: float, y: float) -> OperatorMeasure:
-    d = _scaling_matrix(measure.space, x, y)
-    ops = d[None, :, None] * measure.operators * d[None, None, :]
-    return measure.with_operators(ops, validate=False)
+def _block_scalings(t11: float, t22: float, case: str, c: float, f: float):
+    """Squared block scalings ``(x, y)`` for ``case`` from the block traces."""
+    tiny = 1e-14 * max(abs(t11), abs(t22), 1.0)
+    if case == "a":
+        u = t11 + t22
+        if u <= tiny:
+            raise RestorationError(
+                "total trace is not positive; uniform rescaling cannot reach the target"
+            )
+        lam = c / u
+        return lam, lam
+    if case == "b":
+        # x*t11 = (c+f)/2 and y*t22 = (c-f)/2 with t11 >= 0 >= t22.
+        if t11 <= tiny or t22 >= -tiny:
+            raise RestorationError(
+                "a signature block carries no trace mass; block scaling cannot "
+                "reach the constraint targets"
+            )
+        x = 0.5 * (c + f) / t11
+        y = 0.5 * (c - f) / t22
+        if x <= 0 or y <= 0:
+            raise RestorationError("constraint targets require non-positive scalings")
+        return x, y
+    raise ValidationError(f"unknown restoration case {case!r}")
 
 
 def restore_constraints(measure: OperatorMeasure, case: str, c: float, f: float) -> OperatorMeasure:
@@ -171,57 +187,10 @@ def restore_constraints(measure: OperatorMeasure, case: str, c: float, f: float)
     """
     if not (0.0 < c < f):
         raise ValidationError(f"constraint targets must satisfy 0 < c < f, got c={c}, f={f}")
-    t11, t22 = _block_traces(measure)
-    tiny = 1e-14 * max(abs(t11), abs(t22), 1.0)
-    if case == "a":
-        u = t11 + t22
-        if u <= tiny:
-            raise RestorationError(
-                "total trace is not positive; uniform rescaling cannot reach the target"
-            )
-        lam = c / u
-        return _apply_block_scaling(measure, lam, lam)
-    if case == "b":
-        # x*t11 = (c+f)/2 and y*t22 = (c-f)/2 with t11 >= 0 >= t22.
-        if t11 <= tiny or t22 >= -tiny:
-            raise RestorationError(
-                "a signature block carries no trace mass; block scaling cannot "
-                "reach the constraint targets"
-            )
-        x = 0.5 * (c + f) / t11
-        y = 0.5 * (c - f) / t22
-        if x <= 0 or y <= 0:
-            raise RestorationError("constraint targets require non-positive scalings")
-        return _apply_block_scaling(measure, x, y)
-    raise ValidationError(f"unknown restoration case {case!r}")
-
-
-def _feasible_scalings(measure: OperatorMeasure, c: float, f: float):
-    """Block scalings ``(x, y)`` that restore feasibility.
-
-    Prefers the uniform (case "a") scaling to ``Tr = c``; when that leaves
-    the signed trace above ``f`` (or is impossible), pins both constraints
-    with the case "b" scalings.
-    """
-    t11, t22 = _block_traces(measure)
-    tiny = 1e-14 * max(abs(t11), abs(t22), 1.0)
-    u = t11 + t22
-    if u > tiny:
-        lam = c / u
-        if lam * (t11 - t22) <= f * (1.0 + tolerances.CONSTRAINT):
-            return lam, lam
-    if t11 <= tiny or t22 >= -tiny:
-        raise RestorationError(
-            "a signature block carries no trace mass; block scaling cannot "
-            "reach the constraint targets"
-        )
-    return 0.5 * (c + f) / t11, 0.5 * (c - f) / t22
-
-
-def _restore_feasible(measure: OperatorMeasure, c: float, f: float) -> OperatorMeasure:
-    """Trace to ``c``; if the signed trace then exceeds ``f``, pin it to ``f``."""
-    x, y = _feasible_scalings(measure, c, f)
-    return _apply_block_scaling(measure, x, y)
+    x, y = _block_scalings(*_block_traces(measure), case, c, f)
+    d = np.repeat(np.sqrt([x, y]), measure.space.n)
+    ops = d[None, :, None] * measure.operators * d[None, None, :]
+    return measure.with_operators(ops, validate=False)
 
 
 @dataclass
@@ -244,18 +213,6 @@ def _measure_from_Ms(space, box, momenta, Ms) -> OperatorMeasure:
     return OperatorMeasure(space, box, momenta, ops, validate=False)
 
 
-def _Ms_from_measure(measure: OperatorMeasure) -> np.ndarray:
-    """Any factor stack with A_j = S M_j^H M_j (psd square root of S A_j)."""
-    sig = measure.space.signature
-    Ms = []
-    for A in measure.operators:
-        H = sig[:, None] * A
-        H = 0.5 * (H + H.conj().T)
-        w, V = np.linalg.eigh(H)
-        Ms.append((V * np.sqrt(np.clip(w, 0.0, None))[None, :]) @ V.conj().T)
-    return np.asarray(Ms)
-
-
 def minimize_action(config: MinimizeConfig) -> MinimizeResult:
     """Run the projected-gradient minimization defined by ``config``."""
     space = config.space()
@@ -273,11 +230,18 @@ def minimize_action(config: MinimizeConfig) -> MinimizeResult:
     ) * np.sqrt(config.initial_magnitude / d)
 
     def restored(Ms_raw: np.ndarray) -> np.ndarray:
-        # The restoration A -> D A D acts on the factors as M -> M D.
-        measure_raw = _measure_from_Ms(space, box, momenta, Ms_raw)
-        x, y = _feasible_scalings(measure_raw, config.c, config.f)
-        dvec = _scaling_matrix(space, x, y)
-        return Ms_raw * dvec[None, None, :]
+        # Case "a" unless it overshoots the signed-trace bound (or is
+        # impossible); then case "b" pins both constraints.  The restoration
+        # A -> D A D acts on the factors as M -> M D.
+        t11, t22 = _block_traces(_measure_from_Ms(space, box, momenta, Ms_raw))
+        try:
+            x, y = _block_scalings(t11, t22, "a", config.c, config.f)
+            overshoot = x * (t11 - t22) > config.f * (1.0 + tolerances.CONSTRAINT)
+        except RestorationError:
+            overshoot = True
+        if overshoot:
+            x, y = _block_scalings(t11, t22, "b", config.c, config.f)
+        return Ms_raw * np.repeat(np.sqrt([x, y]), space.n)[None, None, :]
 
     def evaluator_for(measure: OperatorMeasure) -> QHatEvaluator:
         try:
@@ -356,17 +320,12 @@ def minimize_action(config: MinimizeConfig) -> MinimizeResult:
         # escape direction where the shifted field fails positivity.
         mu = pushforward(measure, evaluator)
         alpha, beta, case_tag = lagrange_parameters(mu, config.c, config.f)
-        shift = alpha * np.eye(d) + beta * np.diag(sig).astype(complex)
-        worst_margin, worst_j, worst_vec = 0.0, -1, None
-        for j, p in enumerate(momenta):
-            T = mu.qs[j] - shift
-            that = sig[:, None] * T
-            w, V = np.linalg.eigh(0.5 * (that + that.conj().T))
-            if w[0] < worst_margin:
-                worst_margin, worst_j, worst_vec = float(w[0]), j, V[:, 0]
+        _, w, V = _shifted_spectra(mu.qs, alpha, beta, space)
+        worst_j = int(np.argmin(w[:, 0]))
+        worst_margin, worst_vec = float(w[worst_j, 0]), V[worst_j, :, 0]
         # Push the escape phase an order of magnitude inside the reporting
         # tolerance so the final report clears tol_el with headroom.
-        if worst_j < 0 or worst_margin >= -0.1 * config.tol_el:
+        if worst_margin >= -0.1 * config.tol_el:
             break  # first-order conditions hold
 
         improved = False

@@ -9,6 +9,7 @@ from conftest import make_rng, random_measure_for, random_positive, unit_momentu
 from kreinact import (
     MomentumBox,
     NonsmoothPointError,
+    NumericalError,
     OperatorMeasure,
     PositionGrid,
     QHatEvaluator,
@@ -312,6 +313,25 @@ def test_gradient_invalid_mode():
         gradient_kernel_Q(meas, np.zeros(4), mode="magic")
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda meas, grid: action(meas, grid, -0.1),
+        lambda meas, grid: action_profile(meas, grid, -0.1),
+        lambda meas, grid: lagrangian(closed_chain(kernel_P(meas, grid.points[0]), meas.space), -0.1),
+        lambda meas, grid: gradient_kernel_Q(meas, grid.points[0], smoothing_delta=-0.1),
+        lambda meas, grid: QHatEvaluator(meas, grid, smoothing_delta=-0.1),
+    ],
+    ids=["action", "action_profile", "lagrangian", "gradient_kernel_Q", "QHatEvaluator"],
+)
+def test_negative_smoothing_delta_rejected(call):
+    sp = SignatureSpace(1)
+    meas = random_measure_for(sp, make_rng(13))
+    grid = PositionGrid.from_box(2.0, (5, 1, 1, 1))
+    with pytest.raises(ValidationError):
+        call(meas, grid)
+
+
 # ---------------------------------------------------------------------------
 # Fourier transform Q-hat
 # ---------------------------------------------------------------------------
@@ -334,14 +354,41 @@ def test_qhat_symmetric_and_matches_quadrature():
 
 
 def test_qhat_evaluate_many_consistent():
+    rng = make_rng(15)
+    for n, shape in ((1, (5, 1, 1, 1)), (2, (5, 3, 3, 1))):
+        sp = SignatureSpace(n)
+        meas = random_measure_for(sp, rng)
+        grid = PositionGrid.from_box(2.0, shape)
+        ev = QHatEvaluator(meas, grid)
+        ps = np.vstack([meas.momenta, [[0.0, 0, 0, 0]], rng.uniform(-1, 1, (3, 4))])
+        many = ev.evaluate_many(ps)
+        for i, p in enumerate(ps):
+            np.testing.assert_allclose(many[i], ev.evaluate(p), atol=1e-13)
+            # The per-momentum quadrature loop, same arithmetic: equal to the bit.
+            phases = grid.weights * np.exp(-1j * grid.points @ p)
+            qhat = np.einsum("x,xab->ab", phases, ev.q_field)
+            np.testing.assert_array_equal(many[i], 0.5 * (qhat + krein_adjoint(qhat, sp)))
+
+
+def test_qhat_symmetry_check_raises_at_one_broken_momentum():
     sp = SignatureSpace(1)
     meas = random_measure_for(sp, make_rng(15))
     grid = PositionGrid.from_box(2.0, (5, 1, 1, 1))
     ev = QHatEvaluator(meas, grid)
-    ps = np.vstack([meas.momenta, [[0.0, 0, 0, 0]]])
-    many = ev.evaluate_many(ps)
-    for i, p in enumerate(ps):
-        np.testing.assert_allclose(many[i], ev.evaluate(p), atol=1e-13)
+    ps = np.array([[0.0, 0, 0, 0], [0.3, 0, 0, 0], [0.7, 0, 0, 0]])
+    # Weights c(xi) whose Fourier sum vanishes at every momentum but the last.
+    rows = grid.weights * np.exp(-1j * ps @ grid.points.T)
+    c = np.linalg.svd(rows[:-1])[2][-1].conj()
+    c *= 10.0 * max(1.0, np.linalg.norm(ev.evaluate(ps[-1]), 2)) / abs(rows[-1] @ c)
+    E = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # not Krein symmetric
+    ev.q_field = ev.q_field + c[:, None, None] * E
+    for p in ps[:-1]:
+        ev.evaluate(p)
+    with pytest.raises(NumericalError, match="Krein symmetry"):
+        ev.evaluate(ps[-1])
+    with pytest.raises(NumericalError, match="Krein symmetry"):
+        ev.evaluate_many(ps)
+    ev.evaluate_many(ps[:-1])
 
 
 def test_fourier_qhat_wrapper():

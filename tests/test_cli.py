@@ -179,6 +179,20 @@ def test_verify_rejects_measure_with_invalid_default_targets(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_verify_default_targets_error_names_their_source_and_flags(tmp_path, capsys):
+    fixture_path = tmp_path / "random.json"
+    assert main(["fixture", "random", "--out", str(fixture_path), "--seed", "5",
+                 "--atoms", "2", "--grid", "2,1,1,1"]) == 0
+    assert main(["verify", str(fixture_path)]) == 2
+    err = capsys.readouterr().err
+    assert "trace (c) and signed trace (f)" in err
+    assert "--c" in err and "--f" in err
+    # Explicit targets that violate 0 < c < f keep the plain message.
+    assert main(["verify", str(fixture_path), "--c", "2.0", "--f", "1.0"]) == 2
+    err = capsys.readouterr().err
+    assert "0 < c < f" in err and "--c" not in err
+
+
 def test_verify_constant_field_stationary_round_trip(tmp_path, capsys):
     q_path = tmp_path / "q.json"
     measure_path = tmp_path / "measure.json"
