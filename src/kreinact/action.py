@@ -24,7 +24,9 @@ symmetrized to ``N = (G + G^*)/2``, giving ``Q(xi) = P_+(xi) N(-xi)`` with
 ``P_+ = -P``.  Points where the chain has (numerically) multiple eigenvalues
 -- or vanishing moduli when ``delta = 0`` -- fall back to finite
 differences (relative step ``1e-5``) with a kink check; a genuine kink
-raises :class:`~kreinact.errors.NonsmoothPointError`.  One routine builds
+raises :class:`~kreinact.errors.NonsmoothPointError`.  The eigen-derivatives
+are batched over the point set (one stacked ``eig`` and ``inv``); only the
+points they reject take the finite-difference path.  One routine builds
 the Krein-symmetrized field ``Q`` on a reflection-closed point set:
 :class:`QHatEvaluator` calls it on its grid, :func:`gradient_kernel_Q` on
 the pair ``(xi, -xi)``.
@@ -152,11 +154,16 @@ def _plus_kernel(measure: OperatorMeasure, points: np.ndarray) -> np.ndarray:
     return np.einsum("xj,jab->xab", phases, measure.operators)
 
 
+def _four_vector(x, name: str) -> np.ndarray:
+    x = np.asarray(x, float)
+    if x.shape != (4,):
+        raise ValidationError(f"{name} must be a 4-vector")
+    return x
+
+
 def kernel_P(measure: OperatorMeasure, xi) -> np.ndarray:
     """Kernel ``P(xi) = -sum_j exp(i p_j . xi) A_j``."""
-    xi = np.asarray(xi, float)
-    if xi.shape != (4,):
-        raise ValidationError("xi must be a 4-vector")
+    xi = _four_vector(xi, "xi")
     return -_plus_kernel(measure, xi[None])[0]
 
 
@@ -229,32 +236,33 @@ def profile_to_csv(profile, path) -> None:
 # Gradient kernel
 # ---------------------------------------------------------------------------
 
-def _eig_gradient_factor(chain: np.ndarray, space: SignatureSpace, delta: float):
-    """Krein-symmetrized factor N of dL = Re Tr(G dA), or None if degenerate.
+def _eig_gradient_factors(chains: np.ndarray, space: SignatureSpace, delta: float):
+    """Krein-symmetrized factors N of dL = Re Tr(G dA) over a stack of chains.
 
-    Requires simple chain eigenvalues; with ``delta = 0`` additionally all
-    moduli bounded away from zero (else |.| is not differentiable).
+    Returns ``(factors, ok)``; ``ok`` marks the chains whose factor is valid:
+    simple eigenvalues, with ``delta = 0`` additionally all moduli bounded
+    away from zero (else |.| is not differentiable), and an invertible
+    eigenvector matrix.
     """
-    scale = max(float(np.linalg.norm(chain, 2)), 1e-300)
-    lams, R = np.linalg.eig(chain)
-    diff = np.abs(lams[:, None] - lams[None, :])
-    np.fill_diagonal(diff, np.inf)
-    if diff.min() <= _COLLISION_REL * scale:
-        return None
+    d = space.dim
+    scale = np.maximum(np.linalg.norm(chains, 2, axis=(1, 2)), 1e-300)
+    lams, R = np.linalg.eig(chains)
+    diff = np.abs(lams[:, :, None] - lams[:, None, :])
+    diff[:, np.arange(d), np.arange(d)] = np.inf
+    ok = diff.min(axis=(1, 2)) > _COLLISION_REL * scale
     m = _moduli(lams, delta)
-    if delta == 0.0 and m.min() <= tolerances.MODULUS_GAP * scale:
-        return None
-    n = len(lams) // 2
-    g = 2.0 * m - np.sum(m) / n
-    c = g * lams.conj() / m
-    try:
-        Linv = np.linalg.inv(R)
-    except np.linalg.LinAlgError:
-        return None
-    G = R @ (c[:, None] * Linv)
+    if delta == 0.0:
+        ok &= m.min(axis=1) > tolerances.MODULUS_GAP * scale
+    # An exactly singular R has a zero LU pivot: inv would raise for the whole
+    # stack, slogdet reports it per matrix.  Rejected rows get harmless stand-ins.
+    ok &= np.linalg.slogdet(R)[0] != 0
+    R = np.where(ok[:, None, None], R, np.eye(d))
+    g = 2.0 * m - m.sum(axis=1, keepdims=True) / (d // 2)
+    c = g * lams.conj() / np.where(ok[:, None], m, 1.0)
+    G = R @ (c[:, :, None] * np.linalg.inv(R))
     sig = space.signature
-    G_adj = sig[:, None] * G.conj().T * sig[None, :]
-    return 0.5 * (G + G_adj)
+    G_adj = sig[None, :, None] * G.conj().transpose(0, 2, 1) * sig[None, None, :]
+    return 0.5 * (G + G_adj), ok
 
 
 def _perturbed_lagrangian(Pp: np.ndarray, D: np.ndarray, tau: float, space: SignatureSpace, delta: float) -> float:
@@ -342,14 +350,10 @@ def _gradient_field(
     d = space.dim
     Pp, chains = _chain_field(measure, points)
 
-    factors = np.zeros((n_pts, d, d), complex)
-    ok = np.zeros(n_pts, bool)
-    if mode != "finite_difference":
-        for i in range(n_pts):
-            F = _eig_gradient_factor(chains[i], space, delta)
-            if F is not None:
-                factors[i] = F
-                ok[i] = True
+    if mode == "finite_difference":
+        factors, ok = np.zeros_like(chains), np.zeros(n_pts, bool)
+    else:
+        factors, ok = _eig_gradient_factors(chains, space, delta)
     if mode == "analytic" and not ok.all():
         raise NonsmoothPointError(
             "chain spectrum too degenerate for the analytic gradient "
@@ -382,9 +386,7 @@ def gradient_kernel_Q(
     exactly.  Genuinely nonsmooth points raise
     :class:`~kreinact.errors.NonsmoothPointError` carrying ``xi``.
     """
-    xi = np.asarray(xi, float)
-    if xi.shape != (4,):
-        raise ValidationError("xi must be a 4-vector")
+    xi = _four_vector(xi, "xi")
     pair = np.stack([xi, -xi])
     return _gradient_field(measure, pair, np.array([1, 0]), smoothing_delta, mode)[0]
 
@@ -420,10 +422,7 @@ class QHatEvaluator:
 
     def evaluate(self, p) -> np.ndarray:
         """``Qhat(p)``, Krein symmetric up to quadrature rounding."""
-        p = np.asarray(p, float)
-        if p.shape != (4,):
-            raise ValidationError("p must be a 4-vector")
-        return self.evaluate_many(p[None])[0]
+        return self.evaluate_many(_four_vector(p, "p")[None])[0]
 
     __call__ = evaluate
 
@@ -453,4 +452,6 @@ def fourier_Q_hat(
     mode: str = "auto",
 ) -> np.ndarray:
     """One-shot ``Qhat(p)``; build a :class:`QHatEvaluator` for many ``p``."""
-    return QHatEvaluator(measure, grid, smoothing_delta=smoothing_delta, mode=mode).evaluate(p)
+    p = _four_vector(p, "p")  # before the costly build
+    evaluator = QHatEvaluator(measure, grid, smoothing_delta=smoothing_delta, mode=mode)
+    return evaluator.evaluate_many(p[None])[0]

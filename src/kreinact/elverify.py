@@ -1,10 +1,11 @@
 """First-order verification: multipliers, residuals, and the support gap.
 
-Given a measure and an evaluator for the Fourier gradient field
-``Qhat(p)``, this module pushes the measure forward to atoms
+Given a measure and the Fourier gradient field ``Qhat`` stacked over its
+atom momenta, this module pushes the measure forward to atoms
 ``(Qhat(p_j), A_j)``, extracts the Lagrange parameters ``(alpha, beta)``
-from the active constraint case, and assembles a report of the
-first-order conditions:
+from the active constraint case, and assembles from those atoms and a
+``Qhat`` stack over the probe points a report of the first-order
+conditions:
 
 (i)   ``Qhat(p) - alpha - beta S`` is positive for every probe ``p``
       (psd margin of the Hermitian representative),
@@ -13,8 +14,11 @@ first-order conditions:
       around zero avoided by the shifted operator with definite outer
       eigenspaces — vanishes on the support.
 
-The constraint-restoring first-order coefficients (``kappa``) for block
-scalings live here as well, since they produce the multiplier formulas.
+Every function takes ``Qhat`` values, never the field itself, so a caller
+evaluates each momentum once (one ``QHatEvaluator.evaluate_many``) and the
+report's spectra are batched over the stacks.  The constraint-restoring
+first-order coefficients (``kappa``) for block scalings live here as well,
+since they produce the multiplier formulas.
 """
 
 from __future__ import annotations
@@ -97,18 +101,21 @@ class ELReport:
     tail_magnitude: float | None = None
 
 
-def _evaluate_at(qhat_evaluator, points: np.ndarray, dim: int) -> np.ndarray:
-    """Stack of ``Qhat(p)`` over ``points``, shaped ``(len(points), dim, dim)``."""
-    qs = [qhat_evaluator(p) for p in points]
-    return np.asarray(qs) if qs else np.zeros((0, dim, dim), complex)
+def _qhat_stack(qs, count: int, space: SignatureSpace, what: str) -> np.ndarray:
+    """``qs`` as an array, checked to stack one ``Qhat`` per point."""
+    qs = np.asarray(qs)
+    expected = (count, space.dim, space.dim)
+    if qs.shape != expected:
+        raise ValidationError(f"{what} must stack one Qhat per point, shape {expected}; got {qs.shape}")
+    return qs
 
 
-def pushforward(measure: OperatorMeasure, qhat_evaluator) -> PushforwardMeasure:
-    """Pair each atom with the gradient field evaluated at its momentum."""
+def pushforward(measure: OperatorMeasure, qs) -> PushforwardMeasure:
+    """Pair each atom with its gradient-field value ``qs[j] = Qhat(p_j)``, in atom order."""
     return PushforwardMeasure(
         space=measure.space,
         momenta=measure.momenta.copy(),
-        qs=_evaluate_at(qhat_evaluator, measure.momenta, measure.space.dim),
+        qs=_qhat_stack(qs, measure.n_atoms, measure.space, "pushforward qs"),
         operators=measure.operators.copy(),
     )
 
@@ -187,15 +194,11 @@ def _shifted_spectra(qhats: np.ndarray, alpha: float, beta: float, space: Signat
 
 def _gaps(w: np.ndarray, V: np.ndarray, space: SignatureSpace, psd_tol: float = tolerances.PSD) -> np.ndarray:
     """Support gap of each operator from the stacked spectra ``(w, V)`` of ``S T``."""
-    gaps = np.zeros(len(w))
-    for i, (wi, Vi) in enumerate(zip(w, V)):
-        scale = max(abs(wi[0]), abs(wi[-1]), 1e-300)
-        if wi[0] < -psd_tol * scale:
-            continue
-        root = (Vi * np.sqrt(np.clip(wi, 0.0, None))[None, :]) @ Vi.conj().T
-        Y = root @ (space.signature[:, None] * root)
-        gaps[i] = np.min(np.abs(np.linalg.eigvalsh(0.5 * (Y + Y.conj().T))))
-    return gaps
+    scale = np.maximum(np.maximum(np.abs(w[:, 0]), np.abs(w[:, -1])), 1e-300)
+    root = (V * np.sqrt(np.clip(w, 0.0, None))[:, None, :]) @ V.conj().transpose(0, 2, 1)
+    Y = root @ (space.signature[None, :, None] * root)
+    y = np.linalg.eigvalsh(0.5 * (Y + Y.conj().transpose(0, 2, 1)))
+    return np.where(w[:, 0] < -psd_tol * scale, 0.0, np.abs(y).min(axis=1))
 
 
 def gap_of_operator(T: np.ndarray, space: SignatureSpace, psd_tol: float = tolerances.PSD) -> float:
@@ -216,33 +219,36 @@ def gap_of_operator(T: np.ndarray, space: SignatureSpace, psd_tol: float = toler
     return float(_gaps(w, V, space, psd_tol)[0])
 
 
-def support_gap(p, qhat_evaluator, alpha: float, beta: float, space: SignatureSpace) -> float:
-    """``g(p)`` of the shifted gradient field ``Qhat(p) - alpha - beta S``."""
-    _, w, V = _shifted_spectra(np.asarray(qhat_evaluator(p))[None], alpha, beta, space)
+def support_gap(qhat, alpha: float, beta: float, space: SignatureSpace) -> float:
+    """``g(p)`` of the shifted gradient field ``Qhat(p) - alpha - beta S``, given ``Qhat(p)``."""
+    _, w, V = _shifted_spectra(space.check_operator(qhat)[None], alpha, beta, space)
     return float(_gaps(w, V, space)[0])
 
 
 def el_residuals(
-    measure: OperatorMeasure,
-    qhat_evaluator,
+    mu: PushforwardMeasure,
     alpha: float,
     beta: float,
     probe_points: np.ndarray,
+    probe_qs: np.ndarray,
     case_tag: str,
     tail_magnitude: float | None = None,
 ) -> ELReport:
-    """Assemble the first-order condition report (report-only, no pass/fail)."""
-    space = measure.space
+    """Assemble the first-order condition report (report-only, no pass/fail).
+
+    The support atoms and their ``Qhat`` come from ``mu``, the pushforward
+    that gave the multipliers; ``probe_qs`` stacks ``Qhat`` over the probes.
+    """
+    space = mu.space
     probe_points = np.atleast_2d(np.asarray(probe_points, float))
-    probe_qhats = _evaluate_at(qhat_evaluator, probe_points, space.dim)
-    atom_qhats = _evaluate_at(qhat_evaluator, measure.momenta, space.dim)
+    probe_qs = _qhat_stack(probe_qs, len(probe_points), space, "el_residuals probe_qs")
     qhat_scale = float(
-        np.linalg.norm(np.concatenate([probe_qhats, atom_qhats]), 2, axis=(1, 2)).max(initial=0.0)
+        np.linalg.norm(np.concatenate([probe_qs, mu.qs]), 2, axis=(1, 2)).max(initial=0.0)
     )
 
-    _, w_probe, V_probe = _shifted_spectra(probe_qhats, alpha, beta, space)
-    T, w_atom, V_atom = _shifted_spectra(atom_qhats, alpha, beta, space)
-    A = measure.operators
+    _, w_probe, V_probe = _shifted_spectra(probe_qs, alpha, beta, space)
+    T, w_atom, V_atom = _shifted_spectra(mu.qs, alpha, beta, space)
+    A = mu.operators
 
     return ELReport(
         alpha=float(alpha),
@@ -251,7 +257,7 @@ def el_residuals(
         probe_points=probe_points,
         probe_margins=w_probe[:, 0],
         probe_gaps=_gaps(w_probe, V_probe, space),
-        atom_points=measure.momenta.copy(),
+        atom_points=mu.momenta.copy(),
         atom_residual_left=np.linalg.norm(T @ A, 2, axis=(1, 2)),
         atom_residual_right=np.linalg.norm(A @ T, 2, axis=(1, 2)),
         atom_gaps=_gaps(w_atom, V_atom, space),

@@ -31,6 +31,7 @@ from .action import PositionGrid, QHatEvaluator, action
 from .elverify import (
     ELReport,
     _shifted_spectra,
+    check_first_order,
     el_residuals,
     lagrange_parameters,
     pushforward,
@@ -195,7 +196,11 @@ def restore_constraints(measure: OperatorMeasure, case: str, c: float, f: float)
 
 @dataclass
 class MinimizeResult:
-    """Converged measure with its first-order report and iteration trace."""
+    """Final measure with its first-order report and iteration trace.
+
+    ``converged`` is whether that report passes :func:`check_first_order`
+    at the configured ``tol_el``.
+    """
 
     measure: OperatorMeasure
     report: ELReport
@@ -262,7 +267,6 @@ def minimize_action(config: MinimizeConfig) -> MinimizeResult:
     evaluator = evaluator_for(measure)
     trace_log: list = []
     step = config.initial_step
-    converged = False
     escapes = 0
 
     for iteration in range(config.max_iterations):
@@ -285,9 +289,7 @@ def minimize_action(config: MinimizeConfig) -> MinimizeResult:
             }
         )
 
-        if grad_norm <= config.gradient_tol * max(1.0, abs(current_action)):
-            converged = True
-        else:
+        if grad_norm > config.gradient_tol * max(1.0, abs(current_action)):
             accepted = False
             eta = step
             for _ in range(config.max_backtracks):
@@ -314,11 +316,10 @@ def minimize_action(config: MinimizeConfig) -> MinimizeResult:
                 eta *= config.backtrack_factor
             if accepted:
                 continue
-            converged = True
 
         # Stationary by gradient norm (or stalled): look for a profitable
         # escape direction where the shifted field fails positivity.
-        mu = pushforward(measure, evaluator)
+        mu = pushforward(measure, qhats)
         alpha, beta, case_tag = lagrange_parameters(mu, config.c, config.f)
         _, w, V = _shifted_spectra(mu.qs, alpha, beta, space)
         worst_j = int(np.argmin(w[:, 0]))
@@ -356,18 +357,16 @@ def minimize_action(config: MinimizeConfig) -> MinimizeResult:
                 evaluator = evaluator_try
                 improved = True
                 escapes += 1
-                converged = False
                 break
             eps *= 0.5
         if not improved:
             # The field still fails positivity somewhere but no profitable
-            # escape step exists at this resolution: report honestly.
-            converged = False
+            # escape step exists at this resolution; the report shows it.
             break
 
     # Iterates track the constraints only within the restoration band;
     # pin them exactly (matching the active case) before reporting.
-    mu = pushforward(measure, evaluator)
+    mu = pushforward(measure, evaluator.evaluate_many(momenta))
     _, _, case_tag = lagrange_parameters(mu, config.c, config.f)
     try:
         measure_exact = restore_constraints(measure, case_tag, config.c, config.f)
@@ -377,24 +376,19 @@ def minimize_action(config: MinimizeConfig) -> MinimizeResult:
     else:
         measure, evaluator = measure_exact, evaluator_exact
         current_action = action(measure, grid, delta)
+        mu = pushforward(measure, evaluator.evaluate_many(momenta))
 
-    mu = pushforward(measure, evaluator)
     alpha, beta, case_tag = lagrange_parameters(mu, config.c, config.f)
+    # The probes are the atom momenta, so their Qhat stack is the atoms'.
     report = el_residuals(
-        measure,
-        evaluator,
-        alpha,
-        beta,
-        probe_points=momenta,
-        case_tag=case_tag,
-        tail_magnitude=evaluator.tail_magnitude,
+        mu, alpha, beta, momenta, mu.qs, case_tag, tail_magnitude=evaluator.tail_magnitude
     )
     final_measure = OperatorMeasure(space, box, momenta, measure.operators)
     return MinimizeResult(
         measure=final_measure,
         report=report,
         trace=trace_log,
-        converged=converged,
+        converged=check_first_order(report, config.tol_el)["all"],
         action_value=current_action,
         alpha=alpha,
         beta=beta,

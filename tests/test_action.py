@@ -306,6 +306,45 @@ def test_gradient_zero_for_nilpotent_atom():
     assert np.linalg.norm(Q, 2) <= 1e-6
 
 
+def _partly_degenerate_measure():
+    """Two atoms whose chain is the identity where their phases agree.
+
+    ``A_j = S H_j`` with ``H_1 + H_2 = 1``: where ``(p_2 - p_1) . xi`` is a
+    multiple of 2 pi the chain equals the identity (a double eigenvalue).
+    At the other points of the grid below the phases are opposite and the
+    chain is ``(S D)^2`` with ``D = H_1 - H_2`` definite: a simple spectrum
+    with distinct moduli, so ``Q`` does not vanish there.
+    """
+    sp = SignatureSpace(1)
+    H1 = np.array([[0.9, 0.05], [0.05, 0.7]], dtype=complex)
+    ops = [sp.signature[:, None] * H1, sp.signature[:, None] * (np.eye(2) - H1)]
+    half = np.array([np.pi / 3, np.pi / 6, 0.0, 0.0])
+    box = MomentumBox((-2.0,) * 4, (2.0,) * 4, (2, 2, 1, 1))
+    grid = PositionGrid.from_box(3.0, (3, 3, 1, 1))
+    return OperatorMeasure(sp, box, [-half, half], ops), grid
+
+
+def test_batched_gradient_field_matches_pointwise_kernel_at_degenerate_chains():
+    meas, grid = _partly_degenerate_measure()
+    degenerate = []
+    for xi in grid.points:
+        spectrum = closed_chain(kernel_P(meas, xi), meas.space)
+        gap = abs(spectrum.lambdas[1] - spectrum.lambdas[0])
+        degenerate.append(gap <= 1e-9 * np.linalg.norm(spectrum.chain, 2))
+    degenerate = np.array(degenerate)
+    assert degenerate.any() and not degenerate.all()
+    assert not degenerate[0]
+    for delta in (0.0, 1e-2):
+        ev = QHatEvaluator(meas, grid, smoothing_delta=delta)
+        for i, xi in enumerate(grid.points):
+            np.testing.assert_array_equal(
+                ev.q_field[i], gradient_kernel_Q(meas, xi, smoothing_delta=delta)
+            )
+        with pytest.raises(NonsmoothPointError) as err:
+            QHatEvaluator(meas, grid, smoothing_delta=delta, mode="analytic")
+        np.testing.assert_array_equal(err.value.xi, grid.points[np.argmax(degenerate)])
+
+
 def test_gradient_invalid_mode():
     sp = SignatureSpace(1)
     meas = random_measure_for(sp, make_rng(13))

@@ -206,6 +206,17 @@ def test_verify_constant_field_stationary_round_trip(tmp_path, capsys):
     assert "case b" in out
 
 
+def test_verify_q_file_of_another_dimension_exits_2(tmp_path, capsys):
+    q_path = tmp_path / "q4.json"
+    measure_path = tmp_path / "measure.json"
+    save_operator(np.eye(4, dtype=complex), SignatureSpace(2), q_path)
+    write_stationary_measure(measure_path)
+    assert main(["verify", str(measure_path), "--q-file", str(q_path)]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert "dimension 4 (n=2)" in err and "dimension 2 (n=1)" in err
+
+
 def test_verify_missing_file_exits_2(tmp_path, capsys):
     assert main(["verify", str(tmp_path / "nope.json")]) == 2
     assert "error:" in capsys.readouterr().err

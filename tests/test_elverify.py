@@ -57,12 +57,16 @@ STATIONARY_ALPHA = 0.3144854510165755
 STATIONARY_BETA = -1.0482848367219182
 
 
-def constant_field(q: np.ndarray):
-    return lambda p: q
+def constant_field(q: np.ndarray, k: int) -> np.ndarray:
+    """``Qhat = q`` stacked over ``k`` momenta."""
+    return np.repeat(q[None], k, 0)
 
 
 def stationary_fixture():
-    """Two-atom measure whose atoms minimize the constant field pointwise."""
+    """Two-atom measure whose atoms minimize the constant field pointwise.
+
+    Its momentum box has four grid points.
+    """
     box = unit_momentum_box((2, 1, 1, 2))
     pts = box.grid_points()
     measure = OperatorMeasure(SP1, box, pts[:2], [STATIONARY_A, STATIONARY_A])
@@ -80,7 +84,7 @@ def test_pushforward_pairs_atoms_with_field_values():
     def field(p):
         return (1.0 + p[0] ** 2) * np.eye(2, dtype=complex) + p[3] * np.diag([1.0, -1.0])
 
-    mu = pushforward(measure, field)
+    mu = pushforward(measure, np.array([field(p) for p in measure.momenta]))
     assert mu.qs.shape == (measure.n_atoms, 2, 2)
     for j, p in enumerate(mu.momenta):
         np.testing.assert_array_equal(mu.qs[j], field(p))
@@ -88,6 +92,18 @@ def test_pushforward_pairs_atoms_with_field_values():
     np.testing.assert_allclose(mu.total(), measure.operators.sum(axis=0), atol=0)
     expected = sum(np.trace(q @ A).real for q, A in zip(mu.qs, mu.operators))
     assert mu.trace_pairing() == pytest.approx(expected, rel=1e-14)
+
+
+def test_pushforward_and_el_residuals_reject_misshapen_qhat_stacks():
+    measure, box = stationary_fixture()
+    probes = box.grid_points()
+    for qs in (constant_field(ROTATION_Q, 3), ROTATION_Q, np.ones((2, 4, 4), complex)):
+        with pytest.raises(ValidationError, match="pushforward"):
+            pushforward(measure, qs)
+    mu = pushforward(measure, constant_field(ROTATION_Q, 2))
+    for qs in (constant_field(ROTATION_Q, 3), np.ones((4, 4, 4), complex)):
+        with pytest.raises(ValidationError, match="probe_qs"):
+            el_residuals(mu, 0.0, 0.0, probes, qs, case_tag="a")
 
 
 def test_pushforward_of_nothing_is_zero():
@@ -108,7 +124,7 @@ def test_trace_pairing_is_twice_the_action():
     for seed in (0, 1, 2):
         measure = random_measure_for(SP1, make_rng(seed))
         value = action(measure, grid)
-        mu = pushforward(measure, QHatEvaluator(measure, grid))
+        mu = pushforward(measure, QHatEvaluator(measure, grid).evaluate_many(measure.momenta))
         assert mu.trace_pairing() == pytest.approx(2.0 * value, rel=1e-12)
 
 
@@ -186,7 +202,7 @@ def test_kappa_validation():
 
 def test_lagrange_parameters_recover_pointwise_multipliers():
     measure, _ = stationary_fixture()
-    mu = pushforward(measure, constant_field(ROTATION_Q))
+    mu = pushforward(measure, constant_field(ROTATION_Q, 2))
     # Two identical atoms at targets (0.3, 1.0) give totals (0.6, 2.0).
     alpha, beta, tag = lagrange_parameters(mu, c=0.6, f=2.0)
     assert tag == "b"
@@ -201,7 +217,7 @@ def test_lagrange_parameters_case_b_moment_orthogonality():
         c, f = 0.7, 1.9
         measure = restore_constraints(random_measure_for(sp, rng, n_atoms=3), "b", c, f)
         qs = [random_symmetric(sp, rng) for _ in range(3)]
-        mu = pushforward(measure, lambda p, _it=iter(qs): next(_it))
+        mu = pushforward(measure, np.array(qs))
         alpha, beta, tag = lagrange_parameters(mu, c, f)
         assert tag == "b"
         sig = sp.signature
@@ -218,7 +234,7 @@ def test_lagrange_parameters_case_b_moment_orthogonality():
 
 def test_lagrange_parameters_case_a_zero_beta():
     measure, _ = stationary_fixture()
-    mu = pushforward(measure, constant_field(ROTATION_Q))
+    mu = pushforward(measure, constant_field(ROTATION_Q, 2))
     alpha, beta, tag = lagrange_parameters(mu, c=0.6, f=3.0)  # signed trace 2.0 < 3.0
     assert tag == "a"
     assert beta == 0.0
@@ -227,7 +243,7 @@ def test_lagrange_parameters_case_a_zero_beta():
 
 def test_lagrange_parameters_rejects_bad_targets():
     measure, _ = stationary_fixture()
-    mu = pushforward(measure, constant_field(ROTATION_Q))
+    mu = pushforward(measure, constant_field(ROTATION_Q, 2))
     with pytest.raises(InfeasibleProblemError):
         lagrange_parameters(mu, c=0.6, f=1.5)  # signed trace 2.0 exceeds f
     with pytest.raises(ValidationError):
@@ -268,12 +284,11 @@ def test_gap_matches_bisection_oracle():
 
 def test_support_gap_shifts_the_field():
     S = SP1.signature_matrix
-    field = constant_field(3.0 * S)
-    p = np.zeros(4)
-    assert support_gap(p, field, 0.0, 0.0, SP1) == pytest.approx(3.0, rel=1e-12)
-    assert support_gap(p, field, 0.0, 3.0, SP1) == pytest.approx(0.0, abs=1e-12)
+    qhat = 3.0 * S
+    assert support_gap(qhat, 0.0, 0.0, SP1) == pytest.approx(3.0, rel=1e-12)
+    assert support_gap(qhat, 0.0, 3.0, SP1) == pytest.approx(0.0, abs=1e-12)
     # Shifting by alpha breaks the signature symmetry of the spectrum.
-    assert support_gap(p, field, 1.0, 0.0, SP1) == pytest.approx(2.0, rel=1e-12)
+    assert support_gap(qhat, 1.0, 0.0, SP1) == pytest.approx(2.0, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -283,11 +298,11 @@ def test_support_gap_shifts_the_field():
 def test_el_residuals_stationary_fixture_passes():
     measure, box = stationary_fixture()
     report = el_residuals(
-        measure,
-        constant_field(ROTATION_Q),
+        pushforward(measure, constant_field(ROTATION_Q, 2)),
         STATIONARY_ALPHA,
         STATIONARY_BETA,
         box.grid_points(),
+        constant_field(ROTATION_Q, 4),
         case_tag="b",
     )
     assert report.case_tag == "b"
@@ -304,11 +319,11 @@ def test_el_residuals_stationary_fixture_passes():
 def test_el_residuals_detect_wrong_multipliers():
     measure, box = stationary_fixture()
     report = el_residuals(
-        measure,
-        constant_field(ROTATION_Q),
+        pushforward(measure, constant_field(ROTATION_Q, 2)),
         STATIONARY_ALPHA + 2e-3,
         STATIONARY_BETA,
         box.grid_points(),
+        constant_field(ROTATION_Q, 4),
         case_tag="b",
     )
     checks = check_first_order(report, 1e-6)
@@ -366,12 +381,22 @@ def test_check_first_order_gap_attainment():
 def test_beta_sign_check():
     measure, box = stationary_fixture()
     report = el_residuals(
-        measure, constant_field(ROTATION_Q), 0.0, 0.5, box.grid_points(), case_tag="b"
+        pushforward(measure, constant_field(ROTATION_Q, 2)),
+        0.0,
+        0.5,
+        box.grid_points(),
+        constant_field(ROTATION_Q, 4),
+        case_tag="b",
     )
     assert not beta_sign_check(report)
     assert not check_first_order(report, 1e6)["beta_sign"]  # sign, not size
     good = el_residuals(
-        measure, constant_field(ROTATION_Q), 0.0, -0.5, box.grid_points(), case_tag="b"
+        pushforward(measure, constant_field(ROTATION_Q, 2)),
+        0.0,
+        -0.5,
+        box.grid_points(),
+        constant_field(ROTATION_Q, 4),
+        case_tag="b",
     )
     assert beta_sign_check(good)
 
@@ -383,11 +408,11 @@ def test_beta_sign_check():
 def _sample_report(tail=None) -> ELReport:
     measure, box = stationary_fixture()
     return el_residuals(
-        measure,
-        constant_field(ROTATION_Q),
+        pushforward(measure, constant_field(ROTATION_Q, 2)),
         STATIONARY_ALPHA,
         STATIONARY_BETA,
         box.grid_points(),
+        constant_field(ROTATION_Q, 4),
         case_tag="b",
         tail_magnitude=tail,
     )

@@ -145,6 +145,18 @@ def test_toy_run_converges(toy_result):
     assert toy_result.action_value == pytest.approx(18.3103641117, rel=1e-6)
 
 
+@pytest.mark.parametrize("seed", [2, 3])
+def test_converged_is_the_final_report_verdict(seed):
+    # Both seeds stop on a collapsed line search and seed 2's report passes
+    # its checks: converged must be that verdict, whatever ended the loop.
+    config = MinimizeConfig(n=1, c=0.5, f=1.0, seed=seed, smoothing_delta=1e-2)
+    result = minimize_action(config)
+    checks = check_first_order(result.report, config.tol_el)
+    assert result.converged == checks["all"]
+    if seed == 2:
+        assert result.converged
+
+
 def test_toy_run_is_feasible(toy_result):
     values = constraint_values(toy_result.measure)
     assert values.trace == pytest.approx(TOY.c, abs=1e-12)
