@@ -35,6 +35,7 @@ the pair ``(xi, -xi)``.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +43,7 @@ import numpy as np
 from . import tolerances
 from .errors import NonsmoothPointError, NumericalError, ValidationError
 from .homomeasure import OperatorMeasure
-from .krein import SignatureSpace, krein_adjoint
+from .krein import SignatureSpace, _adjoint
 
 __all__ = [
     "PositionGrid",
@@ -170,10 +171,15 @@ def kernel_P(measure: OperatorMeasure, xi) -> np.ndarray:
 def closed_chain(P: np.ndarray, space: SignatureSpace) -> ClosedChainSpectrum:
     """Closed chain ``A = P P^*`` with its dense eigenvalue multiset."""
     P = space.check_operator(P)
-    chain = P @ krein_adjoint(P, space)
+    chain = P @ _adjoint(P, space.signature)
     lams = np.linalg.eigvals(chain)
     order = np.lexsort((lams.imag, lams.real))
     return ClosedChainSpectrum(lambdas=lams[order], chain=chain)
+
+
+def _check_delta(delta: float) -> None:
+    if not 0.0 <= delta < math.inf:
+        raise ValidationError(f"smoothing delta must be finite and >= 0, got {delta!r}")
 
 
 def _moduli(lambdas: np.ndarray, delta: float) -> np.ndarray:
@@ -182,8 +188,7 @@ def _moduli(lambdas: np.ndarray, delta: float) -> np.ndarray:
 
 def _lagrangian_values(lambdas: np.ndarray, delta: float) -> np.ndarray:
     """Causal Lagrangian of each row of chain eigenvalues ``lambdas`` (``..., 2n``)."""
-    if delta < 0:
-        raise ValidationError("smoothing delta must be >= 0")
+    _check_delta(delta)
     m = _moduli(lambdas, delta)
     n = lambdas.shape[-1] // 2
     # Method reductions: np.sum's dispatch would dominate the finite-difference
@@ -199,9 +204,7 @@ def lagrangian(spectrum: ClosedChainSpectrum, smoothing_delta: float = 0.0) -> f
 def _chain_field(measure: OperatorMeasure, points: np.ndarray):
     """Batched kernels and chains over grid points: returns (P_plus, chains)."""
     Pp = _plus_kernel(measure, points)
-    sig = measure.space.signature
-    adj = sig[None, :, None] * Pp.conj().transpose(0, 2, 1) * sig[None, None, :]
-    return Pp, Pp @ adj
+    return Pp, Pp @ _adjoint(Pp, measure.space.signature)
 
 
 def _lagrangian_field(measure: OperatorMeasure, grid: PositionGrid, smoothing_delta: float) -> np.ndarray:
@@ -260,14 +263,12 @@ def _eig_gradient_factors(chains: np.ndarray, space: SignatureSpace, delta: floa
     g = 2.0 * m - m.sum(axis=1, keepdims=True) / (d // 2)
     c = g * lams.conj() / np.where(ok[:, None], m, 1.0)
     G = R @ (c[:, :, None] * np.linalg.inv(R))
-    sig = space.signature
-    G_adj = sig[None, :, None] * G.conj().transpose(0, 2, 1) * sig[None, None, :]
-    return 0.5 * (G + G_adj), ok
+    return 0.5 * (G + _adjoint(G, space.signature)), ok
 
 
 def _perturbed_lagrangian(Pp: np.ndarray, D: np.ndarray, tau: float, space: SignatureSpace, delta: float) -> float:
     X = Pp + tau * D
-    chain = X @ krein_adjoint(X, space)
+    chain = X @ _adjoint(X, space.signature)
     return float(_lagrangian_values(np.linalg.eigvals(chain), delta))
 
 
@@ -341,8 +342,7 @@ def _gradient_field(
     differences elsewhere (``"auto"``) or everywhere
     (``"finite_difference"``).
     """
-    if delta < 0:
-        raise ValidationError("smoothing delta must be >= 0")
+    _check_delta(delta)
     if mode not in ("auto", "analytic", "finite_difference"):
         raise ValidationError(f"unknown gradient mode {mode!r}")
     space = measure.space
@@ -367,9 +367,7 @@ def _gradient_field(
     q_field[both_ok] = Pp[both_ok] @ factors[reflection[both_ok]]
     for i in np.nonzero(~both_ok)[0]:
         q_field[i] = _fd_half_gradient(measure, -points[i], space, delta)
-    sig = space.signature
-    adj = sig[None, :, None] * q_field[reflection].conj().transpose(0, 2, 1) * sig[None, None, :]
-    return 0.5 * (q_field + adj)
+    return 0.5 * (q_field + _adjoint(q_field[reflection], space.signature))
 
 
 def gradient_kernel_Q(
@@ -433,8 +431,7 @@ class QHatEvaluator:
         # same way whatever the batch size; a matrix product would not.
         phases = self.grid.weights * np.exp(-1j * self.grid.points @ ps[:, :, None])[:, :, 0]
         qhat = np.einsum("kx,xab->kab", phases, self.q_field)
-        sig = self.measure.space.signature
-        adj = sig[None, :, None] * qhat.conj().transpose(0, 2, 1) * sig[None, None, :]
+        adj = _adjoint(qhat, self.measure.space.signature)
         defect = np.linalg.norm(qhat - adj, 2, axis=(1, 2))
         scale = np.maximum(np.linalg.norm(qhat, 2, axis=(1, 2)), 1.0)
         if np.any(defect > 1e-8 * scale):

@@ -266,6 +266,8 @@ def cmd_sweep_alpha(args) -> int:
     q, space = load_operator(args.q_file)
     if args.alpha_max <= args.alpha_min:
         raise ValidationError("--alpha-max must exceed --alpha-min")
+    if args.count < 1:
+        raise ValidationError(f"--count must be at least 1, got {args.count}")
     alphas = np.linspace(args.alpha_min, args.alpha_max, args.count)
     with open(args.out, "w", newline="") as fh:
         fh.write("alpha,a,beta\n")

@@ -31,7 +31,6 @@ __all__ = [
     "OperatorMeasure",
     "MeasureDecomposition",
     "ConstraintValues",
-    "total_operator",
     "constraint_values",
     "decompose",
     "variation_measure",
@@ -204,11 +203,6 @@ class ConstraintValues:
     trace: float
     dim_sum: float
     mod_dim: float
-
-
-def total_operator(measure: OperatorMeasure) -> np.ndarray:
-    """Total operator ``sum_j A_j`` of the measure (positive)."""
-    return measure.total()
 
 
 def _dim_sum_at(total: np.ndarray, space: SignatureSpace, eps: float) -> float:

@@ -16,6 +16,11 @@ spectral point.  All routines here exploit the congruence trick: with
 and its eigenprojectors map to the spectral projectors of ``A`` via
 ``P = S @ R @ Pi @ R``.  This avoids non-normal eigenproblems entirely for
 positive operands.
+
+Public routines validate their operands.  The Krein adjoint ``S X^H S`` has
+one unchecked form, ``_adjoint``, which also maps ``(..., d, d)`` stacks;
+:func:`krein_adjoint` checks its operand and calls it, and the batched code
+of :mod:`kreinact.action` calls it directly.
 """
 
 from __future__ import annotations
@@ -114,11 +119,14 @@ def _scale(A: np.ndarray) -> float:
     return max(float(nrm), 1.0)
 
 
+def _adjoint(X: np.ndarray, sig: np.ndarray) -> np.ndarray:
+    """Unchecked ``S X^H S`` of an operator or of each matrix of a ``(..., d, d)`` stack."""
+    return sig[:, None] * np.swapaxes(X.conj(), -1, -2) * sig
+
+
 def krein_adjoint(A: np.ndarray, space: SignatureSpace) -> np.ndarray:
     """Adjoint with respect to the indefinite inner product: ``A* = S A^H S``."""
-    A = space.check_operator(A)
-    s = space.signature
-    return s[:, None] * A.conj().T * s[None, :]
+    return _adjoint(space.check_operator(A), space.signature)
 
 
 def is_symmetric(A: np.ndarray, space: SignatureSpace, tol: float = tolerances.HERMITICITY) -> bool:
@@ -141,7 +149,8 @@ def is_positive(A: np.ndarray, space: SignatureSpace, tol: float = tolerances.PS
 
 def symmetric_part(A: np.ndarray, space: SignatureSpace) -> np.ndarray:
     """Projection of ``A`` onto the symmetric operators: ``(A + A*)/2``."""
-    return 0.5 * (space.check_operator(A) + krein_adjoint(A, space))
+    A = space.check_operator(A)
+    return 0.5 * (A + _adjoint(A, space.signature))
 
 
 def _require_positive(A: np.ndarray, space: SignatureSpace, tol: float, who: str) -> np.ndarray:
@@ -344,7 +353,7 @@ def epsilon_diagonalize(H: np.ndarray, space: SignatureSpace, eps: float):
     cluster_tol = 1e-9 * scale
     lam, X = _normalize_krein_columns(lam, X, space, eps, cluster_tol)
 
-    U = sig[:, None] * X.conj().T * sig[None, :]  # = S X^H S = X^{-1}
+    U = _adjoint(X, sig)  # = S X^H S = X^{-1}
     D = np.diag(lam).astype(complex)
     Delta = U @ H @ X - D
     return U, D, Delta

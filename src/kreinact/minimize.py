@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tolerances
-from .action import PositionGrid, QHatEvaluator, action
+from .action import PositionGrid, QHatEvaluator, _check_delta, action
 from .elverify import (
     ELReport,
     _shifted_spectra,
@@ -79,8 +79,7 @@ class MinimizeConfig:
             raise ValidationError(
                 f"constraint targets must satisfy 0 < c < f, got c={self.c}, f={self.f}"
             )
-        if self.smoothing_delta < 0:
-            raise ValidationError("smoothing delta must be >= 0")
+        _check_delta(self.smoothing_delta)
         if self.initial_step <= 0 or not (0 < self.backtrack_factor < 1):
             raise ValidationError("step parameters out of range")
         if self.max_iterations < 1 or self.max_backtracks < 1:
@@ -261,6 +260,24 @@ def minimize_action(config: MinimizeConfig) -> MinimizeResult:
                 ) from err
             raise
 
+    def trial(Ms_raw: np.ndarray, to_beat: float):
+        """``(Ms, measure, action, evaluator)`` of the restored ``Ms_raw`` if its
+        action is below ``to_beat``; None for a rejected trial."""
+        try:
+            Ms_try = restored(Ms_raw)
+        except RestorationError:
+            return None
+        measure_try = _measure_from_Ms(space, box, momenta, Ms_try)
+        action_try = action(measure_try, grid, delta)
+        if not action_try < to_beat:
+            return None
+        try:
+            # A step may land on a nondifferentiable point of the exact
+            # Lagrangian; treat that as a rejected trial.
+            return Ms_try, measure_try, action_try, evaluator_for(measure_try)
+        except NonsmoothPointError:
+            return None
+
     Ms = restored(Ms)
     measure = _measure_from_Ms(space, box, momenta, Ms)
     current_action = action(measure, grid, delta)
@@ -290,31 +307,15 @@ def minimize_action(config: MinimizeConfig) -> MinimizeResult:
         )
 
         if grad_norm > config.gradient_tol * max(1.0, abs(current_action)):
-            accepted = False
             eta = step
             for _ in range(config.max_backtracks):
-                try:
-                    Ms_try = restored(Ms - eta * grads)
-                except RestorationError:
-                    eta *= config.backtrack_factor
-                    continue
-                measure_try = _measure_from_Ms(space, box, momenta, Ms_try)
-                action_try = action(measure_try, grid, delta)
-                if action_try < current_action:
-                    try:
-                        # A step may land on a nondifferentiable point of the
-                        # exact Lagrangian; treat that as a rejected trial.
-                        evaluator_try = evaluator_for(measure_try)
-                    except NonsmoothPointError:
-                        eta *= config.backtrack_factor
-                        continue
-                    Ms, measure, current_action = Ms_try, measure_try, action_try
-                    evaluator = evaluator_try
-                    step = eta / config.backtrack_factor
-                    accepted = True
+                accepted = trial(Ms - eta * grads, current_action)
+                if accepted is not None:
                     break
                 eta *= config.backtrack_factor
-            if accepted:
+            if accepted is not None:
+                Ms, measure, current_action, evaluator = accepted
+                step = eta / config.backtrack_factor
                 continue
 
         # Stationary by gradient norm (or stalled): look for a profitable
@@ -329,7 +330,6 @@ def minimize_action(config: MinimizeConfig) -> MinimizeResult:
         if worst_margin >= -0.1 * config.tol_el:
             break  # first-order conditions hold
 
-        improved = False
         base_norm = max(float(np.linalg.norm(measure.operators)), 1.0)
         eps = 0.5 * base_norm / max(k, 1)
         for _ in range(60):
@@ -340,29 +340,16 @@ def minimize_action(config: MinimizeConfig) -> MinimizeResult:
             H = 0.5 * (H + H.conj().T)
             w, V = np.linalg.eigh(H)
             Ms_try[worst_j] = (V * np.sqrt(np.clip(w, 0.0, None))[None, :]) @ V.conj().T
-            try:
-                Ms_try = restored(Ms_try)
-            except RestorationError:
-                eps *= 0.5
-                continue
-            measure_try = _measure_from_Ms(space, box, momenta, Ms_try)
-            action_try = action(measure_try, grid, delta)
-            if action_try < current_action:
-                try:
-                    evaluator_try = evaluator_for(measure_try)
-                except NonsmoothPointError:
-                    eps *= 0.5
-                    continue
-                Ms, measure, current_action = Ms_try, measure_try, action_try
-                evaluator = evaluator_try
-                improved = True
-                escapes += 1
+            accepted = trial(Ms_try, current_action)
+            if accepted is not None:
                 break
             eps *= 0.5
-        if not improved:
+        if accepted is None:
             # The field still fails positivity somewhere but no profitable
             # escape step exists at this resolution; the report shows it.
             break
+        Ms, measure, current_action, evaluator = accepted
+        escapes += 1
 
     # Iterates track the constraints only within the restoration band;
     # pin them exactly (matching the active case) before reporting.

@@ -11,6 +11,12 @@ nondecreasing, so the constraint is met by bisection, with exact mixing
 inside degenerate lowest eigenspaces on plateaus.  The attained multipliers
 satisfy ``A (q - alpha - beta S) = 0`` with ``q - alpha - beta S`` positive.
 
+A problem is validated once, when it is built (or when a public scalar map
+is called); the solver works on the Hermitian ``qhat`` from then on.  One
+lowest-cluster routine computes the lowest eigenspace of ``qhat - alpha S``
+with the spectrum of its compressed signature; it serves ``a(alpha)``, the
+solver's bracket search and bisection, and the plateau mixing.
+
 The boundary ``|a| = b`` forces ``H`` into one definite eigenspace of ``S``;
 multipliers then exist only when the compressed minimizing eigenvector
 extends to an eigenvector of the full ``qhat``, in which case a whole line
@@ -51,12 +57,21 @@ _DEGENERACY_REL = 1e-8
 _BISECT_MAX = 300
 
 
-def _hermitian_coefficient(q: np.ndarray, space: SignatureSpace) -> np.ndarray:
+def _symmetric_coefficient(q: np.ndarray, space: SignatureSpace) -> np.ndarray:
     q = space.check_operator(q)
     if not is_symmetric(q, space):
         raise ValidationError("coefficient operator must be Krein symmetric")
-    qhat = space.signature[:, None] * q
+    return q
+
+
+def _qhat(q: np.ndarray, sig: np.ndarray) -> np.ndarray:
+    """Hermitian coefficient ``S q`` of an already validated ``q``."""
+    qhat = sig[:, None] * q
     return 0.5 * (qhat + qhat.conj().T)
+
+
+def _hermitian_coefficient(q: np.ndarray, space: SignatureSpace) -> np.ndarray:
+    return _qhat(_symmetric_coefficient(q, space), space.signature)
 
 
 @dataclass(frozen=True)
@@ -69,11 +84,11 @@ class PointwiseProblem:
     b: float
 
     def __post_init__(self):
-        q = self.space.check_operator(self.q)
-        if not is_symmetric(q, self.space):
-            raise ValidationError("coefficient operator must be Krein symmetric")
+        q = _symmetric_coefficient(self.q, self.space)
         a = float(self.a)
         b = float(self.b)
+        if not (np.isfinite(a) and np.isfinite(b)):
+            raise ValidationError(f"targets must be finite, got a={a}, b={b}")
         if b < 0:
             raise InfeasibleProblemError(f"signed-trace target must be >= 0, got {b}")
         if abs(a) > b + tolerances.FEASIBILITY * max(b, 1.0):
@@ -139,18 +154,29 @@ class AlphaValue:
         return 0.5 * (self.a_min + self.a_max)
 
 
+def _shifted(qhat: np.ndarray, sig: np.ndarray, alpha: float) -> np.ndarray:
+    return qhat - alpha * np.diag(sig).astype(complex)
+
+
+def _beta(qhat: np.ndarray, sig: np.ndarray, alpha: float) -> float:
+    return float(np.linalg.eigvalsh(_shifted(qhat, sig, alpha))[0])
+
+
 def beta_of_alpha(q: np.ndarray, space: SignatureSpace, alpha: float) -> float:
     """Smallest eigenvalue of the Hermitian matrix ``S q - alpha S``."""
-    qhat = _hermitian_coefficient(q, space)
-    shifted = qhat - alpha * np.diag(space.signature).astype(complex)
-    return float(np.linalg.eigvalsh(shifted)[0])
+    return _beta(_hermitian_coefficient(q, space), space.signature, alpha)
 
 
-def _lowest_cluster(H: np.ndarray, rel_tol: float):
-    w, V = np.linalg.eigh(H)
+def _lowest_cluster(qhat: np.ndarray, sig: np.ndarray, alpha: float, rel_tol: float):
+    """Lowest eigenspace ``V`` of ``qhat - alpha S`` (eigenvalues within relative
+    ``rel_tol`` of the lowest) and the ``eigh`` ``(s, W)`` of ``V^H S V``: ``Tr(S H)``
+    over normalized psd ``H`` on that space spans ``[s[0], s[-1]]``."""
+    w, V = np.linalg.eigh(_shifted(qhat, sig, alpha))
     scale = max(abs(w[0]), abs(w[-1]), 1.0)
-    k = int(np.sum(w <= w[0] + rel_tol * scale))
-    return w, V[:, :k]
+    V = V[:, : int(np.sum(w <= w[0] + rel_tol * scale))]
+    B = V.conj().T @ (sig[:, None] * V)
+    s, W = np.linalg.eigh(0.5 * (B + B.conj().T))
+    return V, s, W
 
 
 def a_of_alpha(
@@ -167,25 +193,15 @@ def a_of_alpha(
     ``V^H S V``; both endpoints are reported.
     """
     qhat = _hermitian_coefficient(q, space)
-    sig = space.signature
-    shifted = qhat - alpha * np.diag(sig).astype(complex)
-    _, V = _lowest_cluster(shifted, degeneracy_tol)
-    F1 = V @ V.conj().T
-    if V.shape[1] == 1:
-        val = float(np.real(np.vdot(V[:, 0], sig * V[:, 0])))
-        return AlphaValue(a_min=val, a_max=val, projector=F1, degenerate=False)
-    B = V.conj().T @ (sig[:, None] * V)
-    s = np.linalg.eigvalsh(0.5 * (B + B.conj().T))
-    return AlphaValue(a_min=float(s[0]), a_max=float(s[-1]), projector=F1, degenerate=True)
+    V, s, _ = _lowest_cluster(qhat, space.signature, alpha, degeneracy_tol)
+    return AlphaValue(
+        a_min=float(s[0]), a_max=float(s[-1]), projector=V @ V.conj().T, degenerate=V.shape[1] > 1
+    )
 
 
-def _mixed_density(qhat: np.ndarray, sig: np.ndarray, alpha: float, target: float, rel_tol: float):
-    """Psd ``H`` in the lowest eigenspace of ``qhat - alpha S`` with
-    ``Tr H = 1`` and ``Tr(S H) = target`` hit exactly; None if unreachable."""
-    shifted = qhat - alpha * np.diag(sig).astype(complex)
-    w, V = _lowest_cluster(shifted, rel_tol)
-    B = V.conj().T @ (sig[:, None] * V)
-    s, W = np.linalg.eigh(0.5 * (B + B.conj().T))
+def _mixed_density(V: np.ndarray, s: np.ndarray, W: np.ndarray, target: float):
+    """Psd ``H`` in the span of ``V`` with ``Tr H = 1`` and ``Tr(S H) = target``
+    hit exactly, from a :func:`_lowest_cluster` result; None if unreachable."""
     atol = 1e-13 * max(1.0, abs(s[0]), abs(s[-1]))
     if target < s[0] - atol or target > s[-1] + atol:
         return None
@@ -205,10 +221,30 @@ def _gershgorin_radius(qhat: np.ndarray) -> float:
     return float(np.max(np.sum(np.abs(qhat), axis=1)))
 
 
-def _boundary_solution(problem: PointwiseProblem, t: int) -> PointwiseSolution:
-    """Minimizer on the boundary a = t*b: density confined to the S = t eigenspace."""
+def _psd(F: np.ndarray, scale: float) -> bool:
+    return float(np.linalg.eigvalsh(0.5 * (F + F.conj().T))[0]) >= -tolerances.PSD * scale
+
+
+def _bisect(feasible, inner: float, outer: float, tol: float) -> float:
+    """Last feasible point bisecting from feasible ``inner`` toward infeasible ``outer``:
+    200 halvings, or fewer once within relative ``tol`` (``tol = 0`` takes all 200)."""
+    for _ in range(200):
+        mid = 0.5 * (inner + outer)
+        if feasible(mid):
+            inner = mid
+        else:
+            outer = mid
+        if abs(outer - inner) <= tol * max(1.0, abs(inner)):
+            break
+    return inner
+
+
+def _boundary_solution(problem: PointwiseProblem, qhat: np.ndarray, t: int) -> PointwiseSolution:
+    """Minimizer on the boundary a = t*b: density confined to the S = t eigenspace.
+
+    ``qhat`` is the Hermitian coefficient of the validated ``problem.q``.
+    """
     space = problem.space
-    qhat = _hermitian_coefficient(problem.q, space)
     sig = space.signature
     n, d = space.n, space.dim
     idx = np.arange(0, n) if t > 0 else np.arange(n, d)
@@ -222,28 +258,17 @@ def _boundary_solution(problem: PointwiseProblem, t: int) -> PointwiseSolution:
     objective = float(np.real(np.trace(problem.q @ A)))
 
     scale = max(float(np.linalg.norm(qhat, 2)), 1.0)
-    extension_residual = float(np.linalg.norm(qhat @ v - m * v))
     tag = "boundary-particle" if t > 0 else "boundary-sea"
-    if extension_residual > 1e-10 * scale:
-        return PointwiseSolution(
-            A=A,
-            alpha=0.0,
-            beta=m,
-            objective=objective,
-            tag=tag + "-no-multipliers",
-            multipliers_valid=False,
-            family=None,
-        )
 
     # beta = m - t*alpha keeps (qhat - alpha S - beta) v = 0; the psd set
     # F(alpha) = (qhat - m) + alpha (t - S) is monotone in t*alpha, so the
     # admissible alphas form a ray whose endpoint we bisect.
     def feasible(alpha: float) -> bool:
-        F = qhat - m * np.eye(d) + alpha * (t * np.eye(d) - np.diag(sig))
-        return float(np.linalg.eigvalsh(0.5 * (F + F.conj().T))[0]) >= -tolerances.PSD * scale
+        return _psd(qhat - m * np.eye(d) + alpha * (t * np.eye(d) - np.diag(sig)), scale)
 
     far = 4.0 * scale + 4.0
-    if not feasible(t * far):
+    extension_residual = float(np.linalg.norm(qhat @ v - m * v))
+    if extension_residual > 1e-10 * scale or not feasible(t * far):
         return PointwiseSolution(
             A=A,
             alpha=0.0,
@@ -253,19 +278,10 @@ def _boundary_solution(problem: PointwiseProblem, t: int) -> PointwiseSolution:
             multipliers_valid=False,
             family=None,
         )
-    # Endpoint of the ray: last infeasible point toward -t*infinity.
-    good = t * far
-    bad = -t * far
-    if feasible(bad):
-        endpoint = bad
-    else:
-        for _ in range(200):
-            mid = 0.5 * (good + bad)
-            if feasible(mid):
-                good = mid
-            else:
-                bad = mid
-        endpoint = good
+    # Endpoint of the ray: the feasible end of a bisection toward -t*infinity.
+    endpoint = -t * far
+    if not feasible(endpoint):
+        endpoint = _bisect(feasible, t * far, endpoint, 0.0)
     if t > 0:
         alpha_min, alpha_max = endpoint, np.inf
     else:
@@ -300,12 +316,13 @@ def solve(problem: PointwiseProblem, degeneracy_tol: float = _DEGENERACY_REL) ->
     """
     space = problem.space
     a, b = problem.a, problem.b
-    d = space.dim
+    sig = space.signature
+    qhat = _qhat(problem.q, sig)
     if b == 0.0:
         return PointwiseSolution(
-            A=np.zeros((d, d), complex),
+            A=np.zeros((space.dim, space.dim), complex),
             alpha=0.0,
-            beta=beta_of_alpha(problem.q, space, 0.0),
+            beta=_beta(qhat, sig, 0.0),
             objective=0.0,
             tag="trivial",
             multipliers_valid=True,
@@ -314,38 +331,30 @@ def solve(problem: PointwiseProblem, degeneracy_tol: float = _DEGENERACY_REL) ->
     t = a / b
     feas_tol = tolerances.FEASIBILITY
     if t >= 1.0 - feas_tol:
-        return _boundary_solution(problem, +1)
+        return _boundary_solution(problem, qhat, +1)
     if t <= -1.0 + feas_tol:
-        return _boundary_solution(problem, -1)
-
-    qhat = _hermitian_coefficient(problem.q, space)
-    sig = space.signature
-
-    def value(alpha: float) -> AlphaValue:
-        return a_of_alpha(problem.q, space, alpha, degeneracy_tol)
+        return _boundary_solution(problem, qhat, -1)
 
     radius = _gershgorin_radius(qhat) + 1.0
     lo, hi = -radius, radius
     for _ in range(80):
-        if value(lo).a_min <= t:
+        if _lowest_cluster(qhat, sig, lo, degeneracy_tol)[1][0] <= t:
             break
         lo *= 2.0
     for _ in range(80):
-        if value(hi).a_max >= t:
+        if _lowest_cluster(qhat, sig, hi, degeneracy_tol)[1][-1] >= t:
             break
         hi *= 2.0
 
-    alpha_star = None
     H = None
     for _ in range(_BISECT_MAX):
         mid = 0.5 * (lo + hi)
-        av = value(mid)
-        if av.a_min - 1e-13 <= t <= av.a_max + 1e-13:
-            H = _mixed_density(qhat, sig, mid, t, degeneracy_tol)
+        V, s, W = _lowest_cluster(qhat, sig, mid, degeneracy_tol)
+        if s[0] - 1e-13 <= t <= s[-1] + 1e-13:
+            H = _mixed_density(V, s, W, t)
             if H is not None:
-                alpha_star = mid
                 break
-        if av.a_max < t:
+        if s[-1] < t:
             lo = mid
         else:
             hi = mid
@@ -356,20 +365,18 @@ def solve(problem: PointwiseProblem, degeneracy_tol: float = _DEGENERACY_REL) ->
         # with a wider clustering tolerance.
         mid = 0.5 * (lo + hi)
         for widened in (1e-7, 1e-6, 1e-5):
-            H = _mixed_density(qhat, sig, mid, t, widened)
+            H = _mixed_density(*_lowest_cluster(qhat, sig, mid, widened), t)
             if H is not None:
-                alpha_star = mid
                 break
     if H is None:
         raise NumericalError("bisection failed to reach the signed-trace target")
 
     A = b * H * sig[None, :]
-    beta = float(np.linalg.eigvalsh(qhat - alpha_star * np.diag(sig).astype(complex))[0])
     objective = float(np.real(np.trace(problem.q @ A)))
     return PointwiseSolution(
         A=A,
-        alpha=float(alpha_star),
-        beta=beta,
+        alpha=float(mid),
+        beta=_beta(qhat, sig, mid),
         objective=objective,
         tag="interior",
         multipliers_valid=True,
@@ -493,7 +500,7 @@ def lagrange_from_point(
     if abs(a) >= b - tolerances.FEASIBILITY * max(b, 1.0):
         t = +1 if a >= 0 else -1
         problem = PointwiseProblem(space=space, q=q, a=float(t * b), b=b)
-        sol = _boundary_solution(problem, t)
+        sol = _boundary_solution(problem, qhat, t)
         if sol.family is None:
             raise ValidationError(
                 "boundary point admits no Lagrange multipliers (compressed "
@@ -528,7 +535,7 @@ def lagrange_from_point(
         )
     alpha, beta = float(sol_vec[0]), float(sol_vec[1])
 
-    shifted = qhat - alpha * np.diag(sig).astype(complex) - beta * np.eye(space.dim)
+    shifted = _shifted(qhat, sig, alpha) - beta * np.eye(space.dim)
     residual = float(np.linalg.norm(A @ (q - alpha * np.eye(space.dim) - beta * np.diag(sig)), 2))
     min_eig = float(np.linalg.eigvalsh(0.5 * (shifted + shifted.conj().T))[0])
     norm_A = max(float(np.linalg.norm(A, 2)), 1e-300)
@@ -563,12 +570,10 @@ def admissible_alpha_interval(
     feasible alpha and bisecting.
     """
     qhat = _hermitian_coefficient(q, space)
-    sig = np.diag(space.signature).astype(complex)
     scale = max(float(np.linalg.norm(qhat, 2)), 1.0)
 
     def feasible(alpha: float) -> bool:
-        F = qhat - alpha * sig - beta * np.eye(space.dim)
-        return float(np.linalg.eigvalsh(0.5 * (F + F.conj().T))[0]) >= -tolerances.PSD * scale
+        return _psd(_shifted(qhat, space.signature, alpha) - beta * np.eye(space.dim), scale)
 
     if not feasible(alpha_feasible):
         raise ValidationError("the supplied alpha is not feasible at this beta")
@@ -585,14 +590,6 @@ def admissible_alpha_interval(
             grow += 1
             if grow > 80:
                 return direction * np.inf
-        for _ in range(200):
-            mid = 0.5 * (inner + outer)
-            if feasible(mid):
-                inner = mid
-            else:
-                outer = mid
-            if abs(outer - inner) <= tol * max(1.0, abs(inner)):
-                break
-        return inner
+        return _bisect(feasible, inner, outer, tol)
 
     return endpoint(-1.0), endpoint(+1.0)

@@ -355,11 +355,11 @@ def test_gradient_invalid_mode():
 @pytest.mark.parametrize(
     "call",
     [
-        lambda meas, grid: action(meas, grid, -0.1),
-        lambda meas, grid: action_profile(meas, grid, -0.1),
-        lambda meas, grid: lagrangian(closed_chain(kernel_P(meas, grid.points[0]), meas.space), -0.1),
-        lambda meas, grid: gradient_kernel_Q(meas, grid.points[0], smoothing_delta=-0.1),
-        lambda meas, grid: QHatEvaluator(meas, grid, smoothing_delta=-0.1),
+        lambda meas, grid, delta: action(meas, grid, delta),
+        lambda meas, grid, delta: action_profile(meas, grid, delta),
+        lambda meas, grid, delta: lagrangian(closed_chain(kernel_P(meas, grid.points[0]), meas.space), delta),
+        lambda meas, grid, delta: gradient_kernel_Q(meas, grid.points[0], smoothing_delta=delta),
+        lambda meas, grid, delta: QHatEvaluator(meas, grid, smoothing_delta=delta),
     ],
     ids=["action", "action_profile", "lagrangian", "gradient_kernel_Q", "QHatEvaluator"],
 )
@@ -367,8 +367,9 @@ def test_negative_smoothing_delta_rejected(call):
     sp = SignatureSpace(1)
     meas = random_measure_for(sp, make_rng(13))
     grid = PositionGrid.from_box(2.0, (5, 1, 1, 1))
-    with pytest.raises(ValidationError):
-        call(meas, grid)
+    for delta in (-0.1, np.nan, np.inf):
+        with pytest.raises(ValidationError):
+            call(meas, grid, delta)
 
 
 # ---------------------------------------------------------------------------

@@ -282,6 +282,14 @@ def test_pointwise_infeasible_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("a, b", [("nan", "1.0"), ("0.0", "inf")])
+def test_pointwise_non_finite_targets_exit_2(tmp_path, capsys, a, b):
+    q_path = tmp_path / "q.json"
+    write_rotation_q(q_path)
+    assert main(["pointwise", str(q_path), "--a", a, "--b", b]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
 def test_pointwise_rejects_wrong_document_kind(tmp_path, capsys):
     measure_path = tmp_path / "measure.json"
     write_stationary_measure(measure_path)
@@ -310,6 +318,14 @@ def test_sweep_alpha_rejects_empty_range(tmp_path):
     assert main(["sweep-alpha", str(q_path), "--alpha-min", "1.0",
                  "--alpha-max", "1.0", "--count", "3",
                  "--out", str(tmp_path / "s.csv")]) == 2
+
+
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_sweep_alpha_rejects_count_below_one(tmp_path, count):
+    q_path = tmp_path / "q.json"
+    write_rotation_q(q_path)
+    assert main(["sweep-alpha", str(q_path), "--alpha-min", "0.0", "--alpha-max", "1.0",
+                 "--count", count, "--out", str(tmp_path / "s.csv")]) == 2
 
 
 # ---------------------------------------------------------------------------

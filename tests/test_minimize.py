@@ -55,8 +55,9 @@ def test_config_validation():
         MinimizeConfig(n=0)
     with pytest.raises(ValidationError):
         MinimizeConfig(c=2.0, f=1.0)
-    with pytest.raises(ValidationError):
-        MinimizeConfig(smoothing_delta=-0.1)
+    for delta in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ValidationError):
+            MinimizeConfig(smoothing_delta=delta)
     with pytest.raises(ValidationError):
         MinimizeConfig(initial_step=0.0)
     with pytest.raises(ValidationError):

@@ -323,6 +323,9 @@ def test_problem_validation():
         PointwiseProblem(space=SP1, q=q, a=2.0, b=1.0)
     with pytest.raises(ValidationError):
         PointwiseProblem(space=SP1, q=np.array([[0.0, 1.0], [1.0, 0.0]]), a=0.0, b=1.0)
+    for a, b in ((np.nan, 1.0), (np.inf, 1.0), (-np.inf, 1.0), (0.0, np.nan), (0.0, np.inf)):
+        with pytest.raises(ValidationError):
+            PointwiseProblem(space=SP1, q=q, a=a, b=b)
 
 
 def test_zero_targets_give_zero_minimizer():
