@@ -18,18 +18,20 @@ action is ``dS = 2 sum_j Tr(Qhat(p_j) E_j)`` with
 ``Qhat(p) = sum_xi w(xi) Q(xi) exp(-i p . xi)``.
 
 The analytic gradient uses eigenvalue perturbation theory on the closed
-chain: for simple eigenvalues, ``dL = Re Tr(G dA)`` with
+chain: for a diagonalizable chain, ``dL = Re Tr(G dA)`` with
 ``G = R diag(g_i conj(lambda_i)/m_i) R^{-1}`` (``g_i = dL/dm_i``), Krein
 symmetrized to ``N = (G + G^*)/2``, giving ``Q(xi) = P_+(xi) N(-xi)`` with
-``P_+ = -P``.  Points where the chain has (numerically) multiple eigenvalues
--- or vanishing moduli when ``delta = 0`` -- fall back to finite
-differences (relative step ``1e-5``) with a kink check; a genuine kink
-raises :class:`~kreinact.errors.NonsmoothPointError`.  The eigen-derivatives
-are batched over the point set (one stacked ``eig`` and ``inv``); only the
-points they reject take the finite-difference path.  One routine builds
-the Krein-symmetrized field ``Q`` on a reflection-closed point set:
-:class:`QHatEvaluator` calls it on its grid, :func:`gradient_kernel_Q` on
-the pair ``(xi, -xi)``.
+``P_+ = -P``.  Equal eigenvalues share their coefficient, so ``G`` is the sum
+of coefficients times the clusters' Riesz projections, whatever basis ``R``
+holds inside a cluster (Kato, *Perturbation Theory*, II 1.4).  A defective
+chain (ill-conditioned ``R``) or a vanishing modulus at ``delta = 0`` falls
+back to finite differences (relative step ``1e-5``) with a kink check; a
+genuine kink raises :class:`~kreinact.errors.NonsmoothPointError`.  The
+eigen-derivatives are batched over the point set (one stacked ``eig`` and
+``inv``); only the points they reject take the finite-difference path.
+One routine builds the Krein-symmetrized field ``Q`` on a reflection-closed
+point set: :class:`QHatEvaluator` calls it on its grid,
+:func:`gradient_kernel_Q` on the pair ``(xi, -xi)``.
 """
 
 from __future__ import annotations
@@ -60,7 +62,8 @@ __all__ = [
 ]
 
 _KINK_REL = 0.05
-_COLLISION_REL = 1e-9
+# Frobenius condition number of the eigenvector matrix above which a chain is defective.
+_EIGENBASIS_COND = 1e6
 _FD_STEP = 1e-5
 
 
@@ -243,33 +246,25 @@ def _eig_gradient_factors(chains: np.ndarray, space: SignatureSpace, delta: floa
     """Krein-symmetrized factors N of dL = Re Tr(G dA) over a stack of chains.
 
     Returns ``(factors, ok)``; ``ok`` marks the chains whose factor is valid:
-    simple eigenvalues, with ``delta = 0`` additionally all moduli bounded
-    away from zero (else |.| is not differentiable), and an invertible
-    eigenvector matrix.
+    a well-conditioned eigenvector matrix ``R`` (not a defective chain), and
+    with ``delta = 0`` all moduli bounded away from zero (else |.| is not
+    differentiable).  Equal eigenvalues are valid: they share ``g_i``.
     """
     d = space.dim
-    scale = np.maximum(np.linalg.norm(chains, 2, axis=(1, 2)), 1e-300)
     lams, R = np.linalg.eig(chains)
-    diff = np.abs(lams[:, :, None] - lams[:, None, :])
-    diff[:, np.arange(d), np.arange(d)] = np.inf
-    ok = diff.min(axis=(1, 2)) > _COLLISION_REL * scale
     m = _moduli(lams, delta)
-    if delta == 0.0:
-        ok &= m.min(axis=1) > tolerances.MODULUS_GAP * scale
     # An exactly singular R has a zero LU pivot: inv would raise for the whole
     # stack, slogdet reports it per matrix.  Rejected rows get harmless stand-ins.
-    ok &= np.linalg.slogdet(R)[0] != 0
+    ok = np.linalg.slogdet(R)[0] != 0
+    if delta == 0.0:
+        ok &= m.min(axis=1) > tolerances.MODULUS_GAP * np.linalg.norm(chains, 2, axis=(1, 2))
     R = np.where(ok[:, None, None], R, np.eye(d))
+    R_inv = np.linalg.inv(R)
     g = 2.0 * m - m.sum(axis=1, keepdims=True) / (d // 2)
     c = g * lams.conj() / np.where(ok[:, None], m, 1.0)
-    G = R @ (c[:, :, None] * np.linalg.inv(R))
+    ok &= np.linalg.norm(R, axis=(1, 2)) * np.linalg.norm(R_inv, axis=(1, 2)) < _EIGENBASIS_COND
+    G = R @ (c[:, :, None] * R_inv)
     return 0.5 * (G + _adjoint(G, space.signature)), ok
-
-
-def _perturbed_lagrangian(Pp: np.ndarray, D: np.ndarray, tau: float, space: SignatureSpace, delta: float) -> float:
-    X = Pp + tau * D
-    chain = X @ _adjoint(X, space.signature)
-    return float(_lagrangian_values(np.linalg.eigvals(chain), delta))
 
 
 def _directional_derivative(Pp, D, space, delta, h, xi):
@@ -281,7 +276,10 @@ def _directional_derivative(Pp, D, space, delta, h, xi):
     points (and flat plateaus, where the chain has equal moduli and the
     Lagrangian vanishes identically) see the disagreement shrink with it.
     """
-    f = lambda t: _perturbed_lagrangian(Pp, D, t, space, delta)
+    def f(t):
+        X = Pp + t * D
+        return float(_lagrangian_values(np.linalg.eigvals(X @ _adjoint(X, space.signature)), delta))
+
     f0 = f(0.0)
     # Values of L carry eigensolver noise ~ eps_mach * ||chain||; below the
     # corresponding derivative floor the direction is numerically flat.
@@ -356,8 +354,8 @@ def _gradient_field(
         factors, ok = _eig_gradient_factors(chains, space, delta)
     if mode == "analytic" and not ok.all():
         raise NonsmoothPointError(
-            "chain spectrum too degenerate for the analytic gradient "
-            "(eigenvalue collision or vanishing modulus)",
+            "no analytic gradient at this point "
+            "(defective chain or vanishing modulus at delta = 0)",
             xi=points[~ok][0],
         )
 
@@ -393,8 +391,8 @@ class QHatEvaluator:
     """Precomputed gradient field on a grid with Fourier evaluation.
 
     Computes ``Q(xi)`` once per grid point (vectorized eigen-derivatives,
-    falling back to finite differences pointwise where the spectrum is
-    degenerate) and evaluates ``Qhat(p) = sum_xi w(xi) Q(xi) e^{-i p.xi}``
+    finite differences at a defective chain or a vanishing modulus at
+    ``delta = 0``) and evaluates ``Qhat(p) = sum_xi w(xi) Q(xi) e^{-i p.xi}``
     on demand.  ``tail_magnitude`` reports ``max ||Q(xi)||_2`` over the
     boundary of the position box — a diagnostic for how well the truncated
     box captures the decay of the gradient kernel (integrability cannot be

@@ -227,9 +227,11 @@ def _psd(F: np.ndarray, scale: float) -> bool:
 
 def _bisect(feasible, inner: float, outer: float, tol: float) -> float:
     """Last feasible point bisecting from feasible ``inner`` toward infeasible ``outer``:
-    200 halvings, or fewer once within relative ``tol`` (``tol = 0`` takes all 200)."""
+    at most 200 halvings, fewer once within relative ``tol`` or at adjacent floats."""
     for _ in range(200):
         mid = 0.5 * (inner + outer)
+        if mid == inner or mid == outer:
+            break
         if feasible(mid):
             inner = mid
         else:

@@ -16,7 +16,7 @@ RECONSTRUCTION = 1e-10
 #: Grouping threshold for the zero spectral point, relative to the norm.
 ZERO_EIGENVALUE = 1e-8
 
-#: Eigenvalue-collision threshold for the analytic gradient kernel.
+#: Vanishing-modulus threshold of the analytic gradient kernel at delta = 0.
 MODULUS_GAP = 1e-7
 
 #: Euler-Lagrange residual tolerance, relative to the sup of the Q-hat field.

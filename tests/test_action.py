@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_rng, random_measure_for, random_positive, unit_momentum_box
+from conftest import make_rng, random_measure_for, random_positive, random_symmetric, unit_momentum_box
 from kreinact import (
+    MinimizeConfig,
     MomentumBox,
     NonsmoothPointError,
     NumericalError,
@@ -23,6 +25,7 @@ from kreinact import (
     kernel_P,
     krein_adjoint,
     lagrangian,
+    minimize_action,
     profile_to_csv,
     scale,
     translate,
@@ -340,9 +343,70 @@ def test_batched_gradient_field_matches_pointwise_kernel_at_degenerate_chains():
             np.testing.assert_array_equal(
                 ev.q_field[i], gradient_kernel_Q(meas, xi, smoothing_delta=delta)
             )
+        # The identity chain is diagonalizable: its double eigenvalue takes
+        # the analytic path.
+        analytic = QHatEvaluator(meas, grid, smoothing_delta=delta, mode="analytic")
+        np.testing.assert_array_equal(analytic.q_field, ev.q_field)
+
+
+def _defective_chain_measure():
+    """One nilpotent atom, slightly perturbed: a numerically defective chain.
+
+    ``A = [[1, -1], [1, -1]]`` squares to zero.  Adding ``1e-8 diag(1, 0)``
+    keeps ``S A`` psd, and the chain ``A A^*`` becomes a Jordan block up to
+    rounding, so its eigenvector matrix is nearly singular at every point.
+    """
+    sp = SignatureSpace(1)
+    A = np.array([[1.0 + 1e-8, -1.0], [1.0, -1.0]], dtype=complex)
+    meas = OperatorMeasure(sp, unit_momentum_box(), np.array([[0.5, 0.0, 0.0, 0.0]]), [A])
+    return meas, PositionGrid.from_box(3.0, (3, 1, 1, 1))
+
+
+def test_analytic_gradient_rejects_defective_chains():
+    meas, grid = _defective_chain_measure()
+    for xi in grid.points:
+        _, R = np.linalg.eig(closed_chain(kernel_P(meas, xi), meas.space).chain)
+        assert np.linalg.norm(R) * np.linalg.norm(np.linalg.inv(R)) > 1e7
+    for delta in (0.0, 1e-2):
         with pytest.raises(NonsmoothPointError) as err:
             QHatEvaluator(meas, grid, smoothing_delta=delta, mode="analytic")
-        np.testing.assert_array_equal(err.value.xi, grid.points[np.argmax(degenerate)])
+        np.testing.assert_array_equal(err.value.xi, grid.points[0])
+
+
+def _rank_two_measure():
+    """n=2 atoms ``A_j = S W C_j W^*`` sharing a 2-dimensional range.
+
+    Every chain has rank 2: two eigenvalues vanish and coincide, while the
+    eigenvector matrix stays well conditioned.
+    """
+    sp = SignatureSpace(2)
+    rng = make_rng(21)
+    W = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+    ops = []
+    for _ in range(3):
+        C = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        ops.append(0.02 * sp.signature[:, None] * (W @ C @ C.conj().T @ W.conj().T))
+    box = MomentumBox((-1.0,) * 4, (1.0,) * 4, (3, 3, 1, 1))
+    meas = OperatorMeasure(sp, box, box.grid_points()[[0, 4, 7]], ops)
+    return meas, PositionGrid.from_box(2.0, (3, 3, 1, 1))
+
+
+def test_gradient_exact_at_coinciding_zero_eigenvalues():
+    meas, grid = _rank_two_measure()
+    rng = make_rng(22)
+    delta = 1e-2
+    for xi in grid.points:
+        P = kernel_P(meas, xi)
+        spectrum = closed_chain(P, meas.space)
+        lam = spectrum.lambdas[np.argsort(np.abs(spectrum.lambdas))]
+        norm = np.linalg.norm(spectrum.chain, 2)
+        assert abs(lam[1]) <= 1e-12 * norm and abs(lam[2]) >= 0.1 * norm
+        Qm = gradient_kernel_Q(meas, -xi, mode="analytic", smoothing_delta=delta)
+        for _ in range(3):
+            D = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            h = 1e-5 * np.linalg.norm(P, 2) / np.linalg.norm(D, 2)
+            fd = _directional_fd(meas, xi, D, h, delta)
+            assert -2.0 * np.trace(Qm @ D).real == pytest.approx(fd, rel=1e-6)
 
 
 def test_gradient_invalid_mode():
@@ -464,3 +528,54 @@ def test_first_variation_identity_on_measure_atoms():
             np.trace(ev.evaluate(p) @ E).real for p, E in zip(meas.momenta, Es)
         )
         assert pred == pytest.approx(fd, rel=1e-6, abs=1e-8)
+
+
+def _action_derivative(meas, grid, delta, Es):
+    """dS/dt along ``A_j + t E_j``, summed grid point by grid point.
+
+    Where a chain's eigenvalues are apart each moves by ``l^* dC r / l^* r``
+    (left and right eigenvectors from ``scipy.linalg.eig``); where they
+    coincide the point's Lagrangian is differenced instead.
+    """
+    sp = meas.space
+    phases = np.exp(1j * grid.points @ meas.momenta.T)
+    Ps = -np.einsum("xj,jab->xab", phases, meas.operators)
+    dPs = -np.einsum("xj,jab->xab", phases, Es)
+    total = 0.0
+    for xi, w, P, dP in zip(grid.points, grid.weights, Ps, dPs):
+        chain = P @ krein_adjoint(P, sp)
+        lam, left, right = sla.eig(chain, left=True, right=True)
+        gaps = np.abs(lam[:, None] - lam[None, :]) + np.diag(np.full(len(lam), np.inf))
+        if gaps.min() > 1e-6 * np.linalg.norm(chain, 2):
+            dchain = dP @ krein_adjoint(P, sp) + P @ krein_adjoint(dP, sp)
+            dlam = np.einsum("ai,ab,bi->i", left.conj(), dchain, right) / np.einsum(
+                "ai,ai->i", left.conj(), right
+            )
+            m = np.sqrt(np.abs(lam) ** 2 + delta**2)
+            dm = (lam.conj() * dlam).real / m
+            dL = 2.0 * np.sum(m * dm) - np.sum(m) * np.sum(dm) / sp.n
+        else:
+            h = 1e-5 * np.linalg.norm(P, 2) / np.linalg.norm(dP, 2)
+            dL = _directional_fd(meas, xi, dP, h, delta)
+        total += w * dL
+    return total
+
+
+@pytest.mark.parametrize("iterations", [150, 260])
+def test_first_variation_identity_along_n2_reference_descent(iterations):
+    # The n=2 reference descent drives the chains to rank 2: at iteration 150
+    # a few still have eigenvalues apart, at 260 every chain has two
+    # coinciding eigenvalues.  Acceptance 08's identity must hold at both.
+    config = MinimizeConfig(
+        n=2, c=0.5, f=1.0, momentum_shape=(3, 2, 1, 1), position_shape=(7, 3, 3, 1),
+        position_radius=3.0, smoothing_delta=1e-2, max_iterations=iterations,
+    )
+    meas = minimize_action(config).measure
+    grid = config.position_grid()
+    qhats = QHatEvaluator(meas, grid, smoothing_delta=1e-2).evaluate_many(meas.momenta)
+    rng = make_rng(260)
+    for _ in range(10):
+        Es = np.stack([random_symmetric(meas.space, rng) for _ in range(meas.n_atoms)])
+        derivative = _action_derivative(meas, grid, 1e-2, Es)
+        predicted = 2.0 * float(np.einsum("jab,jba->", qhats, Es).real)
+        assert abs(predicted - derivative) <= 1e-5 * max(abs(predicted), abs(derivative))

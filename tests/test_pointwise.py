@@ -27,6 +27,7 @@ from kreinact import (
     lagrange_from_point,
     solve,
 )
+from kreinact import pointwise
 
 SP1 = SignatureSpace(1)
 
@@ -251,6 +252,37 @@ def test_boundary_particle_multiplier_family():
     assert family.alpha_min == pytest.approx(0.0, abs=1e-8)
     assert family.beta(2.0) == pytest.approx(-1.0, abs=1e-9)
     assert family.contains(0.0, 1.0)
+
+
+def test_boundary_ray_bisection_stops_at_adjacent_floats(monkeypatch):
+    # The ray endpoint is bisected with tol = 0; once the bracket holds two
+    # adjacent floats every further halving repeats a point.
+    real_bisect = pointwise._bisect
+    calls = []
+
+    def spy(feasible, inner, outer, tol):
+        count = [0]
+
+        def counted(alpha):
+            count[0] += 1
+            return feasible(alpha)
+
+        result = real_bisect(counted, inner, outer, tol)
+        calls.append((feasible, inner, outer, count[0], result))
+        return result
+
+    monkeypatch.setattr(pointwise, "_bisect", spy)
+    sol = solve(PointwiseProblem(space=SP1, q=np.diag([1.0, -2.0]), a=1.0, b=1.0))
+    [(feasible, inner, outer, count, result)] = calls
+    for _ in range(200):  # the full-length bisection, as the reference
+        mid = 0.5 * (inner + outer)
+        if feasible(mid):
+            inner = mid
+        else:
+            outer = mid
+    assert result == inner
+    assert sol.family.alpha_min == result
+    assert count <= 60
 
 
 # ---------------------------------------------------------------------------
