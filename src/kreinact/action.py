@@ -282,9 +282,10 @@ def _directional_derivative(Pp, D, space, delta, h, xi):
 
     f0 = f(0.0)
     # Values of L carry eigensolver noise ~ eps_mach * ||chain||; below the
-    # corresponding derivative floor the direction is numerically flat.
+    # corresponding derivative floor the direction is numerically flat.  The
+    # floor shrinks with the chain, so small chains keep small derivatives.
     chain_scale = float(np.linalg.norm(Pp, 2)) ** 2
-    deriv_floor = 1e-11 * max(chain_scale, 1.0) / h
+    deriv_floor = 1e-11 * chain_scale / h
 
     def one_sided(step):
         fwd = (f(step) - f0) / step

@@ -151,10 +151,14 @@ def cmd_minimize(args) -> int:
         "beta": result.beta,
         "case_tag": result.case_tag,
         "converged": result.converged,
+        "stop_reason": result.stop_reason,
         "checks": checks,
     }
     _write_json(os.path.join(args.out, "status.json"), summary)
-    print(f"action {result.action_value!r} case {result.case_tag} converged={result.converged}")
+    print(
+        f"action {result.action_value!r} case {result.case_tag} converged={result.converged} "
+        f"stop={result.stop_reason}"
+    )
     for name in ("psd_margin", "support_residuals", "support_gap", "beta_sign"):
         print(f"check {name}: {'pass' if checks[name] else 'FAIL'}")
     return 0 if result.converged else 2

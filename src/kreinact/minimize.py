@@ -2,8 +2,8 @@
 
 Atoms sit at the points of the momentum grid and carry operators in the
 factorized form ``A_j = S M_j^H M_j``, so positivity costs nothing.  The
-optimizer alternates projected gradient steps on the stack ``{M_j}`` with
-an exact restoration of the constraints
+optimizer alternates gradient steps on the stack ``{M_j}`` with an exact
+restoration of the constraints
 
     Tr(total) = c    (always),
     Tr(S total) <= f (restored to equality when violated),
@@ -11,17 +11,29 @@ an exact restoration of the constraints
 by scaling the two signature blocks: with ``x, y > 0`` the congruence
 ``A -> D A D``, ``D = diag(sqrt(x) 1_n, sqrt(y) 1_n)``, moves the block
 traces linearly, so the scalings solve the constraint equations in closed
-form.  The gradient of the action with respect to ``M_j`` is
-``4 M_j Qhat(p_j) S`` with the Fourier gradient field of the (optionally
-smoothed) Lagrangian.  A stalled iterate whose shifted field
-``Qhat - alpha - beta S`` has a negative psd margin at some grid point is
-pushed along the rank-one positive direction built from the offending
-eigenvector (an escape step), which strictly decreases the action to first
-order while the restoration keeps the iterate feasible.
+form; the restoration acts as the retraction onto the feasible set.
+
+Each step follows the gradient of the Lagrangian function
+``G_j = 4 M_j (Qhat(p_j) - alpha - beta S) S``, with the Fourier gradient
+field ``Qhat`` of the (optionally smoothed) Lagrangian and the multipliers
+``(alpha, beta)`` of :func:`~kreinact.elverify.lagrange_parameters` at the
+current iterate.  Its norm vanishes exactly where the Euler-Lagrange
+conditions hold on the support, so the loop stops once
+``||G||_F <= gradient_tol * max_j |Qhat(p_j)|`` (largest absolute entry).
+Step lengths are Barzilai-Borwein (BB2) steps ``Re<s, y> / <y, y>`` from
+the last accepted step ``s`` and its gradient change ``y`` (Barzilai and
+Borwein, IMA J. Numer. Anal. 8, 1988), safeguarded by monotone
+backtracking: a trial is accepted only if it strictly lowers the action.
+An iterate that is stationary (or whose line search stalls) but whose
+shifted field ``Qhat - alpha - beta S`` has a negative psd margin at some
+atom is pushed along the rank-one positive direction built from the
+offending eigenvector (an escape step), which strictly decreases the
+action to first order while the restoration keeps the iterate feasible.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,7 +64,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MinimizeConfig:
-    """Validated configuration of a minimization run."""
+    """Validated configuration of a minimization run.
+
+    ``gradient_tol`` bounds the Frobenius norm of the constrained gradient
+    ``G`` relative to the largest absolute entry of the atoms' ``Qhat``
+    stack; ``tol_el`` is the tolerance of the final first-order report.
+    """
 
     n: int = 1
     box_lower: tuple = (-1.0, -0.5, -0.5, -0.5)
@@ -80,12 +97,17 @@ class MinimizeConfig:
                 f"constraint targets must satisfy 0 < c < f, got c={self.c}, f={self.f}"
             )
         _check_delta(self.smoothing_delta)
-        if self.initial_step <= 0 or not (0 < self.backtrack_factor < 1):
-            raise ValidationError("step parameters out of range")
+        # Written so that NaN fails every range test.
+        for name in ("initial_step", "position_radius", "initial_magnitude"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValidationError(f"{name} must be finite and > 0, got {getattr(self, name)!r}")
+        for name in ("gradient_tol", "tol_el"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValidationError(f"{name} must be finite and >= 0, got {getattr(self, name)!r}")
+        if not (0 < self.backtrack_factor < 1):
+            raise ValidationError("backtrack_factor must lie in (0, 1)")
         if self.max_iterations < 1 or self.max_backtracks < 1:
             raise ValidationError("iteration counts must be >= 1")
-        if self.position_radius <= 0:
-            raise ValidationError("position box radius must be positive")
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "box_lower", tuple(float(x) for x in self.box_lower))
         object.__setattr__(self, "box_upper", tuple(float(x) for x in self.box_upper))
@@ -198,7 +220,11 @@ class MinimizeResult:
     """Final measure with its first-order report and iteration trace.
 
     ``converged`` is whether that report passes :func:`check_first_order`
-    at the configured ``tol_el``.
+    at the configured ``tol_el``.  ``stop_reason`` says what ended the loop:
+    ``"kkt"`` (the gradient norm met ``gradient_tol``), ``"stalled"`` (the
+    line search found no decrease), ``"escape_exhausted"`` (the shifted
+    field failed positivity and no escape step lowered the action) or
+    ``"max_iterations"``.  The first two stop only where no escape is due.
     """
 
     measure: OperatorMeasure
@@ -209,6 +235,7 @@ class MinimizeResult:
     alpha: float = 0.0
     beta: float = 0.0
     case_tag: str = "a"
+    stop_reason: str = "max_iterations"
 
 
 def _measure_from_Ms(space, box, momenta, Ms) -> OperatorMeasure:
@@ -218,7 +245,7 @@ def _measure_from_Ms(space, box, momenta, Ms) -> OperatorMeasure:
 
 
 def minimize_action(config: MinimizeConfig) -> MinimizeResult:
-    """Run the projected-gradient minimization defined by ``config``."""
+    """Run the constrained gradient minimization defined by ``config``."""
     space = config.space()
     box = config.momentum_box()
     grid = config.position_grid()
@@ -285,11 +312,22 @@ def minimize_action(config: MinimizeConfig) -> MinimizeResult:
     trace_log: list = []
     step = config.initial_step
     escapes = 0
+    previous = None  # (Ms, G) before the last accepted gradient step
+    stop_reason = "max_iterations"
 
     for iteration in range(config.max_iterations):
         qhats = evaluator.evaluate_many(momenta)
-        grads = 4.0 * (Ms @ qhats) * sig[None, None, :]
+        mu = pushforward(measure, qhats)
+        alpha, beta, _ = lagrange_parameters(mu, config.c, config.f)
+        shifted, w, V = _shifted_spectra(qhats, alpha, beta, space)
+        grads = 4.0 * (Ms @ shifted) * sig[None, None, :]
         grad_norm = float(np.sqrt(np.sum(np.abs(grads) ** 2)))
+        if previous is not None:
+            # Barzilai-Borwein step <s, y> / <y, y> from the last accepted step.
+            s_k, y_k = Ms - previous[0], grads - previous[1]
+            sy = float(np.vdot(s_k, y_k).real)
+            if sy > 0:
+                step = sy / float(np.vdot(y_k, y_k).real)
 
         total = measure.total()
         trace_val = float(np.trace(total).real)
@@ -306,7 +344,8 @@ def minimize_action(config: MinimizeConfig) -> MinimizeResult:
             }
         )
 
-        if grad_norm > config.gradient_tol * max(1.0, abs(current_action)):
+        kkt = grad_norm <= config.gradient_tol * float(np.abs(qhats).max())
+        if not kkt:
             eta = step
             for _ in range(config.max_backtracks):
                 accepted = trial(Ms - eta * grads, current_action)
@@ -314,20 +353,19 @@ def minimize_action(config: MinimizeConfig) -> MinimizeResult:
                     break
                 eta *= config.backtrack_factor
             if accepted is not None:
+                previous = (Ms, grads)
                 Ms, measure, current_action, evaluator = accepted
                 step = eta / config.backtrack_factor
                 continue
 
-        # Stationary by gradient norm (or stalled): look for a profitable
+        # Stationary by the KKT norm (or stalled): look for a profitable
         # escape direction where the shifted field fails positivity.
-        mu = pushforward(measure, qhats)
-        alpha, beta, case_tag = lagrange_parameters(mu, config.c, config.f)
-        _, w, V = _shifted_spectra(mu.qs, alpha, beta, space)
         worst_j = int(np.argmin(w[:, 0]))
         worst_margin, worst_vec = float(w[worst_j, 0]), V[worst_j, :, 0]
         # Push the escape phase an order of magnitude inside the reporting
         # tolerance so the final report clears tol_el with headroom.
         if worst_margin >= -0.1 * config.tol_el:
+            stop_reason = "kkt" if kkt else "stalled"
             break  # first-order conditions hold
 
         base_norm = max(float(np.linalg.norm(measure.operators)), 1.0)
@@ -347,9 +385,11 @@ def minimize_action(config: MinimizeConfig) -> MinimizeResult:
         if accepted is None:
             # The field still fails positivity somewhere but no profitable
             # escape step exists at this resolution; the report shows it.
+            stop_reason = "escape_exhausted"
             break
         Ms, measure, current_action, evaluator = accepted
         escapes += 1
+        previous, step = None, config.initial_step
 
     # Iterates track the constraints only within the restoration band;
     # pin them exactly (matching the active case) before reporting.
@@ -380,4 +420,5 @@ def minimize_action(config: MinimizeConfig) -> MinimizeResult:
         alpha=alpha,
         beta=beta,
         case_tag=case_tag,
+        stop_reason=stop_reason,
     )

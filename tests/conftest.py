@@ -8,9 +8,10 @@ enumeration, finite differences) so agreement is evidence, not tautology.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 import scipy.linalg as sla
 
-from kreinact import MomentumBox, OperatorMeasure, SignatureSpace, krein_adjoint
+from kreinact import MomentumBox, OperatorMeasure, SignatureSpace, constraint_values, krein_adjoint
 
 UNIT_BOX = ((-1.0, -0.5, -0.5, -0.5), (1.0, 0.5, 0.5, 0.5))
 
@@ -48,6 +49,20 @@ def random_measure_for(space: SignatureSpace, rng: np.random.Generator, n_atoms:
     idx = rng.choice(len(pts), size=n_atoms, replace=False)
     ops = [random_positive(space, rng, scale) for _ in range(n_atoms)]
     return OperatorMeasure(space, box, pts[np.sort(idx)], ops)
+
+
+def assert_feasible(measure: OperatorMeasure, c: float, f: float, case_tag: str) -> None:
+    """Acceptance 09's feasibility rule for a minimizer's measure.
+
+    ``Tr = c``; the signed trace equals ``f`` in case "b" and is at most
+    ``f`` in case "a"; all to 1e-12.
+    """
+    values = constraint_values(measure)
+    assert values.trace == pytest.approx(c, abs=1e-12)
+    if case_tag == "b":
+        assert values.mod_dim == pytest.approx(f, abs=1e-12)
+    else:
+        assert values.mod_dim <= f + 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from kreinact import (
     lagrangian,
     minimize_action,
     profile_to_csv,
+    random_measure,
     scale,
     translate,
 )
@@ -307,6 +308,20 @@ def test_gradient_zero_for_nilpotent_atom():
     meas = OperatorMeasure(sp, box, np.array([[0.0, 0, 0, 0]]), [A1])
     Q = gradient_kernel_Q(meas, np.zeros(4), mode="finite_difference")
     assert np.linalg.norm(Q, 2) <= 1e-6
+
+
+def test_finite_difference_field_keeps_small_chain_derivatives():
+    # Scaled by 0.005 the kernels are small and Q is of order 1e-4: a
+    # derivative floor that does not shrink with the chain zeroes about
+    # half of the finite-difference entries.
+    sp = SignatureSpace(2)
+    box = MomentumBox((-1.0, -0.5, -0.5, -0.5), (1.0, 0.5, 0.5, 0.5), (3, 2, 1, 1))
+    meas = random_measure(sp, box, 6, make_rng(0))
+    meas = meas.with_operators(0.005 * meas.operators)
+    grid = PositionGrid.from_box(3.0, (3, 1, 1, 1))
+    exact = QHatEvaluator(meas, grid, smoothing_delta=1e-2, mode="analytic").q_field
+    fd = QHatEvaluator(meas, grid, smoothing_delta=1e-2, mode="finite_difference").q_field
+    assert np.abs(fd - exact).max() <= 1e-6 * np.abs(exact).max()
 
 
 def _partly_degenerate_measure():

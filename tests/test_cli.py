@@ -13,6 +13,7 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import assert_feasible
 from kreinact import (
     MinimizeConfig,
     OperatorMeasure,
@@ -103,8 +104,12 @@ def test_minimize_writes_run_directory(toy_run, capsys):
     status = json.loads((toy_run / "status.json").read_text())
     assert status["converged"] is True
     assert status["checks"]["all"] is True
-    assert status["case_tag"] == "b"
+    assert status["stop_reason"] in ("kkt", "stalled")
+    # The minimizers form a face with beta = 0 on which the signed trace
+    # varies, so the case tag is not pinned; feasibility follows its case.
+    assert_feasible(load_measure(toy_run / "measure.json"), 0.5, 1.0, status["case_tag"])
     assert status["action"] == pytest.approx(18.3103641117, rel=1e-6)
+    assert status["alpha"] == pytest.approx(76.1978518539, rel=1e-8)
     assert status["beta"] <= 1e-9
     header = (toy_run / "iterations.csv").read_text().splitlines()[0]
     assert header == "iteration,action,trace,signed_trace,step,grad_norm,escapes"
@@ -133,12 +138,18 @@ def test_minimize_config_file_with_overrides(tmp_path, capsys):
     assert written["tol_el"] == 1e-5
     status = json.loads((out / "status.json").read_text())
     assert status["converged"] is False
+    assert status["stop_reason"] == "max_iterations"
+    assert "stop=max_iterations" in capsys.readouterr().out
 
 
 def test_minimize_rejects_bad_flags(tmp_path):
     out = tmp_path / "bad"
     assert main(["minimize", "--out", str(out), "--c", "2.0", "--f", "1.0"]) == 2
     assert main(["minimize", "--out", str(out), "--grid", "1,2,3"]) == 2
+    assert main(["minimize", "--out", str(out), "--tol-el", "nan"]) == 2
+    assert main(["minimize", "--out", str(out), "--position-radius", "nan"]) == 2
+    # Every flag is rejected before the run directory is made.
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
