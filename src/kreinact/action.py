@@ -28,7 +28,8 @@ chain (ill-conditioned ``R``) or a vanishing modulus at ``delta = 0`` falls
 back to finite differences (relative step ``1e-5``) with a kink check; a
 genuine kink raises :class:`~kreinact.errors.NonsmoothPointError`.  The
 eigen-derivatives are batched over the point set (one stacked ``eig`` and
-``inv``); only the points they reject take the finite-difference path.
+``inv``); only the points they reject take the finite-difference path,
+which makes one stacked eigensolve per point over all perturbed kernels.
 One routine builds the Krein-symmetrized field ``Q`` on a reflection-closed
 point set: :class:`QHatEvaluator` calls it on its grid,
 :func:`gradient_kernel_Q` on the pair ``(xi, -xi)``.
@@ -101,8 +102,8 @@ class PositionGrid:
         shape = tuple(int(k) for k in shape)
         if len(shape) != 4 or any(k < 1 for k in shape):
             raise ValidationError("grid shape must be four positive counts")
-        if radius <= 0:
-            raise ValidationError("position box radius must be positive")
+        if not 0.0 < radius < math.inf:
+            raise ValidationError(f"position box radius must be finite and positive, got {radius!r}")
         axes, axis_weights = [], []
         for k in shape:
             if k == 1:
@@ -158,10 +159,14 @@ def _plus_kernel(measure: OperatorMeasure, points: np.ndarray) -> np.ndarray:
     return np.einsum("xj,jab->xab", phases, measure.operators)
 
 
-def _four_vector(x, name: str) -> np.ndarray:
+def _four_vector(x, name: str, ndim: int = 1) -> np.ndarray:
+    """``x`` as a finite 4-vector (``ndim=1``) or a stack of rows of four (``ndim=2``)."""
     x = np.asarray(x, float)
-    if x.shape != (4,):
-        raise ValidationError(f"{name} must be a 4-vector")
+    if x.ndim != ndim or x.shape[-1] != 4:
+        what = "a 4-vector" if ndim == 1 else "rows of four numbers"
+        raise ValidationError(f"{name} must be {what}, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValidationError(f"{name} must have finite entries")
     return x
 
 
@@ -194,8 +199,6 @@ def _lagrangian_values(lambdas: np.ndarray, delta: float) -> np.ndarray:
     _check_delta(delta)
     m = _moduli(lambdas, delta)
     n = lambdas.shape[-1] // 2
-    # Method reductions: np.sum's dispatch would dominate the finite-difference
-    # path, which calls this once per 2n x 2n chain.
     return np.maximum((m**2).sum(-1) - m.sum(-1) ** 2 / (2 * n), 0.0)
 
 
@@ -267,63 +270,46 @@ def _eig_gradient_factors(chains: np.ndarray, space: SignatureSpace, delta: floa
     return 0.5 * (G + _adjoint(G, space.signature)), ok
 
 
-def _directional_derivative(Pp, D, space, delta, h, xi):
-    """Richardson-extrapolated central difference of L along direction D.
+def _fd_gradient(measure, xi, space, delta):
+    """``Q(xi)`` by finite differences, from one stacked eigensolve.
 
-    Raises NonsmoothPointError when one-sided derivatives disagree (kink).
-    A kink claim is confirmed at a smaller step before raising: a genuine
-    slope jump persists as the step shrinks, while smooth high-curvature
-    points (and flat plateaus, where the chain has equal moduli and the
-    Lagrangian vanishes identically) see the disagreement shrink with it.
+    ``M = Q(xi)`` satisfies ``dL(-xi) = 2 Re Tr(M dP_+(-xi))``.  The kernel
+    ``P_+(-xi)`` is perturbed along every unit direction ``E_ba`` and
+    ``i E_ba`` at the steps ``t h``, ``t`` in (1, -1, 1/2, -1/2, 1/4, -1/4),
+    and each directional derivative is the Richardson value ``(4 c2 - c1)/3``
+    of the central differences at ``h`` and ``h/2``.  Unequal one-sided
+    derivatives at ``h`` suggest a kink; it is confirmed at ``h/4`` before
+    raising: a genuine slope jump persists as the step shrinks, while smooth
+    high-curvature points (and flat plateaus, where the chain has equal
+    moduli and the Lagrangian vanishes identically) see the disagreement
+    shrink with it.
     """
-    def f(t):
-        X = Pp + t * D
-        return float(_lagrangian_values(np.linalg.eigvals(X @ _adjoint(X, space.signature)), delta))
-
-    f0 = f(0.0)
-    # Values of L carry eigensolver noise ~ eps_mach * ||chain||; below the
-    # corresponding derivative floor the direction is numerically flat.  The
-    # floor shrinks with the chain, so small chains keep small derivatives.
-    chain_scale = float(np.linalg.norm(Pp, 2)) ** 2
-    deriv_floor = 1e-11 * chain_scale / h
-
-    def one_sided(step):
-        fwd = (f(step) - f0) / step
-        bwd = (f0 - f(-step)) / step
-        return fwd, bwd
-
-    fwd, bwd = one_sided(h)
-    if max(abs(fwd), abs(bwd)) <= deriv_floor:
-        return 0.0
-    gap = abs(fwd - bwd)
-    scale = max(abs(fwd), abs(bwd))
-    if gap > _KINK_REL * scale + deriv_floor:
-        fwd2, bwd2 = one_sided(h / 4.0)
-        gap2 = abs(fwd2 - bwd2)
-        if gap2 > 0.5 * gap:
-            raise NonsmoothPointError(
-                "one-sided derivatives of the Lagrangian disagree (kink)", xi=xi
-            )
-    c1 = (f(h) - f(-h)) / (2 * h)
-    c2 = (f(h / 2) - f(-h / 2)) / h
-    return (4.0 * c2 - c1) / 3.0
-
-
-def _fd_half_gradient(measure, xi, space, delta):
-    """Matrix M with dL(xi) = 2 Re Tr(M dP_+(xi)); equals Q(-xi)."""
-    Pp = _plus_kernel(measure, xi[None])[0]
+    Pp = _plus_kernel(measure, -xi[None])[0]
     d = space.dim
-    scale = max(float(np.linalg.norm(Pp, 2)), 1.0)
-    step = _FD_STEP * scale
-    M = np.zeros((d, d), complex)
-    for b in range(d):
-        for a in range(d):
-            E = np.zeros((d, d), complex)
-            E[b, a] = 1.0
-            dre = _directional_derivative(Pp, E, space, delta, step, xi)
-            dim_ = _directional_derivative(Pp, 1j * E, space, delta, step, xi)
-            M[a, b] = 0.5 * (dre - 1j * dim_)
-    return M
+    norm = float(np.linalg.norm(Pp, 2))
+    h = _FD_STEP * max(norm, 1.0)
+    # Values of L carry eigensolver noise ~ eps_mach * ||chain||; below the
+    # corresponding derivative floor a direction is numerically flat.  The
+    # floor shrinks with the chain, so small chains keep small derivatives.
+    floor = 1e-11 * norm**2 / h
+    units = np.eye(d * d).reshape(d * d, d, d)  # units[b*d + a] = E_ba
+    directions = np.concatenate([units, 1j * units])
+    steps = h * np.array([1.0, 0.5, 0.25])
+    t = np.stack([steps, -steps], axis=1).reshape(-1, 1, 1, 1)
+    X = np.concatenate([Pp[None], (Pp + t * directions).reshape(-1, d, d)])
+    L = _lagrangian_values(np.linalg.eigvals(X @ _adjoint(X, space.signature)), delta)
+    f0, f = L[0], L[1:].reshape(3, 2, -1)  # (step, sign, direction)
+    fwd = (f[:, 0] - f0) / steps[:, None]
+    bwd = (f0 - f[:, 1]) / steps[:, None]
+    gap = np.abs(fwd - bwd)
+    slope = np.maximum(np.abs(fwd[0]), np.abs(bwd[0]))
+    flat = slope <= floor
+    if np.any(~flat & (gap[0] > _KINK_REL * slope + floor) & (gap[2] > 0.5 * gap[0])):
+        raise NonsmoothPointError("one-sided derivatives of the Lagrangian disagree (kink)", xi=xi)
+    c1 = (f[0, 0] - f[0, 1]) / (2 * h)
+    c2 = (f[1, 0] - f[1, 1]) / h
+    deriv = np.where(flat, 0.0, (4.0 * c2 - c1) / 3.0).reshape(2, d, d)
+    return 0.5 * (deriv[0] - 1j * deriv[1]).T
 
 
 def _gradient_field(
@@ -365,7 +351,7 @@ def _gradient_field(
     # Q(xi) = P_+(xi) N(-xi); the Krein adjoint of Q(-xi) is N(xi) P_+(xi).
     q_field[both_ok] = Pp[both_ok] @ factors[reflection[both_ok]]
     for i in np.nonzero(~both_ok)[0]:
-        q_field[i] = _fd_half_gradient(measure, -points[i], space, delta)
+        q_field[i] = _fd_gradient(measure, points[i], space, delta)
     return 0.5 * (q_field + _adjoint(q_field[reflection], space.signature))
 
 
@@ -425,7 +411,7 @@ class QHatEvaluator:
 
     def evaluate_many(self, ps: np.ndarray) -> np.ndarray:
         """``Qhat`` at each row of ``ps``, stacked along the first axis."""
-        ps = np.atleast_2d(np.asarray(ps, float))
+        ps = _four_vector(np.atleast_2d(ps), "momenta", ndim=2)
         # A stack of matrix-vector products rounds each momentum's phases the
         # same way whatever the batch size; a matrix product would not.
         phases = self.grid.weights * np.exp(-1j * self.grid.points @ ps[:, :, None])[:, :, 0]

@@ -60,6 +60,10 @@ def test_grid_rejects_bad_shape():
         PositionGrid.from_box(1.0, (0, 1, 1, 1))
     with pytest.raises(ValidationError):
         PositionGrid.from_box(-1.0, (3, 1, 1, 1))
+    for radius in (np.nan, np.inf, -np.inf):
+        for shape in ((1, 1, 1, 1), (3, 1, 1, 1)):
+            with pytest.raises(ValidationError, match="radius"):
+                PositionGrid.from_box(radius, shape)
 
 
 # ---------------------------------------------------------------------------
@@ -270,12 +274,8 @@ def test_gradient_smoothed_matches_fd():
     np.testing.assert_allclose(Qa, Qf, atol=1e-7 * max(1.0, np.linalg.norm(Qa, 2)))
 
 
-def test_gradient_kink_raises_nonsmooth():
-    # the boundary between real-pair and conjugate-pair chain spectra is a
-    # genuine kink of the exact Lagrangian: L grows linearly on the real
-    # side and vanishes on the conjugate side
-    sp = SignatureSpace(1)
-    meas = random_measure_for(sp, make_rng(8))
+def _causal_boundary_point(meas, sp):
+    """A xi on axis 0 where the chain spectrum turns from real pairs to conjugate ones."""
 
     def conjugate(x0):
         lam = closed_chain(kernel_P(meas, np.array([x0, 0, 0, 0])), sp).lambdas
@@ -294,9 +294,25 @@ def test_gradient_kink_raises_nonsmooth():
             lo = mid
         else:
             hi = mid
-    xstar = np.array([0.5 * (lo + hi), 0.0, 0.0, 0.0])
-    with pytest.raises(NonsmoothPointError):
+    return np.array([0.5 * (lo + hi), 0.0, 0.0, 0.0])
+
+
+def test_gradient_kink_raises_nonsmooth():
+    # the boundary between real-pair and conjugate-pair chain spectra is a
+    # genuine kink of the exact Lagrangian: L grows linearly on the real
+    # side and vanishes on the conjugate side
+    sp = SignatureSpace(1)
+    meas = random_measure_for(sp, make_rng(8))
+    xstar = _causal_boundary_point(meas, sp)
+    with pytest.raises(NonsmoothPointError) as err:
         gradient_kernel_Q(meas, xstar, mode="finite_difference")
+    np.testing.assert_array_equal(err.value.xi, xstar)
+    # On a grid whose first point is smooth, the error names the kink point.
+    gradient_kernel_Q(meas, np.zeros(4), mode="finite_difference")
+    grid = PositionGrid(np.stack([np.zeros(4), xstar, -xstar]), np.ones(3), [0, 2, 1])
+    with pytest.raises(NonsmoothPointError) as err:
+        QHatEvaluator(meas, grid, mode="finite_difference")
+    np.testing.assert_array_equal(err.value.xi, xstar)
 
 
 def test_gradient_zero_for_nilpotent_atom():
@@ -308,6 +324,24 @@ def test_gradient_zero_for_nilpotent_atom():
     meas = OperatorMeasure(sp, box, np.array([[0.0, 0, 0, 0]]), [A1])
     Q = gradient_kernel_Q(meas, np.zeros(4), mode="finite_difference")
     assert np.linalg.norm(Q, 2) <= 1e-6
+
+
+def test_finite_difference_field_makes_one_eigensolve_per_point(monkeypatch):
+    sp = SignatureSpace(1)
+    meas = random_measure_for(sp, make_rng(8))
+    grid = PositionGrid.from_box(2.0, (3, 1, 1, 1))
+    calls = []
+    eigvals = np.linalg.eigvals
+
+    def counting(a):
+        calls.append(np.shape(a))
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting)
+    for delta in (0.0, 1e-2):
+        calls.clear()
+        QHatEvaluator(meas, grid, smoothing_delta=delta, mode="finite_difference")
+        assert len(calls) == grid.n_points
 
 
 def test_finite_difference_field_keeps_small_chain_derivatives():
@@ -508,6 +542,26 @@ def test_qhat_symmetry_check_raises_at_one_broken_momentum():
     with pytest.raises(NumericalError, match="Krein symmetry"):
         ev.evaluate_many(ps)
     ev.evaluate_many(ps[:-1])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda meas, ev: ev.evaluate_many(np.zeros((2, 3))),
+        lambda meas, ev: ev.evaluate_many(np.array([[0.0, 0, 0, 0], [np.nan, 0, 0, 0]])),
+        lambda meas, ev: ev.evaluate([np.inf, 0, 0, 0]),
+        lambda meas, ev: gradient_kernel_Q(meas, [np.nan, 0, 0, 0]),
+        lambda meas, ev: kernel_P(meas, [np.inf, 0, 0, 0]),
+        lambda meas, ev: fourier_Q_hat(meas, ev.grid, [0.0, np.nan, 0, 0]),
+    ],
+    ids=["misshapen_stack", "nan_in_stack", "inf_momentum", "nan_xi", "inf_xi", "nan_wrapper"],
+)
+def test_non_finite_or_misshapen_four_vectors_rejected(call):
+    sp = SignatureSpace(1)
+    meas = random_measure_for(sp, make_rng(16))
+    ev = QHatEvaluator(meas, PositionGrid.from_box(2.0, (3, 1, 1, 1)))
+    with pytest.raises(ValidationError):
+        call(meas, ev)
 
 
 def test_fourier_qhat_wrapper():

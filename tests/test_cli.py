@@ -1,14 +1,16 @@
 """End-to-end tests of the command-line interface.
 
 Commands run in-process through ``main(argv)`` so exit codes and stdout
-are asserted directly; one test shells out to the installed console
-script to check the packaging wiring.
+are asserted directly; two tests shell out, to the installed console
+script and to ``python -m kreinact``, to check the packaging wiring.
 """
 
 import json
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -228,6 +230,16 @@ def test_verify_q_file_of_another_dimension_exits_2(tmp_path, capsys):
     assert "dimension 4 (n=2)" in err and "dimension 2 (n=1)" in err
 
 
+@pytest.mark.parametrize("radius", ["inf", "nan"])
+def test_verify_non_finite_position_radius_exits_2(tmp_path, capsys, radius):
+    measure_path = tmp_path / "measure.json"
+    write_stationary_measure(measure_path)
+    rc = main(["verify", str(measure_path), "--position-radius", radius,
+               "--position-grid", "1,1,1,1"])
+    assert rc == 2
+    assert "radius" in capsys.readouterr().err
+
+
 def test_verify_missing_file_exits_2(tmp_path, capsys):
     assert main(["verify", str(tmp_path / "nope.json")]) == 2
     assert "error:" in capsys.readouterr().err
@@ -367,5 +379,15 @@ def test_console_script_is_installed():
     if exe is None:
         pytest.skip("console script not on PATH in this environment")
     proc = subprocess.run([exe, "--help"], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: kreinact")
+
+
+def test_module_entry_point_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    proc = subprocess.run([sys.executable, "-m", "kreinact", "--help"],
+                          capture_output=True, text=True, timeout=60, env=env)
     assert proc.returncode == 0
     assert proc.stdout.startswith("usage: kreinact")
