@@ -86,6 +86,8 @@ class PositionGrid:
         refl = np.asarray(self.reflection_index, int).ravel()
         if points.shape[1:] != (4,) or len(weights) != len(points) or len(refl) != len(points):
             raise ValidationError("grid points, weights, reflection index must align (4-vectors)")
+        if not (np.all(np.isfinite(points)) and np.all(np.isfinite(weights))):
+            raise ValidationError("grid points and weights must be finite")
         if np.any(weights <= 0):
             raise ValidationError("quadrature weights must be positive")
         if not np.array_equal(points[refl], -points):

@@ -31,6 +31,7 @@ from .errors import KreinactError, NumericalError, ValidationError
 from .homomeasure import (
     MomentumBox,
     OperatorMeasure,
+    _read_document,
     decompose,
     dirac_sea_fixture,
     load_measure,
@@ -104,30 +105,26 @@ def cmd_fixture(args) -> int:
 
 
 def cmd_minimize(args) -> int:
-    data = {}
-    if args.config:
-        with open(args.config) as fh:
-            data = json.load(fh)
     overrides = {
         "seed": args.seed,
         "c": args.c,
         "f": args.f,
         "smoothing_delta": args.smoothing_delta,
         "tol_el": args.tol_el,
+        "position_radius": args.position_radius,
     }
-    for key, val in overrides.items():
-        if val is not None:
-            data[key] = val
+    overrides = {key: val for key, val in overrides.items() if val is not None}
     if args.grid is not None:
-        data["momentum_shape"] = _parse_counts(args.grid, "--grid")
+        overrides["momentum_shape"] = _parse_counts(args.grid, "--grid")
     if args.box is not None:
-        lower, upper = _parse_box(args.box)
-        data["box_lower"], data["box_upper"] = lower, upper
-    if args.position_radius is not None:
-        data["position_radius"] = args.position_radius
+        overrides["box_lower"], overrides["box_upper"] = _parse_box(args.box)
     if args.position_grid is not None:
-        data["position_shape"] = _parse_counts(args.position_grid, "--position-grid")
-    config = config_from_dict(data)
+        overrides["position_shape"] = _parse_counts(args.position_grid, "--position-grid")
+
+    def build(data: dict) -> MinimizeConfig:
+        return config_from_dict({**data, **overrides})
+
+    config = _read_document(args.config, "configuration", build) if args.config else build({})
 
     os.makedirs(args.out, exist_ok=True)
     _write_json(os.path.join(args.out, "config.json"), config_to_dict(config))
@@ -224,7 +221,7 @@ def cmd_verify(args) -> int:
 
 def cmd_decompose(args) -> int:
     measure = load_measure(args.measure)
-    parts = decompose(measure, norm=args.norm)
+    parts = decompose(measure)
     os.makedirs(args.out, exist_ok=True)
     for name, component in (
         ("particle", parts.particle),
@@ -355,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     decompose_p = sub.add_parser("decompose", help="split a measure into components")
     decompose_p.add_argument("measure", help="measure file")
     decompose_p.add_argument("--out", required=True, help="output directory")
-    decompose_p.add_argument("--norm", default="spectral", choices=["spectral", "frobenius"])
     decompose_p.set_defaults(func=cmd_decompose)
 
     pointwise = sub.add_parser("pointwise", help="solve a pointwise trace minimization")

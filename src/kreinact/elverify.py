@@ -31,7 +31,7 @@ import numpy as np
 
 from . import tolerances
 from .errors import InfeasibleProblemError, ValidationError
-from .homomeasure import OperatorMeasure
+from .homomeasure import OperatorMeasure, _read_document
 from .krein import SignatureSpace
 
 __all__ = [
@@ -380,12 +380,7 @@ def save_report(report: ELReport, path) -> None:
 
 
 def load_report(path) -> ELReport:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise ValidationError(f"report file {path} is not valid JSON: {err}") from err
-    return report_from_dict(data)
+    return _read_document(path, "report", report_from_dict)
 
 
 def report_to_csv(report: ELReport, path) -> None:

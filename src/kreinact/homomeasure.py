@@ -17,14 +17,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from . import tolerances
-from .errors import DefectivePencilError, ValidationError
-from .krein import (
-    SignatureSpace,
-    epsilon_diagonalize,
-    is_positive,
-    spectral_split,
-)
+from .errors import ValidationError
+from .krein import SignatureSpace, is_positive, positive_spectrum, spectral_split
 
 __all__ = [
     "MomentumBox",
@@ -205,27 +199,15 @@ class ConstraintValues:
     mod_dim: float
 
 
-def _dim_sum_at(total: np.ndarray, space: SignatureSpace, eps: float) -> float:
-    retries = 0
-    while True:
-        try:
-            _, D, _ = epsilon_diagonalize(total, space, eps)
-            return float(np.sum(np.abs(np.diag(D).real)))
-        except DefectivePencilError as err:
-            retries += 1
-            if retries > 5:
-                raise
-            eps = err.suggested_epsilon
-
-
-def constraint_values(measure: OperatorMeasure, eps: float | None = None) -> ConstraintValues:
+def constraint_values(measure: OperatorMeasure) -> ConstraintValues:
     """Trace, eigenvalue-modulus sum, and signed trace of the total operator.
 
-    The modulus sum uses the shifted diagonalization at ``eps`` and ``eps/2``
-    with Richardson extrapolation to ``eps -> 0``.  The bound
-    ``dim_sum <= mod_dim`` holds up to extrapolation error: the eigenvalue
-    moduli are dominated by the signed trace because pseudo-unitarily
-    normalized eigenvectors have Euclidean norm >= 1.
+    The total ``A`` of a positive measure is positive, so its spectrum is
+    real and comes exactly from the Hermitian congruence
+    ``Y = R S R`` with ``R = sqrt(S A)`` (:func:`~kreinact.krein.positive_spectrum`);
+    a Jordan block at zero gives zeros up to the square root of rounding
+    times ``||A||``.  The bound ``dim_sum <= mod_dim``
+    follows: ``sum |lambda| = ||R S R||_1 <= ||R||_F^2 = Tr(S A)``.
     """
     total = measure.total()
     space = measure.space
@@ -234,14 +216,8 @@ def constraint_values(measure: OperatorMeasure, eps: float | None = None) -> Con
     scale = max(float(np.linalg.norm(total, 2)), 1.0)
     if abs(tr.imag) > 1e-9 * scale or abs(mod_dim.imag) > 1e-9 * scale:
         raise ValidationError("constraint functionals of a positive measure must be real")
-    if measure.n_atoms == 0 or np.linalg.norm(total, 2) == 0.0:
-        return ConstraintValues(trace=float(tr.real), dim_sum=0.0, mod_dim=float(mod_dim.real))
-    if eps is None:
-        eps = 1e-6 * scale
-    d1 = _dim_sum_at(total, space, eps)
-    d2 = _dim_sum_at(total, space, eps / 2.0)
-    dim_sum = 2.0 * d2 - d1
-    return ConstraintValues(trace=float(tr.real), dim_sum=float(dim_sum), mod_dim=float(mod_dim.real))
+    dim_sum = float(np.sum(np.abs(positive_spectrum(total, space))))
+    return ConstraintValues(trace=float(tr.real), dim_sum=dim_sum, mod_dim=float(mod_dim.real))
 
 
 _NORMS = {
@@ -264,40 +240,23 @@ def variation_measure(measure: OperatorMeasure, norm: str = "spectral") -> list:
     return [(p.copy(), norm_fn(sig[:, None] * A)) for p, A in measure.atoms()]
 
 
-def decompose(measure: OperatorMeasure, norm: str = "spectral") -> MeasureDecomposition:
+def decompose(measure: OperatorMeasure) -> MeasureDecomposition:
     """Split a measure into particle, neutral, and sea components.
 
-    Each density ``A_j / ||A_j||`` is spectrally split; the plus part
-    (positive definite image) goes into the particle component, the minus
-    part into the sea, and the zero spectral part into the neutral
-    component.  The normalization cancels exactly, so the result does not
-    depend on the chosen norm; all three components keep the full atom
-    support (with zero operators where a component vanishes) so that the
-    atomwise reconstruction is literal.
+    Each atom ``A_j`` is spectrally split (:func:`~kreinact.krein.spectral_split`,
+    whose zero threshold is relative to ``||A_j||``, so a zero atom splits
+    into zeros); the plus part (positive definite image) goes into the
+    particle component, the minus part into the sea, and the zero spectral
+    part into the neutral component.  All three components keep the full
+    atom support (with zero operators where a component vanishes) so that
+    the atomwise reconstruction is literal.
     """
-    if norm not in _NORMS:
-        raise ValidationError(f"unknown norm {norm!r}; choose from {sorted(_NORMS)}")
-    norm_fn = _NORMS[norm]
-    sig = measure.space.signature
-    plus, zero, minus = [], [], []
-    for _, A in measure.atoms():
-        w = norm_fn(sig[:, None] * A)
-        if w == 0.0:
-            Z = np.zeros_like(A)
-            plus.append(Z)
-            zero.append(Z)
-            minus.append(Z)
-            continue
-        split = spectral_split(A / w, measure.space)
-        plus.append(w * split.plus)
-        zero.append(w * split.zero)
-        minus.append(w * split.minus)
+    splits = [spectral_split(A, measure.space) for A in measure.operators]
 
-    def build(ops: list) -> OperatorMeasure:
-        arr = np.asarray(ops) if ops else np.zeros((0, measure.space.dim, measure.space.dim))
-        return measure.with_operators(arr)
+    def build(part: str) -> OperatorMeasure:
+        return measure.with_operators(np.asarray([getattr(s, part) for s in splits], complex))
 
-    return MeasureDecomposition(particle=build(plus), neutral=build(zero), sea=build(minus))
+    return MeasureDecomposition(particle=build("plus"), neutral=build("zero"), sea=build("minus"))
 
 
 def translate(measure: OperatorMeasure, shift: Sequence[float]) -> OperatorMeasure:
@@ -500,14 +459,34 @@ def save_measure(measure: OperatorMeasure, path) -> None:
         fh.write("\n")
 
 
-def load_measure(path) -> OperatorMeasure:
-    """Read a measure written by :func:`save_measure`."""
+def _read_document(path, kind: str, build):
+    """Parse the JSON file at ``path`` and return ``build(document)``.
+
+    Invalid JSON, a document that is not a JSON object, and a missing or
+    ill-typed field (a ``KeyError``, ``TypeError``, ``IndexError`` or
+    ``ValueError`` inside ``build``) raise a :class:`ValidationError` that
+    names the file and ``kind``.
+    """
     with open(path) as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as err:
-            raise ValidationError(f"measure file {path} is not valid JSON: {err}") from err
-    return measure_from_dict(data)
+            raise ValidationError(f"{kind} file {path} is not valid JSON: {err}") from err
+    if not isinstance(data, dict):
+        raise ValidationError(
+            f"{kind} file {path} holds a JSON {type(data).__name__}, not an object"
+        )
+    try:
+        return build(data)
+    except ValidationError:  # a ValueError already worded for the user
+        raise
+    except (KeyError, TypeError, IndexError, ValueError) as err:
+        raise ValidationError(f"malformed {kind} file {path}: {type(err).__name__}: {err}") from err
+
+
+def load_measure(path) -> OperatorMeasure:
+    """Read a measure written by :func:`save_measure`."""
+    return _read_document(path, "measure", measure_from_dict)
 
 
 def save_operator(A: np.ndarray, space: SignatureSpace, path) -> None:
@@ -523,17 +502,15 @@ def save_operator(A: np.ndarray, space: SignatureSpace, path) -> None:
         fh.write("\n")
 
 
-def load_operator(path) -> tuple:
-    """Read an operator document; returns ``(matrix, space)``."""
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise ValidationError(f"operator file {path} is not valid JSON: {err}") from err
+def _operator_from_dict(data: dict) -> tuple:
     if data.get("format") != OPERATOR_FORMAT:
         raise ValidationError(f"not an operator document: format={data.get('format')!r}")
     if data.get("version") != FORMAT_VERSION:
         raise ValidationError(f"unsupported operator format version {data.get('version')!r}")
     space = SignatureSpace(int(data["n"]))
-    A = _matrix_from_lists(data["matrix"])
-    return space.check_operator(A), space
+    return space.check_operator(_matrix_from_lists(data["matrix"])), space
+
+
+def load_operator(path) -> tuple:
+    """Read an operator document; returns ``(matrix, space)``."""
+    return _read_document(path, "operator", _operator_from_dict)

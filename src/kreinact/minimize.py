@@ -34,7 +34,7 @@ action to first order while the restoration keeps the iterate feasible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -127,37 +127,15 @@ class MinimizeConfig:
 
 
 def config_to_dict(config: MinimizeConfig) -> dict:
-    return {
-        "n": config.n,
-        "box_lower": list(config.box_lower),
-        "box_upper": list(config.box_upper),
-        "momentum_shape": list(config.momentum_shape),
-        "position_radius": config.position_radius,
-        "position_shape": list(config.position_shape),
-        "c": config.c,
-        "f": config.f,
-        "smoothing_delta": config.smoothing_delta,
-        "initial_step": config.initial_step,
-        "backtrack_factor": config.backtrack_factor,
-        "max_backtracks": config.max_backtracks,
-        "max_iterations": config.max_iterations,
-        "gradient_tol": config.gradient_tol,
-        "tol_el": config.tol_el,
-        "seed": config.seed,
-        "initial_magnitude": config.initial_magnitude,
-    }
+    """The configuration's fields as a JSON-ready dict (tuples become lists)."""
+    return {key: list(v) if isinstance(v, tuple) else v for key, v in asdict(config).items()}
 
 
 def config_from_dict(data: dict) -> MinimizeConfig:
-    known = {f.name for f in MinimizeConfig.__dataclass_fields__.values()}
-    unknown = set(data) - known
+    unknown = set(data) - {f.name for f in fields(MinimizeConfig)}
     if unknown:
         raise ValidationError(f"unknown configuration keys: {sorted(unknown)}")
-    kwargs = dict(data)
-    for key in ("box_lower", "box_upper", "momentum_shape", "position_shape"):
-        if key in kwargs:
-            kwargs[key] = tuple(kwargs[key])
-    return MinimizeConfig(**kwargs)
+    return MinimizeConfig(**data)
 
 
 # ---------------------------------------------------------------------------

@@ -64,6 +64,12 @@ def test_grid_rejects_bad_shape():
         for shape in ((1, 1, 1, 1), (3, 1, 1, 1)):
             with pytest.raises(ValidationError, match="radius"):
                 PositionGrid.from_box(radius, shape)
+    origin = [[0.0, 0.0, 0.0, 0.0]]
+    for weight in (np.inf, np.nan):
+        with pytest.raises(ValidationError, match="finite"):
+            PositionGrid(origin, [weight], [0])
+    with pytest.raises(ValidationError, match="finite"):
+        PositionGrid([[np.nan, 0.0, 0.0, 0.0]], [1.0], [0])
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from kreinact import (
     MinimizeConfig,
     OperatorMeasure,
     SignatureSpace,
+    ValidationError,
     config_to_dict,
     load_measure,
     load_report,
@@ -243,6 +244,53 @@ def test_verify_non_finite_position_radius_exits_2(tmp_path, capsys, radius):
 def test_verify_missing_file_exits_2(tmp_path, capsys):
     assert main(["verify", str(tmp_path / "nope.json")]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def _without(key):
+    return lambda doc: json.dumps({k: v for k, v in doc.items() if k != key})
+
+
+@pytest.mark.parametrize(
+    "command, kind, edit",
+    [
+        ("verify", "measure", _without("n")),
+        ("verify", "measure", lambda doc: "[1, 2]"),
+        ("verify", "measure", lambda doc: json.dumps({**doc, "atoms": [{"p": [0.0] * 4}]})),
+        ("pointwise", "operator", _without("matrix")),
+        ("minimize", "configuration", lambda doc: "{not json"),
+        ("minimize", "configuration", lambda doc: "[1, 2]"),
+    ],
+    ids=["measure-no-n", "measure-list", "atom-no-A", "operator-no-matrix",
+         "config-invalid-json", "config-list"],
+)
+def test_malformed_documents_exit_2(tmp_path, capsys, command, kind, edit):
+    # each document is a valid one with one defect; the reader names the file
+    path = tmp_path / "doc.json"
+    if kind == "measure":
+        write_stationary_measure(path)
+    elif kind == "operator":
+        write_rotation_q(path)
+    else:
+        path.write_text("{}")
+    path.write_text(edit(json.loads(path.read_text())))
+    argv = {
+        "verify": ["verify", str(path)],
+        "pointwise": ["pointwise", str(path), "--a", "0.0", "--b", "1.0"],
+        "minimize": ["minimize", "--config", str(path), "--out", str(tmp_path / "run")],
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert f"{kind} file {path}" in err
+
+
+def test_load_report_without_alpha_raises_validation_error(toy_run, tmp_path):
+    doc = json.loads((toy_run / "report.json").read_text())
+    del doc["alpha"]
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError, match="report file"):
+        load_report(path)
 
 
 # ---------------------------------------------------------------------------

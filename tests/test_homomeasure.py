@@ -116,7 +116,7 @@ def test_constraint_values_dim_sum_vs_mod_dim(seed):
 
 
 def test_constraint_values_dim_sum_extrapolation_accuracy():
-    # for a diagonalizable total the extrapolated |eigenvalue| sum is accurate
+    # the congruence spectrum matches the dense general solver's |eigenvalue| sum
     sp = SignatureSpace(1)
     meas = random_measure_for(sp, make_rng(9), n_atoms=2)
     total = meas.total()
@@ -124,6 +124,12 @@ def test_constraint_values_dim_sum_extrapolation_accuracy():
     expected = float(np.sum(np.abs(lam.real)))
     cv = constraint_values(meas)
     assert cv.dim_sum == pytest.approx(expected, rel=1e-6)
+
+
+def test_constraint_values_dim_sum_of_massless_atom_vanishes():
+    # a nilpotent total (Jordan block at zero) has modulus sum exactly 0
+    cv = constraint_values(massless_fixture([[0.3, -0.4, 1.2]]))
+    assert cv.dim_sum <= 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -157,18 +163,29 @@ def test_variation_measure_single_and_zero():
 def test_decompose_reconstructs_and_is_norm_independent():
     sp = SignatureSpace(2)
     meas = random_measure_for(sp, make_rng(6), n_atoms=2)
-    parts = decompose(meas, norm="spectral")
+    parts = decompose(meas)
     for j in range(meas.n_atoms):
         np.testing.assert_allclose(
             parts.particle.operators[j] + parts.neutral.operators[j] + parts.sea.operators[j],
             meas.operators[j],
             atol=1e-10 * np.linalg.norm(meas.operators[j], 2),
         )
-    parts_f = decompose(meas, norm="frobenius")
-    for j in range(meas.n_atoms):
-        np.testing.assert_allclose(
-            parts.particle.operators[j], parts_f.particle.operators[j], atol=1e-9
-        )
+
+
+def test_decompose_zero_atom_splits_into_zeros():
+    sp = SignatureSpace(1)
+    A = random_positive(sp, make_rng(8))
+    pts = np.array([[0.0, 0, 0, 0], [0.5, 0, 0, 0]])
+    meas = OperatorMeasure(sp, unit_momentum_box(), pts, [np.zeros((2, 2)), A])
+    parts = decompose(meas)
+    for component in (parts.particle, parts.neutral, parts.sea):
+        assert component.n_atoms == 2
+        assert np.array_equal(component.operators[0], np.zeros((2, 2)))
+    np.testing.assert_allclose(
+        parts.particle.operators[1] + parts.neutral.operators[1] + parts.sea.operators[1],
+        A,
+        atol=1e-10 * np.linalg.norm(A, 2),
+    )
 
 
 def test_decompose_dirac_sea_is_pure_sea():

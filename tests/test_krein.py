@@ -234,16 +234,14 @@ def test_epsilon_diagonalize_rejects_bad_input():
 
 
 def test_defective_pencil_error_carries_suggestion():
-    # a shift landing exactly on a pencil degeneracy must suggest another one
+    # spectrum +-i: the shifted pencil has non-real spectrum, so the call
+    # fails with a retryable error that suggests a golden-ratio larger shift
     sp = SignatureSpace(1)
-    A = np.array([[1.0, -1.0], [1.0, -1.0]], dtype=complex)  # nilpotent
-    try:
-        # eps=... engineered failure path may or may not trigger for this atom;
-        # instead check the error type directly via a defective construction
-        raise DefectivePencilError("synthetic", suggested_epsilon=1.6e-7)
-    except DefectivePencilError as err:
-        assert err.suggested_epsilon == pytest.approx(1.6e-7)
-        assert isinstance(err, NumericalError)
+    H = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
+    with pytest.raises(DefectivePencilError) as excinfo:
+        epsilon_diagonalize(H, sp, 1e-3)
+    assert excinfo.value.suggested_epsilon == pytest.approx(1e-3 * 1.6180339887498949)
+    assert isinstance(excinfo.value, NumericalError)
 
 
 def test_classified_spectrum_signs():
