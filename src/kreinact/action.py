@@ -32,12 +32,16 @@ eigen-derivatives are batched over the point set (one stacked ``eig`` and
 which makes one stacked eigensolve per point over all perturbed kernels.
 One routine builds the Krein-symmetrized field ``Q`` on a reflection-closed
 point set: :class:`QHatEvaluator` calls it on its grid,
-:func:`gradient_kernel_Q` on the pair ``(xi, -xi)``.
+:func:`gradient_kernel_Q` on the pair ``(xi, -xi)``.  It starts from one
+chain solve (kernels, chains and their ``eig`` pair), which the
+minimizer's line search also uses for a trial's action, so an accepted
+trial builds its field without a second eigensolve.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 
@@ -157,7 +161,8 @@ def _plus_kernel(measure: OperatorMeasure, points: np.ndarray) -> np.ndarray:
     if measure.n_atoms == 0:
         d = measure.space.dim
         return np.zeros((len(points), d, d), complex)
-    phases = np.exp(1j * points @ measure.momenta.T)
+    # Real phases first: the complex product of imaginary points costs far more.
+    phases = np.exp(1j * (points @ measure.momenta.T))
     return np.einsum("xj,jab->xab", phases, measure.operators)
 
 
@@ -215,6 +220,13 @@ def _chain_field(measure: OperatorMeasure, points: np.ndarray):
     return Pp, Pp @ _adjoint(Pp, measure.space.signature)
 
 
+def _chain_solve(measure: OperatorMeasure, points: np.ndarray):
+    """``(P_plus, chains, lams, R)``: kernels, chains and one stacked ``eig``."""
+    Pp, chains = _chain_field(measure, points)
+    lams, R = np.linalg.eig(chains)
+    return Pp, chains, lams, R
+
+
 def _lagrangian_field(measure: OperatorMeasure, grid: PositionGrid, smoothing_delta: float) -> np.ndarray:
     """Lagrangian at each grid point, from one batched chain eigensolve."""
     _, chains = _chain_field(measure, grid.points)
@@ -224,6 +236,17 @@ def _lagrangian_field(measure: OperatorMeasure, grid: PositionGrid, smoothing_de
 def action(measure: OperatorMeasure, grid: PositionGrid, smoothing_delta: float = 0.0) -> float:
     """Discretized homogeneous action ``sum_xi w(xi) L(xi)``."""
     return float(np.dot(grid.weights, _lagrangian_field(measure, grid, smoothing_delta)))
+
+
+def _solved_action(measure: OperatorMeasure, grid: PositionGrid, smoothing_delta: float):
+    """``(action, solved)`` from one :func:`_chain_solve` of the grid.
+
+    ``solved`` can feed :class:`QHatEvaluator`.  The action is :func:`action`'s
+    to the bit: LAPACK's QR sweep on these small chains does the same
+    arithmetic on the eigenvalues with or without eigenvectors.
+    """
+    solved = _chain_solve(measure, grid.points)
+    return float(np.dot(grid.weights, _lagrangian_values(solved[2], smoothing_delta))), solved
 
 
 def action_profile(
@@ -247,16 +270,16 @@ def profile_to_csv(profile, path) -> None:
 # Gradient kernel
 # ---------------------------------------------------------------------------
 
-def _eig_gradient_factors(chains: np.ndarray, space: SignatureSpace, delta: float):
+def _eig_gradient_factors(chains, lams, R, space: SignatureSpace, delta: float):
     """Krein-symmetrized factors N of dL = Re Tr(G dA) over a stack of chains.
 
-    Returns ``(factors, ok)``; ``ok`` marks the chains whose factor is valid:
-    a well-conditioned eigenvector matrix ``R`` (not a defective chain), and
-    with ``delta = 0`` all moduli bounded away from zero (else |.| is not
-    differentiable).  Equal eigenvalues are valid: they share ``g_i``.
+    ``(lams, R)`` is the chains' ``eig`` pair.  Returns ``(factors, ok)``;
+    ``ok`` marks the chains whose factor is valid: a well-conditioned
+    eigenvector matrix ``R`` (not a defective chain), and with ``delta = 0``
+    all moduli bounded away from zero (else |.| is not differentiable).
+    Equal eigenvalues are valid: they share ``g_i``.
     """
     d = space.dim
-    lams, R = np.linalg.eig(chains)
     m = _moduli(lams, delta)
     # An exactly singular R has a zero LU pivot: inv would raise for the whole
     # stack, slogdet reports it per matrix.  Rejected rows get harmless stand-ins.
@@ -320,10 +343,12 @@ def _gradient_field(
     reflection: np.ndarray,
     delta: float,
     mode: str,
+    solved=None,
 ) -> np.ndarray:
     """Krein-symmetrized gradient kernel ``Q`` at each of ``points``.
 
-    ``points[reflection[i]]`` must be ``-points[i]``.  Vectorized
+    ``points[reflection[i]]`` must be ``-points[i]``.  ``solved`` is the
+    :func:`_chain_solve` of ``points`` if already in hand.  Vectorized
     eigen-derivatives are used where the chain spectra at both a point and
     its reflection allow it (``mode`` ``"auto"`` or ``"analytic"``), finite
     differences elsewhere (``"auto"``) or everywhere
@@ -335,12 +360,12 @@ def _gradient_field(
     space = measure.space
     n_pts = len(points)
     d = space.dim
-    Pp, chains = _chain_field(measure, points)
+    Pp, chains, lams, R = _chain_solve(measure, points) if solved is None else solved
 
     if mode == "finite_difference":
         factors, ok = np.zeros_like(chains), np.zeros(n_pts, bool)
     else:
-        factors, ok = _eig_gradient_factors(chains, space, delta)
+        factors, ok = _eig_gradient_factors(chains, lams, R, space, delta)
     if mode == "analytic" and not ok.all():
         raise NonsmoothPointError(
             "no analytic gradient at this point "
@@ -385,7 +410,8 @@ class QHatEvaluator:
     on demand.  ``tail_magnitude`` reports ``max ||Q(xi)||_2`` over the
     boundary of the position box — a diagnostic for how well the truncated
     box captures the decay of the gradient kernel (integrability cannot be
-    asserted on a finite box, only reported).
+    asserted on a finite box, only reported).  ``_solved`` passes in a
+    :func:`_chain_solve` of ``grid.points`` already in hand.
     """
 
     def __init__(
@@ -394,16 +420,21 @@ class QHatEvaluator:
         grid: PositionGrid,
         smoothing_delta: float = 0.0,
         mode: str = "auto",
+        *,
+        _solved=None,
     ):
         self.measure = measure
         self.grid = grid
         self.smoothing_delta = float(smoothing_delta)
         self.q_field = _gradient_field(
-            measure, grid.points, grid.reflection_index, smoothing_delta, mode
+            measure, grid.points, grid.reflection_index, smoothing_delta, mode, _solved
         )
-        boundary = grid.boundary_mask()
-        norms = np.linalg.norm(self.q_field, 2, axis=(1, 2))
-        self.tail_magnitude = float(norms[boundary].max()) if boundary.any() else float(norms.max())
+
+    @functools.cached_property
+    def tail_magnitude(self) -> float:
+        # The boundary mask is never empty (all points on a degenerate box).
+        boundary = self.q_field[self.grid.boundary_mask()]
+        return float(np.linalg.norm(boundary, 2, axis=(1, 2)).max())
 
     def evaluate(self, p) -> np.ndarray:
         """``Qhat(p)``, Krein symmetric up to quadrature rounding."""

@@ -79,6 +79,9 @@ def _write_json(path, payload: dict) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_fixture(args) -> int:
+    for flag, value in (("--seed", args.seed), ("--atoms", args.atoms)):
+        if value < 0:
+            raise ValidationError(f"{flag} must be an integer >= 0, got {value}")
     rng = np.random.default_rng(args.seed)
     if args.kind == "dirac-sea":
         if args.mass <= 0:

@@ -24,6 +24,9 @@ Step lengths are Barzilai-Borwein (BB2) steps ``Re<s, y> / <y, y>`` from
 the last accepted step ``s`` and its gradient change ``y`` (Barzilai and
 Borwein, IMA J. Numer. Anal. 8, 1988), safeguarded by monotone
 backtracking: a trial is accepted only if it strictly lowers the action.
+Each trial makes one chain eigensolve over the position grid; its
+eigenvalues give the action, and an accepted trial builds the next
+gradient field from the same solve.
 An iterate that is stationary (or whose line search stalls) but whose
 shifted field ``Qhat - alpha - beta S`` has a negative psd margin at some
 atom is pushed along the rank-one positive direction built from the
@@ -34,12 +37,13 @@ action to first order while the restoration keeps the iterate feasible.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import tolerances
-from .action import PositionGrid, QHatEvaluator, _check_delta, action
+from .action import PositionGrid, QHatEvaluator, _check_delta, _solved_action, action
 from .elverify import (
     ELReport,
     _shifted_spectra,
@@ -106,8 +110,10 @@ class MinimizeConfig:
                 raise ValidationError(f"{name} must be finite and >= 0, got {getattr(self, name)!r}")
         if not (0 < self.backtrack_factor < 1):
             raise ValidationError("backtrack_factor must lie in (0, 1)")
-        if self.max_iterations < 1 or self.max_backtracks < 1:
-            raise ValidationError("iteration counts must be >= 1")
+        for name, least in (("max_iterations", 1), ("max_backtracks", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+                raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "box_lower", tuple(float(x) for x in self.box_lower))
         object.__setattr__(self, "box_upper", tuple(float(x) for x in self.box_upper))
@@ -252,9 +258,9 @@ def minimize_action(config: MinimizeConfig) -> MinimizeResult:
             x, y = _block_scalings(t11, t22, "b", config.c, config.f)
         return Ms_raw * np.repeat(np.sqrt([x, y]), space.n)[None, None, :]
 
-    def evaluator_for(measure: OperatorMeasure) -> QHatEvaluator:
+    def evaluator_for(measure: OperatorMeasure, solved=None) -> QHatEvaluator:
         try:
-            return QHatEvaluator(measure, grid, smoothing_delta=delta)
+            return QHatEvaluator(measure, grid, smoothing_delta=delta, _solved=solved)
         except NonsmoothPointError as err:
             if delta == 0.0:
                 raise NonsmoothPointError(
@@ -267,19 +273,20 @@ def minimize_action(config: MinimizeConfig) -> MinimizeResult:
 
     def trial(Ms_raw: np.ndarray, to_beat: float):
         """``(Ms, measure, action, evaluator)`` of the restored ``Ms_raw`` if its
-        action is below ``to_beat``; None for a rejected trial."""
+        action is below ``to_beat``; None for a rejected trial.  One chain
+        eigensolve gives the action and, on acceptance, the gradient field."""
         try:
             Ms_try = restored(Ms_raw)
         except RestorationError:
             return None
         measure_try = _measure_from_Ms(space, box, momenta, Ms_try)
-        action_try = action(measure_try, grid, delta)
+        action_try, solved = _solved_action(measure_try, grid, delta)
         if not action_try < to_beat:
             return None
         try:
             # A step may land on a nondifferentiable point of the exact
             # Lagrangian; treat that as a rejected trial.
-            return Ms_try, measure_try, action_try, evaluator_for(measure_try)
+            return Ms_try, measure_try, action_try, evaluator_for(measure_try, solved)
         except NonsmoothPointError:
             return None
 

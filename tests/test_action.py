@@ -31,6 +31,7 @@ from kreinact import (
     scale,
     translate,
 )
+from kreinact.action import _solved_action
 
 
 # ---------------------------------------------------------------------------
@@ -53,6 +54,16 @@ def test_grid_weights_sum_to_volume():
 def test_grid_single_point_axes_at_origin():
     grid = PositionGrid.from_box(3.0, (5, 1, 1, 1))
     np.testing.assert_allclose(grid.points[:, 1:], 0.0, atol=0)
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 1, 1), (5, 1, 1, 1), (5, 5, 5, 9)])
+def test_grid_boundary_mask_is_never_empty(shape):
+    grid = PositionGrid.from_box(2.0, shape)
+    mask = grid.boundary_mask()
+    assert mask.any()
+    # The extreme points of the box are always on its boundary.
+    extreme = np.all(np.abs(grid.points) == np.abs(grid.points).max(axis=0), axis=1)
+    assert mask[extreme].all()
 
 
 def test_grid_rejects_bad_shape():
@@ -568,6 +579,38 @@ def test_non_finite_or_misshapen_four_vectors_rejected(call):
     ev = QHatEvaluator(meas, PositionGrid.from_box(2.0, (3, 1, 1, 1)))
     with pytest.raises(ValidationError):
         call(meas, ev)
+
+
+def test_tail_magnitude_is_largest_boundary_norm():
+    meas = random_measure_for(SignatureSpace(2), make_rng(19))
+    for shape in ((1, 1, 1, 1), (5, 3, 3, 1)):
+        grid = PositionGrid.from_box(2.0, shape)
+        ev = QHatEvaluator(meas, grid, smoothing_delta=1e-2)
+        boundary = ev.q_field[grid.boundary_mask()]
+        expected = max(np.linalg.svd(q, compute_uv=False)[0] for q in boundary)
+        assert ev.tail_magnitude == pytest.approx(expected, rel=1e-14)
+
+
+def _solve_cases():
+    rng = make_rng(23)
+    yield random_measure_for(SignatureSpace(1), rng), PositionGrid.from_box(2.0, (5, 1, 1, 1))
+    yield (random_measure_for(SignatureSpace(2), rng, n_atoms=4, shape=(3, 2, 1, 1)),
+           PositionGrid.from_box(3.0, (7, 3, 3, 1)))
+    yield _partly_degenerate_measure()  # identity chains: a double eigenvalue
+    yield _rank_two_measure()  # two coinciding zero eigenvalues at every point
+
+
+def test_line_search_solve_gives_the_action_and_the_field():
+    # The minimizer's trials take the action from one chain eig and, on
+    # acceptance, build the gradient field from the same solve.
+    for meas, grid in _solve_cases():
+        for delta in (0.0, 1e-2):
+            value, solved = _solved_action(meas, grid, delta)
+            expected = action(meas, grid, delta)
+            assert abs(value - expected) <= 1e-13 * abs(expected)
+            fresh = QHatEvaluator(meas, grid, smoothing_delta=delta)
+            reused = QHatEvaluator(meas, grid, smoothing_delta=delta, _solved=solved)
+            np.testing.assert_array_equal(reused.q_field, fresh.q_field)
 
 
 def test_fourier_qhat_wrapper():

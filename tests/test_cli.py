@@ -284,6 +284,30 @@ def test_malformed_documents_exit_2(tmp_path, capsys, command, kind, edit):
     assert f"{kind} file {path}" in err
 
 
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["minimize", "--seed", "-1"], None),
+        (["minimize"], {"seed": 1.5}),
+        (["minimize"], {"max_iterations": 2.5}),
+        (["fixture", "random", "--seed", "-1"], None),
+        (["fixture", "random", "--atoms", "-1"], None),
+        (["fixture", "dirac-sea", "--atoms", "-2"], None),
+    ],
+    ids=["minimize-seed", "config-seed", "config-iterations", "fixture-seed",
+         "random-atoms", "dirac-sea-atoms"],
+)
+def test_bad_seeds_and_counts_exit_2(tmp_path, capsys, argv, config):
+    out = tmp_path / "out"
+    argv = argv + ["--out", str(out)]
+    if config is not None:
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        argv += ["--config", str(tmp_path / "config.json")]
+    assert main(argv) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()  # refused before anything is written
+
+
 def test_load_report_without_alpha_raises_validation_error(toy_run, tmp_path):
     doc = json.loads((toy_run / "report.json").read_text())
     del doc["alpha"]

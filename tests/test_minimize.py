@@ -84,6 +84,10 @@ def test_config_validation():
         MinimizeConfig(backtrack_factor=1.0)
     with pytest.raises(ValidationError):
         MinimizeConfig(max_iterations=0)
+    for name, value in (("max_iterations", 2.5), ("max_backtracks", True), ("seed", -1),
+                        ("seed", 1.5)):
+        with pytest.raises(ValidationError, match=name):
+            MinimizeConfig(**{name: value})
     with pytest.raises(ValidationError):
         MinimizeConfig(position_radius=0.0)
     with pytest.raises(ValidationError):
@@ -219,6 +223,29 @@ def test_converged_is_the_final_report_verdict(seed):
     assert result.converged == checks["all"]
     if seed == 2:
         assert result.converged
+
+
+def test_each_line_search_trial_makes_one_eigensolve(monkeypatch):
+    import kreinact.minimize as minimize_module
+
+    calls = []
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(np.linalg, "eig", counting("eig", np.linalg.eig))
+    monkeypatch.setattr(np.linalg, "eigvals", counting("eigvals", np.linalg.eigvals))
+    monkeypatch.setattr(minimize_module, "_solved_action",
+                        counting("trial", minimize_module._solved_action))
+    result = minimize_action(replace(TOY, max_iterations=10))
+    trials = calls.count("trial")
+    assert trials >= len(result.trace) - 1
+    # eigvals only in the first and last action(); every trial is one eig
+    # stack, and an accepted trial builds its field from that same solve.
+    assert calls == ["eigvals", "eig"] + ["trial", "eig"] * trials + ["eig", "eigvals"]
 
 
 def test_toy_run_is_feasible(toy_result):
