@@ -134,12 +134,12 @@ def cmd_minimize(args) -> int:
     result = minimize_action(config)
 
     with open(os.path.join(args.out, "iterations.csv"), "w", newline="") as fh:
-        fh.write("iteration,action,trace,signed_trace,step,grad_norm,escapes\n")
+        fh.write("iteration,action,trace,signed_trace,step,grad_norm,escapes,trials\n")
         for row in result.trace:
             fh.write(
                 f"{row['iteration']},{row['action']!r},{row['trace']!r},"
                 f"{row['signed_trace']!r},{row['step']!r},{row['grad_norm']!r},"
-                f"{row['escapes']}\n"
+                f"{row['escapes']},{row['trials']}\n"
             )
     save_measure(result.measure, os.path.join(args.out, "measure.json"))
     save_report(result.report, os.path.join(args.out, "report.json"))

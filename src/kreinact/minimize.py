@@ -13,20 +13,28 @@ by scaling the two signature blocks: with ``x, y > 0`` the congruence
 traces linearly, so the scalings solve the constraint equations in closed
 form; the restoration acts as the retraction onto the feasible set.
 
-Each step follows the gradient of the Lagrangian function
+Each step starts from the gradient of the Lagrangian function
 ``G_j = 4 M_j (Qhat(p_j) - alpha - beta S) S``, with the Fourier gradient
 field ``Qhat`` of the (optionally smoothed) Lagrangian and the multipliers
 ``(alpha, beta)`` of :func:`~kreinact.elverify.lagrange_parameters` at the
 current iterate.  Its norm vanishes exactly where the Euler-Lagrange
-conditions hold on the support, so the loop stops once
-``||G||_F <= gradient_tol * max_j |Qhat(p_j)|`` (largest absolute entry).
-Step lengths are Barzilai-Borwein (BB2) steps ``Re<s, y> / <y, y>`` from
-the last accepted step ``s`` and its gradient change ``y`` (Barzilai and
-Borwein, IMA J. Numer. Anal. 8, 1988), safeguarded by monotone
-backtracking: a trial is accepted only if it strictly lowers the action.
-Each trial makes one chain eigensolve over the position grid; its
-eigenvalues give the action, and an accepted trial builds the next
+conditions hold on the support.
+The step direction is the L-BFGS two-loop direction (Nocedal, Math. Comp.
+35, 1980) over the last ``LBFGS_MEMORY`` accepted steps ``s`` and their
+gradient changes ``y``, in the real inner product ``Re<., .>`` of the
+factor stack, scaled initially by ``Re<s, y> / <y, y>``.  Pairs with
+``Re<s, y> <= 0`` are skipped; the memory is cleared after an escape step
+and whenever the direction fails to descend.  The first trial step is 1
+while the memory holds pairs and ``initial_step`` otherwise, safeguarded
+by monotone backtracking: a trial is accepted only if it strictly lowers
+the action.  Each trial makes one chain eigensolve over the position grid;
+its eigenvalues give the action, and an accepted trial builds the next
 gradient field from the same solve.
+The loop stops at the first iterate whose own first-order report passes
+:func:`~kreinact.elverify.check_first_order` at ``CERTIFY_FRACTION *
+tol_el`` (built only once its psd margin already clears that bound), or
+once ``||G||_F <= gradient_tol * max_j |Qhat(p_j)|`` (largest absolute
+entry).
 An iterate that is stationary (or whose line search stalls) but whose
 shifted field ``Qhat - alpha - beta S`` has a negative psd margin at some
 atom is pushed along the rank-one positive direction built from the
@@ -55,6 +63,12 @@ from .elverify import (
 from .errors import NonsmoothPointError, RestorationError, ValidationError
 from .homomeasure import MomentumBox, OperatorMeasure
 from .krein import SignatureSpace
+
+# Curvature pairs kept by the L-BFGS direction.
+LBFGS_MEMORY = 8
+# An iterate stops the loop once its own report passes at this fraction
+# of ``tol_el``.
+CERTIFY_FRACTION = 0.5
 
 __all__ = [
     "MinimizeConfig",
@@ -94,8 +108,6 @@ class MinimizeConfig:
     initial_magnitude: float = 1.0
 
     def __post_init__(self):
-        if int(self.n) < 1:
-            raise ValidationError("n must be a positive integer")
         if not (0.0 < self.c < self.f):
             raise ValidationError(
                 f"constraint targets must satisfy 0 < c < f, got c={self.c}, f={self.f}"
@@ -110,8 +122,11 @@ class MinimizeConfig:
                 raise ValidationError(f"{name} must be finite and >= 0, got {getattr(self, name)!r}")
         if not (0 < self.backtrack_factor < 1):
             raise ValidationError("backtrack_factor must lie in (0, 1)")
-        for name, least in (("max_iterations", 1), ("max_backtracks", 1), ("seed", 0)):
-            value = getattr(self, name)
+        counts = [("n", self.n, 1), ("max_iterations", self.max_iterations, 1),
+                  ("max_backtracks", self.max_backtracks, 1), ("seed", self.seed, 0)]
+        counts += [(f"each {name} entry", value, 1) for name in ("momentum_shape", "position_shape")
+                   for value in getattr(self, name)]
+        for name, value, least in counts:
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
                 raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
         object.__setattr__(self, "n", int(self.n))
@@ -205,10 +220,15 @@ class MinimizeResult:
 
     ``converged`` is whether that report passes :func:`check_first_order`
     at the configured ``tol_el``.  ``stop_reason`` says what ended the loop:
-    ``"kkt"`` (the gradient norm met ``gradient_tol``), ``"stalled"`` (the
-    line search found no decrease), ``"escape_exhausted"`` (the shifted
-    field failed positivity and no escape step lowered the action) or
-    ``"max_iterations"``.  The first two stop only where no escape is due.
+    ``"certified"`` (the iterate's own report passed at
+    ``CERTIFY_FRACTION * tol_el``), ``"kkt"`` (the gradient norm met
+    ``gradient_tol``), ``"stalled"`` (the line search found no decrease),
+    ``"escape_exhausted"`` (the shifted field failed positivity and no
+    escape step lowered the action) or ``"max_iterations"``.  ``"kkt"`` and
+    ``"stalled"`` stop only where no escape is due.  Each ``trace`` row
+    holds the iterate's action, constraint values, first trial ``step``,
+    ``grad_norm`` and escape count, and ``trials``: the chain eigensolve
+    trials that iteration made.
     """
 
     measure: OperatorMeasure
@@ -226,6 +246,27 @@ def _measure_from_Ms(space, box, momenta, Ms) -> OperatorMeasure:
     sig = space.signature
     ops = sig[None, :, None] * (Ms.conj().transpose(0, 2, 1) @ Ms)
     return OperatorMeasure(space, box, momenta, ops, validate=False)
+
+
+def _lbfgs_direction(grads: np.ndarray, pairs: list) -> np.ndarray:
+    """L-BFGS two-loop direction ``-H grads`` under the real inner product.
+
+    ``pairs`` holds ``(s, y, 1 / Re<s, y>)``, oldest first; the initial
+    scaling ``Re<s, y> / <y, y>`` comes from the newest pair.  With no
+    pairs the direction is ``-grads``.
+    """
+    q = grads
+    coefficients = []
+    for s, y, rho in reversed(pairs):
+        a = rho * float(np.vdot(s, q).real)
+        q = q - a * y
+        coefficients.append(a)
+    if pairs:
+        _, y, rho = pairs[-1]
+        q = q / (rho * float(np.vdot(y, y).real))
+    for (s, y, rho), a in zip(pairs, reversed(coefficients)):
+        q = q + (a - rho * float(np.vdot(y, q).real)) * s
+    return -q
 
 
 def minimize_action(config: MinimizeConfig) -> MinimizeResult:
@@ -274,12 +315,14 @@ def minimize_action(config: MinimizeConfig) -> MinimizeResult:
     def trial(Ms_raw: np.ndarray, to_beat: float):
         """``(Ms, measure, action, evaluator)`` of the restored ``Ms_raw`` if its
         action is below ``to_beat``; None for a rejected trial.  One chain
-        eigensolve gives the action and, on acceptance, the gradient field."""
+        eigensolve gives the action and, on acceptance, the gradient field;
+        it is counted on the current trace row."""
         try:
             Ms_try = restored(Ms_raw)
         except RestorationError:
             return None
         measure_try = _measure_from_Ms(space, box, momenta, Ms_try)
+        trace_log[-1]["trials"] += 1
         action_try, solved = _solved_action(measure_try, grid, delta)
         if not action_try < to_beat:
             return None
@@ -295,24 +338,29 @@ def minimize_action(config: MinimizeConfig) -> MinimizeResult:
     current_action = action(measure, grid, delta)
     evaluator = evaluator_for(measure)
     trace_log: list = []
-    step = config.initial_step
     escapes = 0
     previous = None  # (Ms, G) before the last accepted gradient step
+    pairs: list = []  # the last LBFGS_MEMORY curvature pairs (s, y, 1 / Re<s, y>)
     stop_reason = "max_iterations"
+    # Half the tolerance leaves room for the final restoration and report.
+    certify_tol = CERTIFY_FRACTION * config.tol_el
 
     for iteration in range(config.max_iterations):
         qhats = evaluator.evaluate_many(momenta)
         mu = pushforward(measure, qhats)
-        alpha, beta, _ = lagrange_parameters(mu, config.c, config.f)
+        alpha, beta, case_tag = lagrange_parameters(mu, config.c, config.f)
         shifted, w, V = _shifted_spectra(qhats, alpha, beta, space)
         grads = 4.0 * (Ms @ shifted) * sig[None, None, :]
         grad_norm = float(np.sqrt(np.sum(np.abs(grads) ** 2)))
         if previous is not None:
-            # Barzilai-Borwein step <s, y> / <y, y> from the last accepted step.
             s_k, y_k = Ms - previous[0], grads - previous[1]
             sy = float(np.vdot(s_k, y_k).real)
             if sy > 0:
-                step = sy / float(np.vdot(y_k, y_k).real)
+                pairs = (pairs + [(s_k, y_k, 1.0 / sy)])[-LBFGS_MEMORY:]
+        direction = _lbfgs_direction(grads, pairs)
+        if pairs and not float(np.vdot(direction, grads).real) < 0:
+            pairs, direction = [], -grads
+        step = 1.0 if pairs else config.initial_step
 
         total = measure.total()
         trace_val = float(np.trace(total).real)
@@ -326,21 +374,31 @@ def minimize_action(config: MinimizeConfig) -> MinimizeResult:
                 "step": step,
                 "grad_norm": grad_norm,
                 "escapes": escapes,
+                "trials": 0,
             }
         )
+
+        # The iterate's own report, assembled only once its psd margin
+        # could pass.
+        if w[:, 0].min() >= -certify_tol:
+            own = el_residuals(
+                mu, alpha, beta, momenta, qhats, case_tag, tail_magnitude=evaluator.tail_magnitude
+            )
+            if check_first_order(own, certify_tol)["all"]:
+                stop_reason = "certified"
+                break
 
         kkt = grad_norm <= config.gradient_tol * float(np.abs(qhats).max())
         if not kkt:
             eta = step
             for _ in range(config.max_backtracks):
-                accepted = trial(Ms - eta * grads, current_action)
+                accepted = trial(Ms + eta * direction, current_action)
                 if accepted is not None:
                     break
                 eta *= config.backtrack_factor
             if accepted is not None:
                 previous = (Ms, grads)
                 Ms, measure, current_action, evaluator = accepted
-                step = eta / config.backtrack_factor
                 continue
 
         # Stationary by the KKT norm (or stalled): look for a profitable
@@ -374,7 +432,7 @@ def minimize_action(config: MinimizeConfig) -> MinimizeResult:
             break
         Ms, measure, current_action, evaluator = accepted
         escapes += 1
-        previous, step = None, config.initial_step
+        previous, pairs = None, []
 
     # Iterates track the constraints only within the restoration band;
     # pin them exactly (matching the active case) before reporting.

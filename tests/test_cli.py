@@ -107,7 +107,7 @@ def test_minimize_writes_run_directory(toy_run, capsys):
     status = json.loads((toy_run / "status.json").read_text())
     assert status["converged"] is True
     assert status["checks"]["all"] is True
-    assert status["stop_reason"] in ("kkt", "stalled")
+    assert status["stop_reason"] == "certified"
     # The minimizers form a face with beta = 0 on which the signed trace
     # varies, so the case tag is not pinned; feasibility follows its case.
     assert_feasible(load_measure(toy_run / "measure.json"), 0.5, 1.0, status["case_tag"])
@@ -115,7 +115,7 @@ def test_minimize_writes_run_directory(toy_run, capsys):
     assert status["alpha"] == pytest.approx(76.1978518539, rel=1e-8)
     assert status["beta"] <= 1e-9
     header = (toy_run / "iterations.csv").read_text().splitlines()[0]
-    assert header == "iteration,action,trace,signed_trace,step,grad_norm,escapes"
+    assert header == "iteration,action,trace,signed_trace,step,grad_norm,escapes,trials"
     report = load_report(toy_run / "report.json")
     assert report.probe_margins.min() >= -1e-6
 
@@ -290,11 +290,12 @@ def test_malformed_documents_exit_2(tmp_path, capsys, command, kind, edit):
         (["minimize", "--seed", "-1"], None),
         (["minimize"], {"seed": 1.5}),
         (["minimize"], {"max_iterations": 2.5}),
+        (["minimize"], {"n": 1.5}),
         (["fixture", "random", "--seed", "-1"], None),
         (["fixture", "random", "--atoms", "-1"], None),
         (["fixture", "dirac-sea", "--atoms", "-2"], None),
     ],
-    ids=["minimize-seed", "config-seed", "config-iterations", "fixture-seed",
+    ids=["minimize-seed", "config-seed", "config-iterations", "config-n", "fixture-seed",
          "random-atoms", "dirac-sea-atoms"],
 )
 def test_bad_seeds_and_counts_exit_2(tmp_path, capsys, argv, config):
