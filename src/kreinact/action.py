@@ -30,12 +30,12 @@ genuine kink raises :class:`~kreinact.errors.NonsmoothPointError`.  The
 eigen-derivatives are batched over the point set (one stacked ``eig`` and
 ``inv``); only the points they reject take the finite-difference path,
 which makes one stacked eigensolve per point over all perturbed kernels.
-One routine builds the Krein-symmetrized field ``Q`` on a reflection-closed
-point set: :class:`QHatEvaluator` calls it on its grid,
-:func:`gradient_kernel_Q` on the pair ``(xi, -xi)``.  It starts from one
-chain solve (kernels, chains and their ``eig`` pair), which the
-minimizer's line search also uses for a trial's action, so an accepted
-trial builds its field without a second eigensolve.
+The chains at ``xi`` and ``-xi`` are ``X X^*`` and ``X^* X`` with
+``X = P_+(xi)``, and ``N`` is a polynomial in its chain, so ``L(-xi) = L(xi)``
+and ``Q(xi) = X N(-xi) = N(xi) X = Q(-xi)^*`` (Higham, *Functions of
+Matrices*, Cor. 1.34).  Chains are solved once per reflection pair, at its
+lexicographically smaller point; the line search takes a trial's action
+from that solve, so an accepted trial builds its field without another.
 """
 
 from __future__ import annotations
@@ -78,6 +78,9 @@ class PositionGrid:
 
     ``reflection_index[i]`` is the index of ``-points[i]``; the construction
     in :meth:`from_box` makes the reflection exact in floating point.
+    ``representatives`` index the lexicographically smaller point of each
+    pair ``{xi, -xi}``; point ``i`` is in the pair ``orbit[i]``, as its
+    reflection where ``mirrored[i]``, and ``folded_weights`` sum each pair.
     """
 
     points: np.ndarray
@@ -101,6 +104,13 @@ class PositionGrid:
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "reflection_index", refl)
+        mirrored = ~_is_representative(points)
+        reps = np.nonzero(~mirrored)[0]
+        orbit = np.searchsorted(reps, np.where(mirrored, refl, np.arange(len(points))))
+        object.__setattr__(self, "representatives", reps)
+        object.__setattr__(self, "folded_weights", np.bincount(orbit, weights))
+        object.__setattr__(self, "orbit", orbit)
+        object.__setattr__(self, "mirrored", mirrored)
 
     @classmethod
     def from_box(cls, radius: float, shape) -> "PositionGrid":
@@ -153,6 +163,12 @@ class ClosedChainSpectrum:
 
     lambdas: np.ndarray
     chain: np.ndarray
+
+
+def _is_representative(points: np.ndarray) -> np.ndarray:
+    """Rows ``xi`` lexicographically at most ``-xi``: one of each pair, and ``0``."""
+    # The sign of the first nonzero coordinate outweighs the later ones: 8 > 4 + 2 + 1.
+    return np.sign(points) @ np.array([8.0, 4.0, 2.0, 1.0]) <= 0
 
 
 def _plus_kernel(measure: OperatorMeasure, points: np.ndarray) -> np.ndarray:
@@ -228,32 +244,33 @@ def _chain_solve(measure: OperatorMeasure, points: np.ndarray):
 
 
 def _lagrangian_field(measure: OperatorMeasure, grid: PositionGrid, smoothing_delta: float) -> np.ndarray:
-    """Lagrangian at each grid point, from one batched chain eigensolve."""
-    _, chains = _chain_field(measure, grid.points)
+    """Lagrangian at each grid representative, from one batched chain eigensolve."""
+    _, chains = _chain_field(measure, grid.points[grid.representatives])
     return _lagrangian_values(np.linalg.eigvals(chains), smoothing_delta)
 
 
 def action(measure: OperatorMeasure, grid: PositionGrid, smoothing_delta: float = 0.0) -> float:
     """Discretized homogeneous action ``sum_xi w(xi) L(xi)``."""
-    return float(np.dot(grid.weights, _lagrangian_field(measure, grid, smoothing_delta)))
+    return float(np.dot(grid.folded_weights, _lagrangian_field(measure, grid, smoothing_delta)))
 
 
 def _solved_action(measure: OperatorMeasure, grid: PositionGrid, smoothing_delta: float):
-    """``(action, solved)`` from one :func:`_chain_solve` of the grid.
+    """``(action, solved)`` from one :func:`_chain_solve` of the grid's representatives.
 
     ``solved`` can feed :class:`QHatEvaluator`.  The action is :func:`action`'s
     to the bit: LAPACK's QR sweep on these small chains does the same
     arithmetic on the eigenvalues with or without eigenvectors.
     """
-    solved = _chain_solve(measure, grid.points)
-    return float(np.dot(grid.weights, _lagrangian_values(solved[2], smoothing_delta))), solved
+    solved = _chain_solve(measure, grid.points[grid.representatives])
+    return float(np.dot(grid.folded_weights, _lagrangian_values(solved[2], smoothing_delta))), solved
 
 
 def action_profile(
     measure: OperatorMeasure, grid: PositionGrid, smoothing_delta: float = 0.0
 ) -> list:
     """Pointwise Lagrangian profile ``[(xi, L(xi)), ...]`` over the grid."""
-    vals = _lagrangian_field(measure, grid, smoothing_delta)
+    # L(-xi) = L(xi): a representative's value serves its whole pair.
+    vals = _lagrangian_field(measure, grid, smoothing_delta)[grid.orbit]
     return [(xi.copy(), float(v)) for xi, v in zip(grid.points, vals)]
 
 
@@ -340,30 +357,29 @@ def _fd_gradient(measure, xi, space, delta):
 def _gradient_field(
     measure: OperatorMeasure,
     points: np.ndarray,
-    reflection: np.ndarray,
     delta: float,
     mode: str,
     solved=None,
 ) -> np.ndarray:
-    """Krein-symmetrized gradient kernel ``Q`` at each of ``points``.
+    """Gradient kernel ``Q`` at each of ``points``, from one chain per pair.
 
-    ``points[reflection[i]]`` must be ``-points[i]``.  ``solved`` is the
-    :func:`_chain_solve` of ``points`` if already in hand.  Vectorized
-    eigen-derivatives are used where the chain spectra at both a point and
-    its reflection allow it (``mode`` ``"auto"`` or ``"analytic"``), finite
-    differences elsewhere (``"auto"``) or everywhere
-    (``"finite_difference"``).
+    ``Q = N P_+`` at a representative, the adjoint of its representative's
+    at any other point.  ``solved`` is the :func:`_chain_solve` of the
+    representatives if in hand.  Vectorized eigen-derivatives are used where
+    the chain spectrum allows it (``mode`` ``"auto"`` or ``"analytic"``),
+    finite differences averaged over ``xi`` and ``-xi`` elsewhere
+    (``"auto"``) or everywhere (``"finite_difference"``).
     """
     _check_delta(delta)
     if mode not in ("auto", "analytic", "finite_difference"):
         raise ValidationError(f"unknown gradient mode {mode!r}")
-    space = measure.space
-    n_pts = len(points)
-    d = space.dim
-    Pp, chains, lams, R = _chain_solve(measure, points) if solved is None else solved
+    space, sig = measure.space, measure.space.signature
+    mirrored = ~_is_representative(points)
+    reps = np.where(mirrored[:, None], -points, points)
+    Pp, chains, lams, R = _chain_solve(measure, reps) if solved is None else solved
 
     if mode == "finite_difference":
-        factors, ok = np.zeros_like(chains), np.zeros(n_pts, bool)
+        factors, ok = np.zeros_like(chains), np.zeros(len(points), bool)
     else:
         factors, ok = _eig_gradient_factors(chains, lams, R, space, delta)
     if mode == "analytic" and not ok.all():
@@ -373,13 +389,17 @@ def _gradient_field(
             xi=points[~ok][0],
         )
 
-    q_field = np.zeros((n_pts, d, d), complex)
-    both_ok = ok & ok[reflection]
-    # Q(xi) = P_+(xi) N(-xi); the Krein adjoint of Q(-xi) is N(xi) P_+(xi).
-    q_field[both_ok] = Pp[both_ok] @ factors[reflection[both_ok]]
-    for i in np.nonzero(~both_ok)[0]:
-        q_field[i] = _fd_gradient(measure, points[i], space, delta)
-    return 0.5 * (q_field + _adjoint(q_field[reflection], space.signature))
+    q_field = factors @ Pp
+    adjoint = _adjoint(q_field, sig)
+    fixed = ~points.any(axis=1)  # Q(0) = Q(0)^*, which N P_+ meets only up to rounding
+    q_field[fixed] = 0.5 * (q_field[fixed] + adjoint[fixed])
+    q_field[mirrored] = adjoint[mirrored]
+    for i in np.nonzero(~ok)[0]:
+        estimate = _fd_gradient(measure, points[i], space, delta)
+        # A lone estimate, unpaired with its reflection's, stalls exact-Lagrangian descents.
+        reflected = _fd_gradient(measure, -points[i], space, delta) if points[i].any() else estimate
+        q_field[i] = 0.5 * (estimate + _adjoint(reflected, sig))
+    return q_field
 
 
 def gradient_kernel_Q(
@@ -392,26 +412,24 @@ def gradient_kernel_Q(
 
     ``mode`` is ``"analytic"``, ``"finite_difference"``, or ``"auto"``
     (analytic where the chain spectrum allows it, finite differences
-    otherwise).  The result is symmetrized so ``Q(xi)^* = Q(-xi)`` holds
-    exactly.  Genuinely nonsmooth points raise
+    otherwise).  One chain is solved, for the pair ``{xi, -xi}``, so
+    ``Q(xi)^* = Q(-xi)`` holds exactly.  Genuinely nonsmooth points raise
     :class:`~kreinact.errors.NonsmoothPointError` carrying ``xi``.
     """
-    xi = _four_vector(xi, "xi")
-    pair = np.stack([xi, -xi])
-    return _gradient_field(measure, pair, np.array([1, 0]), smoothing_delta, mode)[0]
+    return _gradient_field(measure, _four_vector(xi, "xi")[None], smoothing_delta, mode)[0]
 
 
 class QHatEvaluator:
     """Precomputed gradient field on a grid with Fourier evaluation.
 
-    Computes ``Q(xi)`` once per grid point (vectorized eigen-derivatives,
-    finite differences at a defective chain or a vanishing modulus at
-    ``delta = 0``) and evaluates ``Qhat(p) = sum_xi w(xi) Q(xi) e^{-i p.xi}``
-    on demand.  ``tail_magnitude`` reports ``max ||Q(xi)||_2`` over the
-    boundary of the position box — a diagnostic for how well the truncated
-    box captures the decay of the gradient kernel (integrability cannot be
-    asserted on a finite box, only reported).  ``_solved`` passes in a
-    :func:`_chain_solve` of ``grid.points`` already in hand.
+    Computes ``Q(xi)`` once per reflection pair of the grid (vectorized
+    eigen-derivatives, finite differences at a defective chain or a
+    vanishing modulus at ``delta = 0``) and evaluates ``Qhat(p) = sum_xi
+    w(xi) Q(xi) e^{-i p.xi}`` on demand.  ``tail_magnitude`` reports
+    ``max ||Q(xi)||_2`` over the boundary of the position box — a diagnostic
+    for how well the truncated box captures the decay of the gradient kernel
+    (integrability cannot be asserted on a finite box, only reported).
+    ``_solved`` passes in a :func:`_chain_solve` of the representatives.
     """
 
     def __init__(
@@ -426,9 +444,9 @@ class QHatEvaluator:
         self.measure = measure
         self.grid = grid
         self.smoothing_delta = float(smoothing_delta)
-        self.q_field = _gradient_field(
-            measure, grid.points, grid.reflection_index, smoothing_delta, mode, _solved
-        )
+        q = _gradient_field(measure, grid.points[grid.representatives], smoothing_delta, mode, _solved)
+        q = q[grid.orbit]
+        self.q_field = np.where(grid.mirrored[:, None, None], _adjoint(q, measure.space.signature), q)
 
     @functools.cached_property
     def tail_magnitude(self) -> float:

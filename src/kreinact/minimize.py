@@ -32,14 +32,12 @@ its eigenvalues give the action, and an accepted trial builds the next
 gradient field from the same solve.
 The loop stops at the first iterate whose own first-order report passes
 :func:`~kreinact.elverify.check_first_order` at ``CERTIFY_FRACTION *
-tol_el`` (built only once its psd margin already clears that bound), or
-once ``||G||_F <= gradient_tol * max_j |Qhat(p_j)|`` (largest absolute
-entry).
-An iterate that is stationary (or whose line search stalls) but whose
-shifted field ``Qhat - alpha - beta S`` has a negative psd margin at some
-atom is pushed along the rank-one positive direction built from the
-offending eigenvector (an escape step), which strictly decreases the
-action to first order while the restoration keeps the iterate feasible.
+tol_el`` (built only once its psd margin already clears that bound).
+An iterate whose line search stalls but whose shifted field
+``Qhat - alpha - beta S`` has a negative psd margin at some atom is pushed
+along the rank-one positive direction built from the offending
+eigenvector (an escape step), which strictly decreases the action to first
+order while the restoration keeps the iterate feasible.
 """
 
 from __future__ import annotations
@@ -84,9 +82,7 @@ __all__ = [
 class MinimizeConfig:
     """Validated configuration of a minimization run.
 
-    ``gradient_tol`` bounds the Frobenius norm of the constrained gradient
-    ``G`` relative to the largest absolute entry of the atoms' ``Qhat``
-    stack; ``tol_el`` is the tolerance of the final first-order report.
+    ``tol_el`` is the tolerance of the final first-order report.
     """
 
     n: int = 1
@@ -102,7 +98,6 @@ class MinimizeConfig:
     backtrack_factor: float = 0.5
     max_backtracks: int = 40
     max_iterations: int = 5000
-    gradient_tol: float = 1e-10
     tol_el: float = tolerances.EL_RESIDUAL
     seed: int = 0
     initial_magnitude: float = 1.0
@@ -117,9 +112,8 @@ class MinimizeConfig:
         for name in ("initial_step", "position_radius", "initial_magnitude"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValidationError(f"{name} must be finite and > 0, got {getattr(self, name)!r}")
-        for name in ("gradient_tol", "tol_el"):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise ValidationError(f"{name} must be finite and >= 0, got {getattr(self, name)!r}")
+        if not 0.0 <= self.tol_el < math.inf:
+            raise ValidationError(f"tol_el must be finite and >= 0, got {self.tol_el!r}")
         if not (0 < self.backtrack_factor < 1):
             raise ValidationError("backtrack_factor must lie in (0, 1)")
         counts = [("n", self.n, 1), ("max_iterations", self.max_iterations, 1),
@@ -221,11 +215,10 @@ class MinimizeResult:
     ``converged`` is whether that report passes :func:`check_first_order`
     at the configured ``tol_el``.  ``stop_reason`` says what ended the loop:
     ``"certified"`` (the iterate's own report passed at
-    ``CERTIFY_FRACTION * tol_el``), ``"kkt"`` (the gradient norm met
-    ``gradient_tol``), ``"stalled"`` (the line search found no decrease),
-    ``"escape_exhausted"`` (the shifted field failed positivity and no
-    escape step lowered the action) or ``"max_iterations"``.  ``"kkt"`` and
-    ``"stalled"`` stop only where no escape is due.  Each ``trace`` row
+    ``CERTIFY_FRACTION * tol_el``), ``"stalled"`` (the line search found no
+    decrease), ``"escape_exhausted"`` (the shifted field failed positivity
+    and no escape step lowered the action) or ``"max_iterations"``.
+    ``"stalled"`` stops only where no escape is due.  Each ``trace`` row
     holds the iterate's action, constraint values, first trial ``step``,
     ``grad_norm`` and escape count, and ``trials``: the chain eigensolve
     trials that iteration made.
@@ -388,27 +381,25 @@ def minimize_action(config: MinimizeConfig) -> MinimizeResult:
                 stop_reason = "certified"
                 break
 
-        kkt = grad_norm <= config.gradient_tol * float(np.abs(qhats).max())
-        if not kkt:
-            eta = step
-            for _ in range(config.max_backtracks):
-                accepted = trial(Ms + eta * direction, current_action)
-                if accepted is not None:
-                    break
-                eta *= config.backtrack_factor
+        eta = step
+        for _ in range(config.max_backtracks):
+            accepted = trial(Ms + eta * direction, current_action)
             if accepted is not None:
-                previous = (Ms, grads)
-                Ms, measure, current_action, evaluator = accepted
-                continue
+                break
+            eta *= config.backtrack_factor
+        if accepted is not None:
+            previous = (Ms, grads)
+            Ms, measure, current_action, evaluator = accepted
+            continue
 
-        # Stationary by the KKT norm (or stalled): look for a profitable
-        # escape direction where the shifted field fails positivity.
+        # Stalled: look for a profitable escape direction where the
+        # shifted field fails positivity.
         worst_j = int(np.argmin(w[:, 0]))
         worst_margin, worst_vec = float(w[worst_j, 0]), V[worst_j, :, 0]
         # Push the escape phase an order of magnitude inside the reporting
         # tolerance so the final report clears tol_el with headroom.
         if worst_margin >= -0.1 * config.tol_el:
-            stop_reason = "kkt" if kkt else "stalled"
+            stop_reason = "stalled"
             break  # first-order conditions hold
 
         base_norm = max(float(np.linalg.norm(measure.operators)), 1.0)

@@ -31,7 +31,7 @@ from kreinact import (
     scale,
     translate,
 )
-from kreinact.action import _solved_action
+from kreinact.action import _chain_solve, _eig_gradient_factors, _solved_action
 
 
 # ---------------------------------------------------------------------------
@@ -44,6 +44,17 @@ def test_grid_symmetric_under_reflection():
     np.testing.assert_allclose(grid.points[refl], -grid.points, atol=1e-14)
     np.testing.assert_allclose(grid.weights[refl], grid.weights, atol=1e-14)
     assert np.all(grid.weights > 0)
+
+
+@pytest.mark.parametrize("shape, pairs", [((4, 3, 1, 2), 12), ((7, 3, 3, 1), 32), ((1, 1, 1, 1), 1)])
+def test_box_grid_representatives_are_the_first_of_each_pair(shape, pairs):
+    grid = PositionGrid.from_box(2.0, shape)
+    refl = grid.reflection_index
+    np.testing.assert_array_equal(grid.representatives, np.nonzero(np.arange(grid.n_points) <= refl)[0])
+    assert len(grid.representatives) == pairs
+    np.testing.assert_array_equal(grid.representatives[grid.orbit[refl]], grid.representatives[grid.orbit])
+    np.testing.assert_array_equal(grid.mirrored, np.arange(grid.n_points) > refl)
+    assert grid.folded_weights.sum() == pytest.approx(grid.volume, rel=1e-14)
 
 
 def test_grid_weights_sum_to_volume():
@@ -324,12 +335,16 @@ def test_gradient_kink_raises_nonsmooth():
     with pytest.raises(NonsmoothPointError) as err:
         gradient_kernel_Q(meas, xstar, mode="finite_difference")
     np.testing.assert_array_equal(err.value.xi, xstar)
-    # On a grid whose first point is smooth, the error names the kink point.
+    with pytest.raises(NonsmoothPointError) as err:
+        gradient_kernel_Q(meas, -xstar, mode="finite_difference")
+    np.testing.assert_array_equal(err.value.xi, -xstar)
+    # On a grid whose first point is smooth, the error names the kink pair's
+    # representative -xstar, the grid point whose chain is solved.
     gradient_kernel_Q(meas, np.zeros(4), mode="finite_difference")
     grid = PositionGrid(np.stack([np.zeros(4), xstar, -xstar]), np.ones(3), [0, 2, 1])
     with pytest.raises(NonsmoothPointError) as err:
         QHatEvaluator(meas, grid, mode="finite_difference")
-    np.testing.assert_array_equal(err.value.xi, xstar)
+    np.testing.assert_array_equal(err.value.xi, -xstar)
 
 
 def test_gradient_zero_for_nilpotent_atom():
@@ -611,6 +626,63 @@ def test_line_search_solve_gives_the_action_and_the_field():
             fresh = QHatEvaluator(meas, grid, smoothing_delta=delta)
             reused = QHatEvaluator(meas, grid, smoothing_delta=delta, _solved=solved)
             np.testing.assert_array_equal(reused.q_field, fresh.q_field)
+
+
+def test_gradient_factor_commutes_with_the_kernel_across_the_pair():
+    # N(xi) P_+(xi) = P_+(xi) N(-xi): the chains at xi and -xi are X X^* and
+    # X^* X with X = P_+(xi), and N is a polynomial in its chain.
+    for meas, grid in _solve_cases():
+        for delta in (0.0, 1e-2):
+            Pp, *solved = _chain_solve(meas, grid.points)
+            N, ok = _eig_gradient_factors(*solved, meas.space, delta)
+            N_minus, ok_minus = _eig_gradient_factors(*_chain_solve(meas, -grid.points)[1:], meas.space, delta)
+            both = ok & ok_minus
+            scale = np.linalg.norm(N[both], 2, axis=(1, 2)) * np.linalg.norm(Pp[both], 2, axis=(1, 2))
+            gap = np.linalg.norm(N[both] @ Pp[both] - Pp[both] @ N_minus[both], 2, axis=(1, 2))
+            assert np.all(gap <= 1e-13 * scale)
+            if delta > 0:
+                assert both.all() and scale.max() > 0
+
+
+def test_reordered_grid_gives_the_same_action_and_field():
+    # Representatives are picked by the point, not by its index: after a
+    # permutation the rule "i <= reflection_index[i]" picks other points.
+    meas = random_measure_for(SignatureSpace(2), make_rng(25), n_atoms=4, shape=(3, 2, 1, 1))
+    box = PositionGrid.from_box(3.0, (5, 3, 1, 1))
+    perm = make_rng(26).permutation(box.n_points)
+    grid = PositionGrid(box.points[perm], box.weights[perm], np.argsort(perm)[box.reflection_index[perm]])
+    by_index = np.nonzero(np.arange(grid.n_points) <= grid.reflection_index)[0]
+    assert not np.array_equal(grid.points[by_index], grid.points[grid.representatives])
+    for delta in (0.0, 1e-2):
+        expected = action(meas, box, delta)
+        assert abs(action(meas, grid, delta) - expected) <= 1e-13 * abs(expected)
+        for mode in ("auto", "finite_difference"):
+            ev = QHatEvaluator(meas, grid, smoothing_delta=delta, mode=mode)
+            box_field = QHatEvaluator(meas, box, smoothing_delta=delta, mode=mode).q_field
+            np.testing.assert_array_equal(ev.q_field, box_field[perm])
+            for q, xi in zip(ev.q_field, grid.points):
+                np.testing.assert_array_equal(q, gradient_kernel_Q(meas, xi, mode, delta))
+
+
+def test_one_chain_eigensolve_per_reflection_pair(monkeypatch):
+    meas = random_measure_for(SignatureSpace(2), make_rng(27), n_atoms=4, shape=(3, 2, 1, 1))
+    grid = PositionGrid.from_box(3.0, (7, 3, 3, 1))
+    calls = []
+
+    def counting(name, fn):
+        def counted(a):
+            calls.append((name, np.shape(a)))
+            return fn(a)
+        return counted
+
+    monkeypatch.setattr(np.linalg, "eig", counting("eig", np.linalg.eig))
+    monkeypatch.setattr(np.linalg, "eigvals", counting("eigvals", np.linalg.eigvals))
+    for call, expected in ((lambda: _solved_action(meas, grid, 1e-2), "eig"),
+                           (lambda: action(meas, grid, 1e-2), "eigvals"),
+                           (lambda: QHatEvaluator(meas, grid, smoothing_delta=1e-2), "eig")):
+        calls.clear()
+        call()
+        assert calls == [(expected, (32, 4, 4))]
 
 
 def test_fourier_qhat_wrapper():

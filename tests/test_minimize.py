@@ -59,6 +59,9 @@ def test_config_rejects_unknown_keys():
     data["reticulation"] = True
     with pytest.raises(ValidationError):
         config_from_dict(data)
+    # The retired gradient-norm stop took this key.
+    with pytest.raises(ValidationError, match="gradient_tol"):
+        config_from_dict(dict(config_to_dict(MinimizeConfig()), gradient_tol=1e-10))
 
 
 def test_config_validation():
@@ -71,7 +74,6 @@ def test_config_validation():
             MinimizeConfig(smoothing_delta=delta)
     nan, inf = float("nan"), float("inf")
     for name, bad in (("initial_step", (0.0, nan, inf)),
-                      ("gradient_tol", (-1e-10, nan, inf)),
                       ("tol_el", (-1e-6, nan, inf)),
                       ("initial_magnitude", (0.0, -1.0, nan, inf)),
                       ("position_radius", (0.0, nan, inf)),
@@ -79,7 +81,7 @@ def test_config_validation():
         for value in bad:
             with pytest.raises(ValidationError, match=name):
                 MinimizeConfig(**{name: value})
-    MinimizeConfig(gradient_tol=0.0, tol_el=0.0)
+    MinimizeConfig(tol_el=0.0)
     with pytest.raises(ValidationError):
         MinimizeConfig(backtrack_factor=1.0)
     with pytest.raises(ValidationError):
@@ -198,14 +200,6 @@ def test_stop_reason_agrees_with_the_trace(toy_seed_results):
             # step; its report passed at half the tolerance.
             assert last["trials"] == 0, seed
             assert check_first_order(result.report, 0.5 * TOY.tol_el)["all"], seed
-        qhats = QHatEvaluator(result.measure, TOY.position_grid(),
-                              smoothing_delta=TOY.smoothing_delta).evaluate_many(result.measure.momenta)
-        threshold = TOY.gradient_tol * float(np.abs(qhats).max())
-        # The final restoration moves the measure at rounding level only.
-        if result.stop_reason == "kkt":
-            assert last["grad_norm"] <= threshold * (1 + 1e-6), seed
-        elif result.stop_reason == "stalled":
-            assert last["grad_norm"] > threshold * (1 - 1e-6), seed
     capped = minimize_action(replace(TOY, max_iterations=3))
     assert capped.stop_reason == "max_iterations"
     assert len(capped.trace) == 3
@@ -223,11 +217,8 @@ def test_n2_reference_run_reaches_a_passing_report():
     assert_feasible(result.measure, config.c, config.f, result.case_tag)
 
 
-@pytest.mark.parametrize("eps", [-3e-15, 2e-14, 1e-13])
-def test_n2_reference_run_certifies_under_rounding_level_field_changes(monkeypatch, eps):
-    # Scaling the gradient field by 1 + eps made the Barzilai-Borwein descent
-    # miss its report at 2000 iterations; the L-BFGS descent must certify
-    # well inside the cap whatever the rounding.
+def _scale_minimizer_field(monkeypatch, eps):
+    """Make the minimizer's gradient fields ``1 + eps`` times the computed ones."""
     import kreinact.minimize as minimize_module
 
     class Scaled(QHatEvaluator):
@@ -236,6 +227,14 @@ def test_n2_reference_run_certifies_under_rounding_level_field_changes(monkeypat
             self.q_field = (1.0 + eps) * self.q_field
 
     monkeypatch.setattr(minimize_module, "QHatEvaluator", Scaled)
+
+
+@pytest.mark.parametrize("eps", [-3e-15, 2e-14, 1e-13])
+def test_n2_reference_run_certifies_under_rounding_level_field_changes(monkeypatch, eps):
+    # Scaling the gradient field by 1 + eps made the Barzilai-Borwein descent
+    # miss its report at 2000 iterations; the L-BFGS descent must certify
+    # well inside the cap whatever the rounding.
+    _scale_minimizer_field(monkeypatch, eps)
     config = MinimizeConfig(
         n=2, c=0.5, f=1.0, momentum_shape=(3, 2, 1, 1), position_shape=(7, 3, 3, 1),
         position_radius=3.0, smoothing_delta=1e-2, max_iterations=2000,
@@ -246,17 +245,27 @@ def test_n2_reference_run_certifies_under_rounding_level_field_changes(monkeypat
     assert len(result.trace) < 1000
 
 
+@pytest.mark.parametrize("eps", [0.0, 1e-13])
+def test_exact_lagrangian_toy_panel_certifies(monkeypatch, eps):
+    # At delta = 0 the toy chains reach vanishing moduli, whose points take
+    # finite differences averaged over the reflection pair; with a single
+    # estimate per pair some seeds stall with a failing support residual.
+    _scale_minimizer_field(monkeypatch, eps)
+    results = [minimize_action(replace(TOY, seed=s, smoothing_delta=0.0)) for s in range(16)]
+    assert [result.stop_reason for result in results] == ["certified"] * 16
+
+
 @pytest.mark.parametrize("seed", [2, 3])
 def test_converged_is_the_final_report_verdict(seed):
-    # Seed 2 stops certified.  Seed 3, with a gradient tolerance far above
-    # the default, stops on the KKT norm before its report passes.
-    # converged must be the report's verdict, whatever ended the loop.
+    # Seed 2 stops certified.  Seed 3, capped at three iterations, stops
+    # long before its report passes.  converged must be the report's
+    # verdict, whatever ended the loop.
     config = MinimizeConfig(n=1, c=0.5, f=1.0, seed=seed, smoothing_delta=1e-2,
-                            gradient_tol=1e-10 if seed == 2 else 1e-5)
+                            max_iterations=5000 if seed == 2 else 3)
     result = minimize_action(config)
     checks = check_first_order(result.report, config.tol_el)
     assert result.converged == checks["all"]
-    assert result.stop_reason == ("certified" if seed == 2 else "kkt")
+    assert result.stop_reason == ("certified" if seed == 2 else "max_iterations")
     assert result.converged == (seed == 2)
 
 
