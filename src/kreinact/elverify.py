@@ -147,12 +147,22 @@ def kappa_coefficients(case: str, direction: np.ndarray, space: SignatureSpace, 
     raise ValidationError(f"unknown constraint case {case!r}")
 
 
+def _bound_active(signed_trace: float, f: float) -> bool:
+    """Whether the signed-trace bound ``Tr(S total) <= f`` counts as active.
+
+    The one case rule of the package: from ``f (1 - CONSTRAINT)`` upward
+    the multipliers take case "b" and the minimizer's restoration pins
+    ``Tr(S total) = f``; below it both use case "a".
+    """
+    return signed_trace >= f - tolerances.CONSTRAINT * f
+
+
 def lagrange_parameters(mu: PushforwardMeasure, c: float, f: float):
     """Multipliers ``(alpha, beta, case_tag)`` from the pushforward atoms.
 
-    The signed trace of the total decides the case: strictly below ``f``
-    the dimension-type constraint is inactive (case "a", ``beta = 0``);
-    on the boundary both constraints are active (case "b") and the
+    The signed trace of the total decides the case (``_bound_active``):
+    below the bound the dimension-type constraint is inactive (case "a",
+    ``beta = 0``); on it both constraints are active (case "b") and the
     multipliers solve the 2x2 moment system built from ``Tr(q_j A_j)``
     and ``Tr(½{q_j, S} A_j)``.
     """
@@ -161,13 +171,12 @@ def lagrange_parameters(mu: PushforwardMeasure, c: float, f: float):
     sig = mu.space.signature
     total = mu.total()
     v = float(np.trace(sig[:, None] * total).real)
-    band = tolerances.CONSTRAINT * f
-    if v > f + band:
+    if v > f + tolerances.CONSTRAINT * f:
         raise InfeasibleProblemError(
             f"signed trace {v} exceeds the constraint bound {f}"
         )
     I1 = mu.trace_pairing()
-    if v < f - band:
+    if not _bound_active(v, f):
         return I1 / c, 0.0, "a"
     I2 = 0.0
     for q, A in zip(mu.qs, mu.operators):

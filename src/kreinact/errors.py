@@ -23,20 +23,6 @@ class NumericalError(KreinactError, RuntimeError):
     """A numerical routine failed to satisfy its contract."""
 
 
-class DefectivePencilError(NumericalError):
-    """The shifted operator ``H + eps*S`` could not be soundly diagonalized.
-
-    The eigenbasis was too ill-conditioned (nearly defective, or with
-    nearly neutral eigenvectors) to normalize against the indefinite inner
-    product.  The call is retryable: ``suggested_epsilon`` holds a shift
-    for which the pencil is expected to be generic.
-    """
-
-    def __init__(self, message: str, suggested_epsilon: float):
-        super().__init__(message)
-        self.suggested_epsilon = float(suggested_epsilon)
-
-
 class NonsmoothPointError(NumericalError):
     """The Lagrangian is not differentiable at the offending position point.
 

@@ -32,7 +32,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from . import tolerances
-from .errors import DefectivePencilError, ValidationError
+from .errors import ValidationError
 
 __all__ = [
     "SignatureSpace",
@@ -44,7 +44,6 @@ __all__ = [
     "positive_spectrum",
     "spectral_split",
     "psd_factorize",
-    "epsilon_diagonalize",
     "product_annihilates",
     "classified_spectrum",
 ]
@@ -231,132 +230,6 @@ def psd_factorize(A: np.ndarray, space: SignatureSpace) -> np.ndarray:
     """
     A = _require_positive(A, space, tolerances.PSD, "psd_factorize")
     return _hermitian_sqrt(space.signature[:, None] * A)
-
-
-def _normalize_krein_columns(
-    lam: np.ndarray,
-    X: np.ndarray,
-    space: SignatureSpace,
-    eps: float,
-    cluster_tol: float,
-):
-    """Krein-normalize an eigenbasis so that ``X^H S X = S`` exactly in pattern.
-
-    Eigenvalues are sorted ascending and grouped into clusters of width
-    ``cluster_tol``; within each cluster the indefinite Gram matrix is
-    re-diagonalized.  Raises :class:`DefectivePencilError` when a (nearly)
-    neutral eigenvector shows up or the signature does not come out (n, n).
-    """
-    order = np.argsort(lam)
-    lam = lam[order]
-    X = X[:, order]
-    sig = space.signature
-    d = space.dim
-
-    cols = []
-    signs = []
-    vals = []
-    i = 0
-    while i < d:
-        j = i + 1
-        while j < d and lam[j] - lam[j - 1] <= cluster_tol:
-            j += 1
-        Xc = X[:, i:j]
-        gram = _hermitize(Xc.conj().T @ (sig[:, None] * Xc))
-        gw, gV = np.linalg.eigh(gram)
-        if np.min(np.abs(gw)) < 1e-10 * max(np.max(np.abs(gw)), 1e-300):
-            raise DefectivePencilError(
-                "eigenbasis has a nearly neutral direction; retry with a different shift",
-                suggested_epsilon=eps * 1.6180339887498949,
-            )
-        Xc = Xc @ (gV / np.sqrt(np.abs(gw))[None, :])
-        for k in range(j - i):
-            cols.append(Xc[:, k])
-            signs.append(1.0 if gw[k] > 0 else -1.0)
-            vals.append(np.mean(lam[i:j]) if j - i > 1 else lam[i])
-        i = j
-
-    signs = np.asarray(signs)
-    if int(np.sum(signs > 0)) != space.n:
-        raise DefectivePencilError(
-            "eigenbasis signature does not match (n, n); retry with a different shift",
-            suggested_epsilon=eps * 1.6180339887498949,
-        )
-    # Positive-signature columns first, then negative, eigenvalues ascending
-    # within each group: X^H S X = S in the standard pattern.
-    idx = np.concatenate([np.where(signs > 0)[0], np.where(signs < 0)[0]])
-    X_out = np.stack([cols[k] for k in idx], axis=1)
-    lam_out = np.asarray([vals[k] for k in idx])
-    return lam_out, X_out
-
-
-def epsilon_diagonalize(H: np.ndarray, space: SignatureSpace, eps: float):
-    """Approximately diagonalize a symmetric operator by a pseudo-unitary basis.
-
-    Diagonalizes the shifted operator ``H + eps*S`` exactly in a basis that is
-    pseudo-unitary (``U* = S U^H S = U^{-1}``), so that
-
-        ``U @ H @ U* = D + Delta``,   ``||Delta|| -> 0`` as ``eps -> 0``,
-
-    with ``D`` diagonal carrying the eigenvalues of ``H + eps*S``.  For a
-    diagonalizable ``H`` the remainder is exactly ``-eps * U S U^{-1}`` and
-    decays linearly in ``eps``; a Jordan block at zero degrades the rate to
-    ``sqrt(eps)``.
-
-    Parameters
-    ----------
-    H : array
-        Symmetric operator (``S @ H`` Hermitian).
-    eps : float
-        Positive shift; the pencil must be diagonalizable at this shift.
-
-    Returns
-    -------
-    (U, D, Delta) : arrays
-        ``U`` pseudo-unitary, ``D`` diagonal matrix, ``Delta = U H U* - D``.
-
-    Raises
-    ------
-    DefectivePencilError
-        If the shifted operator is (nearly) defective; the error carries a
-        suggested replacement shift and the call may be retried.
-    """
-    H = space.check_operator(H)
-    if eps <= 0:
-        raise ValidationError(f"shift must be positive, got {eps}")
-    if not is_symmetric(H, space):
-        raise ValidationError("epsilon_diagonalize requires a symmetric operator")
-
-    S = space.signature_matrix
-    sig = space.signature
-    scale = _scale(H)
-    K = _hermitize(sig[:, None] * H) + eps * np.eye(space.dim)
-    kw, kV = np.linalg.eigh(K)
-
-    if kw[0] > 1e-14 * max(kw[-1], 1e-300):
-        # Positive-definite K = S H + eps: use the stable Hermitian congruence.
-        K_half = (kV * np.sqrt(kw)) @ kV.conj().T
-        K_inv_half = (kV / np.sqrt(kw)) @ kV.conj().T
-        Y = _hermitize(K_half @ S @ K_half)
-        lam, V = np.linalg.eigh(Y)
-        X = K_inv_half @ V
-    else:
-        # Indefinite or singular pencil: generic dense eigensolve.
-        lam, X = sla.eig(H + eps * S)
-        if np.max(np.abs(lam.imag)) > 1e-9 * scale:
-            raise DefectivePencilError(
-                "shifted operator has non-real spectrum; retry with a different shift",
-                suggested_epsilon=eps * 1.6180339887498949,
-            )
-        lam = lam.real
-
-    cluster_tol = 1e-9 * scale
-    lam, X = _normalize_krein_columns(lam, X, space, eps, cluster_tol)
-
-    U = _adjoint(X, sig)  # = S X^H S = X^{-1}
-    D = np.diag(lam).astype(complex)
-    Delta = U @ H @ X - D
-    return U, D, Delta
 
 
 def product_annihilates(

@@ -6,7 +6,7 @@ optimizer alternates gradient steps on the stack ``{M_j}`` with an exact
 restoration of the constraints
 
     Tr(total) = c    (always),
-    Tr(S total) <= f (restored to equality when violated),
+    Tr(S total) <= f (restored to equality where the bound is active),
 
 by scaling the two signature blocks: with ``x, y > 0`` the congruence
 ``A -> D A D``, ``D = diag(sqrt(x) 1_n, sqrt(y) 1_n)``, moves the block
@@ -25,14 +25,18 @@ gradient changes ``y``, in the real inner product ``Re<., .>`` of the
 factor stack, scaled initially by ``Re<s, y> / <y, y>``.  Pairs with
 ``Re<s, y> <= 0`` are skipped; the memory is cleared after an escape step
 and whenever the direction fails to descend.  The first trial step is 1
-while the memory holds pairs and ``initial_step`` otherwise, safeguarded
+while the memory holds pairs and ``INITIAL_STEP`` otherwise, safeguarded
 by monotone backtracking: a trial is accepted only if it strictly lowers
 the action.  Each trial makes one chain eigensolve over the position grid;
 its eigenvalues give the action, and an accepted trial builds the next
 gradient field from the same solve.
 The loop stops at the first iterate whose own first-order report passes
 :func:`~kreinact.elverify.check_first_order` at ``CERTIFY_FRACTION *
-tol_el`` (built only once its psd margin already clears that bound).
+tol_el`` (built only once its psd margin already clears that bound), and
+returns that iterate with that report; whatever else ends the loop, the
+last iterate is returned with the report of the field the loop built for
+it.  The restoration and the multipliers choose the constraint case by one
+rule, :func:`~kreinact.elverify._bound_active`.
 An iterate whose line search stalls but whose shifted field
 ``Qhat - alpha - beta S`` has a negative psd margin at some atom is pushed
 along the rank-one positive direction built from the offending
@@ -52,6 +56,7 @@ from . import tolerances
 from .action import PositionGrid, QHatEvaluator, _check_delta, _solved_action, action
 from .elverify import (
     ELReport,
+    _bound_active,
     _shifted_spectra,
     check_first_order,
     el_residuals,
@@ -64,8 +69,14 @@ from .krein import SignatureSpace
 
 # Curvature pairs kept by the L-BFGS direction.
 LBFGS_MEMORY = 8
+# First trial step while the L-BFGS memory is empty, and the backtracking
+# that shrinks a rejected step.
+INITIAL_STEP = 0.05
+BACKTRACK_FACTOR = 0.5
+MAX_BACKTRACKS = 40
 # An iterate stops the loop once its own report passes at this fraction
-# of ``tol_el``.
+# of ``tol_el``.  That report is the one returned; the headroom lets an
+# independent recomputation of it (``kreinact verify``) pass ``tol_el`` too.
 CERTIFY_FRACTION = 0.5
 
 __all__ = [
@@ -94,13 +105,9 @@ class MinimizeConfig:
     c: float = 1.0
     f: float = 2.0
     smoothing_delta: float = 0.0
-    initial_step: float = 0.05
-    backtrack_factor: float = 0.5
-    max_backtracks: int = 40
     max_iterations: int = 5000
     tol_el: float = tolerances.EL_RESIDUAL
     seed: int = 0
-    initial_magnitude: float = 1.0
 
     def __post_init__(self):
         if not (0.0 < self.c < self.f):
@@ -109,15 +116,13 @@ class MinimizeConfig:
             )
         _check_delta(self.smoothing_delta)
         # Written so that NaN fails every range test.
-        for name in ("initial_step", "position_radius", "initial_magnitude"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValidationError(f"{name} must be finite and > 0, got {getattr(self, name)!r}")
+        if not 0.0 < self.position_radius < math.inf:
+            raise ValidationError(
+                f"position_radius must be finite and > 0, got {self.position_radius!r}"
+            )
         if not 0.0 <= self.tol_el < math.inf:
             raise ValidationError(f"tol_el must be finite and >= 0, got {self.tol_el!r}")
-        if not (0 < self.backtrack_factor < 1):
-            raise ValidationError("backtrack_factor must lie in (0, 1)")
-        counts = [("n", self.n, 1), ("max_iterations", self.max_iterations, 1),
-                  ("max_backtracks", self.max_backtracks, 1), ("seed", self.seed, 0)]
+        counts = [("n", self.n, 1), ("max_iterations", self.max_iterations, 1), ("seed", self.seed, 0)]
         counts += [(f"each {name} entry", value, 1) for name in ("momentum_shape", "position_shape")
                    for value in getattr(self, name)]
         for name, value, least in counts:
@@ -210,10 +215,13 @@ def restore_constraints(measure: OperatorMeasure, case: str, c: float, f: float)
 
 @dataclass
 class MinimizeResult:
-    """Final measure with its first-order report and iteration trace.
+    """Last iterate with its own first-order report and the iteration trace.
 
+    The measure is the last iterate of the loop, as logged, with no further
+    restoration; the report, multipliers and action are that iterate's.
     ``converged`` is whether that report passes :func:`check_first_order`
-    at the configured ``tol_el``.  ``stop_reason`` says what ended the loop:
+    at the configured ``tol_el``, so a ``"certified"`` stop is converged.
+    ``stop_reason`` says what ended the loop:
     ``"certified"`` (the iterate's own report passed at
     ``CERTIFY_FRACTION * tol_el``), ``"stalled"`` (the line search found no
     decrease), ``"escape_exhausted"`` (the shifted field failed positivity
@@ -274,21 +282,20 @@ def minimize_action(config: MinimizeConfig) -> MinimizeResult:
     delta = config.smoothing_delta
     rng = np.random.default_rng(config.seed)
 
-    Ms = (
-        rng.standard_normal((k, d, d)) + 1j * rng.standard_normal((k, d, d))
-    ) * np.sqrt(config.initial_magnitude / d)
+    # The restoration fixes the scale of the factors, so none is chosen here.
+    Ms = rng.standard_normal((k, d, d)) + 1j * rng.standard_normal((k, d, d))
 
     def restored(Ms_raw: np.ndarray) -> np.ndarray:
-        # Case "a" unless it overshoots the signed-trace bound (or is
+        # Case "a" unless its signed trace makes the bound active (or it is
         # impossible); then case "b" pins both constraints.  The restoration
         # A -> D A D acts on the factors as M -> M D.
         t11, t22 = _block_traces(_measure_from_Ms(space, box, momenta, Ms_raw))
         try:
             x, y = _block_scalings(t11, t22, "a", config.c, config.f)
-            overshoot = x * (t11 - t22) > config.f * (1.0 + tolerances.CONSTRAINT)
+            active = _bound_active(x * (t11 - t22), config.f)
         except RestorationError:
-            overshoot = True
-        if overshoot:
+            active = True
+        if active:
             x, y = _block_scalings(t11, t22, "b", config.c, config.f)
         return Ms_raw * np.repeat(np.sqrt([x, y]), space.n)[None, None, :]
 
@@ -335,13 +342,15 @@ def minimize_action(config: MinimizeConfig) -> MinimizeResult:
     previous = None  # (Ms, G) before the last accepted gradient step
     pairs: list = []  # the last LBFGS_MEMORY curvature pairs (s, y, 1 / Re<s, y>)
     stop_reason = "max_iterations"
-    # Half the tolerance leaves room for the final restoration and report.
     certify_tol = CERTIFY_FRACTION * config.tol_el
 
-    for iteration in range(config.max_iterations):
+    # The pass after the last iteration only builds the final iterate's field.
+    for iteration in range(config.max_iterations + 1):
         qhats = evaluator.evaluate_many(momenta)
         mu = pushforward(measure, qhats)
         alpha, beta, case_tag = lagrange_parameters(mu, config.c, config.f)
+        if iteration == config.max_iterations:
+            break
         shifted, w, V = _shifted_spectra(qhats, alpha, beta, space)
         grads = 4.0 * (Ms @ shifted) * sig[None, None, :]
         grad_norm = float(np.sqrt(np.sum(np.abs(grads) ** 2)))
@@ -353,7 +362,7 @@ def minimize_action(config: MinimizeConfig) -> MinimizeResult:
         direction = _lbfgs_direction(grads, pairs)
         if pairs and not float(np.vdot(direction, grads).real) < 0:
             pairs, direction = [], -grads
-        step = 1.0 if pairs else config.initial_step
+        step = 1.0 if pairs else INITIAL_STEP
 
         total = measure.total()
         trace_val = float(np.trace(total).real)
@@ -374,19 +383,19 @@ def minimize_action(config: MinimizeConfig) -> MinimizeResult:
         # The iterate's own report, assembled only once its psd margin
         # could pass.
         if w[:, 0].min() >= -certify_tol:
-            own = el_residuals(
+            report = el_residuals(
                 mu, alpha, beta, momenta, qhats, case_tag, tail_magnitude=evaluator.tail_magnitude
             )
-            if check_first_order(own, certify_tol)["all"]:
+            if check_first_order(report, certify_tol)["all"]:
                 stop_reason = "certified"
                 break
 
         eta = step
-        for _ in range(config.max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             accepted = trial(Ms + eta * direction, current_action)
             if accepted is not None:
                 break
-            eta *= config.backtrack_factor
+            eta *= BACKTRACK_FACTOR
         if accepted is not None:
             previous = (Ms, grads)
             Ms, measure, current_action, evaluator = accepted
@@ -425,25 +434,11 @@ def minimize_action(config: MinimizeConfig) -> MinimizeResult:
         escapes += 1
         previous, pairs = None, []
 
-    # Iterates track the constraints only within the restoration band;
-    # pin them exactly (matching the active case) before reporting.
-    mu = pushforward(measure, evaluator.evaluate_many(momenta))
-    _, _, case_tag = lagrange_parameters(mu, config.c, config.f)
-    try:
-        measure_exact = restore_constraints(measure, case_tag, config.c, config.f)
-        evaluator_exact = evaluator_for(measure_exact)
-    except (RestorationError, NonsmoothPointError):
-        pass
-    else:
-        measure, evaluator = measure_exact, evaluator_exact
-        current_action = action(measure, grid, delta)
-        mu = pushforward(measure, evaluator.evaluate_many(momenta))
-
-    alpha, beta, case_tag = lagrange_parameters(mu, config.c, config.f)
-    # The probes are the atom momenta, so their Qhat stack is the atoms'.
-    report = el_residuals(
-        mu, alpha, beta, momenta, mu.qs, case_tag, tail_magnitude=evaluator.tail_magnitude
-    )
+    if stop_reason != "certified":
+        # The probes are the atom momenta, so their Qhat stack is the atoms'.
+        report = el_residuals(
+            mu, alpha, beta, momenta, qhats, case_tag, tail_magnitude=evaluator.tail_magnitude
+        )
     final_measure = OperatorMeasure(space, box, momenta, measure.operators)
     return MinimizeResult(
         measure=final_measure,

@@ -292,12 +292,17 @@ def test_malformed_documents_exit_2(tmp_path, capsys, command, kind, edit):
         (["minimize"], {"max_iterations": 2.5}),
         (["minimize"], {"n": 1.5}),
         (["minimize"], {"gradient_tol": 1e-10}),
+        (["minimize"], {"initial_magnitude": 1.0}),
+        (["minimize"], {"initial_step": 0.05}),
+        (["minimize"], {"backtrack_factor": 0.5}),
+        (["minimize"], {"max_backtracks": 40}),
         (["fixture", "random", "--seed", "-1"], None),
         (["fixture", "random", "--atoms", "-1"], None),
         (["fixture", "dirac-sea", "--atoms", "-2"], None),
     ],
     ids=["minimize-seed", "config-seed", "config-iterations", "config-n", "config-gradient-tol",
-         "fixture-seed", "random-atoms", "dirac-sea-atoms"],
+         "config-initial-magnitude", "config-initial-step", "config-backtrack-factor",
+         "config-max-backtracks", "fixture-seed", "random-atoms", "dirac-sea-atoms"],
 )
 def test_bad_seeds_and_counts_exit_2(tmp_path, capsys, argv, config):
     out = tmp_path / "out"

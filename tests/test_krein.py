@@ -13,12 +13,9 @@ from conftest import (
     random_symmetric,
 )
 from kreinact import (
-    DefectivePencilError,
-    NumericalError,
     SignatureSpace,
     ValidationError,
     classified_spectrum,
-    epsilon_diagonalize,
     is_positive,
     is_symmetric,
     krein_adjoint,
@@ -191,57 +188,6 @@ def test_product_annihilates_negative_case():
     A = np.eye(2, dtype=complex)
     A[1, 1] = -1.0  # A=S: positive, Tr(A A) = 2 != 0
     assert not product_annihilates(A, A, sp)
-
-
-def test_epsilon_diagonalize_pseudo_unitary_and_remainder():
-    sp = SignatureSpace(2)
-    rng = make_rng(11)
-    H = random_positive(sp, rng)
-    eps = 1e-6
-    U, D, Delta = epsilon_diagonalize(H, sp, eps)
-    S = sp.signature_matrix
-    Ustar = S @ U.conj().T @ S
-    np.testing.assert_allclose(U @ Ustar, np.eye(4), atol=1e-8)
-    np.testing.assert_allclose(U @ H @ Ustar, D + Delta, atol=1e-10)
-    assert np.linalg.norm(Delta, 2) <= 50 * eps * np.linalg.norm(H, 2)
-    # diagonal entries approximate the true eigenvalues
-    lam = oracle_positive_eigenvalues(H)
-    np.testing.assert_allclose(np.sort(np.diag(D).real), lam, atol=1e-4 * max(1.0, abs(lam).max()))
-
-
-def test_epsilon_diagonalize_nilpotent_sqrt_rate():
-    # Jordan block at zero: remainder decays like sqrt(eps), not linearly
-    sp = SignatureSpace(1)
-    A = np.array([[1.0, -1.0], [1.0, -1.0]], dtype=complex)
-    norms = []
-    epss = [1e-4, 1e-6, 1e-8]
-    for eps in epss:
-        _, _, Delta = epsilon_diagonalize(A, sp, eps)
-        norms.append(np.linalg.norm(Delta, 2))
-    rate1 = np.log(norms[0] / norms[1]) / np.log(epss[0] / epss[1])
-    rate2 = np.log(norms[1] / norms[2]) / np.log(epss[1] / epss[2])
-    assert 0.35 <= rate1 <= 0.65
-    assert 0.35 <= rate2 <= 0.65
-
-
-def test_epsilon_diagonalize_rejects_bad_input():
-    sp = SignatureSpace(1)
-    H = random_positive(sp, make_rng(3))
-    with pytest.raises(ValidationError):
-        epsilon_diagonalize(H, sp, 0.0)
-    with pytest.raises(ValidationError):
-        epsilon_diagonalize(np.array([[0, 1], [0, 0]], dtype=complex) + np.eye(2), sp, 1e-6)
-
-
-def test_defective_pencil_error_carries_suggestion():
-    # spectrum +-i: the shifted pencil has non-real spectrum, so the call
-    # fails with a retryable error that suggests a golden-ratio larger shift
-    sp = SignatureSpace(1)
-    H = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
-    with pytest.raises(DefectivePencilError) as excinfo:
-        epsilon_diagonalize(H, sp, 1e-3)
-    assert excinfo.value.suggested_epsilon == pytest.approx(1e-3 * 1.6180339887498949)
-    assert isinstance(excinfo.value, NumericalError)
 
 
 def test_classified_spectrum_signs():

@@ -59,9 +59,13 @@ def test_config_rejects_unknown_keys():
     data["reticulation"] = True
     with pytest.raises(ValidationError):
         config_from_dict(data)
-    # The retired gradient-norm stop took this key.
-    with pytest.raises(ValidationError, match="gradient_tol"):
-        config_from_dict(dict(config_to_dict(MinimizeConfig()), gradient_tol=1e-10))
+    # Retired fields: the gradient-norm stop, the initial factor scale
+    # (which the restoration undoes) and the line-search constants.
+    retired = {"gradient_tol": 1e-10, "initial_magnitude": 1.0, "initial_step": 0.05,
+               "backtrack_factor": 0.5, "max_backtracks": 40}
+    for key, value in retired.items():
+        with pytest.raises(ValidationError, match=key):
+            config_from_dict(dict(config_to_dict(MinimizeConfig()), **{key: value}))
 
 
 def test_config_validation():
@@ -73,20 +77,15 @@ def test_config_validation():
         with pytest.raises(ValidationError):
             MinimizeConfig(smoothing_delta=delta)
     nan, inf = float("nan"), float("inf")
-    for name, bad in (("initial_step", (0.0, nan, inf)),
-                      ("tol_el", (-1e-6, nan, inf)),
-                      ("initial_magnitude", (0.0, -1.0, nan, inf)),
-                      ("position_radius", (0.0, nan, inf)),
-                      ("backtrack_factor", (nan,))):
+    for name, bad in (("tol_el", (-1e-6, nan, inf)),
+                      ("position_radius", (0.0, nan, inf))):
         for value in bad:
             with pytest.raises(ValidationError, match=name):
                 MinimizeConfig(**{name: value})
     MinimizeConfig(tol_el=0.0)
     with pytest.raises(ValidationError):
-        MinimizeConfig(backtrack_factor=1.0)
-    with pytest.raises(ValidationError):
         MinimizeConfig(max_iterations=0)
-    for name, value in (("max_iterations", 2.5), ("max_backtracks", True), ("seed", -1),
+    for name, value in (("max_iterations", 2.5), ("max_iterations", True), ("seed", -1),
                         ("seed", 1.5), ("n", 1.5), ("n", True), ("n", 2.0),
                         ("momentum_shape", (2.9, 1, 1, 1)), ("position_shape", (5.7, 1, 1, 1)),
                         ("position_shape", (5, 0, 1, 1))):
@@ -190,6 +189,14 @@ def test_toy_seeds_converge_to_one_minimum_in_few_iterations(toy_seed_results):
         assert_feasible(result.measure, TOY.c, TOY.f, result.case_tag)
 
 
+def test_logged_iterates_respect_the_signed_trace_bound(toy_seed_results):
+    # Restoration and multipliers share one case rule, so no iterate is
+    # left in case "a" above the bound.
+    for seed, result in enumerate(toy_seed_results):
+        for row in result.trace:
+            assert row["signed_trace"] <= TOY.f + 1e-12, (seed, row["iteration"])
+
+
 def test_stop_reason_agrees_with_the_trace(toy_seed_results):
     assert {result.stop_reason for result in toy_seed_results} == {"certified"}
     for seed, result in enumerate(toy_seed_results):
@@ -200,6 +207,7 @@ def test_stop_reason_agrees_with_the_trace(toy_seed_results):
             # step; its report passed at half the tolerance.
             assert last["trials"] == 0, seed
             assert check_first_order(result.report, 0.5 * TOY.tol_el)["all"], seed
+            assert result.converged, seed
     capped = minimize_action(replace(TOY, max_iterations=3))
     assert capped.stop_reason == "max_iterations"
     assert len(capped.trace) == 3
@@ -253,6 +261,8 @@ def test_exact_lagrangian_toy_panel_certifies(monkeypatch, eps):
     _scale_minimizer_field(monkeypatch, eps)
     results = [minimize_action(replace(TOY, seed=s, smoothing_delta=0.0)) for s in range(16)]
     assert [result.stop_reason for result in results] == ["certified"] * 16
+    # The returned iterate is the certified one, so its report passes too.
+    assert [result.converged for result in results] == [True] * 16
 
 
 @pytest.mark.parametrize("seed", [2, 3])
@@ -288,9 +298,9 @@ def test_each_line_search_trial_makes_one_eigensolve(monkeypatch):
     trials = calls.count("trial")
     assert trials >= len(result.trace) - 1
     assert sum(row["trials"] for row in result.trace) == trials
-    # eigvals only in the first and last action(); every trial is one eig
-    # stack, and an accepted trial builds its field from that same solve.
-    assert calls == ["eigvals", "eig"] + ["trial", "eig"] * trials + ["eig", "eigvals"]
+    # eigvals only in the first action(); every trial is one eig stack, and
+    # an accepted trial builds its field from that same solve.
+    assert calls == ["eigvals", "eig"] + ["trial", "eig"] * trials
 
 
 def test_toy_run_is_feasible(toy_result):
