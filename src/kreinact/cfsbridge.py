@@ -136,19 +136,21 @@ def local_correlation(measure: OperatorMeasure, x, basis: list) -> LocalCorrelat
     if not basis:
         raise ValidationError("basis must contain at least one test function")
     x = np.asarray(x, float)
-    space = measure.space
-    sig = space.signature
-    waves = np.stack([physical_wave(u, measure, x) for u in basis])
+    if x.shape != (4,):
+        raise ValidationError("position must be a 4-vector")
+    sig = measure.space.signature
+    d = measure.space.dim
     m = len(basis)
-    F = np.empty((m, m), complex)
-    for i in range(m):
-        for j in range(m):
-            F[i, j] = -np.vdot(waves[i], sig * waves[j])
+    # U[i, j] = u_i(p_j) and AU[i, j] = A_j u_i(p_j); the waves are the
+    # phase-weighted sums of AU over the atoms, and the Gram matrix pairs U
+    # with AU atom by atom.
+    k = measure.n_atoms
+    U = np.array([[u.vector(j, d) for j in range(k)] for u in basis], complex).reshape(m, k, d)
+    AU = np.einsum("jab,ijb->ija", measure.operators, U)
+    waves = np.einsum("j,ija->ia", np.exp(-1j * (measure.momenta @ x)), AU)
+    F = -(waves.conj() * sig) @ waves.T
     F = 0.5 * (F + F.conj().T)
-    G = np.empty((m, m), complex)
-    for i in range(m):
-        for j in range(m):
-            G[i, j] = hilbert_inner(basis[i], basis[j], measure)
+    G = (U.conj() * sig).reshape(m, -1) @ AU.reshape(m, -1).T
     G = 0.5 * (G + G.conj().T)
 
     gw, gv = np.linalg.eigh(G)

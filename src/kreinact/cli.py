@@ -49,23 +49,28 @@ __all__ = ["main", "build_parser"]
 
 
 def _parse_counts(text: str, what: str) -> tuple:
-    parts = [p for p in text.replace(",", " ").split() if p]
-    if len(parts) != 4:
+    try:
+        counts = tuple(int(p) for p in text.replace(",", " ").split())
+    except ValueError:
+        counts = ()
+    if len(counts) != 4:
         raise ValidationError(f"{what} requires four integers, got {text!r}")
-    return tuple(int(p) for p in parts)
+    return counts
 
 
 def _parse_box(text: str) -> tuple:
-    parts = [p for p in text.replace(",", " ").split() if p]
-    if len(parts) == 1:
-        r = float(parts[0])
-        return (-r, -r, -r, -r), (r, r, r, r)
-    if len(parts) == 8:
-        vals = [float(p) for p in parts]
-        return tuple(vals[:4]), tuple(vals[4:])
-    raise ValidationError(
-        f"box must be one radius or eight floats (lower then upper), got {text!r}"
-    )
+    try:
+        vals = [float(p) for p in text.replace(",", " ").split()]
+    except ValueError:
+        vals = []
+    if len(vals) == 1:
+        vals = [-vals[0]] * 4 + vals * 4
+    if len(vals) != 8 or not np.all(np.isfinite(vals)):
+        raise ValidationError(
+            f"--box must be one finite radius or eight finite floats (lower then upper), "
+            f"got {text!r}"
+        )
+    return tuple(vals[:4]), tuple(vals[4:])
 
 
 def _write_json(path, payload: dict) -> None:
@@ -278,11 +283,9 @@ def cmd_sweep_alpha(args) -> int:
         for alpha in alphas:
             beta = beta_of_alpha(q, space, float(alpha))
             av = a_of_alpha(q, space, float(alpha))
+            fh.write(f"{float(alpha)!r},{av.a_min!r},{beta!r}\n")
             if av.degenerate:
-                fh.write(f"{float(alpha)!r},{av.a_min!r},{beta!r}\n")
                 fh.write(f"{float(alpha)!r},{av.a_max!r},{beta!r}\n")
-            else:
-                fh.write(f"{float(alpha)!r},{av.a_min!r},{beta!r}\n")
     print(f"wrote sweep of {args.count} alphas to {args.out}")
     return 0
 

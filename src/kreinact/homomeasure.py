@@ -70,8 +70,12 @@ class MomentumBox:
         shape = tuple(int(k) for k in self.grid_shape)
         if len(lower) != 4 or len(upper) != 4 or len(shape) != 4:
             raise ValidationError("momentum box requires 4-dimensional bounds and grid shape")
-        if any(u <= l for l, u in zip(lower, upper)):
-            raise ValidationError("box upper bounds must exceed lower bounds componentwise")
+        # Written so that NaN fails the comparison.
+        if not all(-np.inf < l < u < np.inf for l, u in zip(lower, upper)):
+            raise ValidationError(
+                f"box bounds must be finite with upper above lower componentwise, "
+                f"got lower={lower}, upper={upper}"
+            )
         if any(k < 1 for k in shape):
             raise ValidationError("grid shape entries must be >= 1")
         object.__setattr__(self, "lower", lower)

@@ -23,8 +23,8 @@ The step direction is the L-BFGS two-loop direction (Nocedal, Math. Comp.
 35, 1980) over the last ``LBFGS_MEMORY`` accepted steps ``s`` and their
 gradient changes ``y``, in the real inner product ``Re<., .>`` of the
 factor stack, scaled initially by ``Re<s, y> / <y, y>``.  Pairs with
-``Re<s, y> <= 0`` are skipped; the memory is cleared after an escape step
-and whenever the direction fails to descend.  The first trial step is 1
+``Re<s, y> <= 0`` are skipped; the memory is cleared whenever the
+direction fails to descend.  The first trial step is 1
 while the memory holds pairs and ``INITIAL_STEP`` otherwise, safeguarded
 by monotone backtracking: a trial is accepted only if it strictly lowers
 the action.  Each trial makes one chain eigensolve over the position grid;
@@ -37,11 +37,6 @@ returns that iterate with that report; whatever else ends the loop, the
 last iterate is returned with the report of the field the loop built for
 it.  The restoration and the multipliers choose the constraint case by one
 rule, :func:`~kreinact.elverify._bound_active`.
-An iterate whose line search stalls but whose shifted field
-``Qhat - alpha - beta S`` has a negative psd margin at some atom is pushed
-along the rank-one positive direction built from the offending
-eigenvector (an escape step), which strictly decreases the action to first
-order while the restoration keeps the iterate feasible.
 """
 
 from __future__ import annotations
@@ -223,13 +218,11 @@ class MinimizeResult:
     at the configured ``tol_el``, so a ``"certified"`` stop is converged.
     ``stop_reason`` says what ended the loop:
     ``"certified"`` (the iterate's own report passed at
-    ``CERTIFY_FRACTION * tol_el``), ``"stalled"`` (the line search found no
-    decrease), ``"escape_exhausted"`` (the shifted field failed positivity
-    and no escape step lowered the action) or ``"max_iterations"``.
-    ``"stalled"`` stops only where no escape is due.  Each ``trace`` row
-    holds the iterate's action, constraint values, first trial ``step``,
-    ``grad_norm`` and escape count, and ``trials``: the chain eigensolve
-    trials that iteration made.
+    ``CERTIFY_FRACTION * tol_el``), ``"stalled"`` (no line-search trial in
+    ``MAX_BACKTRACKS`` lowered the action) or ``"max_iterations"``.  Each
+    ``trace`` row holds the iterate's action, constraint values, first trial
+    ``step``, ``grad_norm``, ``escapes`` (always 0) and ``trials``: the
+    line-search trials that iteration made, one chain eigensolve each.
     """
 
     measure: OperatorMeasure
@@ -338,8 +331,7 @@ def minimize_action(config: MinimizeConfig) -> MinimizeResult:
     current_action = action(measure, grid, delta)
     evaluator = evaluator_for(measure)
     trace_log: list = []
-    escapes = 0
-    previous = None  # (Ms, G) before the last accepted gradient step
+    previous = None  # (Ms, G) before the last accepted step
     pairs: list = []  # the last LBFGS_MEMORY curvature pairs (s, y, 1 / Re<s, y>)
     stop_reason = "max_iterations"
     certify_tol = CERTIFY_FRACTION * config.tol_el
@@ -351,7 +343,7 @@ def minimize_action(config: MinimizeConfig) -> MinimizeResult:
         alpha, beta, case_tag = lagrange_parameters(mu, config.c, config.f)
         if iteration == config.max_iterations:
             break
-        shifted, w, V = _shifted_spectra(qhats, alpha, beta, space)
+        shifted, w, _ = _shifted_spectra(qhats, alpha, beta, space)
         grads = 4.0 * (Ms @ shifted) * sig[None, None, :]
         grad_norm = float(np.sqrt(np.sum(np.abs(grads) ** 2)))
         if previous is not None:
@@ -375,7 +367,10 @@ def minimize_action(config: MinimizeConfig) -> MinimizeResult:
                 "signed_trace": signed_val,
                 "step": step,
                 "grad_norm": grad_norm,
-                "escapes": escapes,
+                # No escape steps are taken; the key and the escapes column
+                # of iterations.csv stay at 0 because perfbench/workloads.py
+                # reads both.
+                "escapes": 0,
                 "trials": 0,
             }
         )
@@ -396,43 +391,11 @@ def minimize_action(config: MinimizeConfig) -> MinimizeResult:
             if accepted is not None:
                 break
             eta *= BACKTRACK_FACTOR
-        if accepted is not None:
-            previous = (Ms, grads)
-            Ms, measure, current_action, evaluator = accepted
-            continue
-
-        # Stalled: look for a profitable escape direction where the
-        # shifted field fails positivity.
-        worst_j = int(np.argmin(w[:, 0]))
-        worst_margin, worst_vec = float(w[worst_j, 0]), V[worst_j, :, 0]
-        # Push the escape phase an order of magnitude inside the reporting
-        # tolerance so the final report clears tol_el with headroom.
-        if worst_margin >= -0.1 * config.tol_el:
-            stop_reason = "stalled"
-            break  # first-order conditions hold
-
-        base_norm = max(float(np.linalg.norm(measure.operators)), 1.0)
-        eps = 0.5 * base_norm / max(k, 1)
-        for _ in range(60):
-            Ms_try = Ms.copy()
-            H = Ms_try[worst_j].conj().T @ Ms_try[worst_j] + eps * np.outer(
-                sig * worst_vec, (sig * worst_vec).conj()
-            )
-            H = 0.5 * (H + H.conj().T)
-            w, V = np.linalg.eigh(H)
-            Ms_try[worst_j] = (V * np.sqrt(np.clip(w, 0.0, None))[None, :]) @ V.conj().T
-            accepted = trial(Ms_try, current_action)
-            if accepted is not None:
-                break
-            eps *= 0.5
         if accepted is None:
-            # The field still fails positivity somewhere but no profitable
-            # escape step exists at this resolution; the report shows it.
-            stop_reason = "escape_exhausted"
+            stop_reason = "stalled"
             break
+        previous = (Ms, grads)
         Ms, measure, current_action, evaluator = accepted
-        escapes += 1
-        previous, pairs = None, []
 
     if stop_reason != "certified":
         # The probes are the atom momenta, so their Qhat stack is the atoms'.

@@ -98,16 +98,23 @@ def test_physical_wave_formula_and_validation():
 # ---------------------------------------------------------------------------
 
 def test_correlation_matrix_matches_wave_pairings():
-    measure = random_measure_for(SP1, make_rng(5), n_atoms=2)
-    basis = standard_basis(measure)
+    # physical_wave and hilbert_inner, atom by atom, are the reference for
+    # the stacked products of local_correlation.
     x = np.array([0.2, 0.0, 0.0, -0.4])
-    corr = local_correlation(measure, x, basis)
-    waves = [physical_wave(u, measure, x) for u in basis]
-    sig = SP1.signature
-    direct = np.array([[-np.vdot(wi, sig * wj) for wj in waves] for wi in waves])
-    np.testing.assert_allclose(corr.matrix, 0.5 * (direct + direct.conj().T), atol=1e-12)
-    np.testing.assert_allclose(corr.matrix, corr.matrix.conj().T, atol=0)
-    np.testing.assert_array_equal(corr.x, x)
+    for n in (1, 2):
+        sp = SignatureSpace(n)
+        measure = random_measure_for(sp, make_rng(5), n_atoms=2)
+        basis = standard_basis(measure)
+        corr = local_correlation(measure, x, basis)
+        waves = [physical_wave(u, measure, x) for u in basis]
+        sig = sp.signature
+        direct = np.array([[-np.vdot(wi, sig * wj) for wj in waves] for wi in waves])
+        np.testing.assert_allclose(corr.matrix, 0.5 * (direct + direct.conj().T), atol=1e-12)
+        np.testing.assert_allclose(corr.matrix, corr.matrix.conj().T, atol=0)
+        gram = np.array([[hilbert_inner(u, v, measure) for v in basis] for u in basis])
+        np.testing.assert_allclose(corr.gram, 0.5 * (gram + gram.conj().T), atol=1e-12)
+        np.testing.assert_allclose(corr.gram, corr.gram.conj().T, atol=0)
+        np.testing.assert_array_equal(corr.x, x)
 
 
 def test_signature_bound_on_pencil_eigenvalues():

@@ -299,19 +299,37 @@ def test_malformed_documents_exit_2(tmp_path, capsys, command, kind, edit):
         (["fixture", "random", "--seed", "-1"], None),
         (["fixture", "random", "--atoms", "-1"], None),
         (["fixture", "dirac-sea", "--atoms", "-2"], None),
+        (["minimize", "--grid", "x,1,1,1"], None),
+        (["minimize", "--position-grid", "2.5,1,1,1"], None),
+        (["minimize", "--box", "abc"], None),
+        (["minimize", "--box", "nan"], None),
+        (["minimize", "--box", "0,0,0,0,1,1,1,inf"], None),
+        (["fixture", "random", "--box", "inf"], None),
+        (["verify", "MEASURE", "--position-grid", "2.5,1,1,1"], None),
     ],
     ids=["minimize-seed", "config-seed", "config-iterations", "config-n", "config-gradient-tol",
          "config-initial-magnitude", "config-initial-step", "config-backtrack-factor",
-         "config-max-backtracks", "fixture-seed", "random-atoms", "dirac-sea-atoms"],
+         "config-max-backtracks", "fixture-seed", "random-atoms", "dirac-sea-atoms",
+         "grid-text", "position-grid-fraction", "box-text", "box-nan", "box-inf",
+         "random-box-inf", "verify-position-grid-fraction"],
 )
 def test_bad_seeds_and_counts_exit_2(tmp_path, capsys, argv, config):
     out = tmp_path / "out"
+    if "MEASURE" in argv:
+        # An existing measure file, so that only the flag can fail.
+        measure = tmp_path / "m.json"
+        assert main(["fixture", "random", "--out", str(measure), "--atoms", "2"]) == 0
+        capsys.readouterr()
+        argv = [str(measure) if a == "MEASURE" else a for a in argv]
     argv = argv + ["--out", str(out)]
     if config is not None:
         (tmp_path / "config.json").write_text(json.dumps(config))
         argv += ["--config", str(tmp_path / "config.json")]
     assert main(argv) == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err
+    flags = [a for a in argv if a in ("--grid", "--position-grid", "--box")]
+    assert all(flag in err for flag in flags), err  # the bad flag is named
     assert not out.exists()  # refused before anything is written
 
 

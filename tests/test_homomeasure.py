@@ -57,6 +57,11 @@ def test_box_single_point_axis_uses_midpoint():
 def test_box_rejects_inverted_bounds():
     with pytest.raises(ValidationError):
         MomentumBox((1, 0, 0, 0), (-1, 1, 1, 1), (2, 1, 1, 1))
+    nan, inf = float("nan"), float("inf")
+    for lower, upper in (((nan, 0, 0, 0), (1, 1, 1, 1)), ((0, 0, 0, 0), (1, nan, 1, 1)),
+                         ((-inf, 0, 0, 0), (1, 1, 1, 1)), ((0, 0, 0, 0), (1, 1, 1, inf))):
+        with pytest.raises(ValidationError, match="finite"):
+            MomentumBox(lower, upper, (2, 1, 1, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from kreinact import (
     minimize_action,
     restore_constraints,
 )
+from kreinact.minimize import MAX_BACKTRACKS
 
 SP1 = SignatureSpace(1)
 
@@ -265,18 +266,27 @@ def test_exact_lagrangian_toy_panel_certifies(monkeypatch, eps):
     assert [result.converged for result in results] == [True] * 16
 
 
-@pytest.mark.parametrize("seed", [2, 3])
-def test_converged_is_the_final_report_verdict(seed):
+C1F2 = MinimizeConfig(n=1, c=1.0, f=2.0, smoothing_delta=1e-2)
+
+
+@pytest.mark.parametrize("config, stop", [
+    pytest.param(replace(TOY, seed=2), "certified", id="2"),
+    pytest.param(replace(TOY, seed=3, max_iterations=3), "max_iterations", id="3"),
+    pytest.param(replace(C1F2, seed=34), "stalled", id="c1f2-34"),
+    pytest.param(replace(C1F2, seed=37), "stalled", id="c1f2-37"),
+])
+def test_converged_is_the_final_report_verdict(config, stop):
     # Seed 2 stops certified.  Seed 3, capped at three iterations, stops
-    # long before its report passes.  converged must be the report's
-    # verdict, whatever ended the loop.
-    config = MinimizeConfig(n=1, c=0.5, f=1.0, seed=seed, smoothing_delta=1e-2,
-                            max_iterations=5000 if seed == 2 else 3)
+    # long before its report passes.  Seeds 34 and 37 at c=1, f=2 end with
+    # a line search that finds no decrease and a failing report.  converged
+    # must be the report's verdict, whatever ended the loop.
     result = minimize_action(config)
     checks = check_first_order(result.report, config.tol_el)
     assert result.converged == checks["all"]
-    assert result.stop_reason == ("certified" if seed == 2 else "max_iterations")
-    assert result.converged == (seed == 2)
+    assert result.stop_reason == stop
+    assert result.converged == (stop == "certified")
+    assert all(row["escapes"] == 0 for row in result.trace)
+    assert result.trace[-1]["trials"] <= MAX_BACKTRACKS
 
 
 def test_each_line_search_trial_makes_one_eigensolve(monkeypatch):
