@@ -126,30 +126,24 @@ class LocalCorrelation:
     pencil_eigenvalues: np.ndarray
 
 
-def local_correlation(measure: OperatorMeasure, x, basis: list) -> LocalCorrelation:
-    """Correlation matrix ``-prec psi_i(x) | psi_j(x) succ`` with pencil spectrum.
+def _basis_arrays(measure: OperatorMeasure, basis: list):
+    """Point-independent arrays of the correlation pencil: ``AU``, the Gram
+    matrix ``G`` and the reduction ``W`` onto its nondegenerate span.
 
-    A numerically singular Gram matrix triggers a
-    :class:`~kreinact.errors.BasisReductionWarning` and the pencil is
-    solved on the span where the Gram form is nondegenerate.
+    ``U[i, j] = u_i(p_j)`` and ``AU[i, j] = A_j u_i(p_j)``; the waves are the
+    phase-weighted sums of ``AU`` over the atoms, and the Gram matrix pairs
+    ``U`` with ``AU`` atom by atom.  ``W`` is None when no direction of the
+    basis survives.  Called only from the public functions, so that the
+    :class:`~kreinact.errors.BasisReductionWarning` points at their caller.
     """
     if not basis:
         raise ValidationError("basis must contain at least one test function")
-    x = np.asarray(x, float)
-    if x.shape != (4,):
-        raise ValidationError("position must be a 4-vector")
     sig = measure.space.signature
     d = measure.space.dim
     m = len(basis)
-    # U[i, j] = u_i(p_j) and AU[i, j] = A_j u_i(p_j); the waves are the
-    # phase-weighted sums of AU over the atoms, and the Gram matrix pairs U
-    # with AU atom by atom.
     k = measure.n_atoms
     U = np.array([[u.vector(j, d) for j in range(k)] for u in basis], complex).reshape(m, k, d)
     AU = np.einsum("jab,ijb->ija", measure.operators, U)
-    waves = np.einsum("j,ija->ia", np.exp(-1j * (measure.momenta @ x)), AU)
-    F = -(waves.conj() * sig) @ waves.T
-    F = 0.5 * (F + F.conj().T)
     G = (U.conj() * sig).reshape(m, -1) @ AU.reshape(m, -1).T
     G = 0.5 * (G + G.conj().T)
 
@@ -159,21 +153,46 @@ def local_correlation(measure: OperatorMeasure, x, basis: list) -> LocalCorrelat
         warnings.warn(
             f"Gram matrix is degenerate; reducing basis from {m} to {int(keep.sum())}",
             BasisReductionWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-    if not keep.any():
+    W = gv[:, keep] / np.sqrt(gw[keep])[None, :] if keep.any() else None
+    return AU, G, W
+
+
+def _correlation_at(measure: OperatorMeasure, x: np.ndarray, AU, G, W) -> LocalCorrelation:
+    """Local correlation at ``x`` from the arrays of :func:`_basis_arrays`."""
+    waves = np.einsum("j,ija->ia", np.exp(-1j * (measure.momenta @ x)), AU)
+    F = -(waves.conj() * measure.space.signature) @ waves.T
+    F = 0.5 * (F + F.conj().T)
+    if W is None:
         eigs = np.zeros(0)
     else:
-        W = gv[:, keep] / np.sqrt(gw[keep])[None, :]
         reduced = W.conj().T @ F @ W
         eigs = np.linalg.eigvalsh(0.5 * (reduced + reduced.conj().T))
     return LocalCorrelation(x=x, matrix=F, gram=G, pencil_eigenvalues=np.sort(eigs))
 
 
+def local_correlation(measure: OperatorMeasure, x, basis: list) -> LocalCorrelation:
+    """Correlation matrix ``-prec psi_i(x) | psi_j(x) succ`` with pencil spectrum.
+
+    A numerically singular Gram matrix triggers a
+    :class:`~kreinact.errors.BasisReductionWarning` and the pencil is
+    solved on the span where the Gram form is nondegenerate.
+    """
+    x = np.asarray(x, float)
+    if x.shape != (4,):
+        raise ValidationError("position must be a 4-vector")
+    return _correlation_at(measure, x, *_basis_arrays(measure, basis))
+
+
 def empirical_cfs(measure: OperatorMeasure, grid, basis: list) -> list:
-    """Sampled push-forward: ``[(weight, LocalCorrelation at xi), ...]``."""
+    """Sampled push-forward: ``[(weight, LocalCorrelation at xi), ...]``.
+
+    The basis arrays are built once; every sample shares one Gram matrix.
+    """
+    arrays = _basis_arrays(measure, basis)
     return [
-        (float(w), local_correlation(measure, xi, basis))
+        (float(w), _correlation_at(measure, np.asarray(xi, float), *arrays))
         for xi, w in zip(grid.points, grid.weights)
     ]
 

@@ -7,15 +7,21 @@ Substituting ``H = A S / b`` turns the problem into minimizing
 ``Tr(S H) = a/b``, where ``qhat = S q`` is Hermitian.  The minimizer for a
 multiplier ``alpha`` is the projector onto the lowest eigenspace of
 ``qhat - alpha S``; the scalar map ``alpha -> a(alpha) = Tr(S F1)`` is
-nondecreasing, so the constraint is met by bisection, with exact mixing
-inside degenerate lowest eigenspaces on plateaus.  The attained multipliers
-satisfy ``A (q - alpha - beta S) = 0`` with ``q - alpha - beta S`` positive.
+nondecreasing, so the constraint is met by a safeguarded Newton iteration
+on ``a(alpha)``: a Newton step with the exact slope wherever it stays inside
+the current bracket, a bisection step otherwise, with exact mixing inside
+degenerate lowest eigenspaces on plateaus, and mixing of the two ends when
+the bracket collapses onto a jump that no float ``alpha`` resolves.  The
+attained multipliers satisfy ``A (q - alpha - beta S) = 0`` with
+``q - alpha - beta S`` positive.
 
 A problem is validated once, when it is built (or when a public scalar map
 is called); the solver works on the Hermitian ``qhat`` from then on.  One
-lowest-cluster routine computes the lowest eigenspace of ``qhat - alpha S``
-with the spectrum of its compressed signature; it serves ``a(alpha)``, the
-solver's bracket search and bisection, and the plateau mixing.
+lowest-cluster routine computes, from one eigensolve of ``qhat - alpha S``,
+the lowest eigenspace with the spectrum of its compressed signature, the
+lowest eigenvalue ``beta`` and, for a simple lowest eigenvalue, the slope
+``a'(alpha)``; it serves ``a(alpha)``, the solver's bracket search and
+Newton steps, and the plateau mixing.
 
 The boundary ``|a| = b`` forces ``H`` into one definite eigenspace of ``S``;
 multipliers then exist only when the compressed minimizing eigenvector
@@ -168,15 +174,26 @@ def beta_of_alpha(q: np.ndarray, space: SignatureSpace, alpha: float) -> float:
 
 
 def _lowest_cluster(qhat: np.ndarray, sig: np.ndarray, alpha: float, rel_tol: float):
-    """Lowest eigenspace ``V`` of ``qhat - alpha S`` (eigenvalues within relative
-    ``rel_tol`` of the lowest) and the ``eigh`` ``(s, W)`` of ``V^H S V``: ``Tr(S H)``
-    over normalized psd ``H`` on that space spans ``[s[0], s[-1]]``."""
+    """Lowest eigenspace of ``qhat - alpha S`` from one ``eigh``, as ``(V, s, W, beta, slope)``.
+
+    ``V`` holds the eigenvectors within relative ``rel_tol`` of the lowest
+    eigenvalue ``beta``; ``(s, W)`` is the ``eigh`` of ``V^H S V``, so ``Tr(S H)``
+    over normalized psd ``H`` on that space spans ``[s[0], s[-1]]``.  For a
+    single vector ``v_0``, ``slope = a'(alpha) = 2 sum_{k>=1} |v_k^H S v_0|^2 /
+    (w_k - w_0) >= 0``; it is None for a degenerate cluster.
+    """
     w, V = np.linalg.eigh(_shifted(qhat, sig, alpha))
     scale = max(abs(w[0]), abs(w[-1]), 1.0)
-    V = V[:, : int(np.sum(w <= w[0] + rel_tol * scale))]
+    size = int(np.sum(w <= w[0] + rel_tol * scale))
+    if size == 1:
+        coupling = V.conj().T @ (sig * V[:, 0])
+        s = coupling[:1].real
+        slope = 2.0 * float(np.sum(np.abs(coupling[1:]) ** 2 / (w[1:] - w[0])))
+        return V[:, :1], s, np.ones((1, 1)), float(w[0]), slope
+    V = V[:, :size]
     B = V.conj().T @ (sig[:, None] * V)
     s, W = np.linalg.eigh(0.5 * (B + B.conj().T))
-    return V, s, W
+    return V, s, W, float(w[0]), None
 
 
 def a_of_alpha(
@@ -193,7 +210,7 @@ def a_of_alpha(
     ``V^H S V``; both endpoints are reported.
     """
     qhat = _hermitian_coefficient(q, space)
-    V, s, _ = _lowest_cluster(qhat, space.signature, alpha, degeneracy_tol)
+    V, s, *_ = _lowest_cluster(qhat, space.signature, alpha, degeneracy_tol)
     return AlphaValue(
         a_min=float(s[0]), a_max=float(s[-1]), projector=V @ V.conj().T, degenerate=V.shape[1] > 1
     )
@@ -337,48 +354,56 @@ def solve(problem: PointwiseProblem, degeneracy_tol: float = _DEGENERACY_REL) ->
     if t <= -1.0 + feas_tol:
         return _boundary_solution(problem, qhat, -1)
 
+    # Bracket [lo, hi] with a(lo) <= t <= a(hi), then safeguarded Newton:
+    # a Newton step on a(alpha) from a single lowest vector when it lands
+    # strictly inside the bracket, the midpoint otherwise.
     radius = _gershgorin_radius(qhat) + 1.0
     lo, hi = -radius, radius
     for _ in range(80):
-        if _lowest_cluster(qhat, sig, lo, degeneracy_tol)[1][0] <= t:
+        at_lo = _lowest_cluster(qhat, sig, lo, degeneracy_tol)
+        if at_lo[1][0] <= t:
             break
         lo *= 2.0
     for _ in range(80):
-        if _lowest_cluster(qhat, sig, hi, degeneracy_tol)[1][-1] >= t:
+        at_hi = _lowest_cluster(qhat, sig, hi, degeneracy_tol)
+        if at_hi[1][-1] >= t:
             break
         hi *= 2.0
 
     H = None
+    alpha = 0.5 * (lo + hi)
     for _ in range(_BISECT_MAX):
-        mid = 0.5 * (lo + hi)
-        V, s, W = _lowest_cluster(qhat, sig, mid, degeneracy_tol)
+        V, s, W, beta, slope = cluster = _lowest_cluster(qhat, sig, alpha, degeneracy_tol)
         if s[0] - 1e-13 <= t <= s[-1] + 1e-13:
             H = _mixed_density(V, s, W, t)
-            if H is not None:
-                break
-        if s[-1] < t:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-16 * max(abs(lo), abs(hi), 1.0):
             break
-    if H is None:
-        # Bracket collapsed onto a jump whose degeneracy is only resolved
-        # with a wider clustering tolerance.
+        if s[-1] < t:
+            lo, at_lo = alpha, cluster
+        else:
+            hi, at_hi = alpha, cluster
         mid = 0.5 * (lo + hi)
-        for widened in (1e-7, 1e-6, 1e-5):
-            H = _mixed_density(*_lowest_cluster(qhat, sig, mid, widened), t)
-            if H is not None:
-                break
+        if mid == lo or mid == hi or hi - lo <= 1e-16 * max(abs(lo), abs(hi), 1.0):
+            # The bracket holds adjacent floats (or is below 1e-16 near zero)
+            # across a jump of a(alpha) that no float alpha resolves: mix the
+            # top of the lowest space at lo with the bottom of the one at hi
+            # to meet the target exactly.
+            V_lo, s_lo, W_lo, beta_lo, _ = at_lo
+            V_hi, s_hi, W_hi, _, _ = at_hi
+            ends = np.column_stack([V_lo @ W_lo[:, -1], V_hi @ W_hi[:, 0]])
+            H = _mixed_density(ends, np.array([s_lo[-1], s_hi[0]]), np.eye(2), t)
+            alpha, beta = lo, beta_lo
+            break
+        newton = alpha + (t - s[0]) / slope if slope else mid
+        alpha = newton if lo < newton < hi else mid
     if H is None:
-        raise NumericalError("bisection failed to reach the signed-trace target")
+        raise NumericalError("safeguarded Newton failed to reach the signed-trace target")
 
     A = b * H * sig[None, :]
     objective = float(np.real(np.trace(problem.q @ A)))
     return PointwiseSolution(
         A=A,
-        alpha=float(mid),
-        beta=_beta(qhat, sig, mid),
+        alpha=float(alpha),
+        beta=beta,
         objective=objective,
         tag="interior",
         multipliers_valid=True,

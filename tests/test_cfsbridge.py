@@ -155,6 +155,24 @@ def test_pencil_eigenvalues_position_independent_for_homogeneous_measures():
         np.testing.assert_allclose(eigs, reference, rtol=1e-9, atol=1e-9)
 
 
+def test_empirical_cfs_equals_pointwise_local_correlation():
+    # empirical_cfs builds the basis arrays once for the whole grid; each
+    # sample must be the local_correlation of its own point.
+    sp = SignatureSpace(2)
+    measure = random_measure_for(sp, make_rng(12), n_atoms=3)
+    basis = standard_basis(measure)
+    grid = PositionGrid.from_box(1.5, (3, 2, 1, 2))
+    samples = empirical_cfs(measure, grid, basis)
+    assert len(samples) == len(grid.points)
+    for (w, corr), xi, wi in zip(samples, grid.points, grid.weights):
+        ref = local_correlation(measure, xi, basis)
+        assert w == float(wi)
+        np.testing.assert_array_equal(corr.x, ref.x)
+        np.testing.assert_array_equal(corr.matrix, ref.matrix)
+        np.testing.assert_array_equal(corr.gram, ref.gram)
+        np.testing.assert_array_equal(corr.pencil_eigenvalues, ref.pencil_eigenvalues)
+
+
 def test_degenerate_gram_triggers_basis_reduction():
     box = unit_momentum_box((2, 1, 1, 1))
     pts = box.grid_points()

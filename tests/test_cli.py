@@ -384,6 +384,21 @@ def test_pointwise_solution_document(tmp_path, capsys):
     assert out_path.read_text() == printed
 
 
+def test_pointwise_steep_map_exits_0(tmp_path, capsys):
+    # qhat = diag(1, -1) + eps sigma_x: a(alpha) rises with slope 1/eps at
+    # alpha = 1, so the solver's bracket collapses onto adjacent floats.
+    eps = 1e-4
+    qhat = np.diag([1.0, -1.0]) + eps * np.array([[0.0, 1.0], [1.0, 0.0]])
+    q_path = tmp_path / "q.json"
+    save_operator((SP1.signature[:, None] * qhat).astype(complex), SP1, q_path)
+    assert main(["pointwise", str(q_path), "--a", "0.3", "--b", "1.0"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    root = np.sqrt(1.0 - 0.3 ** 2)
+    assert payload["tag"] == "interior"
+    assert payload["alpha"] == pytest.approx(1.0 + 0.3 * eps / root, abs=1e-15)
+    assert payload["beta"] == pytest.approx(-eps / root, abs=1e-15)
+
+
 def test_pointwise_boundary_family_document(tmp_path, capsys):
     q_path = tmp_path / "qsig.json"
     save_operator(SP1.signature_matrix, SP1, q_path)

@@ -126,6 +126,84 @@ def test_signature_coefficient_interior_uses_plateau_mixing():
     assert np.linalg.eigvalsh(0.5 * (H + H.conj().T))[0] > -1e-12
 
 
+STEEP_EPS = 1e-4
+
+
+def steep_coefficient() -> np.ndarray:
+    """``q = S qhat`` with ``qhat = diag(1, -1) + eps sigma_x``.
+
+    ``qhat - alpha S`` has eigenvalues ``-+sqrt((alpha - 1)^2 + eps^2)``, so
+    ``a(alpha) = (alpha - 1) / sqrt((alpha - 1)^2 + eps^2)`` rises with slope
+    ``1/eps`` at ``alpha = 1``: a 1e-13 band in ``a`` is below one float
+    spacing of ``alpha`` there.
+    """
+    qhat = np.diag([1.0, -1.0]) + STEEP_EPS * np.array([[0.0, 1.0], [1.0, 0.0]])
+    return (SP1.signature[:, None] * qhat).astype(complex)
+
+
+def test_steep_map_matches_closed_form():
+    # Inverting a(alpha) = t gives alpha* = 1 + t eps / sqrt(1 - t^2) and
+    # beta* = -eps / sqrt(1 - t^2); the bracket collapses onto adjacent
+    # floats for most targets and the solver mixes the vectors at its ends.
+    q = steep_coefficient()
+    for t in np.arange(-19, 20) * 0.05:
+        t = float(t)
+        sol = solve(PointwiseProblem(space=SP1, q=q, a=t, b=1.0))
+        root = np.sqrt(1.0 - t * t)
+        assert sol.tag == "interior"
+        assert sol.alpha == pytest.approx(1.0 + t * STEEP_EPS / root, abs=1e-15)
+        assert sol.beta == pytest.approx(-STEEP_EPS / root, abs=1e-15)
+        assert np.real(np.trace(sol.A)) == pytest.approx(t, abs=1e-12)
+        assert np.real(np.trace(SP1.signature[:, None] * sol.A)) == pytest.approx(1.0, abs=1e-12)
+        assert sol.objective == pytest.approx(t * sol.alpha + sol.beta, abs=1e-12)
+        alpha, beta = lagrange_from_point(q, sol.A, SP1, strict=True)
+        assert alpha == pytest.approx(sol.alpha, abs=1e-9)
+        assert beta == pytest.approx(sol.beta, abs=1e-9)
+
+
+def count_alpha_evaluations(monkeypatch) -> list:
+    """Patch ``pointwise._shifted`` (one per eigensolve of ``qhat - alpha S``)
+    to count its calls into the returned one-element list."""
+    real_shifted = pointwise._shifted
+    count = [0]
+
+    def counted(qhat, sig, alpha):
+        count[0] += 1
+        return real_shifted(qhat, sig, alpha)
+
+    monkeypatch.setattr(pointwise, "_shifted", counted)
+    return count
+
+
+def test_interior_solve_takes_few_alpha_evaluations(monkeypatch):
+    # Newton steps with the exact slope reach the 1e-13 band in a handful of
+    # eigensolves; bisection from the Gershgorin bracket took 40-53.
+    count = count_alpha_evaluations(monkeypatch)
+    for n in (1, 2):
+        sp = SignatureSpace(n)
+        for seed in range(50):
+            rng = make_rng(1000 + seed)
+            q = random_symmetric(sp, rng)
+            b = float(rng.uniform(0.5, 2.0))
+            t = float(rng.uniform(-0.95, 0.95))
+            count[0] = 0
+            sol = solve(PointwiseProblem(space=sp, q=q, a=t * b, b=b))
+            assert sol.tag == "interior"
+            assert np.real(np.trace(sol.A)) == pytest.approx(t * b, abs=1e-10 * max(b, 1.0))
+            assert count[0] <= 20, (n, seed, count[0])
+
+
+def test_steep_map_solve_stops_at_a_collapsed_bracket(monkeypatch):
+    # Without the adjacent-float stop every collapsing solve runs the full
+    # _BISECT_MAX steps.
+    count = count_alpha_evaluations(monkeypatch)
+    q = steep_coefficient()
+    for t in np.arange(-19, 20) * 0.05:
+        count[0] = 0
+        solve(PointwiseProblem(space=SP1, q=q, a=float(t), b=1.0))
+        assert count[0] <= 70, (t, count[0])
+
+
 # ---------------------------------------------------------------------------
 # Scalar-map structure
 # ---------------------------------------------------------------------------
