@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances
-from .errors import NonsmoothPointError, NumericalError, ValidationError
+from .errors import NonsmoothPointError, ValidationError
 from .homomeasure import OperatorMeasure
 from .krein import SignatureSpace, _adjoint
 
@@ -79,8 +79,8 @@ class PositionGrid:
     ``reflection_index[i]`` is the index of ``-points[i]``; the construction
     in :meth:`from_box` makes the reflection exact in floating point.
     ``representatives`` index the lexicographically smaller point of each
-    pair ``{xi, -xi}``; point ``i`` is in the pair ``orbit[i]``, as its
-    reflection where ``mirrored[i]``, and ``folded_weights`` sum each pair.
+    pair ``{xi, -xi}``; point ``i`` is in the pair ``orbit[i]``, and
+    ``folded_weights`` sum each pair.
     """
 
     points: np.ndarray
@@ -110,7 +110,6 @@ class PositionGrid:
         object.__setattr__(self, "representatives", reps)
         object.__setattr__(self, "folded_weights", np.bincount(orbit, weights))
         object.__setattr__(self, "orbit", orbit)
-        object.__setattr__(self, "mirrored", mirrored)
 
     @classmethod
     def from_box(cls, radius: float, shape) -> "PositionGrid":
@@ -422,14 +421,15 @@ def gradient_kernel_Q(
 class QHatEvaluator:
     """Precomputed gradient field on a grid with Fourier evaluation.
 
-    Computes ``Q(xi)`` once per reflection pair of the grid (vectorized
-    eigen-derivatives, finite differences at a defective chain or a
-    vanishing modulus at ``delta = 0``) and evaluates ``Qhat(p) = sum_xi
-    w(xi) Q(xi) e^{-i p.xi}`` on demand.  ``tail_magnitude`` reports
-    ``max ||Q(xi)||_2`` over the boundary of the position box — a diagnostic
-    for how well the truncated box captures the decay of the gradient kernel
-    (integrability cannot be asserted on a finite box, only reported).
-    ``_solved`` passes in a :func:`_chain_solve` of the representatives.
+    ``q_field`` holds ``Q`` at ``grid.representatives``, one row per reflection
+    pair.  ``Qhat(p) = sum_xi w(xi) Q(xi) e^{-i p.xi}`` is ``K + K^*`` with
+    ``K(p) = sum_r (fw_r / 2) Q(xi_r) e^{-i p.xi_r}`` over the representatives'
+    folded weights, since the term of ``-xi`` is the Krein adjoint of that of
+    ``xi``.  ``tail_magnitude`` reports ``max ||Q(xi)||_2`` over the boundary
+    of the position box — a diagnostic for how well the truncated box captures
+    the decay of the gradient kernel (integrability cannot be asserted on a
+    finite box, only reported).  ``_solved`` passes in a :func:`_chain_solve`
+    of the representatives.
     """
 
     def __init__(
@@ -444,18 +444,18 @@ class QHatEvaluator:
         self.measure = measure
         self.grid = grid
         self.smoothing_delta = float(smoothing_delta)
-        q = _gradient_field(measure, grid.points[grid.representatives], smoothing_delta, mode, _solved)
-        q = q[grid.orbit]
-        self.q_field = np.where(grid.mirrored[:, None, None], _adjoint(q, measure.space.signature), q)
+        self._points = grid.points[grid.representatives]
+        self.q_field = _gradient_field(measure, self._points, smoothing_delta, mode, _solved)
 
     @functools.cached_property
     def tail_magnitude(self) -> float:
-        # The boundary mask is never empty (all points on a degenerate box).
-        boundary = self.q_field[self.grid.boundary_mask()]
+        # ||Q(-xi)||_2 = ||Q(xi)||_2 on the symmetric, never empty boundary
+        # (all points on a degenerate box), so its representatives suffice.
+        boundary = self.q_field[self.grid.boundary_mask()[self.grid.representatives]]
         return float(np.linalg.norm(boundary, 2, axis=(1, 2)).max())
 
     def evaluate(self, p) -> np.ndarray:
-        """``Qhat(p)``, Krein symmetric up to quadrature rounding."""
+        """``Qhat(p)``, Krein symmetric to the bit."""
         return self.evaluate_many(_four_vector(p, "p")[None])[0]
 
     __call__ = evaluate
@@ -465,16 +465,9 @@ class QHatEvaluator:
         ps = _four_vector(np.atleast_2d(ps), "momenta", ndim=2)
         # A stack of matrix-vector products rounds each momentum's phases the
         # same way whatever the batch size; a matrix product would not.
-        phases = self.grid.weights * np.exp(-1j * self.grid.points @ ps[:, :, None])[:, :, 0]
-        qhat = np.einsum("kx,xab->kab", phases, self.q_field)
-        adj = _adjoint(qhat, self.measure.space.signature)
-        defect = np.linalg.norm(qhat - adj, 2, axis=(1, 2))
-        scale = np.maximum(np.linalg.norm(qhat, 2, axis=(1, 2)), 1.0)
-        if np.any(defect > 1e-8 * scale):
-            raise NumericalError(
-                f"Fourier gradient lost Krein symmetry (defect {defect.max():.2e})"
-            )
-        return 0.5 * (qhat + adj)
+        phases = 0.5 * self.grid.folded_weights * np.exp(-1j * self._points @ ps[:, :, None])[:, :, 0]
+        half = np.einsum("kx,xab->kab", phases, self.q_field)
+        return half + _adjoint(half, self.measure.space.signature)
 
 
 def fourier_Q_hat(

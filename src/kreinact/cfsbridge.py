@@ -67,7 +67,9 @@ class TestFunction:
 
 
 def standard_basis(measure: OperatorMeasure, limit: int | None = None) -> list:
-    """Coordinate test functions ``u(p_j) = e_i``, one per (atom, coordinate)."""
+    """Coordinate test functions ``u(p_j) = e_i``, one per (atom, coordinate), at most ``limit``."""
+    if limit is not None and limit < 1:
+        raise ValidationError(f"basis size (--basis-size) must be at least 1, got {limit!r}")
     d = measure.space.dim
     basis = []
     for j in range(measure.n_atoms):

@@ -27,10 +27,9 @@ from .elverify import (
     report_to_csv,
     save_report,
 )
-from .errors import KreinactError, NumericalError, ValidationError
+from .errors import KreinactError, ValidationError
 from .homomeasure import (
     MomentumBox,
-    OperatorMeasure,
     _read_document,
     decompose,
     dirac_sea_fixture,
@@ -39,7 +38,6 @@ from .homomeasure import (
     massless_fixture,
     random_measure,
     save_measure,
-    save_operator,
 )
 from .krein import SignatureSpace
 from .minimize import MinimizeConfig, config_from_dict, config_to_dict, minimize_action
@@ -208,11 +206,11 @@ def cmd_verify(args) -> int:
 
     tol_el = args.tol_el if args.tol_el is not None else tolerances.EL_RESIDUAL
     report = el_residuals(mu, alpha, beta, probes, qhats, case_tag, tail_magnitude=tail)
+    checks = check_first_order(report, tol_el)
     if args.out:
         save_report(report, args.out)
     if args.csv:
         report_to_csv(report, args.csv)
-    checks = check_first_order(report, tol_el)
     print(f"alpha {float(alpha)!r} beta {float(beta)!r} case {case_tag}")
     worst = float(report.probe_margins.min(initial=np.inf))
     residual = float(

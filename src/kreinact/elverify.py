@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -290,6 +291,8 @@ def check_first_order(report: ELReport, tol_el: float = tolerances.EL_RESIDUAL) 
     probes is attained on the support up to tol_el.
     """
     tol = float(tol_el)
+    if not 0.0 <= tol < math.inf:
+        raise ValidationError(f"tol_el (--tol-el) must be finite and >= 0, got {tol_el!r}")
     margin_ok = bool(report.probe_margins.min(initial=np.inf) >= -tol)
     support_ok = bool(
         max(

@@ -12,7 +12,7 @@ bit-exact float round trips.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np

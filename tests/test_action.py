@@ -11,7 +11,6 @@ from kreinact import (
     MinimizeConfig,
     MomentumBox,
     NonsmoothPointError,
-    NumericalError,
     OperatorMeasure,
     PositionGrid,
     QHatEvaluator,
@@ -53,7 +52,6 @@ def test_box_grid_representatives_are_the_first_of_each_pair(shape, pairs):
     np.testing.assert_array_equal(grid.representatives, np.nonzero(np.arange(grid.n_points) <= refl)[0])
     assert len(grid.representatives) == pairs
     np.testing.assert_array_equal(grid.representatives[grid.orbit[refl]], grid.representatives[grid.orbit])
-    np.testing.assert_array_equal(grid.mirrored, np.arange(grid.n_points) > refl)
     assert grid.folded_weights.sum() == pytest.approx(grid.volume, rel=1e-14)
 
 
@@ -408,6 +406,18 @@ def _partly_degenerate_measure():
     return OperatorMeasure(sp, box, [-half, half], ops), grid
 
 
+def _assert_field_is_the_pointwise_kernel(ev, mode, delta):
+    """Row ``orbit[i]`` of ``q_field`` is ``Q`` at point ``i``'s representative
+    and its Krein adjoint at the partner, to the bit."""
+    grid = ev.grid
+    assert len(ev.q_field) == len(grid.representatives)
+    for i, xi in enumerate(grid.points):
+        q = ev.q_field[grid.orbit[i]]
+        if grid.representatives[grid.orbit[i]] != i:
+            q = krein_adjoint(q, ev.measure.space)
+        np.testing.assert_array_equal(q, gradient_kernel_Q(ev.measure, xi, mode, delta))
+
+
 def test_batched_gradient_field_matches_pointwise_kernel_at_degenerate_chains():
     meas, grid = _partly_degenerate_measure()
     degenerate = []
@@ -420,10 +430,7 @@ def test_batched_gradient_field_matches_pointwise_kernel_at_degenerate_chains():
     assert not degenerate[0]
     for delta in (0.0, 1e-2):
         ev = QHatEvaluator(meas, grid, smoothing_delta=delta)
-        for i, xi in enumerate(grid.points):
-            np.testing.assert_array_equal(
-                ev.q_field[i], gradient_kernel_Q(meas, xi, smoothing_delta=delta)
-            )
+        _assert_field_is_the_pointwise_kernel(ev, "auto", delta)
         # The identity chain is diagonalizable: its double eigenvalue takes
         # the analytic path.
         analytic = QHatEvaluator(meas, grid, smoothing_delta=delta, mode="analytic")
@@ -550,30 +557,26 @@ def test_qhat_evaluate_many_consistent():
         for i, p in enumerate(ps):
             np.testing.assert_allclose(many[i], ev.evaluate(p), atol=1e-13)
             # The per-momentum quadrature loop, same arithmetic: equal to the bit.
-            phases = grid.weights * np.exp(-1j * grid.points @ p)
-            qhat = np.einsum("x,xab->ab", phases, ev.q_field)
-            np.testing.assert_array_equal(many[i], 0.5 * (qhat + krein_adjoint(qhat, sp)))
+            phases = 0.5 * grid.folded_weights * np.exp(-1j * grid.points[grid.representatives] @ p)
+            half = np.einsum("x,xab->ab", phases, ev.q_field)
+            np.testing.assert_array_equal(many[i], half + krein_adjoint(half, sp))
 
 
-def test_qhat_symmetry_check_raises_at_one_broken_momentum():
-    sp = SignatureSpace(1)
-    meas = random_measure_for(sp, make_rng(15))
-    grid = PositionGrid.from_box(2.0, (5, 1, 1, 1))
-    ev = QHatEvaluator(meas, grid)
-    ps = np.array([[0.0, 0, 0, 0], [0.3, 0, 0, 0], [0.7, 0, 0, 0]])
-    # Weights c(xi) whose Fourier sum vanishes at every momentum but the last.
-    rows = grid.weights * np.exp(-1j * ps @ grid.points.T)
-    c = np.linalg.svd(rows[:-1])[2][-1].conj()
-    c *= 10.0 * max(1.0, np.linalg.norm(ev.evaluate(ps[-1]), 2)) / abs(rows[-1] @ c)
-    E = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # not Krein symmetric
-    ev.q_field = ev.q_field + c[:, None, None] * E
-    for p in ps[:-1]:
-        ev.evaluate(p)
-    with pytest.raises(NumericalError, match="Krein symmetry"):
-        ev.evaluate(ps[-1])
-    with pytest.raises(NumericalError, match="Krein symmetry"):
-        ev.evaluate_many(ps)
-    ev.evaluate_many(ps[:-1])
+def test_qhat_is_krein_symmetric_and_the_full_grid_quadrature():
+    # K + K^* over the reflection pairs is Qhat = sum_xi w(xi) Q(xi) e^{-i p.xi}
+    # over every grid point, and Krein symmetric to the bit.
+    rng = make_rng(15)
+    for n, shape in ((1, (5, 1, 1, 1)), (2, (5, 3, 3, 1))):
+        sp = SignatureSpace(n)
+        meas = random_measure_for(sp, rng)
+        grid = PositionGrid.from_box(2.0, shape)
+        ev = QHatEvaluator(meas, grid, smoothing_delta=1e-2)
+        field = np.array([gradient_kernel_Q(meas, xi, smoothing_delta=1e-2) for xi in grid.points])
+        ps = np.vstack([[[0.0, 0, 0, 0]], meas.momenta, rng.uniform(-1, 1, (3, 4))])
+        for p, qhat in zip(ps, ev.evaluate_many(ps)):
+            np.testing.assert_array_equal(krein_adjoint(qhat, sp), qhat)
+            full = np.einsum("x,xab->ab", grid.weights * np.exp(-1j * grid.points @ p), field)
+            assert np.linalg.norm(qhat - full, 2) <= 1e-13 * np.linalg.norm(full, 2)
 
 
 @pytest.mark.parametrize(
@@ -601,8 +604,11 @@ def test_tail_magnitude_is_largest_boundary_norm():
     for shape in ((1, 1, 1, 1), (5, 3, 3, 1)):
         grid = PositionGrid.from_box(2.0, shape)
         ev = QHatEvaluator(meas, grid, smoothing_delta=1e-2)
-        boundary = ev.q_field[grid.boundary_mask()]
-        expected = max(np.linalg.svd(q, compute_uv=False)[0] for q in boundary)
+        boundary = grid.points[grid.boundary_mask()]
+        expected = max(
+            np.linalg.svd(gradient_kernel_Q(meas, xi, smoothing_delta=1e-2), compute_uv=False)[0]
+            for xi in boundary
+        )
         assert ev.tail_magnitude == pytest.approx(expected, rel=1e-14)
 
 
@@ -659,9 +665,8 @@ def test_reordered_grid_gives_the_same_action_and_field():
         for mode in ("auto", "finite_difference"):
             ev = QHatEvaluator(meas, grid, smoothing_delta=delta, mode=mode)
             box_field = QHatEvaluator(meas, box, smoothing_delta=delta, mode=mode).q_field
-            np.testing.assert_array_equal(ev.q_field, box_field[perm])
-            for q, xi in zip(ev.q_field, grid.points):
-                np.testing.assert_array_equal(q, gradient_kernel_Q(meas, xi, mode, delta))
+            np.testing.assert_array_equal(ev.q_field, box_field[box.orbit[perm[grid.representatives]]])
+            _assert_field_is_the_pointwise_kernel(ev, mode, delta)
 
 
 def test_one_chain_eigensolve_per_reflection_pair(monkeypatch):

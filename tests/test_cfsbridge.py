@@ -44,6 +44,13 @@ def test_standard_basis_enumerates_atoms_and_coordinates():
     assert all(len(u.values) == 1 for u in basis)
 
 
+@pytest.mark.parametrize("limit", [0, -5])
+def test_standard_basis_rejects_a_limit_below_one(limit):
+    measure = random_measure_for(SP1, make_rng(0), n_atoms=2)
+    with pytest.raises(ValidationError, match="at least 1"):
+        standard_basis(measure, limit=limit)
+
+
 def test_hilbert_inner_matches_atom_blocks():
     measure = random_measure_for(SP1, make_rng(1), n_atoms=2)
     basis = standard_basis(measure)

@@ -183,6 +183,18 @@ def test_verify_flags_non_stationary_measure(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1"])
+def test_verify_rejects_a_bad_tolerance_instead_of_judging(toy_run, tmp_path, capsys, tol):
+    report_path = tmp_path / "verify.json"
+    rc = main(["verify", str(toy_run / "measure.json"), "--smoothing-delta", "0.01",
+               "--tol-el", tol, "--out", str(report_path)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "tol_el" in captured.err and "finite and >= 0" in captured.err
+    assert "check " not in captured.out
+    assert not report_path.exists()
+
+
 def test_verify_rejects_measure_with_invalid_default_targets(tmp_path, capsys):
     # Seed 5 produces a total with negative trace, so the defaulted
     # constraint targets are rejected up front.
@@ -478,6 +490,19 @@ def test_correlate_writes_spectra_csv(tmp_path, capsys):
     lines = out_path.read_text().strip().splitlines()
     assert lines[0] == "weight,x0,x1,x2,x3,eig0,eig1,eig2,eig3"
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("size", ["0", "-5"])
+def test_correlate_rejects_basis_size_below_one(tmp_path, capsys, size):
+    fixture_path = tmp_path / "m.json"
+    assert main(["fixture", "random", "--out", str(fixture_path), "--seed", "4",
+                 "--atoms", "2", "--grid", "2,1,1,1"]) == 0
+    out_path = tmp_path / "corr.csv"
+    rc = main(["correlate", str(fixture_path), "--position-grid", "2,1,1,1",
+               "--basis-size", size, "--out", str(out_path)])
+    assert rc == 2
+    assert "--basis-size" in capsys.readouterr().err
+    assert not out_path.exists()
 
 
 def test_unknown_subcommand_raises_usage_error():

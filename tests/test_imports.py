@@ -1,0 +1,43 @@
+"""Every name a package module imports is used there or exported.
+
+No linter runs on the package, so a dead import would otherwise go
+unnoticed.  ``__init__.py`` is exempt: it exists to re-export names.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "kreinact"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _unused_imports(source: str) -> list:
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                # "import a.b" binds "a"; "import a.b as c" binds "c".
+                bound = alias.name.split(".")[0] if isinstance(node, ast.Import) else alias.name
+                imported[alias.asname or bound] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= {elt.value for elt in node.value.elts if isinstance(elt, ast.Constant)}
+    return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
+
+
+def test_the_check_sees_a_dead_import():
+    source = "import os\nimport sys\nfrom math import inf, pi\n__all__ = ['pi']\nprint(sys.argv)\n"
+    assert _unused_imports(source) == ["inf (line 3)", "os (line 1)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_unused_imports(path):
+    assert _unused_imports(path.read_text()) == []
