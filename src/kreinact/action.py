@@ -40,7 +40,6 @@ from that solve, so an accepted trial builds its field without another.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from dataclasses import dataclass
@@ -59,11 +58,8 @@ __all__ = [
     "closed_chain",
     "lagrangian",
     "action",
-    "action_profile",
-    "profile_to_csv",
     "gradient_kernel_Q",
     "QHatEvaluator",
-    "fourier_Q_hat",
 ]
 
 _KINK_REL = 0.05
@@ -264,24 +260,6 @@ def _solved_action(measure: OperatorMeasure, grid: PositionGrid, smoothing_delta
     return float(np.dot(grid.folded_weights, _lagrangian_values(solved[2], smoothing_delta))), solved
 
 
-def action_profile(
-    measure: OperatorMeasure, grid: PositionGrid, smoothing_delta: float = 0.0
-) -> list:
-    """Pointwise Lagrangian profile ``[(xi, L(xi)), ...]`` over the grid."""
-    # L(-xi) = L(xi): a representative's value serves its whole pair.
-    vals = _lagrangian_field(measure, grid, smoothing_delta)[grid.orbit]
-    return [(xi.copy(), float(v)) for xi, v in zip(grid.points, vals)]
-
-
-def profile_to_csv(profile, path) -> None:
-    """Write an ``action_profile`` result as CSV columns xi0..xi3, lagrangian."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["xi0", "xi1", "xi2", "xi3", "lagrangian"])
-        for xi, val in profile:
-            writer.writerow([repr(float(x)) for x in xi] + [repr(float(val))])
-
-
 # ---------------------------------------------------------------------------
 # Gradient kernel
 # ---------------------------------------------------------------------------
@@ -468,16 +446,3 @@ class QHatEvaluator:
         phases = 0.5 * self.grid.folded_weights * np.exp(-1j * self._points @ ps[:, :, None])[:, :, 0]
         half = np.einsum("kx,xab->kab", phases, self.q_field)
         return half + _adjoint(half, self.measure.space.signature)
-
-
-def fourier_Q_hat(
-    measure: OperatorMeasure,
-    grid: PositionGrid,
-    p,
-    smoothing_delta: float = 0.0,
-    mode: str = "auto",
-) -> np.ndarray:
-    """One-shot ``Qhat(p)``; build a :class:`QHatEvaluator` for many ``p``."""
-    p = _four_vector(p, "p")  # before the costly build
-    evaluator = QHatEvaluator(measure, grid, smoothing_delta=smoothing_delta, mode=mode)
-    return evaluator.evaluate_many(p[None])[0]

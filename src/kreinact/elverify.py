@@ -57,6 +57,16 @@ REPORT_FORMAT = "kreinact-elreport"
 REPORT_VERSION = 1
 
 
+def _sum_in_atom_order(values: np.ndarray) -> float:
+    """Left-to-right sum of per-atom terms.
+
+    ``np.sum`` adds eight or more terms pairwise, which rounds differently;
+    a running sum adds them in atom order, to the bit as a loop over the
+    atoms would.
+    """
+    return float(np.add.accumulate(values)[-1]) if len(values) else 0.0
+
+
 @dataclass(frozen=True)
 class PushforwardMeasure:
     """Atoms ``(q_j, A_j)`` of the measure pushed through the gradient field."""
@@ -73,7 +83,7 @@ class PushforwardMeasure:
 
     def trace_pairing(self) -> float:
         """``sum_j Tr(q_j A_j)`` (real for symmetric/positive pairs)."""
-        return float(sum(np.trace(q @ A).real for q, A in zip(self.qs, self.operators)))
+        return _sum_in_atom_order(np.trace(self.qs @ self.operators, axis1=1, axis2=2).real)
 
 
 @dataclass(frozen=True)
@@ -179,10 +189,8 @@ def lagrange_parameters(mu: PushforwardMeasure, c: float, f: float):
     I1 = mu.trace_pairing()
     if not _bound_active(v, f):
         return I1 / c, 0.0, "a"
-    I2 = 0.0
-    for q, A in zip(mu.qs, mu.operators):
-        anti = 0.5 * (q * sig[None, :] + sig[:, None] * q)
-        I2 += float(np.trace(anti @ A).real)
+    anti = 0.5 * (mu.qs * sig[None, None, :] + sig[None, :, None] * mu.qs)
+    I2 = _sum_in_atom_order(np.trace(anti @ mu.operators, axis1=1, axis2=2).real)
     denom = f * f - c * c
     alpha = (f * I2 - c * I1) / denom
     beta = (f * I1 - c * I2) / denom

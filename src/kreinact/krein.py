@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg as sla
 
 from . import tolerances
 from .errors import ValidationError
@@ -275,7 +274,7 @@ def classified_spectrum(T: np.ndarray, space: SignatureSpace, zero_tol: float = 
     T = space.check_operator(T)
     if not is_symmetric(T, space):
         raise ValidationError("classified_spectrum requires a symmetric operator")
-    lam, X = sla.eig(T)
+    lam, X = np.linalg.eig(T)
     scale = _scale(T)
     out = []
     used = np.zeros(len(lam), bool)

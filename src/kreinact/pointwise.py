@@ -35,7 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from . import tolerances
 from .errors import (
@@ -482,6 +481,11 @@ def brute_force(
         M = _project_columns(M, n, a, b, rng)
         best.append((objective_of(M), M))
     best.sort(key=lambda pair: pair[0])
+
+    # Imported here, not at module level: this oracle is the package's only
+    # scipy user, and importing scipy.optimize takes longer than a whole toy
+    # minimize run, a cost every CLI process would otherwise pay.
+    import scipy.optimize
 
     best_val = best[0][0]
     for _, M0 in best[:refinements]:

@@ -17,15 +17,12 @@ from kreinact import (
     SignatureSpace,
     ValidationError,
     action,
-    action_profile,
     closed_chain,
-    fourier_Q_hat,
     gradient_kernel_Q,
     kernel_P,
     krein_adjoint,
     lagrangian,
     minimize_action,
-    profile_to_csv,
     random_measure,
     scale,
     translate,
@@ -185,24 +182,6 @@ def test_action_quartic_homogeneity(lam, seed):
     base = action(meas, grid)
     scaled = action(scale(meas, lam), grid)
     assert scaled == pytest.approx(lam ** 4 * base, rel=1e-11)
-
-
-def test_action_profile_and_csv(tmp_path):
-    sp = SignatureSpace(1)
-    meas = random_measure_for(sp, make_rng(7))
-    grid = PositionGrid.from_box(1.0, (3, 1, 1, 1))
-    profile = action_profile(meas, grid)
-    assert len(profile) == grid.n_points
-    total = sum(w * L for w, L in zip(grid.weights, [row[1] for row in profile]))
-    assert total == pytest.approx(action(meas, grid), rel=1e-12)
-    path = tmp_path / "profile.csv"
-    profile_to_csv(profile, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "xi0,xi1,xi2,xi3,lagrangian"
-    assert len(lines) == 1 + grid.n_points
-    # floats survive the repr round trip
-    first = lines[1].split(",")
-    assert float(first[4]) == profile[0][1]
 
 
 # ---------------------------------------------------------------------------
@@ -508,12 +487,11 @@ def test_gradient_invalid_mode():
     "call",
     [
         lambda meas, grid, delta: action(meas, grid, delta),
-        lambda meas, grid, delta: action_profile(meas, grid, delta),
         lambda meas, grid, delta: lagrangian(closed_chain(kernel_P(meas, grid.points[0]), meas.space), delta),
         lambda meas, grid, delta: gradient_kernel_Q(meas, grid.points[0], smoothing_delta=delta),
         lambda meas, grid, delta: QHatEvaluator(meas, grid, smoothing_delta=delta),
     ],
-    ids=["action", "action_profile", "lagrangian", "gradient_kernel_Q", "QHatEvaluator"],
+    ids=["action", "lagrangian", "gradient_kernel_Q", "QHatEvaluator"],
 )
 def test_negative_smoothing_delta_rejected(call):
     sp = SignatureSpace(1)
@@ -587,9 +565,8 @@ def test_qhat_is_krein_symmetric_and_the_full_grid_quadrature():
         lambda meas, ev: ev.evaluate([np.inf, 0, 0, 0]),
         lambda meas, ev: gradient_kernel_Q(meas, [np.nan, 0, 0, 0]),
         lambda meas, ev: kernel_P(meas, [np.inf, 0, 0, 0]),
-        lambda meas, ev: fourier_Q_hat(meas, ev.grid, [0.0, np.nan, 0, 0]),
     ],
-    ids=["misshapen_stack", "nan_in_stack", "inf_momentum", "nan_xi", "inf_xi", "nan_wrapper"],
+    ids=["misshapen_stack", "nan_in_stack", "inf_momentum", "nan_xi", "inf_xi"],
 )
 def test_non_finite_or_misshapen_four_vectors_rejected(call):
     sp = SignatureSpace(1)
@@ -688,15 +665,6 @@ def test_one_chain_eigensolve_per_reflection_pair(monkeypatch):
         calls.clear()
         call()
         assert calls == [(expected, (32, 4, 4))]
-
-
-def test_fourier_qhat_wrapper():
-    sp = SignatureSpace(1)
-    meas = random_measure_for(sp, make_rng(16))
-    grid = PositionGrid.from_box(2.0, (5, 1, 1, 1))
-    p = meas.momenta[1]
-    ev = QHatEvaluator(meas, grid)
-    np.testing.assert_allclose(fourier_Q_hat(meas, grid, p), ev.evaluate(p), atol=1e-13)
 
 
 def test_first_variation_identity_on_measure_atoms():

@@ -2,7 +2,8 @@
 
 Commands run in-process through ``main(argv)`` so exit codes and stdout
 are asserted directly; two tests shell out, to the installed console
-script and to ``python -m kreinact``, to check the packaging wiring.
+script and to ``python -m kreinact``, to check the packaging wiring, and
+one runs the pipeline in a fresh interpreter to see which modules it loads.
 """
 
 import json
@@ -520,11 +521,32 @@ def test_console_script_is_installed():
     assert proc.stdout.startswith("usage: kreinact")
 
 
-def test_module_entry_point_runs_the_cli():
+def _src_env() -> dict:
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+
+
+def test_module_entry_point_runs_the_cli():
     proc = subprocess.run([sys.executable, "-m", "kreinact", "--help"],
-                          capture_output=True, text=True, timeout=60, env=env)
+                          capture_output=True, text=True, timeout=60, env=_src_env())
     assert proc.returncode == 0
     assert proc.stdout.startswith("usage: kreinact")
+
+
+def test_pipeline_does_not_import_scipy(tmp_path):
+    # scipy costs more import time than numpy and the whole toy run
+    # together; only the brute_force oracle needs it.
+    script = f"""
+import sys
+import kreinact
+from kreinact.cli import main
+run = {str(tmp_path / "run")!r}
+assert main(["minimize", "--out", run] + {TOY_ARGS!r}) == 0
+assert main(["verify", run + "/measure.json", "--smoothing-delta", "0.01"]) == 0
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=120, env=_src_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

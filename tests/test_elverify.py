@@ -241,6 +241,36 @@ def test_lagrange_parameters_case_a_zero_beta():
     assert alpha == pytest.approx(mu.trace_pairing() / 0.6, rel=1e-14)
 
 
+@pytest.mark.parametrize("n_atoms", [1, 7, 9, 27])
+@pytest.mark.parametrize("n", [1, 2])
+def test_stacked_pairings_match_the_per_atom_loop_to_the_bit(n, n_atoms):
+    # From eight terms on np.sum adds pairwise; the stacked pairings must
+    # still add in atom order, as the loop below does.
+    sp = SignatureSpace(n)
+    sig = sp.signature
+    rng = make_rng(100 * n + n_atoms)
+    measure = random_measure_for(sp, rng, n_atoms=n_atoms, shape=(3, 3, 3, 1))
+    qs = np.array([random_symmetric(sp, rng) for _ in range(n_atoms)])
+    c = 0.7
+    # Signed trace 1.9: on the bound f = 1.9 (case "b"), below f = 3.8 (case "a").
+    mu = pushforward(restore_constraints(measure, "b", c, 1.9), qs)
+    I1 = 0.0
+    I2 = 0.0
+    for q, A in zip(mu.qs, mu.operators):
+        I1 += float(np.trace(q @ A).real)
+        anti = 0.5 * (q * sig[None, :] + sig[:, None] * q)
+        I2 += float(np.trace(anti @ A).real)
+    assert mu.trace_pairing() == I1
+    for case, f in (("a", 3.8), ("b", 1.9)):
+        alpha, beta, tag = lagrange_parameters(mu, c, f)
+        assert tag == case
+        if case == "a":
+            assert (alpha, beta) == (I1 / c, 0.0)
+        else:
+            denom = f * f - c * c
+            assert (alpha, beta) == ((f * I2 - c * I1) / denom, (f * I1 - c * I2) / denom)
+
+
 def test_lagrange_parameters_rejects_bad_targets():
     measure, _ = stationary_fixture()
     mu = pushforward(measure, constant_field(ROTATION_Q, 2))

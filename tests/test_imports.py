@@ -1,7 +1,12 @@
-"""Every name a package module imports is used there or exported.
+"""Import hygiene of the package modules.
 
-No linter runs on the package, so a dead import would otherwise go
+Every name a package module imports is used there or exported.  No
+linter runs on the package, so a dead import would otherwise go
 unnoticed.  ``__init__.py`` is exempt: it exists to re-export names.
+
+No package module imports scipy when it is loaded: ``import kreinact``
+loads numpy only.  The one scipy user, the ``brute_force`` oracle,
+imports it inside the function.
 """
 
 import ast
@@ -11,6 +16,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "kreinact"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ALL_MODULES = sorted(PACKAGE.glob("*.py"))
 
 
 def _unused_imports(source: str) -> list:
@@ -41,3 +47,35 @@ def test_the_check_sees_a_dead_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def _load_time_scipy_imports(source: str) -> list:
+    """scipy modules imported when the source is executed, not when a function is called."""
+    found = []
+    pending = list(ast.parse(source).body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append(node.module)
+        pending.extend(ast.iter_child_nodes(node))
+    return sorted(m for m in found if m == "scipy" or m.startswith("scipy."))
+
+
+def test_the_check_sees_a_load_time_scipy_import():
+    source = (
+        "import numpy as np\n"
+        "import scipy.linalg as sla\n"
+        "try:\n    from scipy import optimize\nexcept ImportError:\n    pass\n"
+        "def oracle():\n    import scipy.optimize\n    return scipy.optimize\n"
+        "class Oracle:\n    def method(self):\n        from scipy import special\n"
+    )
+    assert _load_time_scipy_imports(source) == ["scipy", "scipy.linalg"]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=[p.name for p in ALL_MODULES])
+def test_no_load_time_scipy_import(path):
+    assert _load_time_scipy_imports(path.read_text()) == []
