@@ -166,15 +166,52 @@ def _is_representative(points: np.ndarray) -> np.ndarray:
     return np.sign(points) @ np.array([8.0, 4.0, 2.0, 1.0]) <= 0
 
 
-def _plus_kernel(measure: OperatorMeasure, points: np.ndarray) -> np.ndarray:
-    """``P_+(xi) = sum_j exp(i p_j . xi) A_j`` for a batch of positions."""
-    points = np.atleast_2d(np.asarray(points, float))
-    if measure.n_atoms == 0:
-        d = measure.space.dim
-        return np.zeros((len(points), d, d), complex)
+def _kernel_phases(momenta: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """``e^{i xi . p_j}`` with one row per position ``xi`` and one column per atom ``p_j``."""
     # Real phases first: the complex product of imaginary points costs far more.
-    phases = np.exp(1j * (points @ measure.momenta.T))
+    return np.exp(1j * (points @ momenta.T))
+
+
+def _plus_kernel(measure: OperatorMeasure, phases: np.ndarray) -> np.ndarray:
+    """``P_+(xi) = sum_j exp(i p_j . xi) A_j`` for each row of a :func:`_kernel_phases` table."""
     return np.einsum("xj,jab->xab", phases, measure.operators)
+
+
+class _SupportTables:
+    """Phase tables and masks of fixed atom momenta at fixed positions.
+
+    A minimization run moves the atom operators, never their momenta or the
+    grid, so it builds these once; :func:`action`, :func:`_solved_action` and
+    :class:`QHatEvaluator` take them in or build their own.
+    ``kernel_phases`` are taken at each point's representative (``-xi`` where
+    ``mirrored``).  On a grid, ``points`` are its representatives.
+    """
+
+    def __init__(self, momenta: np.ndarray, points: np.ndarray, half_weights=None):
+        self.points = points
+        self.mirrored = ~_is_representative(points)
+        self.origin = ~points.any(axis=1)
+        self.reps = np.where(self.mirrored[:, None], -points, points)
+        self.kernel_phases = _kernel_phases(momenta, self.reps)
+        self.half_weights = half_weights
+        self._fourier = None
+
+    @classmethod
+    def on_grid(cls, momenta: np.ndarray, grid: PositionGrid) -> "_SupportTables":
+        return cls(momenta, grid.points[grid.representatives], 0.5 * grid.folded_weights)
+
+    def fourier_phases(self, ps: np.ndarray) -> np.ndarray:
+        """:func:`_fourier_phases` on the grid's representatives, kept for the last ``ps`` asked for."""
+        if self._fourier is None or self._fourier[0] != ps.tobytes():
+            self._fourier = ps.tobytes(), _fourier_phases(self.points, self.half_weights, ps)
+        return self._fourier[1]
+
+
+def _fourier_phases(points: np.ndarray, half_weights: np.ndarray, ps: np.ndarray) -> np.ndarray:
+    """``(fw_r / 2) e^{-i p . xi_r}`` with one row per momentum ``p`` of ``ps``."""
+    # A stack of matrix-vector products rounds each momentum's phases the
+    # same way whatever the batch size; a matrix product would not.
+    return half_weights * np.exp(-1j * points @ ps[:, :, None])[:, :, 0]
 
 
 def _four_vector(x, name: str, ndim: int = 1) -> np.ndarray:
@@ -191,7 +228,7 @@ def _four_vector(x, name: str, ndim: int = 1) -> np.ndarray:
 def kernel_P(measure: OperatorMeasure, xi) -> np.ndarray:
     """Kernel ``P(xi) = -sum_j exp(i p_j . xi) A_j``."""
     xi = _four_vector(xi, "xi")
-    return -_plus_kernel(measure, xi[None])[0]
+    return -_plus_kernel(measure, _kernel_phases(measure.momenta, xi[None]))[0]
 
 
 def closed_chain(P: np.ndarray, space: SignatureSpace) -> ClosedChainSpectrum:
@@ -225,38 +262,40 @@ def lagrangian(spectrum: ClosedChainSpectrum, smoothing_delta: float = 0.0) -> f
     return float(_lagrangian_values(spectrum.lambdas, smoothing_delta))
 
 
-def _chain_field(measure: OperatorMeasure, points: np.ndarray):
-    """Batched kernels and chains over grid points: returns (P_plus, chains)."""
-    Pp = _plus_kernel(measure, points)
+def _chain_field(measure: OperatorMeasure, phases: np.ndarray):
+    """Batched kernels and chains from a :func:`_kernel_phases` table: returns (P_plus, chains)."""
+    Pp = _plus_kernel(measure, phases)
     return Pp, Pp @ _adjoint(Pp, measure.space.signature)
 
 
-def _chain_solve(measure: OperatorMeasure, points: np.ndarray):
-    """``(P_plus, chains, lams, R)``: kernels, chains and one stacked ``eig``."""
-    Pp, chains = _chain_field(measure, points)
+def _chain_solve(measure: OperatorMeasure, points: np.ndarray, phases=None):
+    """``(P_plus, chains, lams, R)``: kernels, chains and one stacked ``eig`` at ``points``.
+
+    ``phases`` is the points' :func:`_kernel_phases` table if in hand.
+    """
+    Pp, chains = _chain_field(measure, _kernel_phases(measure.momenta, points) if phases is None else phases)
     lams, R = np.linalg.eig(chains)
     return Pp, chains, lams, R
 
 
-def _lagrangian_field(measure: OperatorMeasure, grid: PositionGrid, smoothing_delta: float) -> np.ndarray:
-    """Lagrangian at each grid representative, from one batched chain eigensolve."""
-    _, chains = _chain_field(measure, grid.points[grid.representatives])
-    return _lagrangian_values(np.linalg.eigvals(chains), smoothing_delta)
-
-
-def action(measure: OperatorMeasure, grid: PositionGrid, smoothing_delta: float = 0.0) -> float:
+def action(
+    measure: OperatorMeasure, grid: PositionGrid, smoothing_delta: float = 0.0, *, _support=None
+) -> float:
     """Discretized homogeneous action ``sum_xi w(xi) L(xi)``."""
-    return float(np.dot(grid.folded_weights, _lagrangian_field(measure, grid, smoothing_delta)))
+    support = _support or _SupportTables.on_grid(measure.momenta, grid)
+    _, chains = _chain_field(measure, support.kernel_phases)
+    return float(np.dot(grid.folded_weights, _lagrangian_values(np.linalg.eigvals(chains), smoothing_delta)))
 
 
-def _solved_action(measure: OperatorMeasure, grid: PositionGrid, smoothing_delta: float):
+def _solved_action(measure: OperatorMeasure, grid: PositionGrid, smoothing_delta: float, support=None):
     """``(action, solved)`` from one :func:`_chain_solve` of the grid's representatives.
 
     ``solved`` can feed :class:`QHatEvaluator`.  The action is :func:`action`'s
     to the bit: LAPACK's QR sweep on these small chains does the same
     arithmetic on the eigenvalues with or without eigenvectors.
     """
-    solved = _chain_solve(measure, grid.points[grid.representatives])
+    support = support or _SupportTables.on_grid(measure.momenta, grid)
+    solved = _chain_solve(measure, support.reps, support.kernel_phases)
     return float(np.dot(grid.folded_weights, _lagrangian_values(solved[2], smoothing_delta))), solved
 
 
@@ -275,13 +314,17 @@ def _eig_gradient_factors(chains, lams, R, space: SignatureSpace, delta: float):
     """
     d = space.dim
     m = _moduli(lams, delta)
-    # An exactly singular R has a zero LU pivot: inv would raise for the whole
-    # stack, slogdet reports it per matrix.  Rejected rows get harmless stand-ins.
-    ok = np.linalg.slogdet(R)[0] != 0
+    ok = np.ones(len(R), bool)
     if delta == 0.0:
         ok &= m.min(axis=1) > tolerances.MODULUS_GAP * np.linalg.norm(chains, 2, axis=(1, 2))
-    R = np.where(ok[:, None, None], R, np.eye(d))
-    R_inv = np.linalg.inv(R)
+    try:
+        R_inv = np.linalg.inv(R)
+    except np.linalg.LinAlgError:
+        # An exactly singular R has a zero LU pivot: inv raises for the whole
+        # stack, slogdet reports it per matrix.  Rejected rows get harmless stand-ins.
+        ok &= np.linalg.slogdet(R)[0] != 0
+        R = np.where(ok[:, None, None], R, np.eye(d))
+        R_inv = np.linalg.inv(R)
     g = 2.0 * m - m.sum(axis=1, keepdims=True) / (d // 2)
     c = g * lams.conj() / np.where(ok[:, None], m, 1.0)
     ok &= np.linalg.norm(R, axis=(1, 2)) * np.linalg.norm(R_inv, axis=(1, 2)) < _EIGENBASIS_COND
@@ -303,7 +346,7 @@ def _fd_gradient(measure, xi, space, delta):
     moduli and the Lagrangian vanishes identically) see the disagreement
     shrink with it.
     """
-    Pp = _plus_kernel(measure, -xi[None])[0]
+    Pp = _plus_kernel(measure, _kernel_phases(measure.momenta, -xi[None]))[0]
     d = space.dim
     norm = float(np.linalg.norm(Pp, 2))
     h = _FD_STEP * max(norm, 1.0)
@@ -333,12 +376,12 @@ def _fd_gradient(measure, xi, space, delta):
 
 def _gradient_field(
     measure: OperatorMeasure,
-    points: np.ndarray,
+    support: _SupportTables,
     delta: float,
     mode: str,
     solved=None,
 ) -> np.ndarray:
-    """Gradient kernel ``Q`` at each of ``points``, from one chain per pair.
+    """Gradient kernel ``Q`` at each of ``support.points``, from one chain per pair.
 
     ``Q = N P_+`` at a representative, the adjoint of its representative's
     at any other point.  ``solved`` is the :func:`_chain_solve` of the
@@ -351,9 +394,10 @@ def _gradient_field(
     if mode not in ("auto", "analytic", "finite_difference"):
         raise ValidationError(f"unknown gradient mode {mode!r}")
     space, sig = measure.space, measure.space.signature
-    mirrored = ~_is_representative(points)
-    reps = np.where(mirrored[:, None], -points, points)
-    Pp, chains, lams, R = _chain_solve(measure, reps) if solved is None else solved
+    points, mirrored, fixed = support.points, support.mirrored, support.origin
+    if solved is None:
+        solved = _chain_solve(measure, support.reps, support.kernel_phases)
+    Pp, chains, lams, R = solved
 
     if mode == "finite_difference":
         factors, ok = np.zeros_like(chains), np.zeros(len(points), bool)
@@ -368,7 +412,7 @@ def _gradient_field(
 
     q_field = factors @ Pp
     adjoint = _adjoint(q_field, sig)
-    fixed = ~points.any(axis=1)  # Q(0) = Q(0)^*, which N P_+ meets only up to rounding
+    # Q(0) = Q(0)^*, which N P_+ meets only up to rounding.
     q_field[fixed] = 0.5 * (q_field[fixed] + adjoint[fixed])
     q_field[mirrored] = adjoint[mirrored]
     for i in np.nonzero(~ok)[0]:
@@ -393,7 +437,8 @@ def gradient_kernel_Q(
     ``Q(xi)^* = Q(-xi)`` holds exactly.  Genuinely nonsmooth points raise
     :class:`~kreinact.errors.NonsmoothPointError` carrying ``xi``.
     """
-    return _gradient_field(measure, _four_vector(xi, "xi")[None], smoothing_delta, mode)[0]
+    support = _SupportTables(measure.momenta, _four_vector(xi, "xi")[None])
+    return _gradient_field(measure, support, smoothing_delta, mode)[0]
 
 
 class QHatEvaluator:
@@ -406,7 +451,8 @@ class QHatEvaluator:
     ``xi``.  ``tail_magnitude`` reports ``max ||Q(xi)||_2`` over the boundary
     of the position box — a diagnostic for how well the truncated box captures
     the decay of the gradient kernel (integrability cannot be asserted on a
-    finite box, only reported).  ``_solved`` passes in a :func:`_chain_solve`
+    finite box, only reported).  ``_support`` passes in the measure's
+    :class:`_SupportTables` on ``grid``, ``_solved`` a :func:`_chain_solve`
     of the representatives.
     """
 
@@ -417,13 +463,18 @@ class QHatEvaluator:
         smoothing_delta: float = 0.0,
         mode: str = "auto",
         *,
+        _support=None,
         _solved=None,
     ):
         self.measure = measure
         self.grid = grid
         self.smoothing_delta = float(smoothing_delta)
-        self._points = grid.points[grid.representatives]
-        self.q_field = _gradient_field(measure, self._points, smoothing_delta, mode, _solved)
+        support = _support or _SupportTables.on_grid(measure.momenta, grid)
+        self.q_field = _gradient_field(measure, support, smoothing_delta, mode, _solved)
+        # A run's tables serve its later evaluators too; an evaluator that
+        # built its own keeps only what its Fourier sums need.
+        self._fourier_phases = support.fourier_phases if _support else functools.partial(
+            _fourier_phases, support.points, support.half_weights)
 
     @functools.cached_property
     def tail_magnitude(self) -> float:
@@ -441,8 +492,5 @@ class QHatEvaluator:
     def evaluate_many(self, ps: np.ndarray) -> np.ndarray:
         """``Qhat`` at each row of ``ps``, stacked along the first axis."""
         ps = _four_vector(np.atleast_2d(ps), "momenta", ndim=2)
-        # A stack of matrix-vector products rounds each momentum's phases the
-        # same way whatever the batch size; a matrix product would not.
-        phases = 0.5 * self.grid.folded_weights * np.exp(-1j * self._points @ ps[:, :, None])[:, :, 0]
-        half = np.einsum("kx,xab->kab", phases, self.q_field)
+        half = np.einsum("kx,xab->kab", self._fourier_phases(ps), self.q_field)
         return half + _adjoint(half, self.measure.space.signature)

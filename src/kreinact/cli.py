@@ -10,6 +10,7 @@ verdict), 3 on numerical failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -31,6 +32,7 @@ from .errors import KreinactError, ValidationError
 from .homomeasure import (
     MomentumBox,
     _read_document,
+    _write_document,
     decompose,
     dirac_sea_fixture,
     load_measure,
@@ -69,12 +71,6 @@ def _parse_box(text: str) -> tuple:
             f"got {text!r}"
         )
     return tuple(vals[:4]), tuple(vals[4:])
-
-
-def _write_json(path, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +129,7 @@ def cmd_minimize(args) -> int:
     config = _read_document(args.config, "configuration", build) if args.config else build({})
 
     os.makedirs(args.out, exist_ok=True)
-    _write_json(os.path.join(args.out, "config.json"), config_to_dict(config))
+    _write_document(os.path.join(args.out, "config.json"), config_to_dict(config), sort_keys=True)
     result = minimize_action(config)
 
     with open(os.path.join(args.out, "iterations.csv"), "w", newline="") as fh:
@@ -157,7 +153,7 @@ def cmd_minimize(args) -> int:
         "stop_reason": result.stop_reason,
         "checks": checks,
     }
-    _write_json(os.path.join(args.out, "status.json"), summary)
+    _write_document(os.path.join(args.out, "status.json"), summary, sort_keys=True)
     print(
         f"action {result.action_value!r} case {result.case_tag} converged={result.converged} "
         f"stop={result.stop_reason}"
@@ -384,9 +380,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built on its first call (parsing does not change it)."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return int(args.func(args))
     except ValidationError as err:

@@ -24,7 +24,6 @@ since they produce the multiplier formulas.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 
@@ -32,7 +31,7 @@ import numpy as np
 
 from . import tolerances
 from .errors import InfeasibleProblemError, ValidationError
-from .homomeasure import OperatorMeasure, _read_document
+from .homomeasure import OperatorMeasure, _read_document, _write_document
 from .krein import SignatureSpace
 
 __all__ = [
@@ -394,9 +393,7 @@ def report_from_dict(data: dict) -> ELReport:
 
 
 def save_report(report: ELReport, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(report_to_dict(report), fh, indent=1)
-        fh.write("\n")
+    _write_document(path, report_to_dict(report))
 
 
 def load_report(path) -> ELReport:

@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .krein import SignatureSpace, is_positive, positive_spectrum, spectral_split
+from .krein import SignatureSpace, _positive_rows, positive_spectrum, spectral_split
 
 __all__ = [
     "MomentumBox",
@@ -96,12 +96,13 @@ class MomentumBox:
         return np.stack([m.ravel() for m in mesh], axis=1)
 
     def contains(self, p: np.ndarray, tol: float = _CONTAINMENT_TOL) -> bool:
-        p = np.asarray(p, float)
-        span = np.asarray(self.upper) - np.asarray(self.lower)
-        pad = tol * np.maximum(span, 1.0)
-        return bool(
-            np.all(p >= np.asarray(self.lower) - pad) and np.all(p <= np.asarray(self.upper) + pad)
-        )
+        return bool(self._inside(np.asarray(p, float), tol).all())
+
+    def _inside(self, points: np.ndarray, tol: float = _CONTAINMENT_TOL) -> np.ndarray:
+        """Per row of ``points``: inside the box padded by ``tol`` times its span (at least 1)."""
+        lower, upper = np.asarray(self.lower), np.asarray(self.upper)
+        pad = tol * np.maximum(upper - lower, 1.0)
+        return np.all((points >= lower - pad) & (points <= upper + pad), axis=-1)
 
 
 class OperatorMeasure:
@@ -149,12 +150,17 @@ class OperatorMeasure:
             self._validate()
 
     def _validate(self):
-        for j, p in enumerate(self.momenta):
-            if not self.box.contains(p):
-                raise ValidationError(f"atom {j} at {p} lies outside the momentum box")
-        for j, A in enumerate(self.operators):
-            if not is_positive(A, self.space):
-                raise ValidationError(f"atom {j} carries a non-positive operator")
+        outside = np.nonzero(~self.box._inside(self.momenta))[0]
+        if len(outside):
+            j = outside[0]
+            raise ValidationError(f"atom {j} at {self.momenta[j]} lies outside the momentum box")
+        finite = np.isfinite(self.operators).all(axis=(1, 2))
+        ops = np.where(finite[:, None, None], self.operators, 0.0)
+        bad = np.nonzero(~(finite & _positive_rows(ops, self.space.signature)))[0]
+        if len(bad):
+            if not finite[bad[0]]:
+                raise ValidationError("operator contains non-finite entries")
+            raise ValidationError(f"atom {bad[0]} carries a non-positive operator")
         if len(self.momenta) > 1:
             span = np.linalg.norm(np.asarray(self.box.upper) - np.asarray(self.box.lower))
             d = self.momenta[:, None, :] - self.momenta[None, :, :]
@@ -458,9 +464,13 @@ def measure_from_dict(data: dict) -> OperatorMeasure:
 
 def save_measure(measure: OperatorMeasure, path) -> None:
     """Write a measure as a versioned JSON document (bit-exact round trip)."""
+    _write_document(path, measure_to_dict(measure))
+
+
+def _write_document(path, doc: dict, sort_keys: bool = False) -> None:
+    """Write ``doc`` to ``path`` as JSON indented by one, ending in a newline, in one write."""
     with open(path, "w") as fh:
-        json.dump(measure_to_dict(measure), fh, indent=1)
-        fh.write("\n")
+        fh.write(json.dumps(doc, indent=1, sort_keys=sort_keys) + "\n")
 
 
 def _read_document(path, kind: str, build):
@@ -501,9 +511,7 @@ def save_operator(A: np.ndarray, space: SignatureSpace, path) -> None:
         "n": space.n,
         "matrix": _matrix_to_lists(np.asarray(A, complex)),
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    _write_document(path, doc)
 
 
 def _operator_from_dict(data: dict) -> tuple:

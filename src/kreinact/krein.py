@@ -137,12 +137,17 @@ def is_symmetric(A: np.ndarray, space: SignatureSpace, tol: float = tolerances.H
 
 def is_positive(A: np.ndarray, space: SignatureSpace, tol: float = tolerances.PSD) -> bool:
     """True iff ``A`` is positive: ``S @ A`` Hermitian with spectrum >= ``-tol`` (relative)."""
-    A = space.check_operator(A)
-    if not is_symmetric(A, space, tol=max(tol, tolerances.HERMITICITY)):
-        return False
-    H = _hermitize(space.signature[:, None] * A)
-    w_min = float(np.linalg.eigvalsh(H)[0])
-    return w_min >= -tol * _scale(A)
+    return bool(_positive_rows(space.check_operator(A)[None], space.signature, tol)[0])
+
+
+def _positive_rows(As: np.ndarray, sig: np.ndarray, tol: float = tolerances.PSD) -> np.ndarray:
+    """:func:`is_positive` of each matrix of a finite ``(k, d, d)`` stack, in one pass."""
+    H = sig[:, None] * As
+    H_adj = np.swapaxes(H.conj(), -1, -2)
+    defect = np.linalg.norm(H - H_adj, 2, axis=(-2, -1))
+    scale = np.maximum(np.linalg.norm(As, 2, axis=(-2, -1)), 1.0)
+    w_min = np.linalg.eigvalsh(0.5 * (H + H_adj))[..., 0]
+    return (defect <= max(tol, tolerances.HERMITICITY) * scale) & (w_min >= -tol * scale)
 
 
 def symmetric_part(A: np.ndarray, space: SignatureSpace) -> np.ndarray:

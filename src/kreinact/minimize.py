@@ -29,7 +29,8 @@ while the memory holds pairs and ``INITIAL_STEP`` otherwise, safeguarded
 by monotone backtracking: a trial is accepted only if it strictly lowers
 the action.  Each trial makes one chain eigensolve over the position grid;
 its eigenvalues give the action, and an accepted trial builds the next
-gradient field from the same solve.
+gradient field from the same solve.  The phase tables of the fixed atom
+momenta and position grid are built once per run and shared by all.
 The loop stops at the first iterate whose own first-order report passes
 :func:`~kreinact.elverify.check_first_order` at ``CERTIFY_FRACTION *
 tol_el`` (built only once its psd margin already clears that bound), and
@@ -48,7 +49,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import tolerances
-from .action import PositionGrid, QHatEvaluator, _check_delta, _solved_action, action
+from .action import PositionGrid, QHatEvaluator, _check_delta, _solved_action, _SupportTables, action
 from .elverify import (
     ELReport,
     _bound_active,
@@ -157,12 +158,9 @@ def config_from_dict(data: dict) -> MinimizeConfig:
 # Constraint restoration
 # ---------------------------------------------------------------------------
 
-def _block_traces(measure: OperatorMeasure):
-    total = measure.total()
-    n = measure.space.n
-    t11 = float(np.trace(total[:n, :n]).real)
-    t22 = float(np.trace(total[n:, n:]).real)
-    return t11, t22
+def _block_traces(total: np.ndarray, n: int):
+    """Traces of the two signature blocks of ``total``."""
+    return float(np.trace(total[:n, :n]).real), float(np.trace(total[n:, n:]).real)
 
 
 def _block_scalings(t11: float, t22: float, case: str, c: float, f: float):
@@ -202,7 +200,7 @@ def restore_constraints(measure: OperatorMeasure, case: str, c: float, f: float)
     """
     if not (0.0 < c < f):
         raise ValidationError(f"constraint targets must satisfy 0 < c < f, got c={c}, f={f}")
-    x, y = _block_scalings(*_block_traces(measure), case, c, f)
+    x, y = _block_scalings(*_block_traces(measure.total(), measure.space.n), case, c, f)
     d = np.repeat(np.sqrt([x, y]), measure.space.n)
     ops = d[None, :, None] * measure.operators * d[None, None, :]
     return measure.with_operators(ops, validate=False)
@@ -236,10 +234,12 @@ class MinimizeResult:
     stop_reason: str = "max_iterations"
 
 
+def _operators_from_Ms(space, Ms) -> np.ndarray:
+    return space.signature[None, :, None] * (Ms.conj().transpose(0, 2, 1) @ Ms)
+
+
 def _measure_from_Ms(space, box, momenta, Ms) -> OperatorMeasure:
-    sig = space.signature
-    ops = sig[None, :, None] * (Ms.conj().transpose(0, 2, 1) @ Ms)
-    return OperatorMeasure(space, box, momenta, ops, validate=False)
+    return OperatorMeasure(space, box, momenta, _operators_from_Ms(space, Ms), validate=False)
 
 
 def _lbfgs_direction(grads: np.ndarray, pairs: list) -> np.ndarray:
@@ -274,6 +274,7 @@ def minimize_action(config: MinimizeConfig) -> MinimizeResult:
     sig = space.signature
     delta = config.smoothing_delta
     rng = np.random.default_rng(config.seed)
+    support = _SupportTables.on_grid(momenta, grid)
 
     # The restoration fixes the scale of the factors, so none is chosen here.
     Ms = rng.standard_normal((k, d, d)) + 1j * rng.standard_normal((k, d, d))
@@ -282,7 +283,7 @@ def minimize_action(config: MinimizeConfig) -> MinimizeResult:
         # Case "a" unless its signed trace makes the bound active (or it is
         # impossible); then case "b" pins both constraints.  The restoration
         # A -> D A D acts on the factors as M -> M D.
-        t11, t22 = _block_traces(_measure_from_Ms(space, box, momenta, Ms_raw))
+        t11, t22 = _block_traces(_operators_from_Ms(space, Ms_raw).sum(axis=0), space.n)
         try:
             x, y = _block_scalings(t11, t22, "a", config.c, config.f)
             active = _bound_active(x * (t11 - t22), config.f)
@@ -294,7 +295,7 @@ def minimize_action(config: MinimizeConfig) -> MinimizeResult:
 
     def evaluator_for(measure: OperatorMeasure, solved=None) -> QHatEvaluator:
         try:
-            return QHatEvaluator(measure, grid, smoothing_delta=delta, _solved=solved)
+            return QHatEvaluator(measure, grid, smoothing_delta=delta, _support=support, _solved=solved)
         except NonsmoothPointError as err:
             if delta == 0.0:
                 raise NonsmoothPointError(
@@ -316,7 +317,7 @@ def minimize_action(config: MinimizeConfig) -> MinimizeResult:
             return None
         measure_try = _measure_from_Ms(space, box, momenta, Ms_try)
         trace_log[-1]["trials"] += 1
-        action_try, solved = _solved_action(measure_try, grid, delta)
+        action_try, solved = _solved_action(measure_try, grid, delta, support)
         if not action_try < to_beat:
             return None
         try:
@@ -328,7 +329,7 @@ def minimize_action(config: MinimizeConfig) -> MinimizeResult:
 
     Ms = restored(Ms)
     measure = _measure_from_Ms(space, box, momenta, Ms)
-    current_action = action(measure, grid, delta)
+    current_action = action(measure, grid, delta, _support=support)
     evaluator = evaluator_for(measure)
     trace_log: list = []
     previous = None  # (Ms, G) before the last accepted step

@@ -27,7 +27,7 @@ from kreinact import (
     scale,
     translate,
 )
-from kreinact.action import _chain_solve, _eig_gradient_factors, _solved_action
+from kreinact.action import _chain_solve, _eig_gradient_factors, _solved_action, _SupportTables
 
 
 # ---------------------------------------------------------------------------
@@ -609,6 +609,50 @@ def test_line_search_solve_gives_the_action_and_the_field():
             fresh = QHatEvaluator(meas, grid, smoothing_delta=delta)
             reused = QHatEvaluator(meas, grid, smoothing_delta=delta, _solved=solved)
             np.testing.assert_array_equal(reused.q_field, fresh.q_field)
+
+
+def test_run_tables_give_the_one_shot_results_to_the_bit():
+    # A minimization run builds the support tables once and hands them to
+    # every trial; the one-shot calls build their own.
+    for meas, grid in _solve_cases():
+        support = _SupportTables.on_grid(meas.momenta, grid)
+        for delta in (0.0, 1e-2):
+            value, solved = _solved_action(meas, grid, delta, support)
+            assert value == action(meas, grid, delta) == action(meas, grid, delta, _support=support)
+            reused = QHatEvaluator(meas, grid, smoothing_delta=delta, _support=support, _solved=solved)
+            fresh = QHatEvaluator(meas, grid, smoothing_delta=delta)
+            assert reused.q_field.tobytes() == fresh.q_field.tobytes()
+            # The repeated momenta read the kept Fourier table.
+            for ps in (meas.momenta, meas.momenta, meas.momenta + 0.25, meas.momenta):
+                expected = np.stack([fresh.evaluate(p) for p in ps])
+                assert fresh.evaluate_many(ps).tobytes() == expected.tobytes()
+                assert reused.evaluate_many(ps).tobytes() == expected.tobytes()
+        assert support.fourier_phases(meas.momenta.copy()) is support.fourier_phases(meas.momenta)
+
+
+def test_singular_eigenvector_matrix_rejects_only_its_row(monkeypatch):
+    meas = random_measure_for(SignatureSpace(2), make_rng(28), n_atoms=4, shape=(3, 2, 1, 1))
+    _, chains, lams, R = _chain_solve(meas, PositionGrid.from_box(3.0, (5, 3, 1, 1)).points)
+    singular = R.copy()
+    singular[7][:, 1] = 0.0  # an exactly zero LU pivot: inv raises for the whole stack
+    without = [np.delete(a, 7, axis=0) for a in (chains, lams, R)]
+    slogdet, screened = np.linalg.slogdet, []
+
+    def counted(a):
+        screened.append(len(a))
+        return slogdet(a)
+
+    monkeypatch.setattr(np.linalg, "slogdet", counted)
+    for delta in (0.0, 1e-2):
+        screened.clear()
+        clean, clean_ok = _eig_gradient_factors(chains, lams, R, meas.space, delta)
+        assert clean_ok.all() and screened == []
+        factors, ok = _eig_gradient_factors(chains, lams, singular, meas.space, delta)
+        assert screened == [len(R)]
+        assert not ok[7] and np.delete(ok, 7).all()
+        expected = _eig_gradient_factors(*without, meas.space, delta)[0]
+        assert np.delete(factors, 7, axis=0).tobytes() == expected.tobytes()
+        assert np.delete(clean, 7, axis=0).tobytes() == expected.tobytes()
 
 
 def test_gradient_factor_commutes_with_the_kernel_across_the_pair():

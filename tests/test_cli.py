@@ -3,9 +3,10 @@
 Commands run in-process through ``main(argv)`` so exit codes and stdout
 are asserted directly; two tests shell out, to the installed console
 script and to ``python -m kreinact``, to check the packaging wiring, and
-one runs the pipeline in a fresh interpreter to see which modules it loads.
+two run a fresh interpreter to see what importing and running build.
 """
 
+import io
 import json
 import os
 import shutil
@@ -550,3 +551,43 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
                           capture_output=True, text=True, timeout=120, env=_src_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_the_reused_parser_carries_no_state_between_calls(tmp_path):
+    # main parses with one parser per process; a refused call and a call
+    # with other options in between leave the next run unchanged.
+    first, last = tmp_path / "first", tmp_path / "last"
+    assert main(["minimize", "--out", str(first)] + TOY_ARGS) == 0
+    assert main(["verify", str(first / "measure.json"), "--tol-el", "nan"]) == 2
+    assert main(["minimize", "--out", str(tmp_path / "other"), "--seed", "1", "--c", "0.5", "--f", "1.0",
+                 "--smoothing-delta", "0.01", "--tol-el", "1e-5", "--position-radius", "2.5"]) in (0, 2)
+    assert main(["minimize", "--out", str(last)] + TOY_ARGS) == 0
+    for name in ("config.json", "iterations.csv", "measure.json",
+                 "report.json", "report.csv", "status.json"):
+        assert (first / name).read_bytes() == (last / name).read_bytes(), name
+
+
+def test_import_builds_no_parser():
+    script = """
+import kreinact
+import kreinact.cli
+print(kreinact.cli._parser.cache_info().currsize)
+"""
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=60, env=_src_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0"]
+
+
+def test_json_writers_write_what_json_dump_wrote(toy_run, tmp_path):
+    # One writer serves the measure, operator, report and run-status files;
+    # each file is json.dump's indent-1 text of its document plus a newline.
+    save_operator(ROTATION_Q, SP1, tmp_path / "q.json")
+    files = [(toy_run / name, name in ("config.json", "status.json"))
+             for name in ("config.json", "measure.json", "report.json", "status.json")]
+    for path, sort_keys in files + [(tmp_path / "q.json", False)]:
+        text = path.read_text()
+        buffer = io.StringIO()
+        json.dump(json.loads(text), buffer, indent=1, sort_keys=sort_keys)
+        buffer.write("\n")
+        assert text == buffer.getvalue(), path.name

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_rng, random_measure_for, random_positive, unit_momentum_box
+from kreinact import tolerances
 from kreinact import (
     MomentumBox,
     OperatorMeasure,
@@ -20,6 +21,7 @@ from kreinact import (
     feynman_slash,
     gamma_matrices,
     is_positive,
+    is_symmetric,
     load_measure,
     load_operator,
     massless_fixture,
@@ -33,6 +35,7 @@ from kreinact import (
     translate,
     variation_measure,
 )
+from kreinact.krein import _positive_rows
 
 
 # ---------------------------------------------------------------------------
@@ -99,6 +102,73 @@ def test_measure_rejects_duplicate_momenta():
     pts = np.array([[0.0, 0, 0, 0], [0.0, 0, 0, 0]])
     with pytest.raises(ValidationError):
         OperatorMeasure(sp, box, pts, [A, A])
+
+
+def _per_atom_verdict(box, momenta, ops, sp):
+    """What validating atom by atom reports first: containment, then positivity."""
+    for j, p in enumerate(momenta):
+        if not box.contains(p):
+            return f"atom {j} at"
+    for j, A in enumerate(ops):
+        if not np.isfinite(A).all():
+            return "non-finite entries"
+        if not is_positive(A, sp):
+            return f"atom {j} carries a non-positive operator"
+    return None
+
+
+@pytest.mark.parametrize("outside, non_positive, nan", [
+    pytest.param((), 13, None, id="non-positive-13"),
+    pytest.param((9, 20), None, None, id="outside-9"),
+    pytest.param((9,), 3, 5, id="outside-before-operators"),
+    pytest.param((), 13, 20, id="non-positive-before-nan"),
+    pytest.param((), 20, 13, id="nan-before-non-positive"),
+])
+def test_stacked_validation_names_the_first_offending_atom(outside, non_positive, nan):
+    sp = SignatureSpace(2)
+    box = MomentumBox((-1.0,) * 4, (1.0,) * 4, (3, 3, 3, 1))
+    momenta = box.grid_points()
+    rng = make_rng(40)
+    ops = np.array([random_positive(sp, rng) for _ in momenta])
+    momenta[list(outside), 0] = 1.5
+    if non_positive is not None:
+        ops[non_positive] = np.eye(4)  # S = diag(1, 1, -1, -1) is not psd
+    if nan is not None:
+        ops[nan][0, 1] = np.nan
+    expected = _per_atom_verdict(box, momenta, ops, sp)
+    assert expected is not None
+    with pytest.raises(ValidationError, match=expected):
+        OperatorMeasure(sp, box, momenta, ops)
+
+
+def test_stacked_positivity_agrees_with_is_positive_near_the_tolerances():
+    # Smallest eigenvalue of S A and symmetry defect each at a multiple of
+    # the relative tolerance, on both sides of it.
+    sp = SignatureSpace(2)
+    rng = make_rng(41)
+    stack = []
+    for t in (0.0, 0.5, 0.99, 1.0, 1.01, 2.0):
+        for s in (0.0, 0.5, 0.99, 1.01, 2.0):
+            V = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
+            H = (V * np.array([2.0, 1.0, 0.5, -2.0 * t * tolerances.PSD])) @ V.conj().T
+            K = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            K = K - K.conj().T
+            K *= s * tolerances.HERMITICITY * 2.0 / np.linalg.norm(K, 2)
+            stack.append(sp.signature[:, None] * (H + 0.5 * K))
+    stack = np.array(stack + [random_positive(sp, rng) for _ in range(20)])
+    stacked = _positive_rows(stack, sp.signature)
+    assert stacked.tolist() == [is_positive(A, sp) for A in stack]
+    assert stacked.tolist() == [_old_is_positive(A, sp) for A in stack]
+    assert stacked.any() and not stacked.all()
+
+
+def _old_is_positive(A, sp):
+    """The per-atom rule: symmetry test, then the smallest eigenvalue, both relative."""
+    if not is_symmetric(A, sp, tol=max(tolerances.PSD, tolerances.HERMITICITY)):
+        return False
+    H = sp.signature[:, None] * A
+    w_min = np.linalg.eigvalsh(0.5 * (H + H.conj().T))[0]
+    return bool(w_min >= -tolerances.PSD * max(float(np.linalg.norm(A, 2)), 1.0))
 
 
 # ---------------------------------------------------------------------------

@@ -314,6 +314,28 @@ def test_each_line_search_trial_makes_one_eigensolve(monkeypatch):
     assert calls == ["eigvals", "eig"] + ["trial", "eig"] * trials
 
 
+def test_support_tables_are_built_once_per_run_and_no_inverse_is_screened(monkeypatch):
+    # The momenta and the grid are fixed for a run, so their phase tables
+    # are too; a well-conditioned run never needs the slogdet screen.
+    from kreinact.action import _SupportTables
+
+    calls = []
+    build = _SupportTables.__init__
+
+    def counted_build(self, *args):
+        calls.append("tables")
+        build(self, *args)
+
+    def no_slogdet(a):
+        raise AssertionError("the slogdet screen ran")
+
+    monkeypatch.setattr(_SupportTables, "__init__", counted_build)
+    monkeypatch.setattr(np.linalg, "slogdet", no_slogdet)
+    result = minimize_action(TOY)
+    assert sum(row["trials"] for row in result.trace) >= 10
+    assert calls == ["tables"]
+
+
 def test_toy_run_is_feasible(toy_result):
     assert_feasible(toy_result.measure, TOY.c, TOY.f, toy_result.case_tag)
 
