@@ -81,6 +81,8 @@ def cmd_fixture(args) -> int:
     for flag, value in (("--seed", args.seed), ("--atoms", args.atoms)):
         if value < 0:
             raise ValidationError(f"{flag} must be an integer >= 0, got {value}")
+    if args.atoms == 0 and args.kind != "random":
+        raise ValidationError(f"--atoms must be at least 1 for a {args.kind} fixture, got 0")
     rng = np.random.default_rng(args.seed)
     if args.kind == "dirac-sea":
         if args.mass <= 0:

@@ -16,9 +16,7 @@ conditions:
 
 Every function takes ``Qhat`` values, never the field itself, so a caller
 evaluates each momentum once (one ``QHatEvaluator.evaluate_many``) and the
-report's spectra are batched over the stacks.  The constraint-restoring
-first-order coefficients (``kappa``) for block scalings live here as well,
-since they produce the multiplier formulas.
+report's spectra are batched over the stacks.
 """
 
 from __future__ import annotations
@@ -38,11 +36,9 @@ __all__ = [
     "PushforwardMeasure",
     "ELReport",
     "pushforward",
-    "kappa_coefficients",
     "lagrange_parameters",
     "el_residuals",
     "support_gap",
-    "gap_of_operator",
     "beta_sign_check",
     "check_first_order",
     "report_to_dict",
@@ -130,33 +126,6 @@ def pushforward(measure: OperatorMeasure, qs) -> PushforwardMeasure:
     )
 
 
-def kappa_coefficients(case: str, direction: np.ndarray, space: SignatureSpace, c: float, f: float):
-    """First-order block-scaling rates that keep the constraints preserved.
-
-    For a measure variation with rate operator ``direction`` (the
-    derivative of the total operator), scaling the two signature blocks at
-    rates ``kappa_1, kappa_2`` cancels the first variation of the trace
-    constraint (case "a") or of both trace and signed-trace constraints
-    (case "b").  The totals enter only through their constraint values
-    ``c`` and ``f``.
-    """
-    direction = space.check_operator(direction)
-    tr = float(np.trace(direction).real)
-    trs = float(np.trace(space.signature[:, None] * direction).real)
-    if case == "a":
-        if c == 0:
-            raise ValidationError("case a requires a nonzero trace target")
-        kappa = -tr / (2.0 * c)
-        return kappa, kappa
-    if case == "b":
-        if f <= 0 or abs(f) == abs(c):
-            raise ValidationError("case b requires 0 < c < f (f != ±c)")
-        kappa1 = -(trs + tr) / (2.0 * (f + c))
-        kappa2 = -(trs - tr) / (2.0 * (f - c))
-        return kappa1, kappa2
-    raise ValidationError(f"unknown constraint case {case!r}")
-
-
 def _bound_active(signed_trace: float, f: float) -> bool:
     """Whether the signed-trace bound ``Tr(S total) <= f`` counts as active.
 
@@ -209,31 +178,23 @@ def _shifted_spectra(qhats: np.ndarray, alpha: float, beta: float, space: Signat
     return T, w, V
 
 
-def _gaps(w: np.ndarray, V: np.ndarray, space: SignatureSpace, psd_tol: float = tolerances.PSD) -> np.ndarray:
-    """Support gap of each operator from the stacked spectra ``(w, V)`` of ``S T``."""
-    scale = np.maximum(np.maximum(np.abs(w[:, 0]), np.abs(w[:, -1])), 1e-300)
-    root = (V * np.sqrt(np.clip(w, 0.0, None))[:, None, :]) @ V.conj().transpose(0, 2, 1)
-    Y = root @ (space.signature[None, :, None] * root)
-    y = np.linalg.eigvalsh(0.5 * (Y + Y.conj().transpose(0, 2, 1)))
-    return np.where(w[:, 0] < -psd_tol * scale, 0.0, np.abs(y).min(axis=1))
-
-
-def gap_of_operator(T: np.ndarray, space: SignatureSpace, psd_tol: float = tolerances.PSD) -> float:
-    """Support gap of a Krein-symmetric operator ``T``.
+def _gaps(w: np.ndarray, V: np.ndarray, space: SignatureSpace) -> np.ndarray:
+    """Support gap of each operator from the stacked spectra ``(w, V)`` of ``S T``.
 
     ``g`` is the largest ``lam >= 0`` such that the spectrum of ``T``
     avoids ``(-lam, lam)`` and all spectral points beyond are carried by
     definite eigenspaces of the matching sign.  Those conditions hold for
-    some positive ``lam`` only when the Hermitian representative
-    ``That = S T`` is psd, in which case the spectrum of ``T`` equals the
-    (real) spectrum of ``sqrt(That) S sqrt(That)`` with the definiteness
-    built in, so ``g`` is its smallest absolute eigenvalue.  Operators
-    failing the psd condition — or positive ones with nontrivial kernel —
-    have ``g = 0``.
+    some positive ``lam`` only when ``S T`` is psd, in which case the
+    spectrum of ``T`` equals the (real) spectrum of
+    ``sqrt(S T) S sqrt(S T)`` with the definiteness built in, so ``g`` is
+    its smallest absolute eigenvalue.  Operators failing the psd
+    condition, or positive ones with nontrivial kernel, have ``g = 0``.
     """
-    T = space.check_operator(T)
-    _, w, V = _shifted_spectra(T[None], 0.0, 0.0, space)
-    return float(_gaps(w, V, space, psd_tol)[0])
+    scale = np.maximum(np.maximum(np.abs(w[:, 0]), np.abs(w[:, -1])), 1e-300)
+    root = (V * np.sqrt(np.clip(w, 0.0, None))[:, None, :]) @ V.conj().transpose(0, 2, 1)
+    Y = root @ (space.signature[None, :, None] * root)
+    y = np.linalg.eigvalsh(0.5 * (Y + Y.conj().transpose(0, 2, 1)))
+    return np.where(w[:, 0] < -tolerances.PSD * scale, 0.0, np.abs(y).min(axis=1))
 
 
 def support_gap(qhat, alpha: float, beta: float, space: SignatureSpace) -> float:
@@ -284,9 +245,9 @@ def el_residuals(
     )
 
 
-def beta_sign_check(report: ELReport, tol: float = tolerances.BETA_SIGN) -> bool:
+def beta_sign_check(report: ELReport) -> bool:
     """True iff the dimension-constraint multiplier satisfies ``beta <= 0``."""
-    return report.beta <= tol
+    return report.beta <= tolerances.BETA_SIGN
 
 
 def check_first_order(report: ELReport, tol_el: float = tolerances.EL_RESIDUAL) -> dict:

@@ -4,7 +4,7 @@ A measure is a finite family of atoms ``(p_j, A_j)`` with momenta inside a
 compact box ``K`` and positive operators ``A_j`` on a
 :class:`~kreinact.krein.SignatureSpace`.  The module provides the constraint
 functionals (trace, eigenvalue-modulus sum, signed trace), the variation
-measure, the particle/neutral/sea decomposition, symmetry transformations,
+measure, the particle/neutral/sea decomposition, translations and scalings,
 the Dirac-sea and massless fixtures, and a versioned JSON serialization with
 bit-exact float round trips.
 """
@@ -28,9 +28,7 @@ __all__ = [
     "constraint_values",
     "decompose",
     "variation_measure",
-    "transform",
     "translate",
-    "apply_linear",
     "scale",
     "dirac_sea_fixture",
     "massless_fixture",
@@ -230,24 +228,15 @@ def constraint_values(measure: OperatorMeasure) -> ConstraintValues:
     return ConstraintValues(trace=float(tr.real), dim_sum=dim_sum, mod_dim=float(mod_dim.real))
 
 
-_NORMS = {
-    "spectral": lambda H: float(np.linalg.norm(H, 2)),
-    "frobenius": lambda H: float(np.linalg.norm(H, "fro")),
-}
-
-
-def variation_measure(measure: OperatorMeasure, norm: str = "spectral") -> list:
+def variation_measure(measure: OperatorMeasure) -> list:
     """The scalar variation measure: ``[(p_j, ||A_j||), ...]``.
 
     For a finitely supported measure the supremum over partitions is attained
-    atomwise.  The default norm is the operator 2-norm of ``S @ A`` (sharp
-    for the Hermitian representative).
+    atomwise.  The norm is the operator 2-norm of ``S @ A`` (sharp for the
+    Hermitian representative).
     """
-    if norm not in _NORMS:
-        raise ValidationError(f"unknown norm {norm!r}; choose from {sorted(_NORMS)}")
-    norm_fn = _NORMS[norm]
     sig = measure.space.signature
-    return [(p.copy(), norm_fn(sig[:, None] * A)) for p, A in measure.atoms()]
+    return [(p.copy(), float(np.linalg.norm(sig[:, None] * A, 2))) for p, A in measure.atoms()]
 
 
 def decompose(measure: OperatorMeasure) -> MeasureDecomposition:
@@ -282,44 +271,11 @@ def translate(measure: OperatorMeasure, shift: Sequence[float]) -> OperatorMeasu
     return OperatorMeasure(measure.space, box, measure.momenta + shift[None, :], measure.operators.copy())
 
 
-def apply_linear(measure: OperatorMeasure, matrix: np.ndarray) -> OperatorMeasure:
-    """Map atom momenta through an invertible linear map of momentum space."""
-    B = np.asarray(matrix, float)
-    if B.shape != (4, 4):
-        raise ValidationError("linear momentum map requires a 4x4 matrix")
-    if abs(np.linalg.det(B)) < 1e-12:
-        raise ValidationError("linear momentum map must be invertible")
-    corners = np.array(
-        [
-            [lo if bit else hi for lo, hi, bit in zip(measure.box.lower, measure.box.upper, bits)]
-            for bits in np.ndindex(2, 2, 2, 2)
-        ]
-    )
-    mapped = corners @ B.T
-    new_momenta = measure.momenta @ B.T
-    lower = np.minimum(mapped.min(axis=0), new_momenta.min(axis=0) if len(new_momenta) else np.inf)
-    upper = np.maximum(mapped.max(axis=0), new_momenta.max(axis=0) if len(new_momenta) else -np.inf)
-    span = np.maximum(upper - lower, 1e-6)
-    box = MomentumBox(tuple(lower - 1e-12 * span), tuple(upper + 1e-12 * span), measure.box.grid_shape)
-    return OperatorMeasure(measure.space, box, new_momenta, measure.operators.copy())
-
-
 def scale(measure: OperatorMeasure, factor: float) -> OperatorMeasure:
     """Rescale all atom operators by a positive factor."""
     if factor <= 0:
         raise ValidationError(f"scale factor must be positive, got {factor}")
     return measure.with_operators(measure.operators * factor)
-
-
-def transform(measure: OperatorMeasure, kind: str, value) -> OperatorMeasure:
-    """Dispatch to :func:`translate`, :func:`apply_linear`, or :func:`scale`."""
-    if kind == "translate":
-        return translate(measure, value)
-    if kind == "linear":
-        return apply_linear(measure, value)
-    if kind == "scale":
-        return scale(measure, float(value))
-    raise ValidationError(f"unknown transform kind {kind!r}")
 
 
 def gamma_matrices() -> dict:

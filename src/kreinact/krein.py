@@ -39,7 +39,6 @@ __all__ = [
     "krein_adjoint",
     "is_symmetric",
     "is_positive",
-    "symmetric_part",
     "positive_spectrum",
     "spectral_split",
     "psd_factorize",
@@ -135,30 +134,25 @@ def is_symmetric(A: np.ndarray, space: SignatureSpace, tol: float = tolerances.H
     return bool(defect <= tol * _scale(A))
 
 
-def is_positive(A: np.ndarray, space: SignatureSpace, tol: float = tolerances.PSD) -> bool:
-    """True iff ``A`` is positive: ``S @ A`` Hermitian with spectrum >= ``-tol`` (relative)."""
-    return bool(_positive_rows(space.check_operator(A)[None], space.signature, tol)[0])
+def is_positive(A: np.ndarray, space: SignatureSpace) -> bool:
+    """True iff ``A`` is positive: ``S @ A`` Hermitian with spectrum >= ``-PSD`` (relative)."""
+    return bool(_positive_rows(space.check_operator(A)[None], space.signature)[0])
 
 
-def _positive_rows(As: np.ndarray, sig: np.ndarray, tol: float = tolerances.PSD) -> np.ndarray:
+def _positive_rows(As: np.ndarray, sig: np.ndarray) -> np.ndarray:
     """:func:`is_positive` of each matrix of a finite ``(k, d, d)`` stack, in one pass."""
     H = sig[:, None] * As
     H_adj = np.swapaxes(H.conj(), -1, -2)
     defect = np.linalg.norm(H - H_adj, 2, axis=(-2, -1))
     scale = np.maximum(np.linalg.norm(As, 2, axis=(-2, -1)), 1.0)
     w_min = np.linalg.eigvalsh(0.5 * (H + H_adj))[..., 0]
+    tol = tolerances.PSD
     return (defect <= max(tol, tolerances.HERMITICITY) * scale) & (w_min >= -tol * scale)
 
 
-def symmetric_part(A: np.ndarray, space: SignatureSpace) -> np.ndarray:
-    """Projection of ``A`` onto the symmetric operators: ``(A + A*)/2``."""
+def _require_positive(A: np.ndarray, space: SignatureSpace, who: str) -> np.ndarray:
     A = space.check_operator(A)
-    return 0.5 * (A + _adjoint(A, space.signature))
-
-
-def _require_positive(A: np.ndarray, space: SignatureSpace, tol: float, who: str) -> np.ndarray:
-    A = space.check_operator(A)
-    if not is_positive(A, space, tol=tol):
+    if not is_positive(A, space):
         raise ValidationError(f"{who} requires a positive operator")
     return A
 
@@ -169,7 +163,7 @@ def positive_spectrum(A: np.ndarray, space: SignatureSpace) -> np.ndarray:
     Computed from the Hermitian congruence ``Y = sqrt(S A) S sqrt(S A)``,
     which shares the spectrum of ``A``; no non-normal solve is involved.
     """
-    A = _require_positive(A, space, tolerances.PSD, "positive_spectrum")
+    A = _require_positive(A, space, "positive_spectrum")
     R = _hermitian_sqrt(space.signature[:, None] * A)
     Y = _hermitize(R @ space.signature_matrix @ R)
     return np.linalg.eigvalsh(Y)
@@ -195,24 +189,21 @@ class SpectralSplit:
         return self.plus + self.zero + self.minus
 
 
-def spectral_split(
-    A: np.ndarray,
-    space: SignatureSpace,
-    zero_tol: float = tolerances.ZERO_EIGENVALUE,
-) -> SpectralSplit:
+def spectral_split(A: np.ndarray, space: SignatureSpace) -> SpectralSplit:
     """Split a positive operator into plus/zero/minus spectral parts.
 
-    Eigenvalues with ``|lambda| <= zero_tol * ||A||`` are grouped into the
-    zero component.  The plus part ``S R Pi+ R`` (with ``R = sqrt(S A)`` and
-    ``Pi+`` the positive eigenprojector of ``R S R``) is itself positive with
-    positive definite image; symmetrically for the minus part.
+    Eigenvalues with ``|lambda| <= ZERO_EIGENVALUE * ||A||`` (the package
+    tolerance) are grouped into the zero component.  The plus part
+    ``S R Pi+ R`` (with ``R = sqrt(S A)`` and ``Pi+`` the positive
+    eigenprojector of ``R S R``) is itself positive with positive definite
+    image; symmetrically for the minus part.
     """
-    A = _require_positive(A, space, tolerances.PSD, "spectral_split")
+    A = _require_positive(A, space, "spectral_split")
     S = space.signature_matrix
     R = _hermitian_sqrt(space.signature[:, None] * A)
     Y = _hermitize(R @ S @ R)
     w, V = np.linalg.eigh(Y)
-    thresh = zero_tol * max(float(np.linalg.norm(A, 2)), 1e-300)
+    thresh = tolerances.ZERO_EIGENVALUE * max(float(np.linalg.norm(A, 2)), 1e-300)
 
     def component(mask: np.ndarray) -> np.ndarray:
         if not mask.any():
@@ -232,33 +223,30 @@ def psd_factorize(A: np.ndarray, space: SignatureSpace) -> np.ndarray:
     Returns the principal Hermitian square root ``M = sqrt(S A)``, so that
     ``M^H M = M @ M = S A``.
     """
-    A = _require_positive(A, space, tolerances.PSD, "psd_factorize")
+    A = _require_positive(A, space, "psd_factorize")
     return _hermitian_sqrt(space.signature[:, None] * A)
 
 
-def product_annihilates(
-    A: np.ndarray,
-    B: np.ndarray,
-    space: SignatureSpace,
-    tol: float = 1e-10,
-) -> bool:
+def product_annihilates(A: np.ndarray, B: np.ndarray, space: SignatureSpace) -> bool:
     """Whether the positive pair has vanishing trace pairing, hence zero product.
 
     For positive ``A``, ``B`` the pairing ``Tr(A B)`` is real and nonnegative,
     and ``Tr(A B) = 0`` forces ``A B = 0``.  Returns ``True`` iff
-    ``|Tr(A B)| <= tol``; in that case the implication is asserted by checking
+    ``|Tr(A B)| <= tol`` with the absolute ``tol = 1e-10``; in that case the
+    implication is asserted by checking
     ``||A B|| <= sqrt(tol * ||A|| * ||B||) + 10 tol`` and a
     :class:`ValidationError` is raised if the input operators were not
     actually positive enough for the implication to hold.
     """
-    A = _require_positive(A, space, tolerances.PSD, "product_annihilates")
-    B = _require_positive(B, space, tolerances.PSD, "product_annihilates")
+    A = _require_positive(A, space, "product_annihilates")
+    B = _require_positive(B, space, "product_annihilates")
+    tol = 1e-10
     t = np.trace(A @ B)
     if abs(t.imag) > 1e-9 * _scale(A) * _scale(B):
         raise ValidationError("trace pairing of positive operators must be real")
     if abs(t.real) > tol:
         return False
-    bound = np.sqrt(max(tol, 0.0) * np.linalg.norm(A, 2) * np.linalg.norm(B, 2)) + 10.0 * tol
+    bound = np.sqrt(tol * np.linalg.norm(A, 2) * np.linalg.norm(B, 2)) + 10.0 * tol
     prod_norm = float(np.linalg.norm(A @ B, 2))
     if prod_norm > bound:
         raise ValidationError(
@@ -268,7 +256,7 @@ def product_annihilates(
     return True
 
 
-def classified_spectrum(T: np.ndarray, space: SignatureSpace, zero_tol: float = tolerances.ZERO_EIGENVALUE):
+def classified_spectrum(T: np.ndarray, space: SignatureSpace):
     """Spectrum of a symmetric operator with eigenspace definiteness labels.
 
     Returns a list of ``(eigenvalue, multiplicity, definiteness)`` with
@@ -280,6 +268,7 @@ def classified_spectrum(T: np.ndarray, space: SignatureSpace, zero_tol: float = 
     if not is_symmetric(T, space):
         raise ValidationError("classified_spectrum requires a symmetric operator")
     lam, X = np.linalg.eig(T)
+    zero_tol = tolerances.ZERO_EIGENVALUE
     scale = _scale(T)
     out = []
     used = np.zeros(len(lam), bool)

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -225,13 +225,13 @@ class MinimizeResult:
 
     measure: OperatorMeasure
     report: ELReport
-    trace: list = field(default_factory=list)
-    converged: bool = True
-    action_value: float = 0.0
-    alpha: float = 0.0
-    beta: float = 0.0
-    case_tag: str = "a"
-    stop_reason: str = "max_iterations"
+    trace: list
+    converged: bool
+    action_value: float
+    alpha: float
+    beta: float
+    case_tag: str
+    stop_reason: str
 
 
 def _operators_from_Ms(space, Ms) -> np.ndarray:

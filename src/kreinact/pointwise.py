@@ -55,7 +55,6 @@ __all__ = [
     "solve",
     "brute_force",
     "lagrange_from_point",
-    "admissible_alpha_interval",
 ]
 
 _DEGENERACY_REL = 1e-8
@@ -124,11 +123,12 @@ class MultiplierFamily:
     def beta(self, alpha: float) -> float:
         return self.offset - self.slope * alpha
 
-    def contains(self, alpha: float, beta: float, tol: float = 1e-9) -> bool:
-        span = max(abs(self.offset), 1.0)
+    def contains(self, alpha: float, beta: float) -> bool:
+        """Whether ``(alpha, beta)`` is in the family, to ``1e-9`` times ``max(|offset|, 1)``."""
+        pad = 1e-9 * max(abs(self.offset), 1.0)
         return (
-            self.alpha_min - tol * span <= alpha <= self.alpha_max + tol * span
-            and abs(beta - self.beta(alpha)) <= tol * span
+            self.alpha_min - pad <= alpha <= self.alpha_max + pad
+            and abs(beta - self.beta(alpha)) <= pad
         )
 
 
@@ -172,10 +172,10 @@ def beta_of_alpha(q: np.ndarray, space: SignatureSpace, alpha: float) -> float:
     return _beta(_hermitian_coefficient(q, space), space.signature, alpha)
 
 
-def _lowest_cluster(qhat: np.ndarray, sig: np.ndarray, alpha: float, rel_tol: float):
+def _lowest_cluster(qhat: np.ndarray, sig: np.ndarray, alpha: float):
     """Lowest eigenspace of ``qhat - alpha S`` from one ``eigh``, as ``(V, s, W, beta, slope)``.
 
-    ``V`` holds the eigenvectors within relative ``rel_tol`` of the lowest
+    ``V`` holds the eigenvectors within relative ``_DEGENERACY_REL`` of the lowest
     eigenvalue ``beta``; ``(s, W)`` is the ``eigh`` of ``V^H S V``, so ``Tr(S H)``
     over normalized psd ``H`` on that space spans ``[s[0], s[-1]]``.  For a
     single vector ``v_0``, ``slope = a'(alpha) = 2 sum_{k>=1} |v_k^H S v_0|^2 /
@@ -183,7 +183,7 @@ def _lowest_cluster(qhat: np.ndarray, sig: np.ndarray, alpha: float, rel_tol: fl
     """
     w, V = np.linalg.eigh(_shifted(qhat, sig, alpha))
     scale = max(abs(w[0]), abs(w[-1]), 1.0)
-    size = int(np.sum(w <= w[0] + rel_tol * scale))
+    size = int(np.sum(w <= w[0] + _DEGENERACY_REL * scale))
     if size == 1:
         coupling = V.conj().T @ (sig * V[:, 0])
         s = coupling[:1].real
@@ -195,12 +195,7 @@ def _lowest_cluster(qhat: np.ndarray, sig: np.ndarray, alpha: float, rel_tol: fl
     return V, s, W, float(w[0]), None
 
 
-def a_of_alpha(
-    q: np.ndarray,
-    space: SignatureSpace,
-    alpha: float,
-    degeneracy_tol: float = _DEGENERACY_REL,
-) -> AlphaValue:
+def a_of_alpha(q: np.ndarray, space: SignatureSpace, alpha: float) -> AlphaValue:
     """Signed trace of the lowest eigenprojector of ``S q - alpha S``.
 
     When the lowest eigenvalue is degenerate, the reachable values of
@@ -209,7 +204,7 @@ def a_of_alpha(
     ``V^H S V``; both endpoints are reported.
     """
     qhat = _hermitian_coefficient(q, space)
-    V, s, *_ = _lowest_cluster(qhat, space.signature, alpha, degeneracy_tol)
+    V, s, *_ = _lowest_cluster(qhat, space.signature, alpha)
     return AlphaValue(
         a_min=float(s[0]), a_max=float(s[-1]), projector=V @ V.conj().T, degenerate=V.shape[1] > 1
     )
@@ -241,9 +236,9 @@ def _psd(F: np.ndarray, scale: float) -> bool:
     return float(np.linalg.eigvalsh(0.5 * (F + F.conj().T))[0]) >= -tolerances.PSD * scale
 
 
-def _bisect(feasible, inner: float, outer: float, tol: float) -> float:
+def _bisect(feasible, inner: float, outer: float) -> float:
     """Last feasible point bisecting from feasible ``inner`` toward infeasible ``outer``:
-    at most 200 halvings, fewer once within relative ``tol`` or at adjacent floats."""
+    at most 200 halvings, fewer once the ends are adjacent floats."""
     for _ in range(200):
         mid = 0.5 * (inner + outer)
         if mid == inner or mid == outer:
@@ -252,8 +247,6 @@ def _bisect(feasible, inner: float, outer: float, tol: float) -> float:
             inner = mid
         else:
             outer = mid
-        if abs(outer - inner) <= tol * max(1.0, abs(inner)):
-            break
     return inner
 
 
@@ -299,7 +292,7 @@ def _boundary_solution(problem: PointwiseProblem, qhat: np.ndarray, t: int) -> P
     # Endpoint of the ray: the feasible end of a bisection toward -t*infinity.
     endpoint = -t * far
     if not feasible(endpoint):
-        endpoint = _bisect(feasible, t * far, endpoint, 0.0)
+        endpoint = _bisect(feasible, t * far, endpoint)
     if t > 0:
         alpha_min, alpha_max = endpoint, np.inf
     else:
@@ -324,7 +317,7 @@ def _boundary_solution(problem: PointwiseProblem, qhat: np.ndarray, t: int) -> P
     )
 
 
-def solve(problem: PointwiseProblem, degeneracy_tol: float = _DEGENERACY_REL) -> PointwiseSolution:
+def solve(problem: PointwiseProblem) -> PointwiseSolution:
     """Solve the pointwise minimization; see the module docstring.
 
     Interior targets (|a| < b) give unique multipliers; boundary targets
@@ -359,12 +352,12 @@ def solve(problem: PointwiseProblem, degeneracy_tol: float = _DEGENERACY_REL) ->
     radius = _gershgorin_radius(qhat) + 1.0
     lo, hi = -radius, radius
     for _ in range(80):
-        at_lo = _lowest_cluster(qhat, sig, lo, degeneracy_tol)
+        at_lo = _lowest_cluster(qhat, sig, lo)
         if at_lo[1][0] <= t:
             break
         lo *= 2.0
     for _ in range(80):
-        at_hi = _lowest_cluster(qhat, sig, hi, degeneracy_tol)
+        at_hi = _lowest_cluster(qhat, sig, hi)
         if at_hi[1][-1] >= t:
             break
         hi *= 2.0
@@ -372,7 +365,7 @@ def solve(problem: PointwiseProblem, degeneracy_tol: float = _DEGENERACY_REL) ->
     H = None
     alpha = 0.5 * (lo + hi)
     for _ in range(_BISECT_MAX):
-        V, s, W, beta, slope = cluster = _lowest_cluster(qhat, sig, alpha, degeneracy_tol)
+        V, s, W, beta, slope = cluster = _lowest_cluster(qhat, sig, alpha)
         if s[0] - 1e-13 <= t <= s[-1] + 1e-13:
             H = _mixed_density(V, s, W, t)
             break
@@ -505,7 +498,6 @@ def lagrange_from_point(
     A: np.ndarray,
     space: SignatureSpace,
     strict: bool = True,
-    tol: float = tolerances.EL_RESIDUAL,
 ):
     """Recover the multipliers certifying stationarity of ``A``.
 
@@ -570,7 +562,7 @@ def lagrange_from_point(
     residual = float(np.linalg.norm(A @ (q - alpha * np.eye(space.dim) - beta * np.diag(sig)), 2))
     min_eig = float(np.linalg.eigvalsh(0.5 * (shifted + shifted.conj().T))[0])
     norm_A = max(float(np.linalg.norm(A, 2)), 1e-300)
-    if residual > tol * scale * norm_A or min_eig < -tolerances.PSD * scale:
+    if residual > tolerances.EL_RESIDUAL * scale * norm_A or min_eig < -tolerances.PSD * scale:
         raise ValidationError(
             "candidate operator is not stationary: annihilation residual "
             f"{residual:.2e}, positivity margin {min_eig:.2e}"
@@ -585,42 +577,3 @@ def lagrange_from_point(
         canonical_alpha=alpha,
         canonical_beta=beta,
     )
-
-
-def admissible_alpha_interval(
-    q: np.ndarray,
-    space: SignatureSpace,
-    beta: float,
-    alpha_feasible: float,
-    tol: float = 1e-12,
-):
-    """Interval of alphas keeping ``S q - alpha S - beta`` psd (at fixed beta).
-
-    The psd condition is linear in alpha, so the admissible set is a closed
-    interval; both endpoints are found by expanding from the supplied
-    feasible alpha and bisecting.
-    """
-    qhat = _hermitian_coefficient(q, space)
-    scale = max(float(np.linalg.norm(qhat, 2)), 1.0)
-
-    def feasible(alpha: float) -> bool:
-        return _psd(_shifted(qhat, space.signature, alpha) - beta * np.eye(space.dim), scale)
-
-    if not feasible(alpha_feasible):
-        raise ValidationError("the supplied alpha is not feasible at this beta")
-
-    def endpoint(direction: float) -> float:
-        step = max(1.0, abs(alpha_feasible))
-        inner = alpha_feasible
-        outer = alpha_feasible + direction * step
-        grow = 0
-        while feasible(outer):
-            inner = outer
-            outer += direction * step
-            step *= 2.0
-            grow += 1
-            if grow > 80:
-                return direction * np.inf
-        return _bisect(feasible, inner, outer, tol)
-
-    return endpoint(-1.0), endpoint(+1.0)

@@ -90,6 +90,17 @@ def test_fixture_special_kinds(tmp_path):
     assert load_measure(nil).n_atoms == 3
 
 
+@pytest.mark.parametrize("kind", ["dirac-sea", "nilpotent"])
+def test_special_fixture_without_atoms_names_the_flag(tmp_path, capsys, kind):
+    out = tmp_path / "x.json"
+    assert main(["fixture", kind, "--out", str(out), "--atoms", "0"]) == 2
+    assert "--atoms" in capsys.readouterr().err
+    assert not out.exists()
+    # A random measure may be empty.
+    assert main(["fixture", "random", "--out", str(out), "--atoms", "0"]) == 0
+    assert load_measure(out).n_atoms == 0
+
+
 def test_fixture_validation_failures_exit_2(tmp_path, capsys):
     out = tmp_path / "x.json"
     assert main(["fixture", "dirac-sea", "--out", str(out), "--mass", "-1.0"]) == 2

@@ -17,7 +17,6 @@ from conftest import (
     random_measure_for,
     random_positive,
     random_symmetric,
-    richardson_derivative,
     unit_momentum_box,
 )
 from kreinact import (
@@ -33,8 +32,6 @@ from kreinact import (
     beta_sign_check,
     check_first_order,
     el_residuals,
-    gap_of_operator,
-    kappa_coefficients,
     lagrange_parameters,
     load_report,
     pushforward,
@@ -129,74 +126,6 @@ def test_trace_pairing_is_twice_the_action():
 
 
 # ---------------------------------------------------------------------------
-# Constraint-restoring block-scaling rates
-# ---------------------------------------------------------------------------
-
-def _scaled_traces(total, direction, rates, space, t):
-    k1, k2 = rates
-    dvec = np.concatenate(
-        [(1.0 + t * k1) * np.ones(space.n), (1.0 + t * k2) * np.ones(space.n)]
-    )
-    M = dvec[:, None] * (total + t * direction) * dvec[None, :]
-    return (
-        float(np.trace(M).real),
-        float(np.trace(space.signature[:, None] * M).real),
-    )
-
-
-def _measure_with_positive_trace(sp: SignatureSpace, start_seed: int) -> OperatorMeasure:
-    for seed in range(start_seed, start_seed + 50):
-        measure = random_measure_for(sp, make_rng(seed))
-        if float(np.trace(measure.operators.sum(axis=0)).real) > 0.1:
-            return measure
-    raise AssertionError("no random measure with positive trace found")
-
-
-def test_kappa_case_a_cancels_trace_rate():
-    rng = make_rng(5)
-    for n in (1, 2):
-        sp = SignatureSpace(n)
-        measure = restore_constraints(_measure_with_positive_trace(sp, 5), "a", 0.8, 2.0)
-        total = measure.operators.sum(axis=0)
-        direction = random_symmetric(sp, rng)
-        k1, k2 = kappa_coefficients("a", direction, sp, 0.8, 2.0)
-        assert k1 == k2
-        rate = richardson_derivative(
-            lambda t: _scaled_traces(total, direction, (k1, k2), sp, t)[0], 0.0, 1e-4
-        )
-        assert abs(rate) < 1e-8
-
-
-def test_kappa_case_b_cancels_both_rates():
-    rng = make_rng(6)
-    for n in (1, 2):
-        sp = SignatureSpace(n)
-        c, f = 0.8, 2.0
-        measure = restore_constraints(random_measure_for(sp, rng), "b", c, f)
-        total = measure.operators.sum(axis=0)
-        direction = random_symmetric(sp, rng)
-        rates = kappa_coefficients("b", direction, sp, c, f)
-        d_trace = richardson_derivative(
-            lambda t: _scaled_traces(total, direction, rates, sp, t)[0], 0.0, 1e-4
-        )
-        d_signed = richardson_derivative(
-            lambda t: _scaled_traces(total, direction, rates, sp, t)[1], 0.0, 1e-4
-        )
-        assert abs(d_trace) < 1e-8
-        assert abs(d_signed) < 1e-8
-
-
-def test_kappa_validation():
-    direction = np.eye(2, dtype=complex)
-    with pytest.raises(ValidationError):
-        kappa_coefficients("a", direction, SP1, 0.0, 2.0)
-    with pytest.raises(ValidationError):
-        kappa_coefficients("b", direction, SP1, 2.0, 2.0)
-    with pytest.raises(ValidationError):
-        kappa_coefficients("c", direction, SP1, 1.0, 2.0)
-
-
-# ---------------------------------------------------------------------------
 # Multiplier extraction
 # ---------------------------------------------------------------------------
 
@@ -288,16 +217,16 @@ def test_lagrange_parameters_rejects_bad_targets():
 
 def test_gap_closed_forms():
     S = SP1.signature_matrix
-    assert gap_of_operator(3.0 * S, SP1) == pytest.approx(3.0, rel=1e-12)
-    assert gap_of_operator(S @ np.diag([2.0, 5.0]).astype(complex), SP1) == pytest.approx(
+    assert support_gap(3.0 * S, 0.0, 0.0, SP1) == pytest.approx(3.0, rel=1e-12)
+    assert support_gap(S @ np.diag([2.0, 5.0]).astype(complex), 0.0, 0.0, SP1) == pytest.approx(
         2.0, rel=1e-12
     )
     # Indefinite Hermitian representative: no symmetric spectral interval.
-    assert gap_of_operator(ROTATION_Q, SP1) == 0.0
+    assert support_gap(ROTATION_Q, 0.0, 0.0, SP1) == 0.0
     # Neutral rank-one: psd representative with kernel.
     v = np.array([1.0, 1.0], complex)
     T = SP1.signature[:, None] * np.outer(v, v.conj())
-    assert gap_of_operator(T, SP1) == pytest.approx(0.0, abs=1e-12)
+    assert support_gap(T, 0.0, 0.0, SP1) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_gap_matches_bisection_oracle():
@@ -306,7 +235,7 @@ def test_gap_matches_bisection_oracle():
         for seed in range(4):
             rng = make_rng(40 + seed)
             T = random_positive(sp, rng)
-            lib = gap_of_operator(T, sp)
+            lib = support_gap(T, 0.0, 0.0, sp)
             ref = oracle_gap_bisection(T, sp)
             assert lib == pytest.approx(ref, rel=5e-9, abs=1e-12)
             assert lib > 0.0

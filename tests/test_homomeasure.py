@@ -14,7 +14,6 @@ from kreinact import (
     OperatorMeasure,
     SignatureSpace,
     ValidationError,
-    apply_linear,
     constraint_values,
     decompose,
     dirac_sea_fixture,
@@ -31,7 +30,6 @@ from kreinact import (
     save_measure,
     save_operator,
     scale,
-    transform,
     translate,
     variation_measure,
 )
@@ -293,14 +291,6 @@ def test_translate_shifts_momenta_only():
         np.testing.assert_allclose(A, B, atol=0)
 
 
-def test_apply_linear_maps_momenta():
-    sp = SignatureSpace(1)
-    meas = random_measure_for(sp, make_rng(8))
-    B = np.diag([2.0, 0.5, 1.0, 1.0])
-    mapped = apply_linear(meas, B)
-    np.testing.assert_allclose(mapped.momenta, meas.momenta @ B.T, atol=1e-14)
-
-
 def test_scale_multiplies_operators():
     sp = SignatureSpace(1)
     meas = random_measure_for(sp, make_rng(9))
@@ -309,15 +299,6 @@ def test_scale_multiplies_operators():
     for A, B in zip(meas.operators, scaled.operators):
         np.testing.assert_allclose(lam * A, B, atol=0)
     np.testing.assert_allclose(scaled.momenta, meas.momenta, atol=0)
-
-
-def test_transform_dispatch():
-    sp = SignatureSpace(1)
-    meas = random_measure_for(sp, make_rng(10))
-    t1 = transform(meas, "translate", [0.1, 0, 0, 0])
-    np.testing.assert_allclose(t1.momenta, meas.momenta + np.array([0.1, 0, 0, 0]))
-    with pytest.raises(ValidationError):
-        transform(meas, "rotate", 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,14 @@ unnoticed.  ``__init__.py`` is exempt: it exists to re-export names.
 No package module imports scipy when it is loaded: ``import kreinact``
 loads numpy only.  The one scipy user, the ``brute_force`` oracle,
 imports it inside the function.
+
+The export lists agree: every name in a module's ``__all__`` is
+re-exported by ``kreinact`` as the same object, and ``kreinact.__all__``
+names each object once.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -79,3 +84,29 @@ def test_the_check_sees_a_load_time_scipy_import():
 @pytest.mark.parametrize("path", ALL_MODULES, ids=[p.name for p in ALL_MODULES])
 def test_no_load_time_scipy_import(path):
     assert _load_time_scipy_imports(path.read_text()) == []
+
+
+# Module exports that the package deliberately does not re-export.
+_NOT_REEXPORTED = {("cli", "build_parser")}
+
+
+def test_module_exports_are_reexported_by_the_package():
+    package = importlib.import_module("kreinact")
+    missing = []
+    for path in MODULES:
+        module = importlib.import_module(f"kreinact.{path.stem}")
+        missing += [
+            f"{path.stem}.{name}"
+            for name in getattr(module, "__all__", [])
+            if (path.stem, name) not in _NOT_REEXPORTED
+            and (name not in package.__all__
+                 or getattr(package, name, None) is not getattr(module, name))
+        ]
+    assert missing == []
+
+
+def test_package_exports_are_unique_and_resolve():
+    package = importlib.import_module("kreinact")
+    names = package.__all__
+    assert sorted(n for n in set(names) if names.count(n) > 1) == []
+    assert [n for n in names if not hasattr(package, n)] == []

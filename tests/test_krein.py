@@ -23,7 +23,6 @@ from kreinact import (
     product_annihilates,
     psd_factorize,
     spectral_split,
-    symmetric_part,
 )
 
 
@@ -66,15 +65,6 @@ def test_adjoint_matches_inner_product():
     lhs = sp.inner(u, A @ v)
     rhs = sp.inner(krein_adjoint(A, sp) @ u, v)
     assert lhs == pytest.approx(rhs, abs=1e-12)
-
-
-def test_symmetric_part_is_symmetric_and_idempotent():
-    sp = SignatureSpace(2)
-    rng = make_rng(2)
-    A = random_matrix(sp, rng)
-    H = symmetric_part(A, sp)
-    assert is_symmetric(H, sp)
-    np.testing.assert_allclose(symmetric_part(H, sp), H, atol=1e-13)
 
 
 @given(st.integers(min_value=1, max_value=3), st.integers(min_value=0, max_value=10**6))

@@ -21,7 +21,6 @@ from kreinact import (
     SignatureSpace,
     ValidationError,
     a_of_alpha,
-    admissible_alpha_interval,
     beta_of_alpha,
     brute_force,
     lagrange_from_point,
@@ -333,19 +332,19 @@ def test_boundary_particle_multiplier_family():
 
 
 def test_boundary_ray_bisection_stops_at_adjacent_floats(monkeypatch):
-    # The ray endpoint is bisected with tol = 0; once the bracket holds two
-    # adjacent floats every further halving repeats a point.
+    # Once the bracket of the ray endpoint holds two adjacent floats, every
+    # further halving repeats a point.
     real_bisect = pointwise._bisect
     calls = []
 
-    def spy(feasible, inner, outer, tol):
+    def spy(feasible, inner, outer):
         count = [0]
 
         def counted(alpha):
             count[0] += 1
             return feasible(alpha)
 
-        result = real_bisect(counted, inner, outer, tol)
+        result = real_bisect(counted, inner, outer)
         calls.append((feasible, inner, outer, count[0], result))
         return result
 
@@ -403,22 +402,6 @@ def test_lagrange_from_point_rejects_non_stationary_and_non_positive():
         lagrange_from_point(q, random_positive(SP1, rng), SP1)
     with pytest.raises(ValidationError):
         lagrange_from_point(q, -random_positive(SP1, rng), SP1)
-
-
-# ---------------------------------------------------------------------------
-# Admissible multiplier interval at fixed beta
-# ---------------------------------------------------------------------------
-
-def test_admissible_alpha_interval_closed_form():
-    # For the rotation coefficient at beta = -b/r the psd condition reads
-    # alpha^2 <= beta^2 - 1 = (a/r)^2, a symmetric interval around zero.
-    q = rotation_coefficient()
-    _, alpha, beta, _ = closed_form_rotation(0.3, 1.0)
-    lo, hi = admissible_alpha_interval(q, SP1, beta, 0.0)
-    assert lo == pytest.approx(-alpha, abs=1e-6)
-    assert hi == pytest.approx(+alpha, abs=1e-6)
-    with pytest.raises(ValidationError):
-        admissible_alpha_interval(q, SP1, beta, 10.0 * alpha + 1.0)
 
 
 # ---------------------------------------------------------------------------
