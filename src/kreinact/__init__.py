@@ -5,202 +5,33 @@ operator-valued measures in momentum space, evaluates a quartic spectral
 action over position differences, and provides constrained minimization
 together with first-order optimality verification, closed-form pointwise
 solvers, and local correlation sampling.
+
+Each module's ``__all__`` is its public surface; the package re-exports
+every one of them, and ``main`` from :mod:`kreinact.cli`.
 """
 
-from .action import (
-    ClosedChainSpectrum,
-    PositionGrid,
-    QHatEvaluator,
-    action,
-    closed_chain,
-    gradient_kernel_Q,
-    kernel_P,
-    lagrangian,
-)
-from .cfsbridge import (
-    LocalCorrelation,
-    TestFunction,
-    correlations_to_csv,
-    empirical_cfs,
-    hilbert_inner,
-    local_correlation,
-    physical_wave,
-    standard_basis,
-)
-from .cli import main
-from .elverify import (
-    ELReport,
-    PushforwardMeasure,
-    beta_sign_check,
-    check_first_order,
-    el_residuals,
-    lagrange_parameters,
-    load_report,
-    pushforward,
-    report_from_dict,
-    report_to_csv,
-    report_to_dict,
-    save_report,
-    support_gap,
-)
-from .errors import (
-    BasisReductionWarning,
-    InfeasibleProblemError,
-    KreinactError,
-    NonsmoothPointError,
-    NonUniqueMultipliersError,
-    NumericalError,
-    RestorationError,
-    ValidationError,
-)
-from .homomeasure import (
-    ConstraintValues,
-    MeasureDecomposition,
-    MomentumBox,
-    OperatorMeasure,
-    constraint_values,
-    decompose,
-    dirac_sea_fixture,
-    feynman_slash,
-    gamma_matrices,
-    load_measure,
-    load_operator,
-    massless_fixture,
-    measure_from_dict,
-    measure_to_dict,
-    random_measure,
-    save_measure,
-    save_operator,
-    scale,
-    translate,
-    variation_measure,
-)
-from .krein import (
-    SignatureSpace,
-    SpectralSplit,
-    classified_spectrum,
-    is_positive,
-    is_symmetric,
-    krein_adjoint,
-    positive_spectrum,
-    product_annihilates,
-    psd_factorize,
-    spectral_split,
-)
-from .minimize import (
-    MinimizeConfig,
-    MinimizeResult,
-    config_from_dict,
-    config_to_dict,
-    minimize_action,
-    restore_constraints,
-)
-from .pointwise import (
-    AlphaValue,
-    MultiplierFamily,
-    PointwiseProblem,
-    PointwiseSolution,
-    a_of_alpha,
-    beta_of_alpha,
-    brute_force,
-    lagrange_from_point,
-    solve,
-)
+from . import action, cfsbridge, elverify, errors, homomeasure, krein, minimize, pointwise
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # errors
-    "KreinactError",
-    "ValidationError",
-    "NumericalError",
-    "NonsmoothPointError",
-    "InfeasibleProblemError",
-    "NonUniqueMultipliersError",
-    "RestorationError",
-    "BasisReductionWarning",
-    # krein
-    "SignatureSpace",
-    "SpectralSplit",
-    "krein_adjoint",
-    "is_symmetric",
-    "is_positive",
-    "positive_spectrum",
-    "spectral_split",
-    "psd_factorize",
-    "product_annihilates",
-    "classified_spectrum",
-    # homomeasure
-    "MomentumBox",
-    "OperatorMeasure",
-    "MeasureDecomposition",
-    "ConstraintValues",
-    "constraint_values",
-    "variation_measure",
-    "decompose",
-    "translate",
-    "scale",
-    "gamma_matrices",
-    "feynman_slash",
-    "dirac_sea_fixture",
-    "massless_fixture",
-    "random_measure",
-    "measure_to_dict",
-    "measure_from_dict",
-    "save_measure",
-    "load_measure",
-    "save_operator",
-    "load_operator",
-    # action
-    "PositionGrid",
-    "ClosedChainSpectrum",
-    "kernel_P",
-    "closed_chain",
-    "lagrangian",
-    "action",
-    "gradient_kernel_Q",
-    "QHatEvaluator",
-    # pointwise
-    "PointwiseProblem",
-    "PointwiseSolution",
-    "MultiplierFamily",
-    "AlphaValue",
-    "beta_of_alpha",
-    "a_of_alpha",
-    "solve",
-    "brute_force",
-    "lagrange_from_point",
-    # elverify
-    "PushforwardMeasure",
-    "ELReport",
-    "pushforward",
-    "lagrange_parameters",
-    "support_gap",
-    "el_residuals",
-    "beta_sign_check",
-    "check_first_order",
-    "report_to_dict",
-    "report_from_dict",
-    "save_report",
-    "load_report",
-    "report_to_csv",
-    # minimize
-    "MinimizeConfig",
-    "MinimizeResult",
-    "config_to_dict",
-    "config_from_dict",
-    "restore_constraints",
-    "minimize_action",
-    # cfsbridge
-    "TestFunction",
-    "LocalCorrelation",
-    "standard_basis",
-    "hilbert_inner",
-    "physical_wave",
-    "local_correlation",
-    "empirical_cfs",
-    "correlations_to_csv",
-    # cli
     "main",
+    *(
+        name
+        for module in (errors, krein, homomeasure, action, pointwise, elverify, minimize, cfsbridge)
+        for name in module.__all__
+    ),
 ]
+
+# From here on ``kreinact.action`` is the function ``action``; the module
+# is ``sys.modules["kreinact.action"]``.
+from .action import *
+from .cfsbridge import *
+from .cli import main
+from .elverify import *
+from .errors import *
+from .homomeasure import *
+from .krein import *
+from .minimize import *
+from .pointwise import *

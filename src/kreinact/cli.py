@@ -32,6 +32,7 @@ from .errors import KreinactError, ValidationError
 from .homomeasure import (
     MomentumBox,
     _read_document,
+    _trace_functionals,
     _write_document,
     decompose,
     dirac_sea_fixture,
@@ -190,10 +191,9 @@ def cmd_verify(args) -> int:
         tail = qhat.tail_magnitude
 
     mu = pushforward(measure, qhats[inverse[len(grid_points):]])
-    total = mu.total()
-    sig = measure.space.signature
-    c = args.c if args.c is not None else float(np.trace(total).real)
-    f = args.f if args.f is not None else float(np.trace(sig[:, None] * total).real)
+    trace, signed_trace = (float(t.real) for t in _trace_functionals(mu.total(), measure.space))
+    c = args.c if args.c is not None else trace
+    f = args.f if args.f is not None else signed_trace
     if not (0.0 < c < f) and (args.c is None or args.f is None):
         raise ValidationError(
             f"constraint targets must satisfy 0 < c < f, got c={c!r}, f={f!r}; targets "
@@ -269,6 +269,11 @@ def cmd_pointwise(args) -> int:
 
 def cmd_sweep_alpha(args) -> int:
     q, space = load_operator(args.q_file)
+    if not np.isfinite([args.alpha_min, args.alpha_max]).all():
+        raise ValidationError(
+            f"--alpha-min and --alpha-max must be finite, "
+            f"got {args.alpha_min!r} and {args.alpha_max!r}"
+        )
     if args.alpha_max <= args.alpha_min:
         raise ValidationError("--alpha-max must exceed --alpha-min")
     if args.count < 1:

@@ -29,7 +29,13 @@ import numpy as np
 
 from . import tolerances
 from .errors import InfeasibleProblemError, ValidationError
-from .homomeasure import OperatorMeasure, _read_document, _write_document
+from .homomeasure import (
+    OperatorMeasure,
+    _check_targets,
+    _read_document,
+    _trace_functionals,
+    _write_document,
+)
 from .krein import SignatureSpace
 
 __all__ = [
@@ -145,11 +151,8 @@ def lagrange_parameters(mu: PushforwardMeasure, c: float, f: float):
     multipliers solve the 2x2 moment system built from ``Tr(q_j A_j)``
     and ``Tr(½{q_j, S} A_j)``.
     """
-    if not (0 < c < f):
-        raise ValidationError(f"constraint targets must satisfy 0 < c < f, got c={c}, f={f}")
-    sig = mu.space.signature
-    total = mu.total()
-    v = float(np.trace(sig[:, None] * total).real)
+    _check_targets(c, f)
+    v = float(_trace_functionals(mu.total(), mu.space)[1].real)
     if v > f + tolerances.CONSTRAINT * f:
         raise InfeasibleProblemError(
             f"signed trace {v} exceeds the constraint bound {f}"
@@ -157,6 +160,7 @@ def lagrange_parameters(mu: PushforwardMeasure, c: float, f: float):
     I1 = mu.trace_pairing()
     if not _bound_active(v, f):
         return I1 / c, 0.0, "a"
+    sig = mu.space.signature
     anti = 0.5 * (mu.qs * sig[None, None, :] + sig[None, :, None] * mu.qs)
     I2 = _sum_in_atom_order(np.trace(anti @ mu.operators, axis1=1, axis2=2).real)
     denom = f * f - c * c

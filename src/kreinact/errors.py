@@ -10,6 +10,17 @@ from __future__ import annotations
 
 import numpy as np
 
+__all__ = [
+    "KreinactError",
+    "ValidationError",
+    "NumericalError",
+    "NonsmoothPointError",
+    "InfeasibleProblemError",
+    "NonUniqueMultipliersError",
+    "RestorationError",
+    "BasisReductionWarning",
+]
+
 
 class KreinactError(Exception):
     """Base class for all package-specific errors."""

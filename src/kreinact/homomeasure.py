@@ -93,13 +93,13 @@ class MomentumBox:
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=1)
 
-    def contains(self, p: np.ndarray, tol: float = _CONTAINMENT_TOL) -> bool:
-        return bool(self._inside(np.asarray(p, float), tol).all())
+    def contains(self, p: np.ndarray) -> bool:
+        return bool(self._inside(np.asarray(p, float)).all())
 
-    def _inside(self, points: np.ndarray, tol: float = _CONTAINMENT_TOL) -> np.ndarray:
-        """Per row of ``points``: inside the box padded by ``tol`` times its span (at least 1)."""
+    def _inside(self, points: np.ndarray) -> np.ndarray:
+        """Per row: inside the box padded by ``_CONTAINMENT_TOL`` times its span (at least 1)."""
         lower, upper = np.asarray(self.lower), np.asarray(self.upper)
-        pad = tol * np.maximum(upper - lower, 1.0)
+        pad = _CONTAINMENT_TOL * np.maximum(upper - lower, 1.0)
         return np.all((points >= lower - pad) & (points <= upper + pad), axis=-1)
 
 
@@ -207,6 +207,17 @@ class ConstraintValues:
     mod_dim: float
 
 
+def _check_targets(c: float, f: float) -> None:
+    """Reject constraint targets outside ``0 < c < f`` (NaN included)."""
+    if not (0.0 < c < f):
+        raise ValidationError(f"constraint targets must satisfy 0 < c < f, got c={c}, f={f}")
+
+
+def _trace_functionals(total: np.ndarray, space: SignatureSpace) -> tuple:
+    """``(Tr total, Tr(S total))`` as complex scalars; both are real for a positive total."""
+    return np.trace(total), np.trace(space.signature[:, None] * total)
+
+
 def constraint_values(measure: OperatorMeasure) -> ConstraintValues:
     """Trace, eigenvalue-modulus sum, and signed trace of the total operator.
 
@@ -218,13 +229,11 @@ def constraint_values(measure: OperatorMeasure) -> ConstraintValues:
     follows: ``sum |lambda| = ||R S R||_1 <= ||R||_F^2 = Tr(S A)``.
     """
     total = measure.total()
-    space = measure.space
-    tr = np.trace(total)
-    mod_dim = np.trace(space.signature[:, None] * total)
+    tr, mod_dim = _trace_functionals(total, measure.space)
     scale = max(float(np.linalg.norm(total, 2)), 1.0)
     if abs(tr.imag) > 1e-9 * scale or abs(mod_dim.imag) > 1e-9 * scale:
         raise ValidationError("constraint functionals of a positive measure must be real")
-    dim_sum = float(np.sum(np.abs(positive_spectrum(total, space))))
+    dim_sum = float(np.sum(np.abs(positive_spectrum(total, measure.space))))
     return ConstraintValues(trace=float(tr.real), dim_sum=dim_sum, mod_dim=float(mod_dim.real))
 
 
@@ -300,11 +309,11 @@ def feynman_slash(p: np.ndarray) -> np.ndarray:
 _SHELL_TOL = 1e-8
 
 
-def _shell_box(momenta: np.ndarray, grid_shape=(2, 2, 2, 2)) -> MomentumBox:
+def _shell_box(momenta: np.ndarray) -> MomentumBox:
     lower = momenta.min(axis=0)
     upper = momenta.max(axis=0)
     span = np.maximum(upper - lower, 1.0)
-    return MomentumBox(tuple(lower - 0.05 * span), tuple(upper + 0.05 * span), grid_shape)
+    return MomentumBox(tuple(lower - 0.05 * span), tuple(upper + 0.05 * span), (2, 2, 2, 2))
 
 
 def dirac_sea_fixture(mass: float, shell_points: Iterable[Sequence[float]]) -> OperatorMeasure:

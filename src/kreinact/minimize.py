@@ -36,8 +36,9 @@ The loop stops at the first iterate whose own first-order report passes
 tol_el`` (built only once its psd margin already clears that bound), and
 returns that iterate with that report; whatever else ends the loop, the
 last iterate is returned with the report of the field the loop built for
-it.  The restoration and the multipliers choose the constraint case by one
-rule, :func:`~kreinact.elverify._bound_active`.
+it.  One routine computes the restoration for the loop and for
+:func:`restore_constraints`, choosing the case by the rule that also picks
+the multipliers' case, :func:`~kreinact.elverify._bound_active`.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from .elverify import (
     pushforward,
 )
 from .errors import NonsmoothPointError, RestorationError, ValidationError
-from .homomeasure import MomentumBox, OperatorMeasure
+from .homomeasure import MomentumBox, OperatorMeasure, _check_targets, _trace_functionals
 from .krein import SignatureSpace
 
 # Curvature pairs kept by the L-BFGS direction.
@@ -106,10 +107,7 @@ class MinimizeConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (0.0 < self.c < self.f):
-            raise ValidationError(
-                f"constraint targets must satisfy 0 < c < f, got c={self.c}, f={self.f}"
-            )
+        _check_targets(self.c, self.f)
         _check_delta(self.smoothing_delta)
         # Written so that NaN fails every range test.
         if not 0.0 < self.position_radius < math.inf:
@@ -158,23 +156,28 @@ def config_from_dict(data: dict) -> MinimizeConfig:
 # Constraint restoration
 # ---------------------------------------------------------------------------
 
-def _block_traces(total: np.ndarray, n: int):
-    """Traces of the two signature blocks of ``total``."""
-    return float(np.trace(total[:n, :n]).real), float(np.trace(total[n:, n:]).real)
+def _restoring_factors(
+    total: np.ndarray, n: int, c: float, f: float, case: str | None = None
+) -> np.ndarray:
+    """Diagonal ``d`` of the congruence ``A -> D A D`` of :func:`restore_constraints`.
 
-
-def _block_scalings(t11: float, t22: float, case: str, c: float, f: float):
-    """Squared block scalings ``(x, y)`` for ``case`` from the block traces."""
+    ``case=None`` applies the package's case rule
+    (:func:`~kreinact.elverify._bound_active`): "a" unless the signed trace
+    after its uniform scaling makes the bound active, or the total trace is
+    not positive; "b" otherwise.
+    """
+    t11, t22 = float(np.trace(total[:n, :n]).real), float(np.trace(total[n:, n:]).real)
     tiny = 1e-14 * max(abs(t11), abs(t22), 1.0)
+    u = t11 + t22
+    if case is None:
+        case = "a" if u > tiny and not _bound_active(c / u * (t11 - t22), f) else "b"
     if case == "a":
-        u = t11 + t22
         if u <= tiny:
             raise RestorationError(
                 "total trace is not positive; uniform rescaling cannot reach the target"
             )
-        lam = c / u
-        return lam, lam
-    if case == "b":
+        x = y = c / u
+    elif case == "b":
         # x*t11 = (c+f)/2 and y*t22 = (c-f)/2 with t11 >= 0 >= t22.
         if t11 <= tiny or t22 >= -tiny:
             raise RestorationError(
@@ -185,8 +188,9 @@ def _block_scalings(t11: float, t22: float, case: str, c: float, f: float):
         y = 0.5 * (c - f) / t22
         if x <= 0 or y <= 0:
             raise RestorationError("constraint targets require non-positive scalings")
-        return x, y
-    raise ValidationError(f"unknown restoration case {case!r}")
+    else:
+        raise ValidationError(f"unknown restoration case {case!r}")
+    return np.repeat(np.sqrt([x, y]), n)
 
 
 def restore_constraints(measure: OperatorMeasure, case: str, c: float, f: float) -> OperatorMeasure:
@@ -198,10 +202,8 @@ def restore_constraints(measure: OperatorMeasure, case: str, c: float, f: float)
     positivity; targets unreachable by positive scalings raise
     :class:`~kreinact.errors.RestorationError`.
     """
-    if not (0.0 < c < f):
-        raise ValidationError(f"constraint targets must satisfy 0 < c < f, got c={c}, f={f}")
-    x, y = _block_scalings(*_block_traces(measure.total(), measure.space.n), case, c, f)
-    d = np.repeat(np.sqrt([x, y]), measure.space.n)
+    _check_targets(c, f)
+    d = _restoring_factors(measure.total(), measure.space.n, c, f, case)
     ops = d[None, :, None] * measure.operators * d[None, None, :]
     return measure.with_operators(ops, validate=False)
 
@@ -280,18 +282,9 @@ def minimize_action(config: MinimizeConfig) -> MinimizeResult:
     Ms = rng.standard_normal((k, d, d)) + 1j * rng.standard_normal((k, d, d))
 
     def restored(Ms_raw: np.ndarray) -> np.ndarray:
-        # Case "a" unless its signed trace makes the bound active (or it is
-        # impossible); then case "b" pins both constraints.  The restoration
-        # A -> D A D acts on the factors as M -> M D.
-        t11, t22 = _block_traces(_operators_from_Ms(space, Ms_raw).sum(axis=0), space.n)
-        try:
-            x, y = _block_scalings(t11, t22, "a", config.c, config.f)
-            active = _bound_active(x * (t11 - t22), config.f)
-        except RestorationError:
-            active = True
-        if active:
-            x, y = _block_scalings(t11, t22, "b", config.c, config.f)
-        return Ms_raw * np.repeat(np.sqrt([x, y]), space.n)[None, None, :]
+        # The restoration A -> D A D acts on the factors as M -> M D.
+        total = _operators_from_Ms(space, Ms_raw).sum(axis=0)
+        return Ms_raw * _restoring_factors(total, space.n, config.c, config.f)[None, None, :]
 
     def evaluator_for(measure: OperatorMeasure, solved=None) -> QHatEvaluator:
         try:
@@ -357,9 +350,7 @@ def minimize_action(config: MinimizeConfig) -> MinimizeResult:
             pairs, direction = [], -grads
         step = 1.0 if pairs else INITIAL_STEP
 
-        total = measure.total()
-        trace_val = float(np.trace(total).real)
-        signed_val = float(np.trace(sig[:, None] * total).real)
+        trace_val, signed_val = (float(t.real) for t in _trace_functionals(measure.total(), space))
         trace_log.append(
             {
                 "iteration": iteration,

@@ -167,9 +167,15 @@ def _beta(qhat: np.ndarray, sig: np.ndarray, alpha: float) -> float:
     return float(np.linalg.eigvalsh(_shifted(qhat, sig, alpha))[0])
 
 
+def _finite_alpha(alpha: float) -> float:
+    if not np.isfinite(alpha):
+        raise ValidationError(f"alpha must be finite, got {alpha!r}")
+    return alpha
+
+
 def beta_of_alpha(q: np.ndarray, space: SignatureSpace, alpha: float) -> float:
     """Smallest eigenvalue of the Hermitian matrix ``S q - alpha S``."""
-    return _beta(_hermitian_coefficient(q, space), space.signature, alpha)
+    return _beta(_hermitian_coefficient(q, space), space.signature, _finite_alpha(alpha))
 
 
 def _lowest_cluster(qhat: np.ndarray, sig: np.ndarray, alpha: float):
@@ -204,7 +210,7 @@ def a_of_alpha(q: np.ndarray, space: SignatureSpace, alpha: float) -> AlphaValue
     ``V^H S V``; both endpoints are reported.
     """
     qhat = _hermitian_coefficient(q, space)
-    V, s, *_ = _lowest_cluster(qhat, space.signature, alpha)
+    V, s, *_ = _lowest_cluster(qhat, space.signature, _finite_alpha(alpha))
     return AlphaValue(
         a_min=float(s[0]), a_max=float(s[-1]), projector=V @ V.conj().T, degenerate=V.shape[1] > 1
     )

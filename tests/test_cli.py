@@ -480,6 +480,17 @@ def test_sweep_alpha_rejects_empty_range(tmp_path):
                  "--out", str(tmp_path / "s.csv")]) == 2
 
 
+@pytest.mark.parametrize("bounds", [("nan", "1.0"), ("inf", "1.0"), ("-1.0", "nan"), ("-1.0", "inf")])
+def test_sweep_alpha_rejects_non_finite_bounds_before_writing(tmp_path, capsys, bounds):
+    q_path = tmp_path / "q.json"
+    write_rotation_q(q_path)
+    out_path = tmp_path / "s.csv"
+    assert main(["sweep-alpha", str(q_path), f"--alpha-min={bounds[0]}", f"--alpha-max={bounds[1]}",
+                 "--count", "3", "--out", str(out_path)]) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize("count", ["0", "-1"])
 def test_sweep_alpha_rejects_count_below_one(tmp_path, count):
     q_path = tmp_path / "q.json"

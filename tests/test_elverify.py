@@ -6,8 +6,6 @@ reduce to the pointwise problem, whose closed-form minimizer and
 multipliers are known exactly (see test_pointwise).
 """
 
-import json
-
 import numpy as np
 import pytest
 

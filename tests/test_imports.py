@@ -1,16 +1,18 @@
-"""Import hygiene of the package modules.
+"""Import hygiene of the package modules and the tests.
 
-Every name a package module imports is used there or exported.  No
-linter runs on the package, so a dead import would otherwise go
-unnoticed.  ``__init__.py`` is exempt: it exists to re-export names.
+Every name a package module or test file imports is used there or
+exported.  No linter runs on the repository, so a dead import would
+otherwise go unnoticed.  ``__init__.py`` is exempt: it exists to
+re-export names.
 
 No package module imports scipy when it is loaded: ``import kreinact``
 loads numpy only.  The one scipy user, the ``brute_force`` oracle,
 imports it inside the function.
 
 The export lists agree: every name in a module's ``__all__`` is
-re-exported by ``kreinact`` as the same object, and ``kreinact.__all__``
-names each object once.
+re-exported by ``kreinact`` as the same object, ``kreinact.__all__``
+names each object once, and each of its names other than ``__version__``
+and ``main`` comes from exactly one module's ``__all__``.
 """
 
 import ast
@@ -22,6 +24,7 @@ import pytest
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "kreinact"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 ALL_MODULES = sorted(PACKAGE.glob("*.py"))
+TEST_FILES = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def _unused_imports(source: str) -> list:
@@ -49,7 +52,11 @@ def test_the_check_sees_a_dead_import():
     assert _unused_imports(source) == ["inf (line 3)", "os (line 1)"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+@pytest.mark.parametrize(
+    "path",
+    MODULES + TEST_FILES,
+    ids=[p.name for p in MODULES] + [f"tests/{p.name}" for p in TEST_FILES],
+)
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
 
@@ -110,3 +117,16 @@ def test_package_exports_are_unique_and_resolve():
     names = package.__all__
     assert sorted(n for n in set(names) if names.count(n) > 1) == []
     assert [n for n in names if not hasattr(package, n)] == []
+
+
+def test_package_exports_come_from_one_module_each():
+    package = importlib.import_module("kreinact")
+    owners = {}
+    for path in MODULES:
+        for name in getattr(importlib.import_module(f"kreinact.{path.stem}"), "__all__", []):
+            owners.setdefault(name, []).append(path.stem)
+    assert {
+        name: owners.get(name, [])
+        for name in package.__all__
+        if name not in ("__version__", "main") and len(owners.get(name, [])) != 1
+    } == {}

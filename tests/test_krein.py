@@ -10,7 +10,6 @@ from conftest import (
     oracle_positive_eigenvalues,
     random_matrix,
     random_positive,
-    random_symmetric,
 )
 from kreinact import (
     SignatureSpace,

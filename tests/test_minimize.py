@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import assert_feasible, make_rng, random_measure_for, random_positive
+from conftest import assert_feasible, make_rng, random_measure_for
 from kreinact import (
     MinimizeConfig,
     MomentumBox,
@@ -20,10 +20,13 @@ from kreinact import (
     config_from_dict,
     config_to_dict,
     constraint_values,
+    lagrange_parameters,
     minimize_action,
+    pushforward,
     restore_constraints,
 )
-from kreinact.minimize import MAX_BACKTRACKS
+from kreinact.minimize import MAX_BACKTRACKS, _restoring_factors
+from kreinact.tolerances import CONSTRAINT
 
 SP1 = SignatureSpace(1)
 
@@ -163,6 +166,47 @@ def test_restore_rejects_unreachable_targets():
         restore_constraints(measure, "z", 0.5, 1.0)
     with pytest.raises(ValidationError):
         restore_constraints(measure, "b", 1.5, 1.0)
+
+
+@pytest.mark.parametrize("c, f", [(0.0, 1.0), (1.0, 1.0), (math.nan, 1.0), (0.5, 0.2)])
+def test_bad_constraint_targets_are_rejected_alike(c, f):
+    measure = random_measure_for(SP1, make_rng(5))
+    mu = pushforward(measure, np.zeros_like(measure.operators))
+    messages = []
+    for reject in (
+        lambda: MinimizeConfig(c=c, f=f),
+        lambda: restore_constraints(measure, "b", c, f),
+        lambda: lagrange_parameters(mu, c, f),
+    ):
+        with pytest.raises(ValidationError) as err:
+            reject()
+        messages.append(str(err.value))
+    assert messages == [f"constraint targets must satisfy 0 < c < f, got c={c}, f={f}"] * 3
+
+
+def _total_scaling_to(signed: float, c: float = 0.5) -> np.ndarray:
+    """``diag(t11, t22)`` whose uniform scaling to ``Tr = c`` has ``Tr(S .) = signed``."""
+    r = signed / c
+    t22 = -0.25
+    return np.diag([t22 * (1 + r) / (1 - r), t22]).astype(complex)
+
+
+@pytest.mark.parametrize(
+    "total, case",
+    [
+        (_total_scaling_to(0.75), "a"),
+        (_total_scaling_to(1.0 - 2 * CONSTRAINT), "a"),
+        (_total_scaling_to(1.0 - CONSTRAINT / 2), "b"),
+        (_total_scaling_to(1.5), "b"),
+        (np.diag([0.2, -0.5]).astype(complex), "b"),  # total trace not positive
+    ],
+    ids=["below-band", "just-below-band", "in-band", "above-bound", "non-positive-trace"],
+)
+def test_restoration_rule_scales_uniformly_only_below_the_band(total, case):
+    # c = 0.5, f = 1: the band of the active bound starts at f (1 - CONSTRAINT).
+    factors = _restoring_factors(total, 1, 0.5, 1.0)
+    np.testing.assert_array_equal(factors, _restoring_factors(total, 1, 0.5, 1.0, case))
+    assert (factors[0] == factors[1]) == (case == "a")
 
 
 # ---------------------------------------------------------------------------

@@ -112,6 +112,14 @@ def test_signature_coefficient_scalar_maps():
     assert beta_of_alpha(S, SP1, 0.0) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf])
+def test_scalar_maps_reject_non_finite_alpha(alpha):
+    S = np.diag([1.0, -1.0]).astype(complex)
+    for scalar_map in (a_of_alpha, beta_of_alpha):
+        with pytest.raises(ValidationError, match="alpha must be finite"):
+            scalar_map(S, SP1, alpha)
+
+
 def test_signature_coefficient_interior_uses_plateau_mixing():
     S = np.diag([1.0, -1.0]).astype(complex)
     prob = PointwiseProblem(space=SP1, q=S, a=0.4, b=1.0)
