@@ -411,10 +411,10 @@ def _gradient_field(
         )
 
     q_field = factors @ Pp
-    adjoint = _adjoint(q_field, sig)
-    # Q(0) = Q(0)^*, which N P_+ meets only up to rounding.
-    q_field[fixed] = 0.5 * (q_field[fixed] + adjoint[fixed])
-    q_field[mirrored] = adjoint[mirrored]
+    # Q(0) = Q(0)^*, which N P_+ meets only up to rounding.  The origin is
+    # its own representative, so it is never mirrored.
+    q_field[fixed] = 0.5 * (q_field[fixed] + _adjoint(q_field[fixed], sig))
+    q_field[mirrored] = _adjoint(q_field[mirrored], sig)
     for i in np.nonzero(~ok)[0]:
         estimate = _fd_gradient(measure, points[i], space, delta)
         # A lone estimate, unpaired with its reflection's, stalls exact-Lagrangian descents.
@@ -491,6 +491,9 @@ class QHatEvaluator:
 
     def evaluate_many(self, ps: np.ndarray) -> np.ndarray:
         """``Qhat`` at each row of ``ps``, stacked along the first axis."""
-        ps = _four_vector(np.atleast_2d(ps), "momenta", ndim=2)
+        return self._evaluate_many(_four_vector(np.atleast_2d(ps), "momenta", ndim=2))
+
+    def _evaluate_many(self, ps: np.ndarray) -> np.ndarray:
+        """:meth:`evaluate_many` of a validated float array of 4-vector rows."""
         half = np.einsum("kx,xab->kab", self._fourier_phases(ps), self.q_field)
         return half + _adjoint(half, self.measure.space.signature)

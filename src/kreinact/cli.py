@@ -84,10 +84,14 @@ def cmd_fixture(args) -> int:
             raise ValidationError(f"{flag} must be an integer >= 0, got {value}")
     if args.atoms == 0 and args.kind != "random":
         raise ValidationError(f"--atoms must be at least 1 for a {args.kind} fixture, got 0")
+    radius = ("--spatial-radius", args.spatial_radius)
+    scales = {"dirac-sea": [("--mass", args.mass), radius], "nilpotent": [radius]}
+    for flag, value in scales.get(args.kind, []):
+        # Written so that NaN fails.
+        if not 0.0 < value < np.inf:
+            raise ValidationError(f"{flag} must be finite and positive, got {value!r}")
     rng = np.random.default_rng(args.seed)
     if args.kind == "dirac-sea":
-        if args.mass <= 0:
-            raise ValidationError("--mass must be positive")
         ks = args.spatial_radius * rng.standard_normal((args.atoms, 3))
         points = [
             (-float(np.hypot(np.linalg.norm(k), args.mass)), *k) for k in ks

@@ -215,21 +215,29 @@ def el_residuals(
     probe_qs: np.ndarray,
     case_tag: str,
     tail_magnitude: float | None = None,
+    *,
+    _spectra=None,
 ) -> ELReport:
     """Assemble the first-order condition report (report-only, no pass/fail).
 
     The support atoms and their ``Qhat`` come from ``mu``, the pushforward
     that gave the multipliers; ``probe_qs`` stacks ``Qhat`` over the probes.
+    When ``probe_qs`` is ``mu.qs`` itself (the atoms are the probes), the
+    spectra and gaps are computed once for both.  ``_spectra`` is the
+    :func:`_shifted_spectra` of ``mu.qs`` at ``(alpha, beta)`` if in hand.
     """
     space = mu.space
     probe_points = np.atleast_2d(np.asarray(probe_points, float))
     probe_qs = _qhat_stack(probe_qs, len(probe_points), space, "el_residuals probe_qs")
-    qhat_scale = float(
-        np.linalg.norm(np.concatenate([probe_qs, mu.qs]), 2, axis=(1, 2)).max(initial=0.0)
-    )
-
-    _, w_probe, V_probe = _shifted_spectra(probe_qs, alpha, beta, space)
-    T, w_atom, V_atom = _shifted_spectra(mu.qs, alpha, beta, space)
+    T, w_atom, V_atom = _spectra or _shifted_spectra(mu.qs, alpha, beta, space)
+    atom_gaps = _gaps(w_atom, V_atom, space)
+    if probe_qs is mu.qs:
+        scale_qs, w_probe, probe_gaps = mu.qs, w_atom, atom_gaps
+    else:
+        scale_qs = np.concatenate([probe_qs, mu.qs])
+        _, w_probe, V_probe = _shifted_spectra(probe_qs, alpha, beta, space)
+        probe_gaps = _gaps(w_probe, V_probe, space)
+    qhat_scale = float(np.linalg.norm(scale_qs, 2, axis=(1, 2)).max(initial=0.0))
     A = mu.operators
 
     return ELReport(
@@ -238,11 +246,11 @@ def el_residuals(
         case_tag=case_tag,
         probe_points=probe_points,
         probe_margins=w_probe[:, 0],
-        probe_gaps=_gaps(w_probe, V_probe, space),
+        probe_gaps=probe_gaps,
         atom_points=mu.momenta.copy(),
         atom_residual_left=np.linalg.norm(T @ A, 2, axis=(1, 2)),
         atom_residual_right=np.linalg.norm(A @ T, 2, axis=(1, 2)),
-        atom_gaps=_gaps(w_atom, V_atom, space),
+        atom_gaps=atom_gaps,
         atom_norms=np.linalg.norm(A, 2, axis=(1, 2)),
         qhat_scale=qhat_scale,
         tail_magnitude=tail_magnitude,

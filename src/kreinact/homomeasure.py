@@ -323,8 +323,8 @@ def dirac_sea_fixture(mass: float, shell_points: Iterable[Sequence[float]]) -> O
     ``p^0 < 0`` within a relative shell tolerance.  The resulting atoms are
     positive with eigenvalues in ``{0, -2m}`` — a sea measure.
     """
-    if mass <= 0:
-        raise ValidationError(f"mass must be positive, got {mass}")
+    if not 0.0 < mass < np.inf:
+        raise ValidationError(f"mass must be finite and positive, got {mass!r}")
     momenta = np.atleast_2d(np.asarray(list(shell_points), float))
     if momenta.shape[1:] != (4,):
         raise ValidationError("shell points must be 4-vectors")

@@ -101,6 +101,27 @@ def test_special_fixture_without_atoms_names_the_flag(tmp_path, capsys, kind):
     assert load_measure(out).n_atoms == 0
 
 
+@pytest.mark.parametrize("kind, flag, value", [
+    ("dirac-sea", "--mass", "nan"),
+    ("dirac-sea", "--mass", "inf"),
+    ("dirac-sea", "--spatial-radius", "nan"),
+    ("dirac-sea", "--spatial-radius", "0"),
+    ("nilpotent", "--spatial-radius", "inf"),
+    ("nilpotent", "--spatial-radius", "-1"),
+])
+def test_fixture_scale_flags_must_be_finite_and_positive(tmp_path, capsys, monkeypatch, kind, flag, value):
+    import kreinact.cli as cli_module
+
+    def no_draws(*args):
+        raise AssertionError("a fixture drew random numbers before checking its flags")
+
+    monkeypatch.setattr(cli_module.np.random, "default_rng", no_draws)
+    out = tmp_path / "x.json"
+    assert main(["fixture", kind, "--out", str(out), flag, value]) == 2
+    assert f"error: {flag} must be finite and positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fixture_validation_failures_exit_2(tmp_path, capsys):
     out = tmp_path / "x.json"
     assert main(["fixture", "dirac-sea", "--out", str(out), "--mass", "-1.0"]) == 2

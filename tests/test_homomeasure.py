@@ -1,6 +1,7 @@
 """Tests for momentum boxes, operator measures, fixtures, and serialization."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -336,6 +337,12 @@ def test_dirac_sea_atoms_positive_with_negative_spectrum():
         nonzero = lam[np.abs(lam) > 1e-9]
         assert np.all(nonzero.real < 0)
         np.testing.assert_allclose(nonzero.real, -2 * m, atol=1e-9)
+
+
+@pytest.mark.parametrize("mass", [0.0, -1.0, math.nan, math.inf])
+def test_dirac_sea_rejects_a_mass_that_is_not_finite_and_positive(mass):
+    with pytest.raises(ValidationError, match="mass must be finite and positive"):
+        dirac_sea_fixture(mass, [(-1.0, 0.0, 0.0, 0.0)])
 
 
 def test_dirac_sea_rejects_off_shell_points():
