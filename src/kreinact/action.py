@@ -28,14 +28,19 @@ chain (ill-conditioned ``R``) or a vanishing modulus at ``delta = 0`` falls
 back to finite differences (relative step ``1e-5``) with a kink check; a
 genuine kink raises :class:`~kreinact.errors.NonsmoothPointError`.  The
 eigen-derivatives are batched over the point set (one stacked ``eig`` and
-``inv``); only the points they reject take the finite-difference path,
-which makes one stacked eigensolve per point over all perturbed kernels.
+``inv``); only the kernels they reject take the finite-difference path,
+which makes one stacked eigensolve over all perturbed kernels per point.
 The chains at ``xi`` and ``-xi`` are ``X X^*`` and ``X^* X`` with
 ``X = P_+(xi)``, and ``N`` is a polynomial in its chain, so ``L(-xi) = L(xi)``
 and ``Q(xi) = X N(-xi) = N(xi) X = Q(-xi)^*`` (Higham, *Functions of
 Matrices*, Cor. 1.34).  Chains are solved once per reflection pair, at its
-lexicographically smaller point; the line search takes a trial's action
-from that solve, so an accepted trial builds its field without another.
+lexicographically smaller point, and once for all pairs with the same
+kernel: ``P`` depends on ``xi`` only through the phases ``p_j . xi``, so
+where all atoms have a zero coordinate along a position axis with more than
+one point, the points along it share their chain.  Points are grouped by
+bitwise equal phases, so the results are those of one solve per point to
+the bit.  The line search takes a trial's action from that solve, so an
+accepted trial builds its field without another.
 """
 
 from __future__ import annotations
@@ -183,16 +188,30 @@ class _SupportTables:
     A minimization run moves the atom operators, never their momenta or the
     grid, so it builds these once; :func:`action`, :func:`_solved_action` and
     :class:`QHatEvaluator` take them in or build their own.
-    ``kernel_phases`` are taken at each point's representative (``-xi`` where
-    ``mirrored``).  On a grid, ``points`` are its representatives.
+    On a grid, ``points`` are its representatives.  The kernel at a point is
+    taken at its representative (``-xi`` where ``mirrored``) and depends on
+    it only through the row of :func:`_kernel_phases`.  Points whose rows are
+    bitwise equal share one kernel class, so its chain is solved once:
+    ``kernel_phases`` holds one row per class, in the order of the classes'
+    first points ``class_firsts``, and ``kernel_class[i]`` is point ``i``'s
+    class.  Where all atoms have a zero coordinate along a position axis
+    with more than one point, the points along it share a class; other exact
+    coincidences of the phases merge points too.
     """
 
     def __init__(self, momenta: np.ndarray, points: np.ndarray, half_weights=None):
         self.points = points
         self.mirrored = ~_is_representative(points)
         self.origin = ~points.any(axis=1)
-        self.reps = np.where(self.mirrored[:, None], -points, points)
-        self.kernel_phases = _kernel_phases(momenta, self.reps)
+        phases = _kernel_phases(momenta, np.where(self.mirrored[:, None], -points, points))
+        # Rows as raw bytes, so that equal means bitwise equal.  Without atoms all rows are empty.
+        width = phases.itemsize * phases.shape[1]
+        rows = phases.view(f"V{width}")[:, 0] if width else np.zeros(len(points), "V1")
+        _, firsts, classes = np.unique(rows, return_index=True, return_inverse=True)
+        order = np.argsort(firsts)
+        self.class_firsts = firsts[order]
+        self.kernel_class = np.argsort(order)[classes]
+        self.kernel_phases = phases[self.class_firsts]
         self.half_weights = half_weights
         self._fourier = None
 
@@ -268,10 +287,10 @@ def _chain_field(measure: OperatorMeasure, phases: np.ndarray):
     return Pp, Pp @ _adjoint(Pp, measure.space.signature)
 
 
-def _chain_solve(measure: OperatorMeasure, points: np.ndarray, phases=None):
+def _chain_solve(measure: OperatorMeasure, points: np.ndarray = None, phases=None):
     """``(P_plus, chains, lams, R)``: kernels, chains and one stacked ``eig`` at ``points``.
 
-    ``phases`` is the points' :func:`_kernel_phases` table if in hand.
+    ``phases`` is a :func:`_kernel_phases` table to use instead of ``points``.
     """
     Pp, chains = _chain_field(measure, _kernel_phases(measure.momenta, points) if phases is None else phases)
     lams, R = np.linalg.eig(chains)
@@ -284,19 +303,21 @@ def action(
     """Discretized homogeneous action ``sum_xi w(xi) L(xi)``."""
     support = _support or _SupportTables.on_grid(measure.momenta, grid)
     _, chains = _chain_field(measure, support.kernel_phases)
-    return float(np.dot(grid.folded_weights, _lagrangian_values(np.linalg.eigvals(chains), smoothing_delta)))
+    values = _lagrangian_values(np.linalg.eigvals(chains), smoothing_delta)
+    return float(np.dot(grid.folded_weights, values[support.kernel_class]))
 
 
 def _solved_action(measure: OperatorMeasure, grid: PositionGrid, smoothing_delta: float, support=None):
-    """``(action, solved)`` from one :func:`_chain_solve` of the grid's representatives.
+    """``(action, solved)`` from one :func:`_chain_solve` of the grid's kernel classes.
 
     ``solved`` can feed :class:`QHatEvaluator`.  The action is :func:`action`'s
     to the bit: LAPACK's QR sweep on these small chains does the same
     arithmetic on the eigenvalues with or without eigenvectors.
     """
     support = support or _SupportTables.on_grid(measure.momenta, grid)
-    solved = _chain_solve(measure, support.reps, support.kernel_phases)
-    return float(np.dot(grid.folded_weights, _lagrangian_values(solved[2], smoothing_delta))), solved
+    solved = _chain_solve(measure, phases=support.kernel_phases)
+    values = _lagrangian_values(solved[2], smoothing_delta)
+    return float(np.dot(grid.folded_weights, values[support.kernel_class])), solved
 
 
 # ---------------------------------------------------------------------------
@@ -381,45 +402,53 @@ def _gradient_field(
     mode: str,
     solved=None,
 ) -> np.ndarray:
-    """Gradient kernel ``Q`` at each of ``support.points``, from one chain per pair.
+    """Gradient kernel ``Q`` at each of ``support.points``, from one chain per kernel class.
 
     ``Q = N P_+`` at a representative, the adjoint of its representative's
     at any other point.  ``solved`` is the :func:`_chain_solve` of the
-    representatives if in hand.  Vectorized eigen-derivatives are used where
+    kernel classes if in hand.  Vectorized eigen-derivatives are used where
     the chain spectrum allows it (``mode`` ``"auto"`` or ``"analytic"``),
     finite differences averaged over ``xi`` and ``-xi`` elsewhere
-    (``"auto"``) or everywhere (``"finite_difference"``).
+    (``"auto"``) or everywhere (``"finite_difference"``), taken at each
+    class's first point.
     """
     _check_delta(delta)
     if mode not in ("auto", "analytic", "finite_difference"):
         raise ValidationError(f"unknown gradient mode {mode!r}")
     space, sig = measure.space, measure.space.signature
     points, mirrored, fixed = support.points, support.mirrored, support.origin
+    firsts, classes = support.class_firsts, support.kernel_class
     if solved is None:
-        solved = _chain_solve(measure, support.reps, support.kernel_phases)
+        solved = _chain_solve(measure, phases=support.kernel_phases)
     Pp, chains, lams, R = solved
 
     if mode == "finite_difference":
-        factors, ok = np.zeros_like(chains), np.zeros(len(points), bool)
+        factors, ok = np.zeros_like(chains), np.zeros(len(chains), bool)
     else:
         factors, ok = _eig_gradient_factors(chains, lams, R, space, delta)
     if mode == "analytic" and not ok.all():
         raise NonsmoothPointError(
             "no analytic gradient at this point "
             "(defective chain or vanishing modulus at delta = 0)",
-            xi=points[~ok][0],
+            xi=points[firsts[~ok][0]],
         )
 
-    q_field = factors @ Pp
+    q_class = factors @ Pp
+    # Every kernel of the origin's class is its own reflection's.
+    origin_class = classes[fixed]
+    for k in np.nonzero(~ok)[0]:
+        xi = points[firsts[k]]
+        estimate = _fd_gradient(measure, xi, space, delta)
+        # A lone estimate, unpaired with its reflection's, stalls exact-Lagrangian descents.
+        reflected = estimate if k in origin_class else _fd_gradient(measure, -xi, space, delta)
+        q = 0.5 * (estimate + _adjoint(reflected, sig))
+        # Rows are kept at the representative, like the analytic ones.
+        q_class[k] = _adjoint(q, sig) if mirrored[firsts[k]] else q
+    q_field = q_class[classes]
     # Q(0) = Q(0)^*, which N P_+ meets only up to rounding.  The origin is
     # its own representative, so it is never mirrored.
     q_field[fixed] = 0.5 * (q_field[fixed] + _adjoint(q_field[fixed], sig))
     q_field[mirrored] = _adjoint(q_field[mirrored], sig)
-    for i in np.nonzero(~ok)[0]:
-        estimate = _fd_gradient(measure, points[i], space, delta)
-        # A lone estimate, unpaired with its reflection's, stalls exact-Lagrangian descents.
-        reflected = _fd_gradient(measure, -points[i], space, delta) if points[i].any() else estimate
-        q_field[i] = 0.5 * (estimate + _adjoint(reflected, sig))
     return q_field
 
 
@@ -445,7 +474,8 @@ class QHatEvaluator:
     """Precomputed gradient field on a grid with Fourier evaluation.
 
     ``q_field`` holds ``Q`` at ``grid.representatives``, one row per reflection
-    pair.  ``Qhat(p) = sum_xi w(xi) Q(xi) e^{-i p.xi}`` is ``K + K^*`` with
+    pair, from one chain solve per distinct kernel.
+    ``Qhat(p) = sum_xi w(xi) Q(xi) e^{-i p.xi}`` is ``K + K^*`` with
     ``K(p) = sum_r (fw_r / 2) Q(xi_r) e^{-i p.xi_r}`` over the representatives'
     folded weights, since the term of ``-xi`` is the Krein adjoint of that of
     ``xi``.  ``tail_magnitude`` reports ``max ||Q(xi)||_2`` over the boundary
@@ -453,7 +483,7 @@ class QHatEvaluator:
     the decay of the gradient kernel (integrability cannot be asserted on a
     finite box, only reported).  ``_support`` passes in the measure's
     :class:`_SupportTables` on ``grid``, ``_solved`` a :func:`_chain_solve`
-    of the representatives.
+    of its kernel classes.
     """
 
     def __init__(

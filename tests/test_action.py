@@ -1,5 +1,7 @@
 """Tests for position grids, kernels, the spectral action, and its gradients."""
 
+import importlib
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -28,6 +30,9 @@ from kreinact import (
     translate,
 )
 from kreinact.action import _chain_solve, _eig_gradient_factors, _solved_action, _SupportTables
+
+# The package exports the function ``action`` under the submodule's name.
+action_module = importlib.import_module("kreinact.action")
 
 
 # ---------------------------------------------------------------------------
@@ -690,9 +695,21 @@ def test_reordered_grid_gives_the_same_action_and_field():
             _assert_field_is_the_pointwise_kernel(ev, mode, delta)
 
 
-def test_one_chain_eigensolve_per_reflection_pair(monkeypatch):
+def _shared_kernel_case():
+    """The n=2 reference layout: momenta on the (3,2,1,1) box grid, positions (7,3,3,1).
+
+    Every atom has a zero coordinate along position axis 2, which has three
+    points, so the 32 representatives carry 11 distinct kernels.
+    """
     meas = random_measure_for(SignatureSpace(2), make_rng(27), n_atoms=4, shape=(3, 2, 1, 1))
-    grid = PositionGrid.from_box(3.0, (7, 3, 3, 1))
+    return meas, PositionGrid.from_box(3.0, (7, 3, 3, 1))
+
+
+def test_one_chain_eigensolve_per_distinct_kernel(monkeypatch):
+    shared, grid = _shared_kernel_case()
+    # Off the shared zero coordinate no two kernels coincide, so none may be merged.
+    jitter = 0.01 * make_rng(29).uniform(-1.0, 1.0, shared.momenta.shape)
+    jittered = OperatorMeasure(shared.space, shared.box, 0.98 * shared.momenta + jitter, shared.operators)
     calls = []
 
     def counting(name, fn):
@@ -703,12 +720,73 @@ def test_one_chain_eigensolve_per_reflection_pair(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eig", counting("eig", np.linalg.eig))
     monkeypatch.setattr(np.linalg, "eigvals", counting("eigvals", np.linalg.eigvals))
-    for call, expected in ((lambda: _solved_action(meas, grid, 1e-2), "eig"),
-                           (lambda: action(meas, grid, 1e-2), "eigvals"),
-                           (lambda: QHatEvaluator(meas, grid, smoothing_delta=1e-2), "eig")):
-        calls.clear()
-        call()
-        assert calls == [(expected, (32, 4, 4))]
+    for meas, kernels in ((shared, 11), (jittered, 32)):
+        for call, expected in ((lambda: _solved_action(meas, grid, 1e-2), "eig"),
+                               (lambda: action(meas, grid, 1e-2), "eigvals"),
+                               (lambda: QHatEvaluator(meas, grid, smoothing_delta=1e-2), "eig")):
+            calls.clear()
+            call()
+            assert calls == [(expected, (kernels, 4, 4))]
+
+
+def test_shared_kernels_share_their_finite_difference_estimate(monkeypatch):
+    meas, grid = _shared_kernel_case()
+    support = _SupportTables.on_grid(meas.momenta, grid)
+    firsts = support.points[support.class_firsts]
+    origin_class = support.kernel_class[support.origin][0]
+    fd_gradient, calls = action_module._fd_gradient, []
+
+    def counted(measure, xi, *args):
+        calls.append(xi)
+        return fd_gradient(measure, xi, *args)
+
+    monkeypatch.setattr(action_module, "_fd_gradient", counted)
+    for delta in (0.0, 1e-2):
+        _, chains, lams, R = _chain_solve(meas, phases=support.kernel_phases)
+        analytic = _eig_gradient_factors(chains, lams, R, meas.space, delta)[1]
+        for mode in ("auto", "finite_difference"):
+            calls.clear()
+            ev = QHatEvaluator(meas, grid, smoothing_delta=delta, mode=mode)
+            # Two estimates per rejected kernel, at its first point and the
+            # reflection; one for the origin's, which is its own reflection.
+            rejected = np.nonzero(~analytic if mode == "auto" else np.ones(len(firsts), bool))[0]
+            expected = [x for k in rejected
+                        for x in ([firsts[k]] if k == origin_class else [firsts[k], -firsts[k]])]
+            assert len(calls) == len(expected)
+            assert all(np.array_equal(x, y) for x, y in zip(calls, expected))
+            if mode == "finite_difference":
+                assert len(calls) == 2 * 10 + 1
+            _assert_field_is_the_pointwise_kernel(ev, mode, delta)
+
+
+def _vanishing_modulus_measure():
+    """Two atoms ``S H_j`` whose kernel is ``i S (H_1 - H_2)``, of rank one, where
+    their phases are opposite: a vanishing chain eigenvalue, rejected at ``delta = 0``.
+
+    Both momenta have a zero coordinate along position axis 2, which has
+    three points, so kernel classes hold several points.
+    """
+    sp = SignatureSpace(1)
+    H1, H2 = np.diag([1.0, 0.5]).astype(complex), np.diag([0.0, 0.5]).astype(complex)
+    ops = [sp.signature[:, None] * H1, sp.signature[:, None] * H2]
+    half = np.array([np.pi / 6, np.pi / 6, 0.0, 0.0])
+    box = MomentumBox((-2.0,) * 4, (2.0,) * 4, (2, 2, 1, 1))
+    return OperatorMeasure(sp, box, [-half, half], ops), PositionGrid.from_box(3.0, (3, 3, 3, 1))
+
+
+def test_analytic_gradient_names_the_first_rejected_point_of_a_shared_kernel():
+    meas, grid = _vanishing_modulus_measure()
+    reps = grid.points[grid.representatives]
+    rejected = [abs(closed_chain(kernel_P(meas, xi), meas.space).lambdas).min() < 1e-12 for xi in reps]
+    first = reps[np.argmax(rejected)]
+    assert not rejected[0] and np.array_equal(first, [-3.0, 0.0, -3.0, 0.0])
+    # Its kernel is also that of (0, -3, xi_2, 0), whose phases are the same.
+    support = _SupportTables.on_grid(meas.momenta, grid)
+    assert np.sum(support.kernel_class == support.kernel_class[np.argmax(rejected)]) == 6
+    with pytest.raises(NonsmoothPointError) as err:
+        QHatEvaluator(meas, grid, smoothing_delta=0.0, mode="analytic")
+    np.testing.assert_array_equal(err.value.xi, first)
+    QHatEvaluator(meas, grid, smoothing_delta=1e-2, mode="analytic")
 
 
 def test_first_variation_identity_on_measure_atoms():
