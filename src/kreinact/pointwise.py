@@ -11,7 +11,10 @@ nondecreasing, so the constraint is met by a safeguarded Newton iteration
 on ``a(alpha)``: a Newton step with the exact slope wherever it stays inside
 the current bracket, a bisection step otherwise, with exact mixing inside
 degenerate lowest eigenspaces on plateaus, and mixing of the two ends when
-the bracket collapses onto a jump that no float ``alpha`` resolves.  The
+the bracket collapses onto a jump that no float ``alpha`` resolves.  It
+starts at ``alpha_0 = (min eig qhat_{++} - min eig qhat_{--}) / 2``, where the
+lowest eigenvalues of the diagonal blocks of ``qhat - alpha S`` cross: the
+jump ``a(alpha)`` would make there without the coupling ``qhat_{+-}``.  The
 attained multipliers satisfy ``A (q - alpha - beta S) = 0`` with
 ``q - alpha - beta S`` positive.
 
@@ -59,6 +62,7 @@ __all__ = [
 
 _DEGENERACY_REL = 1e-8
 _BISECT_MAX = 300
+_ONE = np.ones((1, 1))
 
 
 def _symmetric_coefficient(q: np.ndarray, space: SignatureSpace) -> np.ndarray:
@@ -159,12 +163,18 @@ class AlphaValue:
         return 0.5 * (self.a_min + self.a_max)
 
 
-def _shifted(qhat: np.ndarray, sig: np.ndarray, alpha: float) -> np.ndarray:
-    return qhat - alpha * np.diag(sig).astype(complex)
+def _shift_matrix(sig: np.ndarray) -> np.ndarray:
+    """``S`` as a complex matrix, built once per solve for :func:`_shifted`."""
+    return np.diag(sig).astype(complex)
+
+
+def _shifted(qhat: np.ndarray, shift: np.ndarray, alpha: float) -> np.ndarray:
+    """``qhat - alpha S``: every eigensolve of it starts here."""
+    return qhat - alpha * shift
 
 
 def _beta(qhat: np.ndarray, sig: np.ndarray, alpha: float) -> float:
-    return float(np.linalg.eigvalsh(_shifted(qhat, sig, alpha))[0])
+    return float(np.linalg.eigvalsh(_shifted(qhat, _shift_matrix(sig), alpha))[0])
 
 
 def _finite_alpha(alpha: float) -> float:
@@ -178,27 +188,28 @@ def beta_of_alpha(q: np.ndarray, space: SignatureSpace, alpha: float) -> float:
     return _beta(_hermitian_coefficient(q, space), space.signature, _finite_alpha(alpha))
 
 
-def _lowest_cluster(qhat: np.ndarray, sig: np.ndarray, alpha: float):
+def _lowest_cluster(qhat: np.ndarray, sig: np.ndarray, shift: np.ndarray, alpha: float):
     """Lowest eigenspace of ``qhat - alpha S`` from one ``eigh``, as ``(V, s, W, beta, slope)``.
 
     ``V`` holds the eigenvectors within relative ``_DEGENERACY_REL`` of the lowest
     eigenvalue ``beta``; ``(s, W)`` is the ``eigh`` of ``V^H S V``, so ``Tr(S H)``
-    over normalized psd ``H`` on that space spans ``[s[0], s[-1]]``.  For a
-    single vector ``v_0``, ``slope = a'(alpha) = 2 sum_{k>=1} |v_k^H S v_0|^2 /
-    (w_k - w_0) >= 0``; it is None for a degenerate cluster.
+    over normalized psd ``H`` on that space spans ``[s[0], s[-1]]`` (floats).
+    For a single vector ``v_0``, ``slope = a'(alpha) = 2 sum_{k>=1} |v_k^H S v_0|^2
+    / (w_k - w_0) >= 0``; it is None for a degenerate cluster.  ``shift`` is
+    :func:`_shift_matrix`.
     """
-    w, V = np.linalg.eigh(_shifted(qhat, sig, alpha))
-    scale = max(abs(w[0]), abs(w[-1]), 1.0)
-    size = int(np.sum(w <= w[0] + _DEGENERACY_REL * scale))
+    w, V = np.linalg.eigh(_shifted(qhat, shift, alpha))
+    ws = w.tolist()
+    cut = ws[0] + _DEGENERACY_REL * max(abs(ws[0]), abs(ws[-1]), 1.0)
+    size = sum(x <= cut for x in ws)
     if size == 1:
         coupling = V.conj().T @ (sig * V[:, 0])
-        s = coupling[:1].real
-        slope = 2.0 * float(np.sum(np.abs(coupling[1:]) ** 2 / (w[1:] - w[0])))
-        return V[:, :1], s, np.ones((1, 1)), float(w[0]), slope
+        slope = 2.0 * sum((np.abs(coupling[1:]) ** 2 / (w[1:] - w[0])).tolist())
+        return V[:, :1], [float(coupling[0].real)], _ONE, ws[0], slope
     V = V[:, :size]
     B = V.conj().T @ (sig[:, None] * V)
     s, W = np.linalg.eigh(0.5 * (B + B.conj().T))
-    return V, s, W, float(w[0]), None
+    return V, s.tolist(), W, ws[0], None
 
 
 def a_of_alpha(q: np.ndarray, space: SignatureSpace, alpha: float) -> AlphaValue:
@@ -210,9 +221,10 @@ def a_of_alpha(q: np.ndarray, space: SignatureSpace, alpha: float) -> AlphaValue
     ``V^H S V``; both endpoints are reported.
     """
     qhat = _hermitian_coefficient(q, space)
-    V, s, *_ = _lowest_cluster(qhat, space.signature, _finite_alpha(alpha))
+    sig = space.signature
+    V, s, *_ = _lowest_cluster(qhat, sig, _shift_matrix(sig), _finite_alpha(alpha))
     return AlphaValue(
-        a_min=float(s[0]), a_max=float(s[-1]), projector=V @ V.conj().T, degenerate=V.shape[1] > 1
+        a_min=s[0], a_max=s[-1], projector=V @ V.conj().T, degenerate=V.shape[1] > 1
     )
 
 
@@ -232,10 +244,6 @@ def _mixed_density(V: np.ndarray, s: np.ndarray, W: np.ndarray, target: float):
         c = min(max(c, 0.0), 1.0)
         H = c * np.outer(lo, lo.conj()) + (1.0 - c) * np.outer(hi, hi.conj())
     return H
-
-
-def _gershgorin_radius(qhat: np.ndarray) -> float:
-    return float(np.max(np.sum(np.abs(qhat), axis=1)))
 
 
 def _psd(F: np.ndarray, scale: float) -> bool:
@@ -277,11 +285,12 @@ def _boundary_solution(problem: PointwiseProblem, qhat: np.ndarray, t: int) -> P
     scale = max(float(np.linalg.norm(qhat, 2)), 1.0)
     tag = "boundary-particle" if t > 0 else "boundary-sea"
 
+    base, tilt = qhat - m * np.eye(d), t * np.eye(d) - np.diag(sig)
     # beta = m - t*alpha keeps (qhat - alpha S - beta) v = 0; the psd set
-    # F(alpha) = (qhat - m) + alpha (t - S) is monotone in t*alpha, so the
-    # admissible alphas form a ray whose endpoint we bisect.
+    # F(alpha) = base + alpha tilt = (qhat - m) + alpha (t - S) is monotone in
+    # t*alpha, so the admissible alphas form a ray whose endpoint we bisect.
     def feasible(alpha: float) -> bool:
-        return _psd(qhat - m * np.eye(d) + alpha * (t * np.eye(d) - np.diag(sig)), scale)
+        return _psd(base + alpha * tilt, scale)
 
     far = 4.0 * scale + 4.0
     extension_residual = float(np.linalg.norm(qhat @ v - m * v))
@@ -332,7 +341,7 @@ def solve(problem: PointwiseProblem) -> PointwiseSolution:
     minimizer ``A = 0``.
     """
     space = problem.space
-    a, b = problem.a, problem.b
+    a, b, n = problem.a, problem.b, space.n
     sig = space.signature
     qhat = _qhat(problem.q, sig)
     if b == 0.0:
@@ -352,26 +361,31 @@ def solve(problem: PointwiseProblem) -> PointwiseSolution:
     if t <= -1.0 + feas_tol:
         return _boundary_solution(problem, qhat, -1)
 
-    # Bracket [lo, hi] with a(lo) <= t <= a(hi), then safeguarded Newton:
-    # a Newton step on a(alpha) from a single lowest vector when it lands
+    # Bracket [lo, hi] with a(lo) <= t <= a(hi), then safeguarded Newton: a
+    # Newton step on a(alpha) from a single lowest vector when it lands
     # strictly inside the bracket, the midpoint otherwise.
-    radius = _gershgorin_radius(qhat) + 1.0
+    shift = _shift_matrix(sig)
+    radius = float(np.max(np.sum(np.abs(qhat), axis=1))) + 1.0
     lo, hi = -radius, radius
     for _ in range(80):
-        at_lo = _lowest_cluster(qhat, sig, lo)
+        at_lo = _lowest_cluster(qhat, sig, shift, lo)
         if at_lo[1][0] <= t:
             break
         lo *= 2.0
     for _ in range(80):
-        at_hi = _lowest_cluster(qhat, sig, hi)
+        at_hi = _lowest_cluster(qhat, sig, shift, hi)
         if at_hi[1][-1] >= t:
             break
         hi *= 2.0
 
+    # The start is the crossing of the decoupled diagonal blocks (module
+    # docstring); each block's spectrum lies within radius - 1 of zero, so it
+    # is strictly inside the bracket.
+    low = np.linalg.eigvalsh(np.array([qhat[:n, :n], qhat[n:, n:]]))[:, 0].tolist()
+    alpha = 0.5 * (low[0] - low[1])
     H = None
-    alpha = 0.5 * (lo + hi)
     for _ in range(_BISECT_MAX):
-        V, s, W, beta, slope = cluster = _lowest_cluster(qhat, sig, alpha)
+        V, s, W, beta, slope = cluster = _lowest_cluster(qhat, sig, shift, alpha)
         if s[0] - 1e-13 <= t <= s[-1] + 1e-13:
             H = _mixed_density(V, s, W, t)
             break
@@ -564,7 +578,7 @@ def lagrange_from_point(
         )
     alpha, beta = float(sol_vec[0]), float(sol_vec[1])
 
-    shifted = _shifted(qhat, sig, alpha) - beta * np.eye(space.dim)
+    shifted = _shifted(qhat, _shift_matrix(sig), alpha) - beta * np.eye(space.dim)
     residual = float(np.linalg.norm(A @ (q - alpha * np.eye(space.dim) - beta * np.diag(sig)), 2))
     min_eig = float(np.linalg.eigvalsh(0.5 * (shifted + shifted.conj().T))[0])
     norm_A = max(float(np.linalg.norm(A, 2)), 1e-300)
