@@ -220,17 +220,13 @@ class _SupportTables:
         return cls(momenta, grid.points[grid.representatives], 0.5 * grid.folded_weights)
 
     def fourier_phases(self, ps: np.ndarray) -> np.ndarray:
-        """:func:`_fourier_phases` on the grid's representatives, kept for the last ``ps`` asked for."""
+        """``(fw_r / 2) e^{-i p . xi_r}``, one row per momentum ``p`` of ``ps``, kept for the last ``ps``."""
         if self._fourier is None or self._fourier[0] != ps.tobytes():
-            self._fourier = ps.tobytes(), _fourier_phases(self.points, self.half_weights, ps)
+            # A stack of matrix-vector products rounds each momentum's phases the
+            # same way whatever the batch size; a matrix product would not.
+            phases = self.half_weights * np.exp(-1j * self.points @ ps[:, :, None])[:, :, 0]
+            self._fourier = ps.tobytes(), phases
         return self._fourier[1]
-
-
-def _fourier_phases(points: np.ndarray, half_weights: np.ndarray, ps: np.ndarray) -> np.ndarray:
-    """``(fw_r / 2) e^{-i p . xi_r}`` with one row per momentum ``p`` of ``ps``."""
-    # A stack of matrix-vector products rounds each momentum's phases the
-    # same way whatever the batch size; a matrix product would not.
-    return half_weights * np.exp(-1j * points @ ps[:, :, None])[:, :, 0]
 
 
 def _four_vector(x, name: str, ndim: int = 1) -> np.ndarray:
@@ -287,12 +283,9 @@ def _chain_field(measure: OperatorMeasure, phases: np.ndarray):
     return Pp, Pp @ _adjoint(Pp, measure.space.signature)
 
 
-def _chain_solve(measure: OperatorMeasure, points: np.ndarray = None, phases=None):
-    """``(P_plus, chains, lams, R)``: kernels, chains and one stacked ``eig`` at ``points``.
-
-    ``phases`` is a :func:`_kernel_phases` table to use instead of ``points``.
-    """
-    Pp, chains = _chain_field(measure, _kernel_phases(measure.momenta, points) if phases is None else phases)
+def _chain_solve(measure: OperatorMeasure, phases: np.ndarray):
+    """``(P_plus, chains, lams, R)``: kernels, chains and one stacked ``eig`` of a phase table."""
+    Pp, chains = _chain_field(measure, phases)
     lams, R = np.linalg.eig(chains)
     return Pp, chains, lams, R
 
@@ -315,7 +308,7 @@ def _solved_action(measure: OperatorMeasure, grid: PositionGrid, smoothing_delta
     arithmetic on the eigenvalues with or without eigenvectors.
     """
     support = support or _SupportTables.on_grid(measure.momenta, grid)
-    solved = _chain_solve(measure, phases=support.kernel_phases)
+    solved = _chain_solve(measure, support.kernel_phases)
     values = _lagrangian_values(solved[2], smoothing_delta)
     return float(np.dot(grid.folded_weights, values[support.kernel_class])), solved
 
@@ -395,44 +388,24 @@ def _fd_gradient(measure, xi, space, delta):
     return 0.5 * (deriv[0] - 1j * deriv[1]).T
 
 
-def _gradient_field(
-    measure: OperatorMeasure,
-    support: _SupportTables,
-    delta: float,
-    mode: str,
-    solved=None,
-) -> np.ndarray:
+def _gradient_field(measure: OperatorMeasure, support: _SupportTables, delta: float, solved=None):
     """Gradient kernel ``Q`` at each of ``support.points``, from one chain per kernel class.
 
     ``Q = N P_+`` at a representative, the adjoint of its representative's
     at any other point.  ``solved`` is the :func:`_chain_solve` of the
-    kernel classes if in hand.  Vectorized eigen-derivatives are used where
-    the chain spectrum allows it (``mode`` ``"auto"`` or ``"analytic"``),
-    finite differences averaged over ``xi`` and ``-xi`` elsewhere
-    (``"auto"``) or everywhere (``"finite_difference"``), taken at each
-    class's first point.
+    kernel classes if in hand.  The chain spectrum picks the path: the
+    vectorized eigen-derivatives where :func:`_eig_gradient_factors`
+    accepts the chain, else finite differences averaged over ``xi`` and
+    ``-xi``, taken at the class's first point.
     """
     _check_delta(delta)
-    if mode not in ("auto", "analytic", "finite_difference"):
-        raise ValidationError(f"unknown gradient mode {mode!r}")
     space, sig = measure.space, measure.space.signature
     points, mirrored, fixed = support.points, support.mirrored, support.origin
     firsts, classes = support.class_firsts, support.kernel_class
     if solved is None:
-        solved = _chain_solve(measure, phases=support.kernel_phases)
+        solved = _chain_solve(measure, support.kernel_phases)
     Pp, chains, lams, R = solved
-
-    if mode == "finite_difference":
-        factors, ok = np.zeros_like(chains), np.zeros(len(chains), bool)
-    else:
-        factors, ok = _eig_gradient_factors(chains, lams, R, space, delta)
-    if mode == "analytic" and not ok.all():
-        raise NonsmoothPointError(
-            "no analytic gradient at this point "
-            "(defective chain or vanishing modulus at delta = 0)",
-            xi=points[firsts[~ok][0]],
-        )
-
+    factors, ok = _eig_gradient_factors(chains, lams, R, space, delta)
     q_class = factors @ Pp
     # Every kernel of the origin's class is its own reflection's.
     origin_class = classes[fixed]
@@ -452,22 +425,16 @@ def _gradient_field(
     return q_field
 
 
-def gradient_kernel_Q(
-    measure: OperatorMeasure,
-    xi,
-    mode: str = "auto",
-    smoothing_delta: float = 0.0,
-) -> np.ndarray:
+def gradient_kernel_Q(measure: OperatorMeasure, xi, smoothing_delta: float = 0.0) -> np.ndarray:
     """Gradient kernel ``Q(xi)`` of the (possibly smoothed) Lagrangian.
 
-    ``mode`` is ``"analytic"``, ``"finite_difference"``, or ``"auto"``
-    (analytic where the chain spectrum allows it, finite differences
-    otherwise).  One chain is solved, for the pair ``{xi, -xi}``, so
+    Analytic where the chain spectrum allows it, finite differences
+    otherwise.  One chain is solved, for the pair ``{xi, -xi}``, so
     ``Q(xi)^* = Q(-xi)`` holds exactly.  Genuinely nonsmooth points raise
     :class:`~kreinact.errors.NonsmoothPointError` carrying ``xi``.
     """
     support = _SupportTables(measure.momenta, _four_vector(xi, "xi")[None])
-    return _gradient_field(measure, support, smoothing_delta, mode)[0]
+    return _gradient_field(measure, support, smoothing_delta)[0]
 
 
 class QHatEvaluator:
@@ -482,8 +449,9 @@ class QHatEvaluator:
     of the position box — a diagnostic for how well the truncated box captures
     the decay of the gradient kernel (integrability cannot be asserted on a
     finite box, only reported).  ``_support`` passes in the measure's
-    :class:`_SupportTables` on ``grid``, ``_solved`` a :func:`_chain_solve`
-    of its kernel classes.
+    :class:`_SupportTables` on ``grid``, else the evaluator builds its own;
+    either keeps the Fourier phases of the last momenta evaluated.
+    ``_solved`` is a :func:`_chain_solve` of the kernel classes.
     """
 
     def __init__(
@@ -491,7 +459,6 @@ class QHatEvaluator:
         measure: OperatorMeasure,
         grid: PositionGrid,
         smoothing_delta: float = 0.0,
-        mode: str = "auto",
         *,
         _support=None,
         _solved=None,
@@ -499,12 +466,8 @@ class QHatEvaluator:
         self.measure = measure
         self.grid = grid
         self.smoothing_delta = float(smoothing_delta)
-        support = _support or _SupportTables.on_grid(measure.momenta, grid)
-        self.q_field = _gradient_field(measure, support, smoothing_delta, mode, _solved)
-        # A run's tables serve its later evaluators too; an evaluator that
-        # built its own keeps only what its Fourier sums need.
-        self._fourier_phases = support.fourier_phases if _support else functools.partial(
-            _fourier_phases, support.points, support.half_weights)
+        self._support = _support or _SupportTables.on_grid(measure.momenta, grid)
+        self.q_field = _gradient_field(measure, self._support, smoothing_delta, _solved)
 
     @functools.cached_property
     def tail_magnitude(self) -> float:
@@ -525,5 +488,5 @@ class QHatEvaluator:
 
     def _evaluate_many(self, ps: np.ndarray) -> np.ndarray:
         """:meth:`evaluate_many` of a validated float array of 4-vector rows."""
-        half = np.einsum("kx,xab->kab", self._fourier_phases(ps), self.q_field)
+        half = np.einsum("kx,xab->kab", self._support.fourier_phases(ps), self.q_field)
         return half + _adjoint(half, self.measure.space.signature)

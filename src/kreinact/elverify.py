@@ -149,10 +149,13 @@ def lagrange_parameters(mu: PushforwardMeasure, c: float, f: float):
     below the bound the dimension-type constraint is inactive (case "a",
     ``beta = 0``); on it both constraints are active (case "b") and the
     multipliers solve the 2x2 moment system built from ``Tr(q_j A_j)``
-    and ``Tr(½{q_j, S} A_j)``.
+    and ``Tr(½{q_j, S} A_j)``.  A trace off ``c`` by more than the band of the
+    signed-trace check raises :class:`~kreinact.errors.InfeasibleProblemError`.
     """
     _check_targets(c, f)
-    v = float(_trace_functionals(mu.total(), mu.space)[1].real)
+    t, v = (float(x.real) for x in _trace_functionals(mu.total(), mu.space))
+    if abs(t - c) > tolerances.CONSTRAINT * f:
+        raise InfeasibleProblemError(f"trace {t} misses the constraint target c = {c}")
     if v > f + tolerances.CONSTRAINT * f:
         raise InfeasibleProblemError(
             f"signed trace {v} exceeds the constraint bound {f}"
@@ -268,7 +271,9 @@ def check_first_order(report: ELReport, tol_el: float = tolerances.EL_RESIDUAL) 
     The tolerance is absolute (the caller sets it to match the scale of the
     problem): minimum probe margin >= -tol_el, support residual norms and
     support gaps <= tol_el, and the minimum of the gap function over the
-    probes is attained on the support up to tol_el.
+    probes is attained on the support up to tol_el.  The support is the
+    atoms that carry mass: the gap checks skip atoms of norm at most
+    ``ZERO_EIGENVALUE`` times the largest, which annihilate any operator.
     """
     tol = float(tol_el)
     if not 0.0 <= tol < math.inf:
@@ -281,11 +286,11 @@ def check_first_order(report: ELReport, tol_el: float = tolerances.EL_RESIDUAL) 
         )
         <= tol
     )
-    gap_support_ok = bool(report.atom_gaps.max(initial=0.0) <= tol)
+    norms = report.atom_norms
+    support_gaps = report.atom_gaps[norms > tolerances.ZERO_EIGENVALUE * norms.max(initial=0.0)]
+    gap_support_ok = bool(support_gaps.max(initial=0.0) <= tol)
     gap_min = float(report.probe_gaps.min(initial=np.inf))
-    gap_attained = len(report.atom_gaps) == 0 or bool(
-        report.atom_gaps.min(initial=np.inf) <= gap_min + tol
-    )
+    gap_attained = len(support_gaps) == 0 or bool(support_gaps.min() <= gap_min + tol)
     beta_ok = beta_sign_check(report)
     return {
         "psd_margin": margin_ok,

@@ -360,11 +360,7 @@ def massless_fixture(wave_vectors: Iterable[Sequence[float]]) -> OperatorMeasure
 
 
 def random_measure(
-    space: SignatureSpace,
-    box: MomentumBox,
-    n_atoms: int,
-    rng: np.random.Generator,
-    magnitude: float = 1.0,
+    space: SignatureSpace, box: MomentumBox, n_atoms: int, rng: np.random.Generator
 ) -> OperatorMeasure:
     """Random measure: atoms at distinct uniform momenta with ``A = S M^H M``."""
     lower = np.asarray(box.lower)
@@ -374,7 +370,7 @@ def random_measure(
     ops = []
     for _ in range(n_atoms):
         M = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        M *= np.sqrt(magnitude / d)
+        M *= np.sqrt(1.0 / d)
         ops.append(space.signature[:, None] * (M.conj().T @ M))
     return OperatorMeasure(space, box, momenta, np.asarray(ops))
 

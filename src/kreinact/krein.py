@@ -126,12 +126,12 @@ def krein_adjoint(A: np.ndarray, space: SignatureSpace) -> np.ndarray:
     return _adjoint(space.check_operator(A), space.signature)
 
 
-def is_symmetric(A: np.ndarray, space: SignatureSpace, tol: float = tolerances.HERMITICITY) -> bool:
-    """True iff ``S @ A`` is Hermitian within ``tol`` (relative)."""
+def is_symmetric(A: np.ndarray, space: SignatureSpace) -> bool:
+    """True iff ``S @ A`` is Hermitian within ``HERMITICITY`` (relative)."""
     A = space.check_operator(A)
     H = space.signature[:, None] * A
     defect = np.linalg.norm(H - H.conj().T, 2)
-    return bool(defect <= tol * _scale(A))
+    return bool(defect <= tolerances.HERMITICITY * _scale(A))
 
 
 def is_positive(A: np.ndarray, space: SignatureSpace) -> bool:

@@ -1,5 +1,6 @@
 """Tests for position grids, kernels, the spectral action, and its gradients."""
 
+import contextlib
 import importlib
 
 import numpy as np
@@ -29,10 +30,30 @@ from kreinact import (
     scale,
     translate,
 )
-from kreinact.action import _chain_solve, _eig_gradient_factors, _solved_action, _SupportTables
+from kreinact.action import _chain_solve, _eig_gradient_factors, _kernel_phases, _solved_action, _SupportTables
 
 # The package exports the function ``action`` under the submodule's name.
 action_module = importlib.import_module("kreinact.action")
+
+
+@contextlib.contextmanager
+def _finite_differences_only(monkeypatch):
+    """Every chain's eigen-derivative rejected: each kernel takes the finite-difference path."""
+    with monkeypatch.context() as m:
+        m.setattr(action_module, "_eig_gradient_factors",
+                  lambda chains, *args: (np.zeros_like(chains), np.zeros(len(chains), bool)))
+        yield
+
+
+@contextlib.contextmanager
+def _analytic_only(monkeypatch):
+    """A kernel sent to finite differences raises instead, naming the point of the estimate."""
+    def refuse(measure, xi, *args):
+        raise NonsmoothPointError("no analytic gradient at this point", xi=xi)
+
+    with monkeypatch.context() as m:
+        m.setattr(action_module, "_fd_gradient", refuse)
+        yield
 
 
 # ---------------------------------------------------------------------------
@@ -221,14 +242,15 @@ def _real_spectrum_point(meas, sp):
     raise AssertionError("no real-spectrum probe point found")
 
 
-def test_gradient_kernel_matches_directional_fd():
+def test_gradient_kernel_matches_directional_fd(monkeypatch):
     sp = SignatureSpace(1)
     meas = random_measure_for(sp, make_rng(8))
     rng = make_rng(9)
     xi = _real_spectrum_point(meas, sp)
     # perturbing the physical kernel P by D perturbs the plus kernel by -D,
     # so dL = -2 Re Tr(Q(-xi) D)
-    Qm = gradient_kernel_Q(meas, -xi, mode="analytic")
+    with _analytic_only(monkeypatch):
+        Qm = gradient_kernel_Q(meas, -xi)
     for _ in range(6):
         D = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         fd = _directional_fd(meas, xi, D, 1e-5)
@@ -236,9 +258,9 @@ def test_gradient_kernel_matches_directional_fd():
         assert pred == pytest.approx(fd, rel=2e-6, abs=1e-8)
 
 
-def test_gradient_zero_on_spacelike_plateau():
+def test_gradient_zero_on_spacelike_plateau(monkeypatch):
     # conjugate-pair chains have equal moduli: L vanishes identically and the
-    # gradient kernel is zero in both modes
+    # gradient kernel is zero on both paths
     sp = SignatureSpace(1)
     meas = random_measure_for(sp, make_rng(8))
     for x0 in np.linspace(0.0, 3.0, 61):
@@ -248,19 +270,23 @@ def test_gradient_zero_on_spacelike_plateau():
             break
     else:
         raise AssertionError("no conjugate-pair point found")
-    Qa = gradient_kernel_Q(meas, xi, mode="analytic")
-    Qf = gradient_kernel_Q(meas, xi, mode="finite_difference")
+    with _analytic_only(monkeypatch):
+        Qa = gradient_kernel_Q(meas, xi)
+    with _finite_differences_only(monkeypatch):
+        Qf = gradient_kernel_Q(meas, xi)
     chain_scale = np.abs(lam).max()
     assert np.linalg.norm(Qa, 2) <= 1e-10 * chain_scale
     assert np.linalg.norm(Qf, 2) <= 1e-4 * chain_scale
 
 
-def test_gradient_modes_agree():
+def test_gradient_modes_agree(monkeypatch):
     sp = SignatureSpace(2)
     meas = random_measure_for(sp, make_rng(10), n_atoms=2)
     xi = np.array([0.5, -0.3, 0.2, 0.1])
-    Qa = gradient_kernel_Q(meas, xi, mode="analytic")
-    Qf = gradient_kernel_Q(meas, xi, mode="finite_difference")
+    with _analytic_only(monkeypatch):
+        Qa = gradient_kernel_Q(meas, xi)
+    with _finite_differences_only(monkeypatch):
+        Qf = gradient_kernel_Q(meas, xi)
     np.testing.assert_allclose(Qa, Qf, rtol=0, atol=1e-7 * max(1.0, np.linalg.norm(Qa, 2)))
 
 
@@ -274,13 +300,15 @@ def test_gradient_symmetry_relation():
     np.testing.assert_allclose(krein_adjoint(Q1, sp), Q2, atol=1e-10 * max(1.0, np.linalg.norm(Q1, 2)))
 
 
-def test_gradient_smoothed_matches_fd():
+def test_gradient_smoothed_matches_fd(monkeypatch):
     sp = SignatureSpace(1)
     meas = random_measure_for(sp, make_rng(12))
     xi = np.array([0.4, 0.0, 0.0, 0.0])
     delta = 0.05
-    Qa = gradient_kernel_Q(meas, xi, mode="analytic", smoothing_delta=delta)
-    Qf = gradient_kernel_Q(meas, xi, mode="finite_difference", smoothing_delta=delta)
+    with _analytic_only(monkeypatch):
+        Qa = gradient_kernel_Q(meas, xi, smoothing_delta=delta)
+    with _finite_differences_only(monkeypatch):
+        Qf = gradient_kernel_Q(meas, xi, smoothing_delta=delta)
     np.testing.assert_allclose(Qa, Qf, atol=1e-7 * max(1.0, np.linalg.norm(Qa, 2)))
 
 
@@ -307,36 +335,38 @@ def _causal_boundary_point(meas, sp):
     return np.array([0.5 * (lo + hi), 0.0, 0.0, 0.0])
 
 
-def test_gradient_kink_raises_nonsmooth():
+def test_gradient_kink_raises_nonsmooth(monkeypatch):
     # the boundary between real-pair and conjugate-pair chain spectra is a
     # genuine kink of the exact Lagrangian: L grows linearly on the real
     # side and vanishes on the conjugate side
     sp = SignatureSpace(1)
     meas = random_measure_for(sp, make_rng(8))
     xstar = _causal_boundary_point(meas, sp)
-    with pytest.raises(NonsmoothPointError) as err:
-        gradient_kernel_Q(meas, xstar, mode="finite_difference")
-    np.testing.assert_array_equal(err.value.xi, xstar)
-    with pytest.raises(NonsmoothPointError) as err:
-        gradient_kernel_Q(meas, -xstar, mode="finite_difference")
-    np.testing.assert_array_equal(err.value.xi, -xstar)
-    # On a grid whose first point is smooth, the error names the kink pair's
-    # representative -xstar, the grid point whose chain is solved.
-    gradient_kernel_Q(meas, np.zeros(4), mode="finite_difference")
     grid = PositionGrid(np.stack([np.zeros(4), xstar, -xstar]), np.ones(3), [0, 2, 1])
-    with pytest.raises(NonsmoothPointError) as err:
-        QHatEvaluator(meas, grid, mode="finite_difference")
-    np.testing.assert_array_equal(err.value.xi, -xstar)
+    with _finite_differences_only(monkeypatch):
+        with pytest.raises(NonsmoothPointError) as err:
+            gradient_kernel_Q(meas, xstar)
+        np.testing.assert_array_equal(err.value.xi, xstar)
+        with pytest.raises(NonsmoothPointError) as err:
+            gradient_kernel_Q(meas, -xstar)
+        np.testing.assert_array_equal(err.value.xi, -xstar)
+        # On a grid whose first point is smooth, the error names the kink pair's
+        # representative -xstar, the grid point whose chain is solved.
+        gradient_kernel_Q(meas, np.zeros(4))
+        with pytest.raises(NonsmoothPointError) as err:
+            QHatEvaluator(meas, grid)
+        np.testing.assert_array_equal(err.value.xi, -xstar)
 
 
-def test_gradient_zero_for_nilpotent_atom():
+def test_gradient_zero_for_nilpotent_atom(monkeypatch):
     # a single nilpotent atom has identically vanishing closed chain, so the
     # gradient kernel is zero (flat plateau, not a kink)
     sp = SignatureSpace(1)
     box = unit_momentum_box()
     A1 = np.array([[1.0, -1.0], [1.0, -1.0]], dtype=complex)
     meas = OperatorMeasure(sp, box, np.array([[0.0, 0, 0, 0]]), [A1])
-    Q = gradient_kernel_Q(meas, np.zeros(4), mode="finite_difference")
+    with _finite_differences_only(monkeypatch):
+        Q = gradient_kernel_Q(meas, np.zeros(4))
     assert np.linalg.norm(Q, 2) <= 1e-6
 
 
@@ -354,11 +384,12 @@ def test_finite_difference_field_makes_one_eigensolve_per_point(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvals", counting)
     for delta in (0.0, 1e-2):
         calls.clear()
-        QHatEvaluator(meas, grid, smoothing_delta=delta, mode="finite_difference")
+        with _finite_differences_only(monkeypatch):
+            QHatEvaluator(meas, grid, smoothing_delta=delta)
         assert len(calls) == grid.n_points
 
 
-def test_finite_difference_field_keeps_small_chain_derivatives():
+def test_finite_difference_field_keeps_small_chain_derivatives(monkeypatch):
     # Scaled by 0.005 the kernels are small and Q is of order 1e-4: a
     # derivative floor that does not shrink with the chain zeroes about
     # half of the finite-difference entries.
@@ -367,8 +398,10 @@ def test_finite_difference_field_keeps_small_chain_derivatives():
     meas = random_measure(sp, box, 6, make_rng(0))
     meas = meas.with_operators(0.005 * meas.operators)
     grid = PositionGrid.from_box(3.0, (3, 1, 1, 1))
-    exact = QHatEvaluator(meas, grid, smoothing_delta=1e-2, mode="analytic").q_field
-    fd = QHatEvaluator(meas, grid, smoothing_delta=1e-2, mode="finite_difference").q_field
+    with _analytic_only(monkeypatch):
+        exact = QHatEvaluator(meas, grid, smoothing_delta=1e-2).q_field
+    with _finite_differences_only(monkeypatch):
+        fd = QHatEvaluator(meas, grid, smoothing_delta=1e-2).q_field
     assert np.abs(fd - exact).max() <= 1e-6 * np.abs(exact).max()
 
 
@@ -390,7 +423,7 @@ def _partly_degenerate_measure():
     return OperatorMeasure(sp, box, [-half, half], ops), grid
 
 
-def _assert_field_is_the_pointwise_kernel(ev, mode, delta):
+def _assert_field_is_the_pointwise_kernel(ev, delta):
     """Row ``orbit[i]`` of ``q_field`` is ``Q`` at point ``i``'s representative
     and its Krein adjoint at the partner, to the bit."""
     grid = ev.grid
@@ -399,10 +432,10 @@ def _assert_field_is_the_pointwise_kernel(ev, mode, delta):
         q = ev.q_field[grid.orbit[i]]
         if grid.representatives[grid.orbit[i]] != i:
             q = krein_adjoint(q, ev.measure.space)
-        np.testing.assert_array_equal(q, gradient_kernel_Q(ev.measure, xi, mode, delta))
+        np.testing.assert_array_equal(q, gradient_kernel_Q(ev.measure, xi, delta))
 
 
-def test_batched_gradient_field_matches_pointwise_kernel_at_degenerate_chains():
+def test_batched_gradient_field_matches_pointwise_kernel_at_degenerate_chains(monkeypatch):
     meas, grid = _partly_degenerate_measure()
     degenerate = []
     for xi in grid.points:
@@ -414,10 +447,11 @@ def test_batched_gradient_field_matches_pointwise_kernel_at_degenerate_chains():
     assert not degenerate[0]
     for delta in (0.0, 1e-2):
         ev = QHatEvaluator(meas, grid, smoothing_delta=delta)
-        _assert_field_is_the_pointwise_kernel(ev, "auto", delta)
+        _assert_field_is_the_pointwise_kernel(ev, delta)
         # The identity chain is diagonalizable: its double eigenvalue takes
         # the analytic path.
-        analytic = QHatEvaluator(meas, grid, smoothing_delta=delta, mode="analytic")
+        with _analytic_only(monkeypatch):
+            analytic = QHatEvaluator(meas, grid, smoothing_delta=delta)
         np.testing.assert_array_equal(analytic.q_field, ev.q_field)
 
 
@@ -434,14 +468,14 @@ def _defective_chain_measure():
     return meas, PositionGrid.from_box(3.0, (3, 1, 1, 1))
 
 
-def test_analytic_gradient_rejects_defective_chains():
+def test_analytic_gradient_rejects_defective_chains(monkeypatch):
     meas, grid = _defective_chain_measure()
     for xi in grid.points:
         _, R = np.linalg.eig(closed_chain(kernel_P(meas, xi), meas.space).chain)
         assert np.linalg.norm(R) * np.linalg.norm(np.linalg.inv(R)) > 1e7
     for delta in (0.0, 1e-2):
-        with pytest.raises(NonsmoothPointError) as err:
-            QHatEvaluator(meas, grid, smoothing_delta=delta, mode="analytic")
+        with _analytic_only(monkeypatch), pytest.raises(NonsmoothPointError) as err:
+            QHatEvaluator(meas, grid, smoothing_delta=delta)
         np.testing.assert_array_equal(err.value.xi, grid.points[0])
 
 
@@ -463,7 +497,7 @@ def _rank_two_measure():
     return meas, PositionGrid.from_box(2.0, (3, 3, 1, 1))
 
 
-def test_gradient_exact_at_coinciding_zero_eigenvalues():
+def test_gradient_exact_at_coinciding_zero_eigenvalues(monkeypatch):
     meas, grid = _rank_two_measure()
     rng = make_rng(22)
     delta = 1e-2
@@ -473,19 +507,13 @@ def test_gradient_exact_at_coinciding_zero_eigenvalues():
         lam = spectrum.lambdas[np.argsort(np.abs(spectrum.lambdas))]
         norm = np.linalg.norm(spectrum.chain, 2)
         assert abs(lam[1]) <= 1e-12 * norm and abs(lam[2]) >= 0.1 * norm
-        Qm = gradient_kernel_Q(meas, -xi, mode="analytic", smoothing_delta=delta)
+        with _analytic_only(monkeypatch):
+            Qm = gradient_kernel_Q(meas, -xi, smoothing_delta=delta)
         for _ in range(3):
             D = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
             h = 1e-5 * np.linalg.norm(P, 2) / np.linalg.norm(D, 2)
             fd = _directional_fd(meas, xi, D, h, delta)
             assert -2.0 * np.trace(Qm @ D).real == pytest.approx(fd, rel=1e-6)
-
-
-def test_gradient_invalid_mode():
-    sp = SignatureSpace(1)
-    meas = random_measure_for(sp, make_rng(13))
-    with pytest.raises(ValidationError):
-        gradient_kernel_Q(meas, np.zeros(4), mode="magic")
 
 
 @pytest.mark.parametrize(
@@ -511,7 +539,7 @@ def test_negative_smoothing_delta_rejected(call):
 # Fourier transform Q-hat
 # ---------------------------------------------------------------------------
 
-def test_qhat_symmetric_and_matches_quadrature():
+def test_qhat_symmetric_and_matches_quadrature(monkeypatch):
     sp = SignatureSpace(1)
     meas = random_measure_for(sp, make_rng(14))
     grid = PositionGrid.from_box(2.0, (5, 1, 1, 1))
@@ -520,8 +548,9 @@ def test_qhat_symmetric_and_matches_quadrature():
     got = ev.evaluate(p)
     # independent quadrature from pointwise analytic kernels
     acc = np.zeros((2, 2), dtype=complex)
-    for w, xi in zip(grid.weights, grid.points):
-        acc += w * gradient_kernel_Q(meas, xi, mode="analytic") * np.exp(-1j * np.dot(p, xi))
+    with _analytic_only(monkeypatch):
+        for w, xi in zip(grid.weights, grid.points):
+            acc += w * gradient_kernel_Q(meas, xi) * np.exp(-1j * np.dot(p, xi))
     sym = 0.5 * (acc + krein_adjoint(acc, sp))
     np.testing.assert_allclose(got, sym, atol=1e-9 * max(1.0, np.linalg.norm(sym, 2)))
     # symmetry of the result
@@ -637,7 +666,8 @@ def test_run_tables_give_the_one_shot_results_to_the_bit():
 
 def test_singular_eigenvector_matrix_rejects_only_its_row(monkeypatch):
     meas = random_measure_for(SignatureSpace(2), make_rng(28), n_atoms=4, shape=(3, 2, 1, 1))
-    _, chains, lams, R = _chain_solve(meas, PositionGrid.from_box(3.0, (5, 3, 1, 1)).points)
+    points = PositionGrid.from_box(3.0, (5, 3, 1, 1)).points
+    _, chains, lams, R = _chain_solve(meas, _kernel_phases(meas.momenta, points))
     singular = R.copy()
     singular[7][:, 1] = 0.0  # an exactly zero LU pivot: inv raises for the whole stack
     without = [np.delete(a, 7, axis=0) for a in (chains, lams, R)]
@@ -665,9 +695,10 @@ def test_gradient_factor_commutes_with_the_kernel_across_the_pair():
     # X^* X with X = P_+(xi), and N is a polynomial in its chain.
     for meas, grid in _solve_cases():
         for delta in (0.0, 1e-2):
-            Pp, *solved = _chain_solve(meas, grid.points)
+            Pp, *solved = _chain_solve(meas, _kernel_phases(meas.momenta, grid.points))
             N, ok = _eig_gradient_factors(*solved, meas.space, delta)
-            N_minus, ok_minus = _eig_gradient_factors(*_chain_solve(meas, -grid.points)[1:], meas.space, delta)
+            reflected = _chain_solve(meas, _kernel_phases(meas.momenta, -grid.points))[1:]
+            N_minus, ok_minus = _eig_gradient_factors(*reflected, meas.space, delta)
             both = ok & ok_minus
             scale = np.linalg.norm(N[both], 2, axis=(1, 2)) * np.linalg.norm(Pp[both], 2, axis=(1, 2))
             gap = np.linalg.norm(N[both] @ Pp[both] - Pp[both] @ N_minus[both], 2, axis=(1, 2))
@@ -676,7 +707,7 @@ def test_gradient_factor_commutes_with_the_kernel_across_the_pair():
                 assert both.all() and scale.max() > 0
 
 
-def test_reordered_grid_gives_the_same_action_and_field():
+def test_reordered_grid_gives_the_same_action_and_field(monkeypatch):
     # Representatives are picked by the point, not by its index: after a
     # permutation the rule "i <= reflection_index[i]" picks other points.
     meas = random_measure_for(SignatureSpace(2), make_rng(25), n_atoms=4, shape=(3, 2, 1, 1))
@@ -688,11 +719,12 @@ def test_reordered_grid_gives_the_same_action_and_field():
     for delta in (0.0, 1e-2):
         expected = action(meas, box, delta)
         assert abs(action(meas, grid, delta) - expected) <= 1e-13 * abs(expected)
-        for mode in ("auto", "finite_difference"):
-            ev = QHatEvaluator(meas, grid, smoothing_delta=delta, mode=mode)
-            box_field = QHatEvaluator(meas, box, smoothing_delta=delta, mode=mode).q_field
-            np.testing.assert_array_equal(ev.q_field, box_field[box.orbit[perm[grid.representatives]]])
-            _assert_field_is_the_pointwise_kernel(ev, mode, delta)
+        for fd_only in (False, True):
+            with _finite_differences_only(monkeypatch) if fd_only else contextlib.nullcontext():
+                ev = QHatEvaluator(meas, grid, smoothing_delta=delta)
+                box_field = QHatEvaluator(meas, box, smoothing_delta=delta).q_field
+                np.testing.assert_array_equal(ev.q_field, box_field[box.orbit[perm[grid.representatives]]])
+                _assert_field_is_the_pointwise_kernel(ev, delta)
 
 
 def _shared_kernel_case():
@@ -742,21 +774,22 @@ def test_shared_kernels_share_their_finite_difference_estimate(monkeypatch):
 
     monkeypatch.setattr(action_module, "_fd_gradient", counted)
     for delta in (0.0, 1e-2):
-        _, chains, lams, R = _chain_solve(meas, phases=support.kernel_phases)
+        _, chains, lams, R = _chain_solve(meas, support.kernel_phases)
         analytic = _eig_gradient_factors(chains, lams, R, meas.space, delta)[1]
-        for mode in ("auto", "finite_difference"):
-            calls.clear()
-            ev = QHatEvaluator(meas, grid, smoothing_delta=delta, mode=mode)
-            # Two estimates per rejected kernel, at its first point and the
-            # reflection; one for the origin's, which is its own reflection.
-            rejected = np.nonzero(~analytic if mode == "auto" else np.ones(len(firsts), bool))[0]
-            expected = [x for k in rejected
-                        for x in ([firsts[k]] if k == origin_class else [firsts[k], -firsts[k]])]
-            assert len(calls) == len(expected)
-            assert all(np.array_equal(x, y) for x, y in zip(calls, expected))
-            if mode == "finite_difference":
-                assert len(calls) == 2 * 10 + 1
-            _assert_field_is_the_pointwise_kernel(ev, mode, delta)
+        for fd_only in (False, True):
+            with _finite_differences_only(monkeypatch) if fd_only else contextlib.nullcontext():
+                calls.clear()
+                ev = QHatEvaluator(meas, grid, smoothing_delta=delta)
+                # Two estimates per rejected kernel, at its first point and the
+                # reflection; one for the origin's, which is its own reflection.
+                rejected = np.nonzero(np.ones(len(firsts), bool) if fd_only else ~analytic)[0]
+                expected = [x for k in rejected
+                            for x in ([firsts[k]] if k == origin_class else [firsts[k], -firsts[k]])]
+                assert len(calls) == len(expected)
+                assert all(np.array_equal(x, y) for x, y in zip(calls, expected))
+                if fd_only:
+                    assert len(calls) == 2 * 10 + 1
+                _assert_field_is_the_pointwise_kernel(ev, delta)
 
 
 def _vanishing_modulus_measure():
@@ -774,7 +807,7 @@ def _vanishing_modulus_measure():
     return OperatorMeasure(sp, box, [-half, half], ops), PositionGrid.from_box(3.0, (3, 3, 3, 1))
 
 
-def test_analytic_gradient_names_the_first_rejected_point_of_a_shared_kernel():
+def test_analytic_gradient_names_the_first_rejected_point_of_a_shared_kernel(monkeypatch):
     meas, grid = _vanishing_modulus_measure()
     reps = grid.points[grid.representatives]
     rejected = [abs(closed_chain(kernel_P(meas, xi), meas.space).lambdas).min() < 1e-12 for xi in reps]
@@ -783,10 +816,11 @@ def test_analytic_gradient_names_the_first_rejected_point_of_a_shared_kernel():
     # Its kernel is also that of (0, -3, xi_2, 0), whose phases are the same.
     support = _SupportTables.on_grid(meas.momenta, grid)
     assert np.sum(support.kernel_class == support.kernel_class[np.argmax(rejected)]) == 6
-    with pytest.raises(NonsmoothPointError) as err:
-        QHatEvaluator(meas, grid, smoothing_delta=0.0, mode="analytic")
-    np.testing.assert_array_equal(err.value.xi, first)
-    QHatEvaluator(meas, grid, smoothing_delta=1e-2, mode="analytic")
+    with _analytic_only(monkeypatch):
+        with pytest.raises(NonsmoothPointError) as err:
+            QHatEvaluator(meas, grid, smoothing_delta=0.0)
+        np.testing.assert_array_equal(err.value.xi, first)
+        QHatEvaluator(meas, grid, smoothing_delta=1e-2)
 
 
 def test_first_variation_identity_on_measure_atoms():

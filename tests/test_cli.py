@@ -217,6 +217,15 @@ def test_verify_flags_non_stationary_measure(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_verify_rejects_a_measure_whose_trace_misses_c(tmp_path, capsys):
+    fixture_path = tmp_path / "empty.json"
+    assert main(["fixture", "random", "--atoms", "0", "--out", str(fixture_path)]) == 0
+    assert main(["verify", str(fixture_path), "--c", "0.5", "--f", "1"]) == 2
+    captured = capsys.readouterr()
+    assert "trace 0.0 misses the constraint target c = 0.5" in captured.err
+    assert "check " not in captured.out
+
+
 @pytest.mark.parametrize("tol", ["nan", "-1"])
 def test_verify_rejects_a_bad_tolerance_instead_of_judging(toy_run, tmp_path, capsys, tol):
     report_path = tmp_path / "verify.json"

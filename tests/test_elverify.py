@@ -209,6 +209,21 @@ def test_lagrange_parameters_rejects_bad_targets():
         lagrange_parameters(mu, c=0.0, f=1.0)
 
 
+def test_lagrange_parameters_rejects_a_trace_off_c():
+    measure, _ = stationary_fixture()
+    mu = pushforward(measure, constant_field(ROTATION_Q, 2))
+    # The trace 0.6 passes within the signed-trace check's band CONSTRAINT * f.
+    for c in (0.6 - 1e-9, 0.6 + 1e-9):
+        assert lagrange_parameters(mu, c=c, f=2.0)[2] == "b"
+    for c in (0.5, 0.6 + 1e-7):
+        with pytest.raises(InfeasibleProblemError, match=f"trace 0.6.* c = {c}"):
+            lagrange_parameters(mu, c=c, f=2.0)
+    empty = pushforward(OperatorMeasure(SP1, unit_momentum_box(), np.zeros((0, 4)), np.zeros((0, 2, 2))),
+                        np.zeros((0, 2, 2)))
+    with pytest.raises(InfeasibleProblemError, match="trace 0.0"):
+        lagrange_parameters(empty, c=0.5, f=1.0)
+
+
 # ---------------------------------------------------------------------------
 # Support gap
 # ---------------------------------------------------------------------------

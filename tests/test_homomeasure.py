@@ -163,7 +163,7 @@ def test_stacked_positivity_agrees_with_is_positive_near_the_tolerances():
 
 def _old_is_positive(A, sp):
     """The per-atom rule: symmetry test, then the smallest eigenvalue, both relative."""
-    if not is_symmetric(A, sp, tol=max(tolerances.PSD, tolerances.HERMITICITY)):
+    if not is_symmetric(A, sp):
         return False
     H = sp.signature[:, None] * A
     w_min = np.linalg.eigvalsh(0.5 * (H + H.conj().T))[0]
@@ -362,7 +362,7 @@ def test_massless_atoms_are_nilpotent():
 def test_random_measure_magnitude_and_validity():
     sp = SignatureSpace(2)
     box = unit_momentum_box((2, 2, 1, 1))
-    meas = random_measure(sp, box, 3, make_rng(12), magnitude=2.0)
+    meas = random_measure(sp, box, 3, make_rng(12))
     assert meas.n_atoms == 3
     for _, A in meas.atoms():
         assert is_positive(A, sp)

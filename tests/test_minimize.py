@@ -28,7 +28,7 @@ from kreinact import (
     restore_constraints,
 )
 from kreinact.minimize import LBFGS_MEMORY, MAX_BACKTRACKS, _CurvatureMemory, _restoring_factors
-from kreinact.tolerances import CONSTRAINT
+from kreinact.tolerances import CONSTRAINT, ZERO_EIGENVALUE
 
 SP1 = SignatureSpace(1)
 
@@ -319,6 +319,45 @@ def test_n2_reference_run_reaches_a_passing_report():
     assert result.converged
     assert check_first_order(result.report, config.tol_el)["all"]
     assert_feasible(result.measure, config.c, config.f, result.case_tag)
+
+
+def _first_order_checks(measure, config):
+    """:func:`check_first_order` of ``measure`` under ``config``, its atoms as the probes."""
+    evaluator = QHatEvaluator(measure, config.position_grid(), smoothing_delta=config.smoothing_delta)
+    mu = pushforward(measure, evaluator.evaluate_many(measure.momenta))
+    alpha, beta, case_tag = lagrange_parameters(mu, config.c, config.f)
+    report = el_residuals(mu, alpha, beta, measure.momenta, mu.qs, case_tag)
+    return report, check_first_order(report, config.tol_el)
+
+
+def test_atoms_without_mass_are_not_support():
+    # On a (5,1,1,1) momentum grid the minimum leaves the atoms at p0 = ±1/2
+    # without mass, where the shifted field is positive definite: counted as
+    # support, their gaps of 0.47 would stall the run.
+    config = replace(TOY, seed=1, momentum_shape=(5, 1, 1, 1))
+    result = minimize_action(config)
+    assert result.stop_reason == "certified"
+    assert result.action_value == pytest.approx(9.6379962541, rel=1e-10)
+    norms = result.report.atom_norms
+    massless = norms <= ZERO_EIGENVALUE * norms.max()
+    assert massless.tolist() == [False, True, False, True, False]
+    assert result.report.atom_gaps[massless].min() > 0.4
+    # Exactly zero atoms there pass all checks.
+    zeroed = result.measure.with_operators(np.where(massless[:, None, None], 0.0, result.measure.operators))
+    report, checks = _first_order_checks(zeroed, config)
+    assert checks["all"] and report.atom_gaps[massless].min() > 0.4
+
+
+def test_atoms_without_mass_are_still_probes(toy_result):
+    # A zero atom at the toy's p0 = 0, where Qhat - alpha is far from positive.
+    measure = toy_result.measure
+    zero = np.zeros((1, 2, 2), complex)
+    padded = OperatorMeasure(measure.space, measure.box, np.vstack([measure.momenta, np.zeros((1, 4))]),
+                             np.concatenate([measure.operators, zero]))
+    report, checks = _first_order_checks(padded, TOY)
+    assert report.probe_margins[-1] == pytest.approx(-74.6, abs=0.1)
+    assert not checks["psd_margin"] and not checks["all"]
+    assert checks["support_gap"] and checks["support_residuals"]
 
 
 def _scale_minimizer_field(monkeypatch, eps):
