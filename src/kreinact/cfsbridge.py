@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .action import _four_vector
 from .errors import BasisReductionWarning, ValidationError
 from .homomeasure import OperatorMeasure
 
@@ -98,9 +99,7 @@ def hilbert_inner(u: TestFunction, v: TestFunction, measure: OperatorMeasure) ->
 
 def physical_wave(u: TestFunction, measure: OperatorMeasure, x) -> np.ndarray:
     """Wave ``psi^u(x) = sum_j e^{-i p_j . x} A_j u(p_j)``."""
-    x = np.asarray(x, float)
-    if x.shape != (4,):
-        raise ValidationError("position must be a 4-vector")
+    x = _four_vector(x, "position")
     space = measure.space
     d = space.dim
     out = np.zeros(d, complex)
@@ -181,9 +180,7 @@ def local_correlation(measure: OperatorMeasure, x, basis: list) -> LocalCorrelat
     :class:`~kreinact.errors.BasisReductionWarning` and the pencil is
     solved on the span where the Gram form is nondegenerate.
     """
-    x = np.asarray(x, float)
-    if x.shape != (4,):
-        raise ValidationError("position must be a 4-vector")
+    x = _four_vector(x, "position")
     return _correlation_at(measure, x, *_basis_arrays(measure, basis))
 
 

@@ -263,11 +263,9 @@ def cmd_pointwise(args) -> int:
             "alpha_min": solution.family.alpha_min,
             "alpha_max": solution.family.alpha_max,
         }
-    text = json.dumps(payload, indent=1, sort_keys=True)
-    print(text)
+    print(json.dumps(payload, indent=1, sort_keys=True))
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        _write_document(args.out, payload, sort_keys=True)
     return 0
 
 
@@ -401,16 +399,10 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return int(args.func(args))
-    except ValidationError as err:
+    except (ValidationError, FileNotFoundError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except FileNotFoundError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except KreinactError as err:
-        print(f"numerical failure: {err}", file=sys.stderr)
-        return 3
-    except np.linalg.LinAlgError as err:
+    except (KreinactError, np.linalg.LinAlgError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 3
 

@@ -46,6 +46,7 @@ from .errors import (
     NumericalError,
     ValidationError,
 )
+from .homomeasure import _trace_functionals
 from .krein import SignatureSpace, is_positive, is_symmetric
 
 __all__ = [
@@ -151,11 +152,10 @@ class PointwiseSolution:
 
 @dataclass(frozen=True)
 class AlphaValue:
-    """Value (or reachable interval, when degenerate) of a(alpha) with projector."""
+    """Value (or reachable interval, when degenerate) of a(alpha)."""
 
     a_min: float
     a_max: float
-    projector: np.ndarray
     degenerate: bool
 
     @property
@@ -223,9 +223,7 @@ def a_of_alpha(q: np.ndarray, space: SignatureSpace, alpha: float) -> AlphaValue
     qhat = _hermitian_coefficient(q, space)
     sig = space.signature
     V, s, *_ = _lowest_cluster(qhat, sig, _shift_matrix(sig), _finite_alpha(alpha))
-    return AlphaValue(
-        a_min=s[0], a_max=s[-1], projector=V @ V.conj().T, degenerate=V.shape[1] > 1
-    )
+    return AlphaValue(a_min=s[0], a_max=s[-1], degenerate=V.shape[1] > 1)
 
 
 def _mixed_density(V: np.ndarray, s: np.ndarray, W: np.ndarray, target: float):
@@ -246,10 +244,6 @@ def _mixed_density(V: np.ndarray, s: np.ndarray, W: np.ndarray, target: float):
     return H
 
 
-def _psd(F: np.ndarray, scale: float) -> bool:
-    return float(np.linalg.eigvalsh(0.5 * (F + F.conj().T))[0]) >= -tolerances.PSD * scale
-
-
 def _bisect(feasible, inner: float, outer: float) -> float:
     """Last feasible point bisecting from feasible ``inner`` toward infeasible ``outer``:
     at most 200 halvings, fewer once the ends are adjacent floats."""
@@ -264,12 +258,28 @@ def _bisect(feasible, inner: float, outer: float) -> float:
     return inner
 
 
-def _boundary_solution(problem: PointwiseProblem, qhat: np.ndarray, t: int) -> PointwiseSolution:
+def _solution(problem: PointwiseProblem, H: np.ndarray, alpha: float, beta: float, tag: str,
+              family: MultiplierFamily | None = None, valid: bool = True) -> PointwiseSolution:
+    """Solution with normalized density ``H``: ``A = b H S`` and its objective ``Re Tr(q A)``."""
+    A = problem.b * H * problem.space.signature[None, :]
+    return PointwiseSolution(
+        A=A,
+        alpha=alpha,
+        beta=beta,
+        objective=float(np.real(np.trace(problem.q @ A))),
+        tag=tag,
+        multipliers_valid=valid,
+        family=family,
+    )
+
+
+def _boundary_ray(qhat: np.ndarray, space: SignatureSpace, t: int):
     """Minimizer on the boundary a = t*b: density confined to the S = t eigenspace.
 
-    ``qhat`` is the Hermitian coefficient of the validated ``problem.q``.
+    Returns ``(H, m, family)``: the normalized density ``H``, the lowest
+    eigenvalue ``m`` of ``qhat`` on that eigenspace, and the
+    :class:`MultiplierFamily` of the ray, None when no multipliers exist.
     """
-    space = problem.space
     sig = space.signature
     n, d = space.n, space.dim
     idx = np.arange(0, n) if t > 0 else np.arange(n, d)
@@ -279,31 +289,20 @@ def _boundary_solution(problem: PointwiseProblem, qhat: np.ndarray, t: int) -> P
     v = np.zeros(d, complex)
     v[idx] = W[:, 0]
     H = np.outer(v, v.conj())
-    A = problem.b * H * sig[None, :]
-    objective = float(np.real(np.trace(problem.q @ A)))
-
     scale = max(float(np.linalg.norm(qhat, 2)), 1.0)
-    tag = "boundary-particle" if t > 0 else "boundary-sea"
 
     base, tilt = qhat - m * np.eye(d), t * np.eye(d) - np.diag(sig)
     # beta = m - t*alpha keeps (qhat - alpha S - beta) v = 0; the psd set
     # F(alpha) = base + alpha tilt = (qhat - m) + alpha (t - S) is monotone in
     # t*alpha, so the admissible alphas form a ray whose endpoint we bisect.
     def feasible(alpha: float) -> bool:
-        return _psd(base + alpha * tilt, scale)
+        F = base + alpha * tilt
+        return float(np.linalg.eigvalsh(0.5 * (F + F.conj().T))[0]) >= -tolerances.PSD * scale
 
     far = 4.0 * scale + 4.0
     extension_residual = float(np.linalg.norm(qhat @ v - m * v))
     if extension_residual > 1e-10 * scale or not feasible(t * far):
-        return PointwiseSolution(
-            A=A,
-            alpha=0.0,
-            beta=m,
-            objective=objective,
-            tag=tag + "-no-multipliers",
-            multipliers_valid=False,
-            family=None,
-        )
+        return H, m, None
     # Endpoint of the ray: the feasible end of a bisection toward -t*infinity.
     endpoint = -t * far
     if not feasible(endpoint):
@@ -313,22 +312,13 @@ def _boundary_solution(problem: PointwiseProblem, qhat: np.ndarray, t: int) -> P
     else:
         alpha_min, alpha_max = -np.inf, endpoint
     canonical_alpha = 0.0 if alpha_min <= 0.0 <= alpha_max else endpoint
-    family = MultiplierFamily(
+    return H, m, MultiplierFamily(
         slope=t,
         offset=m,
         alpha_min=alpha_min,
         alpha_max=alpha_max,
         canonical_alpha=canonical_alpha,
         canonical_beta=m - t * canonical_alpha,
-    )
-    return PointwiseSolution(
-        A=A,
-        alpha=family.canonical_alpha,
-        beta=family.canonical_beta,
-        objective=objective,
-        tag=tag,
-        multipliers_valid=True,
-        family=family,
     )
 
 
@@ -355,11 +345,13 @@ def solve(problem: PointwiseProblem) -> PointwiseSolution:
             family=None,
         )
     t = a / b
-    feas_tol = tolerances.FEASIBILITY
-    if t >= 1.0 - feas_tol:
-        return _boundary_solution(problem, qhat, +1)
-    if t <= -1.0 + feas_tol:
-        return _boundary_solution(problem, qhat, -1)
+    if abs(t) >= 1.0 - tolerances.FEASIBILITY:
+        side = 1 if t > 0 else -1
+        H, m, family = _boundary_ray(qhat, space, side)
+        tag = "boundary-particle" if side > 0 else "boundary-sea"
+        if family is None:
+            return _solution(problem, H, 0.0, m, tag + "-no-multipliers", valid=False)
+        return _solution(problem, H, family.canonical_alpha, family.canonical_beta, tag, family)
 
     # Bracket [lo, hi] with a(lo) <= t <= a(hi), then safeguarded Newton: a
     # Newton step on a(alpha) from a single lowest vector when it lands
@@ -409,18 +401,7 @@ def solve(problem: PointwiseProblem) -> PointwiseSolution:
         alpha = newton if lo < newton < hi else mid
     if H is None:
         raise NumericalError("safeguarded Newton failed to reach the signed-trace target")
-
-    A = b * H * sig[None, :]
-    objective = float(np.real(np.trace(problem.q @ A)))
-    return PointwiseSolution(
-        A=A,
-        alpha=float(alpha),
-        beta=beta,
-        objective=objective,
-        tag="interior",
-        multipliers_valid=True,
-        family=None,
-    )
+    return _solution(problem, H, float(alpha), beta, "interior")
 
 
 # ---------------------------------------------------------------------------
@@ -526,74 +507,70 @@ def lagrange_from_point(
     boundary the admissible multipliers form a family; ``strict=True``
     raises :class:`~kreinact.errors.NonUniqueMultipliersError` carrying it,
     ``strict=False`` returns a :class:`MultiplierFamily` (degenerate to a
-    single point at interior inputs).  Points that are not stationary for
-    any multipliers raise :class:`~kreinact.errors.ValidationError`.
+    single point at interior inputs).  Both branches check stationarity:
+    ``||A (q - alpha - beta S)||_2`` must vanish at the family's canonical
+    pair on the boundary (whose ray is psd by construction), and at the
+    least-squares pair, with ``S q - alpha S - beta`` psd, inside.  Points
+    that fail raise :class:`~kreinact.errors.ValidationError`.
     """
-    q = space.check_operator(q)
+    q = _symmetric_coefficient(q, space)
     A = space.check_operator(A)
     if not is_positive(A, space):
         raise ValidationError("the candidate operator must be positive")
-    qhat = _hermitian_coefficient(q, space)
     sig = space.signature
-    a = float(np.real(np.trace(A)))
-    b = float(np.real(np.trace(sig[:, None] * A)))
+    qhat = _qhat(q, sig)
+    a, b = (float(x.real) for x in _trace_functionals(A, space))
     scale = max(float(np.linalg.norm(qhat, 2)), 1.0)
-    bscale = max(b, 1e-300)
 
     if abs(a) >= b - tolerances.FEASIBILITY * max(b, 1.0):
-        t = +1 if a >= 0 else -1
-        problem = PointwiseProblem(space=space, q=q, a=float(t * b), b=b)
-        sol = _boundary_solution(problem, qhat, t)
-        if sol.family is None:
+        family = _boundary_ray(qhat, space, +1 if a >= 0 else -1)[2]
+        if family is None:
             raise ValidationError(
                 "boundary point admits no Lagrange multipliers (compressed "
                 "minimizer does not extend to an eigenvector)"
             )
-        if strict:
+        alpha, beta = family.canonical_alpha, family.canonical_beta
+        min_eig = np.inf
+    else:
+        # Interior: H = A S / b is psd with trace 1; its range vectors v must
+        # satisfy (qhat - alpha S - beta) v = 0, a full-rank least-squares system.
+        family = None
+        H = (A * sig[None, :]) / b
+        w, V = np.linalg.eigh(0.5 * (H + H.conj().T))
+        vecs = V[:, w > 1e-12 * w[-1]]
+        rows_a = (sig[:, None] * vecs).T.reshape(-1, 1)
+        rows_b = vecs.T.reshape(-1, 1)
+        rhs = (qhat @ vecs).T.ravel()
+        system = np.hstack([rows_a, rows_b])
+        system_real = np.vstack([system.real, system.imag])
+        rhs_real = np.concatenate([rhs.real, rhs.imag])
+        sol_vec, _, rank, _ = np.linalg.lstsq(system_real, rhs_real, rcond=None)
+        if rank < 2:
             raise NonUniqueMultipliersError(
-                "|trace| = signed trace: multipliers are not unique",
-                family=sol.family,
+                "stationarity system is rank deficient; multipliers not unique"
             )
-        return sol.family
+        alpha, beta = float(sol_vec[0]), float(sol_vec[1])
+        shifted = _shifted(qhat, _shift_matrix(sig), alpha) - beta * np.eye(space.dim)
+        min_eig = float(np.linalg.eigvalsh(0.5 * (shifted + shifted.conj().T))[0])
 
-    # Interior: H = A S / b is psd; its range vectors v must satisfy
-    # (qhat - alpha S - beta) v = 0, a full-rank least-squares system.
-    H = (A * sig[None, :]) / bscale
-    H = 0.5 * (H + H.conj().T)
-    w, V = np.linalg.eigh(H)
-    keep = w > 1e-12 * max(w[-1], 1e-300)
-    vecs = V[:, keep]
-    if vecs.shape[1] == 0:
-        raise ValidationError("candidate operator has numerically empty range")
-    rows_a = (sig[:, None] * vecs).T.reshape(-1, 1)
-    rows_b = vecs.T.reshape(-1, 1)
-    rhs = (qhat @ vecs).T.ravel()
-    system = np.hstack([rows_a, rows_b])
-    system_real = np.vstack([system.real, system.imag])
-    rhs_real = np.concatenate([rhs.real, rhs.imag])
-    sol_vec, _, rank, _ = np.linalg.lstsq(system_real, rhs_real, rcond=None)
-    if rank < 2:
-        raise NonUniqueMultipliersError(
-            "stationarity system is rank deficient; multipliers not unique"
-        )
-    alpha, beta = float(sol_vec[0]), float(sol_vec[1])
-
-    shifted = _shifted(qhat, _shift_matrix(sig), alpha) - beta * np.eye(space.dim)
     residual = float(np.linalg.norm(A @ (q - alpha * np.eye(space.dim) - beta * np.diag(sig)), 2))
-    min_eig = float(np.linalg.eigvalsh(0.5 * (shifted + shifted.conj().T))[0])
     norm_A = max(float(np.linalg.norm(A, 2)), 1e-300)
     if residual > tolerances.EL_RESIDUAL * scale * norm_A or min_eig < -tolerances.PSD * scale:
         raise ValidationError(
             "candidate operator is not stationary: annihilation residual "
             f"{residual:.2e}, positivity margin {min_eig:.2e}"
         )
-    if strict:
-        return alpha, beta
-    return MultiplierFamily(
-        slope=0,
-        offset=beta,
-        alpha_min=alpha,
-        alpha_max=alpha,
-        canonical_alpha=alpha,
-        canonical_beta=beta,
-    )
+    if family is None:
+        if strict:
+            return alpha, beta
+        family = MultiplierFamily(
+            slope=0,
+            offset=beta,
+            alpha_min=alpha,
+            alpha_max=alpha,
+            canonical_alpha=alpha,
+            canonical_beta=beta,
+        )
+    elif strict:
+        raise NonUniqueMultipliersError("|trace| = signed trace: multipliers are not unique", family=family)
+    return family

@@ -15,6 +15,7 @@ from kreinact import (
     empirical_cfs,
     hilbert_inner,
     local_correlation,
+    massless_fixture,
     physical_wave,
     standard_basis,
 )
@@ -98,6 +99,19 @@ def test_physical_wave_formula_and_validation():
     with pytest.raises(ValidationError):
         u_bad = TestFunction(values={0: np.ones(5)})
         physical_wave(u_bad, measure, x)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_waves_and_correlations_reject_non_finite_positions(bad):
+    # Without the check, an infinite coordinate gave a NaN wave and a NaN
+    # one made the correlation eigensolve fail inside numpy.
+    measure = massless_fixture([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    basis = standard_basis(measure)
+    x = [bad, 0.0, 0.0, 0.0]
+    with pytest.raises(ValidationError, match="finite"):
+        physical_wave(basis[0], measure, x)
+    with pytest.raises(ValidationError, match="finite"):
+        local_correlation(measure, x, basis)
 
 
 # ---------------------------------------------------------------------------

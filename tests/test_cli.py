@@ -632,12 +632,16 @@ print(kreinact.cli._parser.cache_info().currsize)
 
 
 def test_json_writers_write_what_json_dump_wrote(toy_run, tmp_path):
-    # One writer serves the measure, operator, report and run-status files;
-    # each file is json.dump's indent-1 text of its document plus a newline.
+    # One writer serves the measure, operator, report, run-status and
+    # pointwise-solution files; each file is json.dump's indent-1 text of its
+    # document plus a newline.
     save_operator(ROTATION_Q, SP1, tmp_path / "q.json")
+    solution = tmp_path / "solution.json"
+    assert main(["pointwise", str(tmp_path / "q.json"), "--a", "0.3", "--b", "1.0",
+                 "--out", str(solution)]) == 0
     files = [(toy_run / name, name in ("config.json", "status.json"))
              for name in ("config.json", "measure.json", "report.json", "status.json")]
-    for path, sort_keys in files + [(tmp_path / "q.json", False)]:
+    for path, sort_keys in files + [(tmp_path / "q.json", False), (solution, True)]:
         text = path.read_text()
         buffer = io.StringIO()
         json.dump(json.loads(text), buffer, indent=1, sort_keys=sort_keys)

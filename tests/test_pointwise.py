@@ -537,6 +537,42 @@ def test_lagrange_from_point_rejects_boundary_without_multipliers():
         lagrange_from_point(rotation_coefficient(), np.diag([1.0, 0.0]), SP1)
 
 
+def test_lagrange_from_point_rejects_a_non_stationary_boundary_point():
+    # Tr A = Tr(S A) = 1 puts A on the particle boundary, where the ray of
+    # q = S diag(1, 3, 5, 7) has canonical pair (0, 1); but A sits on the
+    # eigenvalue 3, not 1, so ||A (q - alpha - beta S)||_2 = 2.
+    space = SignatureSpace(2)
+    q = space.signature[:, None] * np.diag([1.0, 3.0, 5.0, 7.0]).astype(complex)
+    A = np.diag([0.0, 1.0, 0.0, 0.0]).astype(complex)
+    for strict in (True, False):
+        with pytest.raises(ValidationError, match="not stationary"):
+            lagrange_from_point(q, A, space, strict=strict)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_lagrange_from_point_accepts_every_block_decoupled_boundary_solution(n):
+    # With qhat block diagonal, every boundary solution carries a ray.  The
+    # boundary check reads the annihilation residual only: the positivity
+    # margin of qhat - alpha S - beta at the bisected ray end falls just
+    # below -PSD * scale on some of these stationary points.
+    space = SignatureSpace(n)
+    d = space.dim
+    rng = make_rng(11)
+    for _ in range(50):
+        M = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        qhat = M + M.conj().T
+        qhat[:n, n:] = qhat[n:, :n] = 0.0
+        q = space.signature[:, None] * qhat
+        b = float(rng.uniform(0.1, 3.0))
+        for t in (1, -1):
+            sol = solve(PointwiseProblem(space=space, q=q, a=t * b, b=b))
+            assert sol.family is not None
+            with pytest.raises(NonUniqueMultipliersError) as excinfo:
+                lagrange_from_point(q, sol.A, space, strict=True)
+            assert excinfo.value.family == sol.family
+            assert lagrange_from_point(q, sol.A, space, strict=False) == sol.family
+
+
 def test_lagrange_from_point_rejects_non_stationary_and_non_positive():
     rng = make_rng(3)
     q = rotation_coefficient()
@@ -579,5 +615,5 @@ def test_direct_search_limited_to_small_spaces():
 
 
 def test_alpha_value_midpoint():
-    av = AlphaValue(a_min=-1.0, a_max=0.5, projector=np.eye(2), degenerate=True)
+    av = AlphaValue(a_min=-1.0, a_max=0.5, degenerate=True)
     assert av.a == pytest.approx(-0.25)
