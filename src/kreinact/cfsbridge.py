@@ -17,7 +17,6 @@ construction.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 
@@ -25,7 +24,7 @@ import numpy as np
 
 from .action import _four_vector
 from .errors import BasisReductionWarning, ValidationError
-from .homomeasure import OperatorMeasure
+from .homomeasure import OperatorMeasure, _write_table
 
 __all__ = [
     "TestFunction",
@@ -199,17 +198,9 @@ def empirical_cfs(measure: OperatorMeasure, grid, basis: list) -> list:
 def correlations_to_csv(samples: list, path) -> None:
     """CSV of (weight, x, pencil eigenvalues) per sampled point."""
     width = max((len(corr.pencil_eigenvalues) for _, corr in samples), default=0)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["weight", "x0", "x1", "x2", "x3"] + [f"eig{i}" for i in range(width)]
-        )
-        for w, corr in samples:
-            eigs = list(corr.pencil_eigenvalues) + [np.nan] * (
-                width - len(corr.pencil_eigenvalues)
-            )
-            writer.writerow(
-                [repr(float(w))]
-                + [repr(float(v)) for v in corr.x]
-                + [repr(float(e)) for e in eigs]
-            )
+    rows = [
+        [float(w), *corr.x.tolist(), *corr.pencil_eigenvalues.tolist()]
+        + [np.nan] * (width - len(corr.pencil_eigenvalues))
+        for w, corr in samples
+    ]
+    _write_table(path, ["weight", "x0", "x1", "x2", "x3"] + [f"eig{i}" for i in range(width)], rows)

@@ -34,6 +34,7 @@ from .homomeasure import (
     _read_document,
     _trace_functionals,
     _write_document,
+    _write_table,
     decompose,
     dirac_sea_fixture,
     load_measure,
@@ -44,7 +45,7 @@ from .homomeasure import (
 )
 from .krein import SignatureSpace
 from .minimize import MinimizeConfig, config_from_dict, config_to_dict, minimize_action
-from .pointwise import PointwiseProblem, a_of_alpha, beta_of_alpha, solve
+from .pointwise import PointwiseProblem, a_of_alpha, solve
 
 __all__ = ["main", "build_parser"]
 
@@ -139,14 +140,9 @@ def cmd_minimize(args) -> int:
     _write_document(os.path.join(args.out, "config.json"), config_to_dict(config), sort_keys=True)
     result = minimize_action(config)
 
-    with open(os.path.join(args.out, "iterations.csv"), "w", newline="") as fh:
-        fh.write("iteration,action,trace,signed_trace,step,grad_norm,escapes,trials\n")
-        for row in result.trace:
-            fh.write(
-                f"{row['iteration']},{row['action']!r},{row['trace']!r},"
-                f"{row['signed_trace']!r},{row['step']!r},{row['grad_norm']!r},"
-                f"{row['escapes']},{row['trials']}\n"
-            )
+    columns = ("iteration", "action", "trace", "signed_trace", "step", "grad_norm", "escapes", "trials")
+    _write_table(os.path.join(args.out, "iterations.csv"), columns,
+                 [[row[key] for key in columns] for row in result.trace])
     save_measure(result.measure, os.path.join(args.out, "measure.json"))
     save_report(result.report, os.path.join(args.out, "report.json"))
     report_to_csv(result.report, os.path.join(args.out, "report.csv"))
@@ -280,15 +276,13 @@ def cmd_sweep_alpha(args) -> int:
         raise ValidationError("--alpha-max must exceed --alpha-min")
     if args.count < 1:
         raise ValidationError(f"--count must be at least 1, got {args.count}")
-    alphas = np.linspace(args.alpha_min, args.alpha_max, args.count)
-    with open(args.out, "w", newline="") as fh:
-        fh.write("alpha,a,beta\n")
-        for alpha in alphas:
-            beta = beta_of_alpha(q, space, float(alpha))
-            av = a_of_alpha(q, space, float(alpha))
-            fh.write(f"{float(alpha)!r},{av.a_min!r},{beta!r}\n")
-            if av.degenerate:
-                fh.write(f"{float(alpha)!r},{av.a_max!r},{beta!r}\n")
+    rows = []
+    for alpha in np.linspace(args.alpha_min, args.alpha_max, args.count).tolist():
+        av = a_of_alpha(q, space, alpha)
+        rows.append((alpha, av.a_min, av.beta))
+        if av.degenerate:
+            rows.append((alpha, av.a_max, av.beta))
+    _write_table(args.out, ("alpha", "a", "beta"), rows)
     print(f"wrote sweep of {args.count} alphas to {args.out}")
     return 0
 

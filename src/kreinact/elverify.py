@@ -21,7 +21,6 @@ report's spectra are batched over the stacks.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -31,10 +30,12 @@ from . import tolerances
 from .errors import InfeasibleProblemError, ValidationError
 from .homomeasure import (
     OperatorMeasure,
+    _check_format,
     _check_targets,
     _read_document,
     _trace_functionals,
     _write_document,
+    _write_table,
 )
 from .krein import SignatureSpace
 
@@ -178,7 +179,7 @@ def _shifted_spectra(qhats: np.ndarray, alpha: float, beta: float, space: Signat
     Returns ``(T, w, V)``: ``T = Qhat - alpha - beta S`` and the batched
     ``eigh`` of the Hermitian representatives ``S T``, eigenvalues ascending.
     """
-    shift = alpha * np.eye(space.dim) + beta * np.diag(space.signature).astype(complex)
+    shift = alpha * np.eye(space.dim) + beta * space.signature_matrix
     T = qhats - shift
     that = space.signature[None, :, None] * T
     w, V = np.linalg.eigh(0.5 * (that + that.conj().transpose(0, 2, 1)))
@@ -345,10 +346,7 @@ def report_to_dict(report: ELReport) -> dict:
 
 
 def report_from_dict(data: dict) -> ELReport:
-    if data.get("format") != REPORT_FORMAT:
-        raise ValidationError(f"not a report document: format={data.get('format')!r}")
-    if data.get("version") != REPORT_VERSION:
-        raise ValidationError(f"unsupported report version {data.get('version')!r}")
+    _check_format(data, REPORT_FORMAT, REPORT_VERSION, "report")
     probes = data.get("probes", [])
     atoms = data.get("atoms", [])
     return ELReport(
@@ -380,8 +378,5 @@ def load_report(path) -> ELReport:
 
 def report_to_csv(report: ELReport, path) -> None:
     """CSV of (p, g(p), psd margin) over the probe points."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["p0", "p1", "p2", "p3", "gap", "psd_margin"])
-        for p, g, m in zip(report.probe_points, report.probe_gaps, report.probe_margins):
-            writer.writerow([repr(float(x)) for x in p] + [repr(float(g)), repr(float(m))])
+    rows = zip(report.probe_points.tolist(), report.probe_gaps.tolist(), report.probe_margins.tolist())
+    _write_table(path, ["p0", "p1", "p2", "p3", "gap", "psd_margin"], [[*p, g, m] for p, g, m in rows])

@@ -407,11 +407,16 @@ def measure_to_dict(measure: OperatorMeasure) -> dict:
     }
 
 
+def _check_format(data: dict, fmt: str, version: int, kind: str) -> None:
+    """Reject a document whose ``format`` is not ``fmt`` or whose ``version`` is not ``version``."""
+    if data.get("format") != fmt:
+        raise ValidationError(f"not a {fmt} document: format={data.get('format')!r}")
+    if data.get("version") != version:
+        raise ValidationError(f"unsupported {kind} format version {data.get('version')!r}")
+
+
 def measure_from_dict(data: dict) -> OperatorMeasure:
-    if data.get("format") != MEASURE_FORMAT:
-        raise ValidationError(f"not a measure document: format={data.get('format')!r}")
-    if data.get("version") != FORMAT_VERSION:
-        raise ValidationError(f"unsupported measure format version {data.get('version')!r}")
+    _check_format(data, MEASURE_FORMAT, FORMAT_VERSION, "measure")
     space = SignatureSpace(int(data["n"]))
     boxd = data["box"]
     box = MomentumBox(tuple(boxd["lower"]), tuple(boxd["upper"]), tuple(boxd["grid_shape"]))
@@ -432,6 +437,13 @@ def _write_document(path, doc: dict, sort_keys: bool = False) -> None:
     """Write ``doc`` to ``path`` as JSON indented by one, ending in a newline, in one write."""
     with open(path, "w") as fh:
         fh.write(json.dumps(doc, indent=1, sort_keys=sort_keys) + "\n")
+
+
+def _write_table(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a ``header`` line, then one line per row of Python numbers by ``repr``; LF ends, one write."""
+    lines = [",".join(header)] + [",".join(map(repr, row)) for row in rows]
+    with open(path, "w", newline="") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def _read_document(path, kind: str, build):
@@ -476,10 +488,7 @@ def save_operator(A: np.ndarray, space: SignatureSpace, path) -> None:
 
 
 def _operator_from_dict(data: dict) -> tuple:
-    if data.get("format") != OPERATOR_FORMAT:
-        raise ValidationError(f"not an operator document: format={data.get('format')!r}")
-    if data.get("version") != FORMAT_VERSION:
-        raise ValidationError(f"unsupported operator format version {data.get('version')!r}")
+    _check_format(data, OPERATOR_FORMAT, FORMAT_VERSION, "operator")
     space = SignatureSpace(int(data["n"]))
     return space.check_operator(_matrix_from_lists(data["matrix"])), space
 

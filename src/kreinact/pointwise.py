@@ -152,29 +152,28 @@ class PointwiseSolution:
 
 @dataclass(frozen=True)
 class AlphaValue:
-    """Value (or reachable interval, when degenerate) of a(alpha)."""
+    """a(alpha), or its reachable interval when degenerate, and beta(alpha), from one eigensolve."""
 
     a_min: float
     a_max: float
     degenerate: bool
+    beta: float
 
     @property
     def a(self) -> float:
         return 0.5 * (self.a_min + self.a_max)
 
 
-def _shift_matrix(sig: np.ndarray) -> np.ndarray:
-    """``S`` as a complex matrix, built once per solve for :func:`_shifted`."""
-    return np.diag(sig).astype(complex)
-
-
-def _shifted(qhat: np.ndarray, shift: np.ndarray, alpha: float) -> np.ndarray:
+def _shifted(qhat: np.ndarray, space: SignatureSpace, alpha: float) -> np.ndarray:
     """``qhat - alpha S``: every eigensolve of it starts here."""
-    return qhat - alpha * shift
+    return qhat - alpha * space.signature_matrix
 
 
-def _beta(qhat: np.ndarray, sig: np.ndarray, alpha: float) -> float:
-    return float(np.linalg.eigvalsh(_shifted(qhat, _shift_matrix(sig), alpha))[0])
+def _boundary_side(a: float, b: float) -> int:
+    """The one boundary rule: 0 inside (``b > 0``, ``|a/b| < 1 - FEASIBILITY``), else the side, +1 if a >= 0."""
+    if b > 0 and abs(a / b) < 1.0 - tolerances.FEASIBILITY:
+        return 0
+    return 1 if a >= 0 else -1
 
 
 def _finite_alpha(alpha: float) -> float:
@@ -185,20 +184,20 @@ def _finite_alpha(alpha: float) -> float:
 
 def beta_of_alpha(q: np.ndarray, space: SignatureSpace, alpha: float) -> float:
     """Smallest eigenvalue of the Hermitian matrix ``S q - alpha S``."""
-    return _beta(_hermitian_coefficient(q, space), space.signature, _finite_alpha(alpha))
+    return a_of_alpha(q, space, alpha).beta
 
 
-def _lowest_cluster(qhat: np.ndarray, sig: np.ndarray, shift: np.ndarray, alpha: float):
+def _lowest_cluster(qhat: np.ndarray, space: SignatureSpace, alpha: float):
     """Lowest eigenspace of ``qhat - alpha S`` from one ``eigh``, as ``(V, s, W, beta, slope)``.
 
     ``V`` holds the eigenvectors within relative ``_DEGENERACY_REL`` of the lowest
     eigenvalue ``beta``; ``(s, W)`` is the ``eigh`` of ``V^H S V``, so ``Tr(S H)``
     over normalized psd ``H`` on that space spans ``[s[0], s[-1]]`` (floats).
     For a single vector ``v_0``, ``slope = a'(alpha) = 2 sum_{k>=1} |v_k^H S v_0|^2
-    / (w_k - w_0) >= 0``; it is None for a degenerate cluster.  ``shift`` is
-    :func:`_shift_matrix`.
+    / (w_k - w_0) >= 0``; it is None for a degenerate cluster.
     """
-    w, V = np.linalg.eigh(_shifted(qhat, shift, alpha))
+    sig = space.signature
+    w, V = np.linalg.eigh(_shifted(qhat, space, alpha))
     ws = w.tolist()
     cut = ws[0] + _DEGENERACY_REL * max(abs(ws[0]), abs(ws[-1]), 1.0)
     size = sum(x <= cut for x in ws)
@@ -213,17 +212,17 @@ def _lowest_cluster(qhat: np.ndarray, sig: np.ndarray, shift: np.ndarray, alpha:
 
 
 def a_of_alpha(q: np.ndarray, space: SignatureSpace, alpha: float) -> AlphaValue:
-    """Signed trace of the lowest eigenprojector of ``S q - alpha S``.
+    """Signed trace of the lowest eigenprojector of ``S q - alpha S``, with ``beta``.
 
     When the lowest eigenvalue is degenerate, the reachable values of
     ``Tr(S H)`` over normalized psd ``H`` inside the eigenspace form the
     interval spanned by the spectrum of the compressed signature
-    ``V^H S V``; both endpoints are reported.
+    ``V^H S V``; both endpoints are reported.  ``beta`` is the lowest
+    eigenvalue, from the same eigensolve.
     """
     qhat = _hermitian_coefficient(q, space)
-    sig = space.signature
-    V, s, *_ = _lowest_cluster(qhat, sig, _shift_matrix(sig), _finite_alpha(alpha))
-    return AlphaValue(a_min=s[0], a_max=s[-1], degenerate=V.shape[1] > 1)
+    V, s, _, beta, _ = _lowest_cluster(qhat, space, _finite_alpha(alpha))
+    return AlphaValue(a_min=s[0], a_max=s[-1], degenerate=V.shape[1] > 1, beta=beta)
 
 
 def _mixed_density(V: np.ndarray, s: np.ndarray, W: np.ndarray, target: float):
@@ -280,7 +279,6 @@ def _boundary_ray(qhat: np.ndarray, space: SignatureSpace, t: int):
     eigenvalue ``m`` of ``qhat`` on that eigenspace, and the
     :class:`MultiplierFamily` of the ray, None when no multipliers exist.
     """
-    sig = space.signature
     n, d = space.n, space.dim
     idx = np.arange(0, n) if t > 0 else np.arange(n, d)
     block = qhat[np.ix_(idx, idx)]
@@ -291,7 +289,7 @@ def _boundary_ray(qhat: np.ndarray, space: SignatureSpace, t: int):
     H = np.outer(v, v.conj())
     scale = max(float(np.linalg.norm(qhat, 2)), 1.0)
 
-    base, tilt = qhat - m * np.eye(d), t * np.eye(d) - np.diag(sig)
+    base, tilt = qhat - m * np.eye(d), t * np.eye(d) - space.signature_matrix
     # beta = m - t*alpha keeps (qhat - alpha S - beta) v = 0; the psd set
     # F(alpha) = base + alpha tilt = (qhat - m) + alpha (t - S) is monotone in
     # t*alpha, so the admissible alphas form a ray whose endpoint we bisect.
@@ -332,21 +330,18 @@ def solve(problem: PointwiseProblem) -> PointwiseSolution:
     """
     space = problem.space
     a, b, n = problem.a, problem.b, space.n
-    sig = space.signature
-    qhat = _qhat(problem.q, sig)
+    qhat = _qhat(problem.q, space.signature)
     if b == 0.0:
         return PointwiseSolution(
             A=np.zeros((space.dim, space.dim), complex),
             alpha=0.0,
-            beta=_beta(qhat, sig, 0.0),
+            beta=_lowest_cluster(qhat, space, 0.0)[3],
             objective=0.0,
             tag="trivial",
             multipliers_valid=True,
             family=None,
         )
-    t = a / b
-    if abs(t) >= 1.0 - tolerances.FEASIBILITY:
-        side = 1 if t > 0 else -1
+    if side := _boundary_side(a, b):
         H, m, family = _boundary_ray(qhat, space, side)
         tag = "boundary-particle" if side > 0 else "boundary-sea"
         if family is None:
@@ -356,16 +351,16 @@ def solve(problem: PointwiseProblem) -> PointwiseSolution:
     # Bracket [lo, hi] with a(lo) <= t <= a(hi), then safeguarded Newton: a
     # Newton step on a(alpha) from a single lowest vector when it lands
     # strictly inside the bracket, the midpoint otherwise.
-    shift = _shift_matrix(sig)
+    t = a / b
     radius = float(np.max(np.sum(np.abs(qhat), axis=1))) + 1.0
     lo, hi = -radius, radius
     for _ in range(80):
-        at_lo = _lowest_cluster(qhat, sig, shift, lo)
+        at_lo = _lowest_cluster(qhat, space, lo)
         if at_lo[1][0] <= t:
             break
         lo *= 2.0
     for _ in range(80):
-        at_hi = _lowest_cluster(qhat, sig, shift, hi)
+        at_hi = _lowest_cluster(qhat, space, hi)
         if at_hi[1][-1] >= t:
             break
         hi *= 2.0
@@ -377,7 +372,7 @@ def solve(problem: PointwiseProblem) -> PointwiseSolution:
     alpha = 0.5 * (low[0] - low[1])
     H = None
     for _ in range(_BISECT_MAX):
-        V, s, W, beta, slope = cluster = _lowest_cluster(qhat, sig, shift, alpha)
+        V, s, W, beta, slope = cluster = _lowest_cluster(qhat, space, alpha)
         if s[0] - 1e-13 <= t <= s[-1] + 1e-13:
             H = _mixed_density(V, s, W, t)
             break
@@ -502,10 +497,12 @@ def lagrange_from_point(
 ):
     """Recover the multipliers certifying stationarity of ``A``.
 
-    With ``strict=True`` the point must satisfy ``|Tr A| < Tr(S A)``;
-    then ``(alpha, beta)`` is unique and returned as a pair.  On the
-    boundary the admissible multipliers form a family; ``strict=True``
-    raises :class:`~kreinact.errors.NonUniqueMultipliersError` carrying it,
+    With ``strict=True`` the point must lie inside ``|Tr A| < Tr(S A)`` by
+    the boundary rule of :func:`solve` (``|a/b| < 1 - FEASIBILITY``), with
+    range not inside one eigenspace of ``S``; then ``(alpha, beta)`` is
+    unique and returned as a pair.  On the boundary the admissible
+    multipliers form a family; ``strict=True`` raises
+    :class:`~kreinact.errors.NonUniqueMultipliersError` carrying it,
     ``strict=False`` returns a :class:`MultiplierFamily` (degenerate to a
     single point at interior inputs).  Both branches check stationarity:
     ``||A (q - alpha - beta S)||_2`` must vanish at the family's canonical
@@ -522,19 +519,11 @@ def lagrange_from_point(
     a, b = (float(x.real) for x in _trace_functionals(A, space))
     scale = max(float(np.linalg.norm(qhat, 2)), 1.0)
 
-    if abs(a) >= b - tolerances.FEASIBILITY * max(b, 1.0):
-        family = _boundary_ray(qhat, space, +1 if a >= 0 else -1)[2]
-        if family is None:
-            raise ValidationError(
-                "boundary point admits no Lagrange multipliers (compressed "
-                "minimizer does not extend to an eigenvector)"
-            )
-        alpha, beta = family.canonical_alpha, family.canonical_beta
-        min_eig = np.inf
-    else:
+    if not (side := _boundary_side(a, b)):
         # Interior: H = A S / b is psd with trace 1; its range vectors v must
-        # satisfy (qhat - alpha S - beta) v = 0, a full-rank least-squares system.
-        family = None
+        # satisfy (qhat - alpha S - beta) v = 0, a least-squares system of
+        # full rank unless that range lies in one eigenspace of S, which puts
+        # the point on the boundary to working precision.
         H = (A * sig[None, :]) / b
         w, V = np.linalg.eigh(0.5 * (H + H.conj().T))
         vecs = V[:, w > 1e-12 * w[-1]]
@@ -545,15 +534,23 @@ def lagrange_from_point(
         system_real = np.vstack([system.real, system.imag])
         rhs_real = np.concatenate([rhs.real, rhs.imag])
         sol_vec, _, rank, _ = np.linalg.lstsq(system_real, rhs_real, rcond=None)
-        if rank < 2:
-            raise NonUniqueMultipliersError(
-                "stationarity system is rank deficient; multipliers not unique"
+        side = 0 if rank == 2 else (1 if a >= 0 else -1)
+    family = None
+    if side:
+        family = _boundary_ray(qhat, space, side)[2]
+        if family is None:
+            raise ValidationError(
+                "boundary point admits no Lagrange multipliers (compressed "
+                "minimizer does not extend to an eigenvector)"
             )
+        alpha, beta = family.canonical_alpha, family.canonical_beta
+        min_eig = np.inf
+    else:
         alpha, beta = float(sol_vec[0]), float(sol_vec[1])
-        shifted = _shifted(qhat, _shift_matrix(sig), alpha) - beta * np.eye(space.dim)
+        shifted = _shifted(qhat, space, alpha) - beta * np.eye(space.dim)
         min_eig = float(np.linalg.eigvalsh(0.5 * (shifted + shifted.conj().T))[0])
 
-    residual = float(np.linalg.norm(A @ (q - alpha * np.eye(space.dim) - beta * np.diag(sig)), 2))
+    residual = float(np.linalg.norm(A @ (q - alpha * np.eye(space.dim) - beta * space.signature_matrix), 2))
     norm_A = max(float(np.linalg.norm(A, 2)), 1e-300)
     if residual > tolerances.EL_RESIDUAL * scale * norm_A or min_eig < -tolerances.PSD * scale:
         raise ValidationError(

@@ -29,6 +29,8 @@ CONSTRAINT = 1e-8
 #: Sign tolerance for the beta <= 0 check (absolute).
 BETA_SIGN = 1e-9
 
-#: Band, relative to ``max(b, 1)``, within which the pointwise problem
-#: treats ``|a|`` as equal to ``b`` (the boundary of ``|Tr A| <= Tr(S A)``).
+#: Pointwise feasibility and boundary band.  ``PointwiseProblem`` accepts
+#: ``|a|`` up to ``b + FEASIBILITY * max(b, 1)`` (and clips it to ``b``);
+#: ``solve`` and ``lagrange_from_point`` treat ``|a| >= b - FEASIBILITY * b``
+#: as the boundary of ``|Tr A| <= Tr(S A)``.
 FEASIBILITY = 1e-12

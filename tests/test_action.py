@@ -98,6 +98,38 @@ def test_grid_boundary_mask_is_never_empty(shape):
     assert mask[extreme].all()
 
 
+def _misaligned(points, weights):
+    return points, weights[:-1]
+
+
+def _zero_weight(points, weights):
+    weights[1] = 0.0
+    return points, weights
+
+
+def _moved_point(points, weights):
+    points[0, 1] += 0.25
+    return points, weights
+
+
+def _doubled_weight(points, weights):
+    weights[0] *= 2.0
+    return points, weights
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_misaligned, "must align"),
+    (_zero_weight, "weights must be positive"),
+    (_moved_point, "grid must be symmetric"),
+    (_doubled_weight, "weights must be symmetric"),
+])
+def test_grid_rejects_inconsistent_points_and_weights(corrupt, message):
+    grid = PositionGrid.from_box(1.0, (3, 2, 1, 1))
+    points, weights = corrupt(grid.points.copy(), grid.weights.copy())
+    with pytest.raises(ValidationError, match=message):
+        PositionGrid(points, weights, grid.reflection_index)
+
+
 def test_grid_rejects_bad_shape():
     with pytest.raises(ValidationError):
         PositionGrid.from_box(1.0, (0, 1, 1, 1))

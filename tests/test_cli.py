@@ -26,6 +26,7 @@ from kreinact import (
     config_to_dict,
     load_measure,
     load_report,
+    a_of_alpha,
     save_measure,
     save_operator,
 )
@@ -502,6 +503,27 @@ def test_sweep_alpha_writes_jump_rows(tmp_path, capsys):
     assert [row[2] for row in rows] == pytest.approx([0.0, 1.0, 1.0, 0.0], abs=1e-12)
 
 
+def test_sweep_alpha_makes_one_eigensolve_per_alpha(tmp_path, monkeypatch):
+    # Each row's a(alpha) and beta(alpha) come from one eigh of S q - alpha S.
+    calls = {"eigh": 0, "eigvalsh": 0}
+    for name in calls:
+        def counted(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    q_path = tmp_path / "q.json"
+    write_rotation_q(q_path)
+    out_path = tmp_path / "sweep.csv"
+    assert main(["sweep-alpha", str(q_path), "--alpha-min=-2.0", "--alpha-max", "2.0",
+                 "--out", str(out_path)]) == 0
+    assert calls == {"eigh": 101, "eigvalsh": 0}
+    rows = [[float(tok) for tok in line.split(",")] for line in out_path.read_text().splitlines()[1:]]
+    assert len(rows) == 101
+    for alpha, a, beta in rows:
+        value = a_of_alpha(ROTATION_Q, SP1, alpha)
+        assert (a, beta) == (value.a_min, value.beta)
+
+
 def test_sweep_alpha_rejects_empty_range(tmp_path):
     q_path = tmp_path / "q.json"
     write_rotation_q(q_path)
@@ -544,6 +566,27 @@ def test_correlate_writes_spectra_csv(tmp_path, capsys):
     lines = out_path.read_text().strip().splitlines()
     assert lines[0] == "weight,x0,x1,x2,x3,eig0,eig1,eig2,eig3"
     assert len(lines) == 3
+
+
+def test_every_table_ends_its_lines_in_a_bare_newline(toy_run, tmp_path):
+    # One writer serves every CSV, so all tables of a run share one line end.
+    q_path = tmp_path / "q.json"
+    write_rotation_q(q_path)
+    measure = str(toy_run / "measure.json")
+    tables = [toy_run / "iterations.csv", toy_run / "report.csv"]
+    tables += [tmp_path / name for name in ("verify.csv", "corr.csv", "sweep.csv")]
+    assert main(["verify", measure, "--smoothing-delta", "0.01", "--csv", str(tables[2])]) == 0
+    fixture_path = str(tmp_path / "m.json")
+    assert main(["fixture", "random", "--out", fixture_path, "--seed", "4",
+                 "--atoms", "2", "--grid", "2,1,1,1"]) == 0
+    assert main(["correlate", fixture_path, "--position-grid", "2,1,1,1", "--basis-size", "4",
+                 "--out", str(tables[3])]) == 0
+    assert main(["sweep-alpha", str(q_path), "--alpha-min=-1.0", "--alpha-max", "1.0",
+                 "--count", "5", "--out", str(tables[4])]) == 0
+    for path in tables:
+        data = path.read_bytes()
+        assert b"\r" not in data and data.endswith(b"\n"), path.name
+        assert data.count(b"\n") == len(path.read_text().splitlines()) >= 2, path.name
 
 
 @pytest.mark.parametrize("size", ["0", "-5"])

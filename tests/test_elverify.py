@@ -6,6 +6,8 @@ reduce to the pointwise problem, whose closed-form minimizer and
 multipliers are known exactly (see test_pointwise).
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -31,12 +33,16 @@ from kreinact import (
     check_first_order,
     el_residuals,
     lagrange_parameters,
+    load_measure,
+    load_operator,
     load_report,
     pushforward,
     report_from_dict,
     report_to_csv,
     report_to_dict,
     restore_constraints,
+    save_measure,
+    save_operator,
     save_report,
     support_gap,
 )
@@ -420,6 +426,26 @@ def test_report_dict_has_format_tag_and_rejects_others():
         report_from_dict({**data, "format": "something-else"})
     with pytest.raises(ValidationError):
         report_from_dict({**data, "version": 99})
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("format", "kreinact-other", r"not a kreinact-\w+ document: format='kreinact-other'"),
+    ("version", 2, "unsupported {} format version 2"),
+])
+@pytest.mark.parametrize("kind", ["measure", "operator", "report"])
+def test_documents_reject_a_wrong_format_or_version(tmp_path, kind, field, value, message):
+    path = tmp_path / f"{kind}.json"
+    measure, _ = stationary_fixture()
+    save, load = {
+        "measure": (lambda: save_measure(measure, path), load_measure),
+        "operator": (lambda: save_operator(ROTATION_Q, SP1, path), load_operator),
+        "report": (lambda: save_report(_sample_report(), path), load_report),
+    }[kind]
+    save()
+    load(path)
+    path.write_text(json.dumps({**json.loads(path.read_text()), field: value}))
+    with pytest.raises(ValidationError, match=message.format(kind)):
+        load(path)
 
 
 def test_load_report_rejects_malformed_file(tmp_path):

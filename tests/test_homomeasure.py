@@ -66,9 +66,29 @@ def test_box_rejects_inverted_bounds():
             MomentumBox(lower, upper, (2, 1, 1, 1))
 
 
+@pytest.mark.parametrize("lower, upper, shape, message", [
+    ((-1, -1, -1), (1, 1, 1, 1), (2, 1, 1, 1), "4-dimensional"),
+    ((-1, -1, -1, -1), (1, 1, 1, 1), (2, 1, 1), "4-dimensional"),
+    ((-1, -1, -1, -1), (1, 1, 1, 1), (2, 0, 1, 1), "grid shape entries must be >= 1"),
+])
+def test_box_rejects_bad_dimensions_and_shapes(lower, upper, shape, message):
+    with pytest.raises(ValidationError, match=message):
+        MomentumBox(lower, upper, shape)
+
+
 # ---------------------------------------------------------------------------
 # OperatorMeasure
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("momenta, operators, message", [
+    (np.zeros((2, 4)), np.zeros((3, 2, 2)), "number of momenta and operators must agree"),
+    (np.zeros((2, 3)), np.zeros((2, 2, 2)), "atom momenta must be 4-vectors"),
+    (np.zeros((2, 4)), np.zeros((2, 4, 4)), r"operators must have shape \(2, 2\)"),
+])
+def test_measure_rejects_misshapen_atoms(momenta, operators, message):
+    with pytest.raises(ValidationError, match=message):
+        OperatorMeasure(SignatureSpace(1), unit_momentum_box(), momenta, operators)
+
 
 def test_measure_total_and_positivity():
     sp = SignatureSpace(1)

@@ -44,6 +44,16 @@ def test_space_rejects_bad_n():
         SignatureSpace(-3)
 
 
+@pytest.mark.parametrize("A, message", [
+    (np.zeros((2, 2)), r"operator shape \(2, 2\) does not match space dimension 4"),
+    (np.diag([1.0, np.nan, 0.0, 0.0]), "non-finite"),
+    (np.diag([1.0, 0.0, np.inf, 0.0]), "non-finite"),
+])
+def test_check_operator_rejects_wrong_shapes_and_non_finite_entries(A, message):
+    with pytest.raises(ValidationError, match=message):
+        SignatureSpace(2).check_operator(A)
+
+
 def test_adjoint_is_involution_and_product_reversing():
     sp = SignatureSpace(2)
     rng = make_rng(0)

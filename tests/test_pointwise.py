@@ -179,9 +179,9 @@ def count_alpha_evaluations(monkeypatch) -> list:
     real_shifted = pointwise._shifted
     count = [0]
 
-    def counted(qhat, shift, alpha):
+    def counted(qhat, space, alpha):
         count[0] += 1
-        return real_shifted(qhat, shift, alpha)
+        return real_shifted(qhat, space, alpha)
 
     monkeypatch.setattr(pointwise, "_shifted", counted)
     return count
@@ -230,8 +230,8 @@ def record_clusters(monkeypatch) -> list:
     real_cluster = pointwise._lowest_cluster
     calls = []
 
-    def recorded(qhat, sig, shift, alpha):
-        cluster = real_cluster(qhat, sig, shift, alpha)
+    def recorded(qhat, space, alpha):
+        cluster = real_cluster(qhat, space, alpha)
         calls.append((alpha, cluster[1]))
         return cluster
 
@@ -573,6 +573,63 @@ def test_lagrange_from_point_accepts_every_block_decoupled_boundary_solution(n):
             assert lagrange_from_point(q, sol.A, space, strict=False) == sol.family
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_lagrange_from_point_recovers_solve_multipliers_next_to_the_boundary(n):
+    # 1 - |a/b| = 5e-10 and 5e-11 lies outside the boundary band, which
+    # scales with b, so solve returns interior solutions; lagrange_from_point
+    # applies the same rule and must certify them.  |alpha| runs to ~1e5 here.
+    space = SignatureSpace(n)
+    for seed in range(10):
+        q = random_symmetric(space, make_rng(700 + seed))
+        for b in (1e-3, 1e-2):
+            for a in (b - 5e-13, -(b - 5e-13)):
+                sol = solve(PointwiseProblem(space=space, q=q, a=a, b=b))
+                assert sol.tag == "interior" and sol.multipliers_valid
+                alpha, beta = lagrange_from_point(q, sol.A, space, strict=True)
+                assert alpha == pytest.approx(sol.alpha, rel=1e-9)
+                assert beta == pytest.approx(sol.beta, rel=1e-9)
+
+
+@pytest.mark.parametrize("b", [0.3, 2.5])
+@pytest.mark.parametrize("n", [1, 2])
+def test_lagrange_from_point_certifies_a_one_block_range_as_a_boundary_point(n, b):
+    # With qhat block diagonal and 1 - |a/b| = 1.5e-12, solve mixes a lowest
+    # vector of each block, the minor one with weight 7.5e-13 of the trace,
+    # below the range cut of lagrange_from_point: the range it reads lies in
+    # one eigenspace of S, and it certifies the point by the boundary ray,
+    # whose family holds solve's interior pair.
+    space = SignatureSpace(n)
+    d = space.dim
+    rng = make_rng(60)
+    for _ in range(5):
+        M = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        qhat = 0.5 * (M + M.conj().T)
+        qhat[:n, n:] = qhat[n:, :n] = 0.0
+        q = space.signature[:, None] * qhat
+        for side in (1, -1):
+            sol = solve(PointwiseProblem(space=space, q=q, a=side * (1 - 1.5e-12) * b, b=b))
+            assert sol.tag == "interior"
+            with pytest.raises(NonUniqueMultipliersError) as excinfo:
+                lagrange_from_point(q, sol.A, space, strict=True)
+            family = lagrange_from_point(q, sol.A, space, strict=False)
+            assert excinfo.value.family == family
+            assert family.slope == side
+            assert family.contains(sol.alpha, sol.beta)
+
+
+def test_beta_of_alpha_is_the_beta_of_solve():
+    # solve, a_of_alpha and beta_of_alpha read beta from one eigensolve of
+    # the same matrix, so they agree to the bit.
+    space = SignatureSpace(2)
+    for seed in range(50):
+        rng = make_rng(900 + seed)
+        q = random_symmetric(space, rng)
+        b = float(rng.uniform(0.5, 2.0))
+        sol = solve(PointwiseProblem(space=space, q=q, a=float(rng.uniform(-0.9, 0.9)) * b, b=b))
+        assert sol.tag == "interior"
+        assert beta_of_alpha(q, space, sol.alpha) == a_of_alpha(q, space, sol.alpha).beta == sol.beta
+
+
 def test_lagrange_from_point_rejects_non_stationary_and_non_positive():
     rng = make_rng(3)
     q = rotation_coefficient()
@@ -615,5 +672,5 @@ def test_direct_search_limited_to_small_spaces():
 
 
 def test_alpha_value_midpoint():
-    av = AlphaValue(a_min=-1.0, a_max=0.5, degenerate=True)
+    av = AlphaValue(a_min=-1.0, a_max=0.5, degenerate=True, beta=0.0)
     assert av.a == pytest.approx(-0.25)
