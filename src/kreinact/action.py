@@ -41,6 +41,11 @@ one point, the points along it share their chain.  Points are grouped by
 bitwise equal phases, so the results are those of one solve per point to
 the bit.  The line search takes a trial's action from that solve, so an
 accepted trial builds its field without another.
+
+The package re-exports the function :func:`action` under this module's
+name, so ``import kreinact.action as m`` binds the function, not the
+module, and attributes set through ``m`` change nothing here.
+``importlib.import_module("kreinact.action")`` returns the module.
 """
 
 from __future__ import annotations

@@ -24,7 +24,9 @@ lowest-cluster routine computes, from one eigensolve of ``qhat - alpha S``,
 the lowest eigenspace with the spectrum of its compressed signature, the
 lowest eigenvalue ``beta`` and, for a simple lowest eigenvalue, the slope
 ``a'(alpha)``; it serves ``a(alpha)``, the solver's bracket search and
-Newton steps, and the plateau mixing.
+Newton steps, and the plateau mixing.  One cluster rule decides which
+eigenvalues count as the lowest one, for the solver and for
+:func:`lagrange_from_point` alike.
 
 The boundary ``|a| = b`` forces ``H`` into one definite eigenspace of ``S``;
 multipliers then exist only when the compressed minimizing eigenvector
@@ -57,7 +59,6 @@ __all__ = [
     "beta_of_alpha",
     "a_of_alpha",
     "solve",
-    "brute_force",
     "lagrange_from_point",
 ]
 
@@ -187,19 +188,27 @@ def beta_of_alpha(q: np.ndarray, space: SignatureSpace, alpha: float) -> float:
     return a_of_alpha(q, space, alpha).beta
 
 
+def _cluster_cut(w) -> float:
+    """Top of the lowest cluster of an ascending spectrum ``w``, whose eigenvalues
+    count as one lowest eigenvalue (Kato, *Perturbation Theory*, II 1.4): the
+    one cluster rule of :func:`solve` and :func:`lagrange_from_point`."""
+    return w[0] + _DEGENERACY_REL * max(abs(w[0]), abs(w[-1]), 1.0)
+
+
 def _lowest_cluster(qhat: np.ndarray, space: SignatureSpace, alpha: float):
     """Lowest eigenspace of ``qhat - alpha S`` from one ``eigh``, as ``(V, s, W, beta, slope)``.
 
-    ``V`` holds the eigenvectors within relative ``_DEGENERACY_REL`` of the lowest
-    eigenvalue ``beta``; ``(s, W)`` is the ``eigh`` of ``V^H S V``, so ``Tr(S H)``
-    over normalized psd ``H`` on that space spans ``[s[0], s[-1]]`` (floats).
+    ``V`` holds the eigenvectors up to the :func:`_cluster_cut` of the
+    spectrum, whose lowest eigenvalue is ``beta``; ``(s, W)`` is the ``eigh``
+    of ``V^H S V``, so ``Tr(S H)`` over normalized psd ``H`` on that space
+    spans ``[s[0], s[-1]]`` (floats).
     For a single vector ``v_0``, ``slope = a'(alpha) = 2 sum_{k>=1} |v_k^H S v_0|^2
     / (w_k - w_0) >= 0``; it is None for a degenerate cluster.
     """
     sig = space.signature
     w, V = np.linalg.eigh(_shifted(qhat, space, alpha))
     ws = w.tolist()
-    cut = ws[0] + _DEGENERACY_REL * max(abs(ws[0]), abs(ws[-1]), 1.0)
+    cut = _cluster_cut(ws)
     size = sum(x <= cut for x in ws)
     if size == 1:
         coupling = V.conj().T @ (sig * V[:, 0])
@@ -370,11 +379,10 @@ def solve(problem: PointwiseProblem) -> PointwiseSolution:
     # is strictly inside the bracket.
     low = np.linalg.eigvalsh(np.array([qhat[:n, :n], qhat[n:, n:]]))[:, 0].tolist()
     alpha = 0.5 * (low[0] - low[1])
-    H = None
     for _ in range(_BISECT_MAX):
         V, s, W, beta, slope = cluster = _lowest_cluster(qhat, space, alpha)
-        if s[0] - 1e-13 <= t <= s[-1] + 1e-13:
-            H = _mixed_density(V, s, W, t)
+        H = _mixed_density(V, s, W, t)
+        if H is not None:
             break
         if s[-1] < t:
             lo, at_lo = alpha, cluster
@@ -399,96 +407,6 @@ def solve(problem: PointwiseProblem) -> PointwiseSolution:
     return _solution(problem, H, float(alpha), beta, "interior")
 
 
-# ---------------------------------------------------------------------------
-# Independent oracle: direct minimization in the factorized parametrization
-# ---------------------------------------------------------------------------
-
-def _project_columns(M: np.ndarray, n: int, a: float, b: float, rng) -> np.ndarray:
-    """Scale the two column groups of M so A = S M^H M meets both constraints.
-
-    Column group norms satisfy Tr(A) = s_+ - s_- and Tr(SA) = s_+ + s_-
-    with s_± the squared norms of the first/last n columns, so the targets
-    pin them to (b+a)/2 and (b-a)/2 exactly.
-    """
-    M = M.copy()
-    targets = (0.5 * (b + a), 0.5 * (b - a))
-    for group, target in zip((slice(0, n), slice(n, 2 * n)), targets):
-        cur = float(np.sum(np.abs(M[:, group]) ** 2))
-        if cur <= 1e-300:
-            if target <= 0.0:
-                M[:, group] = 0.0
-                continue
-            fill = rng.standard_normal(M[:, group].shape) + 1j * rng.standard_normal(
-                M[:, group].shape
-            )
-            M[:, group] = fill
-            cur = float(np.sum(np.abs(M[:, group]) ** 2))
-        M[:, group] *= np.sqrt(max(target, 0.0) / cur)
-    return M
-
-
-def brute_force(
-    problem: PointwiseProblem,
-    samples: int = 400,
-    refinements: int = 6,
-    seed: int = 0,
-) -> float:
-    """Best objective found by random search plus local refinement.
-
-    Works in the parametrization ``A = S M^H M`` (positivity for free) with
-    exact constraint projection by column-group scaling, and refines the
-    best random starts with a quasi-Newton local search on the projected
-    objective.  Serves as an independent cross-check of :func:`solve`.
-    """
-    space = problem.space
-    if space.n > 2:
-        raise ValidationError("the brute-force oracle is limited to n <= 2")
-    a, b = problem.a, problem.b
-    n, d = space.n, space.dim
-    if b == 0.0:
-        return 0.0
-    sig = space.signature
-    qS = problem.q * sig[None, :]
-    rng = np.random.default_rng(seed)
-
-    def objective_of(M: np.ndarray) -> float:
-        return float(np.real(np.trace(qS @ M.conj().T @ M)))
-
-    def unpack(x: np.ndarray) -> np.ndarray:
-        half = d * d
-        return (x[:half] + 1j * x[half:]).reshape(d, d)
-
-    def pack(M: np.ndarray) -> np.ndarray:
-        return np.concatenate([M.real.ravel(), M.imag.ravel()])
-
-    def projected_objective(x: np.ndarray) -> float:
-        return objective_of(_project_columns(unpack(x), n, a, b, rng))
-
-    best: list = []
-    for _ in range(samples):
-        M = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        M = _project_columns(M, n, a, b, rng)
-        best.append((objective_of(M), M))
-    best.sort(key=lambda pair: pair[0])
-
-    # Imported here, not at module level: this oracle is the package's only
-    # scipy user, and importing scipy.optimize takes longer than a whole toy
-    # minimize run, a cost every CLI process would otherwise pay.
-    import scipy.optimize
-
-    best_val = best[0][0]
-    for _, M0 in best[:refinements]:
-        res = scipy.optimize.minimize(
-            projected_objective,
-            pack(M0),
-            method="L-BFGS-B",
-            options={"maxiter": 300},
-        )
-        candidate = objective_of(_project_columns(unpack(res.x), n, a, b, rng))
-        best_val = min(best_val, candidate)
-    return best_val
-
-
 def lagrange_from_point(
     q: np.ndarray,
     A: np.ndarray,
@@ -506,9 +424,12 @@ def lagrange_from_point(
     ``strict=False`` returns a :class:`MultiplierFamily` (degenerate to a
     single point at interior inputs).  Both branches check stationarity:
     ``||A (q - alpha - beta S)||_2`` must vanish at the family's canonical
-    pair on the boundary (whose ray is psd by construction), and at the
-    least-squares pair, with ``S q - alpha S - beta`` psd, inside.  Points
-    that fail raise :class:`~kreinact.errors.ValidationError`.
+    pair on the boundary (whose ray is psd by construction).  Inside, alpha
+    is the least-squares one, beta the lowest eigenvalue of ``S q - alpha S``
+    as in :func:`solve`, and the least-squares beta must lie in the lowest
+    eigenvalue cluster, by the cluster rule under which :func:`solve` mixes
+    eigenvectors.  Points that fail raise
+    :class:`~kreinact.errors.ValidationError`.
     """
     q = _symmetric_coefficient(q, space)
     A = space.check_operator(A)
@@ -544,18 +465,21 @@ def lagrange_from_point(
                 "minimizer does not extend to an eigenvector)"
             )
         alpha, beta = family.canonical_alpha, family.canonical_beta
-        min_eig = np.inf
+        excess = 0.0
     else:
-        alpha, beta = float(sol_vec[0]), float(sol_vec[1])
-        shifted = _shifted(qhat, space, alpha) - beta * np.eye(space.dim)
-        min_eig = float(np.linalg.eigvalsh(0.5 * (shifted + shifted.conj().T))[0])
+        # The fitted beta, the eigenvalue of qhat - alpha S on the range of H,
+        # must lie in the lowest cluster, which solve mixes as one eigenvalue.
+        alpha = float(sol_vec[0])
+        w = np.linalg.eigvalsh(_shifted(qhat, space, alpha)).tolist()
+        beta = w[0]
+        excess = max(float(sol_vec[1]) - _cluster_cut(w), 0.0)
 
     residual = float(np.linalg.norm(A @ (q - alpha * np.eye(space.dim) - beta * space.signature_matrix), 2))
     norm_A = max(float(np.linalg.norm(A, 2)), 1e-300)
-    if residual > tolerances.EL_RESIDUAL * scale * norm_A or min_eig < -tolerances.PSD * scale:
+    if residual > tolerances.EL_RESIDUAL * scale * norm_A or excess > 0.0:
         raise ValidationError(
             "candidate operator is not stationary: annihilation residual "
-            f"{residual:.2e}, positivity margin {min_eig:.2e}"
+            f"{residual:.2e}, fitted beta above the lowest eigenvalue cluster by {excess:.2e}"
         )
     if family is None:
         if strict:

@@ -2,7 +2,8 @@
 
 Oracles here deliberately use different numerical routes than the library
 (dense general eigensolvers, bisection on semidefiniteness, partition
-enumeration, finite differences) so agreement is evidence, not tautology.
+enumeration, finite differences, direct search in a factorized
+parametrization) so agreement is evidence, not tautology.
 """
 
 from __future__ import annotations
@@ -11,7 +12,15 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from kreinact import MomentumBox, OperatorMeasure, SignatureSpace, constraint_values, krein_adjoint
+from kreinact import (
+    MomentumBox,
+    OperatorMeasure,
+    PointwiseProblem,
+    SignatureSpace,
+    ValidationError,
+    constraint_values,
+    krein_adjoint,
+)
 
 UNIT_BOX = ((-1.0, -0.5, -0.5, -0.5), (1.0, 0.5, 0.5, 0.5))
 
@@ -126,3 +135,88 @@ def richardson_derivative(fn, x0: float, h: float) -> float:
     c1 = central_difference(fn, x0, h)
     c2 = central_difference(fn, x0, h / 2.0)
     return (4.0 * c2 - c1) / 3.0
+
+
+def _project_columns(M: np.ndarray, n: int, a: float, b: float, rng) -> np.ndarray:
+    """Scale the two column groups of M so A = S M^H M meets both constraints.
+
+    Column group norms satisfy Tr(A) = s_+ - s_- and Tr(SA) = s_+ + s_-
+    with s_± the squared norms of the first/last n columns, so the targets
+    pin them to (b+a)/2 and (b-a)/2 exactly.
+    """
+    M = M.copy()
+    targets = (0.5 * (b + a), 0.5 * (b - a))
+    for group, target in zip((slice(0, n), slice(n, 2 * n)), targets):
+        cur = float(np.sum(np.abs(M[:, group]) ** 2))
+        if cur <= 1e-300:
+            if target <= 0.0:
+                M[:, group] = 0.0
+                continue
+            fill = rng.standard_normal(M[:, group].shape) + 1j * rng.standard_normal(
+                M[:, group].shape
+            )
+            M[:, group] = fill
+            cur = float(np.sum(np.abs(M[:, group]) ** 2))
+        M[:, group] *= np.sqrt(max(target, 0.0) / cur)
+    return M
+
+
+def brute_force(
+    problem: PointwiseProblem,
+    samples: int = 400,
+    refinements: int = 6,
+    seed: int = 0,
+) -> float:
+    """Best objective found by random search plus local refinement.
+
+    Works in the parametrization ``A = S M^H M`` (positivity for free) with
+    exact constraint projection by column-group scaling, and refines the
+    best random starts with a quasi-Newton local search on the projected
+    objective.  Serves as an independent cross-check of :func:`solve`.
+    """
+    space = problem.space
+    if space.n > 2:
+        raise ValidationError("the brute-force oracle is limited to n <= 2")
+    a, b = problem.a, problem.b
+    n, d = space.n, space.dim
+    if b == 0.0:
+        return 0.0
+    sig = space.signature
+    qS = problem.q * sig[None, :]
+    rng = np.random.default_rng(seed)
+
+    def objective_of(M: np.ndarray) -> float:
+        return float(np.real(np.trace(qS @ M.conj().T @ M)))
+
+    def unpack(x: np.ndarray) -> np.ndarray:
+        half = d * d
+        return (x[:half] + 1j * x[half:]).reshape(d, d)
+
+    def pack(M: np.ndarray) -> np.ndarray:
+        return np.concatenate([M.real.ravel(), M.imag.ravel()])
+
+    def projected_objective(x: np.ndarray) -> float:
+        return objective_of(_project_columns(unpack(x), n, a, b, rng))
+
+    best: list = []
+    for _ in range(samples):
+        M = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        M = _project_columns(M, n, a, b, rng)
+        best.append((objective_of(M), M))
+    best.sort(key=lambda pair: pair[0])
+
+    # Imported here, not at module level: only this oracle needs
+    # scipy.optimize, so test runs that never call it skip its import time.
+    import scipy.optimize
+
+    best_val = best[0][0]
+    for _, M0 in best[:refinements]:
+        res = scipy.optimize.minimize(
+            projected_objective,
+            pack(M0),
+            method="L-BFGS-B",
+            options={"maxiter": 300},
+        )
+        candidate = objective_of(_project_columns(unpack(res.x), n, a, b, rng))
+        best_val = min(best_val, candidate)
+    return best_val

@@ -16,6 +16,7 @@ import numpy as np
 
 import kreinact as ka
 from conftest import (
+    brute_force,
     make_rng,
     oracle_eigenvalues,
     random_measure_for,
@@ -104,7 +105,7 @@ def test_acceptance_03_solver_matches_grid_search():
         a = b * float(rng.uniform(-0.999, 0.999))
         problem = ka.PointwiseProblem(space=SP1, q=q, a=a, b=b)
         sol = ka.solve(problem)
-        ref = ka.brute_force(problem, samples=250, refinements=4, seed=seed)
+        ref = brute_force(problem, samples=250, refinements=4, seed=seed)
         worst = max(worst, abs(sol.objective - ref))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-4 and elapsed < 60.0

@@ -632,7 +632,7 @@ def test_module_entry_point_runs_the_cli():
 
 def test_pipeline_does_not_import_scipy(tmp_path):
     # scipy costs more import time than numpy and the whole toy run
-    # together; only the brute_force oracle needs it.
+    # together; the package does not depend on it, only the tests' oracles.
     script = f"""
 import sys
 import kreinact

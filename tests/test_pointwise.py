@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_rng, random_positive, random_symmetric
+from conftest import brute_force, make_rng, random_positive, random_symmetric
 from kreinact import (
     AlphaValue,
     InfeasibleProblemError,
@@ -25,7 +25,6 @@ from kreinact import (
     ValidationError,
     a_of_alpha,
     beta_of_alpha,
-    brute_force,
     lagrange_from_point,
     random_measure,
     restore_constraints,
@@ -573,21 +572,80 @@ def test_lagrange_from_point_accepts_every_block_decoupled_boundary_solution(n):
             assert lagrange_from_point(q, sol.A, space, strict=False) == sol.family
 
 
-@pytest.mark.parametrize("n", [1, 2])
-def test_lagrange_from_point_recovers_solve_multipliers_next_to_the_boundary(n):
-    # 1 - |a/b| = 5e-10 and 5e-11 lies outside the boundary band, which
-    # scales with b, so solve returns interior solutions; lagrange_from_point
-    # applies the same rule and must certify them.  |alpha| runs to ~1e5 here.
+# Targets |a| next to b, as (b, |a|) pairs: |a| = b - 5e-13 at small b, and
+# 1 - |a/b| from 1.05e-12 to 1e-11 at larger b.
+_ABSOLUTE_OFFSET = [(b, b - 5e-13) for b in (1e-3, 1e-2)]
+_RELATIVE_OFFSET = [(b, (1.0 - gap) * b) for b in (0.01, 0.3) for gap in np.geomspace(1.05e-12, 1e-11, 10)]
+
+
+@pytest.mark.parametrize(
+    "n, targets",
+    [pytest.param(n, _ABSOLUTE_OFFSET, id=f"{n}") for n in (1, 2)]
+    + [pytest.param(n, _RELATIVE_OFFSET, id=f"{n}-relative") for n in (1, 2)],
+)
+def test_lagrange_from_point_recovers_solve_multipliers_next_to_the_boundary(n, targets):
+    # Every 1 - |a/b| here lies outside the boundary band, which scales with
+    # b, so solve returns interior solutions; lagrange_from_point applies the
+    # same rule and must certify them.  |alpha| runs to ~1e5 at the absolute
+    # offset and to ~1e6 at the relative one, where the least-squares beta
+    # loses digits: the certifier reports the lowest eigenvalue, as solve does.
     space = SignatureSpace(n)
     for seed in range(10):
         q = random_symmetric(space, make_rng(700 + seed))
-        for b in (1e-3, 1e-2):
-            for a in (b - 5e-13, -(b - 5e-13)):
+        for b, size in targets:
+            for a in (size, -size):
                 sol = solve(PointwiseProblem(space=space, q=q, a=a, b=b))
                 assert sol.tag == "interior" and sol.multipliers_valid
                 alpha, beta = lagrange_from_point(q, sol.A, space, strict=True)
                 assert alpha == pytest.approx(sol.alpha, rel=1e-9)
                 assert beta == pytest.approx(sol.beta, rel=1e-9)
+
+
+def test_lagrange_from_point_certifies_weakly_coupled_solutions():
+    # With qhat_{+-} scaled by 1e-9 the two lowest eigenvalues of qhat - alpha S
+    # lie within one cluster width of each other, so solve mixes both
+    # eigenvectors into A.  lagrange_from_point, by the same cluster rule,
+    # certifies the mixture and reports the lowest eigenvalue as beta.
+    rng = make_rng(20261019)
+    for n in (1, 2):
+        space = SignatureSpace(n)
+        d = space.dim
+        for _ in range(20):
+            M = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            qhat = 0.5 * (M + M.conj().T)
+            qhat[:n, n:] *= 1e-9
+            qhat[n:, :n] *= 1e-9
+            q = space.signature[:, None] * qhat
+            for t in (-0.9, -0.45, 0.0, 0.45, 0.9):
+                sol = solve(PointwiseProblem(space=space, q=q, a=t, b=1.0))
+                assert sol.tag == "interior"
+                alpha, beta = lagrange_from_point(q, sol.A, space, strict=True)
+                assert alpha == pytest.approx(sol.alpha, rel=1e-9)
+                assert beta == pytest.approx(sol.beta, rel=1e-12)
+
+
+def mixture_across_a_gap(gap: float):
+    """``(q, A)`` with ``A`` an even mix of the two lowest eigenvectors of
+    ``qhat - 0.7 S``, whose spectrum ``(-2, -2 + gap, 0.5, 1.5)`` has norm 2
+    and so cluster width ``_DEGENERACY_REL * 2``."""
+    space = SignatureSpace(2)
+    rng = make_rng(41)
+    U, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    qhat = (U * np.array([-2.0, -2.0 + gap, 0.5, 1.5])) @ U.conj().T + 0.7 * space.signature_matrix
+    H = 0.5 * (U[:, :2] @ U[:, :2].conj().T)
+    return space.signature[:, None] * qhat, H * space.signature[None, :], space
+
+
+def test_lagrange_from_point_certifies_a_mixture_inside_the_cluster():
+    width = 2.0 * pointwise._DEGENERACY_REL
+    q, A, space = mixture_across_a_gap(0.5 * width)
+    alpha, beta = lagrange_from_point(q, A, space, strict=True)
+    assert alpha == pytest.approx(0.7, abs=1e-8)
+    assert beta == pytest.approx(-2.0, abs=1e-8)
+    q, A, space = mixture_across_a_gap(5.0 * width)
+    for strict in (True, False):
+        with pytest.raises(ValidationError, match="not stationary"):
+            lagrange_from_point(q, A, space, strict=strict)
 
 
 @pytest.mark.parametrize("b", [0.3, 2.5])
