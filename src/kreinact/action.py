@@ -57,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances
-from .errors import NonsmoothPointError, ValidationError
+from .errors import NonsmoothPointError, ValidationError, _check_count
 from .homomeasure import OperatorMeasure
 from .krein import SignatureSpace, _adjoint
 
@@ -120,9 +120,10 @@ class PositionGrid:
     @classmethod
     def from_box(cls, radius: float, shape) -> "PositionGrid":
         """Trapezoidal grid on ``[-radius, radius]^4`` with ``shape`` points per axis."""
-        shape = tuple(int(k) for k in shape)
-        if len(shape) != 4 or any(k < 1 for k in shape):
-            raise ValidationError("grid shape must be four positive counts")
+        message = f"grid shape must be four positive integer counts, got {shape!r}"
+        shape = tuple(_check_count(k, 1, message) for k in shape)
+        if len(shape) != 4:
+            raise ValidationError(message)
         if not 0.0 < radius < math.inf:
             raise ValidationError(f"position box radius must be finite and positive, got {radius!r}")
         axes, axis_weights = [], []

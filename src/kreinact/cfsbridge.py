@@ -1,7 +1,9 @@
 """From measures to causal fermion systems: waves and local correlations.
 
-Test functions live on the atoms of a measure (one vector of ``V`` per
-atom).  The measure induces a positive semi-definite inner product
+A test function is the complex ``(k, d)`` array of its values ``u(p_j)``
+at the k atoms of a measure on ``V = C^d``, and a basis of m test functions
+is an ``(m, k, d)`` array.  The measure induces a positive semi-definite
+inner product
 
     <u | v> = sum_j  prec u(p_j) | A_j v(p_j) succ,
 
@@ -23,11 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .action import _four_vector
-from .errors import BasisReductionWarning, ValidationError
+from .errors import BasisReductionWarning, ValidationError, _check_count
 from .homomeasure import OperatorMeasure, _write_table
 
 __all__ = [
-    "TestFunction",
     "LocalCorrelation",
     "standard_basis",
     "hilbert_inner",
@@ -40,72 +41,39 @@ __all__ = [
 _GRAM_RTOL = 1e-12
 
 
-@dataclass(frozen=True)
-class TestFunction:
-    """Finitely supported map from atom indices to vectors in ``V``."""
-
-    __test__ = False  # domain object, not a pytest collection target
-
-    values: dict
-
-    def __post_init__(self):
-        clean = {}
-        for key, vec in self.values.items():
-            arr = np.asarray(vec, complex).ravel()
-            clean[int(key)] = arr
-        object.__setattr__(self, "values", clean)
-
-    def vector(self, atom_index: int, dim: int) -> np.ndarray:
-        vec = self.values.get(atom_index)
-        if vec is None:
-            return np.zeros(dim, complex)
-        if vec.shape != (dim,):
-            raise ValidationError(
-                f"test-function value at atom {atom_index} has wrong dimension"
-            )
-        return vec
+def _test_functions(measure: OperatorMeasure, values, ndim: int = 2) -> np.ndarray:
+    """``values`` as a complex array of ``ndim`` axes ending in ``(k, d)``, else ValidationError."""
+    U = np.asarray(values, complex)
+    k, d = measure.n_atoms, measure.space.dim
+    if U.ndim != ndim or U.shape[-2:] != (k, d):
+        shape = f"(m, {k}, {d})" if ndim == 3 else f"({k}, {d})"
+        raise ValidationError(f"test functions must have shape {shape} ({k} atoms, dim {d}), got {U.shape}")
+    return U
 
 
-def standard_basis(measure: OperatorMeasure, limit: int | None = None) -> list:
-    """Coordinate test functions ``u(p_j) = e_i``, one per (atom, coordinate), at most ``limit``."""
-    if limit is not None and limit < 1:
-        raise ValidationError(f"basis size (--basis-size) must be at least 1, got {limit!r}")
-    d = measure.space.dim
-    basis = []
-    for j in range(measure.n_atoms):
-        for i in range(d):
-            e = np.zeros(d, complex)
-            e[i] = 1.0
-            basis.append(TestFunction(values={j: e}))
-            if limit is not None and len(basis) >= limit:
-                return basis
-    return basis
+def standard_basis(measure: OperatorMeasure, limit: int | None = None) -> np.ndarray:
+    """Coordinate test functions ``u(p_j) = e_i`` in atom-major order, at most ``limit``."""
+    if limit is not None:
+        _check_count(limit, 1, f"basis size (--basis-size) must be an integer at least 1, got {limit!r}")
+    size = measure.n_atoms * measure.space.dim
+    return np.eye(size, dtype=complex).reshape(size, measure.n_atoms, measure.space.dim)[:limit]
 
 
-def hilbert_inner(u: TestFunction, v: TestFunction, measure: OperatorMeasure) -> complex:
-    """Induced inner product ``sum_j prec u(p_j) | A_j v(p_j) succ``."""
-    space = measure.space
-    d = space.dim
+def hilbert_inner(u: np.ndarray, v: np.ndarray, measure: OperatorMeasure) -> complex:
+    """Induced inner product ``sum_j prec u(p_j) | A_j v(p_j) succ`` of two ``(k, d)`` test functions."""
+    u, v = _test_functions(measure, u), _test_functions(measure, v)
     total = 0.0 + 0.0j
-    for j, (_, A) in enumerate(measure.atoms()):
-        uj = u.vector(j, d)
-        vj = v.vector(j, d)
-        if not uj.any() and not vj.any():
-            continue
-        total += space.inner(uj, A @ vj)
+    for uj, vj, A in zip(u, v, measure.operators):
+        total += measure.space.inner(uj, A @ vj)
     return complex(total)
 
 
-def physical_wave(u: TestFunction, measure: OperatorMeasure, x) -> np.ndarray:
-    """Wave ``psi^u(x) = sum_j e^{-i p_j . x} A_j u(p_j)``."""
+def physical_wave(u: np.ndarray, measure: OperatorMeasure, x) -> np.ndarray:
+    """Wave ``psi^u(x) = sum_j e^{-i p_j . x} A_j u(p_j)`` of a ``(k, d)`` test function."""
     x = _four_vector(x, "position")
-    space = measure.space
-    d = space.dim
-    out = np.zeros(d, complex)
-    for j, (p, A) in enumerate(measure.atoms()):
-        uj = u.vector(j, d)
-        if not uj.any():
-            continue
+    u = _test_functions(measure, u)
+    out = np.zeros(measure.space.dim, complex)
+    for uj, (p, A) in zip(u, measure.atoms()):
         out += np.exp(-1j * float(p @ x)) * (A @ uj)
     return out
 
@@ -126,25 +94,22 @@ class LocalCorrelation:
     pencil_eigenvalues: np.ndarray
 
 
-def _basis_arrays(measure: OperatorMeasure, basis: list):
+def _basis_arrays(measure: OperatorMeasure, basis: np.ndarray):
     """Point-independent arrays of the correlation pencil: ``AU``, the Gram
     matrix ``G`` and the reduction ``W`` onto its nondegenerate span.
 
     ``U[i, j] = u_i(p_j)`` and ``AU[i, j] = A_j u_i(p_j)``; the waves are the
     phase-weighted sums of ``AU`` over the atoms, and the Gram matrix pairs
-    ``U`` with ``AU`` atom by atom.  ``W`` is None when no direction of the
-    basis survives.  Called only from the public functions, so that the
+    ``U`` with ``AU`` atom by atom.  ``W`` has no column when no direction
+    of the basis survives.  Called only from the public functions, so that the
     :class:`~kreinact.errors.BasisReductionWarning` points at their caller.
     """
-    if not basis:
+    if not len(basis):
         raise ValidationError("basis must contain at least one test function")
-    sig = measure.space.signature
-    d = measure.space.dim
-    m = len(basis)
-    k = measure.n_atoms
-    U = np.array([[u.vector(j, d) for j in range(k)] for u in basis], complex).reshape(m, k, d)
+    U = _test_functions(measure, basis, ndim=3)
+    m = len(U)
     AU = np.einsum("jab,ijb->ija", measure.operators, U)
-    G = (U.conj() * sig).reshape(m, -1) @ AU.reshape(m, -1).T
+    G = (U.conj() * measure.space.signature).reshape(m, -1) @ AU.reshape(m, -1).T
     G = 0.5 * (G + G.conj().T)
 
     gw, gv = np.linalg.eigh(G)
@@ -155,7 +120,7 @@ def _basis_arrays(measure: OperatorMeasure, basis: list):
             BasisReductionWarning,
             stacklevel=3,
         )
-    W = gv[:, keep] / np.sqrt(gw[keep])[None, :] if keep.any() else None
+    W = gv[:, keep] / np.sqrt(gw[keep])[None, :]
     return AU, G, W
 
 
@@ -164,30 +129,23 @@ def _correlation_at(measure: OperatorMeasure, x: np.ndarray, AU, G, W) -> LocalC
     waves = np.einsum("j,ija->ia", np.exp(-1j * (measure.momenta @ x)), AU)
     F = -(waves.conj() * measure.space.signature) @ waves.T
     F = 0.5 * (F + F.conj().T)
-    if W is None:
-        eigs = np.zeros(0)
-    else:
-        reduced = W.conj().T @ F @ W
-        eigs = np.linalg.eigvalsh(0.5 * (reduced + reduced.conj().T))
+    reduced = W.conj().T @ F @ W
+    eigs = np.linalg.eigvalsh(0.5 * (reduced + reduced.conj().T))
     return LocalCorrelation(x=x, matrix=F, gram=G, pencil_eigenvalues=np.sort(eigs))
 
 
-def local_correlation(measure: OperatorMeasure, x, basis: list) -> LocalCorrelation:
+def local_correlation(measure: OperatorMeasure, x, basis: np.ndarray) -> LocalCorrelation:
     """Correlation matrix ``-prec psi_i(x) | psi_j(x) succ`` with pencil spectrum.
 
     A numerically singular Gram matrix triggers a
     :class:`~kreinact.errors.BasisReductionWarning` and the pencil is
     solved on the span where the Gram form is nondegenerate.
     """
-    x = _four_vector(x, "position")
-    return _correlation_at(measure, x, *_basis_arrays(measure, basis))
+    return _correlation_at(measure, _four_vector(x, "position"), *_basis_arrays(measure, basis))
 
 
-def empirical_cfs(measure: OperatorMeasure, grid, basis: list) -> list:
-    """Sampled push-forward: ``[(weight, LocalCorrelation at xi), ...]``.
-
-    The basis arrays are built once; every sample shares one Gram matrix.
-    """
+def empirical_cfs(measure: OperatorMeasure, grid, basis: np.ndarray) -> list:
+    """Sampled push-forward ``[(weight, LocalCorrelation at xi), ...]``, all from one set of basis arrays."""
     arrays = _basis_arrays(measure, basis)
     return [
         (float(w), _correlation_at(measure, np.asarray(xi, float), *arrays))

@@ -8,6 +8,8 @@ preconditions and infeasible problem data, and :class:`NumericalError`
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 __all__ = [
@@ -69,3 +71,10 @@ class RestorationError(NumericalError):
 
 class BasisReductionWarning(UserWarning):
     """A degenerate Gram matrix forced a reduction of the test-function basis."""
+
+
+def _check_count(value, least: int, message: str) -> int:
+    """``value`` as an ``int`` if it is an integral number, not a bool, ``>= least``; else ValidationError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValidationError(message)
+    return int(value)

@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _check_count
 from .krein import SignatureSpace, _positive_rows, positive_spectrum, spectral_split
 
 __all__ = [
@@ -65,7 +65,7 @@ class MomentumBox:
     def __post_init__(self):
         lower = tuple(float(x) for x in self.lower)
         upper = tuple(float(x) for x in self.upper)
-        shape = tuple(int(k) for k in self.grid_shape)
+        shape = tuple(self.grid_shape)
         if len(lower) != 4 or len(upper) != 4 or len(shape) != 4:
             raise ValidationError("momentum box requires 4-dimensional bounds and grid shape")
         # Written so that NaN fails the comparison.
@@ -74,8 +74,8 @@ class MomentumBox:
                 f"box bounds must be finite with upper above lower componentwise, "
                 f"got lower={lower}, upper={upper}"
             )
-        if any(k < 1 for k in shape):
-            raise ValidationError("grid shape entries must be >= 1")
+        message = f"grid shape entries must be >= 1 and integers, got {shape!r}"
+        shape = tuple(_check_count(k, 1, message) for k in shape)
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "grid_shape", shape)
@@ -417,7 +417,7 @@ def _check_format(data: dict, fmt: str, version: int, kind: str) -> None:
 
 def measure_from_dict(data: dict) -> OperatorMeasure:
     _check_format(data, MEASURE_FORMAT, FORMAT_VERSION, "measure")
-    space = SignatureSpace(int(data["n"]))
+    space = SignatureSpace(data["n"])
     boxd = data["box"]
     box = MomentumBox(tuple(boxd["lower"]), tuple(boxd["upper"]), tuple(boxd["grid_shape"]))
     atoms = data.get("atoms", [])
@@ -489,7 +489,7 @@ def save_operator(A: np.ndarray, space: SignatureSpace, path) -> None:
 
 def _operator_from_dict(data: dict) -> tuple:
     _check_format(data, OPERATOR_FORMAT, FORMAT_VERSION, "operator")
-    space = SignatureSpace(int(data["n"]))
+    space = SignatureSpace(data["n"])
     return space.check_operator(_matrix_from_lists(data["matrix"])), space
 
 

@@ -31,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from . import tolerances
-from .errors import ValidationError
+from .errors import ValidationError, _check_count
 
 __all__ = [
     "SignatureSpace",
@@ -60,8 +60,8 @@ class SignatureSpace:
     n: int
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
-            raise ValidationError(f"spin dimension must be a positive integer, got {self.n!r}")
+        message = f"spin dimension must be a positive integer, got {self.n!r}"
+        object.__setattr__(self, "n", _check_count(self.n, 1, message))
 
     @property
     def dim(self) -> int:

@@ -47,7 +47,6 @@ the multipliers' case, :func:`~kreinact.elverify._bound_active`.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -63,7 +62,7 @@ from .elverify import (
     lagrange_parameters,
     pushforward,
 )
-from .errors import NonsmoothPointError, RestorationError, ValidationError
+from .errors import NonsmoothPointError, RestorationError, ValidationError, _check_count
 from .homomeasure import MomentumBox, OperatorMeasure, _check_targets, _trace_functionals
 from .krein import SignatureSpace
 
@@ -121,17 +120,16 @@ class MinimizeConfig:
             )
         if not 0.0 <= self.tol_el < math.inf:
             raise ValidationError(f"tol_el must be finite and >= 0, got {self.tol_el!r}")
-        counts = [("n", self.n, 1), ("max_iterations", self.max_iterations, 1), ("seed", self.seed, 0)]
-        counts += [(f"each {name} entry", value, 1) for name in ("momentum_shape", "position_shape")
-                   for value in getattr(self, name)]
-        for name, value, least in counts:
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-                raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
-        object.__setattr__(self, "n", int(self.n))
+        def count(name, value, least=1):
+            return _check_count(value, least, f"{name} must be an integer >= {least}, got {value!r}")
+
+        object.__setattr__(self, "n", count("n", self.n))
+        object.__setattr__(self, "max_iterations", count("max_iterations", self.max_iterations))
+        object.__setattr__(self, "seed", count("seed", self.seed, 0))
+        for name in ("momentum_shape", "position_shape"):
+            object.__setattr__(self, name, tuple(count(f"each {name} entry", k) for k in getattr(self, name)))
         object.__setattr__(self, "box_lower", tuple(float(x) for x in self.box_lower))
         object.__setattr__(self, "box_upper", tuple(float(x) for x in self.box_upper))
-        object.__setattr__(self, "momentum_shape", tuple(int(k) for k in self.momentum_shape))
-        object.__setattr__(self, "position_shape", tuple(int(k) for k in self.position_shape))
         # Constructing the box validates bounds/shape consistency early.
         self.momentum_box()
 

@@ -422,7 +422,10 @@ def lagrange_from_point(
     multipliers form a family; ``strict=True`` raises
     :class:`~kreinact.errors.NonUniqueMultipliersError` carrying it,
     ``strict=False`` returns a :class:`MultiplierFamily` (degenerate to a
-    single point at interior inputs).  Both branches check stationarity:
+    single point at interior inputs).  At ``A = 0``, where every pair with
+    ``S q - alpha S - beta >= 0`` is admissible, both ``strict`` values raise
+    :class:`~kreinact.errors.NonUniqueMultipliersError` with ``family=None``.
+    Both branches check stationarity:
     ``||A (q - alpha - beta S)||_2`` must vanish at the family's canonical
     pair on the boundary (whose ray is psd by construction).  Inside, alpha
     is the least-squares one, beta the lowest eigenvalue of ``S q - alpha S``
@@ -438,6 +441,11 @@ def lagrange_from_point(
     sig = space.signature
     qhat = _qhat(q, sig)
     a, b = (float(x.real) for x in _trace_functionals(A, space))
+    if b == 0.0:  # solve's trivial point A = 0
+        raise NonUniqueMultipliersError(
+            "A = 0: every (alpha, beta) with S q - alpha S - beta >= 0 is admissible, "
+            "a two-dimensional set that no MultiplierFamily line holds"
+        )
     scale = max(float(np.linalg.norm(qhat, 2)), 1.0)
 
     if not (side := _boundary_side(a, b)):

@@ -9,7 +9,6 @@ from kreinact import (
     OperatorMeasure,
     PositionGrid,
     SignatureSpace,
-    TestFunction,
     ValidationError,
     correlations_to_csv,
     empirical_cfs,
@@ -23,13 +22,9 @@ from kreinact import (
 SP1 = SignatureSpace(1)
 
 
-def combine(basis, coefficients) -> TestFunction:
+def combine(basis, coefficients) -> np.ndarray:
     """Linear combination of test functions (pointwise on atom indices)."""
-    values: dict = {}
-    for c, u in zip(coefficients, basis):
-        for j, vec in u.values.items():
-            values[j] = values.get(j, 0.0) + c * vec
-    return TestFunction(values=values)
+    return np.tensordot(coefficients, basis, axes=1)
 
 
 # ---------------------------------------------------------------------------
@@ -42,7 +37,51 @@ def test_standard_basis_enumerates_atoms_and_coordinates():
     assert len(basis) == measure.n_atoms * SP1.dim
     assert len(standard_basis(measure, limit=3)) == 3
     # Each basis element is supported on a single atom.
-    assert all(len(u.values) == 1 for u in basis)
+    assert all(np.count_nonzero(u.any(axis=1)) == 1 for u in basis)
+
+
+def test_standard_basis_is_the_atom_major_identity():
+    measure = massless_fixture([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    k, d = measure.n_atoms, measure.space.dim
+    basis = standard_basis(measure)
+    assert basis.shape == (k * d, k, d)
+    assert basis.dtype == complex
+    for j in range(k):
+        for i in range(d):
+            expected = np.zeros((k, d))
+            expected[j, i] = 1.0
+            np.testing.assert_array_equal(basis[j * d + i], expected)
+    np.testing.assert_array_equal(standard_basis(measure, limit=3), basis[:3])
+    np.testing.assert_array_equal(standard_basis(measure, limit=np.int64(5)), basis[:5])
+    np.testing.assert_array_equal(standard_basis(measure, limit=k * d + 4), basis)
+
+
+@pytest.mark.parametrize("limit", [2.5, True, 3.0])
+def test_standard_basis_rejects_a_limit_that_is_not_an_integer(limit):
+    # limit=2.5 used to return 3 functions.
+    measure = massless_fixture([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    with pytest.raises(ValidationError, match="--basis-size"):
+        standard_basis(measure, limit=limit)
+
+
+def test_test_functions_of_the_wrong_shape_are_rejected():
+    # A test function is the (k, d) array of its values at the k atoms; the
+    # error names the expected and the actual shape.
+    measure = massless_fixture([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    x = np.zeros(4)
+    with pytest.raises(ValidationError, match=r"\(2, 4\).*\(2, 5\)"):
+        physical_wave(np.ones((2, 5)), measure, x)
+    with pytest.raises(ValidationError, match=r"\(3, 4\)"):
+        physical_wave(np.ones((3, 4)), measure, x)
+    with pytest.raises(ValidationError, match=r"\(2, 4\).*\(4,\)"):
+        hilbert_inner(np.ones(4), np.ones((2, 4)), measure)
+    with pytest.raises(ValidationError, match=r"\(m, 2, 4\).*\(8, 3, 4\)"):
+        local_correlation(measure, x, np.ones((8, 3, 4)))
+    # One function is not a basis, and a basis is not one function.
+    with pytest.raises(ValidationError, match=r"\(m, 2, 4\).*\(2, 4\)"):
+        local_correlation(measure, x, np.ones((2, 4)))
+    with pytest.raises(ValidationError, match=r"\(2, 4\).*\(8, 2, 4\)"):
+        physical_wave(standard_basis(measure), measure, x)
 
 
 @pytest.mark.parametrize("limit", [0, -5])
@@ -84,20 +123,20 @@ def test_gram_matrix_is_hermitian_psd():
 def test_physical_wave_formula_and_validation():
     measure = random_measure_for(SP1, make_rng(3), n_atoms=2)
     rng = make_rng(4)
-    u = TestFunction(
-        values={j: rng.standard_normal(2) + 1j * rng.standard_normal(2)
-                for j in range(measure.n_atoms)}
+    u = np.array(
+        [rng.standard_normal(2) + 1j * rng.standard_normal(2)
+         for j in range(measure.n_atoms)]
     )
     x = np.array([0.3, -0.1, 0.0, 0.7])
     expected = sum(
-        np.exp(-1j * float(p @ x)) * (A @ u.values[j])
+        np.exp(-1j * float(p @ x)) * (A @ u[j])
         for j, (p, A) in enumerate(measure.atoms())
     )
     np.testing.assert_allclose(physical_wave(u, measure, x), expected, atol=1e-13)
     with pytest.raises(ValidationError):
         physical_wave(u, measure, np.zeros(3))
     with pytest.raises(ValidationError):
-        u_bad = TestFunction(values={0: np.ones(5)})
+        u_bad = np.ones((measure.n_atoms, 5))
         physical_wave(u_bad, measure, x)
 
 
@@ -205,7 +244,7 @@ def test_degenerate_gram_triggers_basis_reduction():
                                  + (SP1.signature[:, None] * A).conj().T))
     kernel_vec = V[:, 0]  # eigenvalue ~ 0
     range_vec = V[:, 1]
-    basis = [TestFunction(values={0: kernel_vec}), TestFunction(values={0: range_vec})]
+    basis = [[kernel_vec], [range_vec]]
     with pytest.warns(BasisReductionWarning):
         corr = local_correlation(measure, np.zeros(4), basis)
     assert len(corr.pencil_eigenvalues) == 1

@@ -218,6 +218,19 @@ def test_verify_flags_non_stationary_measure(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("key, value, message", [("n", 1.9, "spin dimension"),
+                                                 ("grid_shape", [2.5, 1, 1, True], "grid shape")])
+def test_verify_rejects_a_measure_file_with_non_integer_counts(tmp_path, capsys, key, value, message):
+    fixture_path = tmp_path / "random.json"
+    assert main(["fixture", "random", "--out", str(fixture_path), "--seed", "0",
+                 "--atoms", "2", "--grid", "2,1,1,1"]) == 0
+    doc = json.loads(fixture_path.read_text())
+    (doc if key == "n" else doc["box"])[key] = value
+    fixture_path.write_text(json.dumps(doc))
+    assert main(["verify", str(fixture_path)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_verify_rejects_a_measure_whose_trace_misses_c(tmp_path, capsys):
     fixture_path = tmp_path / "empty.json"
     assert main(["fixture", "random", "--atoms", "0", "--out", str(fixture_path)]) == 0

@@ -13,6 +13,7 @@ from kreinact import tolerances
 from kreinact import (
     MomentumBox,
     OperatorMeasure,
+    PositionGrid,
     SignatureSpace,
     ValidationError,
     constraint_values,
@@ -421,6 +422,49 @@ def test_measure_load_rejects_wrong_format(tmp_path):
     path.write_text(json.dumps({"format": "something-else", "version": 1}))
     with pytest.raises(ValidationError):
         load_measure(path)
+
+
+def _count_reproduction_dict() -> dict:
+    box = MomentumBox((-1,) * 4, (1,) * 4, (2, 1, 1, 1))
+    return measure_to_dict(random_measure(SignatureSpace(1), box, 2, make_rng(0)))
+
+
+@pytest.mark.parametrize("bad", [1.9, 2.0, True, "1", 0])
+def test_counts_must_be_integers_not_bools(tmp_path, bad):
+    # One rule for every count: an integral number, not a bool, at or above
+    # its floor. Measure and operator files used to truncate n = 1.9 to 1
+    # and grid_shape [2.5, 1, 1, True] to (2, 1, 1, 1).
+    with pytest.raises(ValidationError, match="spin dimension"):
+        SignatureSpace(bad)
+    shape = (bad, 1, 1, 1)
+    with pytest.raises(ValidationError, match="grid shape entries must be >= 1"):
+        MomentumBox((-1,) * 4, (1,) * 4, shape)
+    with pytest.raises(ValidationError, match="grid shape"):
+        PositionGrid.from_box(1.0, shape)
+    doc = _count_reproduction_dict()
+    doc["n"] = bad
+    with pytest.raises(ValidationError, match="spin dimension"):
+        measure_from_dict(doc)
+    doc = _count_reproduction_dict()
+    doc["box"]["grid_shape"] = [2, 1, 1, bad]
+    with pytest.raises(ValidationError, match="grid shape"):
+        measure_from_dict(doc)
+    path = tmp_path / "op.json"
+    save_operator(np.eye(2), SignatureSpace(1), path)
+    doc = json.loads(path.read_text())
+    doc["n"] = bad
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError, match="spin dimension"):
+        load_operator(path)
+
+
+def test_count_rule_keeps_numpy_integers():
+    assert SignatureSpace(np.int64(2)).n == 2
+    assert type(SignatureSpace(np.int64(2)).n) is int
+    box = MomentumBox((-1,) * 4, (1,) * 4, np.array([3, 1, 2, 1]))
+    assert box.grid_shape == (3, 1, 2, 1)
+    assert all(type(k) is int for k in box.grid_shape)
+    assert len(PositionGrid.from_box(1.0, np.array([3, 1, 1, 1])).points) == 3
 
 
 def test_operator_round_trip_bit_exact(tmp_path):

@@ -1,5 +1,6 @@
 """Tests for constraint restoration and the constrained gradient minimizer."""
 
+import json
 import math
 from dataclasses import replace
 
@@ -59,6 +60,16 @@ def test_config_round_trip():
     config = MinimizeConfig(n=2, c=0.3, f=0.9, seed=7, smoothing_delta=0.5,
                             momentum_shape=(2, 1, 1, 2), position_shape=(3, 1, 1, 3))
     assert config_from_dict(config_to_dict(config)) == config
+
+
+def test_config_stores_numpy_counts_as_ints():
+    # The seed and the iteration cap were checked but kept as numpy integers,
+    # which the JSON writer of config.json cannot serialize.
+    config = MinimizeConfig(n=np.int64(1), seed=np.int64(3), max_iterations=np.int64(7),
+                            momentum_shape=np.array([2, 1, 1, 1]))
+    data = config_to_dict(config)
+    assert all(type(data[key]) is int for key in ("n", "seed", "max_iterations"))
+    assert json.loads(json.dumps(data))["momentum_shape"] == [2, 1, 1, 1]
 
 
 def test_config_rejects_unknown_keys():

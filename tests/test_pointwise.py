@@ -722,6 +722,21 @@ def test_zero_targets_give_zero_minimizer():
     assert brute_force(PointwiseProblem(space=SP1, q=rotation_coefficient(), a=0.0, b=0.0)) == 0.0
 
 
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("strict", [True, False])
+def test_lagrange_from_point_at_the_trivial_point_has_no_unique_multipliers(n, strict):
+    # At A = 0 every (alpha, beta) with S q - alpha S - beta >= 0 is
+    # admissible: a two-dimensional set, which no MultiplierFamily line holds.
+    # It used to raise ValidationError "admits no Lagrange multipliers".
+    sp = SignatureSpace(n)
+    for q in (random_symmetric(sp, make_rng(1)), sp.signature_matrix.astype(complex)):
+        sol = solve(PointwiseProblem(space=sp, q=q, a=0.0, b=0.0))
+        assert sol.tag == "trivial"
+        with pytest.raises(NonUniqueMultipliersError, match="two-dimensional") as info:
+            lagrange_from_point(q, sol.A, sp, strict=strict)
+        assert info.value.family is None
+
+
 def test_direct_search_limited_to_small_spaces():
     sp = SignatureSpace(3)
     q = np.zeros((6, 6), dtype=complex)
