@@ -387,7 +387,10 @@ def _fd_gradient(measure, xi, space, delta):
     slope = np.maximum(np.abs(fwd[0]), np.abs(bwd[0]))
     flat = slope <= floor
     if np.any(~flat & (gap[0] > _KINK_REL * slope + floor) & (gap[2] > 0.5 * gap[0])):
-        raise NonsmoothPointError("one-sided derivatives of the Lagrangian disagree (kink)", xi=xi)
+        message = "one-sided derivatives of the Lagrangian disagree (kink)"
+        if delta == 0:
+            message += "; use a positive smoothing delta (smoothing_delta / --smoothing-delta)"
+        raise NonsmoothPointError(message, xi=xi)
     c1 = (f[0, 0] - f[0, 1]) / (2 * h)
     c2 = (f[1, 0] - f[1, 1]) / h
     deriv = np.where(flat, 0.0, (4.0 * c2 - c1) / 3.0).reshape(2, d, d)

@@ -4,7 +4,8 @@ One binary with subcommands; every output is a pure function of the
 parsed configuration and seed (no timestamps or environment state), so
 identical invocations produce byte-identical files.  Exit codes: 0 on
 success, 2 on validation/input failures (including a failed verification
-verdict), 3 on numerical failures.
+verdict and a path that cannot be read or written), 3 on numerical
+failures.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .homomeasure import (
     random_measure,
     save_measure,
 )
-from .krein import SignatureSpace
+from .krein import SignatureSpace, _require_symmetric
 from .minimize import MinimizeConfig, config_from_dict, config_to_dict, minimize_action
 from .pointwise import PointwiseProblem, a_of_alpha, solve
 
@@ -180,6 +181,7 @@ def cmd_verify(args) -> int:
                 f"--q-file operator acts on a space of dimension {q_space.dim} (n={q_space.n}), "
                 f"the measure on dimension {measure.space.dim} (n={measure.space.n})"
             )
+        q = _require_symmetric(q, q_space, f"--q-file operator {args.q_file}")
         qhats = np.repeat(q[None], len(probes), axis=0)
         tail = None
     else:
@@ -393,7 +395,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return int(args.func(args))
-    except (ValidationError, FileNotFoundError) as err:
+    except (ValidationError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except (KreinactError, np.linalg.LinAlgError) as err:

@@ -37,7 +37,7 @@ from .homomeasure import (
     _write_document,
     _write_table,
 )
-from .krein import SignatureSpace
+from .krein import SignatureSpace, _require_symmetric
 
 __all__ = [
     "PushforwardMeasure",
@@ -206,8 +206,9 @@ def _gaps(w: np.ndarray, V: np.ndarray, space: SignatureSpace) -> np.ndarray:
 
 
 def support_gap(qhat, alpha: float, beta: float, space: SignatureSpace) -> float:
-    """``g(p)`` of the shifted gradient field ``Qhat(p) - alpha - beta S``, given ``Qhat(p)``."""
-    _, w, V = _shifted_spectra(space.check_operator(qhat)[None], alpha, beta, space)
+    """``g(p)`` of the shifted gradient field ``Qhat(p) - alpha - beta S``, given a symmetric ``Qhat(p)``."""
+    qhat = _require_symmetric(qhat, space, "support_gap Qhat")
+    _, w, V = _shifted_spectra(qhat[None], alpha, beta, space)
     return float(_gaps(w, V, space)[0])
 
 
@@ -309,63 +310,41 @@ def check_first_order(report: ELReport, tol_el: float = tolerances.EL_RESIDUAL) 
 # Serialization
 # ---------------------------------------------------------------------------
 
-def _floats(values) -> list:
-    return [float(v) for v in np.asarray(values).ravel()]
+# The report document, stated once: its scalars in document order, each with the
+# reader of its value, then per probe and per atom entry each key and its ELReport column.
+_SCALARS = {"alpha": float, "beta": float, "case_tag": str, "qhat_scale": float,
+            "tail_magnitude": lambda value: None if value is None else float(value)}
+_ENTRIES = {
+    "probes": {"p": "probe_points", "psd_margin": "probe_margins", "gap": "probe_gaps"},
+    "atoms": {"p": "atom_points", "residual_left": "atom_residual_left",
+              "residual_right": "atom_residual_right", "gap": "atom_gaps", "norm": "atom_norms"},
+}
+# Keys a document may omit, and what they read as; reports from before norms were recorded lack "norm".
+_DEFAULTS = {"tail_magnitude": None, "probes": [], "atoms": [], "norm": 1.0}
+
+
+def _entry(doc: dict, key: str):
+    return doc.get(key, _DEFAULTS[key]) if key in _DEFAULTS else doc[key]
 
 
 def report_to_dict(report: ELReport) -> dict:
-    return {
-        "format": REPORT_FORMAT,
-        "version": REPORT_VERSION,
-        "alpha": report.alpha,
-        "beta": report.beta,
-        "case_tag": report.case_tag,
-        "qhat_scale": report.qhat_scale,
-        "tail_magnitude": report.tail_magnitude,
-        "probes": [
-            {"p": _floats(p), "psd_margin": float(m), "gap": float(g)}
-            for p, m, g in zip(report.probe_points, report.probe_margins, report.probe_gaps)
-        ],
-        "atoms": [
-            {
-                "p": _floats(p),
-                "residual_left": float(left),
-                "residual_right": float(right),
-                "gap": float(g),
-                "norm": float(norm),
-            }
-            for p, left, right, g, norm in zip(
-                report.atom_points,
-                report.atom_residual_left,
-                report.atom_residual_right,
-                report.atom_gaps,
-                report.atom_norms,
-            )
-        ],
-    }
+    doc = {"format": REPORT_FORMAT, "version": REPORT_VERSION}
+    doc.update((key, getattr(report, key)) for key in _SCALARS)
+    for name, columns in _ENTRIES.items():
+        values = [np.asarray(getattr(report, column), float).tolist() for column in columns.values()]
+        doc[name] = [dict(zip(columns, entry)) for entry in zip(*values)]
+    return doc
 
 
 def report_from_dict(data: dict) -> ELReport:
     _check_format(data, REPORT_FORMAT, REPORT_VERSION, "report")
-    probes = data.get("probes", [])
-    atoms = data.get("atoms", [])
-    return ELReport(
-        alpha=float(data["alpha"]),
-        beta=float(data["beta"]),
-        case_tag=str(data["case_tag"]),
-        probe_points=np.asarray([e["p"] for e in probes], float).reshape(len(probes), 4),
-        probe_margins=np.asarray([e["psd_margin"] for e in probes], float),
-        probe_gaps=np.asarray([e["gap"] for e in probes], float),
-        atom_points=np.asarray([e["p"] for e in atoms], float).reshape(len(atoms), 4),
-        atom_residual_left=np.asarray([e["residual_left"] for e in atoms], float),
-        atom_residual_right=np.asarray([e["residual_right"] for e in atoms], float),
-        atom_gaps=np.asarray([e["gap"] for e in atoms], float),
-        atom_norms=np.asarray([e.get("norm", 1.0) for e in atoms], float),
-        qhat_scale=float(data["qhat_scale"]),
-        tail_magnitude=None
-        if data.get("tail_magnitude") is None
-        else float(data["tail_magnitude"]),
-    )
+    fields = {key: read(_entry(data, key)) for key, read in _SCALARS.items()}
+    for name, columns in _ENTRIES.items():
+        entries = _entry(data, name)
+        for key, column in columns.items():
+            values = np.asarray([_entry(entry, key) for entry in entries], float)
+            fields[column] = values.reshape(len(entries), 4) if key == "p" else values
+    return ELReport(**fields)
 
 
 def save_report(report: ELReport, path) -> None:

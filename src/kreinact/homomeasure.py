@@ -449,24 +449,21 @@ def _write_table(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
 def _read_document(path, kind: str, build):
     """Parse the JSON file at ``path`` and return ``build(document)``.
 
-    Invalid JSON, a document that is not a JSON object, and a missing or
-    ill-typed field (a ``KeyError``, ``TypeError``, ``IndexError`` or
-    ``ValueError`` inside ``build``) raise a :class:`ValidationError` that
-    names the file and ``kind``.
+    One rule covers every defect of the contents: bytes that are not UTF-8,
+    invalid JSON, a document that is not a JSON object, and a missing or
+    ill-typed field or a failed check inside ``build`` (a ``KeyError``,
+    ``TypeError``, ``IndexError`` or ``ValueError``, the package's own
+    :class:`ValidationError` included) raise a :class:`ValidationError`
+    that names ``kind`` and the file and keeps the original message.  An
+    ``OSError`` (a missing file, a directory) passes through; it names the
+    path itself.
     """
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise ValidationError(f"{kind} file {path} is not valid JSON: {err}") from err
-    if not isinstance(data, dict):
-        raise ValidationError(
-            f"{kind} file {path} holds a JSON {type(data).__name__}, not an object"
-        )
     try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+        if not isinstance(data, dict):
+            raise TypeError(f"the document is a JSON {type(data).__name__}, not an object")
         return build(data)
-    except ValidationError:  # a ValueError already worded for the user
-        raise
     except (KeyError, TypeError, IndexError, ValueError) as err:
         raise ValidationError(f"malformed {kind} file {path}: {type(err).__name__}: {err}") from err
 

@@ -157,6 +157,13 @@ def _require_positive(A: np.ndarray, space: SignatureSpace, who: str) -> np.ndar
     return A
 
 
+def _require_symmetric(A: np.ndarray, space: SignatureSpace, who: str) -> np.ndarray:
+    A = space.check_operator(A)
+    if not is_symmetric(A, space):
+        raise ValidationError(f"{who} must be Krein symmetric")
+    return A
+
+
 def positive_spectrum(A: np.ndarray, space: SignatureSpace) -> np.ndarray:
     """Real spectrum of a positive operator, ascending, with multiplicities.
 
@@ -264,9 +271,7 @@ def classified_spectrum(T: np.ndarray, space: SignatureSpace):
     inner product), ``-1`` (negative definite), or ``0`` (indefinite,
     degenerate, or non-real pair).  Used for spectral-interval diagnostics.
     """
-    T = space.check_operator(T)
-    if not is_symmetric(T, space):
-        raise ValidationError("classified_spectrum requires a symmetric operator")
+    T = _require_symmetric(T, space, "classified_spectrum operand")
     lam, X = np.linalg.eig(T)
     zero_tol = tolerances.ZERO_EIGENVALUE
     scale = _scale(T)

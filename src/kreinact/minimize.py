@@ -336,19 +336,6 @@ def minimize_action(config: MinimizeConfig) -> MinimizeResult:
         total = _operators_from_Ms(space, Ms_raw).sum(axis=0)
         return Ms_raw * _restoring_factors(total, space.n, config.c, config.f)[None, None, :]
 
-    def evaluator_for(measure: OperatorMeasure, solved=None) -> QHatEvaluator:
-        try:
-            return QHatEvaluator(measure, grid, smoothing_delta=delta, _support=support, _solved=solved)
-        except NonsmoothPointError as err:
-            if delta == 0.0:
-                raise NonsmoothPointError(
-                    "the exact Lagrangian is not differentiable at the current "
-                    "iterate; rerun with a positive smoothing delta "
-                    "(smoothing_delta / --smoothing-delta)",
-                    xi=err.xi,
-                ) from err
-            raise
-
     def trial(Ms_raw: np.ndarray, to_beat: float):
         """``(Ms, measure, action, evaluator)`` of the restored ``Ms_raw`` if its
         action is below ``to_beat``; None for a rejected trial.  One chain
@@ -366,14 +353,16 @@ def minimize_action(config: MinimizeConfig) -> MinimizeResult:
         try:
             # A step may land on a nondifferentiable point of the exact
             # Lagrangian; treat that as a rejected trial.
-            return Ms_try, measure_try, action_try, evaluator_for(measure_try, solved)
+            return Ms_try, measure_try, action_try, QHatEvaluator(
+                measure_try, grid, smoothing_delta=delta, _support=support, _solved=solved
+            )
         except NonsmoothPointError:
             return None
 
     Ms = restored(Ms)
     measure = _measure_from_Ms(space, box, momenta, Ms)
     current_action = action(measure, grid, delta, _support=support)
-    evaluator = evaluator_for(measure)
+    evaluator = QHatEvaluator(measure, grid, smoothing_delta=delta, _support=support)
     trace_log: list = []
     previous = None  # real views of (Ms, G) before the last accepted step
     memory = _CurvatureMemory(2 * Ms.size)

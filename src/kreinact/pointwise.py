@@ -49,7 +49,7 @@ from .errors import (
     ValidationError,
 )
 from .homomeasure import _trace_functionals
-from .krein import SignatureSpace, is_positive, is_symmetric
+from .krein import SignatureSpace, _require_symmetric, is_positive
 
 __all__ = [
     "PointwiseProblem",
@@ -67,13 +67,6 @@ _BISECT_MAX = 300
 _ONE = np.ones((1, 1))
 
 
-def _symmetric_coefficient(q: np.ndarray, space: SignatureSpace) -> np.ndarray:
-    q = space.check_operator(q)
-    if not is_symmetric(q, space):
-        raise ValidationError("coefficient operator must be Krein symmetric")
-    return q
-
-
 def _qhat(q: np.ndarray, sig: np.ndarray) -> np.ndarray:
     """Hermitian coefficient ``S q`` of an already validated ``q``."""
     qhat = sig[:, None] * q
@@ -81,7 +74,7 @@ def _qhat(q: np.ndarray, sig: np.ndarray) -> np.ndarray:
 
 
 def _hermitian_coefficient(q: np.ndarray, space: SignatureSpace) -> np.ndarray:
-    return _qhat(_symmetric_coefficient(q, space), space.signature)
+    return _qhat(_require_symmetric(q, space, "coefficient operator"), space.signature)
 
 
 @dataclass(frozen=True)
@@ -94,7 +87,7 @@ class PointwiseProblem:
     b: float
 
     def __post_init__(self):
-        q = _symmetric_coefficient(self.q, self.space)
+        q = _require_symmetric(self.q, self.space, "coefficient operator")
         a = float(self.a)
         b = float(self.b)
         if not (np.isfinite(a) and np.isfinite(b)):
@@ -434,7 +427,7 @@ def lagrange_from_point(
     eigenvectors.  Points that fail raise
     :class:`~kreinact.errors.ValidationError`.
     """
-    q = _symmetric_coefficient(q, space)
+    q = _require_symmetric(q, space, "coefficient operator")
     A = space.check_operator(A)
     if not is_positive(A, space):
         raise ValidationError("the candidate operator must be positive")

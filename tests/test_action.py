@@ -379,6 +379,7 @@ def test_gradient_kink_raises_nonsmooth(monkeypatch):
         with pytest.raises(NonsmoothPointError) as err:
             gradient_kernel_Q(meas, xstar)
         np.testing.assert_array_equal(err.value.xi, xstar)
+        assert "use a positive smoothing delta (smoothing_delta / --smoothing-delta)" in str(err.value)
         with pytest.raises(NonsmoothPointError) as err:
             gradient_kernel_Q(meas, -xstar)
         np.testing.assert_array_equal(err.value.xi, -xstar)

@@ -328,9 +328,13 @@ def _without(key):
         ("pointwise", "operator", _without("matrix")),
         ("minimize", "configuration", lambda doc: "{not json"),
         ("minimize", "configuration", lambda doc: "[1, 2]"),
+        ("verify", "measure", lambda doc: b"\xff\xfe{}"),
+        ("minimize", "configuration", lambda doc: b"\xff\xfe{}"),
+        ("verify", "measure", lambda doc: json.dumps({**doc, "n": 1.9})),
     ],
     ids=["measure-no-n", "measure-list", "atom-no-A", "operator-no-matrix",
-         "config-invalid-json", "config-list"],
+         "config-invalid-json", "config-list", "measure-not-utf8", "config-not-utf8",
+         "measure-fractional-n"],
 )
 def test_malformed_documents_exit_2(tmp_path, capsys, command, kind, edit):
     # each document is a valid one with one defect; the reader names the file
@@ -341,7 +345,8 @@ def test_malformed_documents_exit_2(tmp_path, capsys, command, kind, edit):
         write_rotation_q(path)
     else:
         path.write_text("{}")
-    path.write_text(edit(json.loads(path.read_text())))
+    contents = edit(json.loads(path.read_text()))
+    path.write_bytes(contents if isinstance(contents, bytes) else contents.encode())
     argv = {
         "verify": ["verify", str(path)],
         "pointwise": ["pointwise", str(path), "--a", "0.0", "--b", "1.0"],
@@ -400,6 +405,45 @@ def test_bad_seeds_and_counts_exit_2(tmp_path, capsys, argv, config):
     flags = [a for a in argv if a in ("--grid", "--position-grid", "--box")]
     assert all(flag in err for flag in flags), err  # the bad flag is named
     assert not out.exists()  # refused before anything is written
+
+
+def _file_system_case(tmp_path, case):
+    measure = tmp_path / "m.json"
+    write_stationary_measure(measure)
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    return {
+        "measure-is-a-directory": (["verify", str(folder)], folder),
+        "verify-out-under-a-file": (["verify", str(measure), "--out", f"{measure}/r.json"],
+                                    f"{measure}/r.json"),
+        "minimize-out-onto-a-file": (["minimize", "--out", str(measure)] + TOY_ARGS, measure),
+        "fixture-out-onto-a-directory": (["fixture", "random", "--out", str(folder)], folder),
+    }[case]
+
+
+@pytest.mark.parametrize("case", ["measure-is-a-directory", "verify-out-under-a-file",
+                                  "minimize-out-onto-a-file", "fixture-out-onto-a-directory"])
+def test_file_system_errors_exit_2(tmp_path, capsys, case):
+    # A path that cannot be read or written is an input error: one line naming it, no traceback.
+    argv, path = _file_system_case(tmp_path, case)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert str(path) in err
+
+
+def test_verify_rejects_a_non_symmetric_q_file(tmp_path, capsys):
+    # S q is not Hermitian for this q, so it is no gradient field value.
+    q_path = tmp_path / "q.json"
+    measure_path = tmp_path / "measure.json"
+    out = tmp_path / "report.json"
+    save_operator(np.array([[1.0, 2.0], [0.0, 3.0]], dtype=complex), SP1, q_path)
+    write_stationary_measure(measure_path)
+    assert main(["verify", str(measure_path), "--q-file", str(q_path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "--q-file" in captured.err
+    assert "Krein symmetric" in captured.err
+    assert captured.out == "" and not out.exists()
 
 
 def test_load_report_without_alpha_raises_validation_error(toy_run, tmp_path):

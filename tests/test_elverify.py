@@ -269,6 +269,12 @@ def test_support_gap_shifts_the_field():
     assert support_gap(qhat, 1.0, 0.0, SP1) == pytest.approx(2.0, rel=1e-12)
 
 
+def test_support_gap_rejects_a_non_symmetric_operator():
+    # S q is not Hermitian; the gap of its Hermitian part would answer another question.
+    with pytest.raises(ValidationError, match="support_gap Qhat must be Krein symmetric"):
+        support_gap(np.array([[1.0, 2.0], [0.0, 3.0]], dtype=complex), 0.0, 0.0, SP1)
+
+
 # ---------------------------------------------------------------------------
 # Residual report and its summary
 # ---------------------------------------------------------------------------
@@ -415,6 +421,35 @@ def test_report_json_round_trip_is_exact(tmp_path):
         np.testing.assert_array_equal(loaded.atom_residual_right, report.atom_residual_right)
         np.testing.assert_array_equal(loaded.atom_gaps, report.atom_gaps)
         np.testing.assert_array_equal(loaded.atom_norms, report.atom_norms)
+
+
+def test_report_without_probes_or_atoms_round_trips(tmp_path):
+    empty = np.zeros(0)
+    report = ELReport(
+        alpha=0.25, beta=-0.5, case_tag="a", probe_points=np.zeros((0, 4)), probe_margins=empty,
+        probe_gaps=empty, atom_points=np.zeros((0, 4)), atom_residual_left=empty,
+        atom_residual_right=empty, atom_gaps=empty, atom_norms=empty, qhat_scale=1.5,
+    )
+    path = tmp_path / "report.json"
+    save_report(report, path)
+    doc = json.loads(path.read_text())
+    assert doc["probes"] == [] and doc["atoms"] == []
+    for data in (doc, {k: v for k, v in doc.items() if k not in ("probes", "atoms")}):
+        loaded = report_from_dict(data)
+        assert loaded.probe_points.shape == loaded.atom_points.shape == (0, 4)
+        assert loaded.probe_margins.shape == loaded.atom_norms.shape == (0,)
+        assert report_to_dict(loaded) == doc
+    assert report_to_dict(load_report(path)) == doc
+
+
+def test_atom_entry_without_norm_loads_as_norm_one():
+    # Reports written before atom norms were recorded have no "norm".
+    doc = report_to_dict(_sample_report())
+    for atom in doc["atoms"]:
+        del atom["norm"]
+    loaded = report_from_dict(doc)
+    np.testing.assert_array_equal(loaded.atom_norms, np.ones(len(doc["atoms"])))
+    np.testing.assert_array_equal(loaded.atom_gaps, _sample_report().atom_gaps)
 
 
 def test_report_dict_has_format_tag_and_rejects_others():

@@ -3,7 +3,9 @@
 ``homomeasure._write_document``, ``_write_table`` and ``_read_document``
 fix the JSON layout, the CSV layout (values by ``repr``, ``\\n`` line ends)
 and the error a malformed file raises.  A module that calls ``open`` itself
-bypasses them and can write a file in another layout.
+bypasses them and can write a file in another layout; one that parses JSON
+itself (``json.load``/``json.loads``) can raise another error for a
+malformed document.
 """
 
 import ast
@@ -12,18 +14,26 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "kreinact"
 
 
-def _open_calls(path: Path) -> list:
-    """Line numbers of the calls of a bare or attribute ``open`` in ``path``."""
+def _calls(path: Path, names: tuple) -> list:
+    """Line numbers of the calls of a bare or attribute name in ``names`` in ``path``."""
     tree = ast.parse(path.read_text())
     return [
         node.lineno
         for node in ast.walk(tree)
         if isinstance(node, ast.Call)
-        and (getattr(node.func, "id", None) == "open" or getattr(node.func, "attr", None) == "open")
+        and (getattr(node.func, "id", None) in names or getattr(node.func, "attr", None) in names)
     ]
 
 
-def test_only_homomeasure_opens_files():
-    callers = {path.name: _open_calls(path) for path in sorted(PACKAGE.glob("*.py"))}
+def _callers_outside_homomeasure(names: tuple) -> dict:
+    callers = {path.name: _calls(path, names) for path in sorted(PACKAGE.glob("*.py"))}
     assert callers.pop("homomeasure.py")
-    assert {name: lines for name, lines in callers.items() if lines} == {}
+    return {name: lines for name, lines in callers.items() if lines}
+
+
+def test_only_homomeasure_opens_files():
+    assert _callers_outside_homomeasure(("open",)) == {}
+
+
+def test_only_homomeasure_parses_json():
+    assert _callers_outside_homomeasure(("load", "loads")) == {}

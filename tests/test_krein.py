@@ -216,3 +216,9 @@ def test_classified_spectrum_neutral_label():
     assert value == pytest.approx(0.0, abs=1e-12)
     assert mult == 2
     assert label == 0
+
+
+def test_classified_spectrum_rejects_a_non_symmetric_operator():
+    sp = SignatureSpace(1)
+    with pytest.raises(ValidationError, match="classified_spectrum operand must be Krein symmetric"):
+        classified_spectrum(np.array([[1.0, 2.0], [0.0, 3.0]], dtype=complex), sp)
