@@ -59,7 +59,7 @@ import numpy as np
 from . import tolerances
 from .errors import NonsmoothPointError, ValidationError, _check_count
 from .homomeasure import OperatorMeasure
-from .krein import SignatureSpace, _adjoint
+from .krein import SignatureSpace, _adjoint, _max_spectral_norm, _squared_frobenius
 
 __all__ = [
     "PositionGrid",
@@ -347,7 +347,7 @@ def _eig_gradient_factors(chains, lams, R, space: SignatureSpace, delta: float):
         R_inv = np.linalg.inv(R)
     g = 2.0 * m - m.sum(axis=1, keepdims=True) / (d // 2)
     c = g * lams.conj() / np.where(ok[:, None], m, 1.0)
-    ok &= np.linalg.norm(R, axis=(1, 2)) * np.linalg.norm(R_inv, axis=(1, 2)) < _EIGENBASIS_COND
+    ok &= _squared_frobenius(R) * _squared_frobenius(R_inv) < _EIGENBASIS_COND**2
     G = R @ (c[:, :, None] * R_inv)
     return 0.5 * (G + _adjoint(G, space.signature)), ok
 
@@ -482,8 +482,7 @@ class QHatEvaluator:
     def tail_magnitude(self) -> float:
         # ||Q(-xi)||_2 = ||Q(xi)||_2 on the symmetric, never empty boundary
         # (all points on a degenerate box), so its representatives suffice.
-        boundary = self.q_field[self.grid.boundary_mask()[self.grid.representatives]]
-        return float(np.linalg.norm(boundary, 2, axis=(1, 2)).max())
+        return _max_spectral_norm(self.q_field[self.grid.boundary_mask()[self.grid.representatives]])
 
     def evaluate(self, p) -> np.ndarray:
         """``Qhat(p)``, Krein symmetric to the bit."""

@@ -32,6 +32,7 @@ from .elverify import (
 from .errors import KreinactError, ValidationError
 from .homomeasure import (
     MomentumBox,
+    _check_writable,
     _read_document,
     _trace_functionals,
     _write_document,
@@ -132,10 +133,21 @@ def cmd_minimize(args) -> int:
     if args.position_grid is not None:
         overrides["position_shape"] = _parse_counts(args.position_grid, "--position-grid")
 
-    def build(data: dict) -> MinimizeConfig:
-        return config_from_dict({**data, **overrides})
+    def build(data: dict) -> MinimizeConfig | ValidationError:
+        """The file's configuration with the overrides, or their error when the file alone is valid."""
+        try:
+            return config_from_dict({**data, **overrides})
+        except ValidationError as err:
+            try:
+                config_from_dict(data)
+            except (ValueError, TypeError):
+                raise err from None
+            return err
 
-    config = _read_document(args.config, "configuration", build) if args.config else build({})
+    if not args.config:
+        config = config_from_dict(overrides)
+    elif isinstance(config := _read_document(args.config, "configuration", build), ValidationError):
+        raise ValidationError(f"command-line override of configuration file {args.config}: {config}")
 
     os.makedirs(args.out, exist_ok=True)
     _write_document(os.path.join(args.out, "config.json"), config_to_dict(config), sort_keys=True)
@@ -168,6 +180,9 @@ def cmd_minimize(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    for path in (args.out, args.csv):
+        if path:
+            _check_writable(path)
     measure = load_measure(args.measure)
     # Probes are the momentum grid and the atoms; one Qhat stack serves both.
     grid_points = measure.box.grid_points()
@@ -192,7 +207,8 @@ def cmd_verify(args) -> int:
         qhats = qhat.evaluate_many(probes)
         tail = qhat.tail_magnitude
 
-    mu = pushforward(measure, qhats[inverse[len(grid_points):]])
+    atom_rows = inverse[len(grid_points):]
+    mu = pushforward(measure, qhats[atom_rows])
     trace, signed_trace = (float(t.real) for t in _trace_functionals(mu.total(), measure.space))
     c = args.c if args.c is not None else trace
     f = args.f if args.f is not None else signed_trace
@@ -205,7 +221,8 @@ def cmd_verify(args) -> int:
     alpha, beta, case_tag = lagrange_parameters(mu, c, f)
 
     tol_el = args.tol_el if args.tol_el is not None else tolerances.EL_RESIDUAL
-    report = el_residuals(mu, alpha, beta, probes, qhats, case_tag, tail_magnitude=tail)
+    report = el_residuals(mu, alpha, beta, probes, qhats, case_tag, tail_magnitude=tail,
+                          _atom_rows=atom_rows)
     checks = check_first_order(report, tol_el)
     if args.out:
         save_report(report, args.out)

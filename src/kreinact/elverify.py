@@ -37,7 +37,7 @@ from .homomeasure import (
     _write_document,
     _write_table,
 )
-from .krein import SignatureSpace, _require_symmetric
+from .krein import SignatureSpace, _max_spectral_norm, _require_symmetric
 
 __all__ = [
     "PushforwardMeasure",
@@ -173,17 +173,15 @@ def lagrange_parameters(mu: PushforwardMeasure, c: float, f: float):
     return alpha, beta, "b"
 
 
-def _shifted_spectra(qhats: np.ndarray, alpha: float, beta: float, space: SignatureSpace):
-    """Shifted field over a stack of ``Qhat`` and its Hermitian spectra.
+def _shift(qhats: np.ndarray, alpha: float, beta: float, space: SignatureSpace) -> np.ndarray:
+    """The shifted field ``T = Qhat - alpha - beta S`` over a stack of ``Qhat``."""
+    return qhats - (alpha * np.eye(space.dim) + beta * space.signature_matrix)
 
-    Returns ``(T, w, V)``: ``T = Qhat - alpha - beta S`` and the batched
-    ``eigh`` of the Hermitian representatives ``S T``, eigenvalues ascending.
-    """
-    shift = alpha * np.eye(space.dim) + beta * space.signature_matrix
-    T = qhats - shift
+
+def _hermitian_spectra(T: np.ndarray, space: SignatureSpace):
+    """``(w, V)``: the batched ``eigh`` of the Hermitian representatives ``S T``, eigenvalues ascending."""
     that = space.signature[None, :, None] * T
-    w, V = np.linalg.eigh(0.5 * (that + that.conj().transpose(0, 2, 1)))
-    return T, w, V
+    return np.linalg.eigh(0.5 * (that + that.conj().transpose(0, 2, 1)))
 
 
 def _gaps(w: np.ndarray, V: np.ndarray, space: SignatureSpace) -> np.ndarray:
@@ -196,20 +194,24 @@ def _gaps(w: np.ndarray, V: np.ndarray, space: SignatureSpace) -> np.ndarray:
     spectrum of ``T`` equals the (real) spectrum of
     ``sqrt(S T) S sqrt(S T)`` with the definiteness built in, so ``g`` is
     its smallest absolute eigenvalue.  Operators failing the psd
-    condition, or positive ones with nontrivial kernel, have ``g = 0``.
+    condition, or positive ones with nontrivial kernel, have ``g = 0``;
+    the congruence is formed only for the operators that pass.
     """
     scale = np.maximum(np.maximum(np.abs(w[:, 0]), np.abs(w[:, -1])), 1e-300)
+    psd = ~(w[:, 0] < -tolerances.PSD * scale)
+    w, V = w[psd], V[psd]
     root = (V * np.sqrt(np.clip(w, 0.0, None))[:, None, :]) @ V.conj().transpose(0, 2, 1)
     Y = root @ (space.signature[None, :, None] * root)
-    y = np.linalg.eigvalsh(0.5 * (Y + Y.conj().transpose(0, 2, 1)))
-    return np.where(w[:, 0] < -tolerances.PSD * scale, 0.0, np.abs(y).min(axis=1))
+    gaps = np.zeros(len(psd))
+    gaps[psd] = np.abs(np.linalg.eigvalsh(0.5 * (Y + Y.conj().transpose(0, 2, 1)))).min(axis=1)
+    return gaps
 
 
 def support_gap(qhat, alpha: float, beta: float, space: SignatureSpace) -> float:
     """``g(p)`` of the shifted gradient field ``Qhat(p) - alpha - beta S``, given a symmetric ``Qhat(p)``."""
     qhat = _require_symmetric(qhat, space, "support_gap Qhat")
-    _, w, V = _shifted_spectra(qhat[None], alpha, beta, space)
-    return float(_gaps(w, V, space)[0])
+    T = _shift(qhat[None], alpha, beta, space)
+    return float(_gaps(*_hermitian_spectra(T, space), space)[0])
 
 
 def el_residuals(
@@ -221,28 +223,32 @@ def el_residuals(
     case_tag: str,
     tail_magnitude: float | None = None,
     *,
+    _atom_rows=None,
     _spectra=None,
 ) -> ELReport:
     """Assemble the first-order condition report (report-only, no pass/fail).
 
     The support atoms and their ``Qhat`` come from ``mu``, the pushforward
     that gave the multipliers; ``probe_qs`` stacks ``Qhat`` over the probes.
-    When ``probe_qs`` is ``mu.qs`` itself (the atoms are the probes), the
-    spectra and gaps are computed once for both.  ``_spectra`` is the
-    :func:`_shifted_spectra` of ``mu.qs`` at ``(alpha, beta)`` if in hand.
+    Every spectrum is computed once, over one stack of rows: the probes'
+    rows, where ``_atom_rows`` indexes the atoms among them
+    (``probe_qs[_atom_rows]`` is ``mu.qs`` to the bit), else the probes'
+    rows followed by the atoms'.  ``_spectra`` is ``(T, w, V)`` of those
+    rows (:func:`_shift` and :func:`_hermitian_spectra`) if in hand.
     """
     space = mu.space
     probe_points = np.atleast_2d(np.asarray(probe_points, float))
-    probe_qs = _qhat_stack(probe_qs, len(probe_points), space, "el_residuals probe_qs")
-    T, w_atom, V_atom = _spectra or _shifted_spectra(mu.qs, alpha, beta, space)
-    atom_gaps = _gaps(w_atom, V_atom, space)
-    if probe_qs is mu.qs:
-        scale_qs, w_probe, probe_gaps = mu.qs, w_atom, atom_gaps
-    else:
-        scale_qs = np.concatenate([probe_qs, mu.qs])
-        _, w_probe, V_probe = _shifted_spectra(probe_qs, alpha, beta, space)
-        probe_gaps = _gaps(w_probe, V_probe, space)
-    qhat_scale = float(np.linalg.norm(scale_qs, 2, axis=(1, 2)).max(initial=0.0))
+    rows = _qhat_stack(probe_qs, len(probe_points), space, "el_residuals probe_qs")
+    probes = len(rows)
+    if _atom_rows is None:
+        rows = np.concatenate([rows, mu.qs])
+        _atom_rows = np.arange(probes, len(rows))
+    if _spectra is None:
+        T = _shift(rows, alpha, beta, space)
+        _spectra = (T, *_hermitian_spectra(T, space))
+    T, w, V = _spectra
+    gaps = _gaps(w, V, space)
+    T = T[_atom_rows]
     A = mu.operators
 
     return ELReport(
@@ -250,14 +256,14 @@ def el_residuals(
         beta=float(beta),
         case_tag=case_tag,
         probe_points=probe_points,
-        probe_margins=w_probe[:, 0],
-        probe_gaps=probe_gaps,
+        probe_margins=w[:probes, 0],
+        probe_gaps=gaps[:probes],
         atom_points=mu.momenta.copy(),
         atom_residual_left=np.linalg.norm(T @ A, 2, axis=(1, 2)),
         atom_residual_right=np.linalg.norm(A @ T, 2, axis=(1, 2)),
-        atom_gaps=atom_gaps,
+        atom_gaps=gaps[_atom_rows],
         atom_norms=np.linalg.norm(A, 2, axis=(1, 2)),
-        qhat_scale=qhat_scale,
+        qhat_scale=_max_spectral_norm(rows),
         tail_magnitude=tail_magnitude,
     )
 

@@ -11,7 +11,10 @@ bit-exact float round trips.
 
 from __future__ import annotations
 
+import errno
 import json
+import os
+import stat
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -444,6 +447,24 @@ def _write_table(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     lines = [",".join(header)] + [",".join(map(repr, row)) for row in rows]
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def _check_writable(path) -> None:
+    """Raise the ``OSError``, naming ``path``, that writing a file there would raise.
+
+    Covers a directory at ``path`` and a parent that is missing or is not a
+    directory, so that a command refuses an output path before it computes
+    what it would write.
+    """
+    path = os.fspath(path)
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    try:
+        parent_is_directory = stat.S_ISDIR(os.stat(os.path.dirname(path) or ".").st_mode)
+    except OSError as err:
+        raise OSError(err.errno, err.strerror, path) from None
+    if not parent_is_directory:
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), path)
 
 
 def _read_document(path, kind: str, build):

@@ -121,6 +121,34 @@ def _adjoint(X: np.ndarray, sig: np.ndarray) -> np.ndarray:
     return sig[:, None] * np.swapaxes(X.conj(), -1, -2) * sig
 
 
+# Relative slack on a Frobenius-norm bound of a spectral norm, far above the rounding of either norm.
+_BOUND_SLACK = 1e-12
+
+
+def _squared_frobenius(stack: np.ndarray) -> np.ndarray:
+    """``||X||_F^2`` of each matrix of a ``(k, d, d)`` stack, summed over its real view."""
+    real = np.ascontiguousarray(stack, complex).view(float)
+    return np.einsum("kab,kab->k", real, real)
+
+
+def _max_spectral_norm(stack: np.ndarray) -> float:
+    """``max ||X||_2`` over a ``(k, d, d)`` stack, ``0.0`` when it is empty.
+
+    ``||X||_F / sqrt(d) <= ||X||_2 <= ||X||_F``, so only a matrix whose
+    Frobenius norm reaches the largest one over ``sqrt(d)`` can hold the
+    maximum; only those are decomposed.  Each matrix's SVD is independent
+    of the rest of the stack, so the result is ``np.linalg.norm(stack, 2,
+    axis=(1, 2)).max()`` to the bit.  A NaN keeps every matrix and an
+    infinity the matrices that hold one, so a non-finite stack ends as the
+    full computation does.
+    """
+    if len(stack) == 0:
+        return 0.0
+    frobenius2 = _squared_frobenius(stack)
+    bound = frobenius2.max() / stack.shape[-1] * (1.0 - _BOUND_SLACK)
+    return float(np.linalg.svd(stack[~(frobenius2 < bound)], compute_uv=False)[:, 0].max())
+
+
 def krein_adjoint(A: np.ndarray, space: SignatureSpace) -> np.ndarray:
     """Adjoint with respect to the indefinite inner product: ``A* = S A^H S``."""
     return _adjoint(space.check_operator(A), space.signature)

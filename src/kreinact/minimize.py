@@ -36,7 +36,8 @@ gradient field from the same solve.  The phase tables of the fixed atom
 momenta and position grid are built once per run and shared by all.
 The loop stops at the first iterate whose own first-order report passes
 :func:`~kreinact.elverify.check_first_order` at ``CERTIFY_FRACTION *
-tol_el`` (built only once its psd margin already clears that bound), and
+tol_el`` (built only once a Frobenius bound on its support residuals and
+its psd margin already clear that tolerance), and
 returns that iterate with that report; whatever else ends the loop, the
 last iterate is returned with the report of the field the loop built for
 it.  One routine computes the restoration for the loop and for
@@ -56,7 +57,8 @@ from .action import PositionGrid, QHatEvaluator, _check_delta, _solved_action, _
 from .elverify import (
     ELReport,
     _bound_active,
-    _shifted_spectra,
+    _hermitian_spectra,
+    _shift,
     check_first_order,
     el_residuals,
     lagrange_parameters,
@@ -64,7 +66,7 @@ from .elverify import (
 )
 from .errors import NonsmoothPointError, RestorationError, ValidationError, _check_count
 from .homomeasure import MomentumBox, OperatorMeasure, _check_targets, _trace_functionals
-from .krein import SignatureSpace
+from .krein import _BOUND_SLACK, SignatureSpace, _squared_frobenius
 
 # Curvature pairs kept by the L-BFGS direction.  With 24 the n=2 reference
 # run certifies in about 155 iterations, where 8 took 210-350; the compact
@@ -368,15 +370,18 @@ def minimize_action(config: MinimizeConfig) -> MinimizeResult:
     memory = _CurvatureMemory(2 * Ms.size)
     stop_reason = "max_iterations"
     certify_tol = CERTIFY_FRACTION * config.tol_el
+    residual_bound = d * certify_tol**2 * (1.0 + _BOUND_SLACK)
+    # The probes of each report are the atom momenta, so the atoms are all its rows.
+    atoms = np.arange(k)
 
     # The pass after the last iteration only builds the final iterate's field.
     for iteration in range(config.max_iterations + 1):
         mu = pushforward(measure, evaluator._evaluate_many(momenta))
         alpha, beta, case_tag = lagrange_parameters(mu, config.c, config.f)
-        spectra = _shifted_spectra(mu.qs, alpha, beta, space)
+        shifted = _shift(mu.qs, alpha, beta, space)
+        spectra = None
         if iteration == config.max_iterations:
             break
-        shifted, w, _ = spectra
         grads = 4.0 * (Ms @ shifted) * sig[None, None, :]
         grad_norm = float(np.sqrt(np.sum(np.abs(grads) ** 2)))
         g = _real_view(grads)
@@ -406,14 +411,20 @@ def minimize_action(config: MinimizeConfig) -> MinimizeResult:
             }
         )
 
-        # The iterate's own report, assembled only once its psd margin
-        # could pass.
-        if w[:, 0].min() >= -certify_tol:
-            report = el_residuals(mu, alpha, beta, momenta, mu.qs, case_tag,
-                                  tail_magnitude=evaluator.tail_magnitude, _spectra=spectra)
-            if check_first_order(report, certify_tol)["all"]:
-                stop_reason = "certified"
-                break
+        # The iterate's own report, assembled only once it could pass.  Its
+        # support residuals need ||A_j T_j||_F^2 <= d certify_tol^2, since
+        # ||X||_F <= sqrt(d) ||X||_2; only then are the shifted spectra
+        # computed, and the report built once the psd margin passes too.
+        if _squared_frobenius(mu.operators @ shifted).max() <= residual_bound:
+            w, V = _hermitian_spectra(shifted, space)
+            spectra = (shifted, w, V)
+            if w[:, 0].min() >= -certify_tol:
+                report = el_residuals(mu, alpha, beta, momenta, mu.qs, case_tag,
+                                      tail_magnitude=evaluator.tail_magnitude,
+                                      _atom_rows=atoms, _spectra=spectra)
+                if check_first_order(report, certify_tol)["all"]:
+                    stop_reason = "certified"
+                    break
 
         eta = step
         for _ in range(MAX_BACKTRACKS):
@@ -428,9 +439,8 @@ def minimize_action(config: MinimizeConfig) -> MinimizeResult:
         Ms, measure, current_action, evaluator = accepted
 
     if stop_reason != "certified":
-        # The probes are the atom momenta, so their Qhat stack is the atoms'.
         report = el_residuals(mu, alpha, beta, momenta, mu.qs, case_tag,
-                              tail_magnitude=evaluator.tail_magnitude, _spectra=spectra)
+                              tail_magnitude=evaluator.tail_magnitude, _atom_rows=atoms, _spectra=spectra)
     final_measure = OperatorMeasure(space, box, momenta, measure.operators)
     return MinimizeResult(
         measure=final_measure,

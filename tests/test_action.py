@@ -27,6 +27,7 @@ from kreinact import (
     lagrangian,
     minimize_action,
     random_measure,
+    restore_constraints,
     scale,
     translate,
 )
@@ -654,6 +655,30 @@ def test_tail_magnitude_is_largest_boundary_norm():
             for xi in boundary
         )
         assert ev.tail_magnitude == pytest.approx(expected, rel=1e-14)
+
+
+def test_tail_magnitude_decomposes_only_the_rows_the_bound_leaves_open(monkeypatch):
+    # The certify benchmark's measure: fixture random --n 2 --atoms 27 --grid 3,3,3,1
+    # --seed 3, restored to (c, f) = (0.5, 1), on the 1125-point grid of radius 2.5.
+    box = MomentumBox((-1.0,) * 4, (1.0,) * 4, (3, 3, 3, 1))
+    measure = random_measure(SignatureSpace(2), box, 27, np.random.default_rng(3))
+    measure = restore_constraints(measure, "b", 0.5, 1.0)
+    grid = PositionGrid.from_box(2.5, (5, 5, 5, 9))
+    ev = QHatEvaluator(measure, grid, smoothing_delta=1e-2)
+    boundary = ev.q_field[grid.boundary_mask()[grid.representatives]]
+    assert len(boundary) == 468
+    decomposed = []
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        decomposed.append(len(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    tail = ev.tail_magnitude
+    monkeypatch.undo()
+    assert len(decomposed) == 1 and decomposed[0] <= 40
+    assert tail == np.linalg.norm(boundary, 2, axis=(1, 2)).max()
 
 
 def _solve_cases():

@@ -180,6 +180,38 @@ def test_minimize_config_file_with_overrides(tmp_path, capsys):
     assert "stop=max_iterations" in capsys.readouterr().out
 
 
+def test_minimize_blames_a_bad_override_not_the_file(tmp_path, capsys):
+    config_path = tmp_path / "ok.json"
+    config_path.write_text(json.dumps({"c": 0.5, "f": 1.0}))
+    out = tmp_path / "r2"
+    assert main(["minimize", "--config", str(config_path), "--c", "-1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: command-line override of configuration file {config_path}: "
+                   "constraint targets must satisfy 0 < c < f, got c=-1.0, f=1.0\n")
+    assert not out.exists()
+
+
+def test_minimize_blames_a_file_that_fails_on_its_own(tmp_path, capsys):
+    config_path = tmp_path / "bad.json"
+    config_path.write_text(json.dumps({"c": -1.0, "f": 1.0}))
+    out = tmp_path / "r2"
+    assert main(["minimize", "--config", str(config_path), "--f", "2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: malformed configuration file {config_path}: ValidationError: "), err
+    assert "c=-1.0, f=2.0" in err and not out.exists()
+
+
+def test_minimize_runs_a_file_that_needs_an_override(tmp_path):
+    # c = 3 is valid only with an f above it, which the command line gives.
+    config_path = tmp_path / "partial.json"
+    config_path.write_text(json.dumps({"c": 3.0, "smoothing_delta": 0.01, "max_iterations": 1}))
+    out = tmp_path / "run"
+    assert main(["minimize", "--config", str(config_path), "--f", "4", "--out", str(out)]) == 2
+    written = json.loads((out / "config.json").read_text())
+    assert (written["c"], written["f"], written["max_iterations"]) == (3.0, 4.0, 1)
+    assert json.loads((out / "status.json").read_text())["stop_reason"] == "max_iterations"
+
+
 def test_minimize_rejects_bad_flags(tmp_path):
     out = tmp_path / "bad"
     assert main(["minimize", "--out", str(out), "--c", "2.0", "--f", "1.0"]) == 2
@@ -207,6 +239,48 @@ def test_verify_accepts_minimizer_output(toy_run, tmp_path, capsys):
     report = load_report(report_path)
     assert report.case_tag == "b"
     assert csv_path.read_text().startswith("p0,p1,p2,p3,gap,psd_margin")
+
+
+def test_verify_computes_each_shifted_spectrum_once(toy_run, tmp_path, monkeypatch):
+    # The probes hold the atoms, so one eigh stack over the probes serves both.
+    sizes = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        sizes.append(len(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    report_path = tmp_path / "verify.json"
+    assert main(["verify", str(toy_run / "measure.json"), "--smoothing-delta", "0.01",
+                 "--out", str(report_path)]) == 0
+    assert sizes == [len(load_report(report_path).probe_points)]
+
+
+@pytest.mark.parametrize("case", ["csv-is-a-directory", "out-parent-missing", "out-parent-is-a-file"])
+def test_verify_refuses_output_paths_before_computing(tmp_path, capsys, monkeypatch, case):
+    import kreinact.cli as cli_module
+
+    measure = tmp_path / "m.json"
+    write_stationary_measure(measure)
+    folder = tmp_path / "some_dir"
+    folder.mkdir()
+    out, csv = tmp_path / "vr.json", tmp_path / "vr.csv"
+    bad = {"csv-is-a-directory": f"{folder}/", "out-parent-missing": f"{tmp_path}/missing/vr.json",
+           "out-parent-is-a-file": f"{measure}/vr.json"}[case]
+    argv = ["verify", str(measure), "--out", str(out), "--csv", bad]
+    if case != "csv-is-a-directory":
+        argv = ["verify", str(measure), "--out", bad, "--csv", str(csv)]
+
+    def no_load(path):
+        raise AssertionError("the measure was loaded before the output paths were checked")
+
+    monkeypatch.setattr(cli_module, "load_measure", no_load)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert bad in captured.err
+    assert captured.out == "" and not out.exists() and not csv.exists()
 
 
 def test_verify_flags_non_stationary_measure(tmp_path, capsys):

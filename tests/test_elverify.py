@@ -10,6 +10,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     make_rng,
@@ -46,6 +48,8 @@ from kreinact import (
     save_report,
     support_gap,
 )
+from kreinact.elverify import _gaps, _hermitian_spectra
+from kreinact.tolerances import PSD
 
 SP1 = SignatureSpace(1)
 ROTATION_Q = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
@@ -383,6 +387,86 @@ def test_beta_sign_check():
         case_tag="b",
     )
     assert beta_sign_check(good)
+
+
+# The report as computed before its spectra were shared: one eigh per stack,
+# the gap congruence on every row and every matrix norm decomposed.  The
+# report must equal it to the bit.
+
+def _gaps_reference(w, V, space):
+    scale = np.maximum(np.maximum(np.abs(w[:, 0]), np.abs(w[:, -1])), 1e-300)
+    root = (V * np.sqrt(np.clip(w, 0.0, None))[:, None, :]) @ V.conj().transpose(0, 2, 1)
+    Y = root @ (space.signature[None, :, None] * root)
+    y = np.linalg.eigvalsh(0.5 * (Y + Y.conj().transpose(0, 2, 1)))
+    return np.where(w[:, 0] < -PSD * scale, 0.0, np.abs(y).min(axis=1))
+
+
+def _report_reference(mu, alpha, beta, probe_qs):
+    space = mu.space
+
+    def spectra(qs):
+        T = qs - (alpha * np.eye(space.dim) + beta * space.signature_matrix)
+        that = space.signature[None, :, None] * T
+        w, V = np.linalg.eigh(0.5 * (that + that.conj().transpose(0, 2, 1)))
+        return T, w, _gaps_reference(w, V, space)
+
+    T, _, atom_gaps = spectra(mu.qs)
+    _, w_probe, probe_gaps = spectra(probe_qs)
+    A = mu.operators
+    return {
+        "probe_margins": w_probe[:, 0],
+        "probe_gaps": probe_gaps,
+        "atom_residual_left": np.linalg.norm(T @ A, 2, axis=(1, 2)),
+        "atom_residual_right": np.linalg.norm(A @ T, 2, axis=(1, 2)),
+        "atom_gaps": atom_gaps,
+        "qhat_scale": np.linalg.norm(np.concatenate([probe_qs, mu.qs]), 2, axis=(1, 2)).max(initial=0.0),
+    }
+
+
+@given(st.integers(min_value=1, max_value=2), st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=60, deadline=None)
+def test_gaps_equal_the_full_computation(n, seed):
+    # Positive operators pass the psd test (with a gap at full rank, none at
+    # rank one), symmetric ones mostly fail it and zero sits on its edge.
+    space = SignatureSpace(n)
+    rng = make_rng(seed)
+    makers = [lambda: random_positive(space, rng), lambda: random_positive(space, rng, rank=1),
+              lambda: random_symmetric(space, rng), lambda: np.zeros((space.dim, space.dim), complex)]
+    kinds = rng.integers(len(makers), size=rng.integers(0, 9))
+    T = np.array([makers[kind]() for kind in kinds], complex).reshape(-1, space.dim, space.dim)
+    w, V = _hermitian_spectra(T, space)
+    np.testing.assert_array_equal(_gaps(w, V, space), _gaps_reference(w, V, space))
+
+
+@given(st.integers(min_value=1, max_value=2), st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=20, deadline=None)
+def test_report_read_from_shared_rows_equals_the_full_computation(n, seed):
+    # Probes as verify builds them (the box grid and the atoms), and as the
+    # minimizer does (the atoms alone); with the atoms' rows given by index
+    # and without.
+    space = SignatureSpace(n)
+    rng = make_rng(seed)
+    measure = random_measure_for(space, rng, n_atoms=3, shape=(3, 1, 1, 2))
+    grid_points = measure.box.grid_points()
+    probes, inverse = np.unique(np.vstack([grid_points, measure.momenta]), axis=0, return_inverse=True)
+    evaluator = QHatEvaluator(measure, PositionGrid.from_box(2.0, (3, 1, 1, 1)), smoothing_delta=1e-2)
+    qhats = evaluator.evaluate_many(probes)
+    atom_rows = inverse[len(grid_points):]
+    mu = pushforward(measure, qhats[atom_rows])
+    # S T = S (Qhat - alpha) - beta, so this beta puts about half the probes past the psd test.
+    alpha = float(rng.standard_normal())
+    lowest = np.linalg.eigvalsh(space.signature[:, None] * (qhats - alpha * np.eye(space.dim)))[:, 0]
+    beta = float(np.median(lowest))
+    atoms = np.arange(measure.n_atoms)
+    cases = [
+        (el_residuals(mu, alpha, beta, probes, qhats, "b", _atom_rows=atom_rows), qhats),
+        (el_residuals(mu, alpha, beta, probes, qhats, "b"), qhats),
+        (el_residuals(mu, alpha, beta, measure.momenta, mu.qs, "b", _atom_rows=atoms), mu.qs),
+        (el_residuals(mu, alpha, beta, measure.momenta, mu.qs.copy(), "b"), mu.qs),
+    ]
+    for report, probe_qs in cases:
+        for name, expected in _report_reference(mu, alpha, beta, probe_qs).items():
+            np.testing.assert_array_equal(getattr(report, name), expected, err_msg=name)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from kreinact import (
     psd_factorize,
     spectral_split,
 )
+from kreinact.krein import _max_spectral_norm
 
 
 def test_space_basics():
@@ -222,3 +223,39 @@ def test_classified_spectrum_rejects_a_non_symmetric_operator():
     sp = SignatureSpace(1)
     with pytest.raises(ValidationError, match="classified_spectrum operand must be Krein symmetric"):
         classified_spectrum(np.array([[1.0, 2.0], [0.0, 3.0]], dtype=complex), sp)
+
+
+def _spectral_norm_stack(kind: str, k: int, d: int, seed: int, real: bool) -> np.ndarray:
+    """A ``(k, d, d)`` stack of one of the shapes that stress the Frobenius bound."""
+    rng = make_rng(seed)
+    stack = rng.standard_normal((k, d, d)) + (0.0 if real else 1j * rng.standard_normal((k, d, d)))
+    if kind == "zero-rows":
+        stack[rng.random(k) < 0.5] = 0.0
+    elif kind == "equal-norms" and k:
+        # Row permutations of one matrix: equal singular values, computed on different data.
+        stack = np.stack([stack[0][rng.permutation(d)] for _ in range(k)])
+    elif kind == "near-the-bound" and k:
+        # Row 0 is unitary, so ||X||_F / sqrt(d) = ||X||_2 = 1 and the bound is 1; the other
+        # rows are rank one (||X||_2 = ||X||_F) with norms just below, at and above it.
+        stack[0] = np.linalg.qr(stack[0])[0]
+        for j in range(1, k):
+            outer = np.outer(stack[j, 0], stack[j, :, 0].conj())
+            offsets = [-1e-11, -1e-12, -1e-13, -1e-15, -2e-16, -1e-16, 0.0, 1e-16, 1e-15, 1e-13]
+            stack[j] = outer / np.linalg.norm(outer) * (1.0 + rng.choice(offsets))
+    return stack
+
+
+@given(st.sampled_from(["random", "zero-rows", "equal-norms", "near-the-bound"]),
+       st.integers(min_value=0, max_value=12), st.integers(min_value=1, max_value=5),
+       st.integers(min_value=0, max_value=10**6), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_max_spectral_norm_equals_the_full_computation(kind, k, d, seed, real):
+    stack = _spectral_norm_stack(kind, k, d, seed, real)
+    assert _max_spectral_norm(stack) == np.linalg.norm(stack, 2, axis=(1, 2)).max(initial=0.0)
+
+
+@pytest.mark.parametrize("stack", [np.zeros((0, 4, 4), complex), np.zeros((1, 2, 2)),
+                                   np.zeros((3, 4, 4), complex), np.eye(3)[None]],
+                         ids=["empty", "one-zero-row", "zero-rows", "one-row"])
+def test_max_spectral_norm_of_degenerate_stacks(stack):
+    assert _max_spectral_norm(stack) == np.linalg.norm(stack, 2, axis=(1, 2)).max(initial=0.0)

@@ -459,6 +459,28 @@ def test_each_line_search_trial_makes_one_eigensolve(monkeypatch):
     assert calls == ["eigvals", "eig"] + ["trial", "eig"] * trials
 
 
+def test_stop_test_skips_the_shifted_eigensolve_until_the_residual_bound_passes(
+    monkeypatch, toy_seed_results
+):
+    # A report can pass only if max_j ||A_j T_j||_F^2 <= d tol^2, so most
+    # iterations skip the stacked eigh of the shifted field; the runs stay the same.
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(len(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    results = [minimize_action(replace(TOY, seed=s)) for s in range(8)]
+    iterations = sum(len(result.trace) for result in results)
+    assert iterations >= 100
+    assert len(calls) <= iterations // 4
+    for result, expected in zip(results, toy_seed_results):
+        assert result.trace == expected.trace
+        assert report_to_dict(result.report) == report_to_dict(expected.report)
+
+
 def test_support_tables_are_built_once_per_run_and_no_inverse_is_screened(monkeypatch):
     # The momenta and the grid are fixed for a run, so their phase tables
     # are too; a well-conditioned run never needs the slogdet screen.
