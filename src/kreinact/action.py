@@ -39,8 +39,11 @@ kernel: ``P`` depends on ``xi`` only through the phases ``p_j . xi``, so
 where all atoms have a zero coordinate along a position axis with more than
 one point, the points along it share their chain.  Points are grouped by
 bitwise equal phases, so the results are those of one solve per point to
-the bit.  The line search takes a trial's action from that solve, so an
-accepted trial builds its field without another.
+the bit.  The line search takes a trial's action and its moduli from that
+solve, so an accepted trial builds its field without another.  The
+minimizer calls the array cores :func:`_solved_action`,
+:func:`_gradient_field` and :func:`_fourier_qhat` directly;
+:class:`QHatEvaluator` wraps the last two.
 
 The package re-exports the function :func:`action` under this module's
 name, so ``import kreinact.action as m`` binds the function, not the
@@ -183,17 +186,17 @@ def _kernel_phases(momenta: np.ndarray, points: np.ndarray) -> np.ndarray:
     return np.exp(1j * (points @ momenta.T))
 
 
-def _plus_kernel(measure: OperatorMeasure, phases: np.ndarray) -> np.ndarray:
+def _plus_kernel(operators: np.ndarray, phases: np.ndarray) -> np.ndarray:
     """``P_+(xi) = sum_j exp(i p_j . xi) A_j`` for each row of a :func:`_kernel_phases` table."""
-    return np.einsum("xj,jab->xab", phases, measure.operators)
+    return np.einsum("xj,jab->xab", phases, operators)
 
 
 class _SupportTables:
     """Phase tables and masks of fixed atom momenta at fixed positions.
 
     A minimization run moves the atom operators, never their momenta or the
-    grid, so it builds these once; :func:`action`, :func:`_solved_action` and
-    :class:`QHatEvaluator` take them in or build their own.
+    grid, so it builds these once; :func:`action`, :func:`_solved_action`,
+    :func:`_gradient_field` and :class:`QHatEvaluator` take them in.
     On a grid, ``points`` are its representatives.  The kernel at a point is
     taken at its representative (``-xi`` where ``mirrored``) and depends on
     it only through the row of :func:`_kernel_phases`.  Points whose rows are
@@ -205,7 +208,8 @@ class _SupportTables:
     coincidences of the phases merge points too.
     """
 
-    def __init__(self, momenta: np.ndarray, points: np.ndarray, half_weights=None):
+    def __init__(self, momenta: np.ndarray, points: np.ndarray, folded_weights=None):
+        self.momenta = momenta
         self.points = points
         self.mirrored = ~_is_representative(points)
         self.origin = ~points.any(axis=1)
@@ -218,19 +222,28 @@ class _SupportTables:
         self.class_firsts = firsts[order]
         self.kernel_class = np.argsort(order)[classes]
         self.kernel_phases = phases[self.class_firsts]
-        self.half_weights = half_weights
+        self.folded_weights = folded_weights
+        # The origin's rows and the mirrored ones, whose fields are fixed up;
+        # the one origin point of a grid is a slice, which indexes faster.
+        origin = np.nonzero(self.origin)[0]
+        self.origin_rows = slice(origin[0], origin[0] + 1) if len(origin) == 1 else origin
+        self.mirrored_rows = np.nonzero(self.mirrored)[0]
         self._fourier = None
 
     @classmethod
     def on_grid(cls, momenta: np.ndarray, grid: PositionGrid) -> "_SupportTables":
-        return cls(momenta, grid.points[grid.representatives], 0.5 * grid.folded_weights)
+        return cls(momenta, grid.points[grid.representatives], grid.folded_weights)
+
+    def integral(self, values: np.ndarray) -> float:
+        """``sum_xi w(xi) f(xi)`` over the grid, from one value ``f`` per kernel class."""
+        return float(np.dot(self.folded_weights, values[self.kernel_class]))
 
     def fourier_phases(self, ps: np.ndarray) -> np.ndarray:
         """``(fw_r / 2) e^{-i p . xi_r}``, one row per momentum ``p`` of ``ps``, kept for the last ``ps``."""
         if self._fourier is None or self._fourier[0] != ps.tobytes():
             # A stack of matrix-vector products rounds each momentum's phases the
             # same way whatever the batch size; a matrix product would not.
-            phases = self.half_weights * np.exp(-1j * self.points @ ps[:, :, None])[:, :, 0]
+            phases = 0.5 * self.folded_weights * np.exp(-1j * self.points @ ps[:, :, None])[:, :, 0]
             self._fourier = ps.tobytes(), phases
         return self._fourier[1]
 
@@ -249,7 +262,7 @@ def _four_vector(x, name: str, ndim: int = 1) -> np.ndarray:
 def kernel_P(measure: OperatorMeasure, xi) -> np.ndarray:
     """Kernel ``P(xi) = -sum_j exp(i p_j . xi) A_j``."""
     xi = _four_vector(xi, "xi")
-    return -_plus_kernel(measure, _kernel_phases(measure.momenta, xi[None]))[0]
+    return -_plus_kernel(measure.operators, _kernel_phases(measure.momenta, xi[None]))[0]
 
 
 def closed_chain(P: np.ndarray, space: SignatureSpace) -> ClosedChainSpectrum:
@@ -270,10 +283,14 @@ def _moduli(lambdas: np.ndarray, delta: float) -> np.ndarray:
     return np.sqrt(np.abs(lambdas) ** 2 + delta**2)
 
 
-def _lagrangian_values(lambdas: np.ndarray, delta: float) -> np.ndarray:
-    """Causal Lagrangian of each row of chain eigenvalues ``lambdas`` (``..., 2n``)."""
+def _lagrangian_values(lambdas: np.ndarray, delta: float, m=None) -> np.ndarray:
+    """Causal Lagrangian of each row of chain eigenvalues ``lambdas`` (``..., 2n``).
+
+    ``m`` holds their :func:`_moduli` if in hand.
+    """
     _check_delta(delta)
-    m = _moduli(lambdas, delta)
+    if m is None:
+        m = _moduli(lambdas, delta)
     n = lambdas.shape[-1] // 2
     return np.maximum((m**2).sum(-1) - m.sum(-1) ** 2 / (2 * n), 0.0)
 
@@ -283,17 +300,18 @@ def lagrangian(spectrum: ClosedChainSpectrum, smoothing_delta: float = 0.0) -> f
     return float(_lagrangian_values(spectrum.lambdas, smoothing_delta))
 
 
-def _chain_field(measure: OperatorMeasure, phases: np.ndarray):
+def _chain_field(operators: np.ndarray, sig: np.ndarray, phases: np.ndarray):
     """Batched kernels and chains from a :func:`_kernel_phases` table: returns (P_plus, chains)."""
-    Pp = _plus_kernel(measure, phases)
-    return Pp, Pp @ _adjoint(Pp, measure.space.signature)
+    Pp = _plus_kernel(operators, phases)
+    return Pp, Pp @ _adjoint(Pp, sig)
 
 
-def _chain_solve(measure: OperatorMeasure, phases: np.ndarray):
-    """``(P_plus, chains, lams, R)``: kernels, chains and one stacked ``eig`` of a phase table."""
-    Pp, chains = _chain_field(measure, phases)
+def _chain_solve(operators: np.ndarray, sig: np.ndarray, phases: np.ndarray, delta: float):
+    """``(P_plus, chains, lams, R, m)``: kernels, chains, one stacked ``eig`` of a
+    phase table, and the moduli of its eigenvalues."""
+    Pp, chains = _chain_field(operators, sig, phases)
     lams, R = np.linalg.eig(chains)
-    return Pp, chains, lams, R
+    return Pp, chains, lams, R, _moduli(lams, delta)
 
 
 def action(
@@ -301,39 +319,39 @@ def action(
 ) -> float:
     """Discretized homogeneous action ``sum_xi w(xi) L(xi)``."""
     support = _support or _SupportTables.on_grid(measure.momenta, grid)
-    _, chains = _chain_field(measure, support.kernel_phases)
-    values = _lagrangian_values(np.linalg.eigvals(chains), smoothing_delta)
-    return float(np.dot(grid.folded_weights, values[support.kernel_class]))
+    _, chains = _chain_field(measure.operators, measure.space.signature, support.kernel_phases)
+    return support.integral(_lagrangian_values(np.linalg.eigvals(chains), smoothing_delta))
 
 
-def _solved_action(measure: OperatorMeasure, grid: PositionGrid, smoothing_delta: float, support=None):
-    """``(action, solved)`` from one :func:`_chain_solve` of the grid's kernel classes.
+def _solved_action(operators: np.ndarray, sig: np.ndarray, support: _SupportTables, delta: float):
+    """``(action, solved)`` of an operator stack on the grid of ``support``, from one
+    :func:`_chain_solve` of its kernel classes.
 
-    ``solved`` can feed :class:`QHatEvaluator`.  The action is :func:`action`'s
+    ``solved`` can feed :func:`_gradient_field`.  The action is :func:`action`'s
     to the bit: LAPACK's QR sweep on these small chains does the same
     arithmetic on the eigenvalues with or without eigenvectors.
     """
-    support = support or _SupportTables.on_grid(measure.momenta, grid)
-    solved = _chain_solve(measure, support.kernel_phases)
-    values = _lagrangian_values(solved[2], smoothing_delta)
-    return float(np.dot(grid.folded_weights, values[support.kernel_class])), solved
+    solved = _chain_solve(operators, sig, support.kernel_phases, delta)
+    return support.integral(_lagrangian_values(solved[2], delta, solved[4])), solved
 
 
 # ---------------------------------------------------------------------------
 # Gradient kernel
 # ---------------------------------------------------------------------------
 
-def _eig_gradient_factors(chains, lams, R, space: SignatureSpace, delta: float):
+def _eig_gradient_factors(chains, lams, R, space: SignatureSpace, delta: float, m=None):
     """Krein-symmetrized factors N of dL = Re Tr(G dA) over a stack of chains.
 
-    ``(lams, R)`` is the chains' ``eig`` pair.  Returns ``(factors, ok)``;
+    ``(lams, R)`` is the chains' ``eig`` pair, ``m`` their moduli if in
+    hand.  Returns ``(factors, ok)``;
     ``ok`` marks the chains whose factor is valid: a well-conditioned
     eigenvector matrix ``R`` (not a defective chain), and with ``delta = 0``
     all moduli bounded away from zero (else |.| is not differentiable).
     Equal eigenvalues are valid: they share ``g_i``.
     """
     d = space.dim
-    m = _moduli(lams, delta)
+    if m is None:
+        m = _moduli(lams, delta)
     ok = np.ones(len(R), bool)
     if delta == 0.0:
         ok &= m.min(axis=1) > tolerances.MODULUS_GAP * np.linalg.norm(chains, 2, axis=(1, 2))
@@ -352,11 +370,11 @@ def _eig_gradient_factors(chains, lams, R, space: SignatureSpace, delta: float):
     return 0.5 * (G + _adjoint(G, space.signature)), ok
 
 
-def _fd_gradient(measure, xi, space, delta):
+def _fd_gradient(Pp, xi, space, delta):
     """``Q(xi)`` by finite differences, from one stacked eigensolve.
 
     ``M = Q(xi)`` satisfies ``dL(-xi) = 2 Re Tr(M dP_+(-xi))``.  The kernel
-    ``P_+(-xi)`` is perturbed along every unit direction ``E_ba`` and
+    ``Pp = P_+(-xi)`` is perturbed along every unit direction ``E_ba`` and
     ``i E_ba`` at the steps ``t h``, ``t`` in (1, -1, 1/2, -1/2, 1/4, -1/4),
     and each directional derivative is the Richardson value ``(4 c2 - c1)/3``
     of the central differences at ``h`` and ``h/2``.  Unequal one-sided
@@ -366,7 +384,6 @@ def _fd_gradient(measure, xi, space, delta):
     moduli and the Lagrangian vanishes identically) see the disagreement
     shrink with it.
     """
-    Pp = _plus_kernel(measure, _kernel_phases(measure.momenta, -xi[None]))[0]
     d = space.dim
     norm = float(np.linalg.norm(Pp, 2))
     h = _FD_STEP * max(norm, 1.0)
@@ -397,7 +414,8 @@ def _fd_gradient(measure, xi, space, delta):
     return 0.5 * (deriv[0] - 1j * deriv[1]).T
 
 
-def _gradient_field(measure: OperatorMeasure, support: _SupportTables, delta: float, solved=None):
+def _gradient_field(operators: np.ndarray, space: SignatureSpace, support: _SupportTables, delta: float,
+                    solved=None):
     """Gradient kernel ``Q`` at each of ``support.points``, from one chain per kernel class.
 
     ``Q = N P_+`` at a representative, the adjoint of its representative's
@@ -408,29 +426,31 @@ def _gradient_field(measure: OperatorMeasure, support: _SupportTables, delta: fl
     ``-xi``, taken at the class's first point.
     """
     _check_delta(delta)
-    space, sig = measure.space, measure.space.signature
-    points, mirrored, fixed = support.points, support.mirrored, support.origin
-    firsts, classes = support.class_firsts, support.kernel_class
+    sig = space.signature
     if solved is None:
-        solved = _chain_solve(measure, support.kernel_phases)
-    Pp, chains, lams, R = solved
-    factors, ok = _eig_gradient_factors(chains, lams, R, space, delta)
+        solved = _chain_solve(operators, sig, support.kernel_phases, delta)
+    Pp, chains, lams, R, m = solved
+    factors, ok = _eig_gradient_factors(chains, lams, R, space, delta, m)
     q_class = factors @ Pp
     # Every kernel of the origin's class is its own reflection's.
-    origin_class = classes[fixed]
+    origin_class = support.kernel_class[support.origin_rows]
     for k in np.nonzero(~ok)[0]:
-        xi = points[firsts[k]]
-        estimate = _fd_gradient(measure, xi, space, delta)
+        xi = support.points[support.class_firsts[k]]
         # A lone estimate, unpaired with its reflection's, stalls exact-Lagrangian descents.
-        reflected = estimate if k in origin_class else _fd_gradient(measure, -xi, space, delta)
-        q = 0.5 * (estimate + _adjoint(reflected, sig))
+        estimates = [
+            _fd_gradient(_plus_kernel(operators, _kernel_phases(support.momenta, -x[None]))[0], x, space, delta)
+            for x in ((xi,) if k in origin_class else (xi, -xi))
+        ]
+        q = 0.5 * (estimates[0] + _adjoint(estimates[-1], sig))
         # Rows are kept at the representative, like the analytic ones.
-        q_class[k] = _adjoint(q, sig) if mirrored[firsts[k]] else q
-    q_field = q_class[classes]
+        q_class[k] = _adjoint(q, sig) if support.mirrored[support.class_firsts[k]] else q
+    q_field = q_class[support.kernel_class]
     # Q(0) = Q(0)^*, which N P_+ meets only up to rounding.  The origin is
     # its own representative, so it is never mirrored.
+    fixed, mirrored = support.origin_rows, support.mirrored_rows
     q_field[fixed] = 0.5 * (q_field[fixed] + _adjoint(q_field[fixed], sig))
-    q_field[mirrored] = _adjoint(q_field[mirrored], sig)
+    if len(mirrored):
+        q_field[mirrored] = _adjoint(q_field[mirrored], sig)
     return q_field
 
 
@@ -443,7 +463,7 @@ def gradient_kernel_Q(measure: OperatorMeasure, xi, smoothing_delta: float = 0.0
     :class:`~kreinact.errors.NonsmoothPointError` carrying ``xi``.
     """
     support = _SupportTables(measure.momenta, _four_vector(xi, "xi")[None])
-    return _gradient_field(measure, support, smoothing_delta)[0]
+    return _gradient_field(measure.operators, measure.space, support, smoothing_delta)[0]
 
 
 class QHatEvaluator:
@@ -460,7 +480,6 @@ class QHatEvaluator:
     finite box, only reported).  ``_support`` passes in the measure's
     :class:`_SupportTables` on ``grid``, else the evaluator builds its own;
     either keeps the Fourier phases of the last momenta evaluated.
-    ``_solved`` is a :func:`_chain_solve` of the kernel classes.
     """
 
     def __init__(
@@ -470,19 +489,16 @@ class QHatEvaluator:
         smoothing_delta: float = 0.0,
         *,
         _support=None,
-        _solved=None,
     ):
         self.measure = measure
         self.grid = grid
         self.smoothing_delta = float(smoothing_delta)
         self._support = _support or _SupportTables.on_grid(measure.momenta, grid)
-        self.q_field = _gradient_field(measure, self._support, smoothing_delta, _solved)
+        self.q_field = _gradient_field(measure.operators, measure.space, self._support, smoothing_delta)
 
     @functools.cached_property
     def tail_magnitude(self) -> float:
-        # ||Q(-xi)||_2 = ||Q(xi)||_2 on the symmetric, never empty boundary
-        # (all points on a degenerate box), so its representatives suffice.
-        return _max_spectral_norm(self.q_field[self.grid.boundary_mask()[self.grid.representatives]])
+        return _tail_magnitude(self.q_field, self.grid)
 
     def evaluate(self, p) -> np.ndarray:
         """``Qhat(p)``, Krein symmetric to the bit."""
@@ -492,9 +508,18 @@ class QHatEvaluator:
 
     def evaluate_many(self, ps: np.ndarray) -> np.ndarray:
         """``Qhat`` at each row of ``ps``, stacked along the first axis."""
-        return self._evaluate_many(_four_vector(np.atleast_2d(ps), "momenta", ndim=2))
+        ps = _four_vector(np.atleast_2d(ps), "momenta", ndim=2)
+        return _fourier_qhat(self._support.fourier_phases(ps), self.q_field, self.measure.space.signature)
 
-    def _evaluate_many(self, ps: np.ndarray) -> np.ndarray:
-        """:meth:`evaluate_many` of a validated float array of 4-vector rows."""
-        half = np.einsum("kx,xab->kab", self._support.fourier_phases(ps), self.q_field)
-        return half + _adjoint(half, self.measure.space.signature)
+
+def _fourier_qhat(phases: np.ndarray, q_field: np.ndarray, sig: np.ndarray) -> np.ndarray:
+    """``Qhat`` at the momenta of a :meth:`_SupportTables.fourier_phases` table, from ``Q`` on its points."""
+    half = np.einsum("kx,xab->kab", phases, q_field)
+    return half + _adjoint(half, sig)
+
+
+def _tail_magnitude(q_field: np.ndarray, grid: PositionGrid) -> float:
+    """``max ||Q(xi)||_2`` over the boundary of the position box, from the field at ``grid.representatives``."""
+    # ||Q(-xi)||_2 = ||Q(xi)||_2 on the symmetric, never empty boundary
+    # (all points on a degenerate box), so its representatives suffice.
+    return _max_spectral_norm(q_field[grid.boundary_mask()[grid.representatives]])

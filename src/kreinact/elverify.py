@@ -85,7 +85,7 @@ class PushforwardMeasure:
 
     def trace_pairing(self) -> float:
         """``sum_j Tr(q_j A_j)`` (real for symmetric/positive pairs)."""
-        return _sum_in_atom_order(np.trace(self.qs @ self.operators, axis1=1, axis2=2).real)
+        return _sum_in_atom_order((self.qs @ self.operators).trace(axis1=1, axis2=2).real)
 
 
 @dataclass(frozen=True)
@@ -143,7 +143,7 @@ def _bound_active(signed_trace: float, f: float) -> bool:
     return signed_trace >= f - tolerances.CONSTRAINT * f
 
 
-def lagrange_parameters(mu: PushforwardMeasure, c: float, f: float):
+def lagrange_parameters(mu: PushforwardMeasure, c: float, f: float, *, _traces=None):
     """Multipliers ``(alpha, beta, case_tag)`` from the pushforward atoms.
 
     The signed trace of the total decides the case (``_bound_active``):
@@ -152,9 +152,12 @@ def lagrange_parameters(mu: PushforwardMeasure, c: float, f: float):
     multipliers solve the 2x2 moment system built from ``Tr(q_j A_j)``
     and ``Tr(½{q_j, S} A_j)``.  A trace off ``c`` by more than the band of the
     signed-trace check raises :class:`~kreinact.errors.InfeasibleProblemError`.
+    ``_traces`` is ``(Tr total, Tr(S total))`` as floats if in hand.
     """
     _check_targets(c, f)
-    t, v = (float(x.real) for x in _trace_functionals(mu.total(), mu.space))
+    if _traces is None:
+        _traces = (float(x.real) for x in _trace_functionals(mu.total(), mu.space))
+    t, v = _traces
     if abs(t - c) > tolerances.CONSTRAINT * f:
         raise InfeasibleProblemError(f"trace {t} misses the constraint target c = {c}")
     if v > f + tolerances.CONSTRAINT * f:
@@ -166,7 +169,7 @@ def lagrange_parameters(mu: PushforwardMeasure, c: float, f: float):
         return I1 / c, 0.0, "a"
     sig = mu.space.signature
     anti = 0.5 * (mu.qs * sig[None, None, :] + sig[None, :, None] * mu.qs)
-    I2 = _sum_in_atom_order(np.trace(anti @ mu.operators, axis1=1, axis2=2).real)
+    I2 = _sum_in_atom_order((anti @ mu.operators).trace(axis1=1, axis2=2).real)
     denom = f * f - c * c
     alpha = (f * I2 - c * I1) / denom
     beta = (f * I1 - c * I2) / denom

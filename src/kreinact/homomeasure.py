@@ -218,7 +218,7 @@ def _check_targets(c: float, f: float) -> None:
 
 def _trace_functionals(total: np.ndarray, space: SignatureSpace) -> tuple:
     """``(Tr total, Tr(S total))`` as complex scalars; both are real for a positive total."""
-    return np.trace(total), np.trace(space.signature[:, None] * total)
+    return total.trace(), (space.signature[:, None] * total).trace()
 
 
 def constraint_values(measure: OperatorMeasure) -> ConstraintValues:

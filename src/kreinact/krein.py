@@ -118,7 +118,7 @@ def _scale(A: np.ndarray) -> float:
 
 def _adjoint(X: np.ndarray, sig: np.ndarray) -> np.ndarray:
     """Unchecked ``S X^H S`` of an operator or of each matrix of a ``(..., d, d)`` stack."""
-    return sig[:, None] * np.swapaxes(X.conj(), -1, -2) * sig
+    return sig[:, None] * X.conj().swapaxes(-1, -2) * sig
 
 
 # Relative slack on a Frobenius-norm bound of a spectral norm, far above the rounding of either norm.
@@ -168,14 +168,37 @@ def is_positive(A: np.ndarray, space: SignatureSpace) -> bool:
 
 
 def _positive_rows(As: np.ndarray, sig: np.ndarray) -> np.ndarray:
-    """:func:`is_positive` of each matrix of a finite ``(k, d, d)`` stack, in one pass."""
+    """:func:`is_positive` of each matrix of a finite ``(k, d, d)`` stack, in one pass.
+
+    The defect ``||H - H^H||_2`` and the scale ``max(||A||_2, 1)`` enter
+    both tests monotonically, so the bounds ``||X||_F / sqrt(d) <= ||X||_2
+    <= ||X||_F`` (with ``_BOUND_SLACK``) decide most rows; only the rows
+    they leave open are decomposed.  Each matrix's SVD is independent of
+    the rest of the stack, so the booleans are those of the full
+    computation to the bit.
+    """
     H = sig[:, None] * As
-    H_adj = np.swapaxes(H.conj(), -1, -2)
-    defect = np.linalg.norm(H - H_adj, 2, axis=(-2, -1))
-    scale = np.maximum(np.linalg.norm(As, 2, axis=(-2, -1)), 1.0)
+    H_adj = H.conj().swapaxes(-1, -2)
+    defect = H - H_adj
     w_min = np.linalg.eigvalsh(0.5 * (H + H_adj))[..., 0]
-    tol = tolerances.PSD
-    return (defect <= max(tol, tolerances.HERMITICITY) * scale) & (w_min >= -tol * scale)
+    tol, hermiticity = tolerances.PSD, max(tolerances.PSD, tolerances.HERMITICITY)
+
+    def bounds(stack):
+        frobenius = np.sqrt(_squared_frobenius(stack))
+        return frobenius / np.sqrt(stack.shape[-1]) * (1.0 - _BOUND_SLACK), frobenius * (1.0 + _BOUND_SLACK)
+
+    defect_lo, defect_hi = bounds(defect)
+    scale_lo, scale_hi = (np.maximum(b, 1.0) for b in bounds(As))
+    # Squares of entries beyond about 1e154 overflow; such rows are left open.
+    bounded = np.isfinite(defect_hi) & np.isfinite(scale_hi)
+    passes = bounded & (defect_hi <= hermiticity * scale_lo) & (w_min >= -tol * scale_lo)
+    fails = bounded & ((defect_lo > hermiticity * scale_hi) | (w_min < -tol * scale_hi))
+    rows = np.nonzero(~(passes | fails))[0]
+    if len(rows):
+        norm = np.linalg.svd(defect[rows], compute_uv=False)[:, 0]
+        scale = np.maximum(np.linalg.svd(As[rows], compute_uv=False)[:, 0], 1.0)
+        passes[rows] = (norm <= hermiticity * scale) & (w_min[rows] >= -tol * scale)
+    return passes
 
 
 def _require_positive(A: np.ndarray, space: SignatureSpace, who: str) -> np.ndarray:

@@ -31,9 +31,13 @@ matrix-vector products however long the memory is.  The first trial
 step is 1 while the memory holds pairs and ``INITIAL_STEP`` otherwise,
 safeguarded by monotone backtracking: a trial is accepted only if it
 strictly lowers the action.  Each trial makes one chain eigensolve over the position grid;
-its eigenvalues give the action, and an accepted trial builds the next
-gradient field from the same solve.  The phase tables of the fixed atom
-momenta and position grid are built once per run and shared by all.
+its eigenvalues and their moduli give the action, and an accepted trial
+builds the next gradient field from the same solve.  What a run never
+changes (the space, box, atom momenta, position grid, ``delta``,
+targets, and the phase tables built from them) is held once in a
+private run object, and the loop passes it bare factor and operator
+stacks; public objects are built only for the initial iterate, for each
+report and for the returned result.
 The loop stops at the first iterate whose own first-order report passes
 :func:`~kreinact.elverify.check_first_order` at ``CERTIFY_FRACTION *
 tol_el`` (built only once a Frobenius bound on its support residuals and
@@ -49,13 +53,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
 from . import tolerances
-from .action import PositionGrid, QHatEvaluator, _check_delta, _solved_action, _SupportTables, action
+from .action import (
+    PositionGrid,
+    QHatEvaluator,
+    _check_delta,
+    _fourier_qhat,
+    _gradient_field,
+    _solved_action,
+    _SupportTables,
+    _tail_magnitude,
+    action,
+)
 from .elverify import (
     ELReport,
+    PushforwardMeasure,
     _bound_active,
     _hermitian_spectra,
     _shift,
@@ -171,7 +187,7 @@ def _restoring_factors(
     after its uniform scaling makes the bound active, or the total trace is
     not positive; "b" otherwise.
     """
-    t11, t22 = float(np.trace(total[:n, :n]).real), float(np.trace(total[n:, n:]).real)
+    t11, t22 = float(total[:n, :n].trace().real), float(total[n:, n:].trace().real)
     tiny = 1e-14 * max(abs(t11), abs(t22), 1.0)
     u = t11 + t22
     if case is None:
@@ -245,10 +261,6 @@ def _operators_from_Ms(space, Ms) -> np.ndarray:
     return space.signature[None, :, None] * (Ms.conj().transpose(0, 2, 1) @ Ms)
 
 
-def _measure_from_Ms(space, box, momenta, Ms) -> OperatorMeasure:
-    return OperatorMeasure(space, box, momenta, _operators_from_Ms(space, Ms), validate=False)
-
-
 def _real_view(stack: np.ndarray) -> np.ndarray:
     """A complex stack as one real vector, so that ``u @ v = Re<u, v>``."""
     return stack.reshape(-1).view(float)
@@ -270,186 +282,238 @@ class _CurvatureMemory:
     oldest pair drops, both keep their trailing blocks (the inverse of a
     triangular matrix's trailing block is the trailing block of its
     inverse).  So a direction costs a few matrix-vector products, however
-    many pairs are held, and nothing is rebuilt per call.
+    many pairs are held, and nothing is rebuilt per call.  The held pairs
+    are the rows ``lo:hi`` of tables with room for ``2 LBFGS_MEMORY``: a
+    dropped pair only moves ``lo`` on, and the rows move back to the front
+    when ``hi`` reaches the end, once every ``LBFGS_MEMORY`` pairs.
     """
 
     def __init__(self, size: int):
-        self.S = np.zeros((LBFGS_MEMORY, size))
-        self.Y = np.zeros((LBFGS_MEMORY, size))
-        self.sy = np.zeros(LBFGS_MEMORY)
-        self.R_inv = np.zeros((LBFGS_MEMORY, LBFGS_MEMORY))
-        self.YY = np.zeros((LBFGS_MEMORY, LBFGS_MEMORY))
-        self.count = 0
+        rows = 2 * LBFGS_MEMORY
+        self.S = np.zeros((rows, size))
+        self.Y = np.zeros((rows, size))
+        self.sy = np.zeros(rows)
+        self.R_inv = np.zeros((rows, rows))
+        self.YY = np.zeros((rows, rows))
+        self.lo = self.hi = 0
+
+    @property
+    def count(self) -> int:
+        return self.hi - self.lo
 
     def add(self, s: np.ndarray, y: np.ndarray) -> None:
         """Append the pair ``(s, y)``, dropping the oldest when full; skip it unless ``s . y > 0``."""
         sy = float(s @ y)
         if not sy > 0:
             return
-        m = self.count
-        if m == LBFGS_MEMORY:
+        lo, hi = self.lo, self.hi
+        if hi - lo == LBFGS_MEMORY:
+            lo += 1
+        if hi == len(self.sy):
+            m = hi - lo
             for table in (self.S, self.Y, self.sy):
-                table[:-1] = table[1:]
+                table[:m] = table[lo:hi]
             for table in (self.R_inv, self.YY):
-                table[:-1, :-1] = table[1:, 1:]
-            m -= 1
+                table[:m, :m] = table[lo:hi, lo:hi]
+            lo, hi = 0, m
+        held = slice(lo, hi)
         # New column of R: <s_i, y> for the held pairs, then s . y.
-        self.R_inv[:m, m] = (self.R_inv[:m, :m] @ (self.S[:m] @ y)) / -sy
-        self.R_inv[m, :m] = 0.0
-        self.R_inv[m, m] = 1.0 / sy
-        self.YY[m, :m] = self.YY[:m, m] = self.Y[:m] @ y
-        self.YY[m, m] = y @ y
-        self.S[m], self.Y[m], self.sy[m] = s, y, sy
-        self.count = m + 1
+        self.R_inv[held, hi] = (self.R_inv[held, held] @ (self.S[held] @ y)) / -sy
+        self.R_inv[hi, held] = 0.0
+        self.R_inv[hi, hi] = 1.0 / sy
+        self.YY[hi, held] = self.YY[held, hi] = self.Y[held] @ y
+        self.YY[hi, hi] = y @ y
+        self.S[hi], self.Y[hi], self.sy[hi] = s, y, sy
+        self.lo, self.hi = lo, hi + 1
 
     def clear(self) -> None:
-        self.count = 0
+        self.lo = self.hi = 0
 
     def direction(self, g: np.ndarray) -> np.ndarray:
         """The L-BFGS direction ``-H g``; ``-g`` while the memory is empty."""
-        m = self.count
-        if m == 0:
+        if self.hi == self.lo:
             return -g
-        S, Y, R_inv = self.S[:m], self.Y[:m], self.R_inv[:m, :m]
-        gamma = self.sy[m - 1] / self.YY[m - 1, m - 1]
+        held, last = slice(self.lo, self.hi), self.hi - 1
+        S, Y, R_inv = self.S[held], self.Y[held], self.R_inv[held, held]
+        gamma = self.sy[last] / self.YY[last, last]
         a = R_inv @ (S @ g)
-        b = (self.sy[:m] * a + gamma * (self.YY[:m, :m] @ a - Y @ g)) @ R_inv
+        b = (self.sy[held] * a + gamma * (self.YY[held, held] @ a - Y @ g)) @ R_inv
         return gamma * (a @ Y - g) - b @ S
 
 
-def minimize_action(config: MinimizeConfig) -> MinimizeResult:
-    """Run the constrained gradient minimization defined by ``config``."""
-    space = config.space()
-    box = config.momentum_box()
-    grid = config.position_grid()
-    momenta = box.grid_points()
-    k = len(momenta)
-    d = space.dim
-    sig = space.signature
-    delta = config.smoothing_delta
-    rng = np.random.default_rng(config.seed)
-    support = _SupportTables.on_grid(momenta, grid)
+class _Iterate(NamedTuple):
+    """An iterate as bare arrays: factors ``Ms`` and operators ``A``, the field
+    ``Q`` on the grid's representatives and ``qs = Qhat`` at the atoms, the
+    total's ``Tr`` and ``Tr(S .)``, the multipliers, ``Qhat - alpha - beta S``
+    at the atoms and the factor gradients ``G_j``."""
 
-    # The restoration fixes the scale of the factors, so none is chosen here.
-    Ms = rng.standard_normal((k, d, d)) + 1j * rng.standard_normal((k, d, d))
+    Ms: np.ndarray
+    A: np.ndarray
+    q_field: np.ndarray
+    qs: np.ndarray
+    trace: float
+    signed_trace: float
+    alpha: float
+    beta: float
+    case_tag: str
+    shifted: np.ndarray
+    grads: np.ndarray
 
-    def restored(Ms_raw: np.ndarray) -> np.ndarray:
+
+class _FixedSupport:
+    """What a minimization run fixes, and the objective on its factor stacks.
+
+    A run moves the factors, never the space, box, atom momenta, position
+    grid, ``delta`` or targets; the support tables and the Fourier phases
+    at the atom momenta are built from those once.  The loop passes bare
+    factor and operator stacks through :meth:`restore`, :meth:`trial` and
+    :meth:`state`; public objects are built only for what leaves it.
+    """
+
+    def __init__(self, config: MinimizeConfig):
+        self.space = config.space()
+        self.box = config.momentum_box()
+        self.grid = config.position_grid()
+        self.momenta = self.box.grid_points()
+        self.delta, self.c, self.f = config.smoothing_delta, config.c, config.f
+        self.support = _SupportTables.on_grid(self.momenta, self.grid)
+        self.phases = self.support.fourier_phases(self.momenta)
+
+    def measure(self, A: np.ndarray) -> OperatorMeasure:
+        return OperatorMeasure(self.space, self.box, self.momenta, A, validate=False)
+
+    def restore(self, Ms_raw: np.ndarray) -> np.ndarray:
         # The restoration A -> D A D acts on the factors as M -> M D.
-        total = _operators_from_Ms(space, Ms_raw).sum(axis=0)
-        return Ms_raw * _restoring_factors(total, space.n, config.c, config.f)[None, None, :]
+        total = _operators_from_Ms(self.space, Ms_raw).sum(axis=0)
+        return Ms_raw * _restoring_factors(total, self.space.n, self.c, self.f)[None, None, :]
 
-    def trial(Ms_raw: np.ndarray, to_beat: float):
-        """``(Ms, measure, action, evaluator)`` of the restored ``Ms_raw`` if its
-        action is below ``to_beat``; None for a rejected trial.  One chain
-        eigensolve gives the action and, on acceptance, the gradient field;
-        it is counted on the current trace row."""
+    def trial(self, Ms_raw: np.ndarray, to_beat: float, row: dict):
+        """``(action, iterate)`` of the restored ``Ms_raw`` if its action is below
+        ``to_beat``; None for a rejected trial.  One chain eigensolve gives the
+        action and, on acceptance, the gradient field; it is counted on ``row``."""
         try:
-            Ms_try = restored(Ms_raw)
+            Ms = self.restore(Ms_raw)
         except RestorationError:
             return None
-        measure_try = _measure_from_Ms(space, box, momenta, Ms_try)
-        trace_log[-1]["trials"] += 1
-        action_try, solved = _solved_action(measure_try, grid, delta, support)
-        if not action_try < to_beat:
+        A = _operators_from_Ms(self.space, Ms)
+        row["trials"] += 1
+        value, solved = _solved_action(A, self.space.signature, self.support, self.delta)
+        if not value < to_beat:
             return None
         try:
             # A step may land on a nondifferentiable point of the exact
             # Lagrangian; treat that as a rejected trial.
-            return Ms_try, measure_try, action_try, QHatEvaluator(
-                measure_try, grid, smoothing_delta=delta, _support=support, _solved=solved
-            )
+            q_field = _gradient_field(A, self.space, self.support, self.delta, solved)
         except NonsmoothPointError:
             return None
+        return value, self.state(Ms, A, q_field)
 
-    Ms = restored(Ms)
-    measure = _measure_from_Ms(space, box, momenta, Ms)
-    current_action = action(measure, grid, delta, _support=support)
-    evaluator = QHatEvaluator(measure, grid, smoothing_delta=delta, _support=support)
+    def state(self, Ms: np.ndarray, A: np.ndarray, q_field: np.ndarray) -> _Iterate:
+        """The iterate of factors ``Ms`` with operators ``A`` and gradient field ``q_field``."""
+        space = self.space
+        qs = _fourier_qhat(self.phases, q_field, space.signature)
+        traces = tuple(float(t.real) for t in _trace_functionals(A.sum(axis=0), space))
+        # No array of an iterate is written after this, so the pushforward
+        # shares them instead of copying as pushforward() does.
+        mu = PushforwardMeasure(space, self.momenta, qs, A)
+        alpha, beta, case_tag = lagrange_parameters(mu, self.c, self.f, _traces=traces)
+        shifted = _shift(qs, alpha, beta, space)
+        grads = 4.0 * (Ms @ shifted) * space.signature[None, None, :]
+        return _Iterate(Ms, A, q_field, qs, *traces, alpha, beta, case_tag, shifted, grads)
+
+    def report(self, it: _Iterate, spectra=None) -> ELReport:
+        """The first-order report of an iterate, its atoms as the probes."""
+        mu = pushforward(self.measure(it.A), it.qs)
+        return el_residuals(mu, it.alpha, it.beta, self.momenta, mu.qs, it.case_tag,
+                            tail_magnitude=_tail_magnitude(it.q_field, self.grid),
+                            _atom_rows=np.arange(len(self.momenta)), _spectra=spectra)
+
+
+def minimize_action(config: MinimizeConfig) -> MinimizeResult:
+    """Run the constrained gradient minimization defined by ``config``."""
+    run = _FixedSupport(config)
+    space = run.space
+    k, d = len(run.momenta), space.dim
+    rng = np.random.default_rng(config.seed)
+
+    # The restoration fixes the scale of the factors, so none is chosen here.
+    Ms = run.restore(rng.standard_normal((k, d, d)) + 1j * rng.standard_normal((k, d, d)))
+    A = _operators_from_Ms(space, Ms)
+    measure = run.measure(A)
+    current_action = action(measure, run.grid, run.delta, _support=run.support)
+    evaluator = QHatEvaluator(measure, run.grid, smoothing_delta=run.delta, _support=run.support)
+    it = run.state(Ms, A, evaluator.q_field)
     trace_log: list = []
     previous = None  # real views of (Ms, G) before the last accepted step
     memory = _CurvatureMemory(2 * Ms.size)
     stop_reason = "max_iterations"
     certify_tol = CERTIFY_FRACTION * config.tol_el
     residual_bound = d * certify_tol**2 * (1.0 + _BOUND_SLACK)
-    # The probes of each report are the atom momenta, so the atoms are all its rows.
-    atoms = np.arange(k)
 
-    # The pass after the last iteration only builds the final iterate's field.
-    for iteration in range(config.max_iterations + 1):
-        mu = pushforward(measure, evaluator._evaluate_many(momenta))
-        alpha, beta, case_tag = lagrange_parameters(mu, config.c, config.f)
-        shifted = _shift(mu.qs, alpha, beta, space)
+    for iteration in range(config.max_iterations):
         spectra = None
-        if iteration == config.max_iterations:
-            break
-        grads = 4.0 * (Ms @ shifted) * sig[None, None, :]
-        grad_norm = float(np.sqrt(np.sum(np.abs(grads) ** 2)))
-        g = _real_view(grads)
+        g = _real_view(it.grads)
+        grad_norm = float(np.sqrt((np.abs(it.grads) ** 2).sum()))
         if previous is not None:
-            memory.add(_real_view(Ms) - previous[0], g - previous[1])
+            memory.add(_real_view(it.Ms) - previous[0], g - previous[1])
         direction = memory.direction(g)
         if memory.count and not float(direction @ g) < 0:
             memory.clear()
             direction = -g
         step = 1.0 if memory.count else INITIAL_STEP
-        direction = direction.view(complex).reshape(Ms.shape)
+        direction = direction.view(complex).reshape(it.Ms.shape)
 
-        trace_val, signed_val = (float(t.real) for t in _trace_functionals(measure.total(), space))
-        trace_log.append(
-            {
-                "iteration": iteration,
-                "action": current_action,
-                "trace": trace_val,
-                "signed_trace": signed_val,
-                "step": step,
-                "grad_norm": grad_norm,
-                # No escape steps are taken; the key and the escapes column
-                # of iterations.csv stay at 0 because perfbench/workloads.py
-                # reads both.
-                "escapes": 0,
-                "trials": 0,
-            }
-        )
+        row = {
+            "iteration": iteration,
+            "action": current_action,
+            "trace": it.trace,
+            "signed_trace": it.signed_trace,
+            "step": step,
+            "grad_norm": grad_norm,
+            # No escape steps are taken; the key and the escapes column
+            # of iterations.csv stay at 0 because perfbench/workloads.py
+            # reads both.
+            "escapes": 0,
+            "trials": 0,
+        }
+        trace_log.append(row)
 
         # The iterate's own report, assembled only once it could pass.  Its
         # support residuals need ||A_j T_j||_F^2 <= d certify_tol^2, since
         # ||X||_F <= sqrt(d) ||X||_2; only then are the shifted spectra
         # computed, and the report built once the psd margin passes too.
-        if _squared_frobenius(mu.operators @ shifted).max() <= residual_bound:
-            w, V = _hermitian_spectra(shifted, space)
-            spectra = (shifted, w, V)
+        if _squared_frobenius(it.A @ it.shifted).max() <= residual_bound:
+            w, V = _hermitian_spectra(it.shifted, space)
+            spectra = (it.shifted, w, V)
             if w[:, 0].min() >= -certify_tol:
-                report = el_residuals(mu, alpha, beta, momenta, mu.qs, case_tag,
-                                      tail_magnitude=evaluator.tail_magnitude,
-                                      _atom_rows=atoms, _spectra=spectra)
+                report = run.report(it, spectra)
                 if check_first_order(report, certify_tol)["all"]:
                     stop_reason = "certified"
                     break
 
         eta = step
         for _ in range(MAX_BACKTRACKS):
-            accepted = trial(Ms + eta * direction, current_action)
+            accepted = run.trial(it.Ms + eta * direction, current_action, row)
             if accepted is not None:
                 break
             eta *= BACKTRACK_FACTOR
         if accepted is None:
             stop_reason = "stalled"
             break
-        previous = (_real_view(Ms), g)
-        Ms, measure, current_action, evaluator = accepted
+        previous = (_real_view(it.Ms), g)
+        current_action, it = accepted
+        spectra = None
 
     if stop_reason != "certified":
-        report = el_residuals(mu, alpha, beta, momenta, mu.qs, case_tag,
-                              tail_magnitude=evaluator.tail_magnitude, _atom_rows=atoms, _spectra=spectra)
-    final_measure = OperatorMeasure(space, box, momenta, measure.operators)
+        report = run.report(it, spectra)
     return MinimizeResult(
-        measure=final_measure,
+        measure=OperatorMeasure(space, run.box, run.momenta, it.A),
         report=report,
         trace=trace_log,
         converged=check_first_order(report, config.tol_el)["all"],
         action_value=current_action,
-        alpha=alpha,
-        beta=beta,
-        case_tag=case_tag,
+        alpha=it.alpha,
+        beta=it.beta,
+        case_tag=it.case_tag,
         stop_reason=stop_reason,
     )

@@ -8,10 +8,12 @@ Substituting ``H = A S / b`` turns the problem into minimizing
 multiplier ``alpha`` is the projector onto the lowest eigenspace of
 ``qhat - alpha S``; the scalar map ``alpha -> a(alpha) = Tr(S F1)`` is
 nondecreasing, so the constraint is met by a safeguarded Newton iteration
-on ``a(alpha)``: a Newton step with the exact slope wherever it stays inside
-the current bracket, a bisection step otherwise, with exact mixing inside
-degenerate lowest eigenspaces on plateaus, and mixing of the two ends when
-the bracket collapses onto a jump that no float ``alpha`` resolves.  It
+on ``a(alpha)``: a Newton step with the exact slope, cut short at the next
+crossing of the lowest eigenvalue with another (extrapolated from their
+slopes), wherever it stays inside the current bracket, a bisection step
+otherwise, with exact mixing inside degenerate lowest eigenspaces on
+plateaus, and mixing of the two ends when the bracket collapses onto a jump
+that no float ``alpha`` resolves.  It
 starts at ``alpha_0 = (min eig qhat_{++} - min eig qhat_{--}) / 2``, where the
 lowest eigenvalues of the diagonal blocks of ``qhat - alpha S`` cross: the
 jump ``a(alpha)`` would make there without the coupling ``qhat_{+-}``.  The
@@ -189,7 +191,7 @@ def _cluster_cut(w) -> float:
 
 
 def _lowest_cluster(qhat: np.ndarray, space: SignatureSpace, alpha: float):
-    """Lowest eigenspace of ``qhat - alpha S`` from one ``eigh``, as ``(V, s, W, beta, slope)``.
+    """Lowest eigenspace of ``qhat - alpha S`` from one ``eigh``, as ``(V, s, W, beta, slope, spectrum)``.
 
     ``V`` holds the eigenvectors up to the :func:`_cluster_cut` of the
     spectrum, whose lowest eigenvalue is ``beta``; ``(s, W)`` is the ``eigh``
@@ -197,6 +199,7 @@ def _lowest_cluster(qhat: np.ndarray, space: SignatureSpace, alpha: float):
     spans ``[s[0], s[-1]]`` (floats).
     For a single vector ``v_0``, ``slope = a'(alpha) = 2 sum_{k>=1} |v_k^H S v_0|^2
     / (w_k - w_0) >= 0``; it is None for a degenerate cluster.
+    ``spectrum`` is the whole ``eigh`` pair ``(w, V)``.
     """
     sig = space.signature
     w, V = np.linalg.eigh(_shifted(qhat, space, alpha))
@@ -206,11 +209,35 @@ def _lowest_cluster(qhat: np.ndarray, space: SignatureSpace, alpha: float):
     if size == 1:
         coupling = V.conj().T @ (sig * V[:, 0])
         slope = 2.0 * sum((np.abs(coupling[1:]) ** 2 / (w[1:] - w[0])).tolist())
-        return V[:, :1], [float(coupling[0].real)], _ONE, ws[0], slope
-    V = V[:, :size]
-    B = V.conj().T @ (sig[:, None] * V)
+        return V[:, :1], [float(coupling[0].real)], _ONE, ws[0], slope, (w, V)
+    cluster = V[:, :size]
+    B = cluster.conj().T @ (sig[:, None] * cluster)
     s, W = np.linalg.eigh(0.5 * (B + B.conj().T))
-    return V, s.tolist(), W, ws[0], None
+    return cluster, s.tolist(), W, ws[0], None, (w, V)
+
+
+def _level_crossing(w: np.ndarray, V: np.ndarray, sig: np.ndarray, up: bool, reach: float):
+    """Shift of ``alpha`` to where another eigenvalue of ``qhat - alpha S`` first
+    meets the lowest one, toward larger ``a(alpha)`` if ``up``, if it is shorter
+    than ``reach``; None otherwise.
+
+    ``(w, V)`` is the ``eigh`` of ``qhat - alpha S``; each eigenvalue moves with
+    ``d w_k / d alpha = -v_k^H S v_k`` in ``[-1, 1]`` (Hellmann-Feynman),
+    extrapolated linearly, so no crossing is nearer than ``(w_1 - w_0) / 2``.
+    Near a weakly coupled crossing of a lowest eigenvector of one sign of
+    ``S`` with one of the other, ``a(alpha)`` jumps there, and the Newton step
+    of its flat sides lands far off.
+    """
+    if w[1] - w[0] >= 2.0 * reach:
+        return None
+    a = np.einsum("ik,i,ik->k", V.conj(), sig, V).real
+    rate = a[1:] - a[0]
+    ahead = rate > 0 if up else rate < 0
+    if not ahead.any():
+        return None
+    steps = (w[1:] - w[0])[ahead] / rate[ahead]
+    step = steps.min() if up else steps.max()
+    return step if abs(step) < reach else None
 
 
 def a_of_alpha(q: np.ndarray, space: SignatureSpace, alpha: float) -> AlphaValue:
@@ -223,7 +250,7 @@ def a_of_alpha(q: np.ndarray, space: SignatureSpace, alpha: float) -> AlphaValue
     eigenvalue, from the same eigensolve.
     """
     qhat = _hermitian_coefficient(q, space)
-    V, s, _, beta, _ = _lowest_cluster(qhat, space, _finite_alpha(alpha))
+    V, s, _, beta, _, _ = _lowest_cluster(qhat, space, _finite_alpha(alpha))
     return AlphaValue(a_min=s[0], a_max=s[-1], degenerate=V.shape[1] > 1, beta=beta)
 
 
@@ -350,9 +377,12 @@ def solve(problem: PointwiseProblem) -> PointwiseSolution:
             return _solution(problem, H, 0.0, m, tag + "-no-multipliers", valid=False)
         return _solution(problem, H, family.canonical_alpha, family.canonical_beta, tag, family)
 
-    # Bracket [lo, hi] with a(lo) <= t <= a(hi), then safeguarded Newton: a
-    # Newton step on a(alpha) from a single lowest vector when it lands
-    # strictly inside the bracket, the midpoint otherwise.
+    # Bracket [lo, hi] with a(lo) <= t <= a(hi), then safeguarded Newton on
+    # a(alpha) from a single lowest vector, stopped at the next level
+    # crossing: past it the lowest vector is another one, where a(alpha)
+    # jumps, and a Newton step from a flat side of the jump lands far off.
+    # A step that leaves the bracket is replaced by the crossing if that lies
+    # inside, else by the midpoint; a degenerate cluster takes the midpoint.
     t = a / b
     radius = float(np.max(np.sum(np.abs(qhat), axis=1))) + 1.0
     lo, hi = -radius, radius
@@ -373,7 +403,7 @@ def solve(problem: PointwiseProblem) -> PointwiseSolution:
     low = np.linalg.eigvalsh(np.array([qhat[:n, :n], qhat[n:, n:]]))[:, 0].tolist()
     alpha = 0.5 * (low[0] - low[1])
     for _ in range(_BISECT_MAX):
-        V, s, W, beta, slope = cluster = _lowest_cluster(qhat, space, alpha)
+        V, s, W, beta, slope, spectrum = cluster = _lowest_cluster(qhat, space, alpha)
         H = _mixed_density(V, s, W, t)
         if H is not None:
             break
@@ -387,14 +417,23 @@ def solve(problem: PointwiseProblem) -> PointwiseSolution:
             # across a jump of a(alpha) that no float alpha resolves: mix the
             # top of the lowest space at lo with the bottom of the one at hi
             # to meet the target exactly.
-            V_lo, s_lo, W_lo, beta_lo, _ = at_lo
-            V_hi, s_hi, W_hi, _, _ = at_hi
+            V_lo, s_lo, W_lo, beta_lo, _, _ = at_lo
+            V_hi, s_hi, W_hi, _, _, _ = at_hi
             ends = np.column_stack([V_lo @ W_lo[:, -1], V_hi @ W_hi[:, 0]])
             H = _mixed_density(ends, np.array([s_lo[-1], s_hi[0]]), np.eye(2), t)
             alpha, beta = lo, beta_lo
             break
-        newton = alpha + (t - s[0]) / slope if slope else mid
-        alpha = newton if lo < newton < hi else mid
+        if not slope:
+            alpha = mid
+            continue
+        newton = alpha + (t - s[0]) / slope
+        inside = lo < newton < hi
+        reach = abs(newton - alpha) if inside else hi - lo
+        step = _level_crossing(*spectrum, space.signature, s[-1] < t, reach)
+        if step is not None and lo < alpha + step < hi:
+            alpha = alpha + step
+        else:
+            alpha = newton if inside else mid
     if H is None:
         raise NumericalError("safeguarded Newton failed to reach the signed-trace target")
     return _solution(problem, H, float(alpha), beta, "interior")

@@ -31,7 +31,14 @@ from kreinact import (
     scale,
     translate,
 )
-from kreinact.action import _chain_solve, _eig_gradient_factors, _kernel_phases, _solved_action, _SupportTables
+from kreinact.action import (
+    _chain_solve,
+    _eig_gradient_factors,
+    _gradient_field,
+    _kernel_phases,
+    _solved_action,
+    _SupportTables,
+)
 
 # The package exports the function ``action`` under the submodule's name.
 action_module = importlib.import_module("kreinact.action")
@@ -49,7 +56,7 @@ def _finite_differences_only(monkeypatch):
 @contextlib.contextmanager
 def _analytic_only(monkeypatch):
     """A kernel sent to finite differences raises instead, naming the point of the estimate."""
-    def refuse(measure, xi, *args):
+    def refuse(kernel, xi, *args):
         raise NonsmoothPointError("no analytic gradient at this point", xi=xi)
 
     with monkeypatch.context() as m:
@@ -690,17 +697,24 @@ def _solve_cases():
     yield _rank_two_measure()  # two coinciding zero eigenvalues at every point
 
 
+def _solve(meas, grid, delta, support=None):
+    """:func:`_solved_action` of a measure on a grid, from the given support tables or its own."""
+    support = support or _SupportTables.on_grid(meas.momenta, grid)
+    return _solved_action(meas.operators, meas.space.signature, support, delta)
+
+
 def test_line_search_solve_gives_the_action_and_the_field():
     # The minimizer's trials take the action from one chain eig and, on
     # acceptance, build the gradient field from the same solve.
     for meas, grid in _solve_cases():
+        support = _SupportTables.on_grid(meas.momenta, grid)
         for delta in (0.0, 1e-2):
-            value, solved = _solved_action(meas, grid, delta)
+            value, solved = _solve(meas, grid, delta)
             expected = action(meas, grid, delta)
             assert abs(value - expected) <= 1e-13 * abs(expected)
             fresh = QHatEvaluator(meas, grid, smoothing_delta=delta)
-            reused = QHatEvaluator(meas, grid, smoothing_delta=delta, _solved=solved)
-            np.testing.assert_array_equal(reused.q_field, fresh.q_field)
+            reused = _gradient_field(meas.operators, meas.space, support, delta, solved)
+            np.testing.assert_array_equal(reused, fresh.q_field)
 
 
 def test_run_tables_give_the_one_shot_results_to_the_bit():
@@ -709,11 +723,13 @@ def test_run_tables_give_the_one_shot_results_to_the_bit():
     for meas, grid in _solve_cases():
         support = _SupportTables.on_grid(meas.momenta, grid)
         for delta in (0.0, 1e-2):
-            value, solved = _solved_action(meas, grid, delta, support)
+            value, solved = _solve(meas, grid, delta, support)
             assert value == action(meas, grid, delta) == action(meas, grid, delta, _support=support)
-            reused = QHatEvaluator(meas, grid, smoothing_delta=delta, _support=support, _solved=solved)
+            reused = QHatEvaluator(meas, grid, smoothing_delta=delta, _support=support)
             fresh = QHatEvaluator(meas, grid, smoothing_delta=delta)
             assert reused.q_field.tobytes() == fresh.q_field.tobytes()
+            solved_field = _gradient_field(meas.operators, meas.space, support, delta, solved)
+            assert solved_field.tobytes() == fresh.q_field.tobytes()
             # The repeated momenta read the kept Fourier table.
             for ps in (meas.momenta, meas.momenta, meas.momenta + 0.25, meas.momenta):
                 expected = np.stack([fresh.evaluate(p) for p in ps])
@@ -725,7 +741,8 @@ def test_run_tables_give_the_one_shot_results_to_the_bit():
 def test_singular_eigenvector_matrix_rejects_only_its_row(monkeypatch):
     meas = random_measure_for(SignatureSpace(2), make_rng(28), n_atoms=4, shape=(3, 2, 1, 1))
     points = PositionGrid.from_box(3.0, (5, 3, 1, 1)).points
-    _, chains, lams, R = _chain_solve(meas, _kernel_phases(meas.momenta, points))
+    _, chains, lams, R, _ = _chain_solve(meas.operators, meas.space.signature,
+                                         _kernel_phases(meas.momenta, points), 0.0)
     singular = R.copy()
     singular[7][:, 1] = 0.0  # an exactly zero LU pivot: inv raises for the whole stack
     without = [np.delete(a, 7, axis=0) for a in (chains, lams, R)]
@@ -753,10 +770,11 @@ def test_gradient_factor_commutes_with_the_kernel_across_the_pair():
     # X^* X with X = P_+(xi), and N is a polynomial in its chain.
     for meas, grid in _solve_cases():
         for delta in (0.0, 1e-2):
-            Pp, *solved = _chain_solve(meas, _kernel_phases(meas.momenta, grid.points))
-            N, ok = _eig_gradient_factors(*solved, meas.space, delta)
-            reflected = _chain_solve(meas, _kernel_phases(meas.momenta, -grid.points))[1:]
-            N_minus, ok_minus = _eig_gradient_factors(*reflected, meas.space, delta)
+            sig = meas.space.signature
+            Pp, *solved, m = _chain_solve(meas.operators, sig, _kernel_phases(meas.momenta, grid.points), delta)
+            N, ok = _eig_gradient_factors(*solved, meas.space, delta, m)
+            _, *reflected, m = _chain_solve(meas.operators, sig, _kernel_phases(meas.momenta, -grid.points), delta)
+            N_minus, ok_minus = _eig_gradient_factors(*reflected, meas.space, delta, m)
             both = ok & ok_minus
             scale = np.linalg.norm(N[both], 2, axis=(1, 2)) * np.linalg.norm(Pp[both], 2, axis=(1, 2))
             gap = np.linalg.norm(N[both] @ Pp[both] - Pp[both] @ N_minus[both], 2, axis=(1, 2))
@@ -811,7 +829,7 @@ def test_one_chain_eigensolve_per_distinct_kernel(monkeypatch):
     monkeypatch.setattr(np.linalg, "eig", counting("eig", np.linalg.eig))
     monkeypatch.setattr(np.linalg, "eigvals", counting("eigvals", np.linalg.eigvals))
     for meas, kernels in ((shared, 11), (jittered, 32)):
-        for call, expected in ((lambda: _solved_action(meas, grid, 1e-2), "eig"),
+        for call, expected in ((lambda: _solve(meas, grid, 1e-2), "eig"),
                                (lambda: action(meas, grid, 1e-2), "eigvals"),
                                (lambda: QHatEvaluator(meas, grid, smoothing_delta=1e-2), "eig")):
             calls.clear()
@@ -826,13 +844,13 @@ def test_shared_kernels_share_their_finite_difference_estimate(monkeypatch):
     origin_class = support.kernel_class[support.origin][0]
     fd_gradient, calls = action_module._fd_gradient, []
 
-    def counted(measure, xi, *args):
+    def counted(kernel, xi, *args):
         calls.append(xi)
-        return fd_gradient(measure, xi, *args)
+        return fd_gradient(kernel, xi, *args)
 
     monkeypatch.setattr(action_module, "_fd_gradient", counted)
     for delta in (0.0, 1e-2):
-        _, chains, lams, R = _chain_solve(meas, support.kernel_phases)
+        _, chains, lams, R, _ = _chain_solve(meas.operators, meas.space.signature, support.kernel_phases, delta)
         analytic = _eig_gradient_factors(chains, lams, R, meas.space, delta)[1]
         for fd_only in (False, True):
             with _finite_differences_only(monkeypatch) if fd_only else contextlib.nullcontext():

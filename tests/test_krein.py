@@ -23,7 +23,8 @@ from kreinact import (
     psd_factorize,
     spectral_split,
 )
-from kreinact.krein import _max_spectral_norm
+from kreinact.krein import _max_spectral_norm, _positive_rows
+from kreinact.tolerances import HERMITICITY, PSD
 
 
 def test_space_basics():
@@ -259,3 +260,68 @@ def test_max_spectral_norm_equals_the_full_computation(kind, k, d, seed, real):
                          ids=["empty", "one-zero-row", "zero-rows", "one-row"])
 def test_max_spectral_norm_of_degenerate_stacks(stack):
     assert _max_spectral_norm(stack) == np.linalg.norm(stack, 2, axis=(1, 2)).max(initial=0.0)
+
+
+def _positive_rows_full(As, sig):
+    """:func:`_positive_rows` computed without its bounds: two SVD norms of every row."""
+    H = sig[:, None] * As
+    H_adj = np.swapaxes(H.conj(), -1, -2)
+    defect = np.linalg.norm(H - H_adj, 2, axis=(-2, -1))
+    scale = np.maximum(np.linalg.norm(As, 2, axis=(-2, -1)), 1.0)
+    w_min = np.linalg.eigvalsh(0.5 * (H + H_adj))[..., 0]
+    return (defect <= max(PSD, HERMITICITY) * scale) & (w_min >= -PSD * scale)
+
+
+def _edge_row(sp, rng, size, defect_offset, margin_offset, rank_one):
+    """``A = S H`` with ``||H||_2`` about ``size``, whose defect and lowest eigenvalue
+    sit ``1 + offset`` times at their tolerances for the scale ``max(size, 1)``.
+
+    A rank-one defect has ``||X||_F = ||X||_2``, a generic one ``||X||_F`` near
+    ``sqrt(d) ||X||_2``: the two ends of the Frobenius bounds.
+    """
+    d = sp.dim
+    G = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    P = G @ G.conj().T
+    P *= size / np.linalg.norm(P, 2)
+    scale = max(size, 1.0)
+    P -= (np.linalg.eigvalsh(P)[0] + PSD * scale * (1.0 + margin_offset)) * np.eye(d)
+    K = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    B = 1j * np.outer(K[0], K[0].conj()) if rank_one else K - K.conj().T
+    B /= np.linalg.norm(B, 2)
+    H = P + 0.5 * max(PSD, HERMITICITY) * scale * (1.0 + defect_offset) * B
+    return sp.signature[:, None] * H
+
+
+_OFFSETS = [-0.9, -1e-2, -1e-6, -1e-9, -1e-12, 0.0, 1e-12, 1e-9, 1e-6, 1e-2, 5.0]
+
+
+@given(st.integers(min_value=1, max_value=2), st.integers(min_value=0, max_value=10**6),
+       st.lists(st.tuples(st.sampled_from([1e-3, 0.5, 1.0, 3.0, 1e3]), st.sampled_from(_OFFSETS),
+                          st.sampled_from(_OFFSETS), st.booleans()), min_size=1, max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_positive_rows_equal_the_full_computation_at_the_tolerance_edges(n, seed, rows):
+    sp, rng = SignatureSpace(n), make_rng(seed)
+    stack = np.stack([_edge_row(sp, rng, *row) for row in rows])
+    assert _positive_rows(stack, sp.signature).tolist() == _positive_rows_full(stack, sp.signature).tolist()
+
+
+def test_positive_rows_decompose_only_the_rows_the_bounds_leave_open(monkeypatch):
+    sp, rng = SignatureSpace(2), make_rng(31)
+    clear = np.stack([random_positive(sp, rng) for _ in range(20)])
+    edge = np.stack([_edge_row(sp, rng, 1.0, offset, -0.9, False) for offset in (-1e-9, 1e-9)])
+    # Entries past 1e154 overflow the squared Frobenius norm; those rows are decomposed.
+    huge = 1e160 * clear[:2]
+    svd, decomposed = np.linalg.svd, []
+
+    def counted(a, *args, **kwargs):
+        decomposed.append(len(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    for stack, expected in ((clear, []), (edge, [2, 2]), (huge, [2, 2])):
+        decomposed.clear()
+        result = _positive_rows(stack, sp.signature)
+        assert decomposed == expected
+        monkeypatch.undo()
+        assert result.tolist() == _positive_rows_full(stack, sp.signature).tolist()
+        monkeypatch.setattr(np.linalg, "svd", counted)

@@ -1,5 +1,6 @@
 """Tests for constraint restoration and the constrained gradient minimizer."""
 
+import importlib
 import json
 import math
 from dataclasses import replace
@@ -28,6 +29,8 @@ from kreinact import (
     report_to_dict,
     restore_constraints,
 )
+from kreinact.action import _tail_magnitude
+from kreinact.elverify import _shift
 from kreinact.minimize import LBFGS_MEMORY, MAX_BACKTRACKS, _CurvatureMemory, _restoring_factors
 from kreinact.tolerances import CONSTRAINT, ZERO_EIGENVALUE
 
@@ -40,6 +43,11 @@ TOY = MinimizeConfig(n=1, c=0.5, f=1.0, seed=0, smoothing_delta=1e-2)
 # Every seed reaches this minimum; values frozen from a converged instance.
 TOY_ACTION = 18.3103641117
 TOY_ALPHA = 76.1978518539
+# The n=2 reference problem.
+N2_REF = MinimizeConfig(
+    n=2, c=0.5, f=1.0, momentum_shape=(3, 2, 1, 1), position_shape=(7, 3, 3, 1),
+    position_radius=3.0, smoothing_delta=1e-2, max_iterations=2000,
+)
 
 
 @pytest.fixture(scope="module")
@@ -270,6 +278,72 @@ def test_compact_memory_matches_the_two_loop_recursion():
         assert np.linalg.norm(memory.direction(g) - expected) <= 1e-12 * np.linalg.norm(expected), step
 
 
+class _ShiftedMemory:
+    """Reference compact memory with shifting tables: every pair past the
+    ``LBFGS_MEMORY``-th shifts all five tables up by one row."""
+
+    def __init__(self, size):
+        self.S = np.zeros((LBFGS_MEMORY, size))
+        self.Y = np.zeros((LBFGS_MEMORY, size))
+        self.sy = np.zeros(LBFGS_MEMORY)
+        self.R_inv = np.zeros((LBFGS_MEMORY, LBFGS_MEMORY))
+        self.YY = np.zeros((LBFGS_MEMORY, LBFGS_MEMORY))
+        self.count = 0
+
+    def add(self, s, y):
+        sy = float(s @ y)
+        if not sy > 0:
+            return
+        m = self.count
+        if m == LBFGS_MEMORY:
+            for table in (self.S, self.Y, self.sy):
+                table[:-1] = table[1:]
+            for table in (self.R_inv, self.YY):
+                table[:-1, :-1] = table[1:, 1:]
+            m -= 1
+        self.R_inv[:m, m] = (self.R_inv[:m, :m] @ (self.S[:m] @ y)) / -sy
+        self.R_inv[m, :m] = 0.0
+        self.R_inv[m, m] = 1.0 / sy
+        self.YY[m, :m] = self.YY[:m, m] = self.Y[:m] @ y
+        self.YY[m, m] = y @ y
+        self.S[m], self.Y[m], self.sy[m] = s, y, sy
+        self.count = m + 1
+
+    def clear(self):
+        self.count = 0
+
+    def direction(self, g):
+        m = self.count
+        if m == 0:
+            return -g
+        S, Y, R_inv = self.S[:m], self.Y[:m], self.R_inv[:m, :m]
+        gamma = self.sy[m - 1] / self.YY[m - 1, m - 1]
+        a = R_inv @ (S @ g)
+        b = (self.sy[:m] * a + gamma * (self.YY[:m, :m] @ a - Y @ g)) @ R_inv
+        return gamma * (a @ Y - g) - b @ S
+
+
+@pytest.mark.parametrize("size", [16, 192])
+def test_windowed_memory_gives_the_shifted_memory_directions_to_the_bit(size):
+    # The window moves its rows back to the front once every LBFGS_MEMORY
+    # pairs; the held rows and their order are those of the shifted tables,
+    # so every direction is the same bits.  Sizes of the toy and n=2 stacks.
+    rng = make_rng(6)
+    windowed, shifted = _CurvatureMemory(size), _ShiftedMemory(size)
+    skipped, cleared = {3, LBFGS_MEMORY + 1, 2 * LBFGS_MEMORY + 7}, 2 * LBFGS_MEMORY + 10
+    for step in range(3 * LBFGS_MEMORY + 5):
+        if step == cleared:
+            windowed.clear()
+            shifted.clear()
+        s = rng.standard_normal(size)
+        y = (-1.0 if step in skipped else 1.0) * (s + 0.1 * rng.standard_normal(size))
+        windowed.add(s, y)
+        shifted.add(s, y)
+        assert windowed.count == shifted.count, step
+        g = rng.standard_normal(size)
+        assert np.array_equal(windowed.direction(g), shifted.direction(g)), step
+
+
 # ---------------------------------------------------------------------------
 # Minimization on the toy instance
 # ---------------------------------------------------------------------------
@@ -372,15 +446,19 @@ def test_atoms_without_mass_are_still_probes(toy_result):
 
 
 def _scale_minimizer_field(monkeypatch, eps):
-    """Make the minimizer's gradient fields ``1 + eps`` times the computed ones."""
+    """Make the minimizer's gradient fields ``1 + eps`` times the computed ones.
+
+    Every iterate of a run, the initial one included, enters the loop
+    through ``_FixedSupport.state`` with its field.
+    """
     import kreinact.minimize as minimize_module
 
-    class Scaled(QHatEvaluator):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            self.q_field = (1.0 + eps) * self.q_field
+    state = minimize_module._FixedSupport.state
 
-    monkeypatch.setattr(minimize_module, "QHatEvaluator", Scaled)
+    def scaled(self, Ms, A, q_field):
+        return state(self, Ms, A, (1.0 + eps) * q_field)
+
+    monkeypatch.setattr(minimize_module._FixedSupport, "state", scaled)
 
 
 @pytest.mark.parametrize("eps", [-3e-15, 2e-14, 1e-13, -1e-13])
@@ -433,6 +511,79 @@ def test_converged_is_the_final_report_verdict(monkeypatch, config, stop):
     assert result.converged == (stop == "certified")
     assert all(row["escapes"] == 0 for row in result.trace)
     assert result.trace[-1]["trials"] <= MAX_BACKTRACKS
+
+
+def _run_iterates(monkeypatch, config):
+    """The iterates a run enters its loop with, the initial one first, as the run object builds them."""
+    import kreinact.minimize as minimize_module
+
+    state, iterates = minimize_module._FixedSupport.state, []
+
+    def recorded(self, Ms, A, q_field):
+        iterates.append(state(self, Ms, A, q_field))
+        return iterates[-1]
+
+    monkeypatch.setattr(minimize_module._FixedSupport, "state", recorded)
+    minimize_action(config)
+    monkeypatch.undo()
+    return iterates
+
+
+@pytest.mark.parametrize("config, index, fd_points", [
+    pytest.param(replace(TOY, seed=1), 5, False, id="toy-seed1-it5"),
+    pytest.param(N2_REF, 60, False, id="n2-it60"),
+    pytest.param(replace(TOY, smoothing_delta=0.0), 10, True, id="toy-delta0-it10-fd"),
+])
+def test_run_state_is_the_public_computation_to_the_bit(monkeypatch, config, index, fd_points):
+    # The loop passes arrays; at each iterate they must be what the public
+    # evaluator, pushforward and multipliers give for its measure.
+    it = _run_iterates(monkeypatch, replace(config, max_iterations=index))[index]
+    space, box, grid = config.space(), config.momentum_box(), config.position_grid()
+    momenta = box.grid_points()
+    action_module = importlib.import_module("kreinact.action")
+    fd_gradient, estimates = action_module._fd_gradient, []
+
+    def counted(*args):
+        estimates.append(args[1])
+        return fd_gradient(*args)
+
+    monkeypatch.setattr(action_module, "_fd_gradient", counted)
+    measure = OperatorMeasure(space, box, momenta, it.A)
+    evaluator = QHatEvaluator(measure, grid, smoothing_delta=config.smoothing_delta)
+    assert bool(estimates) == fd_points
+    mu = pushforward(measure, evaluator.evaluate_many(momenta))
+    alpha, beta, case_tag = lagrange_parameters(mu, config.c, config.f)
+    shifted = _shift(mu.qs, alpha, beta, space)
+    assert it.q_field.tobytes() == evaluator.q_field.tobytes()
+    assert it.qs.tobytes() == mu.qs.tobytes()
+    assert (it.alpha, it.beta, it.case_tag) == (alpha, beta, case_tag)
+    assert it.shifted.tobytes() == shifted.tobytes()
+    assert it.grads.tobytes() == (4.0 * (it.Ms @ shifted) * space.signature[None, None, :]).tobytes()
+    assert _tail_magnitude(it.q_field, grid) == evaluator.tail_magnitude
+
+
+@pytest.mark.parametrize("config", [
+    pytest.param(replace(TOY, max_iterations=10), id="toy"),
+    pytest.param(replace(N2_REF, max_iterations=20), id="n2"),
+])
+def test_each_trial_solves_its_chains_once_and_takes_their_moduli_once(monkeypatch, config):
+    action_module = importlib.import_module("kreinact.action")
+    counts = {"eig": 0, "moduli": 0}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(np.linalg, "eig", counting("eig", np.linalg.eig))
+    monkeypatch.setattr(action_module, "_moduli", counting("moduli", action_module._moduli))
+    result = minimize_action(config)
+    trials = sum(row["trials"] for row in result.trace)
+    assert trials >= config.max_iterations
+    # The initial iterate solves its chains twice, by action() and by its
+    # evaluator; every trial once, and its field reuses that solve's moduli.
+    assert counts == {"eig": trials + 1, "moduli": trials + 2}
 
 
 def test_each_line_search_trial_makes_one_eigensolve(monkeypatch):

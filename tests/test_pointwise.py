@@ -261,6 +261,29 @@ def test_certify_fixture_solves_in_few_eigensolves(monkeypatch, seed):
     assert 3.0 <= count[0] / len(qhats) <= 10.0, count[0] / len(qhats)
 
 
+@pytest.mark.parametrize("atom", [4, 11])
+def test_a_jump_with_flat_sides_takes_the_level_crossing_step(monkeypatch, atom):
+    # On certify seed 3, a(alpha) of these atoms jumps across t within about
+    # 2e-3 of alpha, between flat sides of slope 1e-4 to 0.8.  Newton from a
+    # flat side lands up to 1.8 away, and bisecting back from there takes
+    # 16-18 eigensolves; the level crossing of the lowest eigenvalue with
+    # the next one of the other sign of S lands within 5e-4 of the root.
+    count = count_alpha_evaluations(monkeypatch)
+    box = MomentumBox((-1.0,) * 4, (1.0,) * 4, (3, 3, 3, 1))
+    measure = restore_constraints(random_measure(SignatureSpace(2), box, 27, make_rng(3)), "b", 0.5, 1.0)
+    grid = PositionGrid.from_box(2.5, (5, 5, 5, 9))
+    q = QHatEvaluator(measure, grid, smoothing_delta=1e-2).evaluate_many(measure.momenta)[atom]
+    A, sig = measure.operators[atom], measure.space.signature
+    a, b = float(np.trace(A).real), float(np.trace(sig[:, None] * A).real)
+    sol = solve(PointwiseProblem(space=measure.space, q=q, a=a, b=b))
+    assert sol.tag == "interior"
+    assert count[0] <= 10
+    scale = max(float(np.linalg.norm(q, 2)), 1.0)
+    alpha, beta = lagrange_from_point(q, sol.A, measure.space, strict=True)
+    assert abs(alpha - sol.alpha) <= 1e-9 * scale
+    assert abs(beta - sol.beta) <= 1e-9 * scale
+
+
 def test_block_diagonal_start_mixes_the_plateau_at_the_jump(monkeypatch):
     # With qhat_{+-} = 0 the lowest eigenvalue of qhat - alpha S moves from
     # one block to the other exactly at the crossing, where a(alpha) jumps
