@@ -228,7 +228,6 @@ class _SupportTables:
         origin = np.nonzero(self.origin)[0]
         self.origin_rows = slice(origin[0], origin[0] + 1) if len(origin) == 1 else origin
         self.mirrored_rows = np.nonzero(self.mirrored)[0]
-        self._fourier = None
 
     @classmethod
     def on_grid(cls, momenta: np.ndarray, grid: PositionGrid) -> "_SupportTables":
@@ -239,13 +238,10 @@ class _SupportTables:
         return float(np.dot(self.folded_weights, values[self.kernel_class]))
 
     def fourier_phases(self, ps: np.ndarray) -> np.ndarray:
-        """``(fw_r / 2) e^{-i p . xi_r}``, one row per momentum ``p`` of ``ps``, kept for the last ``ps``."""
-        if self._fourier is None or self._fourier[0] != ps.tobytes():
-            # A stack of matrix-vector products rounds each momentum's phases the
-            # same way whatever the batch size; a matrix product would not.
-            phases = 0.5 * self.folded_weights * np.exp(-1j * self.points @ ps[:, :, None])[:, :, 0]
-            self._fourier = ps.tobytes(), phases
-        return self._fourier[1]
+        """``(fw_r / 2) e^{-i p . xi_r}``, one row per momentum ``p`` of ``ps``."""
+        # A stack of matrix-vector products rounds each momentum's phases the
+        # same way whatever the batch size; a matrix product would not.
+        return 0.5 * self.folded_weights * np.exp(-1j * self.points @ ps[:, :, None])[:, :, 0]
 
 
 def _four_vector(x, name: str, ndim: int = 1) -> np.ndarray:
@@ -478,8 +474,7 @@ class QHatEvaluator:
     of the position box — a diagnostic for how well the truncated box captures
     the decay of the gradient kernel (integrability cannot be asserted on a
     finite box, only reported).  ``_support`` passes in the measure's
-    :class:`_SupportTables` on ``grid``, else the evaluator builds its own;
-    either keeps the Fourier phases of the last momenta evaluated.
+    :class:`_SupportTables` on ``grid``, else the evaluator builds its own.
     """
 
     def __init__(

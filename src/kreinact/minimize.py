@@ -207,8 +207,6 @@ def _restoring_factors(
             )
         x = 0.5 * (c + f) / t11
         y = 0.5 * (c - f) / t22
-        if x <= 0 or y <= 0:
-            raise RestorationError("constraint targets require non-positive scalings")
     else:
         raise ValidationError(f"unknown restoration case {case!r}")
     return np.repeat(np.sqrt([x, y]), n)

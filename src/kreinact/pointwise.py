@@ -26,9 +26,10 @@ lowest-cluster routine computes, from one eigensolve of ``qhat - alpha S``,
 the lowest eigenspace with the spectrum of its compressed signature, the
 lowest eigenvalue ``beta`` and, for a simple lowest eigenvalue, the slope
 ``a'(alpha)``; it serves ``a(alpha)``, the solver's bracket search and
-Newton steps, and the plateau mixing.  One cluster rule decides which
-eigenvalues count as the lowest one, for the solver and for
-:func:`lagrange_from_point` alike.
+Newton steps, and the plateau mixing.  Its cluster rule, which eigenvalues
+count as the lowest one, is the solver's alone: :func:`lagrange_from_point`
+decides stationarity by the annihilation residual at the lowest eigenvalue,
+which already weighs each range vector by its mass.
 
 The boundary ``|a| = b`` forces ``H`` into one definite eigenspace of ``S``;
 multipliers then exist only when the compressed minimizing eigenvector
@@ -183,18 +184,13 @@ def beta_of_alpha(q: np.ndarray, space: SignatureSpace, alpha: float) -> float:
     return a_of_alpha(q, space, alpha).beta
 
 
-def _cluster_cut(w) -> float:
-    """Top of the lowest cluster of an ascending spectrum ``w``, whose eigenvalues
-    count as one lowest eigenvalue (Kato, *Perturbation Theory*, II 1.4): the
-    one cluster rule of :func:`solve` and :func:`lagrange_from_point`."""
-    return w[0] + _DEGENERACY_REL * max(abs(w[0]), abs(w[-1]), 1.0)
-
-
 def _lowest_cluster(qhat: np.ndarray, space: SignatureSpace, alpha: float):
     """Lowest eigenspace of ``qhat - alpha S`` from one ``eigh``, as ``(V, s, W, beta, slope, spectrum)``.
 
-    ``V`` holds the eigenvectors up to the :func:`_cluster_cut` of the
-    spectrum, whose lowest eigenvalue is ``beta``; ``(s, W)`` is the ``eigh``
+    ``V`` holds the eigenvectors whose eigenvalues lie within
+    ``_DEGENERACY_REL * max(|w_0|, |w_-1|, 1)`` of the lowest one, ``beta``:
+    they count as one lowest eigenvalue (Kato, *Perturbation Theory*, II 1.4),
+    which the solver mixes.  ``(s, W)`` is the ``eigh``
     of ``V^H S V``, so ``Tr(S H)`` over normalized psd ``H`` on that space
     spans ``[s[0], s[-1]]`` (floats).
     For a single vector ``v_0``, ``slope = a'(alpha) = 2 sum_{k>=1} |v_k^H S v_0|^2
@@ -204,7 +200,7 @@ def _lowest_cluster(qhat: np.ndarray, space: SignatureSpace, alpha: float):
     sig = space.signature
     w, V = np.linalg.eigh(_shifted(qhat, space, alpha))
     ws = w.tolist()
-    cut = _cluster_cut(ws)
+    cut = ws[0] + _DEGENERACY_REL * max(abs(ws[0]), abs(ws[-1]), 1.0)
     size = sum(x <= cut for x in ws)
     if size == 1:
         coupling = V.conj().T @ (sig * V[:, 0])
@@ -457,13 +453,15 @@ def lagrange_from_point(
     single point at interior inputs).  At ``A = 0``, where every pair with
     ``S q - alpha S - beta >= 0`` is admissible, both ``strict`` values raise
     :class:`~kreinact.errors.NonUniqueMultipliersError` with ``family=None``.
-    Both branches check stationarity:
-    ``||A (q - alpha - beta S)||_2`` must vanish at the family's canonical
+    Both branches decide stationarity by one test: the residual
+    ``||A (q - alpha - beta S)||_2`` must lie within
+    ``EL_RESIDUAL * max(||S q||_2, 1) * ||A||_2``, at the family's canonical
     pair on the boundary (whose ray is psd by construction).  Inside, alpha
-    is the least-squares one, beta the lowest eigenvalue of ``S q - alpha S``
-    as in :func:`solve`, and the least-squares beta must lie in the lowest
-    eigenvalue cluster, by the cluster rule under which :func:`solve` mixes
-    eigenvectors.  Points that fail raise
+    is the least-squares one and beta the lowest eigenvalue of
+    ``S q - alpha S``, as in :func:`solve`.  With ``A = b H S`` and
+    ``T = S q - alpha S - beta >= 0`` the residual is ``b ||H T||_2``, so a
+    small one puts each range vector of ``H``, weighted by its mass, near
+    the lowest eigenvalue.  Points that fail raise
     :class:`~kreinact.errors.ValidationError`.
     """
     q = _require_symmetric(q, space, "coefficient operator")
@@ -505,22 +503,14 @@ def lagrange_from_point(
                 "minimizer does not extend to an eigenvector)"
             )
         alpha, beta = family.canonical_alpha, family.canonical_beta
-        excess = 0.0
     else:
-        # The fitted beta, the eigenvalue of qhat - alpha S on the range of H,
-        # must lie in the lowest cluster, which solve mixes as one eigenvalue.
         alpha = float(sol_vec[0])
-        w = np.linalg.eigvalsh(_shifted(qhat, space, alpha)).tolist()
-        beta = w[0]
-        excess = max(float(sol_vec[1]) - _cluster_cut(w), 0.0)
+        beta = float(np.linalg.eigvalsh(_shifted(qhat, space, alpha))[0])
 
     residual = float(np.linalg.norm(A @ (q - alpha * np.eye(space.dim) - beta * space.signature_matrix), 2))
     norm_A = max(float(np.linalg.norm(A, 2)), 1e-300)
-    if residual > tolerances.EL_RESIDUAL * scale * norm_A or excess > 0.0:
-        raise ValidationError(
-            "candidate operator is not stationary: annihilation residual "
-            f"{residual:.2e}, fitted beta above the lowest eigenvalue cluster by {excess:.2e}"
-        )
+    if residual > tolerances.EL_RESIDUAL * scale * norm_A:
+        raise ValidationError(f"candidate operator is not stationary: annihilation residual {residual:.2e}")
     if family is None:
         if strict:
             return alpha, beta

@@ -20,10 +20,9 @@ MODULUS_GAP = 1e-7
 #: Euler-Lagrange residual tolerance.  ``check_first_order`` and the
 #: minimizer's ``tol_el`` use it as an absolute bound on margins, residuals
 #: and gaps; ``pointwise.lagrange_from_point`` scales it by
-#: ``max(|Qhat|, 1) |A|`` to bound the annihilation residual.  There no
-#: positivity margin enters: its interior beta is the lowest eigenvalue of
-#: ``Qhat - alpha S``, and the range of ``A`` is checked against the
-#: solver's eigenvalue-cluster rule.
+#: ``max(|Qhat|, 1) |A|`` to bound the annihilation residual, its one
+#: stationarity test.  There no positivity margin enters: its interior beta
+#: is the lowest eigenvalue of ``Qhat - alpha S``.
 EL_RESIDUAL = 1e-6
 
 #: Constraint-satisfaction band, multiplied by the dimension target ``f``.

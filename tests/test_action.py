@@ -651,6 +651,65 @@ def test_non_finite_or_misshapen_four_vectors_rejected(call):
         call(meas, ev)
 
 
+# Odd counts put the origin on each grid, where the chain is timelike; at
+# scale 0.3 the smoothing term at delta = 1 is 1-23 % of 4 S.
+_IDENTITY_GRIDS = ((5, 1, 1, 1), (3, 3, 1, 3), (5, 3, 3, 1))
+
+
+def _identity_cases(seed):
+    """Random n=1 and n=2 measures of 6 atoms on three position grids."""
+    rng = make_rng(seed)
+    for n in (1, 2):
+        for shape in _IDENTITY_GRIDS:
+            meas = random_measure_for(SignatureSpace(n), rng, n_atoms=6, shape=(3, 2, 1, 2), scale=0.3)
+            yield meas, PositionGrid.from_box(2.0, shape)
+
+
+def _delta_derivative(meas, grid, delta):
+    """``dS/d delta = sum_xi w(xi) sum_i (2 m_i - sum m / n) delta / m_i`` from the chain eigenvalues."""
+    n = meas.space.n
+    total = 0.0
+    for w, xi in zip(grid.weights, grid.points):
+        m = np.sqrt(np.abs(closed_chain(kernel_P(meas, xi), meas.space).lambdas) ** 2 + delta**2)
+        total += w * np.sum((2.0 * m - m.sum() / n) * delta / m)
+    return total
+
+
+@pytest.mark.parametrize("delta", [0.0, 1e-2, 1.0])
+def test_qhat_pairing_meets_the_radial_identity(delta):
+    # The Lagrangian is homogeneous of degree 2 in the chain and the chain of
+    # degree 2 in the measure, up to the smoothing delta, so scaling the
+    # atoms by t gives 2 sum_j Tr(Qhat(p_j) A_j) = 4 S - 2 delta dS/d delta:
+    # an exact check of the field against the action, without a step size.
+    for meas, grid in _identity_cases(33):
+        qhats = QHatEvaluator(meas, grid, smoothing_delta=delta).evaluate_many(meas.momenta)
+        pairing = 2.0 * np.einsum("jab,jba->", qhats, meas.operators).real
+        radial = 4.0 * action(meas, grid, delta)
+        if delta:
+            radial -= 2.0 * delta * _delta_derivative(meas, grid, delta)
+        assert abs(pairing - radial) <= 1e-12 * abs(radial), (meas.space.n, grid.n_points)
+
+
+@pytest.mark.parametrize("delta", [0.0, 1e-2, 1.0])
+def test_trace_mirror_keeps_the_action_and_mirrors_qhat(delta):
+    # Pi swaps the signature blocks, so Pi S Pi = -S and A -> -Pi A Pi keeps
+    # the atoms positive and flips the sign of their trace.  The chains are
+    # conjugated by Pi, so the action is unchanged and Qhat -> -Pi Qhat Pi.
+    rng = make_rng(34)
+    for meas, grid in _identity_cases(35):
+        n = meas.space.n
+        swap = np.roll(np.eye(2 * n), n, axis=0)
+        mirror = meas.with_operators(-swap @ meas.operators @ swap)
+        assert np.trace(mirror.total()).real == pytest.approx(-np.trace(meas.total()).real, rel=1e-14)
+        value = action(meas, grid, delta)
+        assert abs(action(mirror, grid, delta) - value) <= 1e-12 * value
+        ps = np.vstack([meas.momenta, rng.uniform(-1.0, 1.0, (3, 4))])
+        qhats = QHatEvaluator(meas, grid, smoothing_delta=delta).evaluate_many(ps)
+        mirrored = QHatEvaluator(mirror, grid, smoothing_delta=delta).evaluate_many(ps)
+        for qhat, other in zip(qhats, mirrored):
+            assert np.linalg.norm(other + swap @ qhat @ swap, 2) <= 1e-12 * np.linalg.norm(qhat, 2)
+
+
 def test_tail_magnitude_is_largest_boundary_norm():
     meas = random_measure_for(SignatureSpace(2), make_rng(19))
     for shape in ((1, 1, 1, 1), (5, 3, 3, 1)):
@@ -730,12 +789,10 @@ def test_run_tables_give_the_one_shot_results_to_the_bit():
             assert reused.q_field.tobytes() == fresh.q_field.tobytes()
             solved_field = _gradient_field(meas.operators, meas.space, support, delta, solved)
             assert solved_field.tobytes() == fresh.q_field.tobytes()
-            # The repeated momenta read the kept Fourier table.
             for ps in (meas.momenta, meas.momenta, meas.momenta + 0.25, meas.momenta):
                 expected = np.stack([fresh.evaluate(p) for p in ps])
                 assert fresh.evaluate_many(ps).tobytes() == expected.tobytes()
                 assert reused.evaluate_many(ps).tobytes() == expected.tobytes()
-        assert support.fourier_phases(meas.momenta.copy()) is support.fourier_phases(meas.momenta)
 
 
 def test_singular_eigenvector_matrix_rejects_only_its_row(monkeypatch):

@@ -20,6 +20,7 @@ import pytest
 from conftest import assert_feasible
 from kreinact import (
     MinimizeConfig,
+    NumericalError,
     OperatorMeasure,
     SignatureSpace,
     ValidationError,
@@ -602,6 +603,24 @@ def test_pointwise_infeasible_exits_2(tmp_path, capsys):
     write_rotation_q(q_path)
     assert main(["pointwise", str(q_path), "--a", "2.0", "--b", "1.0"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_numerical_failure_exits_3(tmp_path, capsys, monkeypatch):
+    # A numerical failure is no input error: exit code 3, one line, no traceback.
+    import kreinact.cli as cli_module
+
+    def failing(problem):
+        raise NumericalError("safeguarded Newton failed to reach the signed-trace target")
+
+    monkeypatch.setattr(cli_module, "solve", failing)
+    q_path = tmp_path / "q.json"
+    out_path = tmp_path / "solution.json"
+    write_rotation_q(q_path)
+    assert main(["pointwise", str(q_path), "--a", "0.0", "--b", "1.0", "--out", str(out_path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("numerical failure:") and captured.err.count("\n") == 1, captured.err
+    assert "signed-trace target" in captured.err
+    assert captured.out == "" and not out_path.exists()
 
 
 @pytest.mark.parametrize("a, b", [("nan", "1.0"), ("0.0", "inf")])

@@ -23,6 +23,7 @@ from kreinact import (
     config_to_dict,
     constraint_values,
     el_residuals,
+    lagrange_from_point,
     lagrange_parameters,
     minimize_action,
     pushforward,
@@ -404,6 +405,25 @@ def test_n2_reference_run_reaches_a_passing_report():
     assert result.converged
     assert check_first_order(result.report, config.tol_el)["all"]
     assert_feasible(result.measure, config.c, config.f, result.case_tag)
+
+
+def test_pointwise_certifier_accepts_every_atom_of_certified_minimizers(toy_seed_results):
+    # The Euler-Lagrange equations make each support atom a solution of the
+    # pointwise problem with q = Qhat(p_j), so lagrange_from_point certifies
+    # it, with the run's multipliers to the report's tolerance.  The two
+    # lowest eigenvalues of Qhat(p_j) - alpha S at the n=2 atoms lie 1.8e-7
+    # to 1.2e-6 apart, well outside the solver's mixing width.
+    n2_results = [minimize_action(replace(N2_REF, seed=s)) for s in range(8)]
+    for config, results in ((TOY, toy_seed_results), (N2_REF, n2_results)):
+        for seed, result in enumerate(results):
+            assert result.stop_reason == "certified", seed
+            measure = result.measure
+            evaluator = QHatEvaluator(measure, config.position_grid(), smoothing_delta=config.smoothing_delta)
+            bound = config.tol_el * max(result.report.qhat_scale, 1.0)
+            for j, (q, A) in enumerate(zip(evaluator.evaluate_many(measure.momenta), measure.operators)):
+                alpha, beta = lagrange_from_point(q, A, measure.space, strict=True)
+                assert abs(alpha - result.alpha) <= bound, (config.n, seed, j)
+                assert abs(beta - result.beta) <= bound, (config.n, seed, j)
 
 
 def _first_order_checks(measure, config):

@@ -627,8 +627,9 @@ def test_lagrange_from_point_recovers_solve_multipliers_next_to_the_boundary(n, 
 def test_lagrange_from_point_certifies_weakly_coupled_solutions():
     # With qhat_{+-} scaled by 1e-9 the two lowest eigenvalues of qhat - alpha S
     # lie within one cluster width of each other, so solve mixes both
-    # eigenvectors into A.  lagrange_from_point, by the same cluster rule,
-    # certifies the mixture and reports the lowest eigenvalue as beta.
+    # eigenvectors into A.  lagrange_from_point certifies the mixture, whose
+    # residual is within the cluster width, and reports the lowest eigenvalue
+    # as beta.
     rng = make_rng(20261019)
     for n in (1, 2):
         space = SignatureSpace(n)
@@ -665,7 +666,15 @@ def test_lagrange_from_point_certifies_a_mixture_inside_the_cluster():
     alpha, beta = lagrange_from_point(q, A, space, strict=True)
     assert alpha == pytest.approx(0.7, abs=1e-8)
     assert beta == pytest.approx(-2.0, abs=1e-8)
+    # Outside the cluster the annihilation residual decides alone.  At 5
+    # widths it is 3.9e-8 of max(|Qhat|, 1) |A|, below the 1.3e-7 to 6.1e-7
+    # of the atoms of certified n=2 minimizers, which must pass; at 500
+    # widths it is 3.7 times the bound.
     q, A, space = mixture_across_a_gap(5.0 * width)
+    alpha, beta = lagrange_from_point(q, A, space, strict=True)
+    assert alpha == pytest.approx(0.7, abs=1e-7)
+    assert beta == pytest.approx(-2.0, abs=1e-7)
+    q, A, space = mixture_across_a_gap(500.0 * width)
     for strict in (True, False):
         with pytest.raises(ValidationError, match="not stationary"):
             lagrange_from_point(q, A, space, strict=strict)
