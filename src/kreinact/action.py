@@ -60,7 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances
-from .errors import NonsmoothPointError, ValidationError, _check_count
+from .errors import NonsmoothPointError, ValidationError, _check_count, _check_float
 from .homomeasure import OperatorMeasure
 from .krein import SignatureSpace, _adjoint, _max_spectral_norm, _squared_frobenius
 
@@ -129,6 +129,7 @@ class PositionGrid:
             raise ValidationError(message)
         if not 0.0 < radius < math.inf:
             raise ValidationError(f"position box radius must be finite and positive, got {radius!r}")
+        radius = _check_float(radius, "position box radius")
         axes, axis_weights = [], []
         for k in shape:
             if k == 1:
@@ -192,14 +193,14 @@ def _plus_kernel(operators: np.ndarray, phases: np.ndarray) -> np.ndarray:
 
 
 class _SupportTables:
-    """Phase tables and masks of fixed atom momenta at fixed positions.
+    """Phase tables of fixed atom momenta on a fixed position grid.
 
     A minimization run moves the atom operators, never their momenta or the
     grid, so it builds these once; :func:`action`, :func:`_solved_action`,
     :func:`_gradient_field` and :class:`QHatEvaluator` take them in.
-    On a grid, ``points`` are its representatives.  The kernel at a point is
-    taken at its representative (``-xi`` where ``mirrored``) and depends on
-    it only through the row of :func:`_kernel_phases`.  Points whose rows are
+    ``points`` are the grid's representatives, one per reflection pair, with
+    their ``folded_weights``.  The kernel at a point depends on it only
+    through the row of :func:`_kernel_phases`.  Points whose rows are
     bitwise equal share one kernel class, so its chain is solved once:
     ``kernel_phases`` holds one row per class, in the order of the classes'
     first points ``class_firsts``, and ``kernel_class[i]`` is point ``i``'s
@@ -208,30 +209,23 @@ class _SupportTables:
     coincidences of the phases merge points too.
     """
 
-    def __init__(self, momenta: np.ndarray, points: np.ndarray, folded_weights=None):
+    def __init__(self, momenta: np.ndarray, grid: PositionGrid):
         self.momenta = momenta
-        self.points = points
-        self.mirrored = ~_is_representative(points)
-        self.origin = ~points.any(axis=1)
-        phases = _kernel_phases(momenta, np.where(self.mirrored[:, None], -points, points))
+        self.points = grid.points[grid.representatives]
+        self.folded_weights = grid.folded_weights
+        phases = _kernel_phases(momenta, self.points)
         # Rows as raw bytes, so that equal means bitwise equal.  Without atoms all rows are empty.
         width = phases.itemsize * phases.shape[1]
-        rows = phases.view(f"V{width}")[:, 0] if width else np.zeros(len(points), "V1")
+        rows = phases.view(f"V{width}")[:, 0] if width else np.zeros(len(self.points), "V1")
         _, firsts, classes = np.unique(rows, return_index=True, return_inverse=True)
         order = np.argsort(firsts)
         self.class_firsts = firsts[order]
         self.kernel_class = np.argsort(order)[classes]
         self.kernel_phases = phases[self.class_firsts]
-        self.folded_weights = folded_weights
-        # The origin's rows and the mirrored ones, whose fields are fixed up;
-        # the one origin point of a grid is a slice, which indexes faster.
-        origin = np.nonzero(self.origin)[0]
+        # The origin's rows, whose field is Krein symmetrized; the one origin
+        # point of a box grid is a slice, which indexes faster.
+        origin = np.nonzero(~self.points.any(axis=1))[0]
         self.origin_rows = slice(origin[0], origin[0] + 1) if len(origin) == 1 else origin
-        self.mirrored_rows = np.nonzero(self.mirrored)[0]
-
-    @classmethod
-    def on_grid(cls, momenta: np.ndarray, grid: PositionGrid) -> "_SupportTables":
-        return cls(momenta, grid.points[grid.representatives], grid.folded_weights)
 
     def integral(self, values: np.ndarray) -> float:
         """``sum_xi w(xi) f(xi)`` over the grid, from one value ``f`` per kernel class."""
@@ -314,7 +308,7 @@ def action(
     measure: OperatorMeasure, grid: PositionGrid, smoothing_delta: float = 0.0, *, _support=None
 ) -> float:
     """Discretized homogeneous action ``sum_xi w(xi) L(xi)``."""
-    support = _support or _SupportTables.on_grid(measure.momenta, grid)
+    support = _support or _SupportTables(measure.momenta, grid)
     _, chains = _chain_field(measure.operators, measure.space.signature, support.kernel_phases)
     return support.integral(_lagrangian_values(np.linalg.eigvals(chains), smoothing_delta))
 
@@ -412,14 +406,13 @@ def _fd_gradient(Pp, xi, space, delta):
 
 def _gradient_field(operators: np.ndarray, space: SignatureSpace, support: _SupportTables, delta: float,
                     solved=None):
-    """Gradient kernel ``Q`` at each of ``support.points``, from one chain per kernel class.
+    """Gradient kernel ``Q = N P_+`` at each of ``support.points``, from one chain per kernel class.
 
-    ``Q = N P_+`` at a representative, the adjoint of its representative's
-    at any other point.  ``solved`` is the :func:`_chain_solve` of the
-    kernel classes if in hand.  The chain spectrum picks the path: the
-    vectorized eigen-derivatives where :func:`_eig_gradient_factors`
-    accepts the chain, else finite differences averaged over ``xi`` and
-    ``-xi``, taken at the class's first point.
+    ``solved`` is the :func:`_chain_solve` of the kernel classes if in hand.
+    The chain spectrum picks the path: the vectorized eigen-derivatives
+    where :func:`_eig_gradient_factors` accepts the chain, else finite
+    differences averaged over ``xi`` and ``-xi``, taken at the class's
+    first point.
     """
     _check_delta(delta)
     sig = space.signature
@@ -437,29 +430,29 @@ def _gradient_field(operators: np.ndarray, space: SignatureSpace, support: _Supp
             _fd_gradient(_plus_kernel(operators, _kernel_phases(support.momenta, -x[None]))[0], x, space, delta)
             for x in ((xi,) if k in origin_class else (xi, -xi))
         ]
-        q = 0.5 * (estimates[0] + _adjoint(estimates[-1], sig))
-        # Rows are kept at the representative, like the analytic ones.
-        q_class[k] = _adjoint(q, sig) if support.mirrored[support.class_firsts[k]] else q
+        q_class[k] = 0.5 * (estimates[0] + _adjoint(estimates[-1], sig))
     q_field = q_class[support.kernel_class]
-    # Q(0) = Q(0)^*, which N P_+ meets only up to rounding.  The origin is
-    # its own representative, so it is never mirrored.
-    fixed, mirrored = support.origin_rows, support.mirrored_rows
+    # Q(0) = Q(0)^*, which N P_+ meets only up to rounding.
+    fixed = support.origin_rows
     q_field[fixed] = 0.5 * (q_field[fixed] + _adjoint(q_field[fixed], sig))
-    if len(mirrored):
-        q_field[mirrored] = _adjoint(q_field[mirrored], sig)
     return q_field
 
 
 def gradient_kernel_Q(measure: OperatorMeasure, xi, smoothing_delta: float = 0.0) -> np.ndarray:
     """Gradient kernel ``Q(xi)`` of the (possibly smoothed) Lagrangian.
 
-    Analytic where the chain spectrum allows it, finite differences
-    otherwise.  One chain is solved, for the pair ``{xi, -xi}``, so
-    ``Q(xi)^* = Q(-xi)`` holds exactly.  Genuinely nonsmooth points raise
-    :class:`~kreinact.errors.NonsmoothPointError` carrying ``xi``.
+    The field on the pair grid ``{xi, -xi}``: its one row is ``Q`` at the
+    representative, so ``Q(xi)^* = Q(-xi)`` holds exactly.  Genuinely
+    nonsmooth points raise :class:`~kreinact.errors.NonsmoothPointError` carrying ``xi``.
     """
-    support = _SupportTables(measure.momenta, _four_vector(xi, "xi")[None])
-    return _gradient_field(measure.operators, measure.space, support, smoothing_delta)[0]
+    xi = _four_vector(xi, "xi")
+    grid = PositionGrid(np.stack([xi, -xi]), np.ones(2), [1, 0])
+    try:
+        q = _gradient_field(measure.operators, measure.space, _SupportTables(measure.momenta, grid),
+                            smoothing_delta)[0]
+    except NonsmoothPointError as err:
+        raise NonsmoothPointError(str(err), xi=xi) from None
+    return q if grid.representatives[0] == 0 else _adjoint(q, measure.space.signature)
 
 
 class QHatEvaluator:
@@ -488,7 +481,7 @@ class QHatEvaluator:
         self.measure = measure
         self.grid = grid
         self.smoothing_delta = float(smoothing_delta)
-        self._support = _support or _SupportTables.on_grid(measure.momenta, grid)
+        self._support = _support or _SupportTables(measure.momenta, grid)
         self.q_field = _gradient_field(measure.operators, measure.space, self._support, smoothing_delta)
 
     @functools.cached_property

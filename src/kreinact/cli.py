@@ -105,12 +105,10 @@ def cmd_fixture(args) -> int:
         norms = np.linalg.norm(ks, axis=1)
         ks = ks[norms > 1e-9]
         measure = massless_fixture(ks)
-    elif args.kind == "random":
+    else:  # "random"; argparse restricts the choices
         lower, upper = _parse_box(args.box)
         box = MomentumBox(lower, upper, _parse_counts(args.grid, "--grid"))
         measure = random_measure(SignatureSpace(args.n), box, args.atoms, rng)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValidationError(f"unknown fixture kind {args.kind!r}")
     save_measure(measure, args.out)
     print(f"wrote {args.kind} fixture with {measure.n_atoms} atoms to {args.out}")
     return 0

@@ -79,8 +79,6 @@ class PushforwardMeasure:
     operators: np.ndarray
 
     def total(self) -> np.ndarray:
-        if len(self.operators) == 0:
-            return np.zeros((self.space.dim, self.space.dim), complex)
         return self.operators.sum(axis=0)
 
     def trace_pairing(self) -> float:
@@ -227,7 +225,6 @@ def el_residuals(
     tail_magnitude: float | None = None,
     *,
     _atom_rows=None,
-    _spectra=None,
 ) -> ELReport:
     """Assemble the first-order condition report (report-only, no pass/fail).
 
@@ -236,8 +233,7 @@ def el_residuals(
     Every spectrum is computed once, over one stack of rows: the probes'
     rows, where ``_atom_rows`` indexes the atoms among them
     (``probe_qs[_atom_rows]`` is ``mu.qs`` to the bit), else the probes'
-    rows followed by the atoms'.  ``_spectra`` is ``(T, w, V)`` of those
-    rows (:func:`_shift` and :func:`_hermitian_spectra`) if in hand.
+    rows followed by the atoms'.
     """
     space = mu.space
     probe_points = np.atleast_2d(np.asarray(probe_points, float))
@@ -246,10 +242,8 @@ def el_residuals(
     if _atom_rows is None:
         rows = np.concatenate([rows, mu.qs])
         _atom_rows = np.arange(probes, len(rows))
-    if _spectra is None:
-        T = _shift(rows, alpha, beta, space)
-        _spectra = (T, *_hermitian_spectra(T, space))
-    T, w, V = _spectra
+    T = _shift(rows, alpha, beta, space)
+    w, V = _hermitian_spectra(T, space)
     gaps = _gaps(w, V, space)
     T = T[_atom_rows]
     A = mu.operators

@@ -78,3 +78,11 @@ def _check_count(value, least: int, message: str) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
         raise ValidationError(message)
     return int(value)
+
+
+def _check_float(value, name: str) -> float:
+    """``float(value)``; a ValidationError naming ``name`` for an integer beyond every float."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValidationError(f"{name} is too large for a float") from None

@@ -178,8 +178,6 @@ class OperatorMeasure:
         return zip(self.momenta, self.operators)
 
     def total(self) -> np.ndarray:
-        if self.n_atoms == 0:
-            return np.zeros((self.space.dim, self.space.dim), complex)
         return self.operators.sum(axis=0)
 
     def with_operators(self, operators: np.ndarray, *, validate: bool = True) -> "OperatorMeasure":
@@ -473,8 +471,8 @@ def _read_document(path, kind: str, build):
     One rule covers every defect of the contents: bytes that are not UTF-8,
     invalid JSON, a document that is not a JSON object, and a missing or
     ill-typed field or a failed check inside ``build`` (a ``KeyError``,
-    ``TypeError``, ``IndexError`` or ``ValueError``, the package's own
-    :class:`ValidationError` included) raise a :class:`ValidationError`
+    ``TypeError``, ``IndexError``, ``OverflowError`` or ``ValueError``, the
+    package's own :class:`ValidationError` included) raise a :class:`ValidationError`
     that names ``kind`` and the file and keeps the original message.  An
     ``OSError`` (a missing file, a directory) passes through; it names the
     path itself.
@@ -485,7 +483,7 @@ def _read_document(path, kind: str, build):
         if not isinstance(data, dict):
             raise TypeError(f"the document is a JSON {type(data).__name__}, not an object")
         return build(data)
-    except (KeyError, TypeError, IndexError, ValueError) as err:
+    except (KeyError, TypeError, IndexError, ValueError, OverflowError) as err:
         raise ValidationError(f"malformed {kind} file {path}: {type(err).__name__}: {err}") from err
 
 

@@ -80,7 +80,7 @@ from .elverify import (
     lagrange_parameters,
     pushforward,
 )
-from .errors import NonsmoothPointError, RestorationError, ValidationError, _check_count
+from .errors import NonsmoothPointError, RestorationError, ValidationError, _check_count, _check_float
 from .homomeasure import MomentumBox, OperatorMeasure, _check_targets, _trace_functionals
 from .krein import _BOUND_SLACK, SignatureSpace, _squared_frobenius
 
@@ -133,11 +133,12 @@ class MinimizeConfig:
         _check_delta(self.smoothing_delta)
         # Written so that NaN fails every range test.
         if not 0.0 < self.position_radius < math.inf:
-            raise ValidationError(
-                f"position_radius must be finite and > 0, got {self.position_radius!r}"
-            )
+            raise ValidationError(f"position_radius must be finite and > 0, got {self.position_radius!r}")
         if not 0.0 <= self.tol_el < math.inf:
             raise ValidationError(f"tol_el must be finite and >= 0, got {self.tol_el!r}")
+        # An integer beyond every float passes those tests, and would overflow in the run.
+        for name in ("c", "f", "smoothing_delta", "position_radius", "tol_el"):
+            _check_float(getattr(self, name), name)
         def count(name, value, least=1):
             return _check_count(value, least, f"{name} must be an integer >= {least}, got {value!r}")
 
@@ -374,7 +375,7 @@ class _FixedSupport:
         self.grid = config.position_grid()
         self.momenta = self.box.grid_points()
         self.delta, self.c, self.f = config.smoothing_delta, config.c, config.f
-        self.support = _SupportTables.on_grid(self.momenta, self.grid)
+        self.support = _SupportTables(self.momenta, self.grid)
         self.phases = self.support.fourier_phases(self.momenta)
 
     def measure(self, A: np.ndarray) -> OperatorMeasure:
@@ -419,12 +420,12 @@ class _FixedSupport:
         grads = 4.0 * (Ms @ shifted) * space.signature[None, None, :]
         return _Iterate(Ms, A, q_field, qs, *traces, alpha, beta, case_tag, shifted, grads)
 
-    def report(self, it: _Iterate, spectra=None) -> ELReport:
+    def report(self, it: _Iterate) -> ELReport:
         """The first-order report of an iterate, its atoms as the probes."""
         mu = pushforward(self.measure(it.A), it.qs)
         return el_residuals(mu, it.alpha, it.beta, self.momenta, mu.qs, it.case_tag,
                             tail_magnitude=_tail_magnitude(it.q_field, self.grid),
-                            _atom_rows=np.arange(len(self.momenta)), _spectra=spectra)
+                            _atom_rows=np.arange(len(self.momenta)))
 
 
 def minimize_action(config: MinimizeConfig) -> MinimizeResult:
@@ -449,7 +450,6 @@ def minimize_action(config: MinimizeConfig) -> MinimizeResult:
     residual_bound = d * certify_tol**2 * (1.0 + _BOUND_SLACK)
 
     for iteration in range(config.max_iterations):
-        spectra = None
         g = _real_view(it.grads)
         grad_norm = float(np.sqrt((np.abs(it.grads) ** 2).sum()))
         if previous is not None:
@@ -481,10 +481,9 @@ def minimize_action(config: MinimizeConfig) -> MinimizeResult:
         # ||X||_F <= sqrt(d) ||X||_2; only then are the shifted spectra
         # computed, and the report built once the psd margin passes too.
         if _squared_frobenius(it.A @ it.shifted).max() <= residual_bound:
-            w, V = _hermitian_spectra(it.shifted, space)
-            spectra = (it.shifted, w, V)
+            w, _ = _hermitian_spectra(it.shifted, space)
             if w[:, 0].min() >= -certify_tol:
-                report = run.report(it, spectra)
+                report = run.report(it)
                 if check_first_order(report, certify_tol)["all"]:
                     stop_reason = "certified"
                     break
@@ -500,10 +499,9 @@ def minimize_action(config: MinimizeConfig) -> MinimizeResult:
             break
         previous = (_real_view(it.Ms), g)
         current_action, it = accepted
-        spectra = None
 
     if stop_reason != "certified":
-        report = run.report(it, spectra)
+        report = run.report(it)
     return MinimizeResult(
         measure=OperatorMeasure(space, run.box, run.momenta, it.A),
         report=report,

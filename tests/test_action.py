@@ -138,6 +138,13 @@ def test_grid_rejects_inconsistent_points_and_weights(corrupt, message):
         PositionGrid(points, weights, grid.reflection_index)
 
 
+def test_grid_rejects_a_shape_of_three_counts_and_a_radius_beyond_every_float():
+    with pytest.raises(ValidationError, match="grid shape must be four positive integer counts"):
+        PositionGrid.from_box(1.0, (3, 1, 1))
+    with pytest.raises(ValidationError, match="position box radius is too large for a float"):
+        PositionGrid.from_box(10**400, (3, 1, 1, 1))
+
+
 def test_grid_rejects_bad_shape():
     with pytest.raises(ValidationError):
         PositionGrid.from_box(1.0, (0, 1, 1, 1))
@@ -758,7 +765,7 @@ def _solve_cases():
 
 def _solve(meas, grid, delta, support=None):
     """:func:`_solved_action` of a measure on a grid, from the given support tables or its own."""
-    support = support or _SupportTables.on_grid(meas.momenta, grid)
+    support = support or _SupportTables(meas.momenta, grid)
     return _solved_action(meas.operators, meas.space.signature, support, delta)
 
 
@@ -766,7 +773,7 @@ def test_line_search_solve_gives_the_action_and_the_field():
     # The minimizer's trials take the action from one chain eig and, on
     # acceptance, build the gradient field from the same solve.
     for meas, grid in _solve_cases():
-        support = _SupportTables.on_grid(meas.momenta, grid)
+        support = _SupportTables(meas.momenta, grid)
         for delta in (0.0, 1e-2):
             value, solved = _solve(meas, grid, delta)
             expected = action(meas, grid, delta)
@@ -780,7 +787,7 @@ def test_run_tables_give_the_one_shot_results_to_the_bit():
     # A minimization run builds the support tables once and hands them to
     # every trial; the one-shot calls build their own.
     for meas, grid in _solve_cases():
-        support = _SupportTables.on_grid(meas.momenta, grid)
+        support = _SupportTables(meas.momenta, grid)
         for delta in (0.0, 1e-2):
             value, solved = _solve(meas, grid, delta, support)
             assert value == action(meas, grid, delta) == action(meas, grid, delta, _support=support)
@@ -896,9 +903,9 @@ def test_one_chain_eigensolve_per_distinct_kernel(monkeypatch):
 
 def test_shared_kernels_share_their_finite_difference_estimate(monkeypatch):
     meas, grid = _shared_kernel_case()
-    support = _SupportTables.on_grid(meas.momenta, grid)
+    support = _SupportTables(meas.momenta, grid)
     firsts = support.points[support.class_firsts]
-    origin_class = support.kernel_class[support.origin][0]
+    origin_class = support.kernel_class[support.origin_rows][0]
     fd_gradient, calls = action_module._fd_gradient, []
 
     def counted(kernel, xi, *args):
@@ -947,7 +954,7 @@ def test_analytic_gradient_names_the_first_rejected_point_of_a_shared_kernel(mon
     first = reps[np.argmax(rejected)]
     assert not rejected[0] and np.array_equal(first, [-3.0, 0.0, -3.0, 0.0])
     # Its kernel is also that of (0, -3, xi_2, 0), whose phases are the same.
-    support = _SupportTables.on_grid(meas.momenta, grid)
+    support = _SupportTables(meas.momenta, grid)
     assert np.sum(support.kernel_class == support.kernel_class[np.argmax(rejected)]) == 6
     with _analytic_only(monkeypatch):
         with pytest.raises(NonsmoothPointError) as err:

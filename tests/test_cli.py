@@ -202,6 +202,19 @@ def test_minimize_blames_a_file_that_fails_on_its_own(tmp_path, capsys):
     assert "c=-1.0, f=2.0" in err and not out.exists()
 
 
+def test_minimize_refuses_a_configuration_integer_beyond_every_float(tmp_path, capsys):
+    # JSON integers have no size limit; this one passes every range test and
+    # overflowed only when the run built its position grid.
+    config_path = tmp_path / "huge.json"
+    config_path.write_text('{"position_radius": 1' + "0" * 400 + "}")
+    out = tmp_path / "run"
+    assert main(["minimize", "--config", str(config_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: malformed configuration file {config_path}: ValidationError: "
+                   "position_radius is too large for a float\n")
+    assert not out.exists()
+
+
 def test_minimize_runs_a_file_that_needs_an_override(tmp_path):
     # c = 3 is valid only with an f above it, which the command line gives.
     config_path = tmp_path / "partial.json"
@@ -383,6 +396,20 @@ def test_verify_non_finite_position_radius_exits_2(tmp_path, capsys, radius):
                "--position-grid", "1,1,1,1"])
     assert rc == 2
     assert "radius" in capsys.readouterr().err
+
+
+def test_verify_refuses_a_momentum_integer_beyond_every_float(tmp_path, capsys):
+    measure_path = tmp_path / "measure.json"
+    write_stationary_measure(measure_path)
+    doc = json.loads(measure_path.read_text())
+    doc["atoms"][0]["p"][0] = 10**400  # written as its 401 digits
+    measure_path.write_text(json.dumps(doc))
+    out = tmp_path / "report.json"
+    assert main(["verify", str(measure_path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: malformed measure file {measure_path}: OverflowError: ")
+    assert not out.exists()
 
 
 def test_verify_missing_file_exits_2(tmp_path, capsys):

@@ -323,6 +323,16 @@ def test_scale_multiplies_operators():
     np.testing.assert_allclose(scaled.momenta, meas.momenta, atol=0)
 
 
+def test_translate_and_scale_reject_bad_arguments():
+    meas = random_measure_for(SignatureSpace(1), make_rng(7))
+    for shift in ([0.1, 0.2, 0.3], [[0.1, 0.2, 0.3, 0.4]]):
+        with pytest.raises(ValidationError, match="translation requires a 4-vector"):
+            translate(meas, shift)
+    for factor in (0.0, -0.5):
+        with pytest.raises(ValidationError, match="scale factor must be positive"):
+            scale(meas, factor)
+
+
 # ---------------------------------------------------------------------------
 # Fixtures
 # ---------------------------------------------------------------------------
@@ -371,6 +381,15 @@ def test_dirac_sea_rejects_off_shell_points():
         dirac_sea_fixture(1.0, [(-2.0, 0.0, 0.0, 0.0)])  # p^2 = 4 != 1
     with pytest.raises(ValidationError):
         dirac_sea_fixture(1.0, [(1.0, 0.0, 0.0, 0.0)])  # upper shell
+
+
+def test_shell_fixtures_reject_momenta_of_the_wrong_kind():
+    with pytest.raises(ValidationError, match="shell points must be 4-vectors"):
+        dirac_sea_fixture(1.0, [(0.2, 0.0, 0.1)])
+    with pytest.raises(ValidationError, match="wave vectors must be spatial 3-vectors"):
+        massless_fixture([(-0.5, 0.4, 0.0, 0.3)])
+    with pytest.raises(ValidationError, match="wave vectors must be nonzero"):
+        massless_fixture([(0.4, 0.0, 0.3), (0.0, 0.0, 0.0)])
 
 
 def test_massless_atoms_are_nilpotent():

@@ -9,6 +9,10 @@ No package module imports scipy, at module level or inside a function:
 numpy is the package's only runtime dependency.  scipy serves the tests'
 oracles alone.
 
+Every private function, class and method of the package is referenced
+in ``src/`` beyond its definition, as a name or an attribute: a helper
+that nothing calls is dead code.
+
 The export lists agree: every name in a module's ``__all__`` is
 re-exported by ``kreinact`` as the same object, ``kreinact.__all__``
 names each object once, and each of its names other than ``__version__``
@@ -89,6 +93,43 @@ def test_the_check_sees_a_load_time_scipy_import():
 @pytest.mark.parametrize("path", ALL_MODULES, ids=[p.name for p in ALL_MODULES])
 def test_no_load_time_scipy_import(path):
     assert _scipy_imports(path.read_text()) == []
+
+
+def _private_definitions(tree: ast.Module) -> list:
+    """``(name, line)`` of each private module-level function or class, and each private method."""
+    found = []
+    for node in tree.body:
+        defs = [node] + (node.body if isinstance(node, ast.ClassDef) else [])
+        found += [(d.name, d.lineno) for d in defs
+                  if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                  and d.name.startswith("_") and not d.name.endswith("__")]
+    return found
+
+
+def _unreferenced(sources: dict) -> list:
+    """Private definitions of ``{name: source}`` that no ``Name`` or ``Attribute`` of any source uses."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    used = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+    return sorted(f"{name}: {helper} (line {line})" for name, tree in trees.items()
+                  for helper, line in _private_definitions(tree) if helper not in used)
+
+
+def test_the_check_sees_a_dead_private_helper():
+    sources = {
+        "a.py": "def _used():\n    pass\ndef _dead():\n    pass\nclass _Box:\n"
+                "    def __init__(self):\n        self._live()\n    def _live(self):\n        pass\n"
+                "    def _idle(self):\n        pass\n",
+        "b.py": "from a import _used, _Box\n_used()\n_Box()\n",
+    }
+    assert _unreferenced(sources) == ["a.py: _dead (line 3)", "a.py: _idle (line 10)"]
+
+
+def test_every_private_helper_is_referenced():
+    sources = {path.name: path.read_text() for path in ALL_MODULES}
+    assert sum(len(_private_definitions(ast.parse(s))) for s in sources.values()) > 50
+    assert _unreferenced(sources) == []
 
 
 # Module exports that the package deliberately does not re-export.

@@ -220,6 +220,15 @@ def test_classified_spectrum_neutral_label():
     assert label == 0
 
 
+def test_classified_spectrum_labels_a_non_real_pair_0():
+    # T = [[0, 1], [-1, 0]] is Krein symmetric for n = 1, with eigenvalues +-i.
+    entries = classified_spectrum(np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex), SignatureSpace(1))
+    assert [(mult, label) for _, mult, label in entries] == [(1, 0), (1, 0)]
+    values = sorted(value.imag for value, _, _ in entries)
+    assert values == pytest.approx([-1.0, 1.0], abs=1e-14)
+    assert all(value.real == pytest.approx(0.0, abs=1e-14) for value, _, _ in entries)
+
+
 def test_classified_spectrum_rejects_a_non_symmetric_operator():
     sp = SignatureSpace(1)
     with pytest.raises(ValidationError, match="classified_spectrum operand must be Krein symmetric"):

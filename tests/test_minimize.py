@@ -12,6 +12,7 @@ from conftest import assert_feasible, make_rng, random_measure_for
 from kreinact import (
     MinimizeConfig,
     MomentumBox,
+    NonsmoothPointError,
     OperatorMeasure,
     QHatEvaluator,
     RestorationError,
@@ -32,7 +33,7 @@ from kreinact import (
 )
 from kreinact.action import _tail_magnitude
 from kreinact.elverify import _shift
-from kreinact.minimize import LBFGS_MEMORY, MAX_BACKTRACKS, _CurvatureMemory, _restoring_factors
+from kreinact.minimize import INITIAL_STEP, LBFGS_MEMORY, MAX_BACKTRACKS, _CurvatureMemory, _restoring_factors
 from kreinact.tolerances import CONSTRAINT, ZERO_EIGENVALUE
 
 SP1 = SignatureSpace(1)
@@ -123,6 +124,18 @@ def test_config_validation():
         MinimizeConfig(position_radius=0.0)
     with pytest.raises(ValidationError):
         MinimizeConfig(momentum_shape=(0, 1, 1, 1))
+
+
+def test_config_rejects_an_integer_beyond_every_float():
+    # 10**400 passes each range test, then overflowed in the run's arithmetic.
+    huge = 10**400
+    for fields_ in ({"c": huge, "f": 10 * huge}, {"f": huge}, {"smoothing_delta": huge},
+                    {"position_radius": huge}, {"tol_el": huge}):
+        with pytest.raises(ValidationError, match=f"^{next(iter(fields_))} is too large for a float"):
+            MinimizeConfig(**fields_)
+    # Values a float holds are stored as given, so a configuration file reads back unchanged.
+    config = MinimizeConfig(c=1, f=2, position_radius=3)
+    assert config_to_dict(config)["position_radius"] == 3 and type(config.position_radius) is int
 
 
 def test_config_helpers_build_consistent_objects():
@@ -533,6 +546,77 @@ def test_converged_is_the_final_report_verdict(monkeypatch, config, stop):
     assert result.trace[-1]["trials"] <= MAX_BACKTRACKS
 
 
+def _trial_starts(monkeypatch):
+    """The factor stack each line-search trial of a run starts from, recorded in order."""
+    import kreinact.minimize as minimize_module
+
+    trial, starts = minimize_module._FixedSupport.trial, []
+
+    def recorded(self, Ms_raw, to_beat, row):
+        starts.append(Ms_raw)
+        return trial(self, Ms_raw, to_beat, row)
+
+    monkeypatch.setattr(minimize_module._FixedSupport, "trial", recorded)
+    return starts
+
+
+@pytest.mark.parametrize("failure", ["restoration", "nonsmooth"])
+def test_a_trial_that_fails_is_rejected_and_the_step_halves(monkeypatch, failure):
+    # A trial whose restoration fails, or whose field meets a kink, is a
+    # rejected trial like one that does not lower the action.
+    import kreinact.minimize as minimize_module
+
+    name = "_restoring_factors" if failure == "restoration" else "_gradient_field"
+    # The initial iterate is restored too, but its field is the evaluator's.
+    first_trial_call = 2 if failure == "restoration" else 1
+    original, calls, failed = getattr(minimize_module, name), [], []
+
+    def fails_once(*args):
+        calls.append(name)
+        if len(calls) == first_trial_call:
+            failed.append(len(starts) - 1)
+            if failure == "restoration":
+                raise RestorationError("forced")
+            raise NonsmoothPointError("forced", xi=np.zeros(4))
+        return original(*args)
+
+    state, iterates = minimize_module._FixedSupport.state, []
+
+    def recorded(*args):
+        iterates.append(state(*args))
+        return iterates[-1]
+
+    monkeypatch.setattr(minimize_module._FixedSupport, "state", recorded)
+    starts = _trial_starts(monkeypatch)
+    monkeypatch.setattr(minimize_module, name, fails_once)
+    result = minimize_action(replace(TOY, max_iterations=1))
+    assert failed == [0] and len(starts) == 2
+    Ms = iterates[0].Ms
+    # The restoration fails before the trial's chain solve, which is not counted.
+    assert result.trace[0]["trials"] == (1 if failure == "restoration" else 2)
+    np.testing.assert_allclose(starts[1] - Ms, 0.5 * (starts[0] - Ms), rtol=1e-12, atol=1e-15)
+    assert result.stop_reason == "max_iterations"
+
+
+def test_a_non_descent_direction_clears_the_memory_and_restarts_the_step(monkeypatch):
+    direction, clear = _CurvatureMemory.direction, _CurvatureMemory.clear
+    held, cleared = [], []
+
+    def uphill_at_iteration_2(self, g):
+        held.append(self.count)
+        return g.copy() if len(held) == 3 else direction(self, g)
+
+    def recorded_clear(self):
+        cleared.append(self.count)
+        clear(self)
+
+    monkeypatch.setattr(_CurvatureMemory, "direction", uphill_at_iteration_2)
+    monkeypatch.setattr(_CurvatureMemory, "clear", recorded_clear)
+    result = minimize_action(replace(TOY, max_iterations=4))
+    assert held[2] > 0 and cleared == [held[2]]
+    assert [row["step"] for row in result.trace] == [INITIAL_STEP, 1.0, INITIAL_STEP, 1.0]
+
+
 def _run_iterates(monkeypatch, config):
     """The iterates a run enters its loop with, the initial one first, as the run object builds them."""
     import kreinact.minimize as minimize_module
@@ -683,9 +767,9 @@ def test_support_tables_are_built_once_per_run_and_no_inverse_is_screened(monkey
     ), id="n2-capped"),
 ])
 def test_returned_report_is_a_fresh_report_of_the_returned_iterate(config):
-    # The loop's report reuses the spectra of its own step, and its probes
-    # are the atoms; a report built from scratch, with a separate probe
-    # stack, must equal it to the bit.
+    # The loop's report solves the spectra of its own iterate's rows, and its
+    # probes are the atoms; a report built anew from the returned measure,
+    # with a separate probe stack, must equal it to the bit.
     result = minimize_action(config)
     measure = result.measure
     evaluator = QHatEvaluator(measure, config.position_grid(), smoothing_delta=config.smoothing_delta)

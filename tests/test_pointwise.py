@@ -332,6 +332,32 @@ def test_tiny_coupling_start_mixes_the_plateau_within_the_coupling(monkeypatch):
         assert np.real(np.trace(SP1.signature[:, None] * sol.A)) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_a_doubled_spectrum_takes_midpoints_to_the_alpha_of_its_single_copy(monkeypatch):
+    # kron(qhat, I_2) is two copies of an n=1 problem: every eigenvalue of
+    # qhat - alpha S is double, so each lowest cluster is degenerate, has no
+    # slope, and the step is the midpoint of the bracket (37 of them here),
+    # where the n=1 copy takes Newton steps.
+    qhat = np.array([[1.0, 1.0 - 1.0j], [1.0 + 1.0j, 0.0]])
+    single = solve(PointwiseProblem(space=SP1, q=SP1.signature[:, None] * qhat, a=0.98, b=1.0))
+    assert single.alpha == pytest.approx(7.4645567342, abs=1e-9)
+    calls = record_clusters(monkeypatch)
+    mixed_density, mixed = pointwise._mixed_density, []
+
+    def recorded(*args):
+        mixed.append(mixed_density(*args))
+        return mixed[-1]
+
+    monkeypatch.setattr(pointwise, "_mixed_density", recorded)
+    sp = SignatureSpace(2)
+    q = sp.signature[:, None] * np.kron(qhat, np.eye(2))
+    doubled = solve(PointwiseProblem(space=sp, q=q, a=0.98, b=1.0))
+    assert all(len(s) == 2 for _, s in calls)
+    midpoints = sum(H is None for H in mixed)
+    assert midpoints >= 1 and mixed[-1] is not None
+    assert doubled.tag == "interior"
+    assert doubled.alpha == pytest.approx(single.alpha, rel=1e-9)
+
+
 def test_far_targets_keep_every_step_inside_the_bracket(monkeypatch):
     # At t = -+0.95 the multiplier lies 0.3-9 away from the crossing the
     # solver starts from.  Replaying the recorded evaluations: the bracket
