@@ -54,13 +54,12 @@ module, and attributes set through ``m`` change nothing here.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tolerances
-from .errors import NonsmoothPointError, ValidationError, _check_count, _check_float
+from .errors import NonsmoothPointError, ValidationError, _check_count, _check_real, _four_vector
 from .homomeasure import OperatorMeasure
 from .krein import SignatureSpace, _adjoint, _max_spectral_norm, _squared_frobenius
 
@@ -127,9 +126,7 @@ class PositionGrid:
         shape = tuple(_check_count(k, 1, message) for k in shape)
         if len(shape) != 4:
             raise ValidationError(message)
-        if not 0.0 < radius < math.inf:
-            raise ValidationError(f"position box radius must be finite and positive, got {radius!r}")
-        radius = _check_float(radius, "position box radius")
+        radius = _check_real(radius, "position box radius", 0)
         axes, axis_weights = [], []
         for k in shape:
             if k == 1:
@@ -238,17 +235,6 @@ class _SupportTables:
         return 0.5 * self.folded_weights * np.exp(-1j * self.points @ ps[:, :, None])[:, :, 0]
 
 
-def _four_vector(x, name: str, ndim: int = 1) -> np.ndarray:
-    """``x`` as a finite 4-vector (``ndim=1``) or a stack of rows of four (``ndim=2``)."""
-    x = np.asarray(x, float)
-    if x.ndim != ndim or x.shape[-1] != 4:
-        what = "a 4-vector" if ndim == 1 else "rows of four numbers"
-        raise ValidationError(f"{name} must be {what}, got shape {x.shape}")
-    if not np.isfinite(x).all():
-        raise ValidationError(f"{name} must have finite entries")
-    return x
-
-
 def kernel_P(measure: OperatorMeasure, xi) -> np.ndarray:
     """Kernel ``P(xi) = -sum_j exp(i p_j . xi) A_j``."""
     xi = _four_vector(xi, "xi")
@@ -264,9 +250,8 @@ def closed_chain(P: np.ndarray, space: SignatureSpace) -> ClosedChainSpectrum:
     return ClosedChainSpectrum(lambdas=lams[order], chain=chain)
 
 
-def _check_delta(delta: float) -> None:
-    if not 0.0 <= delta < math.inf:
-        raise ValidationError(f"smoothing delta must be finite and >= 0, got {delta!r}")
+def _check_delta(delta, name: str = "smoothing delta") -> float:
+    return _check_real(delta, name, 0, strict=False)
 
 
 def _moduli(lambdas: np.ndarray, delta: float) -> np.ndarray:
@@ -278,7 +263,7 @@ def _lagrangian_values(lambdas: np.ndarray, delta: float, m=None) -> np.ndarray:
 
     ``m`` holds their :func:`_moduli` if in hand.
     """
-    _check_delta(delta)
+    delta = _check_delta(delta)
     if m is None:
         m = _moduli(lambdas, delta)
     n = lambdas.shape[-1] // 2
@@ -329,19 +314,17 @@ def _solved_action(operators: np.ndarray, sig: np.ndarray, support: _SupportTabl
 # Gradient kernel
 # ---------------------------------------------------------------------------
 
-def _eig_gradient_factors(chains, lams, R, space: SignatureSpace, delta: float, m=None):
+def _eig_gradient_factors(chains, lams, R, space: SignatureSpace, delta: float, m):
     """Krein-symmetrized factors N of dL = Re Tr(G dA) over a stack of chains.
 
-    ``(lams, R)`` is the chains' ``eig`` pair, ``m`` their moduli if in
-    hand.  Returns ``(factors, ok)``;
+    ``(lams, R)`` is the chains' ``eig`` pair and ``m`` their moduli.
+    Returns ``(factors, ok)``;
     ``ok`` marks the chains whose factor is valid: a well-conditioned
     eigenvector matrix ``R`` (not a defective chain), and with ``delta = 0``
     all moduli bounded away from zero (else |.| is not differentiable).
     Equal eigenvalues are valid: they share ``g_i``.
     """
     d = space.dim
-    if m is None:
-        m = _moduli(lams, delta)
     ok = np.ones(len(R), bool)
     if delta == 0.0:
         ok &= m.min(axis=1) > tolerances.MODULUS_GAP * np.linalg.norm(chains, 2, axis=(1, 2))
@@ -414,7 +397,7 @@ def _gradient_field(operators: np.ndarray, space: SignatureSpace, support: _Supp
     differences averaged over ``xi`` and ``-xi``, taken at the class's
     first point.
     """
-    _check_delta(delta)
+    delta = _check_delta(delta)
     sig = space.signature
     if solved is None:
         solved = _chain_solve(operators, sig, support.kernel_phases, delta)
@@ -480,7 +463,7 @@ class QHatEvaluator:
     ):
         self.measure = measure
         self.grid = grid
-        self.smoothing_delta = float(smoothing_delta)
+        self.smoothing_delta = _check_delta(smoothing_delta)
         self._support = _support or _SupportTables(measure.momenta, grid)
         self.q_field = _gradient_field(measure.operators, measure.space, self._support, smoothing_delta)
 

@@ -24,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .action import _four_vector
-from .errors import BasisReductionWarning, ValidationError, _check_count
+from .errors import BasisReductionWarning, ValidationError, _check_count, _four_vector
 from .homomeasure import OperatorMeasure, _write_table
+from .krein import _hermitize
 
 __all__ = [
     "LocalCorrelation",
@@ -109,8 +109,7 @@ def _basis_arrays(measure: OperatorMeasure, basis: np.ndarray):
     U = _test_functions(measure, basis, ndim=3)
     m = len(U)
     AU = np.einsum("jab,ijb->ija", measure.operators, U)
-    G = (U.conj() * measure.space.signature).reshape(m, -1) @ AU.reshape(m, -1).T
-    G = 0.5 * (G + G.conj().T)
+    G = _hermitize((U.conj() * measure.space.signature).reshape(m, -1) @ AU.reshape(m, -1).T)
 
     gw, gv = np.linalg.eigh(G)
     keep = gw > _GRAM_RTOL * max(float(gw[-1]), 1e-300)
@@ -127,10 +126,8 @@ def _basis_arrays(measure: OperatorMeasure, basis: np.ndarray):
 def _correlation_at(measure: OperatorMeasure, x: np.ndarray, AU, G, W) -> LocalCorrelation:
     """Local correlation at ``x`` from the arrays of :func:`_basis_arrays`."""
     waves = np.einsum("j,ija->ia", np.exp(-1j * (measure.momenta @ x)), AU)
-    F = -(waves.conj() * measure.space.signature) @ waves.T
-    F = 0.5 * (F + F.conj().T)
-    reduced = W.conj().T @ F @ W
-    eigs = np.linalg.eigvalsh(0.5 * (reduced + reduced.conj().T))
+    F = _hermitize(-(waves.conj() * measure.space.signature) @ waves.T)
+    eigs = np.linalg.eigvalsh(_hermitize(W.conj().T @ F @ W))
     return LocalCorrelation(x=x, matrix=F, gram=G, pencil_eigenvalues=np.sort(eigs))
 
 

@@ -29,7 +29,7 @@ from .elverify import (
     report_to_csv,
     save_report,
 )
-from .errors import KreinactError, ValidationError
+from .errors import KreinactError, ValidationError, _check_real
 from .homomeasure import (
     MomentumBox,
     _check_writable,
@@ -90,9 +90,7 @@ def cmd_fixture(args) -> int:
     radius = ("--spatial-radius", args.spatial_radius)
     scales = {"dirac-sea": [("--mass", args.mass), radius], "nilpotent": [radius]}
     for flag, value in scales.get(args.kind, []):
-        # Written so that NaN fails.
-        if not 0.0 < value < np.inf:
-            raise ValidationError(f"{flag} must be finite and positive, got {value!r}")
+        _check_real(value, flag, 0)
     rng = np.random.default_rng(args.seed)
     if args.kind == "dirac-sea":
         ks = args.spatial_radius * rng.standard_normal((args.atoms, 3))
@@ -284,11 +282,8 @@ def cmd_pointwise(args) -> int:
 
 def cmd_sweep_alpha(args) -> int:
     q, space = load_operator(args.q_file)
-    if not np.isfinite([args.alpha_min, args.alpha_max]).all():
-        raise ValidationError(
-            f"--alpha-min and --alpha-max must be finite, "
-            f"got {args.alpha_min!r} and {args.alpha_max!r}"
-        )
+    _check_real(args.alpha_min, "--alpha-min")
+    _check_real(args.alpha_max, "--alpha-max")
     if args.alpha_max <= args.alpha_min:
         raise ValidationError("--alpha-max must exceed --alpha-min")
     if args.count < 1:

@@ -21,13 +21,12 @@ report's spectra are batched over the stacks.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tolerances
-from .errors import InfeasibleProblemError, ValidationError
+from .errors import InfeasibleProblemError, ValidationError, _check_real
 from .homomeasure import (
     OperatorMeasure,
     _check_format,
@@ -37,7 +36,14 @@ from .homomeasure import (
     _write_document,
     _write_table,
 )
-from .krein import SignatureSpace, _max_spectral_norm, _require_symmetric
+from .krein import (
+    SignatureSpace,
+    _congruence,
+    _hermitian_form,
+    _max_spectral_norm,
+    _require_symmetric,
+    _root,
+)
 
 __all__ = [
     "PushforwardMeasure",
@@ -181,8 +187,7 @@ def _shift(qhats: np.ndarray, alpha: float, beta: float, space: SignatureSpace) 
 
 def _hermitian_spectra(T: np.ndarray, space: SignatureSpace):
     """``(w, V)``: the batched ``eigh`` of the Hermitian representatives ``S T``, eigenvalues ascending."""
-    that = space.signature[None, :, None] * T
-    return np.linalg.eigh(0.5 * (that + that.conj().transpose(0, 2, 1)))
+    return np.linalg.eigh(_hermitian_form(T, space.signature))
 
 
 def _gaps(w: np.ndarray, V: np.ndarray, space: SignatureSpace) -> np.ndarray:
@@ -196,15 +201,14 @@ def _gaps(w: np.ndarray, V: np.ndarray, space: SignatureSpace) -> np.ndarray:
     ``sqrt(S T) S sqrt(S T)`` with the definiteness built in, so ``g`` is
     its smallest absolute eigenvalue.  Operators failing the psd
     condition, or positive ones with nontrivial kernel, have ``g = 0``;
-    the congruence is formed only for the operators that pass.
+    the congruence is formed only for the operators that pass, by the
+    root and congruence of :func:`~kreinact.krein.positive_spectrum`.
     """
     scale = np.maximum(np.maximum(np.abs(w[:, 0]), np.abs(w[:, -1])), 1e-300)
     psd = ~(w[:, 0] < -tolerances.PSD * scale)
-    w, V = w[psd], V[psd]
-    root = (V * np.sqrt(np.clip(w, 0.0, None))[:, None, :]) @ V.conj().transpose(0, 2, 1)
-    Y = root @ (space.signature[None, :, None] * root)
     gaps = np.zeros(len(psd))
-    gaps[psd] = np.abs(np.linalg.eigvalsh(0.5 * (Y + Y.conj().transpose(0, 2, 1)))).min(axis=1)
+    Y = _congruence(_root(w[psd], V[psd]), space.signature)
+    gaps[psd] = np.abs(np.linalg.eigvalsh(Y)).min(axis=1)
     return gaps
 
 
@@ -280,9 +284,7 @@ def check_first_order(report: ELReport, tol_el: float = tolerances.EL_RESIDUAL) 
     atoms that carry mass: the gap checks skip atoms of norm at most
     ``ZERO_EIGENVALUE`` times the largest, which annihilate any operator.
     """
-    tol = float(tol_el)
-    if not 0.0 <= tol < math.inf:
-        raise ValidationError(f"tol_el (--tol-el) must be finite and >= 0, got {tol_el!r}")
+    tol = _check_real(tol_el, "tol_el (--tol-el)", 0, strict=False)
     margin_ok = bool(report.probe_margins.min(initial=np.inf) >= -tol)
     support_ok = bool(
         max(

@@ -4,10 +4,17 @@ Two broad failure classes are distinguished, mirroring the CLI exit codes:
 :class:`ValidationError` (exit code 2) for malformed inputs, violated
 preconditions and infeasible problem data, and :class:`NumericalError`
 (exit code 3) for routines that could not reach their numerical contract.
+
+The module owns the package's input rules, each raising a
+:class:`ValidationError` that names the argument: ``_check_count`` for a
+count, ``_check_real`` for a real number and ``_four_vector`` for 4-vectors.
+An integer beyond the float range fails as too large for a float, not as
+an ``OverflowError``; a value of the wrong type fails, not as a ``TypeError``.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 
 import numpy as np
@@ -80,9 +87,31 @@ def _check_count(value, least: int, message: str) -> int:
     return int(value)
 
 
-def _check_float(value, name: str) -> float:
-    """``float(value)``; a ValidationError naming ``name`` for an integer beyond every float."""
+def _check_real(value, name: str, low: float = -math.inf, *, strict: bool = True) -> float:
+    """``float(value)`` of a real number that is finite and above ``low`` (at or above it
+    unless ``strict``); else a ValidationError naming ``name``."""
     try:
-        return float(value)
+        x = float(value) if isinstance(value, numbers.Real) else math.nan
     except OverflowError:
         raise ValidationError(f"{name} is too large for a float") from None
+    if not (math.isfinite(x) and (x > low if strict else x >= low)):
+        rule = "" if low == -math.inf else (
+            " and positive" if strict and low == 0 else f" and {'>' if strict else '>='} {low!r}")
+        raise ValidationError(f"{name} must be finite{rule}, got {value!r}")
+    return x
+
+
+def _four_vector(x, name: str, ndim: int = 1) -> np.ndarray:
+    """``x`` as a finite 4-vector (``ndim=1``) or a stack of rows of four (``ndim=2``)."""
+    try:
+        x = np.asarray(x, float)
+    except OverflowError:
+        raise ValidationError(f"{name} is too large for a float") from None
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} must hold real numbers, got {x!r}") from None
+    if x.ndim != ndim or x.shape[-1] != 4:
+        what = "a 4-vector" if ndim == 1 else "rows of four numbers"
+        raise ValidationError(f"{name} must be {what}, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValidationError(f"{name} must have finite entries")
+    return x

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import errno
 import json
+import numbers
 import os
 import stat
 from dataclasses import dataclass
@@ -20,8 +21,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import ValidationError, _check_count
-from .krein import SignatureSpace, _positive_rows, positive_spectrum, spectral_split
+from .errors import ValidationError, _check_count, _check_real, _four_vector
+from .krein import SignatureSpace, _positive_rows, _scale, positive_spectrum, spectral_split
 
 __all__ = [
     "MomentumBox",
@@ -66,16 +67,14 @@ class MomentumBox:
     grid_shape: tuple
 
     def __post_init__(self):
-        lower = tuple(float(x) for x in self.lower)
-        upper = tuple(float(x) for x in self.upper)
+        lower = tuple(_check_real(x, "momentum box lower bound") for x in self.lower)
+        upper = tuple(_check_real(x, "momentum box upper bound") for x in self.upper)
         shape = tuple(self.grid_shape)
         if len(lower) != 4 or len(upper) != 4 or len(shape) != 4:
             raise ValidationError("momentum box requires 4-dimensional bounds and grid shape")
-        # Written so that NaN fails the comparison.
-        if not all(-np.inf < l < u < np.inf for l, u in zip(lower, upper)):
+        if not all(l < u for l, u in zip(lower, upper)):
             raise ValidationError(
-                f"box bounds must be finite with upper above lower componentwise, "
-                f"got lower={lower}, upper={upper}"
+                f"box bounds must have upper above lower componentwise, got lower={lower}, upper={upper}"
             )
         message = f"grid shape entries must be >= 1 and integers, got {shape!r}"
         shape = tuple(_check_count(k, 1, message) for k in shape)
@@ -209,9 +208,12 @@ class ConstraintValues:
 
 
 def _check_targets(c: float, f: float) -> None:
-    """Reject constraint targets outside ``0 < c < f`` (NaN included)."""
-    if not (0.0 < c < f):
+    """Reject constraint targets that are not real numbers with ``0 < c < f`` (NaN
+    included), then any that is not a finite float."""
+    if not (isinstance(c, numbers.Real) and isinstance(f, numbers.Real) and 0.0 < c < f):
         raise ValidationError(f"constraint targets must satisfy 0 < c < f, got c={c}, f={f}")
+    _check_real(c, "c")
+    _check_real(f, "f")
 
 
 def _trace_functionals(total: np.ndarray, space: SignatureSpace) -> tuple:
@@ -231,7 +233,7 @@ def constraint_values(measure: OperatorMeasure) -> ConstraintValues:
     """
     total = measure.total()
     tr, mod_dim = _trace_functionals(total, measure.space)
-    scale = max(float(np.linalg.norm(total, 2)), 1.0)
+    scale = _scale(total)
     if abs(tr.imag) > 1e-9 * scale or abs(mod_dim.imag) > 1e-9 * scale:
         raise ValidationError("constraint functionals of a positive measure must be real")
     dim_sum = float(np.sum(np.abs(positive_spectrum(total, measure.space))))
@@ -270,9 +272,7 @@ def decompose(measure: OperatorMeasure) -> MeasureDecomposition:
 
 def translate(measure: OperatorMeasure, shift: Sequence[float]) -> OperatorMeasure:
     """Shift all atom momenta (and the box) by a fixed 4-vector."""
-    shift = np.asarray(shift, float)
-    if shift.shape != (4,):
-        raise ValidationError("translation requires a 4-vector")
+    shift = _four_vector(shift, "translation shift")
     box = MomentumBox(
         lower=tuple(np.asarray(measure.box.lower) + shift),
         upper=tuple(np.asarray(measure.box.upper) + shift),
@@ -283,9 +283,7 @@ def translate(measure: OperatorMeasure, shift: Sequence[float]) -> OperatorMeasu
 
 def scale(measure: OperatorMeasure, factor: float) -> OperatorMeasure:
     """Rescale all atom operators by a positive factor."""
-    if factor <= 0:
-        raise ValidationError(f"scale factor must be positive, got {factor}")
-    return measure.with_operators(measure.operators * factor)
+    return measure.with_operators(measure.operators * _check_real(factor, "scale factor", 0))
 
 
 def gamma_matrices() -> dict:
@@ -324,8 +322,7 @@ def dirac_sea_fixture(mass: float, shell_points: Iterable[Sequence[float]]) -> O
     ``p^0 < 0`` within a relative shell tolerance.  The resulting atoms are
     positive with eigenvalues in ``{0, -2m}`` — a sea measure.
     """
-    if not 0.0 < mass < np.inf:
-        raise ValidationError(f"mass must be finite and positive, got {mass!r}")
+    mass = _check_real(mass, "mass", 0)
     momenta = np.atleast_2d(np.asarray(list(shell_points), float))
     if momenta.shape[1:] != (4,):
         raise ValidationError("shell points must be 4-vectors")

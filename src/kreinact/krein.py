@@ -21,6 +21,12 @@ Public routines validate their operands.  The Krein adjoint ``S X^H S`` has
 one unchecked form, ``_adjoint``, which also maps ``(..., d, d)`` stacks;
 :func:`krein_adjoint` checks its operand and calls it, and the batched code
 of :mod:`kreinact.action` calls it directly.
+
+The module owns the package's Hermitian forms, on a matrix or a stack:
+``_hermitize`` (``(X + X^H) / 2``), ``_hermitian_form`` (``S A``),
+``_root`` (the principal square root from an ``eigh`` pair) and
+``_congruence`` (``R S R``), which the support gap of
+:mod:`kreinact.elverify` shares; ``_scale`` is the one ``max(||X||_2, 1)``.
 """
 
 from __future__ import annotations
@@ -100,14 +106,28 @@ class SignatureSpace:
 
 
 def _hermitize(H: np.ndarray) -> np.ndarray:
-    return 0.5 * (H + H.conj().T)
+    """``(H + H^H) / 2`` of a matrix or of each matrix of a ``(..., d, d)`` stack."""
+    return 0.5 * (H + H.conj().swapaxes(-1, -2))
 
 
-def _hermitian_sqrt(H: np.ndarray) -> np.ndarray:
-    """Principal square root of a Hermitian psd matrix (eigenvalues clipped at 0)."""
-    w, V = np.linalg.eigh(_hermitize(H))
-    w = np.clip(w, 0.0, None)
-    return (V * np.sqrt(w)) @ V.conj().T
+def _hermitian_form(A: np.ndarray, sig: np.ndarray) -> np.ndarray:
+    """The Hermitian representative ``S A``, hermitized, of an operator or of each matrix of a stack."""
+    return _hermitize(sig[:, None] * A)
+
+
+def _root(w: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Principal square root ``R`` of a psd matrix (or stack) from its ``eigh`` pair, eigenvalues clipped at 0."""
+    return (V * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ V.conj().swapaxes(-1, -2)
+
+
+def _congruence(R: np.ndarray, sig: np.ndarray) -> np.ndarray:
+    """``R S R``, hermitized: with ``R = sqrt(S A)`` its spectrum is that of ``A``."""
+    return _hermitize(R @ (sig[:, None] * R))
+
+
+def _positive_root(A: np.ndarray, space: SignatureSpace) -> np.ndarray:
+    """``R = sqrt(S A)`` of a positive operator."""
+    return _root(*np.linalg.eigh(_hermitian_form(A, space.signature)))
 
 
 def _scale(A: np.ndarray) -> float:
@@ -221,10 +241,8 @@ def positive_spectrum(A: np.ndarray, space: SignatureSpace) -> np.ndarray:
     Computed from the Hermitian congruence ``Y = sqrt(S A) S sqrt(S A)``,
     which shares the spectrum of ``A``; no non-normal solve is involved.
     """
-    A = _require_positive(A, space, "positive_spectrum")
-    R = _hermitian_sqrt(space.signature[:, None] * A)
-    Y = _hermitize(R @ space.signature_matrix @ R)
-    return np.linalg.eigvalsh(Y)
+    R = _positive_root(_require_positive(A, space, "positive_spectrum"), space)
+    return np.linalg.eigvalsh(_congruence(R, space.signature))
 
 
 @dataclass(frozen=True)
@@ -258,9 +276,8 @@ def spectral_split(A: np.ndarray, space: SignatureSpace) -> SpectralSplit:
     """
     A = _require_positive(A, space, "spectral_split")
     S = space.signature_matrix
-    R = _hermitian_sqrt(space.signature[:, None] * A)
-    Y = _hermitize(R @ S @ R)
-    w, V = np.linalg.eigh(Y)
+    R = _positive_root(A, space)
+    w, V = np.linalg.eigh(_congruence(R, space.signature))
     thresh = tolerances.ZERO_EIGENVALUE * max(float(np.linalg.norm(A, 2)), 1e-300)
 
     def component(mask: np.ndarray) -> np.ndarray:
@@ -281,8 +298,7 @@ def psd_factorize(A: np.ndarray, space: SignatureSpace) -> np.ndarray:
     Returns the principal Hermitian square root ``M = sqrt(S A)``, so that
     ``M^H M = M @ M = S A``.
     """
-    A = _require_positive(A, space, "psd_factorize")
-    return _hermitian_sqrt(space.signature[:, None] * A)
+    return _positive_root(_require_positive(A, space, "psd_factorize"), space)
 
 
 def product_annihilates(A: np.ndarray, B: np.ndarray, space: SignatureSpace) -> bool:

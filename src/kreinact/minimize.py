@@ -51,7 +51,6 @@ the multipliers' case, :func:`~kreinact.elverify._bound_active`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, fields
 from typing import NamedTuple
 
@@ -80,7 +79,7 @@ from .elverify import (
     lagrange_parameters,
     pushforward,
 )
-from .errors import NonsmoothPointError, RestorationError, ValidationError, _check_count, _check_float
+from .errors import NonsmoothPointError, RestorationError, ValidationError, _check_count, _check_real
 from .homomeasure import MomentumBox, OperatorMeasure, _check_targets, _trace_functionals
 from .krein import _BOUND_SLACK, SignatureSpace, _squared_frobenius
 
@@ -129,16 +128,12 @@ class MinimizeConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # The scalars are checked, not converted, so a configuration file reads back unchanged.
         _check_targets(self.c, self.f)
-        _check_delta(self.smoothing_delta)
-        # Written so that NaN fails every range test.
-        if not 0.0 < self.position_radius < math.inf:
-            raise ValidationError(f"position_radius must be finite and > 0, got {self.position_radius!r}")
-        if not 0.0 <= self.tol_el < math.inf:
-            raise ValidationError(f"tol_el must be finite and >= 0, got {self.tol_el!r}")
-        # An integer beyond every float passes those tests, and would overflow in the run.
-        for name in ("c", "f", "smoothing_delta", "position_radius", "tol_el"):
-            _check_float(getattr(self, name), name)
+        _check_delta(self.smoothing_delta, "smoothing_delta")
+        _check_real(self.position_radius, "position_radius", 0)
+        _check_real(self.tol_el, "tol_el", 0, strict=False)
+
         def count(name, value, least=1):
             return _check_count(value, least, f"{name} must be an integer >= {least}, got {value!r}")
 
@@ -147,10 +142,9 @@ class MinimizeConfig:
         object.__setattr__(self, "seed", count("seed", self.seed, 0))
         for name in ("momentum_shape", "position_shape"):
             object.__setattr__(self, name, tuple(count(f"each {name} entry", k) for k in getattr(self, name)))
-        object.__setattr__(self, "box_lower", tuple(float(x) for x in self.box_lower))
-        object.__setattr__(self, "box_upper", tuple(float(x) for x in self.box_upper))
-        # Constructing the box validates bounds/shape consistency early.
-        self.momentum_box()
+        box = self.momentum_box()
+        object.__setattr__(self, "box_lower", box.lower)
+        object.__setattr__(self, "box_upper", box.upper)
 
     def momentum_box(self) -> MomentumBox:
         return MomentumBox(self.box_lower, self.box_upper, self.momentum_shape)

@@ -50,9 +50,10 @@ from .errors import (
     NonUniqueMultipliersError,
     NumericalError,
     ValidationError,
+    _check_real,
 )
 from .homomeasure import _trace_functionals
-from .krein import SignatureSpace, _require_symmetric, is_positive
+from .krein import SignatureSpace, _hermitian_form, _hermitize, _require_symmetric, _scale, is_positive
 
 __all__ = [
     "PointwiseProblem",
@@ -70,16 +71,6 @@ _BISECT_MAX = 300
 _ONE = np.ones((1, 1))
 
 
-def _qhat(q: np.ndarray, sig: np.ndarray) -> np.ndarray:
-    """Hermitian coefficient ``S q`` of an already validated ``q``."""
-    qhat = sig[:, None] * q
-    return 0.5 * (qhat + qhat.conj().T)
-
-
-def _hermitian_coefficient(q: np.ndarray, space: SignatureSpace) -> np.ndarray:
-    return _qhat(_require_symmetric(q, space, "coefficient operator"), space.signature)
-
-
 @dataclass(frozen=True)
 class PointwiseProblem:
     """Data ``(q, a, b)`` of the pointwise trace-minimization problem."""
@@ -91,10 +82,8 @@ class PointwiseProblem:
 
     def __post_init__(self):
         q = _require_symmetric(self.q, self.space, "coefficient operator")
-        a = float(self.a)
-        b = float(self.b)
-        if not (np.isfinite(a) and np.isfinite(b)):
-            raise ValidationError(f"targets must be finite, got a={a}, b={b}")
+        a = _check_real(self.a, "target a")
+        b = _check_real(self.b, "target b")
         if b < 0:
             raise InfeasibleProblemError(f"signed-trace target must be >= 0, got {b}")
         if abs(a) > b + tolerances.FEASIBILITY * max(b, 1.0):
@@ -173,12 +162,6 @@ def _boundary_side(a: float, b: float) -> int:
     return 1 if a >= 0 else -1
 
 
-def _finite_alpha(alpha: float) -> float:
-    if not np.isfinite(alpha):
-        raise ValidationError(f"alpha must be finite, got {alpha!r}")
-    return alpha
-
-
 def beta_of_alpha(q: np.ndarray, space: SignatureSpace, alpha: float) -> float:
     """Smallest eigenvalue of the Hermitian matrix ``S q - alpha S``."""
     return a_of_alpha(q, space, alpha).beta
@@ -208,7 +191,7 @@ def _lowest_cluster(qhat: np.ndarray, space: SignatureSpace, alpha: float):
         return V[:, :1], [float(coupling[0].real)], _ONE, ws[0], slope, (w, V)
     cluster = V[:, :size]
     B = cluster.conj().T @ (sig[:, None] * cluster)
-    s, W = np.linalg.eigh(0.5 * (B + B.conj().T))
+    s, W = np.linalg.eigh(_hermitize(B))
     return cluster, s.tolist(), W, ws[0], None, (w, V)
 
 
@@ -245,8 +228,8 @@ def a_of_alpha(q: np.ndarray, space: SignatureSpace, alpha: float) -> AlphaValue
     ``V^H S V``; both endpoints are reported.  ``beta`` is the lowest
     eigenvalue, from the same eigensolve.
     """
-    qhat = _hermitian_coefficient(q, space)
-    V, s, _, beta, _, _ = _lowest_cluster(qhat, space, _finite_alpha(alpha))
+    qhat = _hermitian_form(_require_symmetric(q, space, "coefficient operator"), space.signature)
+    V, s, _, beta, _, _ = _lowest_cluster(qhat, space, _check_real(alpha, "alpha"))
     return AlphaValue(a_min=s[0], a_max=s[-1], degenerate=V.shape[1] > 1, beta=beta)
 
 
@@ -307,20 +290,19 @@ def _boundary_ray(qhat: np.ndarray, space: SignatureSpace, t: int):
     n, d = space.n, space.dim
     idx = np.arange(0, n) if t > 0 else np.arange(n, d)
     block = qhat[np.ix_(idx, idx)]
-    w, W = np.linalg.eigh(0.5 * (block + block.conj().T))
+    w, W = np.linalg.eigh(_hermitize(block))
     m = float(w[0])
     v = np.zeros(d, complex)
     v[idx] = W[:, 0]
     H = np.outer(v, v.conj())
-    scale = max(float(np.linalg.norm(qhat, 2)), 1.0)
+    scale = _scale(qhat)
 
     base, tilt = qhat - m * np.eye(d), t * np.eye(d) - space.signature_matrix
     # beta = m - t*alpha keeps (qhat - alpha S - beta) v = 0; the psd set
     # F(alpha) = base + alpha tilt = (qhat - m) + alpha (t - S) is monotone in
     # t*alpha, so the admissible alphas form a ray whose endpoint we bisect.
     def feasible(alpha: float) -> bool:
-        F = base + alpha * tilt
-        return float(np.linalg.eigvalsh(0.5 * (F + F.conj().T))[0]) >= -tolerances.PSD * scale
+        return float(np.linalg.eigvalsh(_hermitize(base + alpha * tilt))[0]) >= -tolerances.PSD * scale
 
     far = 4.0 * scale + 4.0
     extension_residual = float(np.linalg.norm(qhat @ v - m * v))
@@ -355,7 +337,7 @@ def solve(problem: PointwiseProblem) -> PointwiseSolution:
     """
     space = problem.space
     a, b, n = problem.a, problem.b, space.n
-    qhat = _qhat(problem.q, space.signature)
+    qhat = _hermitian_form(problem.q, space.signature)
     if b == 0.0:
         return PointwiseSolution(
             A=np.zeros((space.dim, space.dim), complex),
@@ -469,14 +451,14 @@ def lagrange_from_point(
     if not is_positive(A, space):
         raise ValidationError("the candidate operator must be positive")
     sig = space.signature
-    qhat = _qhat(q, sig)
+    qhat = _hermitian_form(q, sig)
     a, b = (float(x.real) for x in _trace_functionals(A, space))
     if b == 0.0:  # solve's trivial point A = 0
         raise NonUniqueMultipliersError(
             "A = 0: every (alpha, beta) with S q - alpha S - beta >= 0 is admissible, "
             "a two-dimensional set that no MultiplierFamily line holds"
         )
-    scale = max(float(np.linalg.norm(qhat, 2)), 1.0)
+    scale = _scale(qhat)
 
     if not (side := _boundary_side(a, b)):
         # Interior: H = A S / b is psd with trace 1; its range vectors v must
@@ -484,7 +466,7 @@ def lagrange_from_point(
         # full rank unless that range lies in one eigenspace of S, which puts
         # the point on the boundary to working precision.
         H = (A * sig[None, :]) / b
-        w, V = np.linalg.eigh(0.5 * (H + H.conj().T))
+        w, V = np.linalg.eigh(_hermitize(H))
         vecs = V[:, w > 1e-12 * w[-1]]
         rows_a = (sig[:, None] * vecs).T.reshape(-1, 1)
         rows_b = vecs.T.reshape(-1, 1)

@@ -804,12 +804,7 @@ def test_run_tables_give_the_one_shot_results_to_the_bit():
 
 def test_singular_eigenvector_matrix_rejects_only_its_row(monkeypatch):
     meas = random_measure_for(SignatureSpace(2), make_rng(28), n_atoms=4, shape=(3, 2, 1, 1))
-    points = PositionGrid.from_box(3.0, (5, 3, 1, 1)).points
-    _, chains, lams, R, _ = _chain_solve(meas.operators, meas.space.signature,
-                                         _kernel_phases(meas.momenta, points), 0.0)
-    singular = R.copy()
-    singular[7][:, 1] = 0.0  # an exactly zero LU pivot: inv raises for the whole stack
-    without = [np.delete(a, 7, axis=0) for a in (chains, lams, R)]
+    phases = _kernel_phases(meas.momenta, PositionGrid.from_box(3.0, (5, 3, 1, 1)).points)
     slogdet, screened = np.linalg.slogdet, []
 
     def counted(a):
@@ -818,13 +813,17 @@ def test_singular_eigenvector_matrix_rejects_only_its_row(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "slogdet", counted)
     for delta in (0.0, 1e-2):
+        _, chains, lams, R, m = _chain_solve(meas.operators, meas.space.signature, phases, delta)
+        singular = R.copy()
+        singular[7][:, 1] = 0.0  # an exactly zero LU pivot: inv raises for the whole stack
+        without = [np.delete(a, 7, axis=0) for a in (chains, lams, R, m)]
         screened.clear()
-        clean, clean_ok = _eig_gradient_factors(chains, lams, R, meas.space, delta)
+        clean, clean_ok = _eig_gradient_factors(chains, lams, R, meas.space, delta, m)
         assert clean_ok.all() and screened == []
-        factors, ok = _eig_gradient_factors(chains, lams, singular, meas.space, delta)
+        factors, ok = _eig_gradient_factors(chains, lams, singular, meas.space, delta, m)
         assert screened == [len(R)]
         assert not ok[7] and np.delete(ok, 7).all()
-        expected = _eig_gradient_factors(*without, meas.space, delta)[0]
+        expected = _eig_gradient_factors(*without[:3], meas.space, delta, without[3])[0]
         assert np.delete(factors, 7, axis=0).tobytes() == expected.tobytes()
         assert np.delete(clean, 7, axis=0).tobytes() == expected.tobytes()
 
@@ -914,8 +913,8 @@ def test_shared_kernels_share_their_finite_difference_estimate(monkeypatch):
 
     monkeypatch.setattr(action_module, "_fd_gradient", counted)
     for delta in (0.0, 1e-2):
-        _, chains, lams, R, _ = _chain_solve(meas.operators, meas.space.signature, support.kernel_phases, delta)
-        analytic = _eig_gradient_factors(chains, lams, R, meas.space, delta)[1]
+        _, chains, lams, R, m = _chain_solve(meas.operators, meas.space.signature, support.kernel_phases, delta)
+        analytic = _eig_gradient_factors(chains, lams, R, meas.space, delta, m)[1]
         for fd_only in (False, True):
             with _finite_differences_only(monkeypatch) if fd_only else contextlib.nullcontext():
                 calls.clear()

@@ -38,6 +38,7 @@ from kreinact import (
     load_measure,
     load_operator,
     load_report,
+    positive_spectrum,
     pushforward,
     report_from_dict,
     report_to_csv,
@@ -436,6 +437,21 @@ def test_gaps_equal_the_full_computation(n, seed):
     T = np.array([makers[kind]() for kind in kinds], complex).reshape(-1, space.dim, space.dim)
     w, V = _hermitian_spectra(T, space)
     np.testing.assert_array_equal(_gaps(w, V, space), _gaps_reference(w, V, space))
+
+
+@given(st.integers(min_value=1, max_value=2), st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=30, deadline=None)
+def test_support_gap_of_a_positive_row_is_its_smallest_absolute_eigenvalue(n, seed):
+    # The report's gaps and positive_spectrum form one square root and one
+    # congruence R S R in krein, so at zero multipliers they agree to the bit.
+    space = SignatureSpace(n)
+    rng = make_rng(seed)
+    measure = random_measure_for(space, rng, n_atoms=3)
+    T = np.array([random_positive(space, rng) for _ in range(3)])
+    report = el_residuals(pushforward(measure, T), 0.0, 0.0, measure.momenta, T, "a")
+    expected = [np.abs(positive_spectrum(A, space)).min() for A in T]
+    assert report.atom_gaps.tolist() == expected
+    assert report.probe_gaps.tolist() == expected
 
 
 @given(st.integers(min_value=1, max_value=2), st.integers(min_value=0, max_value=10**6))

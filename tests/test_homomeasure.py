@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -325,11 +326,13 @@ def test_scale_multiplies_operators():
 
 def test_translate_and_scale_reject_bad_arguments():
     meas = random_measure_for(SignatureSpace(1), make_rng(7))
-    for shift in ([0.1, 0.2, 0.3], [[0.1, 0.2, 0.3, 0.4]]):
-        with pytest.raises(ValidationError, match="translation requires a 4-vector"):
+    for shift, shape in (([0.1, 0.2, 0.3], (3,)), ([[0.1, 0.2, 0.3, 0.4]], (1, 4))):
+        message = f"translation shift must be a 4-vector, got shape {shape}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             translate(meas, shift)
     for factor in (0.0, -0.5):
-        with pytest.raises(ValidationError, match="scale factor must be positive"):
+        message = f"scale factor must be finite and positive, got {factor}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             scale(meas, factor)
 
 

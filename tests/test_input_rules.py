@@ -1,0 +1,113 @@
+"""Every checked real argument fails as a ``ValidationError`` that names it.
+
+``errors._check_real`` is the one rule for a real number and
+``errors._four_vector`` the one rule for a 4-vector.  An integer beyond the
+float range fails as too large for a float, never as an ``OverflowError``;
+a value of another type never fails as a ``TypeError``; and a non-finite
+value fails on the argument that carries it, not on what it would have
+spoiled downstream (the operators, the box).  An infinite ``f`` is refused
+too: it made the trace band ``CONSTRAINT * f`` of the multipliers infinite.
+"""
+
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from conftest import make_rng, random_measure_for
+from kreinact import (
+    MinimizeConfig,
+    MomentumBox,
+    PointwiseProblem,
+    PositionGrid,
+    QHatEvaluator,
+    SignatureSpace,
+    ValidationError,
+    a_of_alpha,
+    action,
+    beta_of_alpha,
+    check_first_order,
+    closed_chain,
+    dirac_sea_fixture,
+    el_residuals,
+    gradient_kernel_Q,
+    kernel_P,
+    lagrange_parameters,
+    lagrangian,
+    local_correlation,
+    pushforward,
+    restore_constraints,
+    scale,
+    standard_basis,
+    translate,
+)
+
+HUGE = 10**400
+SPACE = SignatureSpace(1)
+ORIGIN = np.zeros(4)
+S = np.diag([1.0, -1.0]).astype(complex)
+LOWER, UPPER = (-1.0, -0.5, -0.5, -0.5), (1.0, 0.5, 0.5, 0.5)
+
+
+@pytest.fixture(scope="module")
+def setup():
+    measure = random_measure_for(SPACE, make_rng(3))
+    grid = PositionGrid.from_box(1.0, (3, 1, 1, 1))
+    evaluator = QHatEvaluator(measure, grid)
+    mu = pushforward(measure, evaluator.evaluate_many(measure.momenta))
+    report = el_residuals(mu, 0.0, 0.0, measure.momenta, mu.qs, "a")
+    return SimpleNamespace(m=measure, grid=grid, ev=evaluator, mu=mu, report=report)
+
+
+CASES = {
+    "action_delta": (lambda x: action(x.m, x.grid, HUGE), "smoothing delta is too large for a float"),
+    "lagrangian_delta": (lambda x: lagrangian(closed_chain(kernel_P(x.m, ORIGIN), SPACE), HUGE),
+                         "smoothing delta is too large for a float"),
+    "qhat_evaluator_delta": (lambda x: QHatEvaluator(x.m, x.grid, HUGE),
+                             "smoothing delta is too large for a float"),
+    "gradient_kernel_delta": (lambda x: gradient_kernel_Q(x.m, ORIGIN, HUGE),
+                              "smoothing delta is too large for a float"),
+    "pointwise_a": (lambda x: PointwiseProblem(SPACE, S, a=HUGE, b=1.0), "target a is too large for a float"),
+    "pointwise_b": (lambda x: PointwiseProblem(SPACE, S, a=0.0, b=HUGE), "target b is too large for a float"),
+    "restore_c": (lambda x: restore_constraints(x.m, "b", HUGE, 10 * HUGE), "c is too large for a float"),
+    "restore_f": (lambda x: restore_constraints(x.m, "b", 1.0, HUGE), "f is too large for a float"),
+    "multipliers_c": (lambda x: lagrange_parameters(x.mu, HUGE, 10 * HUGE), "c is too large for a float"),
+    "multipliers_f": (lambda x: lagrange_parameters(x.mu, 1.0, HUGE), "f is too large for a float"),
+    "multipliers_f_inf": (lambda x: lagrange_parameters(x.mu, 1.0, np.inf), "f must be finite, got inf"),
+    "check_first_order_tol": (lambda x: check_first_order(x.report, HUGE),
+                              "tol_el (--tol-el) is too large for a float"),
+    "momentum_box": (lambda x: MomentumBox(LOWER, (HUGE, 0.5, 0.5, 0.5), (2, 1, 1, 1)),
+                     "momentum box upper bound is too large for a float"),
+    "config_box_lower": (lambda x: MinimizeConfig(box_lower=(-HUGE, -0.5, -0.5, -0.5)),
+                         "momentum box lower bound is too large for a float"),
+    "dirac_sea_mass": (lambda x: dirac_sea_fixture(HUGE, [(-1.0, 0.0, 0.0, 0.0)]), "mass is too large for a float"),
+    "scale_factor": (lambda x: scale(x.m, HUGE), "scale factor is too large for a float"),
+    "scale_nan": (lambda x: scale(x.m, np.nan), "scale factor must be finite and positive, got nan"),
+    "scale_inf": (lambda x: scale(x.m, np.inf), "scale factor must be finite and positive, got inf"),
+    "translate_nan": (lambda x: translate(x.m, [np.nan, 0, 0, 0]), "translation shift must have finite entries"),
+    "kernel_xi": (lambda x: kernel_P(x.m, [HUGE, 0, 0, 0]), "xi is too large for a float"),
+    "evaluate_p": (lambda x: x.ev.evaluate([HUGE, 0, 0, 0]), "p is too large for a float"),
+    "correlation_position": (lambda x: local_correlation(x.m, [HUGE, 0, 0, 0], standard_basis(x.m)),
+                             "position is too large for a float"),
+    "kernel_complex_xi": (lambda x: kernel_P(x.m, [1j, 0, 0, 0]), "xi must hold real numbers, got [1j, 0, 0, 0]"),
+    "a_of_alpha": (lambda x: a_of_alpha(S, SPACE, HUGE), "alpha is too large for a float"),
+    "a_of_string_alpha": (lambda x: a_of_alpha(S, SPACE, "0.5"), "alpha must be finite, got '0.5'"),
+    "beta_of_alpha": (lambda x: beta_of_alpha(S, SPACE, HUGE), "alpha is too large for a float"),
+}
+
+
+@pytest.mark.parametrize("call, message", CASES.values(), ids=CASES.keys())
+def test_a_bad_real_argument_raises_a_validation_error_naming_it(setup, call, message):
+    with pytest.raises(ValidationError) as err:
+        call(setup)
+    assert str(err.value) == message
+
+
+def test_every_real_value_accepted_keeps_its_float():
+    # Ints, bools and numpy scalars are real numbers: checked and converted by float().
+    reference = PositionGrid.from_box(1.0, (3, 1, 1, 1)).weights
+    for radius in (1, True, np.int64(1), np.float32(1.0)):
+        assert PositionGrid.from_box(radius, (3, 1, 1, 1)).weights.tobytes() == reference.tobytes()
+    config = MinimizeConfig(box_lower=np.array(LOWER), box_upper=[np.int64(1), 0.5, 0.5, 0.5])
+    assert (config.box_lower, config.box_upper) == (LOWER, UPPER)
+    assert {type(x) for x in config.box_lower + config.box_upper} == {float}

@@ -1,0 +1,63 @@
+"""Two forms are written in one module each.
+
+A range test against infinity (``0 < x < math.inf``) is the real-number
+rule, which ``errors._check_real`` holds: a hand-written copy lets an
+integer beyond the float range through and names the argument in its own
+words.  The Hermitian part ``0.5 * (X + X.conj()...)`` is
+``krein._hermitize``, which serves single matrices and stacks alike; a copy
+elsewhere can round differently from the one the spectra share.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "kreinact"
+
+
+def _is_inf(node) -> bool:
+    """Whether ``node`` is ``math.inf`` or ``np.inf``, negated or not."""
+    node = node.operand if isinstance(node, ast.UnaryOp) else node
+    return (isinstance(node, ast.Attribute) and node.attr == "inf"
+            and isinstance(node.value, ast.Name) and node.value.id in ("math", "np", "numpy"))
+
+
+def _inf_comparisons(source: str) -> list:
+    """Line numbers of the comparisons that have ``math.inf`` or ``np.inf`` as an operand."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Compare) and any(map(_is_inf, [node.left, *node.comparators]))]
+
+
+def _hermitian_parts(source: str) -> list:
+    """Line numbers of the products ``0.5 * (X + Y)`` whose ``Y`` takes a ``.conj()``."""
+    def half(node):
+        return isinstance(node, ast.Constant) and node.value == 0.5
+
+    def conjugate_sum(node):
+        return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
+                and any(isinstance(n, ast.Attribute) and n.attr == "conj" for n in ast.walk(node.right)))
+
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+            and (half(node.left) and conjugate_sum(node.right) or half(node.right) and conjugate_sum(node.left))]
+
+
+def _found_outside(owner: str, find) -> dict:
+    found = {path.name: find(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    found.pop(owner)
+    return {name: lines for name, lines in found.items() if lines}
+
+
+def test_the_checks_see_a_range_test_and_a_hermitian_part():
+    source = ("import math\nimport numpy as np\n"
+              "ok = 0.0 < x < math.inf\nok = -np.inf < y\nz = math.inf\n"
+              "H = 0.5 * (A + A.conj().T)\nK = 0.5 * (A + A.T)\nL = (B + B.conj().swapaxes(-1, -2)) * 0.5\n")
+    assert _inf_comparisons(source) == [3, 4]
+    assert _hermitian_parts(source) == [6, 8]
+
+
+def test_only_errors_compares_with_infinity():
+    assert _found_outside("errors.py", _inf_comparisons) == {}
+
+
+def test_only_krein_forms_a_hermitian_part():
+    assert _found_outside("krein.py", _hermitian_parts) == {}
