@@ -41,9 +41,9 @@ one point, the points along it share their chain.  Points are grouped by
 bitwise equal phases, so the results are those of one solve per point to
 the bit.  The line search takes a trial's action and its moduli from that
 solve, so an accepted trial builds its field without another.  The
-minimizer calls the array cores :func:`_solved_action`,
-:func:`_gradient_field` and :func:`_fourier_qhat` directly;
-:class:`QHatEvaluator` wraps the last two.
+public entries check ``delta`` and 4-vectors; the array cores
+:func:`_solved_action`, :func:`_gradient_field` and :func:`_fourier_qhat`,
+which the minimizer calls and :class:`QHatEvaluator` wraps, take them checked.
 
 The package re-exports the function :func:`action` under this module's
 name, so ``import kreinact.action as m`` binds the function, not the
@@ -59,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances
-from .errors import NonsmoothPointError, ValidationError, _check_count, _check_real, _four_vector
+from .errors import NonsmoothPointError, ValidationError, _check_count, _check_real, _entries, _four_vector, _reals
 from .homomeasure import OperatorMeasure
 from .krein import SignatureSpace, _adjoint, _max_spectral_norm, _squared_frobenius
 
@@ -96,8 +96,8 @@ class PositionGrid:
     reflection_index: np.ndarray
 
     def __post_init__(self):
-        points = np.atleast_2d(np.asarray(self.points, float))
-        weights = np.asarray(self.weights, float).ravel()
+        points = np.atleast_2d(_reals(self.points, "grid points"))
+        weights = _reals(self.weights, "grid weights").ravel()
         refl = np.asarray(self.reflection_index, int).ravel()
         if points.shape[1:] != (4,) or len(weights) != len(points) or len(refl) != len(points):
             raise ValidationError("grid points, weights, reflection index must align (4-vectors)")
@@ -123,9 +123,7 @@ class PositionGrid:
     def from_box(cls, radius: float, shape) -> "PositionGrid":
         """Trapezoidal grid on ``[-radius, radius]^4`` with ``shape`` points per axis."""
         message = f"grid shape must be four positive integer counts, got {shape!r}"
-        shape = tuple(_check_count(k, 1, message) for k in shape)
-        if len(shape) != 4:
-            raise ValidationError(message)
+        shape = tuple(_check_count(k, 1, message) for k in _entries(shape, 4, message))
         radius = _check_real(radius, "position box radius", 0)
         axes, axis_weights = [], []
         for k in shape:
@@ -258,21 +256,14 @@ def _moduli(lambdas: np.ndarray, delta: float) -> np.ndarray:
     return np.sqrt(np.abs(lambdas) ** 2 + delta**2)
 
 
-def _lagrangian_values(lambdas: np.ndarray, delta: float, m=None) -> np.ndarray:
-    """Causal Lagrangian of each row of chain eigenvalues ``lambdas`` (``..., 2n``).
-
-    ``m`` holds their :func:`_moduli` if in hand.
-    """
-    delta = _check_delta(delta)
-    if m is None:
-        m = _moduli(lambdas, delta)
-    n = lambdas.shape[-1] // 2
-    return np.maximum((m**2).sum(-1) - m.sum(-1) ** 2 / (2 * n), 0.0)
+def _lagrangian_values(m: np.ndarray) -> np.ndarray:
+    """Causal Lagrangian of each row of chain eigenvalue :func:`_moduli` ``m`` (``..., 2n``)."""
+    return np.maximum((m**2).sum(-1) - m.sum(-1) ** 2 / m.shape[-1], 0.0)
 
 
 def lagrangian(spectrum: ClosedChainSpectrum, smoothing_delta: float = 0.0) -> float:
     """Causal Lagrangian ``(1/4n) sum_{ij} (m_i - m_j)^2 >= 0``."""
-    return float(_lagrangian_values(spectrum.lambdas, smoothing_delta))
+    return float(_lagrangian_values(_moduli(spectrum.lambdas, _check_delta(smoothing_delta))))
 
 
 def _chain_field(operators: np.ndarray, sig: np.ndarray, phases: np.ndarray):
@@ -293,9 +284,10 @@ def action(
     measure: OperatorMeasure, grid: PositionGrid, smoothing_delta: float = 0.0, *, _support=None
 ) -> float:
     """Discretized homogeneous action ``sum_xi w(xi) L(xi)``."""
+    delta = _check_delta(smoothing_delta)
     support = _support or _SupportTables(measure.momenta, grid)
     _, chains = _chain_field(measure.operators, measure.space.signature, support.kernel_phases)
-    return support.integral(_lagrangian_values(np.linalg.eigvals(chains), smoothing_delta))
+    return support.integral(_lagrangian_values(_moduli(np.linalg.eigvals(chains), delta)))
 
 
 def _solved_action(operators: np.ndarray, sig: np.ndarray, support: _SupportTables, delta: float):
@@ -307,7 +299,7 @@ def _solved_action(operators: np.ndarray, sig: np.ndarray, support: _SupportTabl
     arithmetic on the eigenvalues with or without eigenvectors.
     """
     solved = _chain_solve(operators, sig, support.kernel_phases, delta)
-    return support.integral(_lagrangian_values(solved[2], delta, solved[4])), solved
+    return support.integral(_lagrangian_values(solved[4])), solved
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +361,7 @@ def _fd_gradient(Pp, xi, space, delta):
     steps = h * np.array([1.0, 0.5, 0.25])
     t = np.stack([steps, -steps], axis=1).reshape(-1, 1, 1, 1)
     X = np.concatenate([Pp[None], (Pp + t * directions).reshape(-1, d, d)])
-    L = _lagrangian_values(np.linalg.eigvals(X @ _adjoint(X, space.signature)), delta)
+    L = _lagrangian_values(_moduli(np.linalg.eigvals(X @ _adjoint(X, space.signature)), delta))
     f0, f = L[0], L[1:].reshape(3, 2, -1)  # (step, sign, direction)
     fwd = (f[:, 0] - f0) / steps[:, None]
     bwd = (f0 - f[:, 1]) / steps[:, None]
@@ -397,7 +389,6 @@ def _gradient_field(operators: np.ndarray, space: SignatureSpace, support: _Supp
     differences averaged over ``xi`` and ``-xi``, taken at the class's
     first point.
     """
-    delta = _check_delta(delta)
     sig = space.signature
     if solved is None:
         solved = _chain_solve(operators, sig, support.kernel_phases, delta)
@@ -432,7 +423,7 @@ def gradient_kernel_Q(measure: OperatorMeasure, xi, smoothing_delta: float = 0.0
     grid = PositionGrid(np.stack([xi, -xi]), np.ones(2), [1, 0])
     try:
         q = _gradient_field(measure.operators, measure.space, _SupportTables(measure.momenta, grid),
-                            smoothing_delta)[0]
+                            _check_delta(smoothing_delta))[0]
     except NonsmoothPointError as err:
         raise NonsmoothPointError(str(err), xi=xi) from None
     return q if grid.representatives[0] == 0 else _adjoint(q, measure.space.signature)
@@ -465,7 +456,7 @@ class QHatEvaluator:
         self.grid = grid
         self.smoothing_delta = _check_delta(smoothing_delta)
         self._support = _support or _SupportTables(measure.momenta, grid)
-        self.q_field = _gradient_field(measure.operators, measure.space, self._support, smoothing_delta)
+        self.q_field = _gradient_field(measure.operators, measure.space, self._support, self.smoothing_delta)
 
     @functools.cached_property
     def tail_magnitude(self) -> float:
@@ -473,7 +464,8 @@ class QHatEvaluator:
 
     def evaluate(self, p) -> np.ndarray:
         """``Qhat(p)``, Krein symmetric to the bit."""
-        return self.evaluate_many(_four_vector(p, "p")[None])[0]
+        phases = self._support.fourier_phases(_four_vector(p, "p")[None])
+        return _fourier_qhat(phases, self.q_field, self.measure.space.signature)[0]
 
     __call__ = evaluate
 

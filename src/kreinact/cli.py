@@ -29,9 +29,10 @@ from .elverify import (
     report_to_csv,
     save_report,
 )
-from .errors import KreinactError, ValidationError, _check_real
+from .errors import KreinactError, ValidationError, _check_count, _check_real
 from .homomeasure import (
     MomentumBox,
+    _check_targets,
     _check_writable,
     _read_document,
     _trace_functionals,
@@ -62,6 +63,11 @@ def _parse_counts(text: str, what: str) -> tuple:
     return counts
 
 
+def _position_grid(args) -> PositionGrid:
+    """The grid of ``--position-radius`` and ``--position-grid``."""
+    return PositionGrid.from_box(args.position_radius, _parse_counts(args.position_grid, "--position-grid"))
+
+
 def _parse_box(text: str) -> tuple:
     try:
         vals = [float(p) for p in text.replace(",", " ").split()]
@@ -83,8 +89,7 @@ def _parse_box(text: str) -> tuple:
 
 def cmd_fixture(args) -> int:
     for flag, value in (("--seed", args.seed), ("--atoms", args.atoms)):
-        if value < 0:
-            raise ValidationError(f"{flag} must be an integer >= 0, got {value}")
+        _check_count(value, 0, f"{flag} must be an integer >= 0, got {value}")
     if args.atoms == 0 and args.kind != "random":
         raise ValidationError(f"--atoms must be at least 1 for a {args.kind} fixture, got 0")
     radius = ("--spatial-radius", args.spatial_radius)
@@ -196,10 +201,7 @@ def cmd_verify(args) -> int:
         qhats = np.repeat(q[None], len(probes), axis=0)
         tail = None
     else:
-        grid = PositionGrid.from_box(
-            args.position_radius, _parse_counts(args.position_grid, "--position-grid")
-        )
-        qhat = QHatEvaluator(measure, grid, smoothing_delta=args.smoothing_delta or 0.0)
+        qhat = QHatEvaluator(measure, _position_grid(args), smoothing_delta=args.smoothing_delta or 0.0)
         qhats = qhat.evaluate_many(probes)
         tail = qhat.tail_magnitude
 
@@ -208,12 +210,12 @@ def cmd_verify(args) -> int:
     trace, signed_trace = (float(t.real) for t in _trace_functionals(mu.total(), measure.space))
     c = args.c if args.c is not None else trace
     f = args.f if args.f is not None else signed_trace
-    if not (0.0 < c < f) and (args.c is None or args.f is None):
-        raise ValidationError(
-            f"constraint targets must satisfy 0 < c < f, got c={c!r}, f={f!r}; targets "
-            "not given default to the measure's trace (c) and signed trace (f), "
-            "so pass --c and --f"
-        )
+    if args.c is None or args.f is None:
+        try:
+            _check_targets(c, f)
+        except ValidationError as err:
+            raise ValidationError(f"{err}; targets not given default to the measure's trace (c) "
+                                  "and signed trace (f), so pass --c and --f") from None
     alpha, beta, case_tag = lagrange_parameters(mu, c, f)
 
     tol_el = args.tol_el if args.tol_el is not None else tolerances.EL_RESIDUAL
@@ -242,12 +244,8 @@ def cmd_decompose(args) -> int:
     measure = load_measure(args.measure)
     parts = decompose(measure)
     os.makedirs(args.out, exist_ok=True)
-    for name, component in (
-        ("particle", parts.particle),
-        ("neutral", parts.neutral),
-        ("sea", parts.sea),
-    ):
-        path = os.path.join(args.out, f"{name}.json")
+    for name in ("particle", "neutral", "sea"):
+        component, path = getattr(parts, name), os.path.join(args.out, f"{name}.json")
         save_measure(component, path)
         mass = float(sum(np.linalg.norm(A, 2) for A in component.operators))
         print(f"{name}: operator mass {mass!r} -> {path}")
@@ -286,8 +284,7 @@ def cmd_sweep_alpha(args) -> int:
     _check_real(args.alpha_max, "--alpha-max")
     if args.alpha_max <= args.alpha_min:
         raise ValidationError("--alpha-max must exceed --alpha-min")
-    if args.count < 1:
-        raise ValidationError(f"--count must be at least 1, got {args.count}")
+    _check_count(args.count, 1, f"--count must be at least 1, got {args.count}")
     rows = []
     for alpha in np.linspace(args.alpha_min, args.alpha_max, args.count).tolist():
         av = a_of_alpha(q, space, alpha)
@@ -301,11 +298,8 @@ def cmd_sweep_alpha(args) -> int:
 
 def cmd_correlate(args) -> int:
     measure = load_measure(args.measure)
-    grid = PositionGrid.from_box(
-        args.position_radius, _parse_counts(args.position_grid, "--position-grid")
-    )
     basis = standard_basis(measure, limit=args.basis_size)
-    samples = empirical_cfs(measure, grid, basis)
+    samples = empirical_cfs(measure, _position_grid(args), basis)
     correlations_to_csv(samples, args.out)
     print(f"wrote {len(samples)} correlation samples to {args.out}")
     return 0

@@ -6,10 +6,11 @@ preconditions and infeasible problem data, and :class:`NumericalError`
 (exit code 3) for routines that could not reach their numerical contract.
 
 The module owns the package's input rules, each raising a
-:class:`ValidationError` that names the argument: ``_check_count`` for a
-count, ``_check_real`` for a real number and ``_four_vector`` for 4-vectors.
-An integer beyond the float range fails as too large for a float, not as
-an ``OverflowError``; a value of the wrong type fails, not as a ``TypeError``.
+:class:`ValidationError` that names the argument: ``_check_count`` (a count),
+``_check_real`` (a real), ``_entries`` (a sequence), ``_reals`` (an array of
+reals), ``_four_vector`` (4-vectors).  An integer beyond the float range fails
+as too large for a float, not as an ``OverflowError``; a value of the wrong
+type fails, not as a ``TypeError``.
 """
 
 from __future__ import annotations
@@ -101,14 +102,30 @@ def _check_real(value, name: str, low: float = -math.inf, *, strict: bool = True
     return x
 
 
-def _four_vector(x, name: str, ndim: int = 1) -> np.ndarray:
-    """``x`` as a finite 4-vector (``ndim=1``) or a stack of rows of four (``ndim=2``)."""
+def _entries(values, length: int | None, message: str) -> tuple:
+    """``values`` as a tuple of ``length`` entries (any number if None); else ValidationError(message)."""
     try:
-        x = np.asarray(x, float)
+        entries = tuple(values)
+    except TypeError:
+        raise ValidationError(message) from None
+    if length is not None and len(entries) != length:
+        raise ValidationError(message)
+    return entries
+
+
+def _reals(x, name: str) -> np.ndarray:
+    """``x`` as a float array; else a ValidationError naming ``name``."""
+    try:
+        return np.asarray(x, float)
     except OverflowError:
         raise ValidationError(f"{name} is too large for a float") from None
     except (TypeError, ValueError):
         raise ValidationError(f"{name} must hold real numbers, got {x!r}") from None
+
+
+def _four_vector(x, name: str, ndim: int = 1) -> np.ndarray:
+    """``x`` as a finite 4-vector (``ndim=1``) or a stack of rows of four (``ndim=2``)."""
+    x = _reals(x, name)
     if x.ndim != ndim or x.shape[-1] != 4:
         what = "a 4-vector" if ndim == 1 else "rows of four numbers"
         raise ValidationError(f"{name} must be {what}, got shape {x.shape}")

@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import ValidationError, _check_count, _check_real, _four_vector
+from .errors import ValidationError, _check_count, _check_real, _entries, _four_vector, _reals
 from .krein import SignatureSpace, _positive_rows, _scale, positive_spectrum, spectral_split
 
 __all__ = [
@@ -67,11 +67,10 @@ class MomentumBox:
     grid_shape: tuple
 
     def __post_init__(self):
-        lower = tuple(_check_real(x, "momentum box lower bound") for x in self.lower)
-        upper = tuple(_check_real(x, "momentum box upper bound") for x in self.upper)
-        shape = tuple(self.grid_shape)
-        if len(lower) != 4 or len(upper) != 4 or len(shape) != 4:
-            raise ValidationError("momentum box requires 4-dimensional bounds and grid shape")
+        message = "momentum box requires 4-dimensional bounds and grid shape"
+        lower, upper, shape = (_entries(v, 4, message) for v in (self.lower, self.upper, self.grid_shape))
+        lower = tuple(_check_real(x, "momentum box lower bound") for x in lower)
+        upper = tuple(_check_real(x, "momentum box upper bound") for x in upper)
         if not all(l < u for l, u in zip(lower, upper)):
             raise ValidationError(
                 f"box bounds must have upper above lower componentwise, got lower={lower}, upper={upper}"
@@ -127,7 +126,7 @@ class OperatorMeasure:
         *,
         validate: bool = True,
     ):
-        momenta = np.atleast_2d(np.asarray(momenta, float))
+        momenta = np.atleast_2d(_reals(momenta, "atom momenta"))
         operators = np.asarray(operators, complex)
         if momenta.size == 0:
             momenta = momenta.reshape(0, 4)
@@ -273,11 +272,7 @@ def decompose(measure: OperatorMeasure) -> MeasureDecomposition:
 def translate(measure: OperatorMeasure, shift: Sequence[float]) -> OperatorMeasure:
     """Shift all atom momenta (and the box) by a fixed 4-vector."""
     shift = _four_vector(shift, "translation shift")
-    box = MomentumBox(
-        lower=tuple(np.asarray(measure.box.lower) + shift),
-        upper=tuple(np.asarray(measure.box.upper) + shift),
-        grid_shape=measure.box.grid_shape,
-    )
+    box = MomentumBox(np.add(measure.box.lower, shift), np.add(measure.box.upper, shift), measure.box.grid_shape)
     return OperatorMeasure(measure.space, box, measure.momenta + shift[None, :], measure.operators.copy())
 
 
@@ -308,11 +303,20 @@ def feynman_slash(p: np.ndarray) -> np.ndarray:
 _SHELL_TOL = 1e-8
 
 
-def _shell_box(momenta: np.ndarray) -> MomentumBox:
+def _point_rows(points, width: int, name: str, message: str) -> np.ndarray:
+    """A fixture's ``points`` (any iterable, or one point) as rows of ``width`` floats; else ValidationError."""
+    rows = np.atleast_2d(_reals(_entries(points, None, message), name))
+    if rows.shape[1:] != (width,):
+        raise ValidationError(message)
+    return rows
+
+
+def _shell_measure(momenta: np.ndarray, ops: list) -> OperatorMeasure:
     lower = momenta.min(axis=0)
     upper = momenta.max(axis=0)
     span = np.maximum(upper - lower, 1.0)
-    return MomentumBox(tuple(lower - 0.05 * span), tuple(upper + 0.05 * span), (2, 2, 2, 2))
+    box = MomentumBox(lower - 0.05 * span, upper + 0.05 * span, (2, 2, 2, 2))
+    return OperatorMeasure(SignatureSpace(2), box, momenta, np.asarray(ops))
 
 
 def dirac_sea_fixture(mass: float, shell_points: Iterable[Sequence[float]]) -> OperatorMeasure:
@@ -323,9 +327,7 @@ def dirac_sea_fixture(mass: float, shell_points: Iterable[Sequence[float]]) -> O
     positive with eigenvalues in ``{0, -2m}`` — a sea measure.
     """
     mass = _check_real(mass, "mass", 0)
-    momenta = np.atleast_2d(np.asarray(list(shell_points), float))
-    if momenta.shape[1:] != (4,):
-        raise ValidationError("shell points must be 4-vectors")
+    momenta = _point_rows(shell_points, 4, "shell points", "shell points must be 4-vectors")
     ops = []
     for p in momenta:
         msq = p[0] ** 2 - p[1] ** 2 - p[2] ** 2 - p[3] ** 2
@@ -334,15 +336,12 @@ def dirac_sea_fixture(mass: float, shell_points: Iterable[Sequence[float]]) -> O
                 f"momentum {p} is not on the lower mass shell for mass {mass}"
             )
         ops.append(-(feynman_slash(p) + mass * np.eye(4)))
-    space = SignatureSpace(2)
-    return OperatorMeasure(space, _shell_box(momenta), momenta, np.asarray(ops))
+    return _shell_measure(momenta, ops)
 
 
 def massless_fixture(wave_vectors: Iterable[Sequence[float]]) -> OperatorMeasure:
     """Measure with nilpotent atoms ``A = -pslash`` on the lower light cone."""
-    ks = np.atleast_2d(np.asarray(list(wave_vectors), float))
-    if ks.shape[1:] != (3,):
-        raise ValidationError("wave vectors must be spatial 3-vectors")
+    ks = _point_rows(wave_vectors, 3, "wave vectors", "wave vectors must be spatial 3-vectors")
     momenta = []
     ops = []
     for k in ks:
@@ -352,9 +351,7 @@ def massless_fixture(wave_vectors: Iterable[Sequence[float]]) -> OperatorMeasure
         p = np.array([-E, k[0], k[1], k[2]])
         momenta.append(p)
         ops.append(-feynman_slash(p))
-    momenta = np.asarray(momenta)
-    space = SignatureSpace(2)
-    return OperatorMeasure(space, _shell_box(momenta), momenta, np.asarray(ops))
+    return _shell_measure(np.asarray(momenta), ops)
 
 
 def random_measure(
@@ -417,7 +414,7 @@ def measure_from_dict(data: dict) -> OperatorMeasure:
     _check_format(data, MEASURE_FORMAT, FORMAT_VERSION, "measure")
     space = SignatureSpace(data["n"])
     boxd = data["box"]
-    box = MomentumBox(tuple(boxd["lower"]), tuple(boxd["upper"]), tuple(boxd["grid_shape"]))
+    box = MomentumBox(boxd["lower"], boxd["upper"], boxd["grid_shape"])
     atoms = data.get("atoms", [])
     momenta = np.asarray([a["p"] for a in atoms], float).reshape(len(atoms), 4)
     ops = np.asarray([_matrix_from_lists(a["A"]) for a in atoms], complex).reshape(

@@ -79,7 +79,7 @@ from .elverify import (
     lagrange_parameters,
     pushforward,
 )
-from .errors import NonsmoothPointError, RestorationError, ValidationError, _check_count, _check_real
+from .errors import NonsmoothPointError, RestorationError, ValidationError, _check_count, _check_real, _entries
 from .homomeasure import MomentumBox, OperatorMeasure, _check_targets, _trace_functionals
 from .krein import _BOUND_SLACK, SignatureSpace, _squared_frobenius
 
@@ -137,11 +137,11 @@ class MinimizeConfig:
         def count(name, value, least=1):
             return _check_count(value, least, f"{name} must be an integer >= {least}, got {value!r}")
 
-        object.__setattr__(self, "n", count("n", self.n))
-        object.__setattr__(self, "max_iterations", count("max_iterations", self.max_iterations))
-        object.__setattr__(self, "seed", count("seed", self.seed, 0))
-        for name in ("momentum_shape", "position_shape"):
-            object.__setattr__(self, name, tuple(count(f"each {name} entry", k) for k in getattr(self, name)))
+        for name, least in (("n", 1), ("max_iterations", 1), ("seed", 0)):
+            object.__setattr__(self, name, count(name, getattr(self, name), least))
+        for name, value in (("momentum_shape", self.momentum_shape), ("position_shape", self.position_shape)):
+            shape = _entries(value, 4, f"{name} must be four counts, got {value!r}")
+            object.__setattr__(self, name, tuple(count(f"each {name} entry", k) for k in shape))
         box = self.momentum_box()
         object.__setattr__(self, "box_lower", box.lower)
         object.__setattr__(self, "box_upper", box.upper)
@@ -368,7 +368,7 @@ class _FixedSupport:
         self.box = config.momentum_box()
         self.grid = config.position_grid()
         self.momenta = self.box.grid_points()
-        self.delta, self.c, self.f = config.smoothing_delta, config.c, config.f
+        self.delta, self.c, self.f = float(config.smoothing_delta), config.c, config.f
         self.support = _SupportTables(self.momenta, self.grid)
         self.phases = self.support.fourier_phases(self.momenta)
 

@@ -1,4 +1,4 @@
-"""Every checked real argument fails as a ``ValidationError`` that names it.
+"""Every checked real or sequence argument fails as a ``ValidationError`` that names it.
 
 ``errors._check_real`` is the one rule for a real number and
 ``errors._four_vector`` the one rule for a 4-vector.  An integer beyond the
@@ -7,6 +7,9 @@ a value of another type never fails as a ``TypeError``; and a non-finite
 value fails on the argument that carries it, not on what it would have
 spoiled downstream (the operators, the box).  An infinite ``f`` is refused
 too: it made the trace band ``CONSTRAINT * f`` of the multipliers infinite.
+``errors._entries`` is the one rule for a sequence (box bounds, grid
+shapes, point lists): a scalar where a sequence belongs, or a sequence of
+the wrong length, fails with the message of the argument's own length check.
 """
 
 from types import SimpleNamespace
@@ -18,6 +21,7 @@ from conftest import make_rng, random_measure_for
 from kreinact import (
     MinimizeConfig,
     MomentumBox,
+    OperatorMeasure,
     PointwiseProblem,
     PositionGrid,
     QHatEvaluator,
@@ -35,6 +39,7 @@ from kreinact import (
     lagrange_parameters,
     lagrangian,
     local_correlation,
+    massless_fixture,
     pushforward,
     restore_constraints,
     scale,
@@ -111,3 +116,45 @@ def test_every_real_value_accepted_keeps_its_float():
     config = MinimizeConfig(box_lower=np.array(LOWER), box_upper=[np.int64(1), 0.5, 0.5, 0.5])
     assert (config.box_lower, config.box_upper) == (LOWER, UPPER)
     assert {type(x) for x in config.box_lower + config.box_upper} == {float}
+
+
+BOX_SHAPE = "momentum box requires 4-dimensional bounds and grid shape"
+SEQUENCE_CASES = {
+    "box_scalar_lower": (lambda: MomentumBox(1.0, UPPER, (2, 1, 1, 1)), BOX_SHAPE),
+    "box_none_lower": (lambda: MomentumBox(None, UPPER, (2, 1, 1, 1)), BOX_SHAPE),
+    "box_scalar_upper": (lambda: MomentumBox(LOWER, 1.0, (2, 1, 1, 1)), BOX_SHAPE),
+    "box_scalar_grid_shape": (lambda: MomentumBox(LOWER, UPPER, 3), BOX_SHAPE),
+    "grid_scalar_shape": (lambda: PositionGrid.from_box(1.0, 5), "grid shape must be four positive integer counts, got 5"),
+    "config_scalar_momentum_shape": (lambda: MinimizeConfig(momentum_shape=2), "momentum_shape must be four counts, got 2"),
+    "config_none_position_shape": (lambda: MinimizeConfig(position_shape=None),
+                                   "position_shape must be four counts, got None"),
+    "config_short_position_shape": (lambda: MinimizeConfig(position_shape=(5, 1, 1)),
+                                    "position_shape must be four counts, got (5, 1, 1)"),
+    "config_scalar_box_lower": (lambda: MinimizeConfig(box_lower=1.0), BOX_SHAPE),
+    "measure_string_momentum": (
+        lambda: OperatorMeasure(SPACE, MomentumBox(LOWER, UPPER, (2, 1, 1, 1)), [["a", 0, 0, 0]], np.eye(2)),
+        "atom momenta must hold real numbers, got [['a', 0, 0, 0]]"),
+    "measure_huge_momentum": (
+        lambda: OperatorMeasure(SPACE, MomentumBox(LOWER, UPPER, (2, 1, 1, 1)), [[HUGE, 0, 0, 0]], np.eye(2)),
+        "atom momenta is too large for a float"),
+    "grid_string_points": (lambda: PositionGrid([["a", 0, 0, 0]], [1.0], [0]),
+                           "grid points must hold real numbers, got [['a', 0, 0, 0]]"),
+    "dirac_sea_scalar_points": (lambda: dirac_sea_fixture(1.0, 5), "shell points must be 4-vectors"),
+    "massless_scalar_vectors": (lambda: massless_fixture(2.0), "wave vectors must be spatial 3-vectors"),
+}
+
+
+@pytest.mark.parametrize("call, message", SEQUENCE_CASES.values(), ids=SEQUENCE_CASES.keys())
+def test_a_bad_sequence_argument_raises_a_validation_error_naming_it(call, message):
+    with pytest.raises(ValidationError) as err:
+        call()
+    assert str(err.value) == message
+
+
+def test_a_point_list_may_be_any_iterable_of_points():
+    # The fixtures read their points through the sequence rule, so a generator still serves.
+    points = [(-np.sqrt(2.0), 1.0, 0.0, 0.0), (-np.sqrt(5.0), 0.0, 2.0, 0.0)]
+    listed, generated = dirac_sea_fixture(1.0, points), dirac_sea_fixture(1.0, (p for p in points))
+    assert listed.momenta.tobytes() == generated.momenta.tobytes()
+    assert listed.operators.tobytes() == generated.operators.tobytes()
+    assert massless_fixture(p[1:] for p in points).n_atoms == 2

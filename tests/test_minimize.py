@@ -33,6 +33,7 @@ from kreinact import (
 )
 from kreinact.action import _tail_magnitude
 from kreinact.elverify import _shift
+from kreinact.krein import _hermitian_form
 from kreinact.minimize import INITIAL_STEP, LBFGS_MEMORY, MAX_BACKTRACKS, _CurvatureMemory, _restoring_factors
 from kreinact.tolerances import CONSTRAINT, ZERO_EIGENVALUE
 
@@ -60,6 +61,11 @@ def toy_result():
 @pytest.fixture(scope="module")
 def toy_seed_results():
     return [minimize_action(replace(TOY, seed=s)) for s in range(8)]
+
+
+@pytest.fixture(scope="module")
+def n2_seed_results():
+    return [minimize_action(replace(N2_REF, seed=s)) for s in range(8)]
 
 
 # ---------------------------------------------------------------------------
@@ -420,14 +426,13 @@ def test_n2_reference_run_reaches_a_passing_report():
     assert_feasible(result.measure, config.c, config.f, result.case_tag)
 
 
-def test_pointwise_certifier_accepts_every_atom_of_certified_minimizers(toy_seed_results):
+def test_pointwise_certifier_accepts_every_atom_of_certified_minimizers(toy_seed_results, n2_seed_results):
     # The Euler-Lagrange equations make each support atom a solution of the
     # pointwise problem with q = Qhat(p_j), so lagrange_from_point certifies
     # it, with the run's multipliers to the report's tolerance.  The two
     # lowest eigenvalues of Qhat(p_j) - alpha S at the n=2 atoms lie 1.8e-7
     # to 1.2e-6 apart, well outside the solver's mixing width.
-    n2_results = [minimize_action(replace(N2_REF, seed=s)) for s in range(8)]
-    for config, results in ((TOY, toy_seed_results), (N2_REF, n2_results)):
+    for config, results in ((TOY, toy_seed_results), (N2_REF, n2_seed_results)):
         for seed, result in enumerate(results):
             assert result.stop_reason == "certified", seed
             measure = result.measure
@@ -437,6 +442,22 @@ def test_pointwise_certifier_accepts_every_atom_of_certified_minimizers(toy_seed
                 alpha, beta = lagrange_from_point(q, A, measure.space, strict=True)
                 assert abs(alpha - result.alpha) <= bound, (config.n, seed, j)
                 assert abs(beta - result.beta) <= bound, (config.n, seed, j)
+
+
+def test_minimizer_atoms_have_rank_n_with_a_positive_definite_range(toy_seed_results, n2_seed_results):
+    # Each atom's S A_j = M_j^H M_j has n eigenvalues above 1e-10 of its largest (the next is at
+    # most 7.4e-15 of it), though the factors M_j start at full rank 2n; S compressed to that
+    # range is positive definite, its smallest eigenvalue 0.49999 on the toy and 0.86 at n=2.
+    for results in (toy_seed_results, n2_seed_results[:4]):
+        for seed, result in enumerate(results):
+            space = result.measure.space
+            n = space.n
+            w, V = np.linalg.eigh(_hermitian_form(result.measure.operators, space.signature))
+            assert (np.abs(w[:, :n]) <= 1e-10 * w[:, -1:]).all(), (n, seed)
+            assert (w[:, n:] > 1e-10 * w[:, -1:]).all(), (n, seed)
+            top = V[:, :, n:]
+            compressed = top.conj().swapaxes(-1, -2) @ (space.signature[:, None] * top)
+            assert np.linalg.eigvalsh(compressed).min() > 0.4, (n, seed)
 
 
 def _first_order_checks(measure, config):

@@ -1,11 +1,14 @@
-"""Two forms are written in one module each.
+"""Two forms are written in one module each, and the action cores take checked values.
 
 A range test against infinity (``0 < x < math.inf``) is the real-number
 rule, which ``errors._check_real`` holds: a hand-written copy lets an
 integer beyond the float range through and names the argument in its own
 words.  The Hermitian part ``0.5 * (X + X.conj()...)`` is
 ``krein._hermitize``, which serves single matrices and stacks alike; a copy
-elsewhere can round differently from the one the spectra share.
+elsewhere can round differently from the one the spectra share.  In
+``action.py`` the public entries check ``delta`` and 4-vectors; a private
+function that checks them again repeats the check on every line-search
+trial and field build that calls it.
 """
 
 import ast
@@ -61,3 +64,33 @@ def test_only_errors_compares_with_infinity():
 
 def test_only_krein_forms_a_hermitian_part():
     assert _found_outside("krein.py", _hermitian_parts) == {}
+
+
+INPUT_CHECKS = {"_check_delta", "_check_real", "_check_count", "_entries", "_reals", "_four_vector"}
+
+
+def _checking_private_functions(source: str) -> dict:
+    """Private functions (one leading underscore) other than ``_check_delta`` that call an
+    input check, with the checks they call."""
+    found = {}
+    for fn in ast.walk(ast.parse(source)):
+        if (isinstance(fn, ast.FunctionDef) and fn.name.startswith("_") and not fn.name.startswith("__")
+                and fn.name != "_check_delta"):
+            calls = {node.func.id for node in ast.walk(fn) if isinstance(node, ast.Call)
+                     and isinstance(node.func, ast.Name) and node.func.id in INPUT_CHECKS}
+            if calls:
+                found[fn.name] = sorted(calls)
+    return found
+
+
+def test_the_check_sees_a_private_function_that_checks_its_input():
+    source = ("def _check_delta(delta):\n    return _check_real(delta, 'delta', 0)\n"
+              "def _core(lams, delta):\n    return lams + _check_delta(delta)\n"
+              "def _field(xi):\n    def inner():\n        return _four_vector(xi, 'xi')\n    return inner()\n"
+              "def entry(delta):\n    return _core(0.0, _check_delta(delta))\n"
+              "class Evaluator:\n    def __init__(self, delta):\n        self.delta = _check_delta(delta)\n")
+    assert _checking_private_functions(source) == {"_core": ["_check_delta"], "_field": ["_four_vector"]}
+
+
+def test_the_action_cores_take_checked_values():
+    assert _checking_private_functions((PACKAGE / "action.py").read_text()) == {}
