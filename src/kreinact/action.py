@@ -39,11 +39,11 @@ kernel: ``P`` depends on ``xi`` only through the phases ``p_j . xi``, so
 where all atoms have a zero coordinate along a position axis with more than
 one point, the points along it share their chain.  Points are grouped by
 bitwise equal phases, so the results are those of one solve per point to
-the bit.  The line search takes a trial's action and its moduli from that
-solve, so an accepted trial builds its field without another.  The
-public entries check ``delta`` and 4-vectors; the array cores
-:func:`_solved_action`, :func:`_gradient_field` and :func:`_fourier_qhat`,
-which the minimizer calls and :class:`QHatEvaluator` wraps, take them checked.
+the bit.  The public entries check ``delta`` and 4-vectors; the array
+cores :func:`_plus_kernel`, :func:`_moduli`, :func:`_lagrangian_values`,
+:func:`_modulus_slopes`, :func:`_gradient_field` and :func:`_fourier_qhat`,
+which the minimizer's face descent calls and :class:`QHatEvaluator` wraps,
+take them checked.
 
 The package re-exports the function :func:`action` under this module's
 name, so ``import kreinact.action as m`` binds the function, not the
@@ -191,8 +191,8 @@ class _SupportTables:
     """Phase tables of fixed atom momenta on a fixed position grid.
 
     A minimization run moves the atom operators, never their momenta or the
-    grid, so it builds these once; :func:`action`, :func:`_solved_action`,
-    :func:`_gradient_field` and :class:`QHatEvaluator` take them in.
+    grid, so it builds these once for its face solves, and :func:`action`
+    and :class:`QHatEvaluator` take them in for its result.
     ``points`` are the grid's representatives, one per reflection pair, with
     their ``folded_weights``.  The kernel at a point depends on it only
     through the row of :func:`_kernel_phases`.  Points whose rows are
@@ -261,6 +261,11 @@ def _lagrangian_values(m: np.ndarray) -> np.ndarray:
     return np.maximum((m**2).sum(-1) - m.sum(-1) ** 2 / m.shape[-1], 0.0)
 
 
+def _modulus_slopes(m: np.ndarray) -> np.ndarray:
+    """``g_i = dL/dm_i = 2 m_i - (sum_j m_j) / n`` for each row of chain moduli ``m`` (``..., 2n``)."""
+    return 2.0 * m - m.sum(axis=-1, keepdims=True) / (m.shape[-1] // 2)
+
+
 def lagrangian(spectrum: ClosedChainSpectrum, smoothing_delta: float = 0.0) -> float:
     """Causal Lagrangian ``(1/4n) sum_{ij} (m_i - m_j)^2 >= 0``."""
     return float(_lagrangian_values(_moduli(spectrum.lambdas, _check_delta(smoothing_delta))))
@@ -290,18 +295,6 @@ def action(
     return support.integral(_lagrangian_values(_moduli(np.linalg.eigvals(chains), delta)))
 
 
-def _solved_action(operators: np.ndarray, sig: np.ndarray, support: _SupportTables, delta: float):
-    """``(action, solved)`` of an operator stack on the grid of ``support``, from one
-    :func:`_chain_solve` of its kernel classes.
-
-    ``solved`` can feed :func:`_gradient_field`.  The action is :func:`action`'s
-    to the bit: LAPACK's QR sweep on these small chains does the same
-    arithmetic on the eigenvalues with or without eigenvectors.
-    """
-    solved = _chain_solve(operators, sig, support.kernel_phases, delta)
-    return support.integral(_lagrangian_values(solved[4])), solved
-
-
 # ---------------------------------------------------------------------------
 # Gradient kernel
 # ---------------------------------------------------------------------------
@@ -328,8 +321,7 @@ def _eig_gradient_factors(chains, lams, R, space: SignatureSpace, delta: float, 
         ok &= np.linalg.slogdet(R)[0] != 0
         R = np.where(ok[:, None, None], R, np.eye(d))
         R_inv = np.linalg.inv(R)
-    g = 2.0 * m - m.sum(axis=1, keepdims=True) / (d // 2)
-    c = g * lams.conj() / np.where(ok[:, None], m, 1.0)
+    c = _modulus_slopes(m) * lams.conj() / np.where(ok[:, None], m, 1.0)
     ok &= _squared_frobenius(R) * _squared_frobenius(R_inv) < _EIGENBASIS_COND**2
     G = R @ (c[:, :, None] * R_inv)
     return 0.5 * (G + _adjoint(G, space.signature)), ok
@@ -379,20 +371,16 @@ def _fd_gradient(Pp, xi, space, delta):
     return 0.5 * (deriv[0] - 1j * deriv[1]).T
 
 
-def _gradient_field(operators: np.ndarray, space: SignatureSpace, support: _SupportTables, delta: float,
-                    solved=None):
+def _gradient_field(operators: np.ndarray, space: SignatureSpace, support: _SupportTables, delta: float):
     """Gradient kernel ``Q = N P_+`` at each of ``support.points``, from one chain per kernel class.
 
-    ``solved`` is the :func:`_chain_solve` of the kernel classes if in hand.
     The chain spectrum picks the path: the vectorized eigen-derivatives
     where :func:`_eig_gradient_factors` accepts the chain, else finite
     differences averaged over ``xi`` and ``-xi``, taken at the class's
     first point.
     """
     sig = space.signature
-    if solved is None:
-        solved = _chain_solve(operators, sig, support.kernel_phases, delta)
-    Pp, chains, lams, R, m = solved
+    Pp, chains, lams, R, m = _chain_solve(operators, sig, support.kernel_phases, delta)
     factors, ok = _eig_gradient_factors(chains, lams, R, space, delta, m)
     q_class = factors @ Pp
     # Every kernel of the origin's class is its own reflection's.

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances
-from .errors import InfeasibleProblemError, ValidationError, _check_real
+from .errors import InfeasibleProblemError, ValidationError, _check_real, _four_vector
 from .homomeasure import (
     OperatorMeasure,
     _check_format,
@@ -240,7 +240,7 @@ def el_residuals(
     rows followed by the atoms'.
     """
     space = mu.space
-    probe_points = np.atleast_2d(np.asarray(probe_points, float))
+    probe_points = _four_vector(np.atleast_2d(probe_points), "probe points", ndim=2)
     rows = _qhat_stack(probe_qs, len(probe_points), space, "el_residuals probe_qs")
     probes = len(rows)
     if _atom_rows is None:

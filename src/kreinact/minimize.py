@@ -1,24 +1,30 @@
 """Constrained minimization of the discretized action over atomic measures.
 
-Atoms sit at the points of the momentum grid and carry operators in the
-factorized form ``A_j = S M_j^H M_j``, so positivity costs nothing.  The
-optimizer alternates gradient steps on the stack ``{M_j}`` with an exact
-restoration of the constraints
+Atoms sit at the points of the momentum grid.  The descent runs on the
+positive face: ``A_j = diag(B_j, 0)`` with ``B_j = C_j^H C_j`` and n x n
+factors ``C_j``, so positivity costs nothing.  Every certified minimizer
+measured lies on one positive definite n-plane, and a U(n, n) map takes
+that plane to the positive block without changing the action, alpha or
+the verdict, so the face is a gauge choice, not a restriction (factoring
+at the rank of the solution is the idea of Burer & Monteiro, Math.
+Program. 103, 2005).  On the face ``Tr(S total) = Tr(total) < f``: the
+signed-trace bound is inactive, beta = 0 (case "a"), and the one scalar
+``sqrt(c / sum_j ||C_j||_F^2)`` restores ``Tr(total) = c`` exactly; the
+restoration acts as the retraction onto the feasible set.
 
-    Tr(total) = c    (always),
-    Tr(S total) <= f (restored to equality where the bound is active),
-
-by scaling the two signature blocks: with ``x, y > 0`` the congruence
-``A -> D A D``, ``D = diag(sqrt(x) 1_n, sqrt(y) 1_n)``, moves the block
-traces linearly, so the scalings solve the constraint equations in closed
-form; the restoration acts as the retraction onto the feasible set.
-
+With ``K(xi) = sum_j e^{i p_j . xi} B_j`` the closed chain is the Hermitian
+``diag(H, 0)``, ``H = K K^H``: each line-search trial makes one batched
+``eigh`` of ``H`` over the grid's kernel classes, and the n zero
+eigenvalues enter the moduli as ``delta``.  An accepted trial builds the
+field ``Q_11 = Phi K`` from the same solve, with
+``Phi = U diag(g_i s_i / m_i) U^H`` and ``g_i = dL/dm_i`` (at
+``delta = 0``, ``s / m = 1`` and ``Phi = 2H - (Tr H / n) 1``), and the
+Fourier gradient ``Qhat_11`` at the atoms.  The full-space field of
+``diag(B_j, 0)`` is ``diag(Q_11, 0)``: it vanishes off the positive block.
 Each step starts from the gradient of the Lagrangian function
-``G_j = 4 M_j (Qhat(p_j) - alpha - beta S) S``, with the Fourier gradient
-field ``Qhat`` of the (optionally smoothed) Lagrangian and the multipliers
-``(alpha, beta)`` of :func:`~kreinact.elverify.lagrange_parameters` at the
-current iterate.  Its norm vanishes exactly where the Euler-Lagrange
-conditions hold on the support.
+``G_j = 4 C_j (Qhat_11(p_j) - alpha)``, ``alpha = sum_j Tr(Qhat_11 B_j) / c``,
+whose norm vanishes exactly where the Euler-Lagrange conditions hold on
+the support.
 The step direction is the L-BFGS direction (Nocedal, Math. Comp. 35,
 1980) over the last ``LBFGS_MEMORY`` (24) accepted steps ``s`` and their
 gradient changes ``y``, in the real inner product ``Re<., .>`` of the
@@ -30,23 +36,24 @@ and column per accepted pair, so a step costs the same few
 matrix-vector products however long the memory is.  The first trial
 step is 1 while the memory holds pairs and ``INITIAL_STEP`` otherwise,
 safeguarded by monotone backtracking: a trial is accepted only if it
-strictly lowers the action.  Each trial makes one chain eigensolve over the position grid;
-its eigenvalues and their moduli give the action, and an accepted trial
-builds the next gradient field from the same solve.  What a run never
-changes (the space, box, atom momenta, position grid, ``delta``,
-targets, and the phase tables built from them) is held once in a
-private run object, and the loop passes it bare factor and operator
-stacks; public objects are built only for the initial iterate, for each
-report and for the returned result.
-The loop stops at the first iterate whose own first-order report passes
+strictly lowers the action.  What a run never changes (the space, box,
+atom momenta, position grid, ``delta``, targets, and the phase tables
+built from them) is held once in a private run object, and the loop
+passes it bare n x n stacks.
+The loop stops at the first iterate whose full-space first-order report
+(of ``diag(B_j, 0)`` with ``Qhat = diag(Qhat_11, 0)``, at the multipliers of
+:func:`~kreinact.elverify.lagrange_parameters`) passes
 :func:`~kreinact.elverify.check_first_order` at ``CERTIFY_FRACTION *
-tol_el`` (built only once a Frobenius bound on its support residuals and
-its psd margin already clear that tolerance), and
-returns that iterate with that report; whatever else ends the loop, the
-last iterate is returned with the report of the field the loop built for
-it.  One routine computes the restoration for the loop and for
-:func:`restore_constraints`, choosing the case by the rule that also picks
-the multipliers' case, :func:`~kreinact.elverify._bound_active`.
+tol_el``, built only once a Frobenius bound on its support residuals and
+its psd margin already clear that tolerance.  Whatever ends the loop, the
+returned action, multipliers and report are the full space's own: one
+:func:`~kreinact.action.action` and one
+:class:`~kreinact.action.QHatEvaluator` of the returned 2n x 2n measure,
+so ``kreinact verify`` with the run's targets reproduces the report.
+Toy seeds 0-7 certify in 4-7 iterations, the n=2 reference in 97.
+:func:`restore_constraints` keeps the two-block scaling of any measure,
+choosing the case by the rule that also picks the multipliers' case,
+:func:`~kreinact.elverify._bound_active`.
 """
 
 from __future__ import annotations
@@ -62,30 +69,23 @@ from .action import (
     QHatEvaluator,
     _check_delta,
     _fourier_qhat,
-    _gradient_field,
-    _solved_action,
+    _lagrangian_values,
+    _moduli,
+    _modulus_slopes,
+    _plus_kernel,
     _SupportTables,
     _tail_magnitude,
     action,
 )
-from .elverify import (
-    ELReport,
-    PushforwardMeasure,
-    _bound_active,
-    _hermitian_spectra,
-    _shift,
-    check_first_order,
-    el_residuals,
-    lagrange_parameters,
-    pushforward,
-)
-from .errors import NonsmoothPointError, RestorationError, ValidationError, _check_count, _check_real, _entries
-from .homomeasure import MomentumBox, OperatorMeasure, _check_targets, _trace_functionals
-from .krein import _BOUND_SLACK, SignatureSpace, _squared_frobenius
+from .elverify import ELReport, _bound_active, check_first_order, el_residuals, lagrange_parameters, pushforward
+from .errors import RestorationError, ValidationError, _check_count, _check_real, _entries
+from .homomeasure import MomentumBox, OperatorMeasure, _check_targets
+from .krein import _BOUND_SLACK, SignatureSpace, _hermitize, _squared_frobenius
 
-# Curvature pairs kept by the L-BFGS direction.  With 24 the n=2 reference
-# run certifies in about 155 iterations, where 8 took 210-350; the compact
-# form keeps the cost of a step flat in this number.
+# Curvature pairs kept by the L-BFGS direction.  With 24 the full-space
+# descent of the n=2 reference certified in about 155 iterations, where 8
+# took 210-350 (97 on the face); the compact form keeps the cost of a step
+# flat in this number.
 LBFGS_MEMORY = 24
 # First trial step while the L-BFGS memory is empty, and the backtracking
 # that shrinks a rejected step.
@@ -93,8 +93,8 @@ INITIAL_STEP = 0.05
 BACKTRACK_FACTOR = 0.5
 MAX_BACKTRACKS = 40
 # An iterate stops the loop once its own report passes at this fraction
-# of ``tol_el``.  That report is the one returned; the headroom lets an
-# independent recomputation of it (``kreinact verify``) pass ``tol_el`` too.
+# of ``tol_el``; the headroom lets the full-space recomputation that is
+# returned (and ``kreinact verify``) pass ``tol_el`` too.
 CERTIFY_FRACTION = 0.5
 
 __all__ = [
@@ -226,8 +226,9 @@ def restore_constraints(measure: OperatorMeasure, case: str, c: float, f: float)
 class MinimizeResult:
     """Last iterate with its own first-order report and the iteration trace.
 
-    The measure is the last iterate of the loop, as logged, with no further
-    restoration; the report, multipliers and action are that iterate's.
+    The measure is the last iterate of the loop, ``diag(B_j, 0)`` as
+    logged, with no further restoration; the report, multipliers and action
+    are the full space's own of that measure.
     ``converged`` is whether that report passes :func:`check_first_order`
     at the configured ``tol_el``, so a ``"certified"`` stop is converged.
     ``stop_reason`` says what ended the loop:
@@ -236,7 +237,7 @@ class MinimizeResult:
     ``MAX_BACKTRACKS`` lowered the action) or ``"max_iterations"``.  Each
     ``trace`` row holds the iterate's action, constraint values, first trial
     ``step``, ``grad_norm``, ``escapes`` (always 0) and ``trials``: the
-    line-search trials that iteration made, one chain eigensolve each.
+    line-search trials that iteration made, one face ``eigh`` each.
     """
 
     measure: OperatorMeasure
@@ -248,10 +249,6 @@ class MinimizeResult:
     beta: float
     case_tag: str
     stop_reason: str
-
-
-def _operators_from_Ms(space, Ms) -> np.ndarray:
-    return space.signature[None, :, None] * (Ms.conj().transpose(0, 2, 1) @ Ms)
 
 
 def _real_view(stack: np.ndarray) -> np.ndarray:
@@ -334,32 +331,31 @@ class _CurvatureMemory:
         return gamma * (a @ Y - g) - b @ S
 
 
-class _Iterate(NamedTuple):
-    """An iterate as bare arrays: factors ``Ms`` and operators ``A``, the field
-    ``Q`` on the grid's representatives and ``qs = Qhat`` at the atoms, the
-    total's ``Tr`` and ``Tr(S .)``, the multipliers, ``Qhat - alpha - beta S``
-    at the atoms and the factor gradients ``G_j``."""
 
-    Ms: np.ndarray
-    A: np.ndarray
+
+class _Iterate(NamedTuple):
+    """An iterate on the face as bare n x n stacks: factors ``Cs`` and blocks
+    ``B``, the field ``Q_11`` on the grid's representatives and
+    ``qs = Qhat_11`` at the atoms, ``Tr B`` of the total, ``alpha``,
+    ``Qhat_11 - alpha`` at the atoms and the factor gradients ``G_j``."""
+
+    Cs: np.ndarray
+    B: np.ndarray
     q_field: np.ndarray
     qs: np.ndarray
     trace: float
-    signed_trace: float
     alpha: float
-    beta: float
-    case_tag: str
     shifted: np.ndarray
     grads: np.ndarray
 
 
 class _FixedSupport:
-    """What a minimization run fixes, and the objective on its factor stacks.
+    """What a minimization run fixes, and the objective on its face factor stacks.
 
     A run moves the factors, never the space, box, atom momenta, position
     grid, ``delta`` or targets; the support tables and the Fourier phases
     at the atom momenta are built from those once.  The loop passes bare
-    factor and operator stacks through :meth:`restore`, :meth:`trial` and
+    n x n stacks through :meth:`restore`, :meth:`solve`, :meth:`trial` and
     :meth:`state`; public objects are built only for what leaves it.
     """
 
@@ -375,91 +371,116 @@ class _FixedSupport:
     def measure(self, A: np.ndarray) -> OperatorMeasure:
         return OperatorMeasure(self.space, self.box, self.momenta, A, validate=False)
 
-    def restore(self, Ms_raw: np.ndarray) -> np.ndarray:
-        # The restoration A -> D A D acts on the factors as M -> M D.
-        total = _operators_from_Ms(self.space, Ms_raw).sum(axis=0)
-        return Ms_raw * _restoring_factors(total, self.space.n, self.c, self.f)[None, None, :]
+    def embed(self, X: np.ndarray) -> np.ndarray:
+        """``diag(X_j, 0)`` for each n x n matrix ``X_j`` of a stack."""
+        n = self.space.n
+        out = np.zeros((len(X), 2 * n, 2 * n), complex)
+        out[:, :n, :n] = X
+        return out
 
-    def trial(self, Ms_raw: np.ndarray, to_beat: float, row: dict):
-        """``(action, iterate)`` of the restored ``Ms_raw`` if its action is below
-        ``to_beat``; None for a rejected trial.  One chain eigensolve gives the
-        action and, on acceptance, the gradient field; it is counted on ``row``."""
-        try:
-            Ms = self.restore(Ms_raw)
-        except RestorationError:
+    def restore(self, Cs_raw: np.ndarray) -> np.ndarray | None:
+        """``Cs_raw`` scaled to ``Tr B = c``; None where no positive scale reaches it,
+        as for factors that all vanish or whose squared norm overflows."""
+        # Tr(S total) = Tr total = sum_j ||C_j||_F^2 < f, so one scalar reaches Tr = c.
+        total = float(_squared_frobenius(Cs_raw).sum())
+        if not (total > 0.0 and np.isfinite(total)):
             return None
-        A = _operators_from_Ms(self.space, Ms)
+        return Cs_raw * np.sqrt(self.c / total)
+
+    def solve(self, Cs: np.ndarray):
+        """``(action, B, solved)`` of restored factors: one batched ``eigh`` of the
+        Hermitian chains ``H = K K^H`` of the kernel classes, ``solved = (K, s, U, m)``."""
+        B = Cs.conj().swapaxes(-1, -2) @ Cs
+        K = _plus_kernel(B, self.support.kernel_phases)
+        s, U = np.linalg.eigh(K @ K.conj().swapaxes(-1, -2))
+        # The chain diag(H, 0) adds n zero eigenvalues, of modulus delta.
+        m = _moduli(np.concatenate([s, np.zeros_like(s)], axis=1), self.delta)
+        return self.support.integral(_lagrangian_values(m)), B, (K, s, U, m)
+
+    def field(self, K, s, U, m) -> np.ndarray:
+        """``Q_11 = Phi K`` at the representatives, ``Phi = U diag(g_i s_i / m_i) U^H``
+        (``s / m = 1`` at ``delta = 0``, so ``Phi = 2H - (Tr H / n) 1`` there)."""
+        n = self.space.n
+        weights = _modulus_slopes(m)[:, :n] * (s / m[:, :n] if self.delta else 1.0)
+        q_field = (((U * weights[:, None, :]) @ U.conj().swapaxes(-1, -2)) @ K)[self.support.kernel_class]
+        fixed = self.support.origin_rows
+        q_field[fixed] = _hermitize(q_field[fixed])
+        return q_field
+
+    def trial(self, Cs_raw: np.ndarray, to_beat: float, row: dict):
+        """``(action, iterate)`` of the restored ``Cs_raw`` if its action is below
+        ``to_beat``; None for a rejected trial, also one that cannot be restored.
+        Its one ``eigh`` gives the action and, on acceptance, the gradient field;
+        it is counted on ``row``."""
         row["trials"] += 1
-        value, solved = _solved_action(A, self.space.signature, self.support, self.delta)
+        Cs = self.restore(Cs_raw)
+        if Cs is None:
+            return None
+        value, B, solved = self.solve(Cs)
         if not value < to_beat:
             return None
-        try:
-            # A step may land on a nondifferentiable point of the exact
-            # Lagrangian; treat that as a rejected trial.
-            q_field = _gradient_field(A, self.space, self.support, self.delta, solved)
-        except NonsmoothPointError:
-            return None
-        return value, self.state(Ms, A, q_field)
+        return value, self.state(Cs, B, self.field(*solved))
 
-    def state(self, Ms: np.ndarray, A: np.ndarray, q_field: np.ndarray) -> _Iterate:
-        """The iterate of factors ``Ms`` with operators ``A`` and gradient field ``q_field``."""
-        space = self.space
-        qs = _fourier_qhat(self.phases, q_field, space.signature)
-        traces = tuple(float(t.real) for t in _trace_functionals(A.sum(axis=0), space))
-        # No array of an iterate is written after this, so the pushforward
-        # shares them instead of copying as pushforward() does.
-        mu = PushforwardMeasure(space, self.momenta, qs, A)
-        alpha, beta, case_tag = lagrange_parameters(mu, self.c, self.f, _traces=traces)
-        shifted = _shift(qs, alpha, beta, space)
-        grads = 4.0 * (Ms @ shifted) * space.signature[None, None, :]
-        return _Iterate(Ms, A, q_field, qs, *traces, alpha, beta, case_tag, shifted, grads)
+    def state(self, Cs: np.ndarray, B: np.ndarray, q_field: np.ndarray) -> _Iterate:
+        """The iterate of factors ``Cs`` with blocks ``B`` and gradient field ``q_field``."""
+        qs = _fourier_qhat(self.phases, q_field, np.ones(self.space.n))
+        # Tr(S total) = Tr total < f: case "a", beta = 0 and alpha = sum_j Tr(Qhat_11 B_j) / c.
+        alpha = float(np.einsum("jab,jba->", qs, B).real) / self.c
+        shifted = qs - alpha * np.eye(self.space.n)
+        trace = float(np.trace(B.sum(axis=0)).real)
+        return _Iterate(Cs, B, q_field, qs, trace, alpha, shifted, 4.0 * (Cs @ shifted))
 
     def report(self, it: _Iterate) -> ELReport:
-        """The first-order report of an iterate, its atoms as the probes."""
-        mu = pushforward(self.measure(it.A), it.qs)
-        return el_residuals(mu, it.alpha, it.beta, self.momenta, mu.qs, it.case_tag,
+        """The full-space first-order report of ``diag(B_j, 0)`` with ``Qhat = diag(Qhat_11, 0)``,
+        its atoms as the probes, at the full space's own multipliers."""
+        mu = pushforward(self.measure(self.embed(it.B)), self.embed(it.qs))
+        # Within the band of an active bound (c >= f (1 - CONSTRAINT)) these
+        # take case "b", as the returned result's do, so the face's case "a"
+        # cannot certify a run that the full space refuses.
+        alpha, beta, case_tag = lagrange_parameters(mu, self.c, self.f)
+        return el_residuals(mu, alpha, beta, self.momenta, mu.qs, case_tag,
                             tail_magnitude=_tail_magnitude(it.q_field, self.grid),
                             _atom_rows=np.arange(len(self.momenta)))
+
 
 
 def minimize_action(config: MinimizeConfig) -> MinimizeResult:
     """Run the constrained gradient minimization defined by ``config``."""
     run = _FixedSupport(config)
     space = run.space
-    k, d = len(run.momenta), space.dim
+    k, d, n = len(run.momenta), space.dim, space.n
     rng = np.random.default_rng(config.seed)
 
-    # The restoration fixes the scale of the factors, so none is chosen here.
-    Ms = run.restore(rng.standard_normal((k, d, d)) + 1j * rng.standard_normal((k, d, d)))
-    A = _operators_from_Ms(space, Ms)
-    measure = run.measure(A)
-    current_action = action(measure, run.grid, run.delta, _support=run.support)
-    evaluator = QHatEvaluator(measure, run.grid, smoothing_delta=run.delta, _support=run.support)
-    it = run.state(Ms, A, evaluator.q_field)
+    # The leading n x n blocks of the full-space draw, so each seed keeps its
+    # random stream; the restoration fixes the scale, so none is chosen here.
+    Cs = run.restore((rng.standard_normal((k, d, d)) + 1j * rng.standard_normal((k, d, d)))[:, :n, :n])
+    current_action, B, solved = run.solve(Cs)
+    it = run.state(Cs, B, run.field(*solved))
     trace_log: list = []
-    previous = None  # real views of (Ms, G) before the last accepted step
-    memory = _CurvatureMemory(2 * Ms.size)
+    previous = None  # real views of (Cs, G) before the last accepted step
+    memory = _CurvatureMemory(2 * Cs.size)
     stop_reason = "max_iterations"
     certify_tol = CERTIFY_FRACTION * config.tol_el
-    residual_bound = d * certify_tol**2 * (1.0 + _BOUND_SLACK)
+    residual_bound = n * certify_tol**2 * (1.0 + _BOUND_SLACK)
 
     for iteration in range(config.max_iterations):
         g = _real_view(it.grads)
         grad_norm = float(np.sqrt((np.abs(it.grads) ** 2).sum()))
         if previous is not None:
-            memory.add(_real_view(it.Ms) - previous[0], g - previous[1])
+            memory.add(_real_view(it.Cs) - previous[0], g - previous[1])
         direction = memory.direction(g)
         if memory.count and not float(direction @ g) < 0:
             memory.clear()
             direction = -g
         step = 1.0 if memory.count else INITIAL_STEP
-        direction = direction.view(complex).reshape(it.Ms.shape)
+        direction = direction.view(complex).reshape(it.Cs.shape)
 
         row = {
             "iteration": iteration,
             "action": current_action,
             "trace": it.trace,
-            "signed_trace": it.signed_trace,
+            # Tr(S total) = Tr total on the face.
+            "signed_trace": it.trace,
             "step": step,
             "grad_norm": grad_norm,
             # No escape steps are taken; the key and the escapes column
@@ -471,39 +492,43 @@ def minimize_action(config: MinimizeConfig) -> MinimizeResult:
         trace_log.append(row)
 
         # The iterate's own report, assembled only once it could pass.  Its
-        # support residuals need ||A_j T_j||_F^2 <= d certify_tol^2, since
-        # ||X||_F <= sqrt(d) ||X||_2; only then are the shifted spectra
-        # computed, and the report built once the psd margin passes too.
-        if _squared_frobenius(it.A @ it.shifted).max() <= residual_bound:
-            w, _ = _hermitian_spectra(it.shifted, space)
-            if w[:, 0].min() >= -certify_tol:
-                report = run.report(it)
-                if check_first_order(report, certify_tol)["all"]:
+        # support residuals need ||B_j T_j||_F^2 <= n certify_tol^2, since
+        # ||X||_F <= sqrt(n) ||X||_2; only then are the shifted spectra
+        # computed.  S(Qhat - alpha) = diag(Qhat_11 - alpha, alpha), so the
+        # report is built once alpha and the block's psd margin pass too.
+        if _squared_frobenius(it.B @ it.shifted).max() <= residual_bound:
+            if min(np.linalg.eigvalsh(it.shifted)[:, 0].min(), it.alpha) >= -certify_tol:
+                if check_first_order(run.report(it), certify_tol)["all"]:
                     stop_reason = "certified"
                     break
 
         eta = step
         for _ in range(MAX_BACKTRACKS):
-            accepted = run.trial(it.Ms + eta * direction, current_action, row)
+            accepted = run.trial(it.Cs + eta * direction, current_action, row)
             if accepted is not None:
                 break
             eta *= BACKTRACK_FACTOR
         if accepted is None:
             stop_reason = "stalled"
             break
-        previous = (_real_view(it.Ms), g)
+        previous = (_real_view(it.Cs), g)
         current_action, it = accepted
 
-    if stop_reason != "certified":
-        report = run.report(it)
+    # The returned action, multipliers and report are the full space's own.
+    measure = OperatorMeasure(space, run.box, run.momenta, run.embed(it.B))
+    evaluator = QHatEvaluator(measure, run.grid, smoothing_delta=run.delta, _support=run.support)
+    mu = pushforward(measure, evaluator.evaluate_many(run.momenta))
+    alpha, beta, case_tag = lagrange_parameters(mu, config.c, config.f)
+    report = el_residuals(mu, alpha, beta, run.momenta, mu.qs, case_tag,
+                          tail_magnitude=evaluator.tail_magnitude, _atom_rows=np.arange(k))
     return MinimizeResult(
-        measure=OperatorMeasure(space, run.box, run.momenta, it.A),
+        measure=measure,
         report=report,
         trace=trace_log,
         converged=check_first_order(report, config.tol_el)["all"],
-        action_value=current_action,
-        alpha=it.alpha,
-        beta=it.beta,
-        case_tag=it.case_tag,
+        action_value=action(measure, run.grid, run.delta, _support=run.support),
+        alpha=alpha,
+        beta=beta,
+        case_tag=case_tag,
         stop_reason=stop_reason,
     )

@@ -2,6 +2,7 @@
 
 import contextlib
 import importlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,11 +35,10 @@ from kreinact import (
 from kreinact.action import (
     _chain_solve,
     _eig_gradient_factors,
-    _gradient_field,
     _kernel_phases,
-    _solved_action,
     _SupportTables,
 )
+from kreinact.minimize import _FixedSupport
 
 # The package exports the function ``action`` under the submodule's name.
 action_module = importlib.import_module("kreinact.action")
@@ -763,39 +763,62 @@ def _solve_cases():
     yield _rank_two_measure()  # two coinciding zero eigenvalues at every point
 
 
-def _solve(meas, grid, delta, support=None):
-    """:func:`_solved_action` of a measure on a grid, from the given support tables or its own."""
-    support = support or _SupportTables(meas.momenta, grid)
-    return _solved_action(meas.operators, meas.space.signature, support, delta)
-
-
 def test_line_search_solve_gives_the_action_and_the_field():
-    # The minimizer's trials take the action from one chain eig and, on
-    # acceptance, build the gradient field from the same solve.
-    for meas, grid in _solve_cases():
-        support = _SupportTables(meas.momenta, grid)
-        for delta in (0.0, 1e-2):
-            value, solved = _solve(meas, grid, delta)
-            expected = action(meas, grid, delta)
-            assert abs(value - expected) <= 1e-13 * abs(expected)
-            fresh = QHatEvaluator(meas, grid, smoothing_delta=delta)
-            reused = _gradient_field(meas.operators, meas.space, support, delta, solved)
-            np.testing.assert_array_equal(reused, fresh.q_field)
+    # A minimizer trial takes the action from one eigh of the face chains
+    # K K^H and, on acceptance, builds the field Q_11 = Phi K from the same
+    # solve.  Both are the full-space action and field of diag(B_j, 0): to
+    # rounding at delta > 0, and at delta = 0 to the finite-difference field
+    # the full space takes there (1.1e-11 relative at most, measured on these
+    # cases).  Off the positive block the full-space field is exactly 0.0.
+    rng = make_rng(36)
+    for config in (MinimizeConfig(n=1, c=0.5, f=1.0),
+                   MinimizeConfig(n=2, c=0.5, f=1.0, momentum_shape=(3, 2, 1, 1), position_shape=(7, 3, 3, 1))):
+        n = config.n
+        for delta in (0.0, 1e-2, 1.0):
+            run = _FixedSupport(replace(config, smoothing_delta=delta))
+            shape = (len(run.momenta), n, n)
+            Cs = run.restore(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+            value, B, solved = run.solve(Cs)
+            meas = OperatorMeasure(run.space, run.box, run.momenta, run.embed(B))
+            expected = action(meas, run.grid, delta)
+            assert abs(value - expected) <= 1e-13 * expected, (n, delta)
+            full = QHatEvaluator(meas, run.grid, smoothing_delta=delta).q_field
+            assert not full[:, n:].any() and not full[:, :, n:].any(), (n, delta)
+            face = run.field(*solved)
+            bound = 1e-10 if delta == 0 else 1e-14
+            assert np.abs(full[:, :n, :n] - face).max() <= bound * np.abs(face).max(), (n, delta)
+
+
+@pytest.mark.parametrize("delta", [0.0, 1e-2, 1.0])
+def test_qhat_of_a_face_measure_vanishes_off_the_positive_block(delta):
+    # Atoms diag(B_j, 0) keep the kernel and the chain in the positive
+    # block, and the chain's zero block moves only at second order, so
+    # Qhat is exactly 0.0 off that block, at the atoms and between them.
+    rng = make_rng(37)
+    for n, shape, grid_shape in ((1, (2, 1, 1, 1), (5, 1, 1, 1)), (2, (3, 2, 1, 1), (7, 3, 3, 1))):
+        box = unit_momentum_box(shape)
+        momenta = box.grid_points()
+        C = rng.standard_normal((len(momenta), n, n)) + 1j * rng.standard_normal((len(momenta), n, n))
+        operators = np.zeros((len(momenta), 2 * n, 2 * n), complex)
+        operators[:, :n, :n] = C.conj().swapaxes(-1, -2) @ C
+        measure = OperatorMeasure(SignatureSpace(n), box, momenta, operators)
+        evaluator = QHatEvaluator(measure, PositionGrid.from_box(3.0, grid_shape), smoothing_delta=delta)
+        qhats = evaluator.evaluate_many(np.vstack([momenta, rng.uniform(-1.0, 1.0, (5, 4))]))
+        assert not qhats[:, n:].any() and not qhats[:, :, n:].any(), n
+        assert qhats[:, :n, :n].any(), n
 
 
 def test_run_tables_give_the_one_shot_results_to_the_bit():
     # A minimization run builds the support tables once and hands them to
-    # every trial; the one-shot calls build their own.
+    # the full-space action and field of its result; the one-shot calls
+    # build their own.
     for meas, grid in _solve_cases():
         support = _SupportTables(meas.momenta, grid)
         for delta in (0.0, 1e-2):
-            value, solved = _solve(meas, grid, delta, support)
-            assert value == action(meas, grid, delta) == action(meas, grid, delta, _support=support)
+            assert action(meas, grid, delta) == action(meas, grid, delta, _support=support)
             reused = QHatEvaluator(meas, grid, smoothing_delta=delta, _support=support)
             fresh = QHatEvaluator(meas, grid, smoothing_delta=delta)
             assert reused.q_field.tobytes() == fresh.q_field.tobytes()
-            solved_field = _gradient_field(meas.operators, meas.space, support, delta, solved)
-            assert solved_field.tobytes() == fresh.q_field.tobytes()
             for ps in (meas.momenta, meas.momenta, meas.momenta + 0.25, meas.momenta):
                 expected = np.stack([fresh.evaluate(p) for p in ps])
                 assert fresh.evaluate_many(ps).tobytes() == expected.tobytes()
@@ -892,8 +915,7 @@ def test_one_chain_eigensolve_per_distinct_kernel(monkeypatch):
     monkeypatch.setattr(np.linalg, "eig", counting("eig", np.linalg.eig))
     monkeypatch.setattr(np.linalg, "eigvals", counting("eigvals", np.linalg.eigvals))
     for meas, kernels in ((shared, 11), (jittered, 32)):
-        for call, expected in ((lambda: _solve(meas, grid, 1e-2), "eig"),
-                               (lambda: action(meas, grid, 1e-2), "eigvals"),
+        for call, expected in ((lambda: action(meas, grid, 1e-2), "eigvals"),
                                (lambda: QHatEvaluator(meas, grid, smoothing_delta=1e-2), "eig")):
             calls.clear()
             call()

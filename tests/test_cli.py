@@ -9,6 +9,7 @@ two run a fresh interpreter to see what importing and running build.
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -39,7 +40,12 @@ STATIONARY_A = 0.5 * np.array(
     [[1.3, 0.9539392014169457], [-0.9539392014169457, -0.7]], dtype=complex
 )
 
-TOY_ARGS = ["--seed", "0", "--c", "0.5", "--f", "1.0", "--smoothing-delta", "0.01"]
+TOY_TARGETS = ["--c", "0.5", "--f", "1.0"]
+TOY_ARGS = ["--seed", "0", *TOY_TARGETS, "--smoothing-delta", "0.01"]
+# A minimizer's measure lies on the positive face, where Tr(S T) = Tr T, so
+# the targets that verify would default to (f = c) are refused; its
+# verification passes the run's own targets.
+TOY_VERIFY = [*TOY_TARGETS, "--smoothing-delta", "0.01"]
 
 
 @pytest.fixture(scope="module")
@@ -243,16 +249,23 @@ def test_minimize_rejects_bad_flags(tmp_path):
 def test_verify_accepts_minimizer_output(toy_run, tmp_path, capsys):
     report_path = tmp_path / "verify.json"
     csv_path = tmp_path / "verify.csv"
-    rc = main(["verify", str(toy_run / "measure.json"),
-               "--smoothing-delta", "0.01",
+    rc = main(["verify", str(toy_run / "measure.json"), *TOY_VERIFY,
                "--out", str(report_path), "--csv", str(csv_path)])
     out = capsys.readouterr().out
     assert rc == 0
     assert "check psd_margin: pass" in out
     assert "check support_residuals: pass" in out
     report = load_report(report_path)
-    assert report.case_tag == "b"
+    assert report.case_tag == "a"
     assert csv_path.read_text().startswith("p0,p1,p2,p3,gap,psd_margin")
+
+
+def test_verify_writes_the_run_report_byte_for_byte(toy_run, tmp_path):
+    # The run's report is the full-space report of its returned measure, so
+    # verify with the run's targets and smoothing recomputes it to the bit.
+    out = tmp_path / "verify.json"
+    assert main(["verify", str(toy_run / "measure.json"), *TOY_VERIFY, "--out", str(out)]) == 0
+    assert out.read_bytes() == (toy_run / "report.json").read_bytes()
 
 
 def test_verify_computes_each_shifted_spectrum_once(toy_run, tmp_path, monkeypatch):
@@ -266,7 +279,7 @@ def test_verify_computes_each_shifted_spectrum_once(toy_run, tmp_path, monkeypat
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
     report_path = tmp_path / "verify.json"
-    assert main(["verify", str(toy_run / "measure.json"), "--smoothing-delta", "0.01",
+    assert main(["verify", str(toy_run / "measure.json"), *TOY_VERIFY,
                  "--out", str(report_path)]) == 0
     assert sizes == [len(load_report(report_path).probe_points)]
 
@@ -331,7 +344,7 @@ def test_verify_rejects_a_measure_whose_trace_misses_c(tmp_path, capsys):
 @pytest.mark.parametrize("tol", ["nan", "-1"])
 def test_verify_rejects_a_bad_tolerance_instead_of_judging(toy_run, tmp_path, capsys, tol):
     report_path = tmp_path / "verify.json"
-    rc = main(["verify", str(toy_run / "measure.json"), "--smoothing-delta", "0.01",
+    rc = main(["verify", str(toy_run / "measure.json"), *TOY_VERIFY,
                "--tol-el", tol, "--out", str(report_path)])
     captured = capsys.readouterr()
     assert rc == 2
@@ -362,6 +375,20 @@ def test_verify_default_targets_error_names_their_source_and_flags(tmp_path, cap
     assert main(["verify", str(fixture_path), "--c", "2.0", "--f", "1.0"]) == 2
     err = capsys.readouterr().err
     assert "0 < c < f" in err and "--c" not in err
+
+
+def test_verify_refuses_default_targets_on_a_face_measure(toy_run, capsys):
+    # The minimizer's atoms are diag(B_j, 0), so the defaulted targets are
+    # c = f = 0.5, which 0 < c < f refuses before any report is built.
+    assert main(["verify", str(toy_run / "measure.json"), "--smoothing-delta", "0.01"]) == 2
+    captured = capsys.readouterr()
+    match = re.fullmatch(
+        r"error: constraint targets must satisfy 0 < c < f, got c=(\S+), f=(\S+); targets not given "
+        r"default to the measure's trace \(c\) and signed trace \(f\), so pass --c and --f\n",
+        captured.err,
+    )
+    assert match and match[1] == match[2] and float(match[1]) == pytest.approx(0.5, rel=1e-14)
+    assert "check " not in captured.out
 
 
 def test_verify_constant_field_stationary_round_trip(tmp_path, capsys):
@@ -752,7 +779,7 @@ def test_every_table_ends_its_lines_in_a_bare_newline(toy_run, tmp_path):
     measure = str(toy_run / "measure.json")
     tables = [toy_run / "iterations.csv", toy_run / "report.csv"]
     tables += [tmp_path / name for name in ("verify.csv", "corr.csv", "sweep.csv")]
-    assert main(["verify", measure, "--smoothing-delta", "0.01", "--csv", str(tables[2])]) == 0
+    assert main(["verify", measure, *TOY_VERIFY, "--csv", str(tables[2])]) == 0
     fixture_path = str(tmp_path / "m.json")
     assert main(["fixture", "random", "--out", fixture_path, "--seed", "4",
                  "--atoms", "2", "--grid", "2,1,1,1"]) == 0
@@ -816,7 +843,7 @@ import kreinact
 from kreinact.cli import main
 run = {str(tmp_path / "run")!r}
 assert main(["minimize", "--out", run] + {TOY_ARGS!r}) == 0
-assert main(["verify", run + "/measure.json", "--smoothing-delta", "0.01"]) == 0
+assert main(["verify", run + "/measure.json"] + {TOY_VERIFY!r}) == 0
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
     proc = subprocess.run([sys.executable, "-c", script],

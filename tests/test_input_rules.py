@@ -98,6 +98,10 @@ CASES = {
     "a_of_alpha": (lambda x: a_of_alpha(S, SPACE, HUGE), "alpha is too large for a float"),
     "a_of_string_alpha": (lambda x: a_of_alpha(S, SPACE, "0.5"), "alpha must be finite, got '0.5'"),
     "beta_of_alpha": (lambda x: beta_of_alpha(S, SPACE, HUGE), "alpha is too large for a float"),
+    "el_residuals_probe_rows": (lambda x: el_residuals(x.mu, 0.0, 0.0, np.zeros((2, 3)), x.mu.qs, "a"),
+                                "probe points must be rows of four numbers, got shape (2, 3)"),
+    "el_residuals_string_probe": (lambda x: el_residuals(x.mu, 0.0, 0.0, [["a", "b", "c", "d"]], x.mu.qs[:1], "a"),
+                                  "probe points must hold real numbers, got array([['a', 'b', 'c', 'd']], dtype='<U1')"),
 }
 
 

@@ -3,6 +3,7 @@
 import importlib
 import json
 import math
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -12,7 +13,7 @@ from conftest import assert_feasible, make_rng, random_measure_for
 from kreinact import (
     MinimizeConfig,
     MomentumBox,
-    NonsmoothPointError,
+    NonUniqueMultipliersError,
     OperatorMeasure,
     QHatEvaluator,
     RestorationError,
@@ -32,7 +33,6 @@ from kreinact import (
     restore_constraints,
 )
 from kreinact.action import _tail_magnitude
-from kreinact.elverify import _shift
 from kreinact.krein import _hermitian_form
 from kreinact.minimize import INITIAL_STEP, LBFGS_MEMORY, MAX_BACKTRACKS, _CurvatureMemory, _restoring_factors
 from kreinact.tolerances import CONSTRAINT, ZERO_EIGENVALUE
@@ -426,12 +426,65 @@ def test_n2_reference_run_reaches_a_passing_report():
     assert_feasible(result.measure, config.c, config.f, result.case_tag)
 
 
+def test_n2_reference_at_delta_zero_certifies_within_a_second():
+    # The exact Lagrangian: the full-space descent took 4.4-6.7 s here, most
+    # of it in finite differences for the chains' n zero eigenvalues.  The
+    # face descent needs none; the full space takes them once, for the
+    # returned result (about 0.07 s in all, measured).
+    start = time.perf_counter()
+    result = minimize_action(replace(N2_REF, smoothing_delta=0.0))
+    elapsed = time.perf_counter() - start
+    assert result.stop_reason == "certified" and result.converged
+    assert result.action_value == pytest.approx(0.60214157, abs=1e-8)
+    assert elapsed < 1.0
+
+
+def test_toy_at_c1_f2_certifies_every_seed():
+    # Before the descent ran on the face, 24 of these 32 seeds certified;
+    # the rest stalled at support residuals just above tol_el.
+    results = [minimize_action(replace(TOY, c=1.0, f=2.0, seed=s)) for s in range(8, 40)]
+    assert [result.stop_reason for result in results] == ["certified"] * 32
+    assert all(result.converged for result in results)
+
+
+def test_toy_seeds_0_39_certify_at_one_minimum_per_delta():
+    for delta, value in ((1e-2, TOY_ACTION), (0.0, 19.8512467527)):
+        for seed in range(40):
+            result = minimize_action(replace(TOY, seed=seed, smoothing_delta=delta))
+            assert result.stop_reason == "certified" and result.converged, (delta, seed)
+            assert result.action_value == pytest.approx(value, rel=1e-10), (delta, seed)
+
+
+def test_a_run_in_the_band_of_the_bound_is_not_certified_by_the_face_case():
+    # With c inside the band f (1 - CONSTRAINT) of an active bound the full
+    # space takes case "b", whose beta > 0 fails the report; the face's own
+    # case "a" must not certify such a run.
+    result = minimize_action(replace(TOY, c=1.0, f=1.0 + 5e-9))
+    assert result.case_tag == "b" and result.beta > 0
+    assert result.stop_reason != "certified" and not result.converged
+
+
+def test_minimizer_atoms_lie_on_the_positive_face(toy_seed_results, n2_seed_results):
+    # Every returned atom is exactly diag(B_j, 0), and the total T meets
+    # T^2 = (c/n) T: at most 1.1e-16 relative on the toy seeds and 6.9e-9
+    # on n=2 seeds 0-3, measured.
+    for config, results in ((TOY, toy_seed_results), (N2_REF, n2_seed_results[:4])):
+        n = config.n
+        for seed, result in enumerate(results):
+            operators = result.measure.operators
+            assert not operators[:, n:].any() and not operators[:, :, n:].any(), (n, seed)
+            T = result.measure.total()
+            assert np.linalg.norm(T @ T - (config.c / n) * T) <= 1e-7 * np.linalg.norm(T), (n, seed)
+
+
 def test_pointwise_certifier_accepts_every_atom_of_certified_minimizers(toy_seed_results, n2_seed_results):
     # The Euler-Lagrange equations make each support atom a solution of the
     # pointwise problem with q = Qhat(p_j), so lagrange_from_point certifies
-    # it, with the run's multipliers to the report's tolerance.  The two
-    # lowest eigenvalues of Qhat(p_j) - alpha S at the n=2 atoms lie 1.8e-7
-    # to 1.2e-6 apart, well outside the solver's mixing width.
+    # it.  A minimizer's atom lies on the positive face, Tr A_j = Tr(S A_j),
+    # the particle boundary a = +b, so its multipliers form the slope-1
+    # family beta = offset - alpha, and the run's pair lies on it to the
+    # report's tolerance (at most 2.2e-7 apart on the toy seeds and 4.9e-7
+    # on the n=2 seeds).
     for config, results in ((TOY, toy_seed_results), (N2_REF, n2_seed_results)):
         for seed, result in enumerate(results):
             assert result.stop_reason == "certified", seed
@@ -439,9 +492,11 @@ def test_pointwise_certifier_accepts_every_atom_of_certified_minimizers(toy_seed
             evaluator = QHatEvaluator(measure, config.position_grid(), smoothing_delta=config.smoothing_delta)
             bound = config.tol_el * max(result.report.qhat_scale, 1.0)
             for j, (q, A) in enumerate(zip(evaluator.evaluate_many(measure.momenta), measure.operators)):
-                alpha, beta = lagrange_from_point(q, A, measure.space, strict=True)
-                assert abs(alpha - result.alpha) <= bound, (config.n, seed, j)
-                assert abs(beta - result.beta) <= bound, (config.n, seed, j)
+                with pytest.raises(NonUniqueMultipliersError) as err:
+                    lagrange_from_point(q, A, measure.space, strict=True)
+                family = err.value.family
+                assert family.slope == 1, (config.n, seed, j)
+                assert abs(family.beta(result.alpha) - result.beta) <= bound, (config.n, seed, j)
 
 
 def test_minimizer_atoms_have_rank_n_with_a_positive_definite_range(toy_seed_results, n2_seed_results):
@@ -489,12 +544,14 @@ def test_atoms_without_mass_are_not_support():
 
 def test_atoms_without_mass_are_still_probes(toy_result):
     # A zero atom at the toy's p0 = 0, where Qhat - alpha is far from positive.
+    # The margin is a congruence eigenvalue of S(Qhat - alpha), not a U(n, n)
+    # invariant; this is its value at the minimizer's face representative.
     measure = toy_result.measure
     zero = np.zeros((1, 2, 2), complex)
     padded = OperatorMeasure(measure.space, measure.box, np.vstack([measure.momenta, np.zeros((1, 4))]),
                              np.concatenate([measure.operators, zero]))
     report, checks = _first_order_checks(padded, TOY)
-    assert report.probe_margins[-1] == pytest.approx(-74.6, abs=0.1)
+    assert report.probe_margins[-1] == pytest.approx(-75.01, abs=0.01)
     assert not checks["psd_margin"] and not checks["all"]
     assert checks["support_gap"] and checks["support_residuals"]
 
@@ -509,8 +566,8 @@ def _scale_minimizer_field(monkeypatch, eps):
 
     state = minimize_module._FixedSupport.state
 
-    def scaled(self, Ms, A, q_field):
-        return state(self, Ms, A, (1.0 + eps) * q_field)
+    def scaled(self, Cs, B, q_field):
+        return state(self, Cs, B, (1.0 + eps) * q_field)
 
     monkeypatch.setattr(minimize_module._FixedSupport, "state", scaled)
 
@@ -519,8 +576,8 @@ def _scale_minimizer_field(monkeypatch, eps):
 def test_n2_reference_run_certifies_under_rounding_level_field_changes(monkeypatch, eps):
     # Scaling the gradient field by 1 + eps made the Barzilai-Borwein descent
     # miss its report at 2000 iterations, and moved an 8-pair L-BFGS descent
-    # between 210 and 350 iterations; the 24-pair descent certifies in about
-    # 155 whatever the rounding.
+    # between 210 and 350 iterations; the 24-pair descent on the face
+    # certifies in about 97 whatever the rounding.
     _scale_minimizer_field(monkeypatch, eps)
     config = MinimizeConfig(
         n=2, c=0.5, f=1.0, momentum_shape=(3, 2, 1, 1), position_shape=(7, 3, 3, 1),
@@ -530,6 +587,7 @@ def test_n2_reference_run_certifies_under_rounding_level_field_changes(monkeypat
     assert result.stop_reason == "certified"
     assert result.converged
     assert len(result.trace) < 200
+    assert result.action_value == pytest.approx(0.387773404, abs=2e-9)
 
 
 @pytest.mark.parametrize("eps", [0.0, 1e-13])
@@ -557,7 +615,9 @@ def test_converged_is_the_final_report_verdict(monkeypatch, config, stop):
     if stop == "stalled":
         import kreinact.minimize as minimize_module
 
-        monkeypatch.setattr(minimize_module, "_solved_action", lambda *args: (math.inf, None))
+        trial = minimize_module._FixedSupport.trial
+        monkeypatch.setattr(minimize_module._FixedSupport, "trial",
+                            lambda self, Cs_raw, to_beat, row: trial(self, Cs_raw, -math.inf, row))
     result = minimize_action(config)
     checks = check_first_order(result.report, config.tol_el)
     assert result.converged == checks["all"]
@@ -573,9 +633,9 @@ def _trial_starts(monkeypatch):
 
     trial, starts = minimize_module._FixedSupport.trial, []
 
-    def recorded(self, Ms_raw, to_beat, row):
-        starts.append(Ms_raw)
-        return trial(self, Ms_raw, to_beat, row)
+    def recorded(self, Cs_raw, to_beat, row):
+        starts.append(Cs_raw)
+        return trial(self, Cs_raw, to_beat, row)
 
     monkeypatch.setattr(minimize_module._FixedSupport, "trial", recorded)
     return starts
@@ -583,23 +643,28 @@ def _trial_starts(monkeypatch):
 
 @pytest.mark.parametrize("failure", ["restoration", "nonsmooth"])
 def test_a_trial_that_fails_is_rejected_and_the_step_halves(monkeypatch, failure):
-    # A trial whose restoration fails, or whose field meets a kink, is a
-    # rejected trial like one that does not lower the action.
+    # A trial whose raw factors no positive scale restores is rejected
+    # before its solve.  At delta = 0 the full-space chains have zero moduli,
+    # where the full-space descent met kinks; the face Lagrangian is smooth
+    # there, so a trial fails only by not lowering the action.  Either way
+    # the next trial takes half the step.
     import kreinact.minimize as minimize_module
 
-    name = "_restoring_factors" if failure == "restoration" else "_gradient_field"
-    # The initial iterate is restored too, but its field is the evaluator's.
-    first_trial_call = 2 if failure == "restoration" else 1
-    original, calls, failed = getattr(minimize_module, name), [], []
+    restore, restores = minimize_module._FixedSupport.restore, []
 
-    def fails_once(*args):
-        calls.append(name)
-        if len(calls) == first_trial_call:
-            failed.append(len(starts) - 1)
-            if failure == "restoration":
-                raise RestorationError("forced")
-            raise NonsmoothPointError("forced", xi=np.zeros(4))
-        return original(*args)
+    def vanishing_first_trial(self, Cs_raw):
+        restores.append(Cs_raw)
+        # The first restoration is the initial iterate's, the second the first trial's.
+        vanish = failure == "restoration" and len(restores) == 2
+        return restore(self, 0.0 * Cs_raw if vanish else Cs_raw)
+
+    solve, solves = minimize_module._FixedSupport.solve, []
+
+    def rising_first_trial(self, Cs):
+        solves.append(Cs)
+        value, B, solved = solve(self, Cs)
+        rises = failure == "nonsmooth" and len(solves) == 2
+        return (math.inf if rises else value), B, solved
 
     state, iterates = minimize_module._FixedSupport.state, []
 
@@ -609,13 +674,16 @@ def test_a_trial_that_fails_is_rejected_and_the_step_halves(monkeypatch, failure
 
     monkeypatch.setattr(minimize_module._FixedSupport, "state", recorded)
     starts = _trial_starts(monkeypatch)
-    monkeypatch.setattr(minimize_module, name, fails_once)
-    result = minimize_action(replace(TOY, max_iterations=1))
-    assert failed == [0] and len(starts) == 2
-    Ms = iterates[0].Ms
-    # The restoration fails before the trial's chain solve, which is not counted.
-    assert result.trace[0]["trials"] == (1 if failure == "restoration" else 2)
-    np.testing.assert_allclose(starts[1] - Ms, 0.5 * (starts[0] - Ms), rtol=1e-12, atol=1e-15)
+    monkeypatch.setattr(minimize_module._FixedSupport, "restore", vanishing_first_trial)
+    monkeypatch.setattr(minimize_module._FixedSupport, "solve", rising_first_trial)
+    config = TOY if failure == "restoration" else replace(TOY, smoothing_delta=0.0)
+    result = minimize_action(replace(config, max_iterations=1))
+    assert len(starts) >= 2 and len(restores) == len(starts) + 1
+    # The restoration fails before the trial's solve, which is not made.
+    assert len(solves) == len(starts) + (0 if failure == "restoration" else 1)
+    Cs = iterates[0].Cs
+    assert result.trace[0]["trials"] == len(starts)
+    np.testing.assert_allclose(starts[1] - Cs, 0.5 * (starts[0] - Cs), rtol=1e-12, atol=1e-15)
     assert result.stop_reason == "max_iterations"
 
 
@@ -644,8 +712,8 @@ def _run_iterates(monkeypatch, config):
 
     state, iterates = minimize_module._FixedSupport.state, []
 
-    def recorded(self, Ms, A, q_field):
-        iterates.append(state(self, Ms, A, q_field))
+    def recorded(self, Cs, B, q_field):
+        iterates.append(state(self, Cs, B, q_field))
         return iterates[-1]
 
     monkeypatch.setattr(minimize_module._FixedSupport, "state", recorded)
@@ -657,14 +725,18 @@ def _run_iterates(monkeypatch, config):
 @pytest.mark.parametrize("config, index, fd_points", [
     pytest.param(replace(TOY, seed=1), 5, False, id="toy-seed1-it5"),
     pytest.param(N2_REF, 60, False, id="n2-it60"),
-    pytest.param(replace(TOY, smoothing_delta=0.0), 10, True, id="toy-delta0-it10-fd"),
+    pytest.param(replace(TOY, smoothing_delta=0.0), 3, True, id="toy-delta0-it3-fd"),
 ])
-def test_run_state_is_the_public_computation_to_the_bit(monkeypatch, config, index, fd_points):
-    # The loop passes arrays; at each iterate they must be what the public
-    # evaluator, pushforward and multipliers give for its measure.
+def test_run_state_is_the_full_space_computation_on_the_face(monkeypatch, config, index, fd_points):
+    # The loop passes n x n arrays; at each iterate they must be the positive
+    # block of what the public evaluator, pushforward and multipliers give
+    # for the full-space measure diag(B_j, 0), whose field is exactly 0.0 off
+    # that block.  The blocks agree to rounding where the public field is
+    # analytic (at most 4.0e-16 relative, measured on these iterates), and
+    # to its finite-difference estimate at delta = 0 (at most 5.7e-12).
     it = _run_iterates(monkeypatch, replace(config, max_iterations=index))[index]
     space, box, grid = config.space(), config.momentum_box(), config.position_grid()
-    momenta = box.grid_points()
+    n, momenta = space.n, box.grid_points()
     action_module = importlib.import_module("kreinact.action")
     fd_gradient, estimates = action_module._fd_gradient, []
 
@@ -673,18 +745,22 @@ def test_run_state_is_the_public_computation_to_the_bit(monkeypatch, config, ind
         return fd_gradient(*args)
 
     monkeypatch.setattr(action_module, "_fd_gradient", counted)
-    measure = OperatorMeasure(space, box, momenta, it.A)
+    A = np.zeros((len(momenta), 2 * n, 2 * n), complex)
+    A[:, :n, :n] = it.B
+    measure = OperatorMeasure(space, box, momenta, A)
     evaluator = QHatEvaluator(measure, grid, smoothing_delta=config.smoothing_delta)
     assert bool(estimates) == fd_points
     mu = pushforward(measure, evaluator.evaluate_many(momenta))
     alpha, beta, case_tag = lagrange_parameters(mu, config.c, config.f)
-    shifted = _shift(mu.qs, alpha, beta, space)
-    assert it.q_field.tobytes() == evaluator.q_field.tobytes()
-    assert it.qs.tobytes() == mu.qs.tobytes()
-    assert (it.alpha, it.beta, it.case_tag) == (alpha, beta, case_tag)
-    assert it.shifted.tobytes() == shifted.tobytes()
-    assert it.grads.tobytes() == (4.0 * (it.Ms @ shifted) * space.signature[None, None, :]).tobytes()
-    assert _tail_magnitude(it.q_field, grid) == evaluator.tail_magnitude
+    bound = 1e-10 if fd_points else 1e-14
+    for full, face in ((evaluator.q_field, it.q_field), (mu.qs, it.qs)):
+        assert not full[:, n:].any() and not full[:, :, n:].any()
+        assert np.abs(full[:, :n, :n] - face).max() <= bound * np.abs(face).max()
+    assert (beta, case_tag) == (0.0, "a")
+    assert abs(it.alpha - alpha) <= bound * alpha
+    assert it.shifted.tobytes() == (it.qs - it.alpha * np.eye(n)).tobytes()
+    assert it.grads.tobytes() == (4.0 * (it.Cs @ it.shifted)).tobytes()
+    assert _tail_magnitude(it.q_field, grid) == pytest.approx(evaluator.tail_magnitude, rel=bound)
 
 
 @pytest.mark.parametrize("config", [
@@ -693,22 +769,30 @@ def test_run_state_is_the_public_computation_to_the_bit(monkeypatch, config, ind
 ])
 def test_each_trial_solves_its_chains_once_and_takes_their_moduli_once(monkeypatch, config):
     action_module = importlib.import_module("kreinact.action")
-    counts = {"eig": 0, "moduli": 0}
+    minimize_module = importlib.import_module("kreinact.minimize")
+    counts = {"face eigh": 0, "eig": 0, "moduli": 0}
 
-    def counting(name, fn):
+    def counting(name, fn, face=False):
         def counted(*args, **kwargs):
-            counts[name] += 1
+            # The face chains are n x n; the reports' spectra are 2n x 2n.
+            if not face or np.shape(args[0])[-1] == config.n:
+                counts[name] += 1
             return fn(*args, **kwargs)
         return counted
 
+    monkeypatch.setattr(np.linalg, "eigh", counting("face eigh", np.linalg.eigh, face=True))
     monkeypatch.setattr(np.linalg, "eig", counting("eig", np.linalg.eig))
-    monkeypatch.setattr(action_module, "_moduli", counting("moduli", action_module._moduli))
+    moduli = counting("moduli", action_module._moduli)
+    for module in (action_module, minimize_module):
+        monkeypatch.setattr(module, "_moduli", moduli)
     result = minimize_action(config)
     trials = sum(row["trials"] for row in result.trace)
-    assert trials >= config.max_iterations
-    # The initial iterate solves its chains twice, by action() and by its
-    # evaluator; every trial once, and its field reuses that solve's moduli.
-    assert counts == {"eig": trials + 1, "moduli": trials + 2}
+    assert trials >= len(result.trace) - 1
+    # The initial iterate and every trial solve their face chains once and
+    # take their moduli once; an accepted trial builds its field from that
+    # solve.  The returned result's full-space action and field take their
+    # moduli once each, and only the field makes an eig.
+    assert counts == {"face eigh": trials + 1, "eig": 1, "moduli": trials + 3}
 
 
 def test_each_line_search_trial_makes_one_eigensolve(monkeypatch):
@@ -716,39 +800,44 @@ def test_each_line_search_trial_makes_one_eigensolve(monkeypatch):
 
     calls = []
 
-    def counting(name, fn):
+    def counting(name, fn, face=False):
         def counted(*args, **kwargs):
-            calls.append(name)
+            if not face or np.shape(args[0])[-1] == TOY.n:
+                calls.append(name)
             return fn(*args, **kwargs)
         return counted
 
     monkeypatch.setattr(np.linalg, "eig", counting("eig", np.linalg.eig))
     monkeypatch.setattr(np.linalg, "eigvals", counting("eigvals", np.linalg.eigvals))
-    monkeypatch.setattr(minimize_module, "_solved_action",
-                        counting("trial", minimize_module._solved_action))
+    monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh, face=True))
+    monkeypatch.setattr(minimize_module._FixedSupport, "trial",
+                        counting("trial", minimize_module._FixedSupport.trial))
     result = minimize_action(replace(TOY, max_iterations=10))
     trials = calls.count("trial")
     assert trials >= len(result.trace) - 1
     assert sum(row["trials"] for row in result.trace) == trials
-    # eigvals only in the first action(); every trial is one eig stack, and
-    # an accepted trial builds its field from that same solve.
-    assert calls == ["eigvals", "eig"] + ["trial", "eig"] * trials
+    # One face eigh for the initial iterate and one per trial; an accepted
+    # trial builds its field from that same solve.  The full space solves
+    # the returned measure's chains once for its field and once for its action.
+    assert calls == ["eigh"] + ["trial", "eigh"] * trials + ["eig", "eigvals"]
 
 
 def test_stop_test_skips_the_shifted_eigensolve_until_the_residual_bound_passes(
     monkeypatch, toy_seed_results
 ):
-    # A report can pass only if max_j ||A_j T_j||_F^2 <= d tol^2, so most
-    # iterations skip the stacked eigh of the shifted field; the runs stay the same.
+    # A report can pass only if max_j ||B_j T_j||_F^2 <= n tol^2, so most
+    # iterations skip the stacked eigvalsh of the shifted field; the runs
+    # stay the same.  Seeds 0-39, since a face run takes 3-9 iterations.
     calls = []
-    eigh = np.linalg.eigh
+    eigvalsh = np.linalg.eigvalsh
 
     def counted(a, *args, **kwargs):
-        calls.append(len(a))
-        return eigh(a, *args, **kwargs)
+        if np.shape(a)[-1] == TOY.n:
+            calls.append(len(a))
+        return eigvalsh(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", counted)
-    results = [minimize_action(replace(TOY, seed=s)) for s in range(8)]
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    results = [minimize_action(replace(TOY, seed=s)) for s in range(40)]
     iterations = sum(len(result.trace) for result in results)
     assert iterations >= 100
     assert len(calls) <= iterations // 4
@@ -759,7 +848,9 @@ def test_stop_test_skips_the_shifted_eigensolve_until_the_residual_bound_passes(
 
 def test_support_tables_are_built_once_per_run_and_no_inverse_is_screened(monkeypatch):
     # The momenta and the grid are fixed for a run, so their phase tables
-    # are too; a well-conditioned run never needs the slogdet screen.
+    # are too, and the returned result's full-space field and action reuse
+    # them.  The face solves invert nothing, and the full-space field of a
+    # well-conditioned result never needs the slogdet screen.
     from kreinact.action import _SupportTables
 
     calls = []
@@ -774,7 +865,7 @@ def test_support_tables_are_built_once_per_run_and_no_inverse_is_screened(monkey
 
     monkeypatch.setattr(_SupportTables, "__init__", counted_build)
     monkeypatch.setattr(np.linalg, "slogdet", no_slogdet)
-    result = minimize_action(TOY)
+    result = minimize_action(N2_REF)
     assert sum(row["trials"] for row in result.trace) >= 10
     assert calls == ["tables"]
 
