@@ -39,8 +39,14 @@ kernel: ``P`` depends on ``xi`` only through the phases ``p_j . xi``, so
 where all atoms have a zero coordinate along a position axis with more than
 one point, the points along it share their chain.  Points are grouped by
 bitwise equal phases, so the results are those of one solve per point to
-the bit.  The public entries check ``delta`` and 4-vectors; the array
-cores :func:`_plus_kernel`, :func:`_moduli`, :func:`_lagrangian_values`,
+the bit.  Both sums over phases, the kernels ``P_+`` and the Fourier sum
+of ``Qhat``, are stacks of BLAS matrix-vector products (:func:`_phase_sum`),
+one per row, so each row rounds as it would alone: ``evaluate(p)`` equals
+its row of ``evaluate_many`` and a one-point field its row of a grid's to
+the bit.  One 2-D matrix product would be faster still, but the rows of a
+matrix product round differently from the same rows taken alone.  The
+public entries check ``delta`` and 4-vectors; the array
+cores :func:`_phase_sum`, :func:`_moduli`, :func:`_lagrangian_values`,
 :func:`_modulus_slopes`, :func:`_gradient_field` and :func:`_fourier_qhat`,
 which the minimizer's face descent calls and :class:`QHatEvaluator` wraps,
 take them checked.
@@ -182,9 +188,13 @@ def _kernel_phases(momenta: np.ndarray, points: np.ndarray) -> np.ndarray:
     return np.exp(1j * (points @ momenta.T))
 
 
-def _plus_kernel(operators: np.ndarray, phases: np.ndarray) -> np.ndarray:
-    """``P_+(xi) = sum_j exp(i p_j . xi) A_j`` for each row of a :func:`_kernel_phases` table."""
-    return np.einsum("xj,jab->xab", phases, operators)
+def _phase_sum(phases: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """``sum_j phases[r, j] stack[j]`` for each row ``r`` of a phase table: the kernels
+    ``P_+(xi) = sum_j exp(i p_j . xi) A_j`` of a :func:`_kernel_phases` table, or
+    half of ``Qhat`` from a :meth:`_SupportTables.fourier_phases` table and a field.
+    One BLAS matrix-vector product per row, so each row rounds as it would alone."""
+    d = stack.shape[-1]
+    return (phases[:, None, :] @ stack.reshape(len(stack), d * d)).reshape(len(phases), d, d)
 
 
 class _SupportTables:
@@ -229,14 +239,15 @@ class _SupportTables:
     def fourier_phases(self, ps: np.ndarray) -> np.ndarray:
         """``(fw_r / 2) e^{-i p . xi_r}``, one row per momentum ``p`` of ``ps``."""
         # A stack of matrix-vector products rounds each momentum's phases the
-        # same way whatever the batch size; a matrix product would not.
+        # same way whatever the batch size, as :func:`_phase_sum` then rounds
+        # its Fourier sum; a matrix product would not.
         return 0.5 * self.folded_weights * np.exp(-1j * self.points @ ps[:, :, None])[:, :, 0]
 
 
 def kernel_P(measure: OperatorMeasure, xi) -> np.ndarray:
     """Kernel ``P(xi) = -sum_j exp(i p_j . xi) A_j``."""
     xi = _four_vector(xi, "xi")
-    return -_plus_kernel(measure.operators, _kernel_phases(measure.momenta, xi[None]))[0]
+    return -_phase_sum(_kernel_phases(measure.momenta, xi[None]), measure.operators)[0]
 
 
 def closed_chain(P: np.ndarray, space: SignatureSpace) -> ClosedChainSpectrum:
@@ -273,7 +284,7 @@ def lagrangian(spectrum: ClosedChainSpectrum, smoothing_delta: float = 0.0) -> f
 
 def _chain_field(operators: np.ndarray, sig: np.ndarray, phases: np.ndarray):
     """Batched kernels and chains from a :func:`_kernel_phases` table: returns (P_plus, chains)."""
-    Pp = _plus_kernel(operators, phases)
+    Pp = _phase_sum(phases, operators)
     return Pp, Pp @ _adjoint(Pp, sig)
 
 
@@ -389,7 +400,8 @@ def _gradient_field(operators: np.ndarray, space: SignatureSpace, support: _Supp
         xi = support.points[support.class_firsts[k]]
         # A lone estimate, unpaired with its reflection's, stalls exact-Lagrangian descents.
         estimates = [
-            _fd_gradient(_plus_kernel(operators, _kernel_phases(support.momenta, -x[None]))[0], x, space, delta)
+            _fd_gradient(_phase_sum(_kernel_phases(support.momenta, -x[None]), operators)[0],
+                         x, space, delta)
             for x in ((xi,) if k in origin_class else (xi, -xi))
         ]
         q_class[k] = 0.5 * (estimates[0] + _adjoint(estimates[-1], sig))
@@ -465,7 +477,7 @@ class QHatEvaluator:
 
 def _fourier_qhat(phases: np.ndarray, q_field: np.ndarray, sig: np.ndarray) -> np.ndarray:
     """``Qhat`` at the momenta of a :meth:`_SupportTables.fourier_phases` table, from ``Q`` on its points."""
-    half = np.einsum("kx,xab->kab", phases, q_field)
+    half = _phase_sum(phases, q_field)
     return half + _adjoint(half, sig)
 
 

@@ -35,11 +35,17 @@ Byrd, Nocedal & Schnabel (Math. Program. 63, 1994), updated by one row
 and column per accepted pair, so a step costs the same few
 matrix-vector products however long the memory is.  The first trial
 step is 1 while the memory holds pairs and ``INITIAL_STEP`` otherwise,
-safeguarded by monotone backtracking: a trial is accepted only if it
-strictly lowers the action.  What a run never changes (the space, box,
-atom momenta, position grid, ``delta``, targets, and the phase tables
-built from them) is held once in a private run object, and the loop
-passes it bare n x n stacks.
+safeguarded by monotone backtracking.  Trials are compared at the exact
+trace: the restored ``sum_j Tr B_j`` misses c by rounding, and
+``dS/dTr = 2 alpha`` at every iterate, so a trial counts as
+``S(B) - 2 alpha (sum_j Tr B_j - c)``, with the current iterate's alpha
+and the deviation summed exactly.  It is accepted if that is at most
+the current value: a strict test on the raw action stalled seeds whose
+last step gained less than the action's rounding.  The trace logs the
+compared value as each iterate's action, so it never rises.  What a
+run never changes (the space, box, atom momenta, position grid,
+``delta``, targets, and the phase tables built from them) is held once
+in a private run object, and the loop passes it bare n x n stacks.
 The loop stops at the first iterate whose full-space first-order report
 (of ``diag(B_j, 0)`` with ``Qhat = diag(Qhat_11, 0)``, at the multipliers of
 :func:`~kreinact.elverify.lagrange_parameters`) passes
@@ -52,12 +58,12 @@ returned action, multipliers and report are the full space's own: one
 so ``kreinact verify`` with the run's targets reproduces the report.
 Toy seeds 0-7 certify in 4-7 iterations, the n=2 reference in 97.
 :func:`restore_constraints` keeps the two-block scaling of any measure,
-choosing the case by the rule that also picks the multipliers' case,
-:func:`~kreinact.elverify._bound_active`.
+in the case its caller passes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, fields
 from typing import NamedTuple
 
@@ -68,16 +74,15 @@ from .action import (
     PositionGrid,
     QHatEvaluator,
     _check_delta,
-    _fourier_qhat,
     _lagrangian_values,
     _moduli,
     _modulus_slopes,
-    _plus_kernel,
+    _phase_sum,
     _SupportTables,
     _tail_magnitude,
     action,
 )
-from .elverify import ELReport, _bound_active, check_first_order, el_residuals, lagrange_parameters, pushforward
+from .elverify import ELReport, check_first_order, el_residuals, lagrange_parameters, pushforward
 from .errors import RestorationError, ValidationError, _check_count, _check_real, _entries
 from .homomeasure import MomentumBox, OperatorMeasure, _check_targets
 from .krein import _BOUND_SLACK, SignatureSpace, _hermitize, _squared_frobenius
@@ -172,27 +177,25 @@ def config_from_dict(data: dict) -> MinimizeConfig:
 # Constraint restoration
 # ---------------------------------------------------------------------------
 
-def _restoring_factors(
-    total: np.ndarray, n: int, c: float, f: float, case: str | None = None
-) -> np.ndarray:
-    """Diagonal ``d`` of the congruence ``A -> D A D`` of :func:`restore_constraints`.
+def restore_constraints(measure: OperatorMeasure, case: str, c: float, f: float) -> OperatorMeasure:
+    """Rescale the signature blocks so the constraint targets hold exactly.
 
-    ``case=None`` applies the package's case rule
-    (:func:`~kreinact.elverify._bound_active`): "a" unless the signed trace
-    after its uniform scaling makes the bound active, or the total trace is
-    not positive; "b" otherwise.
+    Case "a" rescales uniformly to ``Tr = c``; case "b" solves the 2x2
+    linear system in the squared block scalings so that ``Tr = c`` and
+    ``Tr(S .) = f`` hold simultaneously.  The congruence ``A -> D A D``
+    preserves positivity; targets unreachable by positive scalings raise
+    :class:`~kreinact.errors.RestorationError`.
     """
+    _check_targets(c, f)
+    n, total = measure.space.n, measure.total()
     t11, t22 = float(total[:n, :n].trace().real), float(total[n:, n:].trace().real)
     tiny = 1e-14 * max(abs(t11), abs(t22), 1.0)
-    u = t11 + t22
-    if case is None:
-        case = "a" if u > tiny and not _bound_active(c / u * (t11 - t22), f) else "b"
     if case == "a":
-        if u <= tiny:
+        if t11 + t22 <= tiny:
             raise RestorationError(
                 "total trace is not positive; uniform rescaling cannot reach the target"
             )
-        x = y = c / u
+        x = y = c / (t11 + t22)
     elif case == "b":
         # x*t11 = (c+f)/2 and y*t22 = (c-f)/2 with t11 >= 0 >= t22.
         if t11 <= tiny or t22 >= -tiny:
@@ -204,20 +207,7 @@ def _restoring_factors(
         y = 0.5 * (c - f) / t22
     else:
         raise ValidationError(f"unknown restoration case {case!r}")
-    return np.repeat(np.sqrt([x, y]), n)
-
-
-def restore_constraints(measure: OperatorMeasure, case: str, c: float, f: float) -> OperatorMeasure:
-    """Rescale the signature blocks so the constraint targets hold exactly.
-
-    Case "a" rescales uniformly to ``Tr = c``; case "b" solves the 2x2
-    linear system in the squared block scalings so that ``Tr = c`` and
-    ``Tr(S .) = f`` hold simultaneously.  The congruence preserves
-    positivity; targets unreachable by positive scalings raise
-    :class:`~kreinact.errors.RestorationError`.
-    """
-    _check_targets(c, f)
-    d = _restoring_factors(measure.total(), measure.space.n, c, f, case)
+    d = np.repeat(np.sqrt([x, y]), n)
     ops = d[None, :, None] * measure.operators * d[None, None, :]
     return measure.with_operators(ops, validate=False)
 
@@ -234,10 +224,14 @@ class MinimizeResult:
     ``stop_reason`` says what ended the loop:
     ``"certified"`` (the iterate's own report passed at
     ``CERTIFY_FRACTION * tol_el``), ``"stalled"`` (no line-search trial in
-    ``MAX_BACKTRACKS`` lowered the action) or ``"max_iterations"``.  Each
-    ``trace`` row holds the iterate's action, constraint values, first trial
-    ``step``, ``grad_norm``, ``escapes`` (always 0) and ``trials``: the
-    line-search trials that iteration made, one face ``eigh`` each.
+    ``MAX_BACKTRACKS`` reached the current action, compared at the exact
+    trace) or ``"max_iterations"``.  Each ``trace`` row holds the iterate's
+    action as the line search compares it, ``S - 2 alpha (Tr - c)`` with the
+    trace deviation summed exactly (the returned ``action_value`` is the
+    full space's own), constraint values, first trial ``step``,
+    ``grad_norm``, ``escapes`` (always 0), ``trials`` (the line-search trials
+    that iteration made, one face ``eigh`` each) and the iterate's face
+    multiplier ``alpha``, which its trials are compared at.
     """
 
     measure: OperatorMeasure
@@ -391,7 +385,7 @@ class _FixedSupport:
         """``(action, B, solved)`` of restored factors: one batched ``eigh`` of the
         Hermitian chains ``H = K K^H`` of the kernel classes, ``solved = (K, s, U, m)``."""
         B = Cs.conj().swapaxes(-1, -2) @ Cs
-        K = _plus_kernel(B, self.support.kernel_phases)
+        K = _phase_sum(self.support.kernel_phases, B)
         s, U = np.linalg.eigh(K @ K.conj().swapaxes(-1, -2))
         # The chain diag(H, 0) adds n zero eigenvalues, of modulus delta.
         m = _moduli(np.concatenate([s, np.zeros_like(s)], axis=1), self.delta)
@@ -407,9 +401,16 @@ class _FixedSupport:
         q_field[fixed] = _hermitize(q_field[fixed])
         return q_field
 
+    def compared(self, value: float, B: np.ndarray, alpha: float) -> float:
+        """The action ``value`` of blocks ``B`` taken back to the exact trace:
+        ``value - 2 alpha (sum_j Tr B_j - c)``, the deviation summed exactly."""
+        excess = math.fsum([*np.diagonal(B, axis1=1, axis2=2).real.ravel(), -self.c])
+        return value - 2.0 * alpha * excess
+
     def trial(self, Cs_raw: np.ndarray, to_beat: float, row: dict):
-        """``(action, iterate)`` of the restored ``Cs_raw`` if its action is below
-        ``to_beat``; None for a rejected trial, also one that cannot be restored.
+        """``(value, iterate)`` of the restored ``Cs_raw`` if its :meth:`compared`
+        action, at the current iterate's ``row["alpha"]``, is at most ``to_beat``;
+        None for a rejected trial, also one that cannot be restored.
         Its one ``eigh`` gives the action and, on acceptance, the gradient field;
         it is counted on ``row``."""
         row["trials"] += 1
@@ -417,15 +418,18 @@ class _FixedSupport:
         if Cs is None:
             return None
         value, B, solved = self.solve(Cs)
-        if not value < to_beat:
+        value = self.compared(value, B, row["alpha"])
+        if not value <= to_beat:
             return None
         return value, self.state(Cs, B, self.field(*solved))
 
     def state(self, Cs: np.ndarray, B: np.ndarray, q_field: np.ndarray) -> _Iterate:
         """The iterate of factors ``Cs`` with blocks ``B`` and gradient field ``q_field``."""
-        qs = _fourier_qhat(self.phases, q_field, np.ones(self.space.n))
-        # Tr(S total) = Tr total < f: case "a", beta = 0 and alpha = sum_j Tr(Qhat_11 B_j) / c.
-        alpha = float(np.einsum("jab,jba->", qs, B).real) / self.c
+        half = _phase_sum(self.phases, q_field)
+        qs = half + half.conj().swapaxes(-1, -2)
+        # Tr(S total) = Tr total < f: case "a", beta = 0 and alpha = sum_j Tr(Qhat_11 B_j) / c,
+        # the pairing of two Hermitian stacks.
+        alpha = float(np.vdot(B, qs).real) / self.c
         shifted = qs - alpha * np.eye(self.space.n)
         trace = float(np.trace(B.sum(axis=0)).real)
         return _Iterate(Cs, B, q_field, qs, trace, alpha, shifted, 4.0 * (Cs @ shifted))
@@ -454,8 +458,9 @@ def minimize_action(config: MinimizeConfig) -> MinimizeResult:
     # The leading n x n blocks of the full-space draw, so each seed keeps its
     # random stream; the restoration fixes the scale, so none is chosen here.
     Cs = run.restore((rng.standard_normal((k, d, d)) + 1j * rng.standard_normal((k, d, d)))[:, :n, :n])
-    current_action, B, solved = run.solve(Cs)
+    value, B, solved = run.solve(Cs)
     it = run.state(Cs, B, run.field(*solved))
+    current_action = run.compared(value, B, it.alpha)
     trace_log: list = []
     previous = None  # real views of (Cs, G) before the last accepted step
     memory = _CurvatureMemory(2 * Cs.size)
@@ -488,6 +493,7 @@ def minimize_action(config: MinimizeConfig) -> MinimizeResult:
             # reads both.
             "escapes": 0,
             "trials": 0,
+            "alpha": it.alpha,
         }
         trace_log.append(row)
 

@@ -36,6 +36,7 @@ from kreinact.action import (
     _chain_solve,
     _eig_gradient_factors,
     _kernel_phases,
+    _phase_sum,
     _SupportTables,
 )
 from kreinact.minimize import _FixedSupport
@@ -614,12 +615,62 @@ def test_qhat_evaluate_many_consistent():
         ev = QHatEvaluator(meas, grid)
         ps = np.vstack([meas.momenta, [[0.0, 0, 0, 0]], rng.uniform(-1, 1, (3, 4))])
         many = ev.evaluate_many(ps)
+        d = sp.dim
         for i, p in enumerate(ps):
-            np.testing.assert_allclose(many[i], ev.evaluate(p), atol=1e-13)
-            # The per-momentum quadrature loop, same arithmetic: equal to the bit.
+            np.testing.assert_array_equal(many[i], ev.evaluate(p))
+            # The per-momentum quadrature loop, one matrix-vector product as
+            # in the stack: equal to the bit.
             phases = 0.5 * grid.folded_weights * np.exp(-1j * grid.points[grid.representatives] @ p)
-            half = np.einsum("x,xab->ab", phases, ev.q_field)
+            half = (phases @ ev.q_field.reshape(len(ev.q_field), d * d)).reshape(d, d)
             np.testing.assert_array_equal(many[i], half + krein_adjoint(half, sp))
+
+
+def _certify_sized_case():
+    """A random 27-atom n=2 measure on a (5,5,5,9) grid of 1125 points, the certify benchmark's size."""
+    rng = make_rng(38)
+    meas = random_measure_for(SignatureSpace(2), rng, n_atoms=27, shape=(3, 3, 3, 1))
+    return meas, PositionGrid.from_box(3.0, (5, 5, 5, 9)), rng
+
+
+def test_kernel_rows_round_as_alone_at_certify_size():
+    # One matrix-vector product per row: each kernel of the full table is
+    # the single-row call to the bit, which one 2-D matrix product is not.
+    meas, grid, _ = _certify_sized_case()
+    table = _kernel_phases(meas.momenta, grid.points)
+    full = _phase_sum(table, meas.operators)
+    for i in range(len(table)):
+        assert full[i].tobytes() == _phase_sum(table[i : i + 1], meas.operators)[0].tobytes(), i
+
+
+def test_qhat_and_field_rows_round_as_alone_at_certify_size():
+    # evaluate(p) is its row of evaluate_many, and the grid's field at a
+    # point is gradient_kernel_Q there, to the bit.
+    meas, grid, rng = _certify_sized_case()
+    ev = QHatEvaluator(meas, grid, smoothing_delta=1e-2)
+    ps = np.vstack([meas.momenta, rng.uniform(-1.0, 1.0, (27, 4))])
+    many = ev.evaluate_many(ps)
+    for i, p in enumerate(ps):
+        np.testing.assert_array_equal(many[i], ev.evaluate(p))
+    for i in range(0, len(grid.points), 5):
+        q = ev.q_field[grid.orbit[i]]
+        if grid.representatives[grid.orbit[i]] != i:
+            q = krein_adjoint(q, meas.space)
+        np.testing.assert_array_equal(q, gradient_kernel_Q(meas, grid.points[i], 1e-2))
+
+
+def test_phase_sums_over_no_atoms_or_no_momenta_are_empty():
+    # The stack is reshaped to (k, d*d) with d*d explicit: reshape(0, -1) raises.
+    sp = SignatureSpace(2)
+    grid = PositionGrid.from_box(2.0, (5, 3, 1, 1))
+    empty = OperatorMeasure(sp, unit_momentum_box((3, 3, 3, 1)), np.zeros((0, 4)), np.zeros((0, 4, 4)))
+    np.testing.assert_array_equal(_phase_sum(_kernel_phases(empty.momenta, grid.points), empty.operators),
+                                  np.zeros((grid.n_points, 4, 4)))
+    np.testing.assert_array_equal(kernel_P(empty, [0.5, 0.0, 0.0, 0.0]), np.zeros((4, 4)))
+    ev = QHatEvaluator(empty, grid, smoothing_delta=1e-2)
+    assert not ev.q_field.any() and action(empty, grid, 1e-2) == 0.0
+    np.testing.assert_array_equal(ev.evaluate([0.5, 0.0, 0.0, 0.0]), np.zeros((4, 4)))
+    meas = random_measure_for(sp, make_rng(39))
+    assert QHatEvaluator(meas, grid).evaluate_many(np.zeros((0, 4))).shape == (0, 4, 4)
 
 
 def test_qhat_is_krein_symmetric_and_the_full_grid_quadrature():

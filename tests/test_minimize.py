@@ -34,8 +34,8 @@ from kreinact import (
 )
 from kreinact.action import _tail_magnitude
 from kreinact.krein import _hermitian_form
-from kreinact.minimize import INITIAL_STEP, LBFGS_MEMORY, MAX_BACKTRACKS, _CurvatureMemory, _restoring_factors
-from kreinact.tolerances import CONSTRAINT, ZERO_EIGENVALUE
+from kreinact.minimize import INITIAL_STEP, LBFGS_MEMORY, MAX_BACKTRACKS, _CurvatureMemory
+from kreinact.tolerances import ZERO_EIGENVALUE
 
 SP1 = SignatureSpace(1)
 
@@ -223,31 +223,6 @@ def test_bad_constraint_targets_are_rejected_alike(c, f):
             reject()
         messages.append(str(err.value))
     assert messages == [f"constraint targets must satisfy 0 < c < f, got c={c}, f={f}"] * 3
-
-
-def _total_scaling_to(signed: float, c: float = 0.5) -> np.ndarray:
-    """``diag(t11, t22)`` whose uniform scaling to ``Tr = c`` has ``Tr(S .) = signed``."""
-    r = signed / c
-    t22 = -0.25
-    return np.diag([t22 * (1 + r) / (1 - r), t22]).astype(complex)
-
-
-@pytest.mark.parametrize(
-    "total, case",
-    [
-        (_total_scaling_to(0.75), "a"),
-        (_total_scaling_to(1.0 - 2 * CONSTRAINT), "a"),
-        (_total_scaling_to(1.0 - CONSTRAINT / 2), "b"),
-        (_total_scaling_to(1.5), "b"),
-        (np.diag([0.2, -0.5]).astype(complex), "b"),  # total trace not positive
-    ],
-    ids=["below-band", "just-below-band", "in-band", "above-bound", "non-positive-trace"],
-)
-def test_restoration_rule_scales_uniformly_only_below_the_band(total, case):
-    # c = 0.5, f = 1: the band of the active bound starts at f (1 - CONSTRAINT).
-    factors = _restoring_factors(total, 1, 0.5, 1.0)
-    np.testing.assert_array_equal(factors, _restoring_factors(total, 1, 0.5, 1.0, case))
-    assert (factors[0] == factors[1]) == (case == "a")
 
 
 # ---------------------------------------------------------------------------
@@ -588,6 +563,20 @@ def test_n2_reference_run_certifies_under_rounding_level_field_changes(monkeypat
     assert result.converged
     assert len(result.trace) < 200
     assert result.action_value == pytest.approx(0.387773404, abs=2e-9)
+
+
+@pytest.mark.parametrize("delta, eps", [
+    (1e-2, -3e-15), (1e-2, 3e-15), (1e-2, -1e-14), (0.0, -1e-15), (0.0, 1e-14),
+])
+def test_toy_at_c1_f2_certifies_under_rounding_level_field_changes(monkeypatch, delta, eps):
+    # The restored trace misses c by rounding, and dS/dTr = 2 alpha scatters
+    # the raw actions of trials (S about 311 here) by ulps.  Under a strict
+    # test of the raw action each of these cases stalls one or two seeds;
+    # compared at the exact trace with ties accepted, none does.
+    _scale_minimizer_field(monkeypatch, eps)
+    results = [minimize_action(replace(TOY, c=1.0, f=2.0, seed=s, smoothing_delta=delta)) for s in range(8, 40)]
+    assert [result.stop_reason for result in results] == ["certified"] * 32
+    assert all(result.converged for result in results)
 
 
 @pytest.mark.parametrize("eps", [0.0, 1e-13])
