@@ -13,14 +13,20 @@ signed-trace bound is inactive, beta = 0 (case "a"), and the one scalar
 restoration acts as the retraction onto the feasible set.
 
 With ``K(xi) = sum_j e^{i p_j . xi} B_j`` the closed chain is the Hermitian
-``diag(H, 0)``, ``H = K K^H``: each line-search trial makes one batched
-``eigh`` of ``H`` over the grid's kernel classes, and the n zero
-eigenvalues enter the moduli as ``delta``.  An accepted trial builds the
-field ``Q_11 = Phi K`` from the same solve, with
+``diag(H, 0)``, ``H = K K^H``.  A line-search trial works on the grid's
+kernel classes alone, one row each, with no gather: it makes one batched
+``eigh`` of ``H`` over them, and the n zero eigenvalues of the chain,
+of modulus ``delta``, enter the Lagrangian and its slopes in closed form
+(:func:`_face_lagrangian`).  The action is one dot product of the
+classes' Lagrangians with their summed weights.  An accepted trial builds
+the field ``Q_11 = Phi K`` of each class from the same solve, with
 ``Phi = U diag(g_i s_i / m_i) U^H`` and ``g_i = dL/dm_i`` (at
 ``delta = 0``, ``s / m = 1`` and ``Phi = 2H - (Tr H / n) 1``), and the
-Fourier gradient ``Qhat_11`` at the atoms.  The full-space field of
-``diag(B_j, 0)`` is ``diag(Q_11, 0)``: it vanishes off the positive block.
+Fourier gradient ``Qhat_11`` at the atoms as one phase sum over the
+classes, with Fourier phases summed over each class's representatives
+once per run.  Only the report gathers the field at the representatives.
+The full-space field of ``diag(B_j, 0)`` is ``diag(Q_11, 0)``: it
+vanishes off the positive block.
 Each step starts from the gradient of the Lagrangian function
 ``G_j = 4 C_j (Qhat_11(p_j) - alpha)``, ``alpha = sum_j Tr(Qhat_11 B_j) / c``,
 whose norm vanishes exactly where the Euler-Lagrange conditions hold on
@@ -74,9 +80,7 @@ from .action import (
     PositionGrid,
     QHatEvaluator,
     _check_delta,
-    _lagrangian_values,
     _moduli,
-    _modulus_slopes,
     _phase_sum,
     _SupportTables,
     _tail_magnitude,
@@ -325,11 +329,25 @@ class _CurvatureMemory:
         return gamma * (a @ Y - g) - b @ S
 
 
+def _face_lagrangian(m: np.ndarray, delta: float):
+    """Lagrangian values and slopes ``g_i = dL/dm_i`` of the chains ``diag(H, 0)``
+    from the moduli ``m`` (``..., n``) of the eigenvalues of ``H`` alone.
+
+    The n zero eigenvalues have modulus ``delta`` and enter in closed form:
+    over the 2n moduli ``sum m^2 = sum_i m_i^2 + n delta^2`` (``= sum s_i^2 +
+    2 n delta^2``) and ``sum m = sum_i m_i + n delta``.  Both sums run over the
+    rounded ``m_i``, as :func:`~kreinact.action._lagrangian_values` takes them,
+    so their rounding cancels where the moduli are nearly equal.
+    """
+    n = m.shape[-1]
+    total = m.sum(axis=-1, keepdims=True) + n * delta
+    values = np.maximum((m * m).sum(axis=-1) + n * delta**2 - total[..., 0] ** 2 / (2 * n), 0.0)
+    return values, 2.0 * m - total / n
 
 
 class _Iterate(NamedTuple):
     """An iterate on the face as bare n x n stacks: factors ``Cs`` and blocks
-    ``B``, the field ``Q_11`` on the grid's representatives and
+    ``B``, the field ``Q_11`` with one row per kernel class and
     ``qs = Qhat_11`` at the atoms, ``Tr B`` of the total, ``alpha``,
     ``Qhat_11 - alpha`` at the atoms and the factor gradients ``G_j``."""
 
@@ -347,10 +365,12 @@ class _FixedSupport:
     """What a minimization run fixes, and the objective on its face factor stacks.
 
     A run moves the factors, never the space, box, atom momenta, position
-    grid, ``delta`` or targets; the support tables and the Fourier phases
-    at the atom momenta are built from those once.  The loop passes bare
+    grid, ``delta`` or targets; the support tables, the Fourier phases at
+    the atom momenta summed over each kernel class's representatives, and
+    the n x n identity are built from those once.  The loop passes bare
     n x n stacks through :meth:`restore`, :meth:`solve`, :meth:`trial` and
-    :meth:`state`; public objects are built only for what leaves it.
+    :meth:`state`, one row per kernel class; public objects are built only
+    for what leaves it.
     """
 
     def __init__(self, config: MinimizeConfig):
@@ -360,7 +380,10 @@ class _FixedSupport:
         self.momenta = self.box.grid_points()
         self.delta, self.c, self.f = float(config.smoothing_delta), config.c, config.f
         self.support = _SupportTables(self.momenta, self.grid)
-        self.phases = self.support.fourier_phases(self.momenta)
+        self.eye = np.eye(self.space.n)
+        phases = self.support.fourier_phases(self.momenta)
+        self.class_phases = np.zeros((len(phases), len(self.support.class_firsts)), complex)
+        np.add.at(self.class_phases.T, self.support.kernel_class, phases.T)
 
     def measure(self, A: np.ndarray) -> OperatorMeasure:
         return OperatorMeasure(self.space, self.box, self.momenta, A, validate=False)
@@ -376,27 +399,35 @@ class _FixedSupport:
         """``Cs_raw`` scaled to ``Tr B = c``; None where no positive scale reaches it,
         as for factors that all vanish or whose squared norm overflows."""
         # Tr(S total) = Tr total = sum_j ||C_j||_F^2 < f, so one scalar reaches Tr = c.
-        total = float(_squared_frobenius(Cs_raw).sum())
-        if not (total > 0.0 and np.isfinite(total)):
+        total = float(np.vdot(Cs_raw, Cs_raw).real)
+        if not (total > 0.0 and math.isfinite(total)):
             return None
-        return Cs_raw * np.sqrt(self.c / total)
+        return Cs_raw * math.sqrt(self.c / total)
 
     def solve(self, Cs: np.ndarray):
         """``(action, B, solved)`` of restored factors: one batched ``eigh`` of the
-        Hermitian chains ``H = K K^H`` of the kernel classes, ``solved = (K, s, U, m)``."""
+        Hermitian chains ``H = K K^H`` of the kernel classes, the moduli ``m`` of its
+        eigenvalues ``s`` and :func:`_face_lagrangian`; ``solved = (K, s, U, m, slopes)``."""
         B = Cs.conj().swapaxes(-1, -2) @ Cs
         K = _phase_sum(self.support.kernel_phases, B)
         s, U = np.linalg.eigh(K @ K.conj().swapaxes(-1, -2))
-        # The chain diag(H, 0) adds n zero eigenvalues, of modulus delta.
-        m = _moduli(np.concatenate([s, np.zeros_like(s)], axis=1), self.delta)
-        return self.support.integral(_lagrangian_values(m)), B, (K, s, U, m)
+        m = _moduli(s, self.delta)
+        values, slopes = _face_lagrangian(m, self.delta)
+        return self.support.integral(values), B, (K, s, U, m, slopes)
 
-    def field(self, K, s, U, m) -> np.ndarray:
-        """``Q_11 = Phi K`` at the representatives, ``Phi = U diag(g_i s_i / m_i) U^H``
-        (``s / m = 1`` at ``delta = 0``, so ``Phi = 2H - (Tr H / n) 1`` there)."""
-        n = self.space.n
-        weights = _modulus_slopes(m)[:, :n] * (s / m[:, :n] if self.delta else 1.0)
-        q_field = (((U * weights[:, None, :]) @ U.conj().swapaxes(-1, -2)) @ K)[self.support.kernel_class]
+    def field(self, K, s, U, m, slopes) -> np.ndarray:
+        """``Q_11 = Phi K`` of each kernel class, ``Phi = U diag(g_i s_i / m_i) U^H`` with
+        the slopes ``g_i`` of :func:`_face_lagrangian` (``s / m = 1`` at ``delta = 0``, so
+        ``Phi = 2H - (Tr H / n) 1`` there).  The origin's row is not Krein symmetrized: its
+        Fourier phase is real, so :meth:`state`'s ``half + half^H`` cancels the part that
+        symmetrizing removes."""
+        weights = slopes * (s / m if self.delta else 1.0)
+        return ((U * weights[:, None, :]) @ U.conj().swapaxes(-1, -2)) @ K
+
+    def representative_field(self, q_class: np.ndarray) -> np.ndarray:
+        """The field at the grid's representatives from its kernel classes' rows, the
+        origin's Krein symmetrized as the full space's field is."""
+        q_field = q_class[self.support.kernel_class]
         fixed = self.support.origin_rows
         q_field[fixed] = _hermitize(q_field[fixed])
         return q_field
@@ -404,7 +435,7 @@ class _FixedSupport:
     def compared(self, value: float, B: np.ndarray, alpha: float) -> float:
         """The action ``value`` of blocks ``B`` taken back to the exact trace:
         ``value - 2 alpha (sum_j Tr B_j - c)``, the deviation summed exactly."""
-        excess = math.fsum([*np.diagonal(B, axis1=1, axis2=2).real.ravel(), -self.c])
+        excess = math.fsum([*np.diagonal(B, axis1=1, axis2=2).real.ravel().tolist(), -self.c])
         return value - 2.0 * alpha * excess
 
     def trial(self, Cs_raw: np.ndarray, to_beat: float, row: dict):
@@ -424,14 +455,15 @@ class _FixedSupport:
         return value, self.state(Cs, B, self.field(*solved))
 
     def state(self, Cs: np.ndarray, B: np.ndarray, q_field: np.ndarray) -> _Iterate:
-        """The iterate of factors ``Cs`` with blocks ``B`` and gradient field ``q_field``."""
-        half = _phase_sum(self.phases, q_field)
+        """The iterate of factors ``Cs`` with blocks ``B`` and the kernel classes' field ``q_field``."""
+        half = _phase_sum(self.class_phases, q_field)
         qs = half + half.conj().swapaxes(-1, -2)
         # Tr(S total) = Tr total < f: case "a", beta = 0 and alpha = sum_j Tr(Qhat_11 B_j) / c,
         # the pairing of two Hermitian stacks.
         alpha = float(np.vdot(B, qs).real) / self.c
-        shifted = qs - alpha * np.eye(self.space.n)
-        trace = float(np.trace(B.sum(axis=0)).real)
+        shifted = qs - alpha * self.eye
+        # sum_j Tr B_j = sum_j ||C_j||_F^2.
+        trace = float(np.vdot(Cs, Cs).real)
         return _Iterate(Cs, B, q_field, qs, trace, alpha, shifted, 4.0 * (Cs @ shifted))
 
     def report(self, it: _Iterate) -> ELReport:
@@ -442,10 +474,9 @@ class _FixedSupport:
         # take case "b", as the returned result's do, so the face's case "a"
         # cannot certify a run that the full space refuses.
         alpha, beta, case_tag = lagrange_parameters(mu, self.c, self.f)
+        tail = _tail_magnitude(self.representative_field(it.q_field), self.grid)
         return el_residuals(mu, alpha, beta, self.momenta, mu.qs, case_tag,
-                            tail_magnitude=_tail_magnitude(it.q_field, self.grid),
-                            _atom_rows=np.arange(len(self.momenta)))
-
+                            tail_magnitude=tail, _atom_rows=np.arange(len(self.momenta)))
 
 
 def minimize_action(config: MinimizeConfig) -> MinimizeResult:
@@ -470,7 +501,7 @@ def minimize_action(config: MinimizeConfig) -> MinimizeResult:
 
     for iteration in range(config.max_iterations):
         g = _real_view(it.grads)
-        grad_norm = float(np.sqrt((np.abs(it.grads) ** 2).sum()))
+        grad_norm = math.sqrt(g @ g)
         if previous is not None:
             memory.add(_real_view(it.Cs) - previous[0], g - previous[1])
         direction = memory.direction(g)

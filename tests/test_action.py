@@ -816,8 +816,9 @@ def _solve_cases():
 
 def test_line_search_solve_gives_the_action_and_the_field():
     # A minimizer trial takes the action from one eigh of the face chains
-    # K K^H and, on acceptance, builds the field Q_11 = Phi K from the same
-    # solve.  Both are the full-space action and field of diag(B_j, 0): to
+    # K K^H and, on acceptance, builds the field Q_11 = Phi K of each kernel
+    # class from the same solve; the run's representative gather gives it at
+    # the grid's representatives.  Both are the full-space action and field of diag(B_j, 0): to
     # rounding at delta > 0, and at delta = 0 to the finite-difference field
     # the full space takes there (1.1e-11 relative at most, measured on these
     # cases).  Off the positive block the full-space field is exactly 0.0.
@@ -835,7 +836,7 @@ def test_line_search_solve_gives_the_action_and_the_field():
             assert abs(value - expected) <= 1e-13 * expected, (n, delta)
             full = QHatEvaluator(meas, run.grid, smoothing_delta=delta).q_field
             assert not full[:, n:].any() and not full[:, :, n:].any(), (n, delta)
-            face = run.field(*solved)
+            face = run.representative_field(run.field(*solved))
             bound = 1e-10 if delta == 0 else 1e-14
             assert np.abs(full[:, :n, :n] - face).max() <= bound * np.abs(face).max(), (n, delta)
 

@@ -32,9 +32,16 @@ from kreinact import (
     report_to_dict,
     restore_constraints,
 )
-from kreinact.action import _tail_magnitude
+from kreinact.action import _lagrangian_values, _moduli, _modulus_slopes, _phase_sum, _tail_magnitude
 from kreinact.krein import _hermitian_form
-from kreinact.minimize import INITIAL_STEP, LBFGS_MEMORY, MAX_BACKTRACKS, _CurvatureMemory
+from kreinact.minimize import (
+    INITIAL_STEP,
+    LBFGS_MEMORY,
+    MAX_BACKTRACKS,
+    _CurvatureMemory,
+    _face_lagrangian,
+    _FixedSupport,
+)
 from kreinact.tolerances import ZERO_EIGENVALUE
 
 SP1 = SignatureSpace(1)
@@ -720,10 +727,13 @@ def test_run_state_is_the_full_space_computation_on_the_face(monkeypatch, config
     # The loop passes n x n arrays; at each iterate they must be the positive
     # block of what the public evaluator, pushforward and multipliers give
     # for the full-space measure diag(B_j, 0), whose field is exactly 0.0 off
-    # that block.  The blocks agree to rounding where the public field is
-    # analytic (at most 4.0e-16 relative, measured on these iterates), and
-    # to its finite-difference estimate at delta = 0 (at most 5.7e-12).
+    # that block.  The loop holds the field per kernel class; the run's
+    # representative gather gives it at the grid's representatives.  The
+    # blocks agree to rounding where the public field is analytic (at most
+    # 4.0e-16 relative, measured on these iterates), and to its
+    # finite-difference estimate at delta = 0 (at most 5.7e-12).
     it = _run_iterates(monkeypatch, replace(config, max_iterations=index))[index]
+    face_field = _FixedSupport(config).representative_field(it.q_field)
     space, box, grid = config.space(), config.momentum_box(), config.position_grid()
     n, momenta = space.n, box.grid_points()
     action_module = importlib.import_module("kreinact.action")
@@ -742,14 +752,64 @@ def test_run_state_is_the_full_space_computation_on_the_face(monkeypatch, config
     mu = pushforward(measure, evaluator.evaluate_many(momenta))
     alpha, beta, case_tag = lagrange_parameters(mu, config.c, config.f)
     bound = 1e-10 if fd_points else 1e-14
-    for full, face in ((evaluator.q_field, it.q_field), (mu.qs, it.qs)):
+    for full, face in ((evaluator.q_field, face_field), (mu.qs, it.qs)):
         assert not full[:, n:].any() and not full[:, :, n:].any()
         assert np.abs(full[:, :n, :n] - face).max() <= bound * np.abs(face).max()
     assert (beta, case_tag) == (0.0, "a")
     assert abs(it.alpha - alpha) <= bound * alpha
     assert it.shifted.tobytes() == (it.qs - it.alpha * np.eye(n)).tobytes()
     assert it.grads.tobytes() == (4.0 * (it.Cs @ it.shifted)).tobytes()
-    assert _tail_magnitude(it.q_field, grid) == pytest.approx(evaluator.tail_magnitude, rel=bound)
+    assert _tail_magnitude(face_field, grid) == pytest.approx(evaluator.tail_magnitude, rel=bound)
+
+
+@pytest.mark.parametrize("config, origin_class", [
+    pytest.param(TOY, 1, id="toy"),
+    pytest.param(N2_REF, 2, id="n2"),
+    pytest.param(replace(TOY, position_shape=(7, 3, 3, 1)), 5, id="toy-merged-origin"),
+])
+@pytest.mark.parametrize("delta", [1e-2, 1.0])
+def test_class_folded_qhat_is_the_representative_sum_and_the_full_space_qhat(config, origin_class, delta):
+    # The face sums the Fourier phases of each kernel class's representatives
+    # once per run, so Qhat_11 at the atoms is one phase sum over the classes,
+    # from the classes' field with no origin symmetrization (the origin's
+    # phase is real).  It equals the sum over the representative field, the
+    # origin's row symmetrized, and the full space's Qhat of diag(B_j, 0), to
+    # rounding (at most 2.2e-16 relative, measured), also where the origin's
+    # class holds other points: the n=2 reference's atoms all have p_2 = 0,
+    # and on the (7,3,3,1) grid the toy's, all at p_1 = p_2 = p_3 = 0, merge
+    # position axes 1 and 2 into it.
+    run = _FixedSupport(replace(config, smoothing_delta=delta))
+    support, n = run.support, config.n
+    assert np.sum(support.kernel_class == support.kernel_class[support.origin_rows][0]) == origin_class
+    rng = make_rng(38)
+    shape = (len(run.momenta), n, n)
+    Cs = run.restore(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    _, B, solved = run.solve(Cs)
+    q_class = run.field(*solved)
+    qs = run.state(Cs, B, q_class).qs
+    half = _phase_sum(support.fourier_phases(run.momenta), run.representative_field(q_class))
+    measure = OperatorMeasure(run.space, run.box, run.momenta, run.embed(B))
+    full = QHatEvaluator(measure, run.grid, smoothing_delta=delta).evaluate_many(run.momenta)
+    assert not full[:, n:].any() and not full[:, :, n:].any()
+    for expected in (half + half.conj().swapaxes(-1, -2), full[:, :n, :n]):
+        assert np.abs(qs - expected).max() <= 1e-14 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("delta", [0.0, 1e-2, 1.0])
+def test_face_lagrangian_takes_the_zero_block_in_closed_form(n, delta):
+    # The chains diag(H, 0) have n zero eigenvalues of modulus delta; the face
+    # takes their part of the Lagrangian and of the slopes in closed form
+    # from the n moduli of H.  Against the 2n moduli: at most 5.4e-16 of
+    # sum m^2 for the values and 5.3e-16 of max m for the slopes, measured.
+    rng = make_rng(39)
+    for scale in (1e-3, 1.0, 1e3):
+        G = rng.standard_normal((50, n, n)) + 1j * rng.standard_normal((50, n, n))
+        s = np.linalg.eigvalsh(scale * (G @ G.conj().swapaxes(-1, -2)))
+        values, slopes = _face_lagrangian(_moduli(s, delta), delta)
+        m = _moduli(np.concatenate([s, np.zeros_like(s)], axis=1), delta)
+        assert np.all(np.abs(values - _lagrangian_values(m)) <= 1e-14 * (m * m).sum(axis=1))
+        assert np.all(np.abs(slopes - _modulus_slopes(m)[:, :n]) <= 1e-14 * m.max(axis=1, keepdims=True))
 
 
 @pytest.mark.parametrize("config", [
