@@ -46,8 +46,8 @@ its row of ``evaluate_many`` and a one-point field its row of a grid's to
 the bit.  One 2-D matrix product would be faster still, but the rows of a
 matrix product round differently from the same rows taken alone.  The
 public entries check ``delta`` and 4-vectors; the array
-cores :func:`_phase_sum`, :func:`_moduli`, :func:`_lagrangian_values`,
-:func:`_modulus_slopes`, :func:`_gradient_field` and :func:`_fourier_qhat`,
+cores :func:`_phase_sum`, :func:`_moduli`, :func:`_lagrangian` (values and
+slopes, also of the face chains), :func:`_gradient_field` and :func:`_fourier_qhat`,
 which the minimizer's face descent calls and :class:`QHatEvaluator` wraps,
 take them checked.
 
@@ -271,19 +271,22 @@ def _moduli(lambdas: np.ndarray, delta: float) -> np.ndarray:
     return np.sqrt(np.abs(lambdas) ** 2 + delta**2)
 
 
-def _lagrangian_values(m: np.ndarray) -> np.ndarray:
-    """Causal Lagrangian of each row of chain eigenvalue :func:`_moduli` ``m`` (``..., 2n``)."""
-    return np.maximum((m**2).sum(-1) - m.sum(-1) ** 2 / m.shape[-1], 0.0)
-
-
-def _modulus_slopes(m: np.ndarray) -> np.ndarray:
-    """``g_i = dL/dm_i = 2 m_i - (sum_j m_j) / n`` for each row of chain moduli ``m`` (``..., 2n``)."""
-    return 2.0 * m - m.sum(axis=-1, keepdims=True) / (m.shape[-1] // 2)
+def _lagrangian(m: np.ndarray, zeros: int = 0, delta: float = 0.0):
+    """Causal Lagrangian of each row of chain :func:`_moduli` ``m`` and its slopes
+    ``g_i = dL/dm_i = 2 m_i - (sum_j m_j) / n``, the 2n moduli being the row's and
+    ``zeros`` more equal to ``delta``: the face chains ``diag(H, 0)`` pass the n moduli
+    of ``H`` and ``zeros = n``.  The zeros enter the sums in closed form, over the
+    rounded ``m_i``, so rounding cancels where the moduli nearly agree; ``zeros = 0``
+    adds an exact ``0.0``."""
+    n = (m.shape[-1] + zeros) // 2
+    total = m.sum(axis=-1, keepdims=True) + zeros * delta
+    values = np.maximum((m * m).sum(axis=-1) + zeros * delta**2 - total[..., 0] ** 2 / (2 * n), 0.0)
+    return values, 2.0 * m - total / n
 
 
 def lagrangian(spectrum: ClosedChainSpectrum, smoothing_delta: float = 0.0) -> float:
     """Causal Lagrangian ``(1/4n) sum_{ij} (m_i - m_j)^2 >= 0``."""
-    return float(_lagrangian_values(_moduli(spectrum.lambdas, _check_delta(smoothing_delta))))
+    return float(_lagrangian(_moduli(spectrum.lambdas, _check_delta(smoothing_delta)))[0])
 
 
 def _chain_field(operators: np.ndarray, sig: np.ndarray, phases: np.ndarray):
@@ -307,7 +310,7 @@ def action(
     delta = _check_delta(smoothing_delta)
     support = _support or _SupportTables(measure.momenta, grid)
     _, chains = _chain_field(measure.operators, measure.space.signature, support.kernel_phases)
-    return support.integral(_lagrangian_values(_moduli(np.linalg.eigvals(chains), delta)))
+    return support.integral(_lagrangian(_moduli(np.linalg.eigvals(chains), delta))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +339,7 @@ def _eig_gradient_factors(chains, lams, R, space: SignatureSpace, delta: float, 
         ok &= np.linalg.slogdet(R)[0] != 0
         R = np.where(ok[:, None, None], R, np.eye(d))
         R_inv = np.linalg.inv(R)
-    c = _modulus_slopes(m) * lams.conj() / np.where(ok[:, None], m, 1.0)
+    c = _lagrangian(m)[1] * lams.conj() / np.where(ok[:, None], m, 1.0)
     ok &= _squared_frobenius(R) * _squared_frobenius(R_inv) < _EIGENBASIS_COND**2
     G = R @ (c[:, :, None] * R_inv)
     return 0.5 * (G + _adjoint(G, space.signature)), ok
@@ -368,7 +371,7 @@ def _fd_gradient(Pp, xi, space, delta):
     steps = h * np.array([1.0, 0.5, 0.25])
     t = np.stack([steps, -steps], axis=1).reshape(-1, 1, 1, 1)
     X = np.concatenate([Pp[None], (Pp + t * directions).reshape(-1, d, d)])
-    L = _lagrangian_values(_moduli(np.linalg.eigvals(X @ _adjoint(X, space.signature)), delta))
+    L = _lagrangian(_moduli(np.linalg.eigvals(X @ _adjoint(X, space.signature)), delta))[0]
     f0, f = L[0], L[1:].reshape(3, 2, -1)  # (step, sign, direction)
     fwd = (f[:, 0] - f0) / steps[:, None]
     bwd = (f0 - f[:, 1]) / steps[:, None]

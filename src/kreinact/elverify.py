@@ -147,7 +147,7 @@ def _bound_active(signed_trace: float, f: float) -> bool:
     return signed_trace >= f - tolerances.CONSTRAINT * f
 
 
-def lagrange_parameters(mu: PushforwardMeasure, c: float, f: float, *, _traces=None):
+def lagrange_parameters(mu: PushforwardMeasure, c: float, f: float):
     """Multipliers ``(alpha, beta, case_tag)`` from the pushforward atoms.
 
     The signed trace of the total decides the case (``_bound_active``):
@@ -156,12 +156,9 @@ def lagrange_parameters(mu: PushforwardMeasure, c: float, f: float, *, _traces=N
     multipliers solve the 2x2 moment system built from ``Tr(q_j A_j)``
     and ``Tr(½{q_j, S} A_j)``.  A trace off ``c`` by more than the band of the
     signed-trace check raises :class:`~kreinact.errors.InfeasibleProblemError`.
-    ``_traces`` is ``(Tr total, Tr(S total))`` as floats if in hand.
     """
     _check_targets(c, f)
-    if _traces is None:
-        _traces = (float(x.real) for x in _trace_functionals(mu.total(), mu.space))
-    t, v = _traces
+    t, v = (float(x.real) for x in _trace_functionals(mu.total(), mu.space))
     if abs(t - c) > tolerances.CONSTRAINT * f:
         raise InfeasibleProblemError(f"trace {t} misses the constraint target c = {c}")
     if v > f + tolerances.CONSTRAINT * f:

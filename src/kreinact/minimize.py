@@ -17,15 +17,14 @@ With ``K(xi) = sum_j e^{i p_j . xi} B_j`` the closed chain is the Hermitian
 kernel classes alone, one row each, with no gather: it makes one batched
 ``eigh`` of ``H`` over them, and the n zero eigenvalues of the chain,
 of modulus ``delta``, enter the Lagrangian and its slopes in closed form
-(:func:`_face_lagrangian`).  The action is one dot product of the
+(:func:`~kreinact.action._lagrangian`).  The action is one dot product of the
 classes' Lagrangians with their summed weights.  An accepted trial builds
 the field ``Q_11 = Phi K`` of each class from the same solve, with
 ``Phi = U diag(g_i s_i / m_i) U^H`` and ``g_i = dL/dm_i`` (at
 ``delta = 0``, ``s / m = 1`` and ``Phi = 2H - (Tr H / n) 1``), and the
 Fourier gradient ``Qhat_11`` at the atoms as one phase sum over the
 classes, with Fourier phases summed over each class's representatives
-once per run.  Only the report gathers the field at the representatives.
-The full-space field of ``diag(B_j, 0)`` is ``diag(Q_11, 0)``: it
+once per run.  The full-space field of ``diag(B_j, 0)`` is ``diag(Q_11, 0)``: it
 vanishes off the positive block.
 Each step starts from the gradient of the Lagrangian function
 ``G_j = 4 C_j (Qhat_11(p_j) - alpha)``, ``alpha = sum_j Tr(Qhat_11 B_j) / c``,
@@ -52,16 +51,18 @@ compared value as each iterate's action, so it never rises.  What a
 run never changes (the space, box, atom momenta, position grid,
 ``delta``, targets, and the phase tables built from them) is held once
 in a private run object, and the loop passes it bare n x n stacks.
-The loop stops at the first iterate whose full-space first-order report
-(of ``diag(B_j, 0)`` with ``Qhat = diag(Qhat_11, 0)``, at the multipliers of
-:func:`~kreinact.elverify.lagrange_parameters`) passes
+The loop stops at the first iterate whose certificate passes
 :func:`~kreinact.elverify.check_first_order` at ``CERTIFY_FRACTION *
-tol_el``, built only once a Frobenius bound on its support residuals and
-its psd margin already clear that tolerance.  Whatever ends the loop, the
-returned action, multipliers and report are the full space's own: one
-:func:`~kreinact.action.action` and one
-:class:`~kreinact.action.QHatEvaluator` of the returned 2n x 2n measure,
-so ``kreinact verify`` with the run's targets reproduces the report.
+tol_el``: the validated 2n x 2n measure ``diag(B_j, 0)``, one
+:class:`~kreinact.action.QHatEvaluator` of it and its first-order report at
+the multipliers of :func:`~kreinact.elverify.lagrange_parameters`, built
+only once a Frobenius bound on its support residuals and its psd margin
+already clear that tolerance.  A certified run returns that certificate;
+whatever else ends the loop, one is built for the last iterate.  With one
+:func:`~kreinact.action.action` of the measure it is the result, so
+``kreinact verify`` with the run's targets reproduces the report.
+Targets in the band of an active signed-trace bound are refused: there
+case "b" gives ``beta = alpha > 0`` on the face, which fails every report.
 Toy seeds 0-7 certify in 4-7 iterations, the n=2 reference in 97.
 :func:`restore_constraints` keeps the two-block scaling of any measure,
 in the case its caller passes.
@@ -80,16 +81,16 @@ from .action import (
     PositionGrid,
     QHatEvaluator,
     _check_delta,
+    _lagrangian,
     _moduli,
     _phase_sum,
     _SupportTables,
-    _tail_magnitude,
     action,
 )
-from .elverify import ELReport, check_first_order, el_residuals, lagrange_parameters, pushforward
+from .elverify import ELReport, _bound_active, check_first_order, el_residuals, lagrange_parameters, pushforward
 from .errors import RestorationError, ValidationError, _check_count, _check_real, _entries
 from .homomeasure import MomentumBox, OperatorMeasure, _check_targets
-from .krein import _BOUND_SLACK, SignatureSpace, _hermitize, _squared_frobenius
+from .krein import _BOUND_SLACK, SignatureSpace, _squared_frobenius
 
 # Curvature pairs kept by the L-BFGS direction.  With 24 the full-space
 # descent of the n=2 reference certified in about 155 iterations, where 8
@@ -101,9 +102,10 @@ LBFGS_MEMORY = 24
 INITIAL_STEP = 0.05
 BACKTRACK_FACTOR = 0.5
 MAX_BACKTRACKS = 40
-# An iterate stops the loop once its own report passes at this fraction
-# of ``tol_el``; the headroom lets the full-space recomputation that is
-# returned (and ``kreinact verify``) pass ``tol_el`` too.
+# A run stops once its iterate's certificate passes at this fraction of
+# ``tol_el``.  That certificate is returned, so no second report needs the
+# headroom; it stays for reports of the measure that round differently
+# (``kreinact verify`` with other BLAS or probes) and fixes where runs stop.
 CERTIFY_FRACTION = 0.5
 
 __all__ = [
@@ -139,6 +141,13 @@ class MinimizeConfig:
     def __post_init__(self):
         # The scalars are checked, not converted, so a configuration file reads back unchanged.
         _check_targets(self.c, self.f)
+        # The face holds Tr(S total) = Tr total = c, so in the band the multipliers
+        # take case "b", whose beta = alpha > 0 fails the report of every face measure.
+        if _bound_active(self.c, self.f):
+            raise ValidationError(
+                f"c={self.c} lies in the active-bound band c >= f (1 - {tolerances.CONSTRAINT:g}) "
+                f"of f={self.f}, where no run on the positive face can certify"
+            )
         _check_delta(self.smoothing_delta, "smoothing_delta")
         _check_real(self.position_radius, "position_radius", 0)
         _check_real(self.tol_el, "tol_el", 0, strict=False)
@@ -218,15 +227,17 @@ def restore_constraints(measure: OperatorMeasure, case: str, c: float, f: float)
 
 @dataclass
 class MinimizeResult:
-    """Last iterate with its own first-order report and the iteration trace.
+    """Last iterate with its certificate and the iteration trace.
 
     The measure is the last iterate of the loop, ``diag(B_j, 0)`` as
-    logged, with no further restoration; the report, multipliers and action
-    are the full space's own of that measure.
-    ``converged`` is whether that report passes :func:`check_first_order`
+    logged, with no further restoration, and ``report`` its full-space
+    first-order report: for a ``"certified"`` stop the one that stopped
+    the loop.  ``alpha``, ``beta`` and ``case_tag`` are the report's, and
+    ``action_value`` the full space's action of the measure.
+    ``converged`` is whether the report passes :func:`check_first_order`
     at the configured ``tol_el``, so a ``"certified"`` stop is converged.
     ``stop_reason`` says what ended the loop:
-    ``"certified"`` (the iterate's own report passed at
+    ``"certified"`` (the iterate's certificate passed at
     ``CERTIFY_FRACTION * tol_el``), ``"stalled"`` (no line-search trial in
     ``MAX_BACKTRACKS`` reached the current action, compared at the exact
     trace) or ``"max_iterations"``.  Each ``trace`` row holds the iterate's
@@ -329,32 +340,13 @@ class _CurvatureMemory:
         return gamma * (a @ Y - g) - b @ S
 
 
-def _face_lagrangian(m: np.ndarray, delta: float):
-    """Lagrangian values and slopes ``g_i = dL/dm_i`` of the chains ``diag(H, 0)``
-    from the moduli ``m`` (``..., n``) of the eigenvalues of ``H`` alone.
-
-    The n zero eigenvalues have modulus ``delta`` and enter in closed form:
-    over the 2n moduli ``sum m^2 = sum_i m_i^2 + n delta^2`` (``= sum s_i^2 +
-    2 n delta^2``) and ``sum m = sum_i m_i + n delta``.  Both sums run over the
-    rounded ``m_i``, as :func:`~kreinact.action._lagrangian_values` takes them,
-    so their rounding cancels where the moduli are nearly equal.
-    """
-    n = m.shape[-1]
-    total = m.sum(axis=-1, keepdims=True) + n * delta
-    values = np.maximum((m * m).sum(axis=-1) + n * delta**2 - total[..., 0] ** 2 / (2 * n), 0.0)
-    return values, 2.0 * m - total / n
-
-
 class _Iterate(NamedTuple):
     """An iterate on the face as bare n x n stacks: factors ``Cs`` and blocks
-    ``B``, the field ``Q_11`` with one row per kernel class and
-    ``qs = Qhat_11`` at the atoms, ``Tr B`` of the total, ``alpha``,
-    ``Qhat_11 - alpha`` at the atoms and the factor gradients ``G_j``."""
+    ``B``, ``Tr B`` of the total, ``alpha``, ``Qhat_11 - alpha`` at the atoms
+    and the factor gradients ``G_j``."""
 
     Cs: np.ndarray
     B: np.ndarray
-    q_field: np.ndarray
-    qs: np.ndarray
     trace: float
     alpha: float
     shifted: np.ndarray
@@ -370,7 +362,7 @@ class _FixedSupport:
     the n x n identity are built from those once.  The loop passes bare
     n x n stacks through :meth:`restore`, :meth:`solve`, :meth:`trial` and
     :meth:`state`, one row per kernel class; public objects are built only
-    for what leaves it.
+    by :meth:`certificate`.
     """
 
     def __init__(self, config: MinimizeConfig):
@@ -384,9 +376,6 @@ class _FixedSupport:
         phases = self.support.fourier_phases(self.momenta)
         self.class_phases = np.zeros((len(phases), len(self.support.class_firsts)), complex)
         np.add.at(self.class_phases.T, self.support.kernel_class, phases.T)
-
-    def measure(self, A: np.ndarray) -> OperatorMeasure:
-        return OperatorMeasure(self.space, self.box, self.momenta, A, validate=False)
 
     def embed(self, X: np.ndarray) -> np.ndarray:
         """``diag(X_j, 0)`` for each n x n matrix ``X_j`` of a stack."""
@@ -407,30 +396,23 @@ class _FixedSupport:
     def solve(self, Cs: np.ndarray):
         """``(action, B, solved)`` of restored factors: one batched ``eigh`` of the
         Hermitian chains ``H = K K^H`` of the kernel classes, the moduli ``m`` of its
-        eigenvalues ``s`` and :func:`_face_lagrangian`; ``solved = (K, s, U, m, slopes)``."""
+        eigenvalues ``s`` and their Lagrangian with the n zero eigenvalues of ``diag(H, 0)``
+        in closed form (:func:`~kreinact.action._lagrangian`); ``solved = (K, s, U, m, slopes)``."""
         B = Cs.conj().swapaxes(-1, -2) @ Cs
         K = _phase_sum(self.support.kernel_phases, B)
         s, U = np.linalg.eigh(K @ K.conj().swapaxes(-1, -2))
         m = _moduli(s, self.delta)
-        values, slopes = _face_lagrangian(m, self.delta)
+        values, slopes = _lagrangian(m, self.space.n, self.delta)
         return self.support.integral(values), B, (K, s, U, m, slopes)
 
     def field(self, K, s, U, m, slopes) -> np.ndarray:
         """``Q_11 = Phi K`` of each kernel class, ``Phi = U diag(g_i s_i / m_i) U^H`` with
-        the slopes ``g_i`` of :func:`_face_lagrangian` (``s / m = 1`` at ``delta = 0``, so
+        the slopes ``g_i`` of :meth:`solve` (``s / m = 1`` at ``delta = 0``, so
         ``Phi = 2H - (Tr H / n) 1`` there).  The origin's row is not Krein symmetrized: its
         Fourier phase is real, so :meth:`state`'s ``half + half^H`` cancels the part that
         symmetrizing removes."""
         weights = slopes * (s / m if self.delta else 1.0)
         return ((U * weights[:, None, :]) @ U.conj().swapaxes(-1, -2)) @ K
-
-    def representative_field(self, q_class: np.ndarray) -> np.ndarray:
-        """The field at the grid's representatives from its kernel classes' rows, the
-        origin's Krein symmetrized as the full space's field is."""
-        q_field = q_class[self.support.kernel_class]
-        fixed = self.support.origin_rows
-        q_field[fixed] = _hermitize(q_field[fixed])
-        return q_field
 
     def compared(self, value: float, B: np.ndarray, alpha: float) -> float:
         """The action ``value`` of blocks ``B`` taken back to the exact trace:
@@ -464,26 +446,26 @@ class _FixedSupport:
         shifted = qs - alpha * self.eye
         # sum_j Tr B_j = sum_j ||C_j||_F^2.
         trace = float(np.vdot(Cs, Cs).real)
-        return _Iterate(Cs, B, q_field, qs, trace, alpha, shifted, 4.0 * (Cs @ shifted))
+        return _Iterate(Cs, B, trace, alpha, shifted, 4.0 * (Cs @ shifted))
 
-    def report(self, it: _Iterate) -> ELReport:
-        """The full-space first-order report of ``diag(B_j, 0)`` with ``Qhat = diag(Qhat_11, 0)``,
-        its atoms as the probes, at the full space's own multipliers."""
-        mu = pushforward(self.measure(self.embed(it.B)), self.embed(it.qs))
-        # Within the band of an active bound (c >= f (1 - CONSTRAINT)) these
-        # take case "b", as the returned result's do, so the face's case "a"
-        # cannot certify a run that the full space refuses.
+    def certificate(self, B: np.ndarray) -> tuple[OperatorMeasure, ELReport]:
+        """The validated measure ``diag(B_j, 0)`` and its full-space first-order report,
+        its atoms as the probes, at the full space's own multipliers: the
+        :class:`~kreinact.action.QHatEvaluator` of the measure on the run's tables,
+        as ``kreinact verify`` builds it."""
+        measure = OperatorMeasure(self.space, self.box, self.momenta, self.embed(B))
+        evaluator = QHatEvaluator(measure, self.grid, smoothing_delta=self.delta, _support=self.support)
+        mu = pushforward(measure, evaluator.evaluate_many(self.momenta))
         alpha, beta, case_tag = lagrange_parameters(mu, self.c, self.f)
-        tail = _tail_magnitude(self.representative_field(it.q_field), self.grid)
-        return el_residuals(mu, alpha, beta, self.momenta, mu.qs, case_tag,
-                            tail_magnitude=tail, _atom_rows=np.arange(len(self.momenta)))
+        return measure, el_residuals(mu, alpha, beta, self.momenta, mu.qs, case_tag,
+                                     tail_magnitude=evaluator.tail_magnitude,
+                                     _atom_rows=np.arange(len(self.momenta)))
 
 
 def minimize_action(config: MinimizeConfig) -> MinimizeResult:
     """Run the constrained gradient minimization defined by ``config``."""
     run = _FixedSupport(config)
-    space = run.space
-    k, d, n = len(run.momenta), space.dim, space.n
+    k, d, n = len(run.momenta), run.space.dim, run.space.n
     rng = np.random.default_rng(config.seed)
 
     # The leading n x n blocks of the full-space draw, so each seed keeps its
@@ -528,14 +510,15 @@ def minimize_action(config: MinimizeConfig) -> MinimizeResult:
         }
         trace_log.append(row)
 
-        # The iterate's own report, assembled only once it could pass.  Its
+        # The iterate's certificate, built only once it could pass.  Its
         # support residuals need ||B_j T_j||_F^2 <= n certify_tol^2, since
         # ||X||_F <= sqrt(n) ||X||_2; only then are the shifted spectra
         # computed.  S(Qhat - alpha) = diag(Qhat_11 - alpha, alpha), so the
-        # report is built once alpha and the block's psd margin pass too.
+        # certificate is built once alpha and the block's psd margin pass too.
         if _squared_frobenius(it.B @ it.shifted).max() <= residual_bound:
             if min(np.linalg.eigvalsh(it.shifted)[:, 0].min(), it.alpha) >= -certify_tol:
-                if check_first_order(run.report(it), certify_tol)["all"]:
+                measure, report = run.certificate(it.B)
+                if check_first_order(report, certify_tol)["all"]:
                     stop_reason = "certified"
                     break
 
@@ -551,21 +534,16 @@ def minimize_action(config: MinimizeConfig) -> MinimizeResult:
         previous = (_real_view(it.Cs), g)
         current_action, it = accepted
 
-    # The returned action, multipliers and report are the full space's own.
-    measure = OperatorMeasure(space, run.box, run.momenta, run.embed(it.B))
-    evaluator = QHatEvaluator(measure, run.grid, smoothing_delta=run.delta, _support=run.support)
-    mu = pushforward(measure, evaluator.evaluate_many(run.momenta))
-    alpha, beta, case_tag = lagrange_parameters(mu, config.c, config.f)
-    report = el_residuals(mu, alpha, beta, run.momenta, mu.qs, case_tag,
-                          tail_magnitude=evaluator.tail_magnitude, _atom_rows=np.arange(k))
+    if stop_reason != "certified":
+        measure, report = run.certificate(it.B)
     return MinimizeResult(
         measure=measure,
         report=report,
         trace=trace_log,
         converged=check_first_order(report, config.tol_el)["all"],
         action_value=action(measure, run.grid, run.delta, _support=run.support),
-        alpha=alpha,
-        beta=beta,
-        case_tag=case_tag,
+        alpha=report.alpha,
+        beta=report.beta,
+        case_tag=report.case_tag,
         stop_reason=stop_reason,
     )

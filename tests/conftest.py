@@ -21,6 +21,7 @@ from kreinact import (
     constraint_values,
     krein_adjoint,
 )
+from kreinact.krein import _hermitize
 
 UNIT_BOX = ((-1.0, -0.5, -0.5, -0.5), (1.0, 0.5, 0.5, 0.5))
 
@@ -72,6 +73,16 @@ def assert_feasible(measure: OperatorMeasure, c: float, f: float, case_tag: str)
         assert values.mod_dim == pytest.approx(f, abs=1e-12)
     else:
         assert values.mod_dim <= f + 1e-12
+
+
+def representative_field(run, q_class: np.ndarray) -> np.ndarray:
+    """The field of a minimization run's face at its grid's representatives, gathered
+    from the rows ``q_class`` of its kernel classes, the origin's row Krein
+    symmetrized as the full space's field is (on the positive block, hermitized)."""
+    q_field = q_class[run.support.kernel_class]
+    fixed = run.support.origin_rows
+    q_field[fixed] = _hermitize(q_field[fixed])
+    return q_field
 
 
 # ---------------------------------------------------------------------------

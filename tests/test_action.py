@@ -10,7 +10,14 @@ import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_rng, random_measure_for, random_positive, random_symmetric, unit_momentum_box
+from conftest import (
+    make_rng,
+    random_measure_for,
+    random_positive,
+    random_symmetric,
+    representative_field,
+    unit_momentum_box,
+)
 from kreinact import (
     MinimizeConfig,
     MomentumBox,
@@ -817,8 +824,8 @@ def _solve_cases():
 def test_line_search_solve_gives_the_action_and_the_field():
     # A minimizer trial takes the action from one eigh of the face chains
     # K K^H and, on acceptance, builds the field Q_11 = Phi K of each kernel
-    # class from the same solve; the run's representative gather gives it at
-    # the grid's representatives.  Both are the full-space action and field of diag(B_j, 0): to
+    # class from the same solve, gathered here at the grid's representatives.
+    # Both are the full-space action and field of diag(B_j, 0): to
     # rounding at delta > 0, and at delta = 0 to the finite-difference field
     # the full space takes there (1.1e-11 relative at most, measured on these
     # cases).  Off the positive block the full-space field is exactly 0.0.
@@ -836,7 +843,7 @@ def test_line_search_solve_gives_the_action_and_the_field():
             assert abs(value - expected) <= 1e-13 * expected, (n, delta)
             full = QHatEvaluator(meas, run.grid, smoothing_delta=delta).q_field
             assert not full[:, n:].any() and not full[:, :, n:].any(), (n, delta)
-            face = run.representative_field(run.field(*solved))
+            face = representative_field(run, run.field(*solved))
             bound = 1e-10 if delta == 0 else 1e-14
             assert np.abs(full[:, :n, :n] - face).max() <= bound * np.abs(face).max(), (n, delta)
 

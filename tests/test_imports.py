@@ -11,7 +11,10 @@ oracles alone.
 
 Every private function, class and method of the package is referenced
 in ``src/`` beyond its definition, as a name or an attribute: a helper
-that nothing calls is dead code.
+that nothing calls is dead code.  Likewise every private keyword-only
+parameter (``*, _name``) of a package function or method is passed by
+name by some call in ``src/``: a private keyword that no caller passes
+keeps a dead branch alive.
 
 The export lists agree: every name in a module's ``__all__`` is
 re-exported by ``kreinact`` as the same object, ``kreinact.__all__``
@@ -130,6 +133,38 @@ def test_every_private_helper_is_referenced():
     sources = {path.name: path.read_text() for path in ALL_MODULES}
     assert sum(len(_private_definitions(ast.parse(s))) for s in sources.values()) > 50
     assert _unreferenced(sources) == []
+
+
+def _private_keywords(tree: ast.Module) -> list:
+    """``(function, keyword, line)`` of each keyword-only parameter named ``_...`` of a function or method."""
+    return [(node.name, arg.arg, node.lineno) for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for arg in node.args.kwonlyargs if arg.arg.startswith("_")]
+
+
+def _unpassed_keywords(sources: dict) -> list:
+    """Private keyword-only parameters of ``{name: source}`` that no call of any source passes by name."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    passed = {keyword.arg for tree in trees.values() for node in ast.walk(tree)
+              if isinstance(node, ast.Call) for keyword in node.keywords}
+    return sorted(f"{name}: {function}({keyword}) (line {line})" for name, tree in trees.items()
+                  for function, keyword, line in _private_keywords(tree) if keyword not in passed)
+
+
+def test_the_check_sees_a_private_keyword_no_call_passes():
+    sources = {
+        "a.py": "def f(x, *, _used=None, _dead=None, public=None):\n    pass\n"
+                "class Box:\n    def method(self, _positional=None, *, _idle=None):\n        pass\n",
+        "b.py": "from a import f\nf(1, _used=2)\nf(1, _positional=3)\n",
+    }
+    assert _unpassed_keywords(sources) == ["a.py: f(_dead) (line 1)", "a.py: method(_idle) (line 4)"]
+
+
+def test_every_private_keyword_is_passed_by_some_call():
+    sources = {path.name: path.read_text() for path in ALL_MODULES}
+    assert {keyword for tree in map(ast.parse, sources.values())
+            for _, keyword, _ in _private_keywords(tree)} >= {"_support", "_atom_rows"}
+    assert _unpassed_keywords(sources) == []
 
 
 # Module exports that the package deliberately does not re-export.

@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import assert_feasible, make_rng, random_measure_for
+from conftest import assert_feasible, make_rng, random_measure_for, representative_field
 from kreinact import (
     MinimizeConfig,
     MomentumBox,
@@ -32,14 +32,14 @@ from kreinact import (
     report_to_dict,
     restore_constraints,
 )
-from kreinact.action import _lagrangian_values, _moduli, _modulus_slopes, _phase_sum, _tail_magnitude
+from kreinact.action import _lagrangian, _moduli, _phase_sum, _tail_magnitude
+from kreinact.cli import main
 from kreinact.krein import _hermitian_form
 from kreinact.minimize import (
     INITIAL_STEP,
     LBFGS_MEMORY,
     MAX_BACKTRACKS,
     _CurvatureMemory,
-    _face_lagrangian,
     _FixedSupport,
 )
 from kreinact.tolerances import ZERO_EIGENVALUE
@@ -437,13 +437,19 @@ def test_toy_seeds_0_39_certify_at_one_minimum_per_delta():
             assert result.action_value == pytest.approx(value, rel=1e-10), (delta, seed)
 
 
-def test_a_run_in_the_band_of_the_bound_is_not_certified_by_the_face_case():
+def test_a_run_in_the_band_of_the_bound_is_not_certified_by_the_face_case(tmp_path, capsys):
     # With c inside the band f (1 - CONSTRAINT) of an active bound the full
-    # space takes case "b", whose beta > 0 fails the report; the face's own
-    # case "a" must not certify such a run.
-    result = minimize_action(replace(TOY, c=1.0, f=1.0 + 5e-9))
-    assert result.case_tag == "b" and result.beta > 0
-    assert result.stop_reason != "certified" and not result.converged
+    # space takes case "b", whose beta = alpha > 0 fails the report of every
+    # face measure: such a run spent all its iterations on failing reports.
+    # The configuration refuses it, and `kreinact minimize` exits 2; just
+    # below the band the run certifies.
+    for c, f in ((1.0, 1.0 + 5e-9), (1.0 - 5e-9, 1.0), (1.0 - 1e-8, 1.0)):
+        with pytest.raises(ValidationError, match="active-bound band"):
+            replace(TOY, c=c, f=f)
+    assert main(["minimize", "--out", str(tmp_path), "--c", "1.0", "--f", "1.000000005"]) == 2
+    assert "active-bound band" in capsys.readouterr().err
+    result = minimize_action(replace(TOY, c=1.0 - 2e-8, f=1.0))
+    assert result.stop_reason == "certified" and result.converged
 
 
 def test_minimizer_atoms_lie_on_the_positive_face(toy_seed_results, n2_seed_results):
@@ -703,14 +709,15 @@ def test_a_non_descent_direction_clears_the_memory_and_restarts_the_step(monkeyp
 
 
 def _run_iterates(monkeypatch, config):
-    """The iterates a run enters its loop with, the initial one first, as the run object builds them."""
+    """The iterates a run enters its loop with, the initial one first, as the run object builds
+    them, each with the field of its kernel classes."""
     import kreinact.minimize as minimize_module
 
     state, iterates = minimize_module._FixedSupport.state, []
 
     def recorded(self, Cs, B, q_field):
-        iterates.append(state(self, Cs, B, q_field))
-        return iterates[-1]
+        iterates.append((state(self, Cs, B, q_field), q_field))
+        return iterates[-1][0]
 
     monkeypatch.setattr(minimize_module._FixedSupport, "state", recorded)
     minimize_action(config)
@@ -727,13 +734,16 @@ def test_run_state_is_the_full_space_computation_on_the_face(monkeypatch, config
     # The loop passes n x n arrays; at each iterate they must be the positive
     # block of what the public evaluator, pushforward and multipliers give
     # for the full-space measure diag(B_j, 0), whose field is exactly 0.0 off
-    # that block.  The loop holds the field per kernel class; the run's
-    # representative gather gives it at the grid's representatives.  The
+    # that block.  The loop holds the field per kernel class; gathered at
+    # the grid's representatives, it is the full space's field.  The
     # blocks agree to rounding where the public field is analytic (at most
     # 4.0e-16 relative, measured on these iterates), and to its
     # finite-difference estimate at delta = 0 (at most 5.7e-12).
-    it = _run_iterates(monkeypatch, replace(config, max_iterations=index))[index]
-    face_field = _FixedSupport(config).representative_field(it.q_field)
+    it, q_class = _run_iterates(monkeypatch, replace(config, max_iterations=index))[index]
+    run = _FixedSupport(config)
+    face_field = representative_field(run, q_class)
+    half = _phase_sum(run.class_phases, q_class)
+    qs = half + half.conj().swapaxes(-1, -2)
     space, box, grid = config.space(), config.momentum_box(), config.position_grid()
     n, momenta = space.n, box.grid_points()
     action_module = importlib.import_module("kreinact.action")
@@ -752,12 +762,12 @@ def test_run_state_is_the_full_space_computation_on_the_face(monkeypatch, config
     mu = pushforward(measure, evaluator.evaluate_many(momenta))
     alpha, beta, case_tag = lagrange_parameters(mu, config.c, config.f)
     bound = 1e-10 if fd_points else 1e-14
-    for full, face in ((evaluator.q_field, face_field), (mu.qs, it.qs)):
+    for full, face in ((evaluator.q_field, face_field), (mu.qs, qs)):
         assert not full[:, n:].any() and not full[:, :, n:].any()
         assert np.abs(full[:, :n, :n] - face).max() <= bound * np.abs(face).max()
     assert (beta, case_tag) == (0.0, "a")
     assert abs(it.alpha - alpha) <= bound * alpha
-    assert it.shifted.tobytes() == (it.qs - it.alpha * np.eye(n)).tobytes()
+    assert it.shifted.tobytes() == (qs - it.alpha * np.eye(n)).tobytes()
     assert it.grads.tobytes() == (4.0 * (it.Cs @ it.shifted)).tobytes()
     assert _tail_magnitude(face_field, grid) == pytest.approx(evaluator.tail_magnitude, rel=bound)
 
@@ -786,8 +796,9 @@ def test_class_folded_qhat_is_the_representative_sum_and_the_full_space_qhat(con
     Cs = run.restore(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     _, B, solved = run.solve(Cs)
     q_class = run.field(*solved)
-    qs = run.state(Cs, B, q_class).qs
-    half = _phase_sum(support.fourier_phases(run.momenta), run.representative_field(q_class))
+    it = run.state(Cs, B, q_class)
+    qs = it.shifted + it.alpha * np.eye(n)
+    half = _phase_sum(support.fourier_phases(run.momenta), representative_field(run, q_class))
     measure = OperatorMeasure(run.space, run.box, run.momenta, run.embed(B))
     full = QHatEvaluator(measure, run.grid, smoothing_delta=delta).evaluate_many(run.momenta)
     assert not full[:, n:].any() and not full[:, :, n:].any()
@@ -806,10 +817,11 @@ def test_face_lagrangian_takes_the_zero_block_in_closed_form(n, delta):
     for scale in (1e-3, 1.0, 1e3):
         G = rng.standard_normal((50, n, n)) + 1j * rng.standard_normal((50, n, n))
         s = np.linalg.eigvalsh(scale * (G @ G.conj().swapaxes(-1, -2)))
-        values, slopes = _face_lagrangian(_moduli(s, delta), delta)
+        values, slopes = _lagrangian(_moduli(s, delta), n, delta)
         m = _moduli(np.concatenate([s, np.zeros_like(s)], axis=1), delta)
-        assert np.all(np.abs(values - _lagrangian_values(m)) <= 1e-14 * (m * m).sum(axis=1))
-        assert np.all(np.abs(slopes - _modulus_slopes(m)[:, :n]) <= 1e-14 * m.max(axis=1, keepdims=True))
+        full_values, full_slopes = _lagrangian(m)
+        assert np.all(np.abs(values - full_values) <= 1e-14 * (m * m).sum(axis=1))
+        assert np.all(np.abs(slopes - full_slopes[:, :n]) <= 1e-14 * m.max(axis=1, keepdims=True))
 
 
 @pytest.mark.parametrize("config", [
@@ -917,6 +929,28 @@ def test_support_tables_are_built_once_per_run_and_no_inverse_is_screened(monkey
     result = minimize_action(N2_REF)
     assert sum(row["trials"] for row in result.trace) >= 10
     assert calls == ["tables"]
+
+
+def test_a_certified_run_builds_the_certificate_it_returns_once(monkeypatch):
+    # The stop test builds the full-space certificate of the iterate, and a
+    # certified run returns that same one: one report and one full-space field.
+    import kreinact.minimize as minimize_module
+
+    counts = {}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(minimize_module, "el_residuals", counting("el_residuals", minimize_module.el_residuals))
+    monkeypatch.setattr(minimize_module, "QHatEvaluator", counting("QHatEvaluator", minimize_module.QHatEvaluator))
+    for config in [replace(TOY, seed=s) for s in range(8)] + [N2_REF]:
+        counts.clear()
+        result = minimize_action(config)
+        assert result.stop_reason == "certified", config.seed
+        assert counts == {"el_residuals": 1, "QHatEvaluator": 1}, (config.n, config.seed)
 
 
 @pytest.mark.parametrize("config", [
