@@ -18,17 +18,10 @@ import sys
 
 import numpy as np
 
-from . import tolerances
+from . import elverify, tolerances
 from .action import PositionGrid, QHatEvaluator
 from .cfsbridge import correlations_to_csv, empirical_cfs, standard_basis
-from .elverify import (
-    check_first_order,
-    el_residuals,
-    lagrange_parameters,
-    pushforward,
-    report_to_csv,
-    save_report,
-)
+from .elverify import _certify, check_first_order, report_to_csv, save_report
 from .errors import KreinactError, ValidationError, _check_count, _check_real
 from .homomeasure import (
     MomentumBox,
@@ -51,6 +44,12 @@ from .minimize import MinimizeConfig, config_from_dict, config_to_dict, minimize
 from .pointwise import PointwiseProblem, a_of_alpha, solve
 
 __all__ = ["main", "build_parser"]
+
+# Not called here: perfbench/tracing.py wraps these names as this module binds
+# them, until ROADMAP item 1 spans them in kreinact.elverify.
+pushforward = elverify.pushforward
+lagrange_parameters = elverify.lagrange_parameters
+el_residuals = elverify.el_residuals
 
 
 def _parse_counts(text: str, what: str) -> tuple:
@@ -185,11 +184,6 @@ def cmd_verify(args) -> int:
         if path:
             _check_writable(path)
     measure = load_measure(args.measure)
-    # Probes are the momentum grid and the atoms; one Qhat stack serves both.
-    grid_points = measure.box.grid_points()
-    probes, inverse = np.unique(
-        np.vstack([grid_points, measure.momenta]), axis=0, return_inverse=True
-    )
     if args.q_file:
         q, q_space = load_operator(args.q_file)
         if q_space != measure.space:
@@ -198,16 +192,12 @@ def cmd_verify(args) -> int:
                 f"the measure on dimension {measure.space.dim} (n={measure.space.n})"
             )
         q = _require_symmetric(q, q_space, f"--q-file operator {args.q_file}")
-        qhats = np.repeat(q[None], len(probes), axis=0)
-        tail = None
+        qhats_at, tail = (lambda probes: np.repeat(q[None], len(probes), axis=0)), None
     else:
         qhat = QHatEvaluator(measure, _position_grid(args), smoothing_delta=args.smoothing_delta or 0.0)
-        qhats = qhat.evaluate_many(probes)
-        tail = qhat.tail_magnitude
+        qhats_at, tail = qhat.evaluate_many, qhat.tail_magnitude
 
-    atom_rows = inverse[len(grid_points):]
-    mu = pushforward(measure, qhats[atom_rows])
-    trace, signed_trace = (float(t.real) for t in _trace_functionals(mu.total(), measure.space))
+    trace, signed_trace = (float(t.real) for t in _trace_functionals(measure.total(), measure.space))
     c = args.c if args.c is not None else trace
     f = args.f if args.f is not None else signed_trace
     if args.c is None or args.f is None:
@@ -216,17 +206,15 @@ def cmd_verify(args) -> int:
         except ValidationError as err:
             raise ValidationError(f"{err}; targets not given default to the measure's trace (c) "
                                   "and signed trace (f), so pass --c and --f") from None
-    alpha, beta, case_tag = lagrange_parameters(mu, c, f)
 
     tol_el = args.tol_el if args.tol_el is not None else tolerances.EL_RESIDUAL
-    report = el_residuals(mu, alpha, beta, probes, qhats, case_tag, tail_magnitude=tail,
-                          _atom_rows=atom_rows)
+    report = _certify(measure, qhats_at, c, f, tail)
     checks = check_first_order(report, tol_el)
     if args.out:
         save_report(report, args.out)
     if args.csv:
         report_to_csv(report, args.csv)
-    print(f"alpha {float(alpha)!r} beta {float(beta)!r} case {case_tag}")
+    print(f"alpha {report.alpha!r} beta {report.beta!r} case {report.case_tag}")
     worst = float(report.probe_margins.min(initial=np.inf))
     residual = float(
         max(

@@ -266,6 +266,25 @@ def el_residuals(
     )
 
 
+def _certify(measure: OperatorMeasure, qhats_at, c: float, f: float, tail_magnitude: float | None) -> ELReport:
+    """The first-order report of ``measure`` at the targets ``(c, f)``, for
+    ``kreinact verify`` and the minimizer's certificate alike.
+
+    The probes are the box grid and the atoms, each once and ascending
+    (``np.unique``); ``qhats_at(probes)`` stacks ``Qhat`` over them, and the
+    atoms' rows of that stack give the pushforward and its multipliers, so
+    each spectrum is solved once.  ``tail_magnitude`` is the field's, None
+    for a constant one."""
+    grid_points = measure.box.grid_points()
+    probes, inverse = np.unique(np.vstack([grid_points, measure.momenta]), axis=0, return_inverse=True)
+    qhats = qhats_at(probes)
+    atom_rows = inverse[len(grid_points):]
+    mu = pushforward(measure, qhats[atom_rows])
+    alpha, beta, case_tag = lagrange_parameters(mu, c, f)
+    return el_residuals(mu, alpha, beta, probes, qhats, case_tag, tail_magnitude=tail_magnitude,
+                        _atom_rows=atom_rows)
+
+
 def beta_sign_check(report: ELReport) -> bool:
     """True iff the dimension-constraint multiplier satisfies ``beta <= 0``."""
     return report.beta <= tolerances.BETA_SIGN

@@ -54,13 +54,14 @@ in a private run object, and the loop passes it bare n x n stacks.
 The loop stops at the first iterate whose certificate passes
 :func:`~kreinact.elverify.check_first_order` at ``CERTIFY_FRACTION *
 tol_el``: the validated 2n x 2n measure ``diag(B_j, 0)``, one
-:class:`~kreinact.action.QHatEvaluator` of it and its first-order report at
-the multipliers of :func:`~kreinact.elverify.lagrange_parameters`, built
-only once a Frobenius bound on its support residuals and its psd margin
-already clear that tolerance.  A certified run returns that certificate;
-whatever else ends the loop, one is built for the last iterate.  With one
-:func:`~kreinact.action.action` of the measure it is the result, so
-``kreinact verify`` with the run's targets reproduces the report.
+:class:`~kreinact.action.QHatEvaluator` of it and the first-order report
+that ``elverify._certify`` builds at the run's targets, as for ``kreinact
+verify``, built only once a Frobenius bound on its support residuals and
+its psd margin already clear that tolerance.  A certified run returns
+that certificate; whatever else ends the loop, one is built for the last
+iterate.  With one :func:`~kreinact.action.action` of the measure it is
+the result, so ``kreinact verify`` with the run's targets reproduces the
+report.
 Targets in the band of an active signed-trace bound are refused: there
 case "b" gives ``beta = alpha > 0`` on the face, which fails every report.
 Toy seeds 0-7 certify in 4-7 iterations, the n=2 reference in 97.
@@ -76,7 +77,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import tolerances
+from . import elverify, tolerances
 from .action import (
     PositionGrid,
     QHatEvaluator,
@@ -87,7 +88,7 @@ from .action import (
     _SupportTables,
     action,
 )
-from .elverify import ELReport, _bound_active, check_first_order, el_residuals, lagrange_parameters, pushforward
+from .elverify import ELReport, _bound_active, _certify, check_first_order
 from .errors import RestorationError, ValidationError, _check_count, _check_real, _entries
 from .homomeasure import MomentumBox, OperatorMeasure, _check_targets
 from .krein import _BOUND_SLACK, SignatureSpace, _squared_frobenius
@@ -107,6 +108,12 @@ MAX_BACKTRACKS = 40
 # headroom; it stays for reports of the measure that round differently
 # (``kreinact verify`` with other BLAS or probes) and fixes where runs stop.
 CERTIFY_FRACTION = 0.5
+
+# Not called here: perfbench/tracing.py wraps these names as this module binds
+# them, until ROADMAP item 1 spans them in kreinact.elverify.
+pushforward = elverify.pushforward
+lagrange_parameters = elverify.lagrange_parameters
+el_residuals = elverify.el_residuals
 
 __all__ = [
     "MinimizeConfig",
@@ -449,17 +456,13 @@ class _FixedSupport:
         return _Iterate(Cs, B, trace, alpha, shifted, 4.0 * (Cs @ shifted))
 
     def certificate(self, B: np.ndarray) -> tuple[OperatorMeasure, ELReport]:
-        """The validated measure ``diag(B_j, 0)`` and its full-space first-order report,
-        its atoms as the probes, at the full space's own multipliers: the
-        :class:`~kreinact.action.QHatEvaluator` of the measure on the run's tables,
-        as ``kreinact verify`` builds it."""
+        """The validated measure ``diag(B_j, 0)`` and its full-space first-order report
+        from the :class:`~kreinact.action.QHatEvaluator` of the measure on the run's
+        tables, by :func:`~kreinact.elverify._certify` as ``kreinact verify`` builds it.
+        The atoms are the box grid, so they are the probes."""
         measure = OperatorMeasure(self.space, self.box, self.momenta, self.embed(B))
         evaluator = QHatEvaluator(measure, self.grid, smoothing_delta=self.delta, _support=self.support)
-        mu = pushforward(measure, evaluator.evaluate_many(self.momenta))
-        alpha, beta, case_tag = lagrange_parameters(mu, self.c, self.f)
-        return measure, el_residuals(mu, alpha, beta, self.momenta, mu.qs, case_tag,
-                                     tail_magnitude=evaluator.tail_magnitude,
-                                     _atom_rows=np.arange(len(self.momenta)))
+        return measure, _certify(measure, evaluator.evaluate_many, self.c, self.f, evaluator.tail_magnitude)
 
 
 def minimize_action(config: MinimizeConfig) -> MinimizeResult:

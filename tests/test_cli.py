@@ -260,12 +260,21 @@ def test_verify_accepts_minimizer_output(toy_run, tmp_path, capsys):
     assert csv_path.read_text().startswith("p0,p1,p2,p3,gap,psd_margin")
 
 
-def test_verify_writes_the_run_report_byte_for_byte(toy_run, tmp_path):
+@pytest.mark.parametrize("config, verify_args", [
+    pytest.param(MinimizeConfig(c=0.5, f=1.0, smoothing_delta=0.01), TOY_VERIFY, id="toy"),
+    pytest.param(MinimizeConfig(c=0.5, f=1.0), [*TOY_TARGETS, "--smoothing-delta", "0"], id="toy-delta-0"),
+    pytest.param(MinimizeConfig(n=2, c=0.5, f=1.0, momentum_shape=(3, 2, 1, 1), position_shape=(7, 3, 3, 1),
+                                smoothing_delta=0.01, max_iterations=2000),
+                 [*TOY_VERIFY, "--position-grid", "7,3,3,1"], id="n2-reference"),
+])
+def test_verify_writes_the_run_report_byte_for_byte(config, verify_args, tmp_path):
     # The run's report is the full-space report of its returned measure, so
     # verify with the run's targets and smoothing recomputes it to the bit.
-    out = tmp_path / "verify.json"
-    assert main(["verify", str(toy_run / "measure.json"), *TOY_VERIFY, "--out", str(out)]) == 0
-    assert out.read_bytes() == (toy_run / "report.json").read_bytes()
+    config_path, run, out = tmp_path / "config.json", tmp_path / "run", tmp_path / "verify.json"
+    config_path.write_text(json.dumps(config_to_dict(config)))
+    assert main(["minimize", "--config", str(config_path), "--out", str(run)]) == 0
+    assert main(["verify", str(run / "measure.json"), *verify_args, "--out", str(out)]) == 0
+    assert out.read_bytes() == (run / "report.json").read_bytes()
 
 
 def test_verify_computes_each_shifted_spectrum_once(toy_run, tmp_path, monkeypatch):

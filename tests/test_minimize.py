@@ -824,6 +824,57 @@ def test_face_lagrangian_takes_the_zero_block_in_closed_form(n, delta):
         assert np.all(np.abs(slopes - full_slopes[:, :n]) <= 1e-14 * m.max(axis=1, keepdims=True))
 
 
+def _face_minorant(B, momenta, grid, delta):
+    """``S_lb = sum_xi w (t - n delta)^2 / 2n`` of the face measure ``diag(B_j, 0)``:
+    ``t = sum_i sqrt(s_i^2 + delta^2)`` over the n eigenvalues ``s_i`` of ``K K^H``,
+    ``K(xi) = sum_j e^{i p_j . xi} B_j``, on every point of ``grid``."""
+    n = B.shape[-1]
+    K = np.einsum("xj,jab->xab", np.exp(1j * grid.points @ momenta.T), B)
+    s = np.linalg.eigvalsh(K @ K.conj().swapaxes(-1, -2))
+    t = np.sqrt(s**2 + delta**2).sum(axis=1)
+    return float(grid.weights @ ((t - n * delta) ** 2 / (2 * n)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("delta", [0.0, 1e-2, 1.0])
+def test_the_face_action_has_a_convex_minorant(n, delta):
+    # On the face L = sum m_i^2 + n delta^2 - (t + n delta)^2 / 2n over the n moduli
+    # m_i of H = K K^H, and sum m_i^2 >= t^2 / n gives L >= (t - n delta)^2 / 2n,
+    # with equality iff all m_i agree: always at n = 1.  t is a convex function of
+    # the singular values of K (Lewis, J. Convex Anal. 2, 1995), K is linear in
+    # the B_j and t >= n delta, so S_lb is convex on the face.  Measured on these
+    # draws: (S - S_lb) / S >= 0.17 at n = 2, 3, and each midpoint at least
+    # 6e-2 of the chord below it.
+    config = replace(N2_REF, n=n)
+    momenta, grid = config.momentum_box().grid_points(), config.position_grid()
+    rng = make_rng(21)
+
+    def face_measure():
+        C = rng.standard_normal((len(momenta), n, n)) + 1j * rng.standard_normal((len(momenta), n, n))
+        B = C.conj().swapaxes(-1, -2) @ C
+        return B * (config.c / np.trace(B, axis1=1, axis2=2).real.sum())
+
+    def face_action(B):
+        embedded = np.zeros((len(B), 2 * n, 2 * n), complex)
+        embedded[:, :n, :n] = B
+        measure = OperatorMeasure(config.space(), config.momentum_box(), momenta, embedded)
+        return action(measure, grid, delta)
+
+    for _ in range(4):
+        B0, B1 = face_measure(), face_measure()
+        S, S_lb = face_action(B0), _face_minorant(B0, momenta, grid, delta)
+        if n == 1:
+            # S = S_lb.  At delta = 1 the moduli are nearly delta, so both sides
+            # cancel in their sums, the action in action._lagrangian's
+            # sum m^2 - (sum m)^2 / 2n: 5.4e-12 relative measured, against
+            # 6.7e-16 at the smaller delta.
+            assert abs(S - S_lb) <= (1e-10 if delta == 1.0 else 1e-13) * S
+        else:
+            assert S_lb < S
+        chord = 0.5 * (S_lb + _face_minorant(B1, momenta, grid, delta))
+        assert _face_minorant(0.5 * (B0 + B1), momenta, grid, delta) < chord
+
+
 @pytest.mark.parametrize("config", [
     pytest.param(replace(TOY, max_iterations=10), id="toy"),
     pytest.param(replace(N2_REF, max_iterations=20), id="n2"),
@@ -934,8 +985,11 @@ def test_support_tables_are_built_once_per_run_and_no_inverse_is_screened(monkey
 def test_a_certified_run_builds_the_certificate_it_returns_once(monkeypatch):
     # The stop test builds the full-space certificate of the iterate, and a
     # certified run returns that same one: one report and one full-space field.
+    # kreinact.elverify builds the report; importlib gives the module itself,
+    # since the package's names can shadow a submodule (kreinact.action).
     import kreinact.minimize as minimize_module
 
+    elverify_module = importlib.import_module("kreinact.elverify")
     counts = {}
 
     def counting(name, fn):
@@ -944,7 +998,7 @@ def test_a_certified_run_builds_the_certificate_it_returns_once(monkeypatch):
             return fn(*args, **kwargs)
         return counted
 
-    monkeypatch.setattr(minimize_module, "el_residuals", counting("el_residuals", minimize_module.el_residuals))
+    monkeypatch.setattr(elverify_module, "el_residuals", counting("el_residuals", elverify_module.el_residuals))
     monkeypatch.setattr(minimize_module, "QHatEvaluator", counting("QHatEvaluator", minimize_module.QHatEvaluator))
     for config in [replace(TOY, seed=s) for s in range(8)] + [N2_REF]:
         counts.clear()

@@ -8,7 +8,10 @@ words.  The Hermitian part ``0.5 * (X + X.conj()...)`` is
 elsewhere can round differently from the one the spectra share.  In
 ``action.py`` the public entries check ``delta`` and 4-vectors; a private
 function that checks them again repeats the check on every line-search
-trial and field build that calls it.
+trial and field build that calls it.  The first-order report is chained
+(``pushforward``, ``lagrange_parameters``, ``el_residuals``) in
+``elverify._certify`` alone, so an entry added to the report lands in
+``kreinact verify`` and in the minimizer's certificate at once.
 """
 
 import ast
@@ -64,6 +67,27 @@ def test_only_errors_compares_with_infinity():
 
 def test_only_krein_forms_a_hermitian_part():
     assert _found_outside("krein.py", _hermitian_parts) == {}
+
+
+REPORT_CHAIN = {"pushforward", "lagrange_parameters", "el_residuals"}
+
+
+def _report_chain_calls(source: str) -> list:
+    """Line numbers of the calls of a report-chain function, by name or as an attribute."""
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)
+            and (node.func.id if isinstance(node.func, ast.Name)
+                 else node.func.attr if isinstance(node.func, ast.Attribute) else None) in REPORT_CHAIN]
+
+
+def test_the_check_sees_a_call_of_the_report_chain():
+    source = ("from . import elverify\nfrom .elverify import pushforward\n"
+              "mu = pushforward(m, qs)\nf = el_residuals\nr = elverify.el_residuals(mu, 0, 0, p, qs, 'a')\n"
+              "a = lagrange_parameters(\n    mu, c, f)\nb = fns['pushforward'](m)\n")
+    assert _report_chain_calls(source) == [3, 5, 6]
+
+
+def test_only_elverify_chains_the_report():
+    assert _found_outside("elverify.py", _report_chain_calls) == {}
 
 
 INPUT_CHECKS = {"_check_delta", "_check_real", "_check_count", "_entries", "_reals", "_four_vector"}
