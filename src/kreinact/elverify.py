@@ -248,6 +248,9 @@ def el_residuals(
     gaps = _gaps(w, V, space)
     T = T[_atom_rows]
     A = mu.operators
+    k = len(A)
+    # The spectral norms of the residuals T A and A T and of the atoms, from one stacked SVD.
+    norms = np.linalg.svd(np.concatenate([T @ A, A @ T, A]), compute_uv=False)[:, 0]
 
     return ELReport(
         alpha=float(alpha),
@@ -257,10 +260,10 @@ def el_residuals(
         probe_margins=w[:probes, 0],
         probe_gaps=gaps[:probes],
         atom_points=mu.momenta.copy(),
-        atom_residual_left=np.linalg.norm(T @ A, 2, axis=(1, 2)),
-        atom_residual_right=np.linalg.norm(A @ T, 2, axis=(1, 2)),
+        atom_residual_left=norms[:k],
+        atom_residual_right=norms[k : 2 * k],
         atom_gaps=gaps[_atom_rows],
-        atom_norms=np.linalg.norm(A, 2, axis=(1, 2)),
+        atom_norms=norms[2 * k :],
         qhat_scale=_max_spectral_norm(rows),
         tail_magnitude=tail_magnitude,
     )
@@ -270,13 +273,20 @@ def _certify(measure: OperatorMeasure, qhats_at, c: float, f: float, tail_magnit
     """The first-order report of ``measure`` at the targets ``(c, f)``, for
     ``kreinact verify`` and the minimizer's certificate alike.
 
-    The probes are the box grid and the atoms, each once and ascending
-    (``np.unique``); ``qhats_at(probes)`` stacks ``Qhat`` over them, and the
-    atoms' rows of that stack give the pushforward and its multipliers, so
-    each spectrum is solved once.  ``tail_magnitude`` is the field's, None
-    for a constant one."""
+    The probes are the box grid and the atoms, each once and ascending: a
+    stable sort of the stacked rows keeps the first of equal rows, a grid
+    row before an atom.  ``qhats_at(probes)`` stacks ``Qhat`` over them, and
+    the atoms' rows of that stack give the pushforward and its multipliers,
+    so each spectrum is solved once.  ``tail_magnitude`` is the field's,
+    None for a constant one."""
     grid_points = measure.box.grid_points()
-    probes, inverse = np.unique(np.vstack([grid_points, measure.momenta]), axis=0, return_inverse=True)
+    rows = np.vstack([grid_points, measure.momenta])
+    order = np.lexsort(rows.T[::-1])
+    rows = rows[order]
+    first = np.concatenate([[True], (rows[1:] != rows[:-1]).any(axis=1)])
+    inverse = np.empty(len(rows), int)
+    inverse[order] = np.cumsum(first) - 1
+    probes = rows[first]
     qhats = qhats_at(probes)
     atom_rows = inverse[len(grid_points):]
     mu = pushforward(measure, qhats[atom_rows])

@@ -91,8 +91,7 @@ class MomentumBox:
     def grid_points(self) -> np.ndarray:
         """All grid points as an ``(N, 4)`` array in row-major axis order."""
         axes = [self.axis_points(i) for i in range(4)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=1)
+        return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 4)
 
     def contains(self, p: np.ndarray) -> bool:
         return bool(self._inside(np.asarray(p, float)).all())

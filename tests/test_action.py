@@ -1,7 +1,12 @@
 """Tests for position grids, kernels, the spectral action, and its gradients."""
 
+import concurrent.futures
 import contextlib
 import importlib
+import multiprocessing
+import sys
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -40,10 +45,12 @@ from kreinact import (
     translate,
 )
 from kreinact.action import (
+    _chain_field,
     _chain_solve,
     _eig_gradient_factors,
     _kernel_phases,
     _phase_sum,
+    _row_blocks,
     _SupportTables,
 )
 from kreinact.minimize import _FixedSupport
@@ -665,6 +672,164 @@ def test_qhat_and_field_rows_round_as_alone_at_certify_size():
         np.testing.assert_array_equal(q, gradient_kernel_Q(meas, grid.points[i], 1e-2))
 
 
+def _certify_benchmark_case():
+    """The certify benchmark's measure: fixture random --n 2 --atoms 27 --grid 3,3,3,1
+    --seed 3, restored to (c, f) = (0.5, 1), on the 1125-point grid of radius 2.5,
+    whose 563 representatives carry 563 distinct kernels."""
+    box = MomentumBox((-1.0,) * 4, (1.0,) * 4, (3, 3, 3, 1))
+    measure = random_measure(SignatureSpace(2), box, 27, np.random.default_rng(3))
+    return restore_constraints(measure, "b", 0.5, 1.0), PositionGrid.from_box(2.5, (5, 5, 5, 9))
+
+
+def _certify_chains():
+    """The certify case, its support tables and the chains of its 563 kernel classes."""
+    measure, grid = _certify_benchmark_case()
+    support = _SupportTables(measure.momenta, grid)
+    return measure, support, _chain_field(measure.operators, measure.space.signature, support.kernel_phases)[1]
+
+
+def _certify_field(cores):
+    """The certify case's field and its Qhat at the atoms, with ``cores`` available cores."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(action_module, "_cores", lambda: cores)
+        measure, grid = _certify_benchmark_case()
+        ev = QHatEvaluator(measure, grid, smoothing_delta=1e-2)
+        return ev.q_field, ev.evaluate_many(measure.momenta)
+
+
+def test_row_blocks_give_the_whole_stack_results_at_certify_size(monkeypatch):
+    # Every row of eig, eigvals and exp is computed alone, so the blocks
+    # joined in row order are the one whole-stack call to the bit.
+    monkeypatch.setattr(action_module, "_cores", lambda: 2)
+    measure, support, chains = _certify_chains()
+    assert len(chains) == 563
+    shapes = []
+    eig = np.linalg.eig
+
+    def counted(a):
+        shapes.append(np.shape(a))
+        return eig(a)
+
+    # The chain solve reads np.linalg.eig at each call, so a wrapper sees every block.
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "eig", counted)
+        lams, R = _chain_solve(measure.operators, measure.space.signature, support.kernel_phases, 1e-2)[2:4]
+    assert shapes == [(282, 4, 4), (281, 4, 4)]
+    whole = np.linalg.eig(chains)
+    assert lams.tobytes() == whole.eigenvalues.tobytes() and R.tobytes() == whole.eigenvectors.tobytes()
+    assert _row_blocks(np.linalg.eigvals, chains).tobytes() == np.linalg.eigvals(chains).tobytes()
+    exponents = 1j * (support.points @ measure.momenta.T)
+    assert _kernel_phases(measure.momenta, support.points).tobytes() == np.exp(exponents).tobytes()
+    for split, alone in zip(_certify_field(2), _certify_field(1)):
+        assert split.tobytes() == alone.tobytes()
+
+
+def _thread_count_after(call, monkeypatch):
+    """Threads alive after ``call`` beyond those before, with no pool started yet."""
+    monkeypatch.setattr(action_module, "_pool", None)
+    before = threading.active_count()
+    call()
+    assert action_module._pool is None
+    return threading.active_count() - before
+
+
+def test_small_stacks_and_one_core_start_no_thread(monkeypatch):
+    shared, grid = _shared_kernel_case()
+    small = lambda: (action(shared, grid, 1e-2), QHatEvaluator(shared, grid, smoothing_delta=1e-2))
+    assert _thread_count_after(small, monkeypatch) == 0
+    assert _thread_count_after(lambda: _certify_field(1), monkeypatch) == 0
+
+
+def test_an_error_in_one_block_is_the_whole_calls_once_every_block_is_done(monkeypatch):
+    chains = _certify_chains()[2]
+    chains[200] = np.nan  # in the second of three blocks: rows 188-375
+    with pytest.raises(np.linalg.LinAlgError) as whole:
+        np.linalg.eig(chains)
+    finished = []
+
+    def slow_unless_failing(a):
+        try:
+            if np.isfinite(a).all():
+                time.sleep(0.05)
+            return np.linalg.eig(a)
+        finally:
+            finished.append(len(a))
+
+    monkeypatch.setattr(action_module, "_cores", lambda: 3)
+    monkeypatch.setattr(action_module, "_pool", None)
+    try:
+        with pytest.raises(np.linalg.LinAlgError) as split:
+            _row_blocks(slow_unless_failing, chains)
+        assert sorted(finished) == [187, 188, 188]
+    finally:
+        action_module._pool.shutdown()
+    assert str(split.value) == str(whole.value)
+
+
+def test_callers_racing_to_the_first_split_share_one_pool(monkeypatch):
+    # More calling threads than cores, switched as often as the interpreter
+    # allows, and a pool slow to make: one pool is made, and every caller
+    # gets the whole call's values.
+    made = []
+
+    class Counted(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(self)
+            time.sleep(0.01)
+            super().__init__(*args, **kwargs)
+
+    chains = _certify_chains()[2]
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counted)
+    monkeypatch.setattr(action_module, "_cores", lambda: 2)
+    monkeypatch.setattr(action_module, "_pool", None)
+    results = []
+    start = threading.Barrier(8, timeout=60)
+
+    def call():
+        start.wait()
+        results.append(_row_blocks(np.linalg.eigvals, chains).tobytes())
+
+    callers = [threading.Thread(target=call) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+        for pool in made:
+            pool.shutdown()
+    assert not any(caller.is_alive() for caller in callers)
+    assert len(made) == 1
+    assert results == [np.linalg.eigvals(chains).tobytes()] * 8
+
+
+def _send_certify_field(connection):
+    connection.send(_certify_field(2)[0])
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="needs fork")
+def test_a_forked_child_starts_its_own_threads():
+    # The parent's worker does not live on in a fork; a child handed the
+    # parent's pool would wait on it forever.
+    parent_field = _certify_field(2)[0]
+    assert action_module._pool is not None
+    context = multiprocessing.get_context("fork")
+    receiver, sender = context.Pipe(duplex=False)
+    child = context.Process(target=_send_certify_field, args=(sender,))
+    child.start()
+    try:
+        assert receiver.poll(60), "the forked child did not build the field within 60 s"
+        assert receiver.recv().tobytes() == parent_field.tobytes()
+    finally:
+        child.join(5)
+        if child.is_alive():
+            child.kill()
+    assert child.exitcode == 0
+
+
 def test_phase_sums_over_no_atoms_or_no_momenta_are_empty():
     # The stack is reshaped to (k, d*d) with d*d explicit: reshape(0, -1) raises.
     sp = SignatureSpace(2)
@@ -789,12 +954,7 @@ def test_tail_magnitude_is_largest_boundary_norm():
 
 
 def test_tail_magnitude_decomposes_only_the_rows_the_bound_leaves_open(monkeypatch):
-    # The certify benchmark's measure: fixture random --n 2 --atoms 27 --grid 3,3,3,1
-    # --seed 3, restored to (c, f) = (0.5, 1), on the 1125-point grid of radius 2.5.
-    box = MomentumBox((-1.0,) * 4, (1.0,) * 4, (3, 3, 3, 1))
-    measure = random_measure(SignatureSpace(2), box, 27, np.random.default_rng(3))
-    measure = restore_constraints(measure, "b", 0.5, 1.0)
-    grid = PositionGrid.from_box(2.5, (5, 5, 5, 9))
+    measure, grid = _certify_benchmark_case()
     ev = QHatEvaluator(measure, grid, smoothing_delta=1e-2)
     boundary = ev.q_field[grid.boundary_mask()[grid.representatives]]
     assert len(boundary) == 468

@@ -11,7 +11,13 @@ function that checks them again repeats the check on every line-search
 trial and field build that calls it.  The first-order report is chained
 (``pushforward``, ``lagrange_parameters``, ``el_residuals``) in
 ``elverify._certify`` alone, so an entry added to the report lands in
-``kreinact verify`` and in the minimizer's certificate at once.
+``kreinact verify`` and in the minimizer's certificate at once.  The
+package's own threads start in one place, ``action._row_blocks``, which
+imports ``concurrent.futures`` when a stack is first split, not when the
+package loads; ``action`` imports only ``threading`` at load, for the
+lock under which the pool is made.  The callers of ``_row_blocks`` read
+``np.linalg.eig`` and ``eigvals`` at each call, so a wrapper installed
+on them sees every block.
 """
 
 import ast
@@ -118,3 +124,47 @@ def test_the_check_sees_a_private_function_that_checks_its_input():
 
 def test_the_action_cores_take_checked_values():
     assert _checking_private_functions((PACKAGE / "action.py").read_text()) == {}
+
+
+THREAD_MODULES = ("concurrent", "threading", "_thread", "multiprocessing")
+
+
+def _thread_imports(source: str) -> dict:
+    """The thread and process modules the source imports, by the function that
+    imports them (``None`` at module level)."""
+    found = {}
+
+    def visit(node, function):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            names = []
+        for name in names:
+            if name.split(".")[0] in THREAD_MODULES:
+                found.setdefault(function, []).append(name)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_the_check_sees_where_a_thread_module_is_imported():
+    source = ("import os\nimport concurrent.futures\n"
+              "def helper():\n    from concurrent.futures import wait\n"
+              "    def inner():\n        import threading\n    return wait\n"
+              "class Pool:\n    def start(self):\n        from multiprocessing import Process\n"
+              "from .concurrent import local\n")
+    assert _thread_imports(source) == {None: ["concurrent.futures"], "helper": ["concurrent.futures"],
+                                       "inner": ["threading"], "start": ["multiprocessing"]}
+
+
+def test_only_the_row_block_helper_starts_threads():
+    # action holds the pool's creation lock from load time; threading is loaded with numpy.
+    found = {path.name: _thread_imports(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: imports for name, imports in found.items() if imports} == {
+        "action.py": {None: ["threading"], "_row_blocks": ["concurrent.futures"]}}
