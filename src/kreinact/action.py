@@ -23,13 +23,16 @@ chain: for a diagonalizable chain, ``dL = Re Tr(G dA)`` with
 symmetrized to ``N = (G + G^*)/2``, giving ``Q(xi) = P_+(xi) N(-xi)`` with
 ``P_+ = -P``.  Equal eigenvalues share their coefficient, so ``G`` is the sum
 of coefficients times the clusters' Riesz projections, whatever basis ``R``
-holds inside a cluster (Kato, *Perturbation Theory*, II 1.4).  A defective
-chain (ill-conditioned ``R``) or a vanishing modulus at ``delta = 0`` falls
-back to finite differences (relative step ``1e-5``) with a kink check; a
-genuine kink raises :class:`~kreinact.errors.NonsmoothPointError`.  The
-eigen-derivatives are batched over the point set (one stacked ``eig`` and
-``inv``); only the kernels they reject take the finite-difference path,
-which makes one stacked eigensolve over all perturbed kernels per point.
+holds inside a cluster (Kato, *Perturbation Theory*, II 1.4).  At
+``delta = 0`` the vanishing moduli form a zero cluster, where ``|.|`` is not
+differentiable.  The cluster gets coefficient 0 where its Riesz projection
+annihilates the kernel on both sides, so that it moves only at second order
+(Kato, II 2.3; every chain of a face measure ``diag(B_j, 0)``), and where
+every modulus vanishes.  Any other zero cluster is a kink, and a defective
+chain (ill-conditioned ``R``) has no such derivative: both raise
+:class:`~kreinact.errors.NonsmoothPointError` at the first point of the
+first such kernel class.  The eigen-derivatives are batched over the point
+set (one stacked ``eig`` and ``inv``).
 The chains at ``xi`` and ``-xi`` are ``X X^*`` and ``X^* X`` with
 ``X = P_+(xi)``, and ``N`` is a polynomial in its chain, so ``L(-xi) = L(xi)``
 and ``Q(xi) = X N(-xi) = N(xi) X = Q(-xi)^*`` (Higham, *Functions of
@@ -93,10 +96,8 @@ __all__ = [
     "QHatEvaluator",
 ]
 
-_KINK_REL = 0.05
 # Frobenius condition number of the eigenvector matrix above which a chain is defective.
 _EIGENBASIS_COND = 1e6
-_FD_STEP = 1e-5
 # Rows of the smallest block :func:`_row_blocks` solves: below two such blocks a
 # split ``eigvals`` or ``exp`` ran slower than the whole stack on one core.
 _MIN_BLOCK_ROWS = 128
@@ -285,7 +286,6 @@ class _SupportTables:
     """
 
     def __init__(self, momenta: np.ndarray, grid: PositionGrid):
-        self.momenta = momenta
         self.points = grid.points[grid.representatives]
         self.folded_weights = grid.folded_weights
         phases = _kernel_phases(momenta, self.points)
@@ -385,20 +385,25 @@ def action(
 # Gradient kernel
 # ---------------------------------------------------------------------------
 
-def _eig_gradient_factors(chains, lams, R, space: SignatureSpace, delta: float, m):
-    """Krein-symmetrized factors N of dL = Re Tr(G dA) over a stack of chains.
+def _eig_gradient_factors(Pp, chains, lams, R, m, space: SignatureSpace, delta: float):
+    """Krein-symmetrized factors N of dL = Re Tr(G dA) from :func:`_chain_solve`'s
+    kernels ``Pp``, chains, their ``eig`` pair ``(lams, R)`` and moduli ``m``.
 
-    ``(lams, R)`` is the chains' ``eig`` pair and ``m`` their moduli.
-    Returns ``(factors, ok)``;
-    ``ok`` marks the chains whose factor is valid: a well-conditioned
-    eigenvector matrix ``R`` (not a defective chain), and with ``delta = 0``
-    all moduli bounded away from zero (else |.| is not differentiable).
-    Equal eigenvalues are valid: they share ``g_i``.
+    Returns ``(factors, ok)``; ``ok`` marks the chains whose factor is the
+    derivative.  A chain is rejected if its eigenvector matrix ``R`` is
+    ill-conditioned (a defective chain).  Equal eigenvalues are valid: they
+    share ``g_i``.  With ``delta = 0`` the moduli at most ``MODULUS_GAP``
+    times the chain's norm form its zero cluster, where ``|.|`` is not
+    differentiable.  The cluster gets coefficient 0 if every modulus
+    vanishes (every slope is 0), or if its Riesz projection
+    ``Pi_0 = R[:, z] R^{-1}[z, :]`` annihilates the kernel on both sides,
+    ``Pi_0 P_+ = 0 = P_+^* Pi_0`` to ``MODULUS_GAP`` of ``||P_+||``: then the
+    first-order splitting ``Pi_0 dA Pi_0`` of ``dA = dP P_+^* + P_+ dP^*``
+    vanishes and the cluster moves only at second order (Kato, *Perturbation
+    Theory*, II 2.3).  Otherwise the chain is rejected: a kink.
     """
     d = space.dim
     ok = np.ones(len(R), bool)
-    if delta == 0.0:
-        ok &= m.min(axis=1) > tolerances.MODULUS_GAP * np.linalg.norm(chains, 2, axis=(1, 2))
     try:
         R_inv = np.linalg.inv(R)
     except np.linalg.LinAlgError:
@@ -407,80 +412,39 @@ def _eig_gradient_factors(chains, lams, R, space: SignatureSpace, delta: float, 
         ok &= np.linalg.slogdet(R)[0] != 0
         R = np.where(ok[:, None, None], R, np.eye(d))
         R_inv = np.linalg.inv(R)
-    c = _lagrangian(m)[1] * lams.conj() / np.where(ok[:, None], m, 1.0)
     ok &= _squared_frobenius(R) * _squared_frobenius(R_inv) < _EIGENBASIS_COND**2
+    zero = np.zeros(m.shape, bool)
+    if delta == 0.0:
+        zero = m <= tolerances.MODULUS_GAP * np.linalg.norm(chains, 2, axis=(1, 2))[:, None]
+        mixed = np.nonzero(ok & zero.any(axis=1) & ~zero.all(axis=1))[0]
+        if len(mixed):
+            X = Pp[mixed]
+            riesz = (R[mixed] * zero[mixed, None, :]) @ R_inv[mixed]
+            bound = tolerances.MODULUS_GAP * np.linalg.norm(X, 2, axis=(1, 2))
+            ok[mixed] = (np.linalg.norm(riesz @ X, 2, axis=(1, 2)) <= bound) & (
+                np.linalg.norm(_adjoint(X, space.signature) @ riesz, 2, axis=(1, 2)) <= bound)
+    c = np.divide(_lagrangian(m)[1] * lams.conj(), m, out=np.zeros(lams.shape, complex), where=~zero)
     G = R @ (c[:, :, None] * R_inv)
     return 0.5 * (G + _adjoint(G, space.signature)), ok
-
-
-def _fd_gradient(Pp, xi, space, delta):
-    """``Q(xi)`` by finite differences, from one stacked eigensolve.
-
-    ``M = Q(xi)`` satisfies ``dL(-xi) = 2 Re Tr(M dP_+(-xi))``.  The kernel
-    ``Pp = P_+(-xi)`` is perturbed along every unit direction ``E_ba`` and
-    ``i E_ba`` at the steps ``t h``, ``t`` in (1, -1, 1/2, -1/2, 1/4, -1/4),
-    and each directional derivative is the Richardson value ``(4 c2 - c1)/3``
-    of the central differences at ``h`` and ``h/2``.  Unequal one-sided
-    derivatives at ``h`` suggest a kink; it is confirmed at ``h/4`` before
-    raising: a genuine slope jump persists as the step shrinks, while smooth
-    high-curvature points (and flat plateaus, where the chain has equal
-    moduli and the Lagrangian vanishes identically) see the disagreement
-    shrink with it.
-    """
-    d = space.dim
-    norm = float(np.linalg.norm(Pp, 2))
-    h = _FD_STEP * max(norm, 1.0)
-    # Values of L carry eigensolver noise ~ eps_mach * ||chain||; below the
-    # corresponding derivative floor a direction is numerically flat.  The
-    # floor shrinks with the chain, so small chains keep small derivatives.
-    floor = 1e-11 * norm**2 / h
-    units = np.eye(d * d).reshape(d * d, d, d)  # units[b*d + a] = E_ba
-    directions = np.concatenate([units, 1j * units])
-    steps = h * np.array([1.0, 0.5, 0.25])
-    t = np.stack([steps, -steps], axis=1).reshape(-1, 1, 1, 1)
-    X = np.concatenate([Pp[None], (Pp + t * directions).reshape(-1, d, d)])
-    L = _lagrangian(_moduli(np.linalg.eigvals(X @ _adjoint(X, space.signature)), delta))[0]
-    f0, f = L[0], L[1:].reshape(3, 2, -1)  # (step, sign, direction)
-    fwd = (f[:, 0] - f0) / steps[:, None]
-    bwd = (f0 - f[:, 1]) / steps[:, None]
-    gap = np.abs(fwd - bwd)
-    slope = np.maximum(np.abs(fwd[0]), np.abs(bwd[0]))
-    flat = slope <= floor
-    if np.any(~flat & (gap[0] > _KINK_REL * slope + floor) & (gap[2] > 0.5 * gap[0])):
-        message = "one-sided derivatives of the Lagrangian disagree (kink)"
-        if delta == 0:
-            message += "; use a positive smoothing delta (smoothing_delta / --smoothing-delta)"
-        raise NonsmoothPointError(message, xi=xi)
-    c1 = (f[0, 0] - f[0, 1]) / (2 * h)
-    c2 = (f[1, 0] - f[1, 1]) / h
-    deriv = np.where(flat, 0.0, (4.0 * c2 - c1) / 3.0).reshape(2, d, d)
-    return 0.5 * (deriv[0] - 1j * deriv[1]).T
 
 
 def _gradient_field(operators: np.ndarray, space: SignatureSpace, support: _SupportTables, delta: float):
     """Gradient kernel ``Q = N P_+`` at each of ``support.points``, from one chain per kernel class.
 
-    The chain spectrum picks the path: the vectorized eigen-derivatives
-    where :func:`_eig_gradient_factors` accepts the chain, else finite
-    differences averaged over ``xi`` and ``-xi``, taken at the class's
-    first point.
+    The factors are :func:`_eig_gradient_factors`'.  A chain they reject is a
+    kink of the Lagrangian or a defective chain: the field raises
+    :class:`~kreinact.errors.NonsmoothPointError` at the first point of the
+    first rejected class.
     """
     sig = space.signature
-    Pp, chains, lams, R, m = _chain_solve(operators, sig, support.kernel_phases, delta)
-    factors, ok = _eig_gradient_factors(chains, lams, R, space, delta, m)
-    q_class = factors @ Pp
-    # Every kernel of the origin's class is its own reflection's.
-    origin_class = support.kernel_class[support.origin_rows]
-    for k in np.nonzero(~ok)[0]:
-        xi = support.points[support.class_firsts[k]]
-        # A lone estimate, unpaired with its reflection's, stalls exact-Lagrangian descents.
-        estimates = [
-            _fd_gradient(_phase_sum(_kernel_phases(support.momenta, -x[None]), operators)[0],
-                         x, space, delta)
-            for x in ((xi,) if k in origin_class else (xi, -xi))
-        ]
-        q_class[k] = 0.5 * (estimates[0] + _adjoint(estimates[-1], sig))
-    q_field = q_class[support.kernel_class]
+    solved = _chain_solve(operators, sig, support.kernel_phases, delta)
+    factors, ok = _eig_gradient_factors(*solved, space, delta)
+    if not ok.all():
+        message = "one-sided derivatives of the Lagrangian disagree (kink)"
+        if delta == 0:
+            message += "; use a positive smoothing delta (smoothing_delta / --smoothing-delta)"
+        raise NonsmoothPointError(message, xi=support.points[support.class_firsts[np.argmin(ok)]])
+    q_field = (factors @ solved[0])[support.kernel_class]
     # Q(0) = Q(0)^*, which N P_+ meets only up to rounding.
     fixed = support.origin_rows
     q_field[fixed] = 0.5 * (q_field[fixed] + _adjoint(q_field[fixed], sig))

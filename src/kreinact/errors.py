@@ -47,9 +47,10 @@ class NumericalError(KreinactError, RuntimeError):
 class NonsmoothPointError(NumericalError):
     """The Lagrangian is not differentiable at the offending position point.
 
-    Raised when eigenvalue moduli of the closed chain cross (or hit zero)
-    at ``xi`` and one-sided directional derivatives disagree, so no
-    gradient kernel exists there.
+    Raised when the closed chain at ``xi`` is defective (its eigenvectors
+    are nearly parallel, as where a real eigenvalue pair turns complex), or
+    when, at ``delta = 0``, its vanishing moduli form a zero cluster that
+    moves at first order, so no gradient kernel exists there.
     """
 
     def __init__(self, message: str, xi):

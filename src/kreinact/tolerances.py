@@ -14,7 +14,10 @@ PSD = 1e-10
 #: Grouping threshold for the zero spectral point, relative to the norm.
 ZERO_EIGENVALUE = 1e-8
 
-#: Vanishing-modulus threshold of the analytic gradient kernel at delta = 0.
+#: Vanishing-modulus threshold of the gradient kernel at delta = 0, relative
+#: to the chain's norm: the moduli below it form the chain's zero cluster.
+#: Relative to the kernel's norm, the bound on ``Pi_0 P_+`` and ``P_+^* Pi_0``
+#: under which the cluster's Riesz projection ``Pi_0`` annihilates the kernel.
 MODULUS_GAP = 1e-7
 
 #: Euler-Lagrange residual tolerance.  ``check_first_order`` and the

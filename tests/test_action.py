@@ -1,7 +1,6 @@
 """Tests for position grids, kernels, the spectral action, and its gradients."""
 
 import concurrent.futures
-import contextlib
 import importlib
 import multiprocessing
 import sys
@@ -17,6 +16,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     make_rng,
+    oracle_gradient_field,
     random_measure_for,
     random_positive,
     random_symmetric,
@@ -57,26 +57,6 @@ from kreinact.minimize import _FixedSupport
 
 # The package exports the function ``action`` under the submodule's name.
 action_module = importlib.import_module("kreinact.action")
-
-
-@contextlib.contextmanager
-def _finite_differences_only(monkeypatch):
-    """Every chain's eigen-derivative rejected: each kernel takes the finite-difference path."""
-    with monkeypatch.context() as m:
-        m.setattr(action_module, "_eig_gradient_factors",
-                  lambda chains, *args: (np.zeros_like(chains), np.zeros(len(chains), bool)))
-        yield
-
-
-@contextlib.contextmanager
-def _analytic_only(monkeypatch):
-    """A kernel sent to finite differences raises instead, naming the point of the estimate."""
-    def refuse(kernel, xi, *args):
-        raise NonsmoothPointError("no analytic gradient at this point", xi=xi)
-
-    with monkeypatch.context() as m:
-        m.setattr(action_module, "_fd_gradient", refuse)
-        yield
 
 
 # ---------------------------------------------------------------------------
@@ -304,15 +284,14 @@ def _real_spectrum_point(meas, sp):
     raise AssertionError("no real-spectrum probe point found")
 
 
-def test_gradient_kernel_matches_directional_fd(monkeypatch):
+def test_gradient_kernel_matches_directional_fd():
     sp = SignatureSpace(1)
     meas = random_measure_for(sp, make_rng(8))
     rng = make_rng(9)
     xi = _real_spectrum_point(meas, sp)
     # perturbing the physical kernel P by D perturbs the plus kernel by -D,
     # so dL = -2 Re Tr(Q(-xi) D)
-    with _analytic_only(monkeypatch):
-        Qm = gradient_kernel_Q(meas, -xi)
+    Qm = gradient_kernel_Q(meas, -xi)
     for _ in range(6):
         D = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         fd = _directional_fd(meas, xi, D, 1e-5)
@@ -320,9 +299,9 @@ def test_gradient_kernel_matches_directional_fd(monkeypatch):
         assert pred == pytest.approx(fd, rel=2e-6, abs=1e-8)
 
 
-def test_gradient_zero_on_spacelike_plateau(monkeypatch):
+def test_gradient_zero_on_spacelike_plateau():
     # conjugate-pair chains have equal moduli: L vanishes identically and the
-    # gradient kernel is zero on both paths
+    # gradient kernel is zero, as is the finite-difference oracle's
     sp = SignatureSpace(1)
     meas = random_measure_for(sp, make_rng(8))
     for x0 in np.linspace(0.0, 3.0, 61):
@@ -332,23 +311,19 @@ def test_gradient_zero_on_spacelike_plateau(monkeypatch):
             break
     else:
         raise AssertionError("no conjugate-pair point found")
-    with _analytic_only(monkeypatch):
-        Qa = gradient_kernel_Q(meas, xi)
-    with _finite_differences_only(monkeypatch):
-        Qf = gradient_kernel_Q(meas, xi)
+    Qa = gradient_kernel_Q(meas, xi)
+    Qf = oracle_gradient_field(meas, xi)[0]
     chain_scale = np.abs(lam).max()
     assert np.linalg.norm(Qa, 2) <= 1e-10 * chain_scale
     assert np.linalg.norm(Qf, 2) <= 1e-4 * chain_scale
 
 
-def test_gradient_modes_agree(monkeypatch):
+def test_gradient_modes_agree():
     sp = SignatureSpace(2)
     meas = random_measure_for(sp, make_rng(10), n_atoms=2)
     xi = np.array([0.5, -0.3, 0.2, 0.1])
-    with _analytic_only(monkeypatch):
-        Qa = gradient_kernel_Q(meas, xi)
-    with _finite_differences_only(monkeypatch):
-        Qf = gradient_kernel_Q(meas, xi)
+    Qa = gradient_kernel_Q(meas, xi)
+    Qf = oracle_gradient_field(meas, xi)[0]
     np.testing.assert_allclose(Qa, Qf, rtol=0, atol=1e-7 * max(1.0, np.linalg.norm(Qa, 2)))
 
 
@@ -362,24 +337,26 @@ def test_gradient_symmetry_relation():
     np.testing.assert_allclose(krein_adjoint(Q1, sp), Q2, atol=1e-10 * max(1.0, np.linalg.norm(Q1, 2)))
 
 
-def test_gradient_smoothed_matches_fd(monkeypatch):
+def test_gradient_smoothed_matches_fd():
     sp = SignatureSpace(1)
     meas = random_measure_for(sp, make_rng(12))
     xi = np.array([0.4, 0.0, 0.0, 0.0])
     delta = 0.05
-    with _analytic_only(monkeypatch):
-        Qa = gradient_kernel_Q(meas, xi, smoothing_delta=delta)
-    with _finite_differences_only(monkeypatch):
-        Qf = gradient_kernel_Q(meas, xi, smoothing_delta=delta)
+    Qa = gradient_kernel_Q(meas, xi, smoothing_delta=delta)
+    Qf = oracle_gradient_field(meas, xi, delta)[0]
     np.testing.assert_allclose(Qa, Qf, atol=1e-7 * max(1.0, np.linalg.norm(Qa, 2)))
 
 
 def _causal_boundary_point(meas, sp):
-    """A xi on axis 0 where the chain spectrum turns from real pairs to conjugate ones."""
+    """A xi on axis 0 where the n=1 chain spectrum turns from a real pair to a
+    conjugate one: the sign change of the chain's discriminant ``tr^2 - 4 det``,
+    bisected to rounding, where the chain is defective.  (A test on the
+    eigenvalues' imaginary parts stops where their rounding crosses its
+    threshold, 1e-10 away, where the chain is smooth.)"""
 
     def conjugate(x0):
-        lam = closed_chain(kernel_P(meas, np.array([x0, 0, 0, 0])), sp).lambdas
-        return np.abs(lam.imag).max() > 1e-12 * np.abs(lam).max()
+        chain = closed_chain(kernel_P(meas, np.array([x0, 0, 0, 0])), sp).chain
+        return np.trace(chain).real ** 2 < 4.0 * np.linalg.det(chain).real
 
     xs = np.linspace(0.0, 3.0, 61)
     flags = [conjugate(x) for x in xs]
@@ -397,74 +374,55 @@ def _causal_boundary_point(meas, sp):
     return np.array([0.5 * (lo + hi), 0.0, 0.0, 0.0])
 
 
-def test_gradient_kink_raises_nonsmooth(monkeypatch):
+def test_gradient_kink_raises_nonsmooth():
     # the boundary between real-pair and conjugate-pair chain spectra is a
     # genuine kink of the exact Lagrangian: L grows linearly on the real
-    # side and vanishes on the conjugate side
+    # side and vanishes on the conjugate side.  There the chain is defective,
+    # and the finite-difference oracle confirms the kink.
     sp = SignatureSpace(1)
     meas = random_measure_for(sp, make_rng(8))
     xstar = _causal_boundary_point(meas, sp)
     grid = PositionGrid(np.stack([np.zeros(4), xstar, -xstar]), np.ones(3), [0, 2, 1])
-    with _finite_differences_only(monkeypatch):
-        with pytest.raises(NonsmoothPointError) as err:
-            gradient_kernel_Q(meas, xstar)
-        np.testing.assert_array_equal(err.value.xi, xstar)
-        assert "use a positive smoothing delta (smoothing_delta / --smoothing-delta)" in str(err.value)
-        with pytest.raises(NonsmoothPointError) as err:
-            gradient_kernel_Q(meas, -xstar)
-        np.testing.assert_array_equal(err.value.xi, -xstar)
-        # On a grid whose first point is smooth, the error names the kink pair's
-        # representative -xstar, the grid point whose chain is solved.
-        gradient_kernel_Q(meas, np.zeros(4))
-        with pytest.raises(NonsmoothPointError) as err:
-            QHatEvaluator(meas, grid)
-        np.testing.assert_array_equal(err.value.xi, -xstar)
+    with pytest.raises(NonsmoothPointError):
+        oracle_gradient_field(meas, xstar)
+    with pytest.raises(NonsmoothPointError) as err:
+        gradient_kernel_Q(meas, xstar)
+    np.testing.assert_array_equal(err.value.xi, xstar)
+    assert "use a positive smoothing delta (smoothing_delta / --smoothing-delta)" in str(err.value)
+    with pytest.raises(NonsmoothPointError) as err:
+        gradient_kernel_Q(meas, -xstar)
+    np.testing.assert_array_equal(err.value.xi, -xstar)
+    # On a grid whose first point is smooth, the error names the kink pair's
+    # representative -xstar, the grid point whose chain is solved.
+    gradient_kernel_Q(meas, np.zeros(4))
+    with pytest.raises(NonsmoothPointError) as err:
+        QHatEvaluator(meas, grid)
+    np.testing.assert_array_equal(err.value.xi, -xstar)
 
 
-def test_gradient_zero_for_nilpotent_atom(monkeypatch):
+def test_gradient_zero_for_nilpotent_atom():
     # a single nilpotent atom has identically vanishing closed chain, so the
-    # gradient kernel is zero (flat plateau, not a kink)
+    # gradient kernel is zero (flat plateau, not a kink): every modulus
+    # vanishes, and so does the finite-difference oracle's estimate
     sp = SignatureSpace(1)
     box = unit_momentum_box()
     A1 = np.array([[1.0, -1.0], [1.0, -1.0]], dtype=complex)
     meas = OperatorMeasure(sp, box, np.array([[0.0, 0, 0, 0]]), [A1])
-    with _finite_differences_only(monkeypatch):
-        Q = gradient_kernel_Q(meas, np.zeros(4))
-    assert np.linalg.norm(Q, 2) <= 1e-6
+    for Q in (gradient_kernel_Q(meas, np.zeros(4)), oracle_gradient_field(meas, np.zeros(4))[0]):
+        assert np.linalg.norm(Q, 2) <= 1e-6
 
 
-def test_finite_difference_field_makes_one_eigensolve_per_point(monkeypatch):
-    sp = SignatureSpace(1)
-    meas = random_measure_for(sp, make_rng(8))
-    grid = PositionGrid.from_box(2.0, (3, 1, 1, 1))
-    calls = []
-    eigvals = np.linalg.eigvals
-
-    def counting(a):
-        calls.append(np.shape(a))
-        return eigvals(a)
-
-    monkeypatch.setattr(np.linalg, "eigvals", counting)
-    for delta in (0.0, 1e-2):
-        calls.clear()
-        with _finite_differences_only(monkeypatch):
-            QHatEvaluator(meas, grid, smoothing_delta=delta)
-        assert len(calls) == grid.n_points
-
-
-def test_finite_difference_field_keeps_small_chain_derivatives(monkeypatch):
+def test_finite_difference_field_keeps_small_chain_derivatives():
     # Scaled by 0.005 the kernels are small and Q is of order 1e-4: a
     # derivative floor that does not shrink with the chain zeroes about
-    # half of the finite-difference entries.
+    # half of the oracle's finite-difference entries.
     sp = SignatureSpace(2)
     box = MomentumBox((-1.0, -0.5, -0.5, -0.5), (1.0, 0.5, 0.5, 0.5), (3, 2, 1, 1))
     meas = random_measure(sp, box, 6, make_rng(0))
     meas = meas.with_operators(0.005 * meas.operators)
     grid = PositionGrid.from_box(3.0, (3, 1, 1, 1))
-    with _analytic_only(monkeypatch):
-        exact = QHatEvaluator(meas, grid, smoothing_delta=1e-2).q_field
-    with _finite_differences_only(monkeypatch):
-        fd = QHatEvaluator(meas, grid, smoothing_delta=1e-2).q_field
+    exact = QHatEvaluator(meas, grid, smoothing_delta=1e-2).q_field
+    fd = oracle_gradient_field(meas, grid.points[grid.representatives], 1e-2)
     assert np.abs(fd - exact).max() <= 1e-6 * np.abs(exact).max()
 
 
@@ -498,7 +456,7 @@ def _assert_field_is_the_pointwise_kernel(ev, delta):
         np.testing.assert_array_equal(q, gradient_kernel_Q(ev.measure, xi, delta))
 
 
-def test_batched_gradient_field_matches_pointwise_kernel_at_degenerate_chains(monkeypatch):
+def test_batched_gradient_field_matches_pointwise_kernel_at_degenerate_chains():
     meas, grid = _partly_degenerate_measure()
     degenerate = []
     for xi in grid.points:
@@ -509,13 +467,10 @@ def test_batched_gradient_field_matches_pointwise_kernel_at_degenerate_chains(mo
     assert degenerate.any() and not degenerate.all()
     assert not degenerate[0]
     for delta in (0.0, 1e-2):
+        # The identity chain is diagonalizable: its double eigenvalue shares
+        # one coefficient, and no point is rejected.
         ev = QHatEvaluator(meas, grid, smoothing_delta=delta)
         _assert_field_is_the_pointwise_kernel(ev, delta)
-        # The identity chain is diagonalizable: its double eigenvalue takes
-        # the analytic path.
-        with _analytic_only(monkeypatch):
-            analytic = QHatEvaluator(meas, grid, smoothing_delta=delta)
-        np.testing.assert_array_equal(analytic.q_field, ev.q_field)
 
 
 def _defective_chain_measure():
@@ -531,13 +486,13 @@ def _defective_chain_measure():
     return meas, PositionGrid.from_box(3.0, (3, 1, 1, 1))
 
 
-def test_analytic_gradient_rejects_defective_chains(monkeypatch):
+def test_analytic_gradient_rejects_defective_chains():
     meas, grid = _defective_chain_measure()
     for xi in grid.points:
         _, R = np.linalg.eig(closed_chain(kernel_P(meas, xi), meas.space).chain)
         assert np.linalg.norm(R) * np.linalg.norm(np.linalg.inv(R)) > 1e7
     for delta in (0.0, 1e-2):
-        with _analytic_only(monkeypatch), pytest.raises(NonsmoothPointError) as err:
+        with pytest.raises(NonsmoothPointError) as err:
             QHatEvaluator(meas, grid, smoothing_delta=delta)
         np.testing.assert_array_equal(err.value.xi, grid.points[0])
 
@@ -560,23 +515,24 @@ def _rank_two_measure():
     return meas, PositionGrid.from_box(2.0, (3, 3, 1, 1))
 
 
-def test_gradient_exact_at_coinciding_zero_eigenvalues(monkeypatch):
+def test_gradient_exact_at_coinciding_zero_eigenvalues():
+    # At delta = 0 the two zero eigenvalues are a zero cluster whose Riesz
+    # projection annihilates the kernel, so it moves only at second order.
     meas, grid = _rank_two_measure()
     rng = make_rng(22)
-    delta = 1e-2
-    for xi in grid.points:
-        P = kernel_P(meas, xi)
-        spectrum = closed_chain(P, meas.space)
-        lam = spectrum.lambdas[np.argsort(np.abs(spectrum.lambdas))]
-        norm = np.linalg.norm(spectrum.chain, 2)
-        assert abs(lam[1]) <= 1e-12 * norm and abs(lam[2]) >= 0.1 * norm
-        with _analytic_only(monkeypatch):
+    for delta in (1e-2, 0.0):
+        for xi in grid.points:
+            P = kernel_P(meas, xi)
+            spectrum = closed_chain(P, meas.space)
+            lam = spectrum.lambdas[np.argsort(np.abs(spectrum.lambdas))]
+            norm = np.linalg.norm(spectrum.chain, 2)
+            assert abs(lam[1]) <= 1e-12 * norm and abs(lam[2]) >= 0.1 * norm
             Qm = gradient_kernel_Q(meas, -xi, smoothing_delta=delta)
-        for _ in range(3):
-            D = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-            h = 1e-5 * np.linalg.norm(P, 2) / np.linalg.norm(D, 2)
-            fd = _directional_fd(meas, xi, D, h, delta)
-            assert -2.0 * np.trace(Qm @ D).real == pytest.approx(fd, rel=1e-6)
+            for _ in range(3):
+                D = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+                h = 1e-5 * np.linalg.norm(P, 2) / np.linalg.norm(D, 2)
+                fd = _directional_fd(meas, xi, D, h, delta)
+                assert -2.0 * np.trace(Qm @ D).real == pytest.approx(fd, rel=1e-6)
 
 
 @pytest.mark.parametrize(
@@ -602,7 +558,7 @@ def test_negative_smoothing_delta_rejected(call):
 # Fourier transform Q-hat
 # ---------------------------------------------------------------------------
 
-def test_qhat_symmetric_and_matches_quadrature(monkeypatch):
+def test_qhat_symmetric_and_matches_quadrature():
     sp = SignatureSpace(1)
     meas = random_measure_for(sp, make_rng(14))
     grid = PositionGrid.from_box(2.0, (5, 1, 1, 1))
@@ -611,9 +567,8 @@ def test_qhat_symmetric_and_matches_quadrature(monkeypatch):
     got = ev.evaluate(p)
     # independent quadrature from pointwise analytic kernels
     acc = np.zeros((2, 2), dtype=complex)
-    with _analytic_only(monkeypatch):
-        for w, xi in zip(grid.weights, grid.points):
-            acc += w * gradient_kernel_Q(meas, xi) * np.exp(-1j * np.dot(p, xi))
+    for w, xi in zip(grid.weights, grid.points):
+        acc += w * gradient_kernel_Q(meas, xi) * np.exp(-1j * np.dot(p, xi))
     sym = 0.5 * (acc + krein_adjoint(acc, sp))
     np.testing.assert_allclose(got, sym, atol=1e-9 * max(1.0, np.linalg.norm(sym, 2)))
     # symmetry of the result
@@ -985,10 +940,10 @@ def test_line_search_solve_gives_the_action_and_the_field():
     # A minimizer trial takes the action from one eigh of the face chains
     # K K^H and, on acceptance, builds the field Q_11 = Phi K of each kernel
     # class from the same solve, gathered here at the grid's representatives.
-    # Both are the full-space action and field of diag(B_j, 0): to
-    # rounding at delta > 0, and at delta = 0 to the finite-difference field
-    # the full space takes there (1.1e-11 relative at most, measured on these
-    # cases).  Off the positive block the full-space field is exactly 0.0.
+    # Both are the full-space action and field of diag(B_j, 0) to rounding,
+    # also at delta = 0, where both give the chains' zero cluster
+    # coefficient 0 (7.3e-16 relative at most, measured on these cases).
+    # Off the positive block the full-space field is exactly 0.0.
     rng = make_rng(36)
     for config in (MinimizeConfig(n=1, c=0.5, f=1.0),
                    MinimizeConfig(n=2, c=0.5, f=1.0, momentum_shape=(3, 2, 1, 1), position_shape=(7, 3, 3, 1))):
@@ -1004,8 +959,7 @@ def test_line_search_solve_gives_the_action_and_the_field():
             full = QHatEvaluator(meas, run.grid, smoothing_delta=delta).q_field
             assert not full[:, n:].any() and not full[:, :, n:].any(), (n, delta)
             face = representative_field(run, run.field(*solved))
-            bound = 1e-10 if delta == 0 else 1e-14
-            assert np.abs(full[:, :n, :n] - face).max() <= bound * np.abs(face).max(), (n, delta)
+            assert np.abs(full[:, :n, :n] - face).max() <= 1e-14 * np.abs(face).max(), (n, delta)
 
 
 @pytest.mark.parametrize("delta", [0.0, 1e-2, 1.0])
@@ -1055,17 +1009,17 @@ def test_singular_eigenvector_matrix_rejects_only_its_row(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "slogdet", counted)
     for delta in (0.0, 1e-2):
-        _, chains, lams, R, m = _chain_solve(meas.operators, meas.space.signature, phases, delta)
+        Pp, chains, lams, R, m = _chain_solve(meas.operators, meas.space.signature, phases, delta)
         singular = R.copy()
         singular[7][:, 1] = 0.0  # an exactly zero LU pivot: inv raises for the whole stack
-        without = [np.delete(a, 7, axis=0) for a in (chains, lams, R, m)]
+        without = [np.delete(a, 7, axis=0) for a in (Pp, chains, lams, R, m)]
         screened.clear()
-        clean, clean_ok = _eig_gradient_factors(chains, lams, R, meas.space, delta, m)
+        clean, clean_ok = _eig_gradient_factors(Pp, chains, lams, R, m, meas.space, delta)
         assert clean_ok.all() and screened == []
-        factors, ok = _eig_gradient_factors(chains, lams, singular, meas.space, delta, m)
+        factors, ok = _eig_gradient_factors(Pp, chains, lams, singular, m, meas.space, delta)
         assert screened == [len(R)]
         assert not ok[7] and np.delete(ok, 7).all()
-        expected = _eig_gradient_factors(*without[:3], meas.space, delta, without[3])[0]
+        expected = _eig_gradient_factors(*without, meas.space, delta)[0]
         assert np.delete(factors, 7, axis=0).tobytes() == expected.tobytes()
         assert np.delete(clean, 7, axis=0).tobytes() == expected.tobytes()
 
@@ -1076,10 +1030,11 @@ def test_gradient_factor_commutes_with_the_kernel_across_the_pair():
     for meas, grid in _solve_cases():
         for delta in (0.0, 1e-2):
             sig = meas.space.signature
-            Pp, *solved, m = _chain_solve(meas.operators, sig, _kernel_phases(meas.momenta, grid.points), delta)
-            N, ok = _eig_gradient_factors(*solved, meas.space, delta, m)
-            _, *reflected, m = _chain_solve(meas.operators, sig, _kernel_phases(meas.momenta, -grid.points), delta)
-            N_minus, ok_minus = _eig_gradient_factors(*reflected, meas.space, delta, m)
+            solved = _chain_solve(meas.operators, sig, _kernel_phases(meas.momenta, grid.points), delta)
+            reflected = _chain_solve(meas.operators, sig, _kernel_phases(meas.momenta, -grid.points), delta)
+            Pp = solved[0]
+            N, ok = _eig_gradient_factors(*solved, meas.space, delta)
+            N_minus, ok_minus = _eig_gradient_factors(*reflected, meas.space, delta)
             both = ok & ok_minus
             scale = np.linalg.norm(N[both], 2, axis=(1, 2)) * np.linalg.norm(Pp[both], 2, axis=(1, 2))
             gap = np.linalg.norm(N[both] @ Pp[both] - Pp[both] @ N_minus[both], 2, axis=(1, 2))
@@ -1088,7 +1043,7 @@ def test_gradient_factor_commutes_with_the_kernel_across_the_pair():
                 assert both.all() and scale.max() > 0
 
 
-def test_reordered_grid_gives_the_same_action_and_field(monkeypatch):
+def test_reordered_grid_gives_the_same_action_and_field():
     # Representatives are picked by the point, not by its index: after a
     # permutation the rule "i <= reflection_index[i]" picks other points.
     meas = random_measure_for(SignatureSpace(2), make_rng(25), n_atoms=4, shape=(3, 2, 1, 1))
@@ -1100,12 +1055,12 @@ def test_reordered_grid_gives_the_same_action_and_field(monkeypatch):
     for delta in (0.0, 1e-2):
         expected = action(meas, box, delta)
         assert abs(action(meas, grid, delta) - expected) <= 1e-13 * abs(expected)
-        for fd_only in (False, True):
-            with _finite_differences_only(monkeypatch) if fd_only else contextlib.nullcontext():
-                ev = QHatEvaluator(meas, grid, smoothing_delta=delta)
-                box_field = QHatEvaluator(meas, box, smoothing_delta=delta).q_field
-                np.testing.assert_array_equal(ev.q_field, box_field[box.orbit[perm[grid.representatives]]])
-                _assert_field_is_the_pointwise_kernel(ev, delta)
+        ev = QHatEvaluator(meas, grid, smoothing_delta=delta)
+        box_field = QHatEvaluator(meas, box, smoothing_delta=delta).q_field
+        np.testing.assert_array_equal(ev.q_field, box_field[box.orbit[perm[grid.representatives]]])
+        _assert_field_is_the_pointwise_kernel(ev, delta)
+        oracle = oracle_gradient_field(meas, grid.points[grid.representatives], delta)
+        assert np.abs(ev.q_field - oracle).max() <= 1e-8 * np.abs(ev.q_field).max()
 
 
 def _shared_kernel_case():
@@ -1141,40 +1096,27 @@ def test_one_chain_eigensolve_per_distinct_kernel(monkeypatch):
             assert calls == [(expected, (kernels, 4, 4))]
 
 
-def test_shared_kernels_share_their_finite_difference_estimate(monkeypatch):
+def test_shared_kernels_share_their_gradient():
+    # One row per kernel class: the points of a class off the origin's have
+    # their class's row to the bit, and every point the oracle's kernel.
     meas, grid = _shared_kernel_case()
     support = _SupportTables(meas.momenta, grid)
-    firsts = support.points[support.class_firsts]
-    origin_class = support.kernel_class[support.origin_rows][0]
-    fd_gradient, calls = action_module._fd_gradient, []
-
-    def counted(kernel, xi, *args):
-        calls.append(xi)
-        return fd_gradient(kernel, xi, *args)
-
-    monkeypatch.setattr(action_module, "_fd_gradient", counted)
+    classes = support.kernel_class
+    off_origin = classes != classes[support.origin_rows][0]
+    assert len(support.class_firsts) == 11
     for delta in (0.0, 1e-2):
-        _, chains, lams, R, m = _chain_solve(meas.operators, meas.space.signature, support.kernel_phases, delta)
-        analytic = _eig_gradient_factors(chains, lams, R, meas.space, delta, m)[1]
-        for fd_only in (False, True):
-            with _finite_differences_only(monkeypatch) if fd_only else contextlib.nullcontext():
-                calls.clear()
-                ev = QHatEvaluator(meas, grid, smoothing_delta=delta)
-                # Two estimates per rejected kernel, at its first point and the
-                # reflection; one for the origin's, which is its own reflection.
-                rejected = np.nonzero(np.ones(len(firsts), bool) if fd_only else ~analytic)[0]
-                expected = [x for k in rejected
-                            for x in ([firsts[k]] if k == origin_class else [firsts[k], -firsts[k]])]
-                assert len(calls) == len(expected)
-                assert all(np.array_equal(x, y) for x, y in zip(calls, expected))
-                if fd_only:
-                    assert len(calls) == 2 * 10 + 1
-                _assert_field_is_the_pointwise_kernel(ev, delta)
+        ev = QHatEvaluator(meas, grid, smoothing_delta=delta)
+        firsts = ev.q_field[support.class_firsts[classes]]
+        assert ev.q_field[off_origin].tobytes() == firsts[off_origin].tobytes()
+        oracle = oracle_gradient_field(meas, support.points, delta)
+        assert np.abs(ev.q_field - oracle).max() <= 1e-8 * np.abs(ev.q_field).max()
+        _assert_field_is_the_pointwise_kernel(ev, delta)
 
 
 def _vanishing_modulus_measure():
     """Two atoms ``S H_j`` whose kernel is ``i S (H_1 - H_2)``, of rank one, where
-    their phases are opposite: a vanishing chain eigenvalue, rejected at ``delta = 0``.
+    their phases are opposite: a vanishing chain eigenvalue at ``delta = 0``,
+    whose Riesz projection annihilates the kernel on both sides.
 
     Both momenta have a zero coordinate along position axis 2, which has
     three points, so kernel classes hold several points.
@@ -1187,20 +1129,93 @@ def _vanishing_modulus_measure():
     return OperatorMeasure(sp, box, [-half, half], ops), PositionGrid.from_box(3.0, (3, 3, 3, 1))
 
 
-def test_analytic_gradient_names_the_first_rejected_point_of_a_shared_kernel(monkeypatch):
-    meas, grid = _vanishing_modulus_measure()
+def _kink_cluster_measure():
+    """The layout of :func:`_vanishing_modulus_measure` at n = 2, with ``D = H_1 - H_2``
+    such that ``S D`` is a nilpotent Jordan block on ``(e_0, e_2)`` and
+    ``diag(1, -1/2)`` on ``(e_1, e_3)``.
+
+    Where the phases are opposite the chain is ``(S D)^2``, whose zero
+    cluster (the block's square) is semisimple but not annihilated by the
+    kernel ``-i S D``: the cluster moves at first order, a kink at
+    ``delta = 0`` and smooth at ``delta > 0``.
+    """
+    sp = SignatureSpace(2)
+    D = np.zeros((4, 4), complex)
+    D[np.ix_([0, 2], [0, 2])] = 1.0
+    D[1, 1], D[3, 3] = 1.0, 0.5
+    H2 = 0.5 * np.eye(4, dtype=complex)
+    ops = [sp.signature[:, None] * (D + H2), sp.signature[:, None] * H2]
+    half = np.array([np.pi / 6, np.pi / 6, 0.0, 0.0])
+    box = MomentumBox((-2.0,) * 4, (2.0,) * 4, (2, 2, 1, 1))
+    return OperatorMeasure(sp, box, [-half, half], ops), PositionGrid.from_box(3.0, (3, 3, 3, 1))
+
+
+def _is_kink(meas, xi):
+    """The finite-difference oracle confirms a kink at ``xi``."""
+    try:
+        oracle_gradient_field(meas, xi)
+    except NonsmoothPointError:
+        return True
+    return False
+
+
+def test_analytic_gradient_names_the_first_rejected_point_of_a_shared_kernel():
+    meas, grid = _kink_cluster_measure()
     reps = grid.points[grid.representatives]
-    rejected = [abs(closed_chain(kernel_P(meas, xi), meas.space).lambdas).min() < 1e-12 for xi in reps]
+    rejected = [_is_kink(meas, xi) for xi in reps]
     first = reps[np.argmax(rejected)]
     assert not rejected[0] and np.array_equal(first, [-3.0, 0.0, -3.0, 0.0])
     # Its kernel is also that of (0, -3, xi_2, 0), whose phases are the same.
     support = _SupportTables(meas.momenta, grid)
     assert np.sum(support.kernel_class == support.kernel_class[np.argmax(rejected)]) == 6
-    with _analytic_only(monkeypatch):
-        with pytest.raises(NonsmoothPointError) as err:
-            QHatEvaluator(meas, grid, smoothing_delta=0.0)
-        np.testing.assert_array_equal(err.value.xi, first)
-        QHatEvaluator(meas, grid, smoothing_delta=1e-2)
+    with pytest.raises(NonsmoothPointError) as err:
+        QHatEvaluator(meas, grid, smoothing_delta=0.0)
+    np.testing.assert_array_equal(err.value.xi, first)
+    QHatEvaluator(meas, grid, smoothing_delta=1e-2)
+
+
+def _face_measure(n, seed):
+    """Random atoms ``diag(B_j, 0)`` with ``B_j >= 0`` on every point of a momentum box grid."""
+    rng = make_rng(seed)
+    shape, grid_shape = ((2, 1, 1, 1), (5, 1, 1, 1)) if n == 1 else ((3, 2, 1, 1), (7, 3, 3, 1))
+    box = unit_momentum_box(shape)
+    momenta = box.grid_points()
+    C = rng.standard_normal((len(momenta), n, n)) + 1j * rng.standard_normal((len(momenta), n, n))
+    operators = np.zeros((len(momenta), 2 * n, 2 * n), complex)
+    operators[:, :n, :n] = C.conj().swapaxes(-1, -2) @ C
+    return OperatorMeasure(SignatureSpace(n), box, momenta, operators), PositionGrid.from_box(3.0, grid_shape)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_zero_clusters_take_the_closed_form(monkeypatch, n):
+    # At delta = 0 every chain of a face measure has an n-fold zero
+    # eigenvalue, whose Riesz projection annihilates the kernel on both
+    # sides: the cluster moves only at second order and gets coefficient 0.
+    # The field is the finite-difference oracle's, the radial identity
+    # 2 sum_j Tr(Qhat(p_j) A_j) = 4 S of the degree-4 action holds, and no
+    # eigvals call is made (finite differences make one per estimate).
+    eigvals, calls = np.linalg.eigvals, []
+
+    def counted(a):
+        calls.append(np.shape(a))
+        return eigvals(a)
+
+    cases = [_face_measure(n, seed) for seed in range(3)]
+    if n == 1:
+        cases.append(_vanishing_modulus_measure())
+    for meas, grid in cases:
+        points = grid.points[grid.representatives]
+        moduli = np.stack([np.sort(np.abs(closed_chain(kernel_P(meas, xi), meas.space).lambdas)) for xi in points])
+        clustered = moduli[:, 0] <= 1e-7 * moduli[:, -1]
+        assert clustered.any()
+        monkeypatch.setattr(np.linalg, "eigvals", counted)
+        ev = QHatEvaluator(meas, grid, smoothing_delta=0.0)
+        monkeypatch.undo()
+        assert calls == []
+        oracle = oracle_gradient_field(meas, points[clustered])
+        assert np.abs(ev.q_field[clustered] - oracle).max() <= 1e-8 * np.abs(ev.q_field).max()
+        radial = 2.0 * np.einsum("jab,jba->", ev.evaluate_many(meas.momenta), meas.operators).real
+        assert radial == pytest.approx(4.0 * action(meas, grid, 0.0), rel=1e-12)
 
 
 def test_first_variation_identity_on_measure_atoms():

@@ -411,8 +411,8 @@ def test_n2_reference_run_reaches_a_passing_report():
 def test_n2_reference_at_delta_zero_certifies_within_a_second():
     # The exact Lagrangian: the full-space descent took 4.4-6.7 s here, most
     # of it in finite differences for the chains' n zero eigenvalues.  The
-    # face descent needs none; the full space takes them once, for the
-    # returned result (about 0.07 s in all, measured).
+    # face descent gives them in closed form, and so does the full-space
+    # field of the returned result.
     start = time.perf_counter()
     result = minimize_action(replace(N2_REF, smoothing_delta=0.0))
     elapsed = time.perf_counter() - start
@@ -594,9 +594,10 @@ def test_toy_at_c1_f2_certifies_under_rounding_level_field_changes(monkeypatch, 
 
 @pytest.mark.parametrize("eps", [0.0, 1e-13])
 def test_exact_lagrangian_toy_panel_certifies(monkeypatch, eps):
-    # At delta = 0 the toy chains reach vanishing moduli, whose points take
-    # finite differences averaged over the reflection pair; with a single
-    # estimate per pair some seeds stall with a failing support residual.
+    # At delta = 0 the toy chains reach vanishing moduli, whose zero cluster
+    # the full-space field gives coefficient 0; a noisy field there (finite
+    # differences unpaired with the reflection's) stalls some seeds with a
+    # failing support residual.
     _scale_minimizer_field(monkeypatch, eps)
     results = [minimize_action(replace(TOY, seed=s, smoothing_delta=0.0)) for s in range(16)]
     assert [result.stop_reason for result in results] == ["certified"] * 16
@@ -725,20 +726,20 @@ def _run_iterates(monkeypatch, config):
     return iterates
 
 
-@pytest.mark.parametrize("config, index, fd_points", [
-    pytest.param(replace(TOY, seed=1), 5, False, id="toy-seed1-it5"),
-    pytest.param(N2_REF, 60, False, id="n2-it60"),
-    pytest.param(replace(TOY, smoothing_delta=0.0), 3, True, id="toy-delta0-it3-fd"),
+@pytest.mark.parametrize("config, index", [
+    pytest.param(replace(TOY, seed=1), 5, id="toy-seed1-it5"),
+    pytest.param(N2_REF, 60, id="n2-it60"),
+    pytest.param(replace(TOY, smoothing_delta=0.0), 3, id="toy-delta0-it3"),
 ])
-def test_run_state_is_the_full_space_computation_on_the_face(monkeypatch, config, index, fd_points):
+def test_run_state_is_the_full_space_computation_on_the_face(monkeypatch, config, index):
     # The loop passes n x n arrays; at each iterate they must be the positive
     # block of what the public evaluator, pushforward and multipliers give
     # for the full-space measure diag(B_j, 0), whose field is exactly 0.0 off
     # that block.  The loop holds the field per kernel class; gathered at
     # the grid's representatives, it is the full space's field.  The
-    # blocks agree to rounding where the public field is analytic (at most
-    # 4.0e-16 relative, measured on these iterates), and to its
-    # finite-difference estimate at delta = 0 (at most 5.7e-12).
+    # blocks agree to rounding (at most 7.2e-16 relative, measured on these
+    # iterates), also at delta = 0, where the full space gives the chains'
+    # zero cluster coefficient 0 as the face does.
     it, q_class = _run_iterates(monkeypatch, replace(config, max_iterations=index))[index]
     run = _FixedSupport(config)
     face_field = representative_field(run, q_class)
@@ -746,22 +747,13 @@ def test_run_state_is_the_full_space_computation_on_the_face(monkeypatch, config
     qs = half + half.conj().swapaxes(-1, -2)
     space, box, grid = config.space(), config.momentum_box(), config.position_grid()
     n, momenta = space.n, box.grid_points()
-    action_module = importlib.import_module("kreinact.action")
-    fd_gradient, estimates = action_module._fd_gradient, []
-
-    def counted(*args):
-        estimates.append(args[1])
-        return fd_gradient(*args)
-
-    monkeypatch.setattr(action_module, "_fd_gradient", counted)
     A = np.zeros((len(momenta), 2 * n, 2 * n), complex)
     A[:, :n, :n] = it.B
     measure = OperatorMeasure(space, box, momenta, A)
     evaluator = QHatEvaluator(measure, grid, smoothing_delta=config.smoothing_delta)
-    assert bool(estimates) == fd_points
     mu = pushforward(measure, evaluator.evaluate_many(momenta))
     alpha, beta, case_tag = lagrange_parameters(mu, config.c, config.f)
-    bound = 1e-10 if fd_points else 1e-14
+    bound = 1e-14
     for full, face in ((evaluator.q_field, face_field), (mu.qs, qs)):
         assert not full[:, n:].any() and not full[:, :, n:].any()
         assert np.abs(full[:, :n, :n] - face).max() <= bound * np.abs(face).max()
