@@ -30,9 +30,9 @@ annihilates the kernel on both sides, so that it moves only at second order
 (Kato, II 2.3; every chain of a face measure ``diag(B_j, 0)``), and where
 every modulus vanishes.  Any other zero cluster is a kink, and a defective
 chain (ill-conditioned ``R``) has no such derivative: both raise
-:class:`~kreinact.errors.NonsmoothPointError` at the first point of the
-first such kernel class.  The eigen-derivatives are batched over the point
-set (one stacked ``eig`` and ``inv``).
+:class:`~kreinact.errors.NonsmoothPointError`, which names the cause, at
+the first point of the first such kernel class.  The eigen-derivatives are
+batched over the point set (one stacked ``eig`` and ``inv``).
 The chains at ``xi`` and ``-xi`` are ``X X^*`` and ``X^* X`` with
 ``X = P_+(xi)``, and ``N`` is a polynomial in its chain, so ``L(-xi) = L(xi)``
 and ``Q(xi) = X N(-xi) = N(xi) X = Q(-xi)^*`` (Higham, *Functions of
@@ -389,13 +389,13 @@ def _eig_gradient_factors(Pp, chains, lams, R, m, space: SignatureSpace, delta: 
     """Krein-symmetrized factors N of dL = Re Tr(G dA) from :func:`_chain_solve`'s
     kernels ``Pp``, chains, their ``eig`` pair ``(lams, R)`` and moduli ``m``.
 
-    Returns ``(factors, ok)``; ``ok`` marks the chains whose factor is the
-    derivative.  A chain is rejected if its eigenvector matrix ``R`` is
-    ill-conditioned (a defective chain).  Equal eigenvalues are valid: they
-    share ``g_i``.  With ``delta = 0`` the moduli at most ``MODULUS_GAP``
-    times the chain's norm form its zero cluster, where ``|.|`` is not
-    differentiable.  The cluster gets coefficient 0 if every modulus
-    vanishes (every slope is 0), or if its Riesz projection
+    Returns ``(factors, ok, defective)``; ``ok`` marks the chains whose factor
+    is the derivative.  A chain is rejected if its eigenvector matrix ``R`` is
+    ill-conditioned (a defective chain, marked in ``defective``).  Equal
+    eigenvalues are valid: they share ``g_i``.  With ``delta = 0`` the moduli
+    at most ``MODULUS_GAP`` times the chain's norm form its zero cluster,
+    where ``|.|`` is not differentiable.  The cluster gets coefficient 0 if
+    every modulus vanishes (every slope is 0), or if its Riesz projection
     ``Pi_0 = R[:, z] R^{-1}[z, :]`` annihilates the kernel on both sides,
     ``Pi_0 P_+ = 0 = P_+^* Pi_0`` to ``MODULUS_GAP`` of ``||P_+||``: then the
     first-order splitting ``Pi_0 dA Pi_0`` of ``dA = dP P_+^* + P_+ dP^*``
@@ -413,6 +413,7 @@ def _eig_gradient_factors(Pp, chains, lams, R, m, space: SignatureSpace, delta: 
         R = np.where(ok[:, None, None], R, np.eye(d))
         R_inv = np.linalg.inv(R)
     ok &= _squared_frobenius(R) * _squared_frobenius(R_inv) < _EIGENBASIS_COND**2
+    defective = ~ok
     zero = np.zeros(m.shape, bool)
     if delta == 0.0:
         zero = m <= tolerances.MODULUS_GAP * np.linalg.norm(chains, 2, axis=(1, 2))[:, None]
@@ -425,25 +426,29 @@ def _eig_gradient_factors(Pp, chains, lams, R, m, space: SignatureSpace, delta: 
                 np.linalg.norm(_adjoint(X, space.signature) @ riesz, 2, axis=(1, 2)) <= bound)
     c = np.divide(_lagrangian(m)[1] * lams.conj(), m, out=np.zeros(lams.shape, complex), where=~zero)
     G = R @ (c[:, :, None] * R_inv)
-    return 0.5 * (G + _adjoint(G, space.signature)), ok
+    return 0.5 * (G + _adjoint(G, space.signature)), ok, defective
 
 
 def _gradient_field(operators: np.ndarray, space: SignatureSpace, support: _SupportTables, delta: float):
     """Gradient kernel ``Q = N P_+`` at each of ``support.points``, from one chain per kernel class.
 
     The factors are :func:`_eig_gradient_factors`'.  A chain they reject is a
-    kink of the Lagrangian or a defective chain: the field raises
-    :class:`~kreinact.errors.NonsmoothPointError` at the first point of the
-    first rejected class.
+    defective chain or a kink of the Lagrangian: the field raises
+    :class:`~kreinact.errors.NonsmoothPointError`, naming which, at the first
+    point of the first rejected class.
     """
     sig = space.signature
     solved = _chain_solve(operators, sig, support.kernel_phases, delta)
-    factors, ok = _eig_gradient_factors(*solved, space, delta)
+    factors, ok, defective = _eig_gradient_factors(*solved, space, delta)
     if not ok.all():
-        message = "one-sided derivatives of the Lagrangian disagree (kink)"
+        first = np.argmin(ok)
+        if defective[first]:
+            message = "defective chain (ill-conditioned eigenbasis)"
+        else:
+            message = "zero cluster the kernel does not annihilate (kink)"
         if delta == 0:
             message += "; use a positive smoothing delta (smoothing_delta / --smoothing-delta)"
-        raise NonsmoothPointError(message, xi=support.points[support.class_firsts[np.argmin(ok)]])
+        raise NonsmoothPointError(message, xi=support.points[support.class_firsts[first]])
     q_field = (factors @ solved[0])[support.kernel_class]
     # Q(0) = Q(0)^*, which N P_+ meets only up to rounding.
     fixed = support.origin_rows

@@ -427,17 +427,30 @@ def save_measure(measure: OperatorMeasure, path) -> None:
     _write_document(path, measure_to_dict(measure))
 
 
+def _write_text(path, text: str) -> None:
+    """Write the ASCII ``text`` to ``path`` in one write, then cut the file to its length.
+
+    The file is opened without ``O_TRUNC``: a file cut to length 0 and
+    rewritten makes ext4 (``auto_da_alloc``) start its writeback on close,
+    which costs more than the write.  Overwritten in place, an existing file
+    keeps its inode, and a symlink is followed, as with ``open(path, "w")``,
+    whose errors it raises too.  Nothing is fsynced.
+    """
+    data = text.encode("ascii")
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        fh.write(data)
+        fh.truncate()
+
+
 def _write_document(path, doc: dict, sort_keys: bool = False) -> None:
-    """Write ``doc`` to ``path`` as JSON indented by one, ending in a newline, in one write."""
-    with open(path, "w") as fh:
-        fh.write(json.dumps(doc, indent=1, sort_keys=sort_keys) + "\n")
+    """Write ``doc`` to ``path`` as JSON indented by one, ending in a newline."""
+    _write_text(path, json.dumps(doc, indent=1, sort_keys=sort_keys) + "\n")
 
 
 def _write_table(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Write a ``header`` line, then one line per row of Python numbers by ``repr``; LF ends, one write."""
+    """Write a ``header`` line, then one line per row of Python numbers by ``repr``; LF ends."""
     lines = [",".join(header)] + [",".join(map(repr, row)) for row in rows]
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def _check_writable(path) -> None:

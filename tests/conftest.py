@@ -8,6 +8,9 @@ parametrization) so agreement is evidence, not tautology.
 
 from __future__ import annotations
 
+import contextlib
+import os
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -31,6 +34,29 @@ UNIT_BOX = ((-1.0, -0.5, -0.5, -0.5), (1.0, 0.5, 0.5, 0.5))
 
 def make_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
+
+
+@contextlib.contextmanager
+def unprivileged(directory):
+    """Run the block as the user ``nobody`` when the tests run as root.
+
+    Root writes to a read-only file regardless of its mode; ``nobody`` is
+    refused as any other user is.  The effective user id alone changes, and
+    the block should use paths relative to ``directory``, the working
+    directory, which is opened to other users for the purpose.
+    """
+    if os.geteuid() != 0:
+        yield
+        return
+    os.chmod(directory, 0o755)
+    try:
+        os.seteuid(65534)
+    except PermissionError:
+        pytest.skip("root that cannot change its user id writes to read-only files")
+    try:
+        yield
+    finally:
+        os.seteuid(0)
 
 
 def random_matrix(space: SignatureSpace, rng: np.random.Generator, scale: float = 1.0):

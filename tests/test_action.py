@@ -388,7 +388,8 @@ def test_gradient_kink_raises_nonsmooth():
     with pytest.raises(NonsmoothPointError) as err:
         gradient_kernel_Q(meas, xstar)
     np.testing.assert_array_equal(err.value.xi, xstar)
-    assert "use a positive smoothing delta (smoothing_delta / --smoothing-delta)" in str(err.value)
+    assert str(err.value) == ("defective chain (ill-conditioned eigenbasis); "
+                              "use a positive smoothing delta (smoothing_delta / --smoothing-delta)")
     with pytest.raises(NonsmoothPointError) as err:
         gradient_kernel_Q(meas, -xstar)
     np.testing.assert_array_equal(err.value.xi, -xstar)
@@ -495,6 +496,9 @@ def test_analytic_gradient_rejects_defective_chains():
         with pytest.raises(NonsmoothPointError) as err:
             QHatEvaluator(meas, grid, smoothing_delta=delta)
         np.testing.assert_array_equal(err.value.xi, grid.points[0])
+        assert str(err.value).startswith("defective chain (ill-conditioned eigenbasis)")
+        assert "kink" not in str(err.value)
+        assert ("use a positive smoothing delta" in str(err.value)) == (delta == 0.0)
 
 
 def _rank_two_measure():
@@ -1014,11 +1018,12 @@ def test_singular_eigenvector_matrix_rejects_only_its_row(monkeypatch):
         singular[7][:, 1] = 0.0  # an exactly zero LU pivot: inv raises for the whole stack
         without = [np.delete(a, 7, axis=0) for a in (Pp, chains, lams, R, m)]
         screened.clear()
-        clean, clean_ok = _eig_gradient_factors(Pp, chains, lams, R, m, meas.space, delta)
-        assert clean_ok.all() and screened == []
-        factors, ok = _eig_gradient_factors(Pp, chains, lams, singular, m, meas.space, delta)
+        clean, clean_ok, clean_defective = _eig_gradient_factors(Pp, chains, lams, R, m, meas.space, delta)
+        assert clean_ok.all() and not clean_defective.any() and screened == []
+        factors, ok, defective = _eig_gradient_factors(Pp, chains, lams, singular, m, meas.space, delta)
         assert screened == [len(R)]
         assert not ok[7] and np.delete(ok, 7).all()
+        np.testing.assert_array_equal(defective, ~ok)
         expected = _eig_gradient_factors(*without, meas.space, delta)[0]
         assert np.delete(factors, 7, axis=0).tobytes() == expected.tobytes()
         assert np.delete(clean, 7, axis=0).tobytes() == expected.tobytes()
@@ -1033,8 +1038,8 @@ def test_gradient_factor_commutes_with_the_kernel_across_the_pair():
             solved = _chain_solve(meas.operators, sig, _kernel_phases(meas.momenta, grid.points), delta)
             reflected = _chain_solve(meas.operators, sig, _kernel_phases(meas.momenta, -grid.points), delta)
             Pp = solved[0]
-            N, ok = _eig_gradient_factors(*solved, meas.space, delta)
-            N_minus, ok_minus = _eig_gradient_factors(*reflected, meas.space, delta)
+            N, ok, _ = _eig_gradient_factors(*solved, meas.space, delta)
+            N_minus, ok_minus, _ = _eig_gradient_factors(*reflected, meas.space, delta)
             both = ok & ok_minus
             scale = np.linalg.norm(N[both], 2, axis=(1, 2)) * np.linalg.norm(Pp[both], 2, axis=(1, 2))
             gap = np.linalg.norm(N[both] @ Pp[both] - Pp[both] @ N_minus[both], 2, axis=(1, 2))
@@ -1171,6 +1176,8 @@ def test_analytic_gradient_names_the_first_rejected_point_of_a_shared_kernel():
     with pytest.raises(NonsmoothPointError) as err:
         QHatEvaluator(meas, grid, smoothing_delta=0.0)
     np.testing.assert_array_equal(err.value.xi, first)
+    assert str(err.value) == ("zero cluster the kernel does not annihilate (kink); "
+                              "use a positive smoothing delta (smoothing_delta / --smoothing-delta)")
     QHatEvaluator(meas, grid, smoothing_delta=1e-2)
 
 

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import assert_feasible
+from conftest import assert_feasible, unprivileged
 from kreinact import (
     MinimizeConfig,
     NumericalError,
@@ -168,6 +168,20 @@ def test_minimize_rerun_is_byte_identical(toy_run, tmp_path):
     for name in ("config.json", "iterations.csv", "measure.json",
                  "report.json", "report.csv", "status.json"):
         assert (toy_run / name).read_bytes() == (again / name).read_bytes(), name
+
+
+def test_minimize_rerun_over_longer_run_files_leaves_no_tails(toy_run, tmp_path, capsys):
+    # A run over a bigger momentum grid leaves longer files in the directory;
+    # the toy run written over them must equal the one in a fresh directory.
+    out = tmp_path / "reused"
+    assert main(["minimize", "--out", str(out), "--grid", "4,1,1,1"] + TOY_ARGS) == 0
+    names = ("config.json", "iterations.csv", "measure.json", "report.json", "report.csv", "status.json")
+    before = {name: (out / name).read_bytes() for name in names}
+    for name in ("iterations.csv", "measure.json", "report.json", "report.csv"):
+        assert len(before[name]) > len((toy_run / name).read_bytes()), name
+    assert main(["minimize", "--out", str(out)] + TOY_ARGS) == 0
+    for name in names:
+        assert (out / name).read_bytes() == (toy_run / name).read_bytes(), name
 
 
 def test_minimize_config_file_with_overrides(tmp_path, capsys):
@@ -568,6 +582,22 @@ def test_file_system_errors_exit_2(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1, err
     assert str(path) in err
+
+
+def test_verify_out_onto_a_read_only_file_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_rotation_q(tmp_path / "q.json")
+    write_stationary_measure(tmp_path / "m.json")
+    report = tmp_path / "report.json"
+    report.write_bytes(b"old\n")
+    report.chmod(0o444)
+    with unprivileged(tmp_path):
+        rc = main(["verify", "m.json", "--q-file", "q.json", "--out", report.name])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert "Permission denied" in err and report.name in err
+    assert report.read_bytes() == b"old\n"
 
 
 def test_verify_rejects_a_non_symmetric_q_file(tmp_path, capsys):

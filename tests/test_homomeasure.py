@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import re
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_rng, random_measure_for, random_positive, unit_momentum_box
+from conftest import make_rng, random_measure_for, random_positive, unit_momentum_box, unprivileged
 from kreinact import tolerances
 from kreinact import (
     MomentumBox,
@@ -36,6 +37,7 @@ from kreinact import (
     translate,
     variation_measure,
 )
+from kreinact.homomeasure import _write_text
 from kreinact.krein import _positive_rows
 
 
@@ -497,3 +499,64 @@ def test_operator_round_trip_bit_exact(tmp_path):
     B, sp2 = load_operator(path)
     assert sp2.n == sp.n
     np.testing.assert_array_equal(A, B)
+
+
+# ---------------------------------------------------------------------------
+# The byte writer: in place, then cut to length
+# ---------------------------------------------------------------------------
+
+def test_writer_overwrites_a_longer_file_with_exactly_the_new_bytes(tmp_path):
+    path = tmp_path / "run.csv"
+    path.write_bytes(b"9" * 4096 + b"\n")
+    _write_text(path, "a,b\n1,2\n")
+    assert path.read_bytes() == b"a,b\n1,2\n"
+    _write_text(path, "")
+    assert path.read_bytes() == b""
+
+
+def test_writer_creates_a_file_with_the_mode_open_gives_it(tmp_path):
+    _write_text(tmp_path / "new.json", "{}\n")
+    with open(tmp_path / "reference.json", "w") as fh:
+        fh.write("{}\n")
+    assert (tmp_path / "new.json").read_bytes() == (tmp_path / "reference.json").read_bytes()
+    assert os.stat(tmp_path / "new.json").st_mode == os.stat(tmp_path / "reference.json").st_mode
+
+
+def test_writer_follows_a_symlink_and_keeps_it(tmp_path):
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    target.write_bytes(b"old and longer\n")
+    link.symlink_to(target.name)
+    _write_text(link, "new\n")
+    assert link.is_symlink() and os.readlink(link) == target.name
+    assert target.read_bytes() == b"new\n"
+
+
+def test_writer_keeps_the_inode_a_hard_link_shares(tmp_path):
+    path, other = tmp_path / "report.json", tmp_path / "other-name.json"
+    path.write_bytes(b"old and longer\n")
+    os.link(path, other)
+    inode = os.stat(path).st_ino
+    _write_text(path, "new\n")
+    assert os.stat(path).st_ino == inode
+    assert other.read_bytes() == b"new\n"
+
+
+def test_writer_keeps_the_permission_error_of_a_read_only_file(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "read-only.json"
+    path.write_bytes(b"old\n")
+    path.chmod(0o444)
+    with unprivileged(tmp_path):
+        assert path.name in os.listdir(".")  # the file, not the directory, refuses
+        with pytest.raises(PermissionError) as err:
+            _write_text(path.name, "new\n")
+    assert err.value.filename == path.name
+    assert path.read_bytes() == b"old\n"
+
+
+def test_writer_keeps_the_error_of_a_missing_parent_directory(tmp_path):
+    path = tmp_path / "missing" / "report.json"
+    with pytest.raises(FileNotFoundError) as err:
+        _write_text(path, "new\n")
+    assert err.value.filename == str(path)
+    assert not path.parent.exists()
