@@ -59,23 +59,21 @@ def standard_basis(measure: OperatorMeasure, limit: int | None = None) -> np.nda
     return np.eye(size, dtype=complex).reshape(size, measure.n_atoms, measure.space.dim)[:limit]
 
 
+def _applied(measure: OperatorMeasure, U: np.ndarray) -> np.ndarray:
+    """``A_j u(p_j)`` of a ``(..., k, d)`` array of test functions."""
+    return np.einsum("jab,...jb->...ja", measure.operators, U)
+
+
 def hilbert_inner(u: np.ndarray, v: np.ndarray, measure: OperatorMeasure) -> complex:
     """Induced inner product ``sum_j prec u(p_j) | A_j v(p_j) succ`` of two ``(k, d)`` test functions."""
     u, v = _test_functions(measure, u), _test_functions(measure, v)
-    total = 0.0 + 0.0j
-    for uj, vj, A in zip(u, v, measure.operators):
-        total += measure.space.inner(uj, A @ vj)
-    return complex(total)
+    return complex(np.vdot(u * measure.space.signature, _applied(measure, v)))
 
 
 def physical_wave(u: np.ndarray, measure: OperatorMeasure, x) -> np.ndarray:
     """Wave ``psi^u(x) = sum_j e^{-i p_j . x} A_j u(p_j)`` of a ``(k, d)`` test function."""
     x = _four_vector(x, "position")
-    u = _test_functions(measure, u)
-    out = np.zeros(measure.space.dim, complex)
-    for uj, (p, A) in zip(u, measure.atoms()):
-        out += np.exp(-1j * float(p @ x)) * (A @ uj)
-    return out
+    return np.exp(-1j * (measure.momenta @ x)) @ _applied(measure, _test_functions(measure, u))
 
 
 @dataclass(frozen=True)
@@ -108,7 +106,7 @@ def _basis_arrays(measure: OperatorMeasure, basis: np.ndarray):
         raise ValidationError("basis must contain at least one test function")
     U = _test_functions(measure, basis, ndim=3)
     m = len(U)
-    AU = np.einsum("jab,ijb->ija", measure.operators, U)
+    AU = _applied(measure, U)
     G = _hermitize((U.conj() * measure.space.signature).reshape(m, -1) @ AU.reshape(m, -1).T)
 
     gw, gv = np.linalg.eigh(G)

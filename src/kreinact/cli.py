@@ -250,8 +250,8 @@ def cmd_pointwise(args) -> int:
         "objective": solution.objective,
         "tag": solution.tag,
         "multipliers_valid": solution.multipliers_valid,
-        "A_re": [[float(v) for v in row] for row in solution.A.real],
-        "A_im": [[float(v) for v in row] for row in solution.A.imag],
+        "A_re": solution.A.real.tolist(),
+        "A_im": solution.A.imag.tolist(),
     }
     if solution.family is not None:
         payload["family"] = {

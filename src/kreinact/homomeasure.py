@@ -361,12 +361,10 @@ def random_measure(
     upper = np.asarray(box.upper)
     momenta = lower + (upper - lower) * rng.random((n_atoms, 4))
     d = space.dim
-    ops = []
-    for _ in range(n_atoms):
-        M = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        M *= np.sqrt(1.0 / d)
-        ops.append(space.signature[:, None] * (M.conj().T @ M))
-    return OperatorMeasure(space, box, momenta, np.asarray(ops))
+    # One draw in the per-atom order: each atom's real part, then its imaginary part.
+    z = rng.standard_normal((n_atoms, 2, d, d))
+    M = (z[:, 0] + 1j * z[:, 1]) * np.sqrt(1.0 / d)
+    return OperatorMeasure(space, box, momenta, space.signature[:, None] * (M.conj().swapaxes(-1, -2) @ M))
 
 
 # ---------------------------------------------------------------------------
@@ -374,10 +372,7 @@ def random_measure(
 # ---------------------------------------------------------------------------
 
 def _matrix_to_lists(A: np.ndarray) -> dict:
-    return {
-        "re": [[float(x) for x in row] for row in A.real],
-        "im": [[float(x) for x in row] for row in A.imag],
-    }
+    return {"re": A.real.tolist(), "im": A.imag.tolist()}
 
 
 def _matrix_from_lists(d: dict) -> np.ndarray:
@@ -395,7 +390,7 @@ def measure_to_dict(measure: OperatorMeasure) -> dict:
             "grid_shape": list(measure.box.grid_shape),
         },
         "atoms": [
-            {"p": [float(x) for x in p], "A": _matrix_to_lists(A)}
+            {"p": p.tolist(), "A": _matrix_to_lists(A)}
             for p, A in measure.atoms()
         ],
     }

@@ -26,7 +26,8 @@ The module owns the package's Hermitian forms, on a matrix or a stack:
 ``_hermitize`` (``(X + X^H) / 2``), ``_hermitian_form`` (``S A``),
 ``_root`` (the principal square root from an ``eigh`` pair) and
 ``_congruence`` (``R S R``), which the support gap of
-:mod:`kreinact.elverify` shares; ``_scale`` is the one ``max(||X||_2, 1)``.
+:mod:`kreinact.elverify` shares; ``_scale`` is ``max(||X||_2, 1)`` of a matrix, and
+``_symmetric_rows`` the one symmetry rule, on a stack (:func:`is_positive` adds a margin).
 """
 
 from __future__ import annotations
@@ -176,10 +177,7 @@ def krein_adjoint(A: np.ndarray, space: SignatureSpace) -> np.ndarray:
 
 def is_symmetric(A: np.ndarray, space: SignatureSpace) -> bool:
     """True iff ``S @ A`` is Hermitian within ``HERMITICITY`` (relative)."""
-    A = space.check_operator(A)
-    H = space.signature[:, None] * A
-    defect = np.linalg.norm(H - H.conj().T, 2)
-    return bool(defect <= tolerances.HERMITICITY * _scale(A))
+    return bool(_symmetric_rows(space.check_operator(A)[None], space.signature)[0][0])
 
 
 def is_positive(A: np.ndarray, space: SignatureSpace) -> bool:
@@ -187,38 +185,20 @@ def is_positive(A: np.ndarray, space: SignatureSpace) -> bool:
     return bool(_positive_rows(space.check_operator(A)[None], space.signature)[0])
 
 
-def _positive_rows(As: np.ndarray, sig: np.ndarray) -> np.ndarray:
-    """:func:`is_positive` of each matrix of a finite ``(k, d, d)`` stack, in one pass.
-
-    The defect ``||H - H^H||_2`` and the scale ``max(||A||_2, 1)`` enter
-    both tests monotonically, so the bounds ``||X||_F / sqrt(d) <= ||X||_2
-    <= ||X||_F`` (with ``_BOUND_SLACK``) decide most rows; only the rows
-    they leave open are decomposed.  Each matrix's SVD is independent of
-    the rest of the stack, so the booleans are those of the full
-    computation to the bit.
-    """
+def _symmetric_rows(As: np.ndarray, sig: np.ndarray) -> tuple:
+    """``(symmetric, H, scale)`` of each matrix of a finite ``(k, d, d)`` stack, by one stacked SVD:
+    ``H = S A``, ``scale = max(||A||_2, 1)`` and ``symmetric`` is ``||H - H^H||_2 <= HERMITICITY * scale``."""
     H = sig[:, None] * As
-    H_adj = H.conj().swapaxes(-1, -2)
-    defect = H - H_adj
-    w_min = np.linalg.eigvalsh(0.5 * (H + H_adj))[..., 0]
-    tol, hermiticity = tolerances.PSD, max(tolerances.PSD, tolerances.HERMITICITY)
+    norms = np.linalg.svd(np.concatenate([H - H.conj().swapaxes(-1, -2), As]), compute_uv=False)[:, 0]
+    defect, scale = norms[: len(As)], np.maximum(norms[len(As):], 1.0)
+    return defect <= tolerances.HERMITICITY * scale, H, scale
 
-    def bounds(stack):
-        frobenius = np.sqrt(_squared_frobenius(stack))
-        return frobenius / np.sqrt(stack.shape[-1]) * (1.0 - _BOUND_SLACK), frobenius * (1.0 + _BOUND_SLACK)
 
-    defect_lo, defect_hi = bounds(defect)
-    scale_lo, scale_hi = (np.maximum(b, 1.0) for b in bounds(As))
-    # Squares of entries beyond about 1e154 overflow; such rows are left open.
-    bounded = np.isfinite(defect_hi) & np.isfinite(scale_hi)
-    passes = bounded & (defect_hi <= hermiticity * scale_lo) & (w_min >= -tol * scale_lo)
-    fails = bounded & ((defect_lo > hermiticity * scale_hi) | (w_min < -tol * scale_hi))
-    rows = np.nonzero(~(passes | fails))[0]
-    if len(rows):
-        norm = np.linalg.svd(defect[rows], compute_uv=False)[:, 0]
-        scale = np.maximum(np.linalg.svd(As[rows], compute_uv=False)[:, 0], 1.0)
-        passes[rows] = (norm <= hermiticity * scale) & (w_min[rows] >= -tol * scale)
-    return passes
+def _positive_rows(As: np.ndarray, sig: np.ndarray) -> np.ndarray:
+    """:func:`is_positive` of each matrix of a finite ``(k, d, d)`` stack: symmetric, and the
+    lowest eigenvalue of ``S A`` at or above ``-PSD * scale``."""
+    symmetric, H, scale = _symmetric_rows(As, sig)
+    return symmetric & (np.linalg.eigvalsh(_hermitize(H))[:, 0] >= -tolerances.PSD * scale)
 
 
 def _require_positive(A: np.ndarray, space: SignatureSpace, who: str) -> np.ndarray:

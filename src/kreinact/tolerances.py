@@ -5,10 +5,10 @@ derived from the operand (typically ``max(1, norm)``) before comparing.
 Each entry below says where it is absolute instead.
 """
 
-#: Hermiticity defect of ``S @ A`` for symmetry tests (relative).
+#: Hermiticity defect of ``S @ A`` in the one symmetry rule, which positivity shares (relative).
 HERMITICITY = 1e-10
 
-#: Smallest admissible eigenvalue of ``S @ A`` for positivity tests (relative).
+#: Smallest admissible eigenvalue of ``S @ A``: the margin positivity adds to symmetry (relative).
 PSD = 1e-10
 
 #: Grouping threshold for the zero spectral point, relative to the norm.

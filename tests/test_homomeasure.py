@@ -413,6 +413,24 @@ def test_random_measure_magnitude_and_validity():
         assert is_positive(A, sp)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("k", [0, 1, 27])
+@pytest.mark.parametrize("seed", [0, 1, 4])
+def test_random_measure_keeps_the_per_atom_draw_order(n, k, seed):
+    # The fixture files `kreinact fixture random` writes depend on this stream order.
+    sp, box = SignatureSpace(n), unit_momentum_box((2, 2, 1, 1))
+    rng = make_rng(seed)
+    momenta = np.asarray(box.lower) + (np.asarray(box.upper) - np.asarray(box.lower)) * rng.random((k, 4))
+    ops = []
+    for _ in range(k):
+        M = rng.standard_normal((sp.dim, sp.dim)) + 1j * rng.standard_normal((sp.dim, sp.dim))
+        M *= np.sqrt(1.0 / sp.dim)
+        ops.append(sp.signature[:, None] * (M.conj().T @ M))
+    meas = random_measure(sp, box, k, make_rng(seed))
+    np.testing.assert_array_equal(meas.momenta, momenta)
+    np.testing.assert_array_equal(meas.operators, np.asarray(ops, complex).reshape(k, sp.dim, sp.dim))
+
+
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------

@@ -271,14 +271,19 @@ def test_max_spectral_norm_of_degenerate_stacks(stack):
     assert _max_spectral_norm(stack) == np.linalg.norm(stack, 2, axis=(1, 2)).max(initial=0.0)
 
 
-def _positive_rows_full(As, sig):
-    """:func:`_positive_rows` computed without its bounds: two SVD norms of every row."""
+def _defects_and_scales(As, sig):
+    """Per row, ``||S A - (S A)^H||_2`` and ``max(||A||_2, 1)``, each by its own norm call."""
     H = sig[:, None] * As
-    H_adj = np.swapaxes(H.conj(), -1, -2)
-    defect = np.linalg.norm(H - H_adj, 2, axis=(-2, -1))
-    scale = np.maximum(np.linalg.norm(As, 2, axis=(-2, -1)), 1.0)
-    w_min = np.linalg.eigvalsh(0.5 * (H + H_adj))[..., 0]
-    return (defect <= max(PSD, HERMITICITY) * scale) & (w_min >= -PSD * scale)
+    defect = np.linalg.norm(H - np.swapaxes(H.conj(), -1, -2), 2, axis=(-2, -1))
+    return defect, np.maximum(np.linalg.norm(As, 2, axis=(-2, -1)), 1.0)
+
+
+def _positive_rows_full(As, sig):
+    """:func:`_positive_rows` by the definition: symmetric, and ``S A`` no lower than ``-PSD * scale``."""
+    H = sig[:, None] * As
+    defect, scale = _defects_and_scales(As, sig)
+    w_min = np.linalg.eigvalsh(0.5 * (H + np.swapaxes(H.conj(), -1, -2)))[..., 0]
+    return (defect <= HERMITICITY * scale) & (w_min >= -PSD * scale)
 
 
 def _edge_row(sp, rng, size, defect_offset, margin_offset, rank_one):
@@ -286,7 +291,7 @@ def _edge_row(sp, rng, size, defect_offset, margin_offset, rank_one):
     sit ``1 + offset`` times at their tolerances for the scale ``max(size, 1)``.
 
     A rank-one defect has ``||X||_F = ||X||_2``, a generic one ``||X||_F`` near
-    ``sqrt(d) ||X||_2``: the two ends of the Frobenius bounds.
+    ``sqrt(d) ||X||_2``.
     """
     d = sp.dim
     G = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
@@ -297,7 +302,7 @@ def _edge_row(sp, rng, size, defect_offset, margin_offset, rank_one):
     K = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     B = 1j * np.outer(K[0], K[0].conj()) if rank_one else K - K.conj().T
     B /= np.linalg.norm(B, 2)
-    H = P + 0.5 * max(PSD, HERMITICITY) * scale * (1.0 + defect_offset) * B
+    H = P + 0.5 * HERMITICITY * scale * (1.0 + defect_offset) * B
     return sp.signature[:, None] * H
 
 
@@ -312,25 +317,16 @@ def test_positive_rows_equal_the_full_computation_at_the_tolerance_edges(n, seed
     sp, rng = SignatureSpace(n), make_rng(seed)
     stack = np.stack([_edge_row(sp, rng, *row) for row in rows])
     assert _positive_rows(stack, sp.signature).tolist() == _positive_rows_full(stack, sp.signature).tolist()
+    defect, scale = _defects_and_scales(stack, sp.signature)
+    assert [is_symmetric(A, sp) for A in stack] == (defect <= HERMITICITY * scale).tolist()
 
 
-def test_positive_rows_decompose_only_the_rows_the_bounds_leave_open(monkeypatch):
+def test_positive_rows_equal_the_full_computation_on_clear_edge_and_huge_stacks():
     sp, rng = SignatureSpace(2), make_rng(31)
     clear = np.stack([random_positive(sp, rng) for _ in range(20)])
     edge = np.stack([_edge_row(sp, rng, 1.0, offset, -0.9, False) for offset in (-1e-9, 1e-9)])
-    # Entries past 1e154 overflow the squared Frobenius norm; those rows are decomposed.
+    # Entries past 1e154 overflow a squared Frobenius norm; the SVD takes them.
     huge = 1e160 * clear[:2]
-    svd, decomposed = np.linalg.svd, []
-
-    def counted(a, *args, **kwargs):
-        decomposed.append(len(a))
-        return svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counted)
-    for stack, expected in ((clear, []), (edge, [2, 2]), (huge, [2, 2])):
-        decomposed.clear()
-        result = _positive_rows(stack, sp.signature)
-        assert decomposed == expected
-        monkeypatch.undo()
-        assert result.tolist() == _positive_rows_full(stack, sp.signature).tolist()
-        monkeypatch.setattr(np.linalg, "svd", counted)
+    for stack in (clear, edge, huge):
+        assert _positive_rows(stack, sp.signature).tolist() == _positive_rows_full(stack, sp.signature).tolist()
+    assert _positive_rows(clear, sp.signature).all() and _positive_rows(huge, sp.signature).all()

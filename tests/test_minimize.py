@@ -867,6 +867,38 @@ def test_the_face_action_has_a_convex_minorant(n, delta):
         assert _face_minorant(0.5 * (B0 + B1), momenta, grid, delta) < chord
 
 
+@pytest.mark.parametrize("delta", [0.0, 1e-2])
+@pytest.mark.parametrize("config", [
+    *(pytest.param(replace(TOY, seed=s), id=f"toy-{s}") for s in range(8)),
+    *(pytest.param(replace(N2_REF, seed=s), id=f"n2-{s}") for s in range(4)),
+    pytest.param(replace(N2_REF, n=3), id="n3"),
+])
+def test_a_certified_run_is_within_the_minorant_gap_of_the_face_minimum(config, delta):
+    # S_lb is convex on the face and dS_lb = 2 sum_j Tr(Ghat_j dB_j), with Ghat the
+    # face field at the minorant's slopes (t - n delta) / n.  So over every face
+    # measure on the atoms with sum_j Tr B_j = c,
+    #   S* >= S_lb(B) - 2 (sum_j Tr(Ghat_j B_j) - c min_j lambda_min(Ghat_j)),
+    # and S(B) minus that bound is at least S - S_lb >= 0.  Measured worst gap over
+    # these runs: 4.4e-7.
+    config = replace(config, smoothing_delta=delta)
+    result = minimize_action(config)
+    assert result.stop_reason == "certified"
+    run, n = _FixedSupport(config), config.n
+    B = result.measure.operators[:, :n, :n]
+    K = _phase_sum(run.support.kernel_phases, B)
+    s, U = np.linalg.eigh(K @ K.conj().swapaxes(-1, -2))
+    m = _moduli(s, delta)
+    t = m.sum(axis=1)
+    S = run.support.integral(_lagrangian(m, n, delta)[0])
+    S_lb = run.support.integral((t - n * delta) ** 2 / (2 * n))
+    slopes = np.repeat(((t - n * delta) / n)[:, None], n, axis=1)
+    half = _phase_sum(run.class_phases, run.field(K, s, U, m, slopes))
+    G_hat = half + half.conj().swapaxes(-1, -2)
+    pairing = float(np.vdot(B, G_hat).real)
+    bound = S_lb - 2.0 * (pairing - config.c * np.linalg.eigvalsh(G_hat)[:, 0].min())
+    assert 0.0 <= S - bound <= 1e-6
+
+
 @pytest.mark.parametrize("config", [
     pytest.param(replace(TOY, max_iterations=10), id="toy"),
     pytest.param(replace(N2_REF, max_iterations=20), id="n2"),
