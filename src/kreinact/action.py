@@ -183,14 +183,6 @@ class PositionGrid:
         refl = idx[tuple(slice(None, None, -1) for _ in shape)].ravel()
         return cls(points=points, weights=weights, reflection_index=refl)
 
-    @property
-    def n_points(self) -> int:
-        return len(self.points)
-
-    @property
-    def volume(self) -> float:
-        return float(self.weights.sum())
-
     def boundary_mask(self) -> np.ndarray:
         """Points with some coordinate at the boundary of the sampled box."""
         extent = np.abs(self.points).max(axis=0)

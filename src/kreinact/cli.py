@@ -21,7 +21,7 @@ import numpy as np
 from . import elverify, tolerances
 from .action import PositionGrid, QHatEvaluator
 from .cfsbridge import correlations_to_csv, empirical_cfs, standard_basis
-from .elverify import _certify, check_first_order, report_to_csv, save_report
+from .elverify import _certify, _probes, check_first_order, report_to_csv, save_report
 from .errors import KreinactError, ValidationError, _check_count, _check_real
 from .homomeasure import (
     MomentumBox,
@@ -208,7 +208,7 @@ def cmd_verify(args) -> int:
                                   "and signed trace (f), so pass --c and --f") from None
 
     tol_el = args.tol_el if args.tol_el is not None else tolerances.EL_RESIDUAL
-    report = _certify(measure, qhats_at, c, f, tail)
+    report = _certify(measure, *_probes(measure.box, measure.momenta), qhats_at, c, f, tail)
     checks = check_first_order(report, tol_el)
     if args.out:
         save_report(report, args.out)

@@ -52,7 +52,6 @@ __all__ = [
     "lagrange_parameters",
     "el_residuals",
     "support_gap",
-    "beta_sign_check",
     "check_first_order",
     "report_to_dict",
     "report_from_dict",
@@ -269,35 +268,35 @@ def el_residuals(
     )
 
 
-def _certify(measure: OperatorMeasure, qhats_at, c: float, f: float, tail_magnitude: float | None) -> ELReport:
-    """The first-order report of ``measure`` at the targets ``(c, f)``, for
-    ``kreinact verify`` and the minimizer's certificate alike.
-
-    The probes are the box grid and the atoms, each once and ascending: a
-    stable sort of the stacked rows keeps the first of equal rows, a grid
-    row before an atom.  ``qhats_at(probes)`` stacks ``Qhat`` over them, and
-    the atoms' rows of that stack give the pushforward and its multipliers,
-    so each spectrum is solved once.  ``tail_magnitude`` is the field's,
-    None for a constant one."""
-    grid_points = measure.box.grid_points()
-    rows = np.vstack([grid_points, measure.momenta])
+def _probes(box, momenta: np.ndarray):
+    """``(probes, atom_rows)``: the box grid and the atoms, each once and ascending
+    (a stable sort keeps the first of equal rows, a grid row before an atom), and
+    the atoms' rows among them."""
+    grid_points = box.grid_points()
+    rows = np.vstack([grid_points, momenta])
     order = np.lexsort(rows.T[::-1])
     rows = rows[order]
     first = np.concatenate([[True], (rows[1:] != rows[:-1]).any(axis=1)])
     inverse = np.empty(len(rows), int)
     inverse[order] = np.cumsum(first) - 1
-    probes = rows[first]
+    return rows[first], inverse[len(grid_points):]
+
+
+def _certify(measure: OperatorMeasure, probes: np.ndarray, atom_rows: np.ndarray, qhats_at,
+             c: float, f: float, tail_magnitude: float | None) -> ELReport:
+    """The first-order report of ``measure`` at the targets ``(c, f)``, for
+    ``kreinact verify`` and the minimizer's certificate alike.
+
+    ``probes`` and ``atom_rows`` are :func:`_probes` of the measure's box and
+    atoms.  ``qhats_at(probes)`` stacks ``Qhat`` over the probes, and the
+    atoms' rows of that stack give the pushforward and its multipliers, so
+    each spectrum is solved once.  ``tail_magnitude`` is the field's, None
+    for a constant one."""
     qhats = qhats_at(probes)
-    atom_rows = inverse[len(grid_points):]
     mu = pushforward(measure, qhats[atom_rows])
     alpha, beta, case_tag = lagrange_parameters(mu, c, f)
     return el_residuals(mu, alpha, beta, probes, qhats, case_tag, tail_magnitude=tail_magnitude,
                         _atom_rows=atom_rows)
-
-
-def beta_sign_check(report: ELReport) -> bool:
-    """True iff the dimension-constraint multiplier satisfies ``beta <= 0``."""
-    return report.beta <= tolerances.BETA_SIGN
 
 
 def check_first_order(report: ELReport, tol_el: float = tolerances.EL_RESIDUAL) -> dict:
@@ -324,7 +323,7 @@ def check_first_order(report: ELReport, tol_el: float = tolerances.EL_RESIDUAL) 
     gap_support_ok = bool(support_gaps.max(initial=0.0) <= tol)
     gap_min = float(report.probe_gaps.min(initial=np.inf))
     gap_attained = len(support_gaps) == 0 or bool(support_gaps.min() <= gap_min + tol)
-    beta_ok = beta_sign_check(report)
+    beta_ok = report.beta <= tolerances.BETA_SIGN
     return {
         "psd_margin": margin_ok,
         "support_residuals": support_ok,

@@ -48,7 +48,6 @@ __all__ = [
     "is_positive",
     "positive_spectrum",
     "spectral_split",
-    "psd_factorize",
     "product_annihilates",
     "classified_spectrum",
 ]
@@ -270,15 +269,6 @@ def spectral_split(A: np.ndarray, space: SignatureSpace) -> SpectralSplit:
     minus = component(w < -thresh)
     zero = A - plus - minus
     return SpectralSplit(plus=plus, zero=zero, minus=minus, eigenvalues=w)
-
-
-def psd_factorize(A: np.ndarray, space: SignatureSpace) -> np.ndarray:
-    """Factor a positive operator as ``A = S @ M^H @ M``.
-
-    Returns the principal Hermitian square root ``M = sqrt(S A)``, so that
-    ``M^H M = M @ M = S A``.
-    """
-    return _positive_root(_require_positive(A, space, "psd_factorize"), space)
 
 
 def product_annihilates(A: np.ndarray, B: np.ndarray, space: SignatureSpace) -> bool:

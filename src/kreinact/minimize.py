@@ -49,8 +49,8 @@ the current value: a strict test on the raw action stalled seeds whose
 last step gained less than the action's rounding.  The trace logs the
 compared value as each iterate's action, so it never rises.  What a
 run never changes (the space, box, atom momenta, position grid,
-``delta``, targets, and the phase tables built from them) is held once
-in a private run object, and the loop passes it bare n x n stacks.
+``delta``, targets, and the phase tables and probes built from them) is
+held once in a private run object, and the loop passes it bare n x n stacks.
 The loop stops at the first iterate whose certificate passes
 :func:`~kreinact.elverify.check_first_order` at ``CERTIFY_FRACTION *
 tol_el``: the validated 2n x 2n measure ``diag(B_j, 0)``, one
@@ -88,7 +88,7 @@ from .action import (
     _SupportTables,
     action,
 )
-from .elverify import ELReport, _bound_active, _certify, check_first_order
+from .elverify import ELReport, _bound_active, _certify, _probes, check_first_order
 from .errors import RestorationError, ValidationError, _check_count, _check_real, _entries
 from .homomeasure import MomentumBox, OperatorMeasure, _check_targets
 from .krein import _BOUND_SLACK, SignatureSpace, _squared_frobenius
@@ -365,19 +365,19 @@ class _FixedSupport:
 
     A run moves the factors, never the space, box, atom momenta, position
     grid, ``delta`` or targets; the support tables, the Fourier phases at
-    the atom momenta summed over each kernel class's representatives, and
-    the n x n identity are built from those once.  The loop passes bare
+    the atom momenta summed over each kernel class's representatives, the
+    probes with the atoms' rows among them (:func:`~kreinact.elverify._probes`)
+    and the n x n identity are built from those once.  The loop passes bare
     n x n stacks through :meth:`restore`, :meth:`solve`, :meth:`trial` and
     :meth:`state`, one row per kernel class; public objects are built only
     by :meth:`certificate`.
     """
 
-    def __init__(self, config: MinimizeConfig):
-        self.space = config.space()
-        self.box = config.momentum_box()
-        self.grid = config.position_grid()
-        self.momenta = self.box.grid_points()
-        self.delta, self.c, self.f = float(config.smoothing_delta), config.c, config.f
+    def __init__(self, space: SignatureSpace, box: MomentumBox, momenta: np.ndarray, grid: PositionGrid,
+                 delta: float, c: float, f: float):
+        self.space, self.box, self.momenta, self.grid = space, box, momenta, grid
+        self.delta, self.c, self.f = float(delta), c, f
+        self.probes, self.atom_rows = _probes(box, momenta)
         self.support = _SupportTables(self.momenta, self.grid)
         self.eye = np.eye(self.space.n)
         phases = self.support.fourier_phases(self.momenta)
@@ -458,16 +458,19 @@ class _FixedSupport:
     def certificate(self, B: np.ndarray) -> tuple[OperatorMeasure, ELReport]:
         """The validated measure ``diag(B_j, 0)`` and its full-space first-order report
         from the :class:`~kreinact.action.QHatEvaluator` of the measure on the run's
-        tables, by :func:`~kreinact.elverify._certify` as ``kreinact verify`` builds it.
-        The atoms are the box grid, so they are the probes."""
+        tables, by :func:`~kreinact.elverify._certify` on the run's probes as ``kreinact
+        verify`` builds it."""
         measure = OperatorMeasure(self.space, self.box, self.momenta, self.embed(B))
         evaluator = QHatEvaluator(measure, self.grid, smoothing_delta=self.delta, _support=self.support)
-        return measure, _certify(measure, evaluator.evaluate_many, self.c, self.f, evaluator.tail_magnitude)
+        return measure, _certify(measure, self.probes, self.atom_rows, evaluator.evaluate_many,
+                                 self.c, self.f, evaluator.tail_magnitude)
 
 
 def minimize_action(config: MinimizeConfig) -> MinimizeResult:
     """Run the constrained gradient minimization defined by ``config``."""
-    run = _FixedSupport(config)
+    box = config.momentum_box()
+    run = _FixedSupport(config.space(), box, box.grid_points(), config.position_grid(),
+                        config.smoothing_delta, config.c, config.f)
     k, d, n = len(run.momenta), run.space.dim, run.space.n
     rng = np.random.default_rng(config.seed)
 

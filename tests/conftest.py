@@ -28,6 +28,7 @@ from kreinact import (
 )
 from kreinact.action import _lagrangian, _moduli
 from kreinact.krein import _adjoint, _hermitize
+from kreinact.minimize import _FixedSupport
 
 UNIT_BOX = ((-1.0, -0.5, -0.5, -0.5), (1.0, 0.5, 0.5, 0.5))
 
@@ -102,6 +103,13 @@ def assert_feasible(measure: OperatorMeasure, c: float, f: float, case_tag: str)
         assert values.mod_dim == pytest.approx(f, abs=1e-12)
     else:
         assert values.mod_dim <= f + 1e-12
+
+
+def fixed_support(config) -> _FixedSupport:
+    """The run object of a minimization with ``config``, as ``minimize_action`` builds it."""
+    box = config.momentum_box()
+    return _FixedSupport(config.space(), box, box.grid_points(), config.position_grid(),
+                         config.smoothing_delta, config.c, config.f)
 
 
 def representative_field(run, q_class: np.ndarray) -> np.ndarray:

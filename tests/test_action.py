@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    fixed_support,
     make_rng,
     oracle_gradient_field,
     random_measure_for,
@@ -53,7 +54,6 @@ from kreinact.action import (
     _row_blocks,
     _SupportTables,
 )
-from kreinact.minimize import _FixedSupport
 
 # The package exports the function ``action`` under the submodule's name.
 action_module = importlib.import_module("kreinact.action")
@@ -75,15 +75,16 @@ def test_grid_symmetric_under_reflection():
 def test_box_grid_representatives_are_the_first_of_each_pair(shape, pairs):
     grid = PositionGrid.from_box(2.0, shape)
     refl = grid.reflection_index
-    np.testing.assert_array_equal(grid.representatives, np.nonzero(np.arange(grid.n_points) <= refl)[0])
+    np.testing.assert_array_equal(grid.representatives, np.nonzero(np.arange(len(grid.points)) <= refl)[0])
     assert len(grid.representatives) == pairs
     np.testing.assert_array_equal(grid.representatives[grid.orbit[refl]], grid.representatives[grid.orbit])
-    assert grid.folded_weights.sum() == pytest.approx(grid.volume, rel=1e-14)
+    assert grid.folded_weights.sum() == pytest.approx(grid.weights.sum(), rel=1e-14)
 
 
 def test_grid_weights_sum_to_volume():
+    # The trapezoidal weights of each axis, a single point's included, sum to its length 2 * 1.5.
     grid = PositionGrid.from_box(1.5, (5, 4, 1, 1))
-    assert grid.weights.sum() == pytest.approx(grid.volume, rel=1e-12)
+    assert grid.weights.sum() == pytest.approx((2 * 1.5) ** 4, rel=1e-12)
 
 
 def test_grid_single_point_axes_at_origin():
@@ -795,7 +796,7 @@ def test_phase_sums_over_no_atoms_or_no_momenta_are_empty():
     grid = PositionGrid.from_box(2.0, (5, 3, 1, 1))
     empty = OperatorMeasure(sp, unit_momentum_box((3, 3, 3, 1)), np.zeros((0, 4)), np.zeros((0, 4, 4)))
     np.testing.assert_array_equal(_phase_sum(_kernel_phases(empty.momenta, grid.points), empty.operators),
-                                  np.zeros((grid.n_points, 4, 4)))
+                                  np.zeros((len(grid.points), 4, 4)))
     np.testing.assert_array_equal(kernel_P(empty, [0.5, 0.0, 0.0, 0.0]), np.zeros((4, 4)))
     ev = QHatEvaluator(empty, grid, smoothing_delta=1e-2)
     assert not ev.q_field.any() and action(empty, grid, 1e-2) == 0.0
@@ -876,7 +877,7 @@ def test_qhat_pairing_meets_the_radial_identity(delta):
         radial = 4.0 * action(meas, grid, delta)
         if delta:
             radial -= 2.0 * delta * _delta_derivative(meas, grid, delta)
-        assert abs(pairing - radial) <= 1e-12 * abs(radial), (meas.space.n, grid.n_points)
+        assert abs(pairing - radial) <= 1e-12 * abs(radial), (meas.space.n, len(grid.points))
 
 
 @pytest.mark.parametrize("delta", [0.0, 1e-2, 1.0])
@@ -953,7 +954,7 @@ def test_line_search_solve_gives_the_action_and_the_field():
                    MinimizeConfig(n=2, c=0.5, f=1.0, momentum_shape=(3, 2, 1, 1), position_shape=(7, 3, 3, 1))):
         n = config.n
         for delta in (0.0, 1e-2, 1.0):
-            run = _FixedSupport(replace(config, smoothing_delta=delta))
+            run = fixed_support(replace(config, smoothing_delta=delta))
             shape = (len(run.momenta), n, n)
             Cs = run.restore(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
             value, B, solved = run.solve(Cs)
@@ -1053,9 +1054,9 @@ def test_reordered_grid_gives_the_same_action_and_field():
     # permutation the rule "i <= reflection_index[i]" picks other points.
     meas = random_measure_for(SignatureSpace(2), make_rng(25), n_atoms=4, shape=(3, 2, 1, 1))
     box = PositionGrid.from_box(3.0, (5, 3, 1, 1))
-    perm = make_rng(26).permutation(box.n_points)
+    perm = make_rng(26).permutation(len(box.points))
     grid = PositionGrid(box.points[perm], box.weights[perm], np.argsort(perm)[box.reflection_index[perm]])
-    by_index = np.nonzero(np.arange(grid.n_points) <= grid.reflection_index)[0]
+    by_index = np.nonzero(np.arange(len(grid.points)) <= grid.reflection_index)[0]
     assert not np.array_equal(grid.points[by_index], grid.points[grid.representatives])
     for delta in (0.0, 1e-2):
         expected = action(meas, box, delta)

@@ -24,6 +24,7 @@ from conftest import (
 from kreinact import (
     ELReport,
     InfeasibleProblemError,
+    MomentumBox,
     OperatorMeasure,
     PositionGrid,
     PushforwardMeasure,
@@ -31,7 +32,6 @@ from kreinact import (
     SignatureSpace,
     ValidationError,
     action,
-    beta_sign_check,
     check_first_order,
     el_residuals,
     lagrange_parameters,
@@ -49,7 +49,7 @@ from kreinact import (
     save_report,
     support_gap,
 )
-from kreinact.elverify import _gaps, _hermitian_spectra
+from kreinact.elverify import _gaps, _hermitian_spectra, _probes
 from kreinact.tolerances import PSD
 
 SP1 = SignatureSpace(1)
@@ -377,7 +377,6 @@ def test_beta_sign_check():
         constant_field(ROTATION_Q, 4),
         case_tag="b",
     )
-    assert not beta_sign_check(report)
     assert not check_first_order(report, 1e6)["beta_sign"]  # sign, not size
     good = el_residuals(
         pushforward(measure, constant_field(ROTATION_Q, 2)),
@@ -387,7 +386,7 @@ def test_beta_sign_check():
         constant_field(ROTATION_Q, 4),
         case_tag="b",
     )
-    assert beta_sign_check(good)
+    assert check_first_order(good)["beta_sign"]
 
 
 # The report as computed before its spectra were shared: one eigh per stack,
@@ -483,6 +482,32 @@ def test_report_read_from_shared_rows_equals_the_full_computation(n, seed):
     for report, probe_qs in cases:
         for name, expected in _report_reference(mu, alpha, beta, probe_qs).items():
             np.testing.assert_array_equal(getattr(report, name), expected, err_msg=name)
+
+
+@given(st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=200, deadline=None)
+def test_probes_are_the_unique_rows_of_the_grid_and_the_atoms(seed):
+    # Atoms off the grid, on grid points and repeated: the probe rule keeps each
+    # row once, ascending, as np.unique does, and indexes the atoms among them.
+    rng = make_rng(seed)
+    lower, upper = rng.uniform(-2.0, 0.0, 4), rng.uniform(0.5, 2.0, 4)
+    box = MomentumBox(lower, upper, rng.integers(1, 4, 4))
+    grid = box.grid_points()
+    inside = lower + rng.uniform(0.0, 1.0, (int(rng.integers(1, 5)), 4)) * (upper - lower)
+    atoms = np.vstack([inside, grid[rng.integers(0, len(grid), int(rng.integers(0, 4)))]])
+    atoms = atoms[rng.integers(0, len(atoms), len(atoms) + int(rng.integers(0, 3)))]
+    probes, atom_rows = _probes(box, atoms)
+    expected, inverse = np.unique(np.vstack([grid, atoms]), axis=0, return_inverse=True)
+    np.testing.assert_array_equal(probes, expected)
+    np.testing.assert_array_equal(atom_rows, inverse.ravel()[len(grid):])
+
+
+def test_probes_on_a_box_grid_are_that_grid():
+    box = MomentumBox((-1.0, -0.5, -0.5, -0.5), (1.0, 0.5, 0.5, 0.5), (3, 2, 1, 2))
+    grid = box.grid_points()
+    probes, atom_rows = _probes(box, grid)
+    assert probes.tobytes() == grid.tobytes()
+    np.testing.assert_array_equal(atom_rows, np.arange(len(grid)))
 
 
 # ---------------------------------------------------------------------------

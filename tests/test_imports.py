@@ -16,6 +16,12 @@ parameter (``*, _name``) of a package function or method is passed by
 name by some call in ``src/``: a private keyword that no caller passes
 keeps a dead branch alive.
 
+Every public name of the package is used: each name in a module's
+``__all__``, and each public method or property of a public class, is
+referenced in ``src/`` as a name or an attribute, or named in
+``README.md``.  A public name that only tests use is surface with no
+caller.
+
 The export lists agree: every name in a module's ``__all__`` is
 re-exported by ``kreinact`` as the same object, ``kreinact.__all__``
 names each object once, and each of its names other than ``__version__``
@@ -24,6 +30,7 @@ and ``main`` comes from exactly one module's ``__all__``.
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -32,6 +39,7 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "kreinact"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 ALL_MODULES = sorted(PACKAGE.glob("*.py"))
 TEST_FILES = sorted(Path(__file__).resolve().parent.glob("*.py"))
+README = PACKAGE.parent.parent / "README.md"
 
 
 def _unused_imports(source: str) -> list:
@@ -109,12 +117,17 @@ def _private_definitions(tree: ast.Module) -> list:
     return found
 
 
+def _used_names(trees) -> set:
+    """Every identifier that some tree uses as a ``Name`` or the attribute of an ``Attribute``."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+
+
 def _unreferenced(sources: dict) -> list:
     """Private definitions of ``{name: source}`` that no ``Name`` or ``Attribute`` of any source uses."""
     trees = {name: ast.parse(source) for name, source in sources.items()}
-    used = {node.id if isinstance(node, ast.Name) else node.attr
-            for tree in trees.values() for node in ast.walk(tree)
-            if isinstance(node, (ast.Name, ast.Attribute))}
+    used = _used_names(trees.values())
     return sorted(f"{name}: {helper} (line {line})" for name, tree in trees.items()
                   for helper, line in _private_definitions(tree) if helper not in used)
 
@@ -133,6 +146,48 @@ def test_every_private_helper_is_referenced():
     sources = {path.name: path.read_text() for path in ALL_MODULES}
     assert sum(len(_private_definitions(ast.parse(s))) for s in sources.values()) > 50
     assert _unreferenced(sources) == []
+
+
+def _public_definitions(tree: ast.Module) -> list:
+    """``(name, line)`` of each name in the module's ``__all__``, and each public method or
+    property of a public class as ``(Class.method, line)``."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__"
+                                                for t in node.targets):
+            found += [(elt.value, elt.lineno) for elt in node.value.elts if isinstance(elt, ast.Constant)]
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            found += [(f"{node.name}.{d.name}", d.lineno) for d in node.body
+                      if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef)) and not d.name.startswith("_")]
+    return found
+
+
+def _unused_public(sources: dict, readme: str) -> list:
+    """Public definitions of ``{name: source}`` that no ``Name`` or ``Attribute`` of any source
+    uses and ``readme`` does not name as a word."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    used = _used_names(trees.values()) | set(re.findall(r"\w+", readme))
+    return sorted(f"{name}: {public} (line {line})" for name, tree in trees.items()
+                  for public, line in _public_definitions(tree)
+                  if public.rpartition(".")[2] not in used)
+
+
+def test_the_check_sees_a_public_name_only_tests_use():
+    sources = {
+        "a.py": "__all__ = ['used', 'documented', 'dead']\ndef used():\n    pass\ndef documented():\n    pass\n"
+                "def dead():\n    pass\nclass Box:\n    def size(self):\n        pass\n"
+                "    def volume(self):\n        pass\n    def _hidden(self):\n        pass\n"
+                "class _Private:\n    def idle(self):\n        pass\n",
+        "b.py": "from a import used\nused()\nprint(Box().size())\n",
+    }
+    assert _unused_public(sources, "Call `documented` first.") == ["a.py: Box.volume (line 11)",
+                                                                  "a.py: dead (line 1)"]
+
+
+def test_every_public_name_is_used_in_src_or_the_readme():
+    sources = {path.name: path.read_text() for path in ALL_MODULES}
+    assert sum(len(_public_definitions(ast.parse(s))) for s in sources.values()) > 80
+    assert _unused_public(sources, README.read_text()) == []
 
 
 def _private_keywords(tree: ast.Module) -> list:

@@ -20,10 +20,9 @@ from kreinact import (
     krein_adjoint,
     positive_spectrum,
     product_annihilates,
-    psd_factorize,
     spectral_split,
 )
-from kreinact.krein import _max_spectral_norm, _positive_rows
+from kreinact.krein import _max_spectral_norm, _positive_rows, _symmetric_rows
 from kreinact.tolerances import HERMITICITY, PSD
 
 
@@ -145,19 +144,6 @@ def test_spectral_split_requires_positive():
     sp = SignatureSpace(1)
     with pytest.raises(ValidationError):
         spectral_split(np.diag([1.0, 1.0]).astype(complex), sp)  # SA = diag(1,-1) not psd
-
-
-def test_psd_factorize_reconstructs():
-    sp = SignatureSpace(2)
-    rng = make_rng(7)
-    A = random_positive(sp, rng)
-    M = psd_factorize(A, sp)
-    np.testing.assert_allclose(
-        sp.signature[:, None] * (M.conj().T @ M), A, atol=1e-10 * np.linalg.norm(A, 2)
-    )
-    # principal branch: M is itself Hermitian psd
-    np.testing.assert_allclose(M, M.conj().T, atol=1e-12 * max(1.0, np.linalg.norm(M, 2)))
-    assert np.linalg.eigvalsh(0.5 * (M + M.conj().T)).min() >= -1e-10
 
 
 def test_nilpotent_chain_annihilates_itself():
@@ -324,7 +310,10 @@ def test_positive_rows_equal_the_full_computation_at_the_tolerance_edges(n, seed
 def test_positive_rows_equal_the_full_computation_on_clear_edge_and_huge_stacks():
     sp, rng = SignatureSpace(2), make_rng(31)
     clear = np.stack([random_positive(sp, rng) for _ in range(20)])
-    edge = np.stack([_edge_row(sp, rng, 1.0, offset, -0.9, False) for offset in (-1e-9, 1e-9)])
+    # Defects 1e-5 of the tolerance either side of it: offsets near 1e-9 are lost to the
+    # rounding of the defect's norm, and such rows can land on either side.
+    edge = np.stack([_edge_row(sp, rng, 1.0, offset, -0.9, False) for offset in (-1e-5, 1e-5)])
+    assert _symmetric_rows(edge, sp.signature)[0].tolist() == [True, False]
     # Entries past 1e154 overflow a squared Frobenius norm; the SVD takes them.
     huge = 1e160 * clear[:2]
     for stack in (clear, edge, huge):

@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import assert_feasible, make_rng, random_measure_for, representative_field
+from conftest import assert_feasible, fixed_support, make_rng, random_measure_for, representative_field
 from kreinact import (
     MinimizeConfig,
     MomentumBox,
@@ -40,7 +40,6 @@ from kreinact.minimize import (
     LBFGS_MEMORY,
     MAX_BACKTRACKS,
     _CurvatureMemory,
-    _FixedSupport,
 )
 from kreinact.tolerances import ZERO_EIGENVALUE
 
@@ -741,7 +740,7 @@ def test_run_state_is_the_full_space_computation_on_the_face(monkeypatch, config
     # iterates), also at delta = 0, where the full space gives the chains'
     # zero cluster coefficient 0 as the face does.
     it, q_class = _run_iterates(monkeypatch, replace(config, max_iterations=index))[index]
-    run = _FixedSupport(config)
+    run = fixed_support(config)
     face_field = representative_field(run, q_class)
     half = _phase_sum(run.class_phases, q_class)
     qs = half + half.conj().swapaxes(-1, -2)
@@ -780,7 +779,7 @@ def test_class_folded_qhat_is_the_representative_sum_and_the_full_space_qhat(con
     # class holds other points: the n=2 reference's atoms all have p_2 = 0,
     # and on the (7,3,3,1) grid the toy's, all at p_1 = p_2 = p_3 = 0, merge
     # position axes 1 and 2 into it.
-    run = _FixedSupport(replace(config, smoothing_delta=delta))
+    run = fixed_support(replace(config, smoothing_delta=delta))
     support, n = run.support, config.n
     assert np.sum(support.kernel_class == support.kernel_class[support.origin_rows][0]) == origin_class
     rng = make_rng(38)
@@ -883,7 +882,7 @@ def test_a_certified_run_is_within_the_minorant_gap_of_the_face_minimum(config, 
     config = replace(config, smoothing_delta=delta)
     result = minimize_action(config)
     assert result.stop_reason == "certified"
-    run, n = _FixedSupport(config), config.n
+    run, n = fixed_support(config), config.n
     B = result.measure.operators[:, :n, :n]
     K = _phase_sum(run.support.kernel_phases, B)
     s, U = np.linalg.eigh(K @ K.conj().swapaxes(-1, -2))
@@ -956,6 +955,41 @@ def test_each_line_search_trial_makes_one_eigensolve(monkeypatch):
     # trial builds its field from that same solve.  The full space solves
     # the returned measure's chains once for its field and once for its action.
     assert calls == ["eigh"] + ["trial", "eigh"] * trials + ["eig", "eigvals"]
+
+
+def test_a_run_finds_its_probes_once_however_many_certificates_it_builds(monkeypatch):
+    # The run object holds its probes and the atoms' rows among them, so a run
+    # whose first two certificates are refused builds more certificates and
+    # computes the box grid no more often than a run that certifies at once.
+    import kreinact.minimize as minimize_module
+
+    def counts(refusals):
+        calls = {"certificate": 0, "grid_points": 0, "check": 0}
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        def refusing(report, tol_el):
+            calls["check"] += 1
+            verdict = check_first_order(report, tol_el)
+            verdict["all"] = verdict["all"] and calls["check"] > refusals
+            return verdict
+
+        with monkeypatch.context() as patch:
+            patch.setattr(MomentumBox, "grid_points", counting("grid_points", MomentumBox.grid_points))
+            patch.setattr(minimize_module._FixedSupport, "certificate",
+                          counting("certificate", minimize_module._FixedSupport.certificate))
+            patch.setattr(minimize_module, "check_first_order", refusing)
+            result = minimize_action(TOY)
+        assert result.stop_reason == "certified"
+        return calls
+
+    at_once, refused = counts(0), counts(2)
+    assert at_once["certificate"] == 1 and refused["certificate"] >= 3
+    assert refused["grid_points"] == at_once["grid_points"]
 
 
 def test_stop_test_skips_the_shifted_eigensolve_until_the_residual_bound_passes(
