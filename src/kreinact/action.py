@@ -159,7 +159,9 @@ class PositionGrid:
 
     @classmethod
     def from_box(cls, radius: float, shape) -> "PositionGrid":
-        """Trapezoidal grid on ``[-radius, radius]^4`` with ``shape`` points per axis."""
+        """Trapezoidal grid on ``[-radius, radius]^4`` with ``shape`` points per axis, in
+        row-major order, so the reflection of point ``i`` is ``n - 1 - i``; each weight is
+        the product of its four axis weights, multiplied left to right."""
         message = f"grid shape must be four positive integer counts, got {shape!r}"
         shape = tuple(_check_count(k, 1, message) for k in _entries(shape, 4, message))
         radius = _check_real(radius, "position box radius", 0)
@@ -175,12 +177,11 @@ class PositionGrid:
             w = np.full(k, h)
             w[0] = w[-1] = h / 2.0
             axis_weights.append(w)
-        mesh = np.meshgrid(*axes, indexing="ij")
-        points = np.stack([m.ravel() for m in mesh], axis=1)
-        wmesh = np.meshgrid(*axis_weights, indexing="ij")
-        weights = np.prod(np.stack([m.ravel() for m in wmesh], axis=1), axis=1)
-        idx = np.arange(int(np.prod(shape))).reshape(shape)
-        refl = idx[tuple(slice(None, None, -1) for _ in shape)].ravel()
+        idx = np.indices(shape).reshape(4, -1)
+        points = np.stack([a[i] for a, i in zip(axes, idx)], axis=1)
+        w0, w1, w2, w3 = axis_weights
+        weights = w0[idx[0]] * w1[idx[1]] * w2[idx[2]] * w3[idx[3]]
+        refl = np.arange(idx.shape[1] - 1, -1, -1)
         return cls(points=points, weights=weights, reflection_index=refl)
 
     def boundary_mask(self) -> np.ndarray:
@@ -267,14 +268,14 @@ class _SupportTables:
     ``points`` are the grid's representatives, one per reflection pair, with
     their ``folded_weights``.  The kernel at a point depends on it only
     through the row of :func:`_kernel_phases`.  Points whose rows are
-    bitwise equal share one kernel class, so its chain is solved once:
-    ``kernel_phases`` holds one row per class, in the order of the classes'
-    first points ``class_firsts``, ``kernel_class[i]`` is point ``i``'s
-    class and ``class_weights`` sums the folded weights of each class, so
-    :meth:`integral` takes one value per class.  Where all atoms have a
-    zero coordinate along a position axis with more than one point, the
-    points along it share a class; other exact coincidences of the phases
-    merge points too.
+    bitwise equal share one kernel class, so its chain is solved once: one
+    pass over the rows numbers the classes by their first points
+    ``class_firsts``, ``kernel_phases`` holds one row per class in that
+    order, ``kernel_class[i]`` is point ``i``'s class and ``class_weights``
+    sums the folded weights of each class, so :meth:`integral` takes one
+    value per class.  Where all atoms have a zero coordinate along a
+    position axis with more than one point, the points along it share a
+    class; other exact coincidences of the phases merge points too.
     """
 
     def __init__(self, momenta: np.ndarray, grid: PositionGrid):
@@ -282,12 +283,9 @@ class _SupportTables:
         self.folded_weights = grid.folded_weights
         phases = _kernel_phases(momenta, self.points)
         # Rows as raw bytes, so that equal means bitwise equal.  Without atoms all rows are empty.
-        width = phases.itemsize * phases.shape[1]
-        rows = phases.view(f"V{width}")[:, 0] if width else np.zeros(len(self.points), "V1")
-        _, firsts, classes = np.unique(rows, return_index=True, return_inverse=True)
-        order = np.argsort(firsts)
-        self.class_firsts = firsts[order]
-        self.kernel_class = np.argsort(order)[classes]
+        index = {}
+        self.kernel_class = np.array([index.setdefault(row.tobytes(), len(index)) for row in phases], int)
+        self.class_firsts = np.unique(self.kernel_class, return_index=True)[1]
         self.kernel_phases = phases[self.class_firsts]
         self.class_weights = np.bincount(self.kernel_class, self.folded_weights)
         # The origin's rows, whose field is Krein symmetrized; the one origin

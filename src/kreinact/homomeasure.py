@@ -90,8 +90,8 @@ class MomentumBox:
 
     def grid_points(self) -> np.ndarray:
         """All grid points as an ``(N, 4)`` array in row-major axis order."""
-        axes = [self.axis_points(i) for i in range(4)]
-        return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 4)
+        idx = np.indices(self.grid_shape).reshape(4, -1)
+        return np.stack([self.axis_points(a)[i] for a, i in enumerate(idx)], axis=1)
 
     def contains(self, p: np.ndarray) -> bool:
         return bool(self._inside(np.asarray(p, float)).all())

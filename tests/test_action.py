@@ -134,6 +134,41 @@ def test_grid_rejects_inconsistent_points_and_weights(corrupt, message):
         PositionGrid(points, weights, grid.reflection_index)
 
 
+def _same_bytes(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _meshgrid_box_grid(radius, shape) -> PositionGrid:
+    """The box grid built by ``np.meshgrid``, the weights by ``np.prod``: the reference."""
+    axes, axis_weights = [], []
+    for k in shape:
+        if k == 1:
+            axes.append(np.array([0.0]))
+            axis_weights.append(np.array([2.0 * radius]))
+            continue
+        h = 2.0 * radius / (k - 1)
+        axes.append((np.arange(k) - (k - 1) / 2.0) * h)
+        w = np.full(k, h)
+        w[0] = w[-1] = h / 2.0
+        axis_weights.append(w)
+    points = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+    wmesh = np.meshgrid(*axis_weights, indexing="ij")
+    weights = np.prod(np.stack([m.ravel() for m in wmesh], axis=1), axis=1)
+    idx = np.arange(int(np.prod(shape))).reshape(shape)
+    refl = idx[tuple(slice(None, None, -1) for _ in shape)].ravel()
+    return PositionGrid(points, weights, refl)
+
+
+@pytest.mark.parametrize("radius", [3.0, 2.5, 1 / 3, 7.123456789])
+@pytest.mark.parametrize("shape", [(1, 1, 1, 1), (2, 1, 1, 1), (5, 1, 1, 1), (1, 6, 1, 3), (4, 3, 1, 2),
+                                   (7, 3, 3, 1), (2, 2, 2, 2), (3, 4, 5, 6), (6, 7, 3, 2), (5, 5, 5, 9)])
+def test_box_grid_equals_the_meshgrid_construction_byte_for_byte(radius, shape):
+    grid, reference = PositionGrid.from_box(radius, shape), _meshgrid_box_grid(radius, shape)
+    for field in ("points", "weights", "reflection_index", "representatives", "orbit", "folded_weights"):
+        assert _same_bytes(getattr(grid, field), getattr(reference, field)), field
+
+
 def test_grid_rejects_a_shape_of_three_counts_and_a_radius_beyond_every_float():
     with pytest.raises(ValidationError, match="grid shape must be four positive integer counts"):
         PositionGrid.from_box(1.0, (3, 1, 1))
@@ -1100,6 +1135,57 @@ def test_one_chain_eigensolve_per_distinct_kernel(monkeypatch):
             calls.clear()
             call()
             assert calls == [(expected, (kernels, 4, 4))]
+
+
+def _void_record_classes(phases):
+    """Kernel classes by ``np.unique`` on the rows as void records, renumbered by first
+    row: the reference for ``_SupportTables``."""
+    width = phases.itemsize * phases.shape[1]
+    rows = phases.view(f"V{width}")[:, 0] if width else np.zeros(len(phases), "V1")
+    _, firsts, classes = np.unique(rows, return_index=True, return_inverse=True)
+    order = np.argsort(firsts)
+    return np.argsort(order)[classes], firsts[order]
+
+
+def _crafted_phase_tables():
+    rng = make_rng(48)
+    distinct = np.exp(1j * rng.normal(size=(4, 3)))
+    repeated = distinct[rng.integers(0, 4, size=23)]
+    signed_zeros = np.array([[0.0], [-0.0], [0.0], [complex(0.0, -0.0)], [-0.0], [1.0]], complex)
+    return [repeated, np.exp(1j * rng.normal(size=(17, 5))), signed_zeros, np.zeros((9, 0), complex)]
+
+
+@pytest.mark.parametrize("phases", _crafted_phase_tables(), ids=["repeated", "distinct", "signed-zeros", "no-atoms"])
+def test_kernel_classes_equal_the_void_record_classes(monkeypatch, phases):
+    # 2r - 1 points on one axis have r representatives, one per row of the table.
+    grid = PositionGrid.from_box(1.0, (2 * len(phases) - 1, 1, 1, 1))
+    monkeypatch.setattr(action_module, "_kernel_phases", lambda momenta, points: phases)
+    support = _SupportTables(np.zeros((phases.shape[1], 4)), grid)
+    kernel_class, class_firsts = _void_record_classes(phases)
+    assert _same_bytes(support.kernel_class, kernel_class)
+    assert _same_bytes(support.class_firsts, class_firsts)
+
+
+def test_signed_zeros_are_kernel_classes_of_their_own(monkeypatch):
+    phases = _crafted_phase_tables()[2]
+    monkeypatch.setattr(action_module, "_kernel_phases", lambda momenta, points: phases)
+    support = _SupportTables(np.zeros((1, 4)), PositionGrid.from_box(1.0, (11, 1, 1, 1)))
+    assert support.kernel_class.tolist() == [0, 1, 0, 2, 1, 3]
+    assert support.class_firsts.tolist() == [0, 1, 3, 5]
+
+
+def test_kernel_classes_of_measures_equal_the_void_record_classes():
+    shared, grid = _shared_kernel_case()
+    cases = [(shared.momenta, grid), (np.zeros((0, 4)), grid),
+             (random_measure_for(SignatureSpace(1), make_rng(3), 2).momenta, PositionGrid.from_box(3.0, (5, 1, 1, 1))),
+             (make_rng(4).uniform(-1.0, 1.0, (6, 4)), PositionGrid.from_box(2.5, (5, 5, 5, 9)))]
+    for momenta, case_grid in cases:
+        support = _SupportTables(momenta, case_grid)
+        kernel_class, class_firsts = _void_record_classes(_kernel_phases(momenta, support.points))
+        assert _same_bytes(support.kernel_class, kernel_class)
+        assert _same_bytes(support.class_firsts, class_firsts)
+    assert len(_SupportTables(shared.momenta, grid).class_firsts) == 11
+    assert len(_SupportTables(np.zeros((0, 4)), grid).class_firsts) == 1
 
 
 def test_shared_kernels_share_their_gradient():

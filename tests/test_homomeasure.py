@@ -53,6 +53,19 @@ def test_box_grid_points_inside_and_count():
         assert box.contains(p)
 
 
+def test_box_grid_equals_the_meshgrid_construction_byte_for_byte():
+    rng = make_rng(48)
+    for _ in range(200):
+        lower = rng.normal(scale=3.0, size=4)
+        upper = lower + rng.uniform(0.01, 5.0, size=4)
+        box = MomentumBox(tuple(lower), tuple(upper), tuple(int(k) for k in rng.integers(1, 7, size=4)))
+        axes = [box.axis_points(a) for a in range(4)]
+        reference = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, 4)
+        points = box.grid_points()
+        assert points.dtype == reference.dtype and points.shape == reference.shape
+        assert points.tobytes() == reference.tobytes()
+
+
 def test_box_single_point_axis_uses_midpoint():
     box = MomentumBox((-1, -1, -1, -1), (1, 1, 1, 1), (2, 1, 1, 1))
     pts = box.grid_points()

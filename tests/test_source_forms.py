@@ -17,7 +17,9 @@ imports ``concurrent.futures`` when a stack is first split, not when the
 package loads; ``action`` imports only ``threading`` at load, for the
 lock under which the pool is made.  The callers of ``_row_blocks`` read
 ``np.linalg.eig`` and ``eigvals`` at each call, so a wrapper installed
-on them sees every block.
+on them sees every block.  No module calls ``meshgrid``: a grid built per
+call pays about 100 µs of its broadcast copies at four axes, where gathering
+the axis values through one ``np.indices`` table gives the same bytes.
 """
 
 import ast
@@ -78,11 +80,15 @@ def test_only_krein_forms_a_hermitian_part():
 REPORT_CHAIN = {"pushforward", "lagrange_parameters", "el_residuals"}
 
 
-def _report_chain_calls(source: str) -> list:
-    """Line numbers of the calls of a report-chain function, by name or as an attribute."""
+def _calls_of(names, source: str) -> list:
+    """Line numbers of the calls of a function of ``names``, by name or as an attribute."""
     return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)
             and (node.func.id if isinstance(node.func, ast.Name)
-                 else node.func.attr if isinstance(node.func, ast.Attribute) else None) in REPORT_CHAIN]
+                 else node.func.attr if isinstance(node.func, ast.Attribute) else None) in names]
+
+
+def _report_chain_calls(source: str) -> list:
+    return _calls_of(REPORT_CHAIN, source)
 
 
 def test_the_check_sees_a_call_of_the_report_chain():
@@ -168,3 +174,19 @@ def test_only_the_row_block_helper_starts_threads():
     found = {path.name: _thread_imports(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: imports for name, imports in found.items() if imports} == {
         "action.py": {None: ["threading"], "_row_blocks": ["concurrent.futures"]}}
+
+
+def _meshgrid_calls(source: str) -> list:
+    return _calls_of({"meshgrid"}, source)
+
+
+def test_the_check_sees_a_meshgrid_call():
+    source = ("import numpy as np\nfrom numpy import meshgrid\n"
+              "X, Y = np.meshgrid(x, y, indexing='ij')\nm = meshgrid\nZ = meshgrid(\n    x)\n"
+              "idx = np.indices((2, 3))\n")
+    assert _meshgrid_calls(source) == [3, 5]
+
+
+def test_no_module_calls_meshgrid():
+    found = {path.name: _meshgrid_calls(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
