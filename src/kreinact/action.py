@@ -47,18 +47,11 @@ of ``Qhat``, are stacks of BLAS matrix-vector products (:func:`_phase_sum`),
 one per row, so each row rounds as it would alone: ``evaluate(p)`` equals
 its row of ``evaluate_many`` and a one-point field its row of a grid's to
 the bit.  One 2-D matrix product would be faster still, but the rows of a
-matrix product round differently from the same rows taken alone.  For
-the same reason three stacks run in contiguous row blocks on the cores the
-process may run on (:func:`_row_blocks`): the chain ``eig`` of the field,
-the chain ``eigvals`` of :func:`action` and the ``exp`` of the kernel-phase
-table.  A block has at least 128 rows, so a stack splits from 256 rows (the
-563 kernel classes of 27 random atoms on a (5,5,5,9) grid), while the
-toy's 3 classes and the n=2 reference's 11 stay on the calling thread.
-LAPACK and ufunc loops release the GIL and treat each row alone, so the
-blocks joined in order are the whole call's results to the bit.  These
-threads are the package's own, started on the first split, and do not
-depend on ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS``; the CPU
-affinity (``taskset``) bounds them.  The
+matrix product round differently from the same rows taken alone.  The
+chain ``eig`` of the field, the chain ``eigvals`` of :func:`action` and
+the ``exp`` of the kernel-phase table are each one call per stack, on the
+calling thread: no module starts a thread, since on a two-core machine an
+unpinned second thread mostly shares the caller's core and gains nothing.  The
 public entries check ``delta`` and 4-vectors; the array
 cores :func:`_phase_sum`, :func:`_moduli`, :func:`_lagrangian` (values and
 slopes, also of the face chains), :func:`_gradient_field` and :func:`_fourier_qhat`,
@@ -74,8 +67,6 @@ module, and attributes set through ``m`` change nothing here.
 from __future__ import annotations
 
 import functools
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,24 +89,6 @@ __all__ = [
 
 # Frobenius condition number of the eigenvector matrix above which a chain is defective.
 _EIGENBASIS_COND = 1e6
-# Rows of the smallest block :func:`_row_blocks` solves: below two such blocks a
-# split ``eigvals`` or ``exp`` ran slower than the whole stack on one core.
-_MIN_BLOCK_ROWS = 128
-# The worker threads of :func:`_row_blocks`, started on first use, and the lock
-# under which the first caller creates them.
-_pool = None
-_pool_lock = threading.Lock()
-
-
-def _forget_pool():
-    """A forked child has none of its parent's threads, and a lock held at the fork
-    stays held in it: it starts its own pool on first use."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
 
 
 @dataclass(frozen=True)
@@ -207,47 +180,10 @@ def _is_representative(points: np.ndarray) -> np.ndarray:
     return np.sign(points) @ np.array([8.0, 4.0, 2.0, 1.0]) <= 0
 
 
-def _cores() -> int:
-    """The cores this process may run on: its CPU affinity where the platform reports one."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
-def _row_blocks(solve, stack: np.ndarray):
-    """``solve(stack)`` for a ``solve`` that treats each row of ``stack`` alone, by
-    contiguous row blocks, one per available core and each of at least
-    ``_MIN_BLOCK_ROWS`` rows.  The calling thread solves the first block and the
-    pool's threads the others, and the results (arrays, or tuples of arrays) are
-    joined in row order, so they are the whole call's to the bit.  An error of
-    any block is raised once every block has finished."""
-    cores = _cores()
-    blocks = min(cores, len(stack) // _MIN_BLOCK_ROWS)
-    if blocks < 2:
-        return solve(stack)
-    from concurrent.futures import ThreadPoolExecutor, wait
-
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(cores - 1, thread_name_prefix="kreinact-rows")
-        pool = _pool
-    parts = np.array_split(stack, blocks)
-    futures = [pool.submit(solve, part) for part in parts[1:]]
-    try:
-        results = [solve(parts[0])]
-    finally:
-        wait(futures)
-    results += [future.result() for future in futures]
-    if isinstance(results[0], tuple):
-        return tuple(map(np.concatenate, zip(*results)))
-    return np.concatenate(results)
-
-
 def _kernel_phases(momenta: np.ndarray, points: np.ndarray) -> np.ndarray:
     """``e^{i xi . p_j}`` with one row per position ``xi`` and one column per atom ``p_j``."""
     # Real phases first: the complex product of imaginary points costs far more.
-    # Only the exp is split into row blocks: a matrix product's rows may round
-    # differently once it is split.
-    return _row_blocks(np.exp, 1j * (points @ momenta.T))
+    return np.exp(1j * (points @ momenta.T))
 
 
 def _phase_sum(phases: np.ndarray, stack: np.ndarray) -> np.ndarray:
@@ -354,10 +290,10 @@ def _chain_field(operators: np.ndarray, sig: np.ndarray, phases: np.ndarray):
 
 
 def _chain_solve(operators: np.ndarray, sig: np.ndarray, phases: np.ndarray, delta: float):
-    """``(P_plus, chains, lams, R, m)``: kernels, chains, the stacked ``eig`` (in
-    :func:`_row_blocks`) of a phase table, and the moduli of its eigenvalues."""
+    """``(P_plus, chains, lams, R, m)``: kernels, chains, the stacked ``eig`` (one
+    call) of a phase table, and the moduli of its eigenvalues."""
     Pp, chains = _chain_field(operators, sig, phases)
-    lams, R = _row_blocks(np.linalg.eig, chains)
+    lams, R = np.linalg.eig(chains)
     return Pp, chains, lams, R, _moduli(lams, delta)
 
 
@@ -368,7 +304,7 @@ def action(
     delta = _check_delta(smoothing_delta)
     support = _support or _SupportTables(measure.momenta, grid)
     _, chains = _chain_field(measure.operators, measure.space.signature, support.kernel_phases)
-    return support.integral(_lagrangian(_moduli(_row_blocks(np.linalg.eigvals, chains), delta))[0])
+    return support.integral(_lagrangian(_moduli(np.linalg.eigvals(chains), delta))[0])
 
 
 # ---------------------------------------------------------------------------

@@ -411,9 +411,10 @@ def measure_from_dict(data: dict) -> OperatorMeasure:
     box = MomentumBox(boxd["lower"], boxd["upper"], boxd["grid_shape"])
     atoms = data.get("atoms", [])
     momenta = np.asarray([a["p"] for a in atoms], float).reshape(len(atoms), 4)
-    ops = np.asarray([_matrix_from_lists(a["A"]) for a in atoms], complex).reshape(
-        len(atoms), space.dim, space.dim
-    )
+    # Every atom's matrix in one array pass, with the arithmetic of _matrix_from_lists.
+    re = np.asarray([a["A"]["re"] for a in atoms], float)
+    im = np.asarray([a["A"]["im"] for a in atoms], float)
+    ops = (re + 1j * im).reshape(len(atoms), space.dim, space.dim)
     return OperatorMeasure(space, box, momenta, ops)
 
 

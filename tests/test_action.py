@@ -1,11 +1,6 @@
 """Tests for position grids, kernels, the spectral action, and its gradients."""
 
-import concurrent.futures
 import importlib
-import multiprocessing
-import sys
-import threading
-import time
 from dataclasses import replace
 
 import numpy as np
@@ -46,12 +41,11 @@ from kreinact import (
     translate,
 )
 from kreinact.action import (
-    _chain_field,
     _chain_solve,
     _eig_gradient_factors,
     _kernel_phases,
+    _lagrangian,
     _phase_sum,
-    _row_blocks,
     _SupportTables,
 )
 
@@ -676,153 +670,26 @@ def _certify_benchmark_case():
     return restore_constraints(measure, "b", 0.5, 1.0), PositionGrid.from_box(2.5, (5, 5, 5, 9))
 
 
-def _certify_chains():
-    """The certify case, its support tables and the chains of its 563 kernel classes."""
-    measure, grid = _certify_benchmark_case()
+def _n2_reference_measure():
+    """The n=2 reference run's measure: momenta (3,2,1,1), positions (7,3,3,1), c=0.5, f=1, delta=1e-2."""
+    config = MinimizeConfig(
+        n=2, c=0.5, f=1.0, momentum_shape=(3, 2, 1, 1), position_shape=(7, 3, 3, 1),
+        position_radius=3.0, smoothing_delta=1e-2, max_iterations=2000,
+    )
+    return minimize_action(config).measure, config.position_grid()
+
+
+@pytest.mark.parametrize("case", [_certify_benchmark_case, _n2_reference_measure], ids=["certify", "n2-reference"])
+@pytest.mark.parametrize("delta", [1e-2, 0.0])
+def test_the_field_and_action_see_one_spectrum(case, delta):
+    # action's eigvals and the field's eig return the same eigenvalues, so the
+    # action is the Lagrangian of the chain solve's moduli to the bit.
+    measure, grid = case()
     support = _SupportTables(measure.momenta, grid)
-    return measure, support, _chain_field(measure.operators, measure.space.signature, support.kernel_phases)[1]
-
-
-def _certify_field(cores):
-    """The certify case's field and its Qhat at the atoms, with ``cores`` available cores."""
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(action_module, "_cores", lambda: cores)
-        measure, grid = _certify_benchmark_case()
-        ev = QHatEvaluator(measure, grid, smoothing_delta=1e-2)
-        return ev.q_field, ev.evaluate_many(measure.momenta)
-
-
-def test_row_blocks_give_the_whole_stack_results_at_certify_size(monkeypatch):
-    # Every row of eig, eigvals and exp is computed alone, so the blocks
-    # joined in row order are the one whole-stack call to the bit.
-    monkeypatch.setattr(action_module, "_cores", lambda: 2)
-    measure, support, chains = _certify_chains()
-    assert len(chains) == 563
-    shapes = []
-    eig = np.linalg.eig
-
-    def counted(a):
-        shapes.append(np.shape(a))
-        return eig(a)
-
-    # The chain solve reads np.linalg.eig at each call, so a wrapper sees every block.
-    with monkeypatch.context() as m:
-        m.setattr(np.linalg, "eig", counted)
-        lams, R = _chain_solve(measure.operators, measure.space.signature, support.kernel_phases, 1e-2)[2:4]
-    assert shapes == [(282, 4, 4), (281, 4, 4)]
-    whole = np.linalg.eig(chains)
-    assert lams.tobytes() == whole.eigenvalues.tobytes() and R.tobytes() == whole.eigenvectors.tobytes()
-    assert _row_blocks(np.linalg.eigvals, chains).tobytes() == np.linalg.eigvals(chains).tobytes()
-    exponents = 1j * (support.points @ measure.momenta.T)
-    assert _kernel_phases(measure.momenta, support.points).tobytes() == np.exp(exponents).tobytes()
-    for split, alone in zip(_certify_field(2), _certify_field(1)):
-        assert split.tobytes() == alone.tobytes()
-
-
-def _thread_count_after(call, monkeypatch):
-    """Threads alive after ``call`` beyond those before, with no pool started yet."""
-    monkeypatch.setattr(action_module, "_pool", None)
-    before = threading.active_count()
-    call()
-    assert action_module._pool is None
-    return threading.active_count() - before
-
-
-def test_small_stacks_and_one_core_start_no_thread(monkeypatch):
-    shared, grid = _shared_kernel_case()
-    small = lambda: (action(shared, grid, 1e-2), QHatEvaluator(shared, grid, smoothing_delta=1e-2))
-    assert _thread_count_after(small, monkeypatch) == 0
-    assert _thread_count_after(lambda: _certify_field(1), monkeypatch) == 0
-
-
-def test_an_error_in_one_block_is_the_whole_calls_once_every_block_is_done(monkeypatch):
-    chains = _certify_chains()[2]
-    chains[200] = np.nan  # in the second of three blocks: rows 188-375
-    with pytest.raises(np.linalg.LinAlgError) as whole:
-        np.linalg.eig(chains)
-    finished = []
-
-    def slow_unless_failing(a):
-        try:
-            if np.isfinite(a).all():
-                time.sleep(0.05)
-            return np.linalg.eig(a)
-        finally:
-            finished.append(len(a))
-
-    monkeypatch.setattr(action_module, "_cores", lambda: 3)
-    monkeypatch.setattr(action_module, "_pool", None)
-    try:
-        with pytest.raises(np.linalg.LinAlgError) as split:
-            _row_blocks(slow_unless_failing, chains)
-        assert sorted(finished) == [187, 188, 188]
-    finally:
-        action_module._pool.shutdown()
-    assert str(split.value) == str(whole.value)
-
-
-def test_callers_racing_to_the_first_split_share_one_pool(monkeypatch):
-    # More calling threads than cores, switched as often as the interpreter
-    # allows, and a pool slow to make: one pool is made, and every caller
-    # gets the whole call's values.
-    made = []
-
-    class Counted(concurrent.futures.ThreadPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            made.append(self)
-            time.sleep(0.01)
-            super().__init__(*args, **kwargs)
-
-    chains = _certify_chains()[2]
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counted)
-    monkeypatch.setattr(action_module, "_cores", lambda: 2)
-    monkeypatch.setattr(action_module, "_pool", None)
-    results = []
-    start = threading.Barrier(8, timeout=60)
-
-    def call():
-        start.wait()
-        results.append(_row_blocks(np.linalg.eigvals, chains).tobytes())
-
-    callers = [threading.Thread(target=call) for _ in range(8)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for caller in callers:
-            caller.start()
-        for caller in callers:
-            caller.join(60)
-    finally:
-        sys.setswitchinterval(interval)
-        for pool in made:
-            pool.shutdown()
-    assert not any(caller.is_alive() for caller in callers)
-    assert len(made) == 1
-    assert results == [np.linalg.eigvals(chains).tobytes()] * 8
-
-
-def _send_certify_field(connection):
-    connection.send(_certify_field(2)[0])
-
-
-@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="needs fork")
-def test_a_forked_child_starts_its_own_threads():
-    # The parent's worker does not live on in a fork; a child handed the
-    # parent's pool would wait on it forever.
-    parent_field = _certify_field(2)[0]
-    assert action_module._pool is not None
-    context = multiprocessing.get_context("fork")
-    receiver, sender = context.Pipe(duplex=False)
-    child = context.Process(target=_send_certify_field, args=(sender,))
-    child.start()
-    try:
-        assert receiver.poll(60), "the forked child did not build the field within 60 s"
-        assert receiver.recv().tobytes() == parent_field.tobytes()
-    finally:
-        child.join(5)
-        if child.is_alive():
-            child.kill()
-    assert child.exitcode == 0
+    moduli = _chain_solve(measure.operators, measure.space.signature, support.kernel_phases, delta)[4]
+    expected = support.integral(_lagrangian(moduli)[0])
+    assert action(measure, grid, delta, _support=support) == expected
+    assert action(measure, grid, delta) == expected
 
 
 def test_phase_sums_over_no_atoms_or_no_momenta_are_empty():

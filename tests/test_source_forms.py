@@ -11,13 +11,10 @@ function that checks them again repeats the check on every line-search
 trial and field build that calls it.  The first-order report is chained
 (``pushforward``, ``lagrange_parameters``, ``el_residuals``) in
 ``elverify._certify`` alone, so an entry added to the report lands in
-``kreinact verify`` and in the minimizer's certificate at once.  The
-package's own threads start in one place, ``action._row_blocks``, which
-imports ``concurrent.futures`` when a stack is first split, not when the
-package loads; ``action`` imports only ``threading`` at load, for the
-lock under which the pool is made.  The callers of ``_row_blocks`` read
-``np.linalg.eig`` and ``eigvals`` at each call, so a wrapper installed
-on them sees every block.  No module calls ``meshgrid``: a grid built per
+``kreinact verify`` and in the minimizer's certificate at once.  No
+module imports a thread or process module: every stack is one call on
+the calling thread, so neither fork safety nor callers racing to build a
+pool can become a concern.  No module calls ``meshgrid``: a grid built per
 call pays about 100 µs of its broadcast copies at four axes, where gathering
 the axis values through one ``np.indices`` table gives the same bytes.
 """
@@ -169,11 +166,9 @@ def test_the_check_sees_where_a_thread_module_is_imported():
                                        "inner": ["threading"], "start": ["multiprocessing"]}
 
 
-def test_only_the_row_block_helper_starts_threads():
-    # action holds the pool's creation lock from load time; threading is loaded with numpy.
+def test_no_module_imports_a_thread_or_process_module():
     found = {path.name: _thread_imports(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
-    assert {name: imports for name, imports in found.items() if imports} == {
-        "action.py": {None: ["threading"], "_row_blocks": ["concurrent.futures"]}}
+    assert {name: imports for name, imports in found.items() if imports} == {}
 
 
 def _meshgrid_calls(source: str) -> list:
