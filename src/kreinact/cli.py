@@ -235,7 +235,7 @@ def cmd_decompose(args) -> int:
     for name in ("particle", "neutral", "sea"):
         component, path = getattr(parts, name), os.path.join(args.out, f"{name}.json")
         save_measure(component, path)
-        mass = float(sum(np.linalg.norm(A, 2) for A in component.operators))
+        mass = float(sum(np.linalg.norm(component.operators, 2, axis=(1, 2)).tolist()))
         print(f"{name}: operator mass {mass!r} -> {path}")
     return 0
 

@@ -31,14 +31,14 @@ Each step starts from the gradient of the Lagrangian function
 whose norm vanishes exactly where the Euler-Lagrange conditions hold on
 the support.
 The step direction is the L-BFGS direction (Nocedal, Math. Comp. 35,
-1980) over the last ``LBFGS_MEMORY`` (24) accepted steps ``s`` and their
+1980) over the last ``LBFGS_MEMORY`` (64) accepted steps ``s`` and their
 gradient changes ``y``, in the real inner product ``Re<., .>`` of the
 factor stack, scaled initially by ``Re<s, y> / <y, y>``.  Pairs with
 ``Re<s, y> <= 0`` are skipped; the memory is cleared whenever the
 direction fails to descend.  The pairs are held in the compact form of
 Byrd, Nocedal & Schnabel (Math. Program. 63, 1994), updated by one row
-and column per accepted pair, so a step costs the same few
-matrix-vector products however long the memory is.  The first trial
+and column per accepted pair, so a step costs a few products of the
+m x N tables of m held pairs of N reals with vectors.  The first trial
 step is 1 while the memory holds pairs and ``INITIAL_STEP`` otherwise,
 safeguarded by monotone backtracking.  Trials are compared at the exact
 trace: the restored ``sum_j Tr B_j`` misses c by rounding, and
@@ -64,7 +64,7 @@ the result, so ``kreinact verify`` with the run's targets reproduces the
 report.
 Targets in the band of an active signed-trace bound are refused: there
 case "b" gives ``beta = alpha > 0`` on the face, which fails every report.
-Toy seeds 0-7 certify in 4-7 iterations, the n=2 reference in 97.
+Toy seeds 0-7 certify in 4-7 iterations, the n=2 reference in 76.
 :func:`restore_constraints` keeps the two-block scaling of any measure,
 in the case its caller passes.
 """
@@ -93,11 +93,12 @@ from .errors import RestorationError, ValidationError, _check_count, _check_real
 from .homomeasure import MomentumBox, OperatorMeasure, _check_targets
 from .krein import _BOUND_SLACK, SignatureSpace, _squared_frobenius
 
-# Curvature pairs kept by the L-BFGS direction.  With 24 the full-space
-# descent of the n=2 reference certified in about 155 iterations, where 8
-# took 210-350 (97 on the face); the compact form keeps the cost of a step
-# flat in this number.
-LBFGS_MEMORY = 24
+# Curvature pairs kept by the L-BFGS direction.  A sweep of 24 to 96 pairs
+# over five face problem families at delta = 1e-2 and 0 put the knee at 64:
+# the n=2 reference certifies in 76 iterations (97 with 24), and more pairs
+# save few iterations, while a direction and an update cost O(m N) for the
+# N reals of the factor stack.
+LBFGS_MEMORY = 64
 # First trial step while the L-BFGS memory is empty, and the backtracking
 # that shrinks a rejected step.
 INITIAL_STEP = 0.05
@@ -287,11 +288,12 @@ class _CurvatureMemory:
     ``R^{-1}`` and ``Y Y^T`` gain one row and column per pair; when the
     oldest pair drops, both keep their trailing blocks (the inverse of a
     triangular matrix's trailing block is the trailing block of its
-    inverse).  So a direction costs a few matrix-vector products, however
-    many pairs are held, and nothing is rebuilt per call.  The held pairs
-    are the rows ``lo:hi`` of tables with room for ``2 LBFGS_MEMORY``: a
-    dropped pair only moves ``lo`` on, and the rows move back to the front
-    when ``hi`` reaches the end, once every ``LBFGS_MEMORY`` pairs.
+    inverse).  So a direction costs a few products of ``S`` and ``Y``, m x N
+    for m held pairs of N reals, with vectors, and nothing is rebuilt per
+    call.  The held pairs are the rows ``lo:hi`` of tables with room for
+    ``2 LBFGS_MEMORY``: a dropped pair only moves ``lo`` on, and the rows
+    move back to the front when ``hi`` reaches the end, once every
+    ``LBFGS_MEMORY`` pairs.
     """
 
     def __init__(self, size: int):

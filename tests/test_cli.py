@@ -33,6 +33,7 @@ from kreinact import (
     save_operator,
 )
 from kreinact.cli import main
+from kreinact.homomeasure import decompose
 
 SP1 = SignatureSpace(1)
 ROTATION_Q = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
@@ -642,6 +643,26 @@ def test_decompose_writes_components(tmp_path, capsys):
     assert masses["sea"] > 0.1
     assert masses["particle"] <= 1e-10
     assert masses["neutral"] <= 1e-10
+
+
+@pytest.mark.parametrize("fixture", [
+    pytest.param(["random", "--seed", "1"], id="random-n1"),
+    pytest.param(["random", "--seed", "2", "--n", "2"], id="random-n2"),
+    pytest.param(["random", "--seed", "1", "--n", "2", "--atoms", "27", "--grid", "3,3,3,1"], id="certify"),
+    pytest.param(["dirac-sea", "--seed", "2", "--atoms", "3"], id="dirac-sea"),
+])
+def test_decompose_prints_each_mass_as_the_sum_of_its_atoms_norms(tmp_path, capsys, fixture):
+    # The printed mass is the sum, left to right, of each atom's spectral
+    # norm, to the last digit of its repr.
+    measure_path, out_dir = tmp_path / "measure.json", tmp_path / "parts"
+    assert main(["fixture", *fixture, "--out", str(measure_path)]) == 0
+    capsys.readouterr()
+    assert main(["decompose", str(measure_path), "--out", str(out_dir)]) == 0
+    parts, lines = decompose(load_measure(measure_path)), []
+    for name in ("particle", "neutral", "sea"):
+        mass = float(sum(np.linalg.norm(A, 2) for A in getattr(parts, name).operators))
+        lines.append(f"{name}: operator mass {mass!r} -> {out_dir / f'{name}.json'}")
+    assert capsys.readouterr().out.splitlines() == lines
 
 
 # ---------------------------------------------------------------------------

@@ -324,11 +324,12 @@ class _ShiftedMemory:
         return gamma * (a @ Y - g) - b @ S
 
 
-@pytest.mark.parametrize("size", [16, 192])
+@pytest.mark.parametrize("size", [4, 48, 648])
 def test_windowed_memory_gives_the_shifted_memory_directions_to_the_bit(size):
     # The window moves its rows back to the front once every LBFGS_MEMORY
     # pairs; the held rows and their order are those of the shifted tables,
-    # so every direction is the same bits.  Sizes of the toy and n=2 stacks.
+    # so every direction is the same bits.  Sizes of the face stacks of the
+    # toy, the n=2 reference and (3,3,3,3)/(7,3,3,1).
     rng = make_rng(6)
     windowed, shifted = _CurvatureMemory(size), _ShiftedMemory(size)
     skipped, cleared = {3, LBFGS_MEMORY + 1, 2 * LBFGS_MEMORY + 7}, 2 * LBFGS_MEMORY + 10
@@ -563,8 +564,8 @@ def _scale_minimizer_field(monkeypatch, eps):
 def test_n2_reference_run_certifies_under_rounding_level_field_changes(monkeypatch, eps):
     # Scaling the gradient field by 1 + eps made the Barzilai-Borwein descent
     # miss its report at 2000 iterations, and moved an 8-pair L-BFGS descent
-    # between 210 and 350 iterations; the 24-pair descent on the face
-    # certifies in about 97 whatever the rounding.
+    # between 210 and 350 iterations; the face descent certifies in 97
+    # iterations with 24 pairs and in 76 with 64, whatever the rounding.
     _scale_minimizer_field(monkeypatch, eps)
     config = MinimizeConfig(
         n=2, c=0.5, f=1.0, momentum_shape=(3, 2, 1, 1), position_shape=(7, 3, 3, 1),
@@ -573,8 +574,19 @@ def test_n2_reference_run_certifies_under_rounding_level_field_changes(monkeypat
     result = minimize_action(config)
     assert result.stop_reason == "certified"
     assert result.converged
-    assert len(result.trace) < 200
+    assert len(result.trace) <= 85
     assert result.action_value == pytest.approx(0.387773404, abs=2e-9)
+
+
+@pytest.mark.parametrize("eps", [-3e-15, 2e-14, 1e-13, -1e-13])
+def test_n2_reference_at_delta_zero_certifies_under_rounding_level_field_changes(monkeypatch, eps):
+    # The exact Lagrangian: 118 iterations with 24 pairs, 98 with 64.
+    _scale_minimizer_field(monkeypatch, eps)
+    result = minimize_action(replace(N2_REF, smoothing_delta=0.0))
+    assert result.stop_reason == "certified"
+    assert result.converged
+    assert len(result.trace) <= 108
+    assert result.action_value == pytest.approx(0.60214157, abs=1e-8)
 
 
 @pytest.mark.parametrize("delta, eps", [
