@@ -47,21 +47,21 @@ trace: the restored ``sum_j Tr B_j`` misses c by rounding, and
 and the deviation summed exactly.  It is accepted if that is at most
 the current value: a strict test on the raw action stalled seeds whose
 last step gained less than the action's rounding.  The trace logs the
-compared value as each iterate's action, so it never rises.  What a
-run never changes (the space, box, atom momenta, position grid,
-``delta``, targets, and the phase tables and probes built from them) is
-held once in a private run object, and the loop passes it bare n x n stacks.
-The loop stops at the first iterate whose certificate passes
+compared value as each iterate's action, so it never rises.
+A run has three layers.  A private run object holds what a run never
+changes (the space, box, atom momenta, position grid, ``delta``, targets,
+and the phase tables and probes built from them) and maps bare n x n
+stacks to actions, fields and iterates.  ``_descend`` runs the loop on it
+and stops at the first iterate whose certificate passes
 :func:`~kreinact.elverify.check_first_order` at ``CERTIFY_FRACTION *
-tol_el``: the validated 2n x 2n measure ``diag(B_j, 0)``, one
+tol_el``: the validated measure ``diag(B_j, 0)``, one
 :class:`~kreinact.action.QHatEvaluator` of it and the first-order report
 that ``elverify._certify`` builds at the run's targets, as for ``kreinact
 verify``, built only once a Frobenius bound on its support residuals and
-its psd margin already clear that tolerance.  A certified run returns
-that certificate; whatever else ends the loop, one is built for the last
-iterate.  With one :func:`~kreinact.action.action` of the measure it is
-the result, so ``kreinact verify`` with the run's targets reproduces the
-report.
+its psd margin clear that tolerance; other stops build it for the last
+iterate.  :func:`minimize_action` builds the run object, the seed's start
+and the result: the certificate with one :func:`~kreinact.action.action`
+of the measure, so ``kreinact verify`` at the run's targets reproduces it.
 Targets in the band of an active signed-trace bound are refused: there
 case "b" gives ``beta = alpha > 0`` on the face, which fails every report.
 Toy seeds 0-7 certify in 4-7 iterations, the n=2 reference in 76.
@@ -293,16 +293,18 @@ class _CurvatureMemory:
     call.  The held pairs are the rows ``lo:hi`` of tables with room for
     ``2 LBFGS_MEMORY``: a dropped pair only moves ``lo`` on, and the rows
     move back to the front when ``hi`` reaches the end, once every
-    ``LBFGS_MEMORY`` pairs.
+    ``LBFGS_MEMORY`` pairs.  The tables are left unfilled: :meth:`add`
+    writes every entry of the held block ``lo:hi`` as its pair arrives, the
+    move copies only that block, and :meth:`direction` reads nothing else.
     """
 
     def __init__(self, size: int):
         rows = 2 * LBFGS_MEMORY
-        self.S = np.zeros((rows, size))
-        self.Y = np.zeros((rows, size))
-        self.sy = np.zeros(rows)
-        self.R_inv = np.zeros((rows, rows))
-        self.YY = np.zeros((rows, rows))
+        self.S = np.empty((rows, size))
+        self.Y = np.empty((rows, size))
+        self.sy = np.empty(rows)
+        self.R_inv = np.empty((rows, rows))
+        self.YY = np.empty((rows, rows))
         self.lo = self.hi = 0
 
     @property
@@ -371,8 +373,8 @@ class _FixedSupport:
     probes with the atoms' rows among them (:func:`~kreinact.elverify._probes`)
     and the n x n identity are built from those once.  The loop passes bare
     n x n stacks through :meth:`restore`, :meth:`solve`, :meth:`trial` and
-    :meth:`state`, one row per kernel class; public objects are built only
-    by :meth:`certificate`.
+    :meth:`state`, one row per kernel class, and :func:`_descend` runs the
+    loop on it; public objects are built only by :meth:`certificate`.
     """
 
     def __init__(self, space: SignatureSpace, box: MomentumBox, momenta: np.ndarray, grid: PositionGrid,
@@ -468,28 +470,19 @@ class _FixedSupport:
                                  self.c, self.f, evaluator.tail_magnitude)
 
 
-def minimize_action(config: MinimizeConfig) -> MinimizeResult:
-    """Run the constrained gradient minimization defined by ``config``."""
-    box = config.momentum_box()
-    run = _FixedSupport(config.space(), box, box.grid_points(), config.position_grid(),
-                        config.smoothing_delta, config.c, config.f)
-    k, d, n = len(run.momenta), run.space.dim, run.space.n
-    rng = np.random.default_rng(config.seed)
-
-    # The leading n x n blocks of the full-space draw, so each seed keeps its
-    # random stream; the restoration fixes the scale, so none is chosen here.
-    Cs = run.restore((rng.standard_normal((k, d, d)) + 1j * rng.standard_normal((k, d, d)))[:, :n, :n])
+def _descend(run: _FixedSupport, Cs: np.ndarray, max_iterations: int, tol_el: float):
+    """The face descent of ``run`` from restored factors ``Cs``: the trace rows, stop reason
+    and last iterate's certificate ``(measure, report)`` that :class:`MinimizeResult` holds."""
     value, B, solved = run.solve(Cs)
     it = run.state(Cs, B, run.field(*solved))
     current_action = run.compared(value, B, it.alpha)
-    trace_log: list = []
+    trace: list = []
     previous = None  # real views of (Cs, G) before the last accepted step
     memory = _CurvatureMemory(2 * Cs.size)
-    stop_reason = "max_iterations"
-    certify_tol = CERTIFY_FRACTION * config.tol_el
-    residual_bound = n * certify_tol**2 * (1.0 + _BOUND_SLACK)
+    certify_tol = CERTIFY_FRACTION * tol_el
+    residual_bound = run.space.n * certify_tol**2 * (1.0 + _BOUND_SLACK)
 
-    for iteration in range(config.max_iterations):
+    for iteration in range(max_iterations):
         g = _real_view(it.grads)
         grad_norm = math.sqrt(g @ g)
         if previous is not None:
@@ -509,26 +502,23 @@ def minimize_action(config: MinimizeConfig) -> MinimizeResult:
             "signed_trace": it.trace,
             "step": step,
             "grad_norm": grad_norm,
-            # No escape steps are taken; the key and the escapes column
-            # of iterations.csv stay at 0 because perfbench/workloads.py
-            # reads both.
+            # No escape steps are taken; the key and the escapes column of
+            # iterations.csv stay at 0 because perfbench/workloads.py reads both.
             "escapes": 0,
             "trials": 0,
             "alpha": it.alpha,
         }
-        trace_log.append(row)
+        trace.append(row)
 
-        # The iterate's certificate, built only once it could pass.  Its
-        # support residuals need ||B_j T_j||_F^2 <= n certify_tol^2, since
-        # ||X||_F <= sqrt(n) ||X||_2; only then are the shifted spectra
-        # computed.  S(Qhat - alpha) = diag(Qhat_11 - alpha, alpha), so the
-        # certificate is built once alpha and the block's psd margin pass too.
+        # The iterate's certificate, built only once it could pass.  Its support residuals
+        # need ||B_j T_j||_F^2 <= n certify_tol^2, since ||X||_F <= sqrt(n) ||X||_2; only
+        # then are the shifted spectra computed.  S(Qhat - alpha) = diag(Qhat_11 - alpha,
+        # alpha), so the certificate is built once alpha and the block's psd margin pass too.
         if _squared_frobenius(it.B @ it.shifted).max() <= residual_bound:
             if min(np.linalg.eigvalsh(it.shifted)[:, 0].min(), it.alpha) >= -certify_tol:
                 measure, report = run.certificate(it.B)
                 if check_first_order(report, certify_tol)["all"]:
-                    stop_reason = "certified"
-                    break
+                    return trace, "certified", (measure, report)
 
         eta = step
         for _ in range(MAX_BACKTRACKS):
@@ -537,17 +527,27 @@ def minimize_action(config: MinimizeConfig) -> MinimizeResult:
                 break
             eta *= BACKTRACK_FACTOR
         if accepted is None:
-            stop_reason = "stalled"
-            break
+            return trace, "stalled", run.certificate(it.B)
         previous = (_real_view(it.Cs), g)
         current_action, it = accepted
+    return trace, "max_iterations", run.certificate(it.B)
 
-    if stop_reason != "certified":
-        measure, report = run.certificate(it.B)
+
+def minimize_action(config: MinimizeConfig) -> MinimizeResult:
+    """Run the constrained gradient minimization defined by ``config``."""
+    box = config.momentum_box()
+    run = _FixedSupport(config.space(), box, box.grid_points(), config.position_grid(),
+                        config.smoothing_delta, config.c, config.f)
+    k, d, n = len(run.momenta), run.space.dim, run.space.n
+    rng = np.random.default_rng(config.seed)
+    # The leading n x n blocks of the full-space draw, so each seed keeps its
+    # random stream; the restoration fixes the scale, so none is chosen here.
+    Cs = run.restore((rng.standard_normal((k, d, d)) + 1j * rng.standard_normal((k, d, d)))[:, :n, :n])
+    trace, stop_reason, (measure, report) = _descend(run, Cs, config.max_iterations, config.tol_el)
     return MinimizeResult(
         measure=measure,
         report=report,
-        trace=trace_log,
+        trace=trace,
         converged=check_first_order(report, config.tol_el)["all"],
         action_value=action(measure, run.grid, run.delta, _support=run.support),
         alpha=report.alpha,

@@ -40,6 +40,7 @@ from kreinact.minimize import (
     LBFGS_MEMORY,
     MAX_BACKTRACKS,
     _CurvatureMemory,
+    _descend,
 )
 from kreinact.tolerances import ZERO_EIGENVALUE
 
@@ -344,6 +345,28 @@ def test_windowed_memory_gives_the_shifted_memory_directions_to_the_bit(size):
         assert windowed.count == shifted.count, step
         g = rng.standard_normal(size)
         assert np.array_equal(windowed.direction(g), shifted.direction(g)), step
+
+
+@pytest.mark.parametrize("size", [4, 48])
+def test_memory_reads_only_the_entries_its_pairs_wrote(size):
+    # The tables start unfilled: add writes every entry of the held block as
+    # its pair arrives, the window move copies only that block, and direction
+    # reads nothing else.  So tables holding NaN before the first pair give,
+    # to the bit, the directions of zero-filled ones, through two window moves.
+    rng = make_rng(7)
+    poisoned, zeroed = _CurvatureMemory(size), _CurvatureMemory(size)
+    for memory, fill in ((poisoned, np.nan), (zeroed, 0.0)):
+        for table in (memory.S, memory.Y, memory.sy, memory.R_inv, memory.YY):
+            table.fill(fill)
+    skipped = {3, LBFGS_MEMORY + 1}
+    for step in range(3 * LBFGS_MEMORY + 5):
+        s = rng.standard_normal(size)
+        y = (-1.0 if step in skipped else 1.0) * (s + 0.1 * rng.standard_normal(size))
+        poisoned.add(s, y)
+        zeroed.add(s, y)
+        g = rng.standard_normal(size)
+        assert np.array_equal(poisoned.direction(g), zeroed.direction(g)), step
+    assert poisoned.lo > 0 and poisoned.hi < 2 * LBFGS_MEMORY
 
 
 # ---------------------------------------------------------------------------
@@ -908,6 +931,29 @@ def test_a_certified_run_is_within_the_minorant_gap_of_the_face_minimum(config, 
     pairing = float(np.vdot(B, G_hat).real)
     bound = S_lb - 2.0 * (pairing - config.c * np.linalg.eigvalsh(G_hat)[:, 0].min())
     assert 0.0 <= S - bound <= 1e-6
+
+
+@pytest.mark.parametrize("delta", [0.0, 1e-2])
+@pytest.mark.parametrize("config", [
+    *(pytest.param(replace(TOY, seed=s), id=f"toy-{s}") for s in range(8)),
+    pytest.param(N2_REF, id="n2-0"),
+])
+def test_a_descent_from_a_certified_minimizer_certifies_at_its_first_iterate(config, delta):
+    # _descend needs a run object and start factors, no configuration.  Started
+    # at the square roots of a certified run's blocks, restored to Tr B = c, it
+    # stops certified after one trace row with that run's report: at most
+    # 1.4e-13 apart, absolute, on these runs and n=2 seeds 1-3 (toy alpha ~ 76).
+    config = replace(config, smoothing_delta=delta)
+    source = minimize_action(config)
+    assert source.stop_reason == "certified"
+    run, n = fixed_support(config), config.n
+    w, V = np.linalg.eigh(source.measure.operators[:, :n, :n])
+    roots = (V * np.sqrt(np.maximum(w, 0.0))[:, None, :]) @ V.conj().swapaxes(-1, -2)
+    trace, stop_reason, (_, report) = _descend(run, run.restore(roots), config.max_iterations, config.tol_el)
+    assert (len(trace), stop_reason) == (1, "certified")
+    for name in ("alpha", "beta", "qhat_scale"):
+        expected = getattr(source.report, name)
+        assert abs(getattr(report, name) - expected) <= 1e-12 * abs(expected), name
 
 
 @pytest.mark.parametrize("config", [
