@@ -21,7 +21,7 @@ import numpy as np
 from . import elverify, tolerances
 from .action import PositionGrid, QHatEvaluator
 from .cfsbridge import correlations_to_csv, empirical_cfs, standard_basis
-from .elverify import _certify, _probes, check_first_order, report_to_csv, save_report
+from .elverify import _bound_active, _certify, _probes, check_first_order, report_to_csv, save_report
 from .errors import KreinactError, ValidationError, _check_count, _check_real
 from .homomeasure import (
     MomentumBox,
@@ -103,10 +103,7 @@ def cmd_fixture(args) -> int:
         ]
         measure = dirac_sea_fixture(args.mass, points)
     elif args.kind == "nilpotent":
-        ks = args.spatial_radius * rng.standard_normal((args.atoms, 3))
-        norms = np.linalg.norm(ks, axis=1)
-        ks = ks[norms > 1e-9]
-        measure = massless_fixture(ks)
+        measure = massless_fixture(args.spatial_radius * rng.standard_normal((args.atoms, 3)))
     else:  # "random"; argparse restricts the choices
         lower, upper = _parse_box(args.box)
         box = MomentumBox(lower, upper, _parse_counts(args.grid, "--grid"))
@@ -203,6 +200,8 @@ def cmd_verify(args) -> int:
     if args.c is None or args.f is None:
         try:
             _check_targets(c, f)
+            if _bound_active(c, f):
+                raise ValidationError(f"c={c} lies in the active-bound band of f={f}")
         except ValidationError as err:
             raise ValidationError(f"{err}; targets not given default to the measure's trace (c) "
                                   "and signed trace (f), so pass --c and --f") from None

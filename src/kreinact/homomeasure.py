@@ -93,9 +93,6 @@ class MomentumBox:
         idx = np.indices(self.grid_shape).reshape(4, -1)
         return np.stack([self.axis_points(a)[i] for a, i in enumerate(idx)], axis=1)
 
-    def contains(self, p: np.ndarray) -> bool:
-        return bool(self._inside(np.asarray(p, float)).all())
-
     def _inside(self, points: np.ndarray) -> np.ndarray:
         """Per row: inside the box padded by ``_CONTAINMENT_TOL`` times its span (at least 1)."""
         lower, upper = np.asarray(self.lower), np.asarray(self.upper)
@@ -130,8 +127,6 @@ class OperatorMeasure:
         if momenta.size == 0:
             momenta = momenta.reshape(0, 4)
             operators = operators.reshape(0, space.dim, space.dim)
-        if operators.ndim == 2:
-            operators = operators[None]
         if momenta.shape[0] != operators.shape[0]:
             raise ValidationError("number of momenta and operators must agree")
         if momenta.shape[1:] != (4,):

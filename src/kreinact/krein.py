@@ -87,12 +87,6 @@ class SignatureSpace:
         mat.flags.writeable = False
         return mat
 
-    def inner(self, u: np.ndarray, v: np.ndarray) -> complex:
-        """Indefinite inner product ``<<u|v>> = u^H S v``."""
-        u = np.asarray(u)
-        v = np.asarray(v)
-        return complex(np.vdot(u, self.signature * v))
-
     def check_operator(self, A: np.ndarray) -> np.ndarray:
         """Validate shape/dtype of an operator on this space; return as complex array."""
         A = np.asarray(A, dtype=complex)
@@ -237,11 +231,6 @@ class SpectralSplit:
     plus: np.ndarray
     zero: np.ndarray
     minus: np.ndarray
-    eigenvalues: np.ndarray
-
-    @property
-    def total(self) -> np.ndarray:
-        return self.plus + self.zero + self.minus
 
 
 def spectral_split(A: np.ndarray, space: SignatureSpace) -> SpectralSplit:
@@ -268,7 +257,7 @@ def spectral_split(A: np.ndarray, space: SignatureSpace) -> SpectralSplit:
     plus = component(w > thresh)
     minus = component(w < -thresh)
     zero = A - plus - minus
-    return SpectralSplit(plus=plus, zero=zero, minus=minus, eigenvalues=w)
+    return SpectralSplit(plus=plus, zero=zero, minus=minus)
 
 
 def product_annihilates(A: np.ndarray, B: np.ndarray, space: SignatureSpace) -> bool:

@@ -119,17 +119,6 @@ class MultiplierFamily:
     canonical_alpha: float
     canonical_beta: float
 
-    def beta(self, alpha: float) -> float:
-        return self.offset - self.slope * alpha
-
-    def contains(self, alpha: float, beta: float) -> bool:
-        """Whether ``(alpha, beta)`` is in the family, to ``1e-9`` times ``max(|offset|, 1)``."""
-        pad = 1e-9 * max(abs(self.offset), 1.0)
-        return (
-            self.alpha_min - pad <= alpha <= self.alpha_max + pad
-            and abs(beta - self.beta(alpha)) <= pad
-        )
-
 
 @dataclass(frozen=True)
 class PointwiseSolution:

@@ -99,6 +99,15 @@ def test_fixture_special_kinds(tmp_path):
     assert load_measure(nil).n_atoms == 3
 
 
+@pytest.mark.parametrize("radius", ["7e-10", "1e-10"])
+def test_nilpotent_fixture_keeps_every_draw_at_a_small_radius(tmp_path, radius):
+    # Every draw is a nonzero wave vector, however small the radius.
+    nil = tmp_path / "nil.json"
+    assert main(["fixture", "nilpotent", "--out", str(nil), "--atoms", "8",
+                 "--spatial-radius", radius]) == 0
+    assert load_measure(nil).n_atoms == 8
+
+
 @pytest.mark.parametrize("kind", ["dirac-sea", "nilpotent"])
 def test_special_fixture_without_atoms_names_the_flag(tmp_path, capsys, kind):
     out = tmp_path / "x.json"
@@ -413,6 +422,25 @@ def test_verify_refuses_default_targets_on_a_face_measure(toy_run, capsys):
     )
     assert match and match[1] == match[2] and float(match[1]) == pytest.approx(0.5, rel=1e-14)
     assert "check " not in captured.out
+
+
+def test_verify_refuses_default_targets_in_the_active_bound_band(tmp_path, capsys):
+    # S A = diag(0.5, 1e-10): the defaulted targets c = Tr A and f = Tr(S A)
+    # pass 0 < c < f, but c lies within the band of f where the report takes
+    # case "b", so they are refused before any report is built.
+    measure_path = tmp_path / "measure.json"
+    box = MinimizeConfig().momentum_box()
+    A = np.diag([0.5, -1e-10]).astype(complex)
+    save_measure(OperatorMeasure(SP1, box, box.grid_points()[:1], [A]), measure_path)
+    report_path = tmp_path / "report.json"
+    assert main(["verify", str(measure_path), "--out", str(report_path)]) == 2
+    captured = capsys.readouterr()
+    assert "active-bound band" in captured.err and "so pass --c and --f" in captured.err
+    assert "check " not in captured.out and not report_path.exists()
+    # Explicit targets in the band are verified as before.
+    main(["verify", str(measure_path), "--c", repr(0.5 - 1e-10), "--f", repr(0.5 + 1e-10),
+          "--out", str(report_path)])
+    assert "case b" in capsys.readouterr().out and report_path.exists()
 
 
 def test_verify_constant_field_stationary_round_trip(tmp_path, capsys):

@@ -16,11 +16,16 @@ parameter (``*, _name``) of a package function or method is passed by
 name by some call in ``src/``: a private keyword that no caller passes
 keeps a dead branch alive.
 
-Every public name of the package is used: each name in a module's
-``__all__``, and each public method or property of a public class, is
-referenced in ``src/`` as a name or an attribute, or named in
-``README.md``.  A public name that only tests use is surface with no
-caller.
+Every public name of the package is used, and a use is resolved, not
+matched as a word.  A name in a module's ``__all__`` is used when a
+``src/`` module imports it by name from its module, reads it as an
+attribute, or, in its own module, reads it as a global: a local
+variable or a parameter of the same spelling is no use (``symtable``
+tells which).  A public method or property of a public class is used
+when some ``src/`` attribute read names it.  Either is also used when a
+code span or code block of ``README.md`` names it; its prose does not
+count.  Dunder names such as ``__version__`` are exempt.  A public name
+that only tests use is surface with no caller.
 
 The export lists agree: every name in a module's ``__all__`` is
 re-exported by ``kreinact`` as the same object, ``kreinact.__all__``
@@ -31,6 +36,7 @@ and ``main`` comes from exactly one module's ``__all__``.
 import ast
 import importlib
 import re
+import symtable
 from pathlib import Path
 
 import pytest
@@ -162,26 +168,55 @@ def _public_definitions(tree: ast.Module) -> list:
     return found
 
 
+def _global_reads(source: str) -> set:
+    """Names that some scope of the source reads as a global, not as a local or a parameter."""
+    found, tables = set(), [symtable.symtable(source, "<source>", "exec")]
+    while tables:
+        table = tables.pop()
+        tables += table.get_children()
+        found |= {s.get_name() for s in table.get_symbols() if s.is_referenced() and s.is_global()}
+    return found
+
+
 def _unused_public(sources: dict, readme: str) -> list:
-    """Public definitions of ``{name: source}`` that no ``Name`` or ``Attribute`` of any source
-    uses and ``readme`` does not name as a word."""
+    """Public definitions of ``{file: source}`` that no source uses and no code span of ``readme`` names."""
     trees = {name: ast.parse(source) for name, source in sources.items()}
-    used = _used_names(trees.values()) | set(re.findall(r"\w+", readme))
+    nodes = [node for tree in trees.values() for node in ast.walk(tree)]
+    attributes = {node.attr for node in nodes
+                  if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    documented = {word for span in re.findall(r"```.*?```|`[^`]+`", readme, re.S)
+                  for word in re.findall(r"\w+", span)}
+    # (module, name): imported by name from its module, or read as a global in it.
+    resolved = {(node.module.rpartition(".")[2], alias.name) for node in nodes
+                if isinstance(node, ast.ImportFrom) and node.module for alias in node.names}
+    resolved |= {(Path(name).stem, read) for name, source in sources.items()
+                 for read in _global_reads(source)}
+
+    def used(module: str, public: str) -> bool:
+        owner, _, name = public.rpartition(".")
+        return (name in attributes | documented or (name.startswith("__") and name.endswith("__"))
+                or not owner and (module, name) in resolved)
+
     return sorted(f"{name}: {public} (line {line})" for name, tree in trees.items()
-                  for public, line in _public_definitions(tree)
-                  if public.rpartition(".")[2] not in used)
+                  for public, line in _public_definitions(tree) if not used(Path(name).stem, public))
 
 
+# A name counts by what it resolves to: a local variable, a parameter, prose and a
+# bare name that spells a method are no use; an attribute read or a code span is.
 def test_the_check_sees_a_public_name_only_tests_use():
     sources = {
-        "a.py": "__all__ = ['used', 'documented', 'dead']\ndef used():\n    pass\ndef documented():\n    pass\n"
-                "def dead():\n    pass\nclass Box:\n    def size(self):\n        pass\n"
-                "    def volume(self):\n        pass\n    def _hidden(self):\n        pass\n"
-                "class _Private:\n    def idle(self):\n        pass\n",
-        "b.py": "from a import used\nused()\nprint(Box().size())\n",
+        "a.py": "__all__ = ['__version__', 'imported', 'read', 'reached', 'documented', 'shadowed',\n"
+                "           'mentioned']\n__version__ = '1'\ndef imported():\n    pass\ndef read():\n    pass\n"
+                "def reached():\n    pass\ndef documented():\n    pass\ndef shadowed():\n    pass\n"
+                "def mentioned():\n    pass\ndef _helper(shadowed):\n    return read(shadowed)\n"
+                "class Box:\n    def size(self):\n        pass\n    def volume(self):\n        pass\n"
+                "    def _hidden(self):\n        pass\nclass _Private:\n    def idle(self):\n        pass\n",
+        "b.py": "import a\nfrom a import imported\nvolume = imported()\n"
+                "print(a.reached, a.Box().size(), volume)\ndef f():\n    shadowed = 2\n    return shadowed\n",
     }
-    assert _unused_public(sources, "Call `documented` first.") == ["a.py: Box.volume (line 11)",
-                                                                  "a.py: dead (line 1)"]
+    readme = "Call `documented` first, not the one mentioned here.\n\n```python\nimport a\n```\n"
+    assert _unused_public(sources, readme) == ["a.py: Box.volume (line 21)", "a.py: mentioned (line 2)",
+                                               "a.py: shadowed (line 1)"]
 
 
 def test_every_public_name_is_used_in_src_or_the_readme():

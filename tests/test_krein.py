@@ -34,8 +34,8 @@ def test_space_basics():
     np.testing.assert_allclose(S, S.conj().T, atol=0)
     u = np.array([1.0, 0, 0, 0])
     v = np.array([0.0, 0, 1.0, 0])
-    assert sp.inner(u, u) == pytest.approx(1.0)
-    assert sp.inner(v, v) == pytest.approx(-1.0)
+    assert np.vdot(u, sp.signature * u) == pytest.approx(1.0)
+    assert np.vdot(v, sp.signature * v) == pytest.approx(-1.0)
 
 
 def test_space_rejects_bad_n():
@@ -72,8 +72,8 @@ def test_adjoint_matches_inner_product():
     A = random_matrix(sp, rng)
     u = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    lhs = sp.inner(u, A @ v)
-    rhs = sp.inner(krein_adjoint(A, sp) @ u, v)
+    lhs = np.vdot(u, sp.signature * (A @ v))
+    rhs = np.vdot(krein_adjoint(A, sp) @ u, sp.signature * v)
     assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
@@ -103,7 +103,7 @@ def test_spectral_split_reconstructs_and_commutes():
     rng = make_rng(5)
     A = random_positive(sp, rng)
     split = spectral_split(A, sp)
-    np.testing.assert_allclose(split.total, A, atol=1e-10 * np.linalg.norm(A, 2))
+    np.testing.assert_allclose(split.plus + split.zero + split.minus, A, atol=1e-10 * np.linalg.norm(A, 2))
     for part in (split.plus, split.zero, split.minus):
         np.testing.assert_allclose(part @ A, A @ part, atol=1e-9 * np.linalg.norm(A, 2) ** 2)
 
@@ -118,10 +118,10 @@ def test_spectral_split_eigenspaces_definite():
         u = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         vp = split.plus @ u
         if np.linalg.norm(vp) > 1e-8:
-            assert sp.inner(vp, vp).real > 0
+            assert np.vdot(vp, sp.signature * vp).real > 0
         vm = split.minus @ u
         if np.linalg.norm(vm) > 1e-8:
-            assert sp.inner(vm, vm).real < 0
+            assert np.vdot(vm, sp.signature * vm).real < 0
 
 
 def test_spectral_split_rank_one_atoms():

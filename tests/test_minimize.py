@@ -507,7 +507,7 @@ def test_pointwise_certifier_accepts_every_atom_of_certified_minimizers(toy_seed
                     lagrange_from_point(q, A, measure.space, strict=True)
                 family = err.value.family
                 assert family.slope == 1, (config.n, seed, j)
-                assert abs(family.beta(result.alpha) - result.beta) <= bound, (config.n, seed, j)
+                assert abs(family.offset - family.slope * result.alpha - result.beta) <= bound, (config.n, seed, j)
 
 
 def test_minimizer_atoms_have_rank_n_with_a_positive_definite_range(toy_seed_results, n2_seed_results):
